@@ -9,10 +9,11 @@ ingredients, which this package provides once:
 1. :mod:`repro.campaign.spec` — a campaign is a parameter grid over a
    registered experiment, expanded into jobs with deterministic per-job
    seeds (same spec ⇒ same seeds, forever).
-2. :mod:`repro.campaign.runner` — a fault-tolerant parallel runner on
-   ``concurrent.futures``: per-job timeouts, bounded retries with
-   backoff, and worker-crash recovery that records the failure and keeps
-   the campaign going.
+2. :mod:`repro.campaign.runner` — a parallel runner on
+   ``concurrent.futures``, the local transport of the campaign
+   scheduler (:mod:`repro.cluster.scheduler`): per-job timeouts,
+   bounded retries with backoff, and worker-crash recovery that records
+   the failure and keeps the campaign going.
 3. :mod:`repro.campaign.store` — one JSONL record per job plus a
    campaign manifest; append-only, so an interrupted campaign resumes by
    skipping jobs whose records already exist.
@@ -38,13 +39,8 @@ from repro.campaign.report import (
     render_report,
     render_status,
 )
-from repro.campaign.runner import (
-    CampaignResult,
-    CampaignRunner,
-    InProcessExecutor,
-    JobTimeout,
-    WorkerCrash,
-)
+from repro.campaign.executor import InProcessExecutor, JobTimeout, WorkerCrash
+from repro.campaign.runner import CampaignResult, CampaignRunner
 from repro.campaign.spec import CampaignSpec, JobSpec, derive_seed
 from repro.campaign.store import (
     JobRecord,

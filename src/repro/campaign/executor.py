@@ -1,13 +1,14 @@
 """One job attempt, executed wherever the work landed.
 
-This is the execution core shared by every way the repo runs campaign
-jobs: the single-host :class:`~repro.campaign.runner.CampaignRunner`
-ships :func:`execute_payload` into ``ProcessPoolExecutor`` workers, and
-the :mod:`repro.cluster` worker protocol calls :func:`run_attempt`
-inside remote worker processes.  Keeping it in one module is what makes
-the determinism contract cheap to state: a job's metrics are a pure
-function of ``(experiment, params, seed)``, so the same payload yields
-bit-identical metrics no matter which executor ran it.
+This is the execution core shared by both transports of the campaign
+scheduler (:class:`~repro.cluster.scheduler.ClusterScheduler`): the
+single-host :class:`~repro.campaign.runner.CampaignRunner` ships
+:func:`run_attempt` into ``ProcessPoolExecutor`` slots, and the
+:mod:`repro.cluster` socket worker calls it inside its own process.
+Keeping it in one module is what makes the determinism contract cheap
+to state: a job's metrics are a pure function of
+``(experiment, params, seed)``, so the same payload yields
+bit-identical metrics no matter which transport ran it.
 
 The payload is a plain JSON-able dict (picklable *and* wire-encodable):
 
@@ -35,6 +36,7 @@ from repro.campaign.store import (
     STATUS_FAILED,
     STATUS_OK,
     STATUS_TIMEOUT,
+    JobRecord,
 )
 
 
@@ -131,14 +133,13 @@ def execute_payload(payload: dict) -> dict:
         "metrics": metrics,
         "duration": time.perf_counter() - start,
         # None: no budget requested; False: budget silently unenforceable
-        # on this platform/thread — the runner surfaces it on the record.
+        # on this platform/thread — the record carries it.
         "timeout_enforced": use_alarm if timeout is not None else None,
     }
 
 
 def classify_failure(exc: BaseException) -> tuple[str, str]:
-    """Map an attempt's exception to a ``(status, error)`` pair, the
-    same way the single-host runner's future handling does."""
+    """Map an attempt's exception to a ``(status, error)`` pair."""
     if isinstance(exc, JobTimeout):
         return STATUS_TIMEOUT, str(exc)
     if isinstance(exc, WorkerCrash):
@@ -151,9 +152,7 @@ class AttemptOutcome:
     """What one in-worker attempt produced, exception-free.
 
     ``status`` is one of the store's ``STATUS_*`` constants; ``metrics``
-    is populated only on success.  This is the cluster worker's view of
-    :func:`execute_payload` — the local runner keeps the raw exception
-    flow because its futures already carry it.
+    is populated only on success.
     """
 
     status: str
@@ -168,6 +167,23 @@ class AttemptOutcome:
         return self.status == STATUS_OK
 
 
+def failed_outcome(
+    payload: dict, status: str, error: str, duration: float
+) -> AttemptOutcome:
+    """The outcome of an attempt that failed before it could report
+    ``timeout_enforced``: ``False`` when a budget was requested on a
+    platform without ``SIGALRM``, else ``None`` (unknown)."""
+    enforced: Optional[bool] = None
+    if payload.get("timeout_seconds") is not None and not alarm_supported():
+        enforced = False
+    return AttemptOutcome(
+        status=status,
+        duration=duration,
+        error=error,
+        timeout_enforced=enforced,
+    )
+
+
 def run_attempt(payload: dict) -> AttemptOutcome:
     """Execute one attempt and fold any failure into the outcome.
 
@@ -180,15 +196,8 @@ def run_attempt(payload: dict) -> AttemptOutcome:
     except (KeyboardInterrupt, SystemExit):
         raise
     except BaseException as exc:  # noqa: BLE001 — any job error is a job failure
-        status, error = classify_failure(exc)
-        enforced: Optional[bool] = None
-        if payload.get("timeout_seconds") is not None and not alarm_supported():
-            enforced = False
-        return AttemptOutcome(
-            status=status,
-            duration=time.perf_counter() - start,
-            error=error,
-            timeout_enforced=enforced,
+        return failed_outcome(
+            payload, *classify_failure(exc), time.perf_counter() - start
         )
     return AttemptOutcome(
         status=STATUS_OK,
@@ -198,11 +207,35 @@ def run_attempt(payload: dict) -> AttemptOutcome:
     )
 
 
+def job_record(job: dict, outcome: AttemptOutcome) -> JobRecord:
+    """The store record of one attempt of a leased job.
+
+    ``job`` is a scheduler ``job`` message (see
+    :mod:`repro.cluster.protocol`); its payload's 0-based ``attempt``
+    becomes the record's 1-based ``attempts``.
+    """
+    payload = job["payload"]
+    return JobRecord(
+        job_id=job["job_id"],
+        experiment=payload["experiment"],
+        params=payload["params"],
+        trial=int(job.get("trial", 0)),
+        seed=payload["seed"],
+        status=outcome.status,
+        attempts=int(payload.get("attempt", 0)) + 1,
+        duration_seconds=outcome.duration,
+        metrics=outcome.metrics,
+        error=outcome.error,
+        timeout_enforced=outcome.timeout_enforced,
+    )
+
+
 class InProcessExecutor:
     """A drop-in executor that runs submissions synchronously.
 
     Keeps tests (and debugging sessions) single-process while exercising
-    the runner's full retry/timeout/crash logic.
+    the full retry/timeout/crash logic of the scheduler behind the
+    runner.
     """
 
     supports_crash_isolation = False

@@ -1,23 +1,26 @@
-"""Parallel, fault-tolerant campaign execution.
+"""Single-host campaign execution: the local transport of the scheduler.
 
 The runner turns a :class:`~repro.campaign.spec.CampaignSpec` into
-finished :class:`~repro.campaign.store.JobRecord` rows.  Its contract is
-that **one bad job never kills a campaign**:
+finished :class:`~repro.campaign.store.JobRecord` rows on this machine.
+It holds no campaign state machine of its own.  It submits the
+campaign to a :class:`~repro.cluster.scheduler.ClusterScheduler` and
+registers each of its ``workers`` executor slots as a scheduler
+worker; then, turn by turn, it leases a job for every free slot, runs
+:func:`~repro.campaign.executor.run_attempt` on the executor, persists
+the terminal record with :func:`repro.cluster.worker.finish_job` (the
+helper socket workers use) and reports the outcome with
+``handle_result``.  Per-job timeouts, retries with exponential
+backoff, attempt charging, terminal crash records and finalize are
+therefore exactly those of ``repro cluster run``.
 
-- every job gets a wall-clock budget (enforced with ``SIGALRM`` inside
-  the worker, so even a runaway compression loop is interrupted);
-- a failed attempt is retried up to ``spec.max_retries`` times with
-  exponential backoff;
-- a worker-process *crash* (which breaks the whole
-  ``ProcessPoolExecutor``) is survived by rebuilding the pool and
-  requeueing the jobs that were in flight;
-- when retries are exhausted the failure is recorded in the store —
-  with its error message — and the campaign moves on.
-
-Parallelism comes from ``concurrent.futures.ProcessPoolExecutor``; the
-``executor_factory`` argument swaps in :class:`InProcessExecutor` so the
-whole machinery (including retries, timeouts and simulated crashes) runs
-single-process and fast under test.
+Parallelism comes from ``concurrent.futures.ProcessPoolExecutor``.  A
+worker process that dies breaks the whole pool: every slot with a job
+in flight is disconnected from the scheduler — which charges each of
+those jobs exactly one attempt — and the pool is rebuilt.  The
+``executor_factory`` argument swaps in
+:class:`~repro.campaign.executor.InProcessExecutor` so
+every path (retries, timeouts, simulated crashes) runs single-process
+and fast under test.
 """
 
 from __future__ import annotations
@@ -35,45 +38,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro import obs
-from repro.campaign import executor as executor_mod
-from repro.campaign.executor import (
-    InjectedFailure,
-    InProcessExecutor,
-    JobTimeout,
-    WorkerCrash,
-    execute_payload,
-)
-from repro.campaign.spec import CampaignSpec, JobSpec
+from repro.campaign.executor import run_attempt
+from repro.campaign.spec import CampaignSpec
+from repro.campaign.store import ResultStore
 from repro.obs import tracectx
-from repro.campaign.store import (
-    STATUS_CRASHED,
-    STATUS_FAILED,
-    STATUS_OK,
-    STATUS_TIMEOUT,
-    JobRecord,
-    ResultStore,
-)
 
-__all__ = [
-    "CampaignResult",
-    "CampaignRunner",
-    "InjectedFailure",
-    "InProcessExecutor",
-    "JobTimeout",
-    "WorkerCrash",
-    "execute_payload",
-]
-
-
-@dataclass
-class _Attempt:
-    """One scheduled execution of one job."""
-
-    job: JobSpec
-    position: int  # index in expansion order (fault-injection anchor)
-    attempt: int = 0  # 0-based
-    eligible_at: float = 0.0  # monotonic time before which we hold it back
-    submitted_at: float = 0.0
+__all__ = ["CampaignResult", "CampaignRunner"]
 
 
 @dataclass
@@ -107,8 +77,9 @@ class CampaignRunner:
     Args:
         spec: the campaign to run.
         store: where records and the manifest live.
-        workers: parallel worker processes (ignored by a custom
-            single-slot executor only in that submissions serialise).
+        workers: executor slots, each a scheduler worker (ignored by a
+            custom single-slot executor only in that submissions
+            serialise).
         executor_factory: zero-arg callable building an executor; the
             default builds a ``ProcessPoolExecutor(workers)``.  Pass
             ``InProcessExecutor`` for in-process runs.
@@ -136,364 +107,152 @@ class CampaignRunner:
         if self._on_event is not None:
             self._on_event(message)
 
-    # -- scheduling helpers --------------------------------------------
-    def _payload(self, attempt: _Attempt) -> dict:
-        job = attempt.job
-        payload = {
-            "job_id": job.job_id,
-            "experiment": job.experiment,
-            "params": job.params_dict(),
-            "seed": job.seed,
-            "timeout_seconds": self.spec.timeout_seconds,
-            "attempt": attempt.attempt,
-        }
-        inject = self.spec.inject_failures
-        if inject is not None and inject.applies_to(
-            job, attempt.position, attempt.attempt
-        ):
-            payload["inject_mode"] = inject.mode
-            payload["allow_hard_crash"] = getattr(
-                self._executor, "supports_crash_isolation", True
-            )
-        return payload
-
-    def _record(
-        self,
-        attempt: _Attempt,
-        status: str,
-        duration: float,
-        metrics: Optional[dict] = None,
-        error: Optional[str] = None,
-        timeout_enforced: Optional[bool] = None,
-    ) -> JobRecord:
-        job = attempt.job
-        record = JobRecord(
-            job_id=job.job_id,
-            experiment=job.experiment,
-            params=job.params_dict(),
-            trial=job.trial,
-            seed=job.seed,
-            status=status,
-            attempts=attempt.attempt + 1,
-            duration_seconds=duration,
-            metrics=metrics,
-            error=error,
-            timeout_enforced=timeout_enforced,
-        )
-        self.store.append(record)
-        return record
-
-    def _retry_or_fail(
-        self,
-        attempt: _Attempt,
-        status: str,
-        error: str,
-        pending: list,
-        result: CampaignResult,
-    ) -> None:
-        """Requeue with backoff, or persist the terminal failure."""
-        job = attempt.job
-        if attempt.attempt < self.spec.max_retries:
-            delay = self.spec.retry_backoff * (2**attempt.attempt)
-            attempt.attempt += 1
-            attempt.eligible_at = time.monotonic() + delay
-            pending.append(attempt)
-            obs.counter_add("campaign.retries")
-            obs.observe("campaign.backoff_seconds", delay)
-            self._emit(
-                f"retry {job.job_id} (attempt {attempt.attempt + 1}, "
-                f"after {delay:.2f}s): {error}"
-            )
-            return
-        # The last attempt's wall clock: submission to now.  (This used
-        # to be hard-zeroed — and the pool-rebuild path even reset
-        # submitted_at before recording — so every terminal failure
-        # reported duration_seconds=0.0.)
-        duration = (
-            time.monotonic() - attempt.submitted_at
-            if attempt.submitted_at
-            else 0.0
-        )
-        record = self._record(
-            attempt,
-            status,
-            duration,
-            error=error,
-            timeout_enforced=self._timeout_enforced_hint(),
-        )
-        result.records.append(record)
-        result.counts[status] = result.counts.get(status, 0) + 1
-        obs.counter_add(f"campaign.{status}")
-        obs.log(
-            "warning",
-            "job gave up",
-            job_id=job.job_id,
-            status=status,
-            attempts=attempt.attempt + 1,
-            error=error,
-        )
-        self._emit(f"gave up on {job.job_id} after {attempt.attempt + 1} "
-                   f"attempts: {error}")
-
-    def _timeout_enforced_hint(self) -> Optional[bool]:
-        """What to record for ``timeout_enforced`` when the attempt
-        itself could not report it (failure paths): ``False`` when a
-        budget was requested but the platform cannot enforce it, else
-        ``None`` (unknown / not applicable)."""
-        if (
-            self.spec.timeout_seconds is not None
-            and not executor_mod.alarm_supported()
-        ):
-            return False
-        return None
-
-    def _handle_outcome(
-        self,
-        attempt: _Attempt,
-        future: Future,
-        pending: list,
-        result: CampaignResult,
-    ) -> bool:
-        """Consume one finished future.  Returns True when the executor
-        broke (caller must rebuild it)."""
-        job = attempt.job
-        obs.counter_add("campaign.attempts")
-        try:
-            out = future.result()
-        except BrokenExecutor:
-            return True
-        except JobTimeout as exc:
-            self._retry_or_fail(attempt, STATUS_TIMEOUT, str(exc), pending, result)
-            return False
-        except WorkerCrash as exc:
-            self._retry_or_fail(attempt, STATUS_CRASHED, str(exc), pending, result)
-            return False
-        except Exception as exc:  # noqa: BLE001 — any job error is a job failure
-            self._retry_or_fail(
-                attempt,
-                STATUS_FAILED,
-                f"{type(exc).__name__}: {exc}",
-                pending,
-                result,
-            )
-            return False
-        enforced = out.get("timeout_enforced")
-        if enforced is False and obs.warn_once(
-            "campaign.timeout-unenforced",
-            "per-job wall-clock budgets are not enforceable here "
-            "(no SIGALRM or worker off the main thread); jobs may "
-            "overrun their budget",
-            timeout_seconds=self.spec.timeout_seconds,
-        ):
-            self._emit(
-                "warning: per-job timeout cannot be enforced on this "
-                "platform (no SIGALRM); budgets are advisory"
-            )
-        record = self._record(
-            attempt,
-            STATUS_OK,
-            out["duration"],
-            metrics=out["metrics"],
-            timeout_enforced=enforced,
-        )
-        result.records.append(record)
-        result.counts[STATUS_OK] = result.counts.get(STATUS_OK, 0) + 1
-        obs.counter_add("campaign.ok")
-        obs.observe("campaign.job_seconds", out["duration"])
-        self._emit(
-            f"ok {job.job_id} {job.params_dict()} trial={job.trial} "
-            f"({out['duration']:.2f}s, attempt {attempt.attempt + 1})"
-        )
-        return False
-
-    # -- the main loop --------------------------------------------------
     def run(self, resume: bool = False) -> CampaignResult:
         """Execute every job that has no record yet; return aggregate
         counts.  With ``resume`` an existing campaign directory is
         continued instead of rejected."""
+        # Deferred: the repro.cluster package imports repro.campaign.
+        from repro.cluster.scheduler import ClusterScheduler
+
         start = time.monotonic()
-        self.store.open_campaign(self.spec, resume=resume)
-
-        all_jobs = self.spec.jobs()
-        done_ids = self.store.completed_ids()
-        pending = [
-            _Attempt(job=job, position=position)
-            for position, job in enumerate(all_jobs)
-            if job.job_id not in done_ids
-        ]
-        result = CampaignResult(skipped=len(all_jobs) - len(pending))
-        if result.skipped:
-            self._emit(f"resume: skipping {result.skipped} recorded jobs")
-
-        # Announce the run's shape up front: `repro obs watch` reads
-        # this line to show done/total progress before any job lands.
-        obs.log(
-            "info",
-            "campaign started",
-            campaign=self.spec.name,
-            experiment=self.spec.experiment,
-            jobs=len(pending),
-            workers=self.workers,
-        )
-
-        if (
-            self.spec.timeout_seconds is not None
-            and not executor_mod.alarm_supported()
-        ):
-            if obs.warn_once(
-                "campaign.timeout-unenforced",
-                "per-job wall-clock budgets are not enforceable here "
-                "(no SIGALRM); jobs may overrun their budget",
-                timeout_seconds=self.spec.timeout_seconds,
-            ):
-                self._emit(
-                    "warning: per-job timeout cannot be enforced on this "
-                    "platform (no SIGALRM); budgets are advisory"
-                )
-
-        run_span = obs.span(
+        scheduler = ClusterScheduler(on_event=self._on_event)
+        slots = [f"local-{index}" for index in range(self.workers)]
+        for slot in slots:
+            scheduler.register_worker(slot, pid=os.getpid())
+        if obs.enabled():
+            tracectx.begin_trace()
+        with obs.span(
             "campaign.run",
             campaign=self.spec.name,
             experiment=self.spec.experiment,
-            jobs=len(pending),
             workers=self.workers,
+        ) as run_span:
+            campaign_id = scheduler.submit(
+                self.spec, self.store.root, resume=resume
+            )
+            exec_ = scheduler.campaigns[campaign_id]
+            run_span.note(jobs=len(exec_.queue.jobs))
+            self._drive(scheduler, exec_, slots)
+
+        ran = {queued.job.job_id for queued in exec_.queue.jobs}
+        result = CampaignResult(
+            counts=dict(exec_.counts),
+            records=[
+                record
+                for job_id, record in self.store.load_records().items()
+                if job_id in ran
+            ],
+            skipped=exec_.skipped,
+            elapsed_seconds=time.monotonic() - start,
         )
-        self._executor = self._factory()
-        in_flight: dict[Future, _Attempt] = {}
-        observing = obs.enabled()
-        trace_env_set = False
+        self._emit(result.summary())
+        return result
+
+    def _drive(self, scheduler, exec_, slots: list) -> None:
+        """Move jobs between the scheduler and the executor until the
+        campaign is finalized."""
+        from repro.cluster.worker import finish_job
+
+        executor = self._factory()
+        in_flight: dict[Future, tuple[str, dict]] = {}  # -> (slot, job)
         try:
-            run_span.__enter__()
-            if observing:
-                # Pool worker processes spawn lazily at first submit,
-                # so exporting REPRO_OBS_TRACE here (trace id plus this
-                # run span as the remote parent) is early enough for
-                # every worker's spans to join this campaign's tree.
-                trace_id = tracectx.begin_trace()
-                trace_env_set = tracectx.export_to_env(
-                    trace_id, run_span.span_id
-                )
-            while pending or in_flight:
-                if observing:
-                    obs.observe(
-                        "campaign.queue_depth", len(pending) + len(in_flight)
-                    )
-                now = time.monotonic()
-                # Fill free slots with eligible attempts.
-                free = self.workers - len(in_flight)
-                submitted_any = False
-                for _ in range(free):
-                    index = next(
-                        (
-                            i
-                            for i, a in enumerate(pending)
-                            if a.eligible_at <= now
-                        ),
-                        None,
-                    )
-                    if index is None:
+            while scheduler.active():
+                busy = {slot for slot, _ in in_flight.values()}
+                for slot in busy:
+                    scheduler.heartbeat(slot)
+                for slot in (s for s in slots if s not in busy):
+                    job = scheduler.request_lease(slot)
+                    if job is None:
                         break
-                    attempt = pending.pop(index)
-                    attempt.submitted_at = now
                     try:
-                        future = self._executor.submit(
-                            execute_payload, self._payload(attempt)
+                        future = executor.submit(
+                            run_attempt, _attempt_payload(job, executor)
                         )
                     except BrokenExecutor:
-                        # The pool was already dead; this attempt never
-                        # ran, so requeue it without charging a retry.
-                        pending.append(attempt)
-                        self._rebuild(in_flight, pending, result)
-                        break
-                    in_flight[future] = attempt
-                    submitted_any = True
+                        # The pool died before this attempt ran: keep
+                        # its lease and run it on the fresh pool.
+                        executor = self._replace_pool(
+                            scheduler, executor, in_flight
+                        )
+                        future = executor.submit(
+                            run_attempt, _attempt_payload(job, executor)
+                        )
+                    in_flight[future] = (slot, job)
 
                 if not in_flight:
-                    if pending and not submitted_any:
-                        soonest = min(a.eligible_at for a in pending)
-                        time.sleep(max(0.0, min(soonest - now, 0.2)))
+                    time.sleep(scheduler.idle_retry_after())
                     continue
-
                 finished, _ = wait(
-                    set(in_flight), timeout=0.2, return_when=FIRST_COMPLETED
+                    list(in_flight), timeout=0.2, return_when=FIRST_COMPLETED
                 )
-                broke = False
+                broken = False
                 for future in finished:
-                    attempt = in_flight.pop(future)
-                    if self._handle_outcome(attempt, future, pending, result):
-                        self._retry_or_fail(
-                            attempt,
-                            STATUS_CRASHED,
-                            "worker process died (pool broken)",
-                            pending,
-                            result,
-                        )
-                        broke = True
-                if broke:
-                    self._rebuild(in_flight, pending, result)
+                    if isinstance(future.exception(), BrokenExecutor):
+                        broken = True
+                        continue
+                    slot, job = in_flight.pop(future)
+                    outcome = future.result()  # re-raises KeyboardInterrupt
+                    scheduler.handle_result(
+                        slot, finish_job(self.store, slot, job, outcome)
+                    )
+                if broken:
+                    executor = self._replace_pool(
+                        scheduler, executor, in_flight
+                    )
         except KeyboardInterrupt:
             # Every finished job is already checkpointed (the store
             # flushes per record), so `campaign resume` picks up cleanly
             # at the first unrecorded job.  Cancel what we can and let
             # the interrupt propagate.
+            done = exec_.queue.done_count
             obs.log(
                 "warning",
                 "campaign interrupted",
                 campaign=self.spec.name,
-                records_checkpointed=len(result.records) + result.skipped,
-                pending=len(pending) + len(in_flight),
+                records_checkpointed=done + exec_.skipped,
+                pending=exec_.queue.pending_count + exec_.queue.leased_count,
             )
             self._emit(
-                f"interrupted: {len(result.records)} records checkpointed "
+                f"interrupted: {done} records checkpointed "
                 f"this run; continue with `campaign resume {self.store.root}`"
             )
-            try:
-                self._executor.shutdown(wait=False, cancel_futures=True)
-            except Exception:  # noqa: BLE001 — best-effort cancellation
-                pass
+            _shutdown_now(executor)
             raise
         finally:
-            run_span.__exit__(None, None, None)
-            if trace_env_set:
-                os.environ.pop(tracectx.ENV_TRACE, None)
-            self._executor.shutdown(wait=True)
+            executor.shutdown(wait=True)
             obs.flush()
 
-        result.elapsed_seconds = time.monotonic() - start
-        counts = dict(result.counts)
-        counts["skipped"] = result.skipped
-        self.store.finalize(counts)
-        self._emit(result.summary())
-        return result
-
-    def _rebuild(
-        self, in_flight: dict, pending: list, result: CampaignResult
-    ) -> None:
-        """A worker died and took the pool with it: charge every
-        in-flight job one attempt (retry or record the crash), then
-        start a fresh pool and keep going.
-
-        Accounting invariants (pinned by
-        ``tests/test_campaign_runner.py::TestBrokenPoolAccounting``):
-        the job whose future raised ``BrokenExecutor`` was popped from
-        ``in_flight`` and charged by the caller, so it is charged
-        exactly once here too — and ``submitted_at`` is left intact so
-        a terminal record keeps its real wall-clock duration (it was
-        previously zeroed right before ``_retry_or_fail``, wiping the
-        duration of every crash-terminated job)."""
-        for attempt in list(in_flight.values()):
-            self._retry_or_fail(
-                attempt,
-                STATUS_CRASHED,
-                "worker process died (pool broken)",
-                pending,
-                result,
-            )
-        in_flight.clear()
+    def _replace_pool(self, scheduler, executor, in_flight: dict):
+        """A worker process died and took the pool with it: disconnect
+        every slot with a job in flight (the scheduler charges each of
+        those jobs exactly one attempt) and return a fresh pool."""
         obs.counter_add("campaign.pool_rebuilds")
         self._emit("worker pool broke (crashed worker); rebuilding pool")
-        try:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-        except Exception:  # noqa: BLE001 — a broken pool may refuse shutdown
-            pass
-        self._executor = self._factory()
+        for slot, _ in in_flight.values():
+            scheduler.disconnect_worker(slot)
+            scheduler.register_worker(slot, pid=os.getpid())
+        in_flight.clear()
+        _shutdown_now(executor)
+        return self._factory()
+
+
+def _attempt_payload(job: dict, executor) -> dict:
+    """The attempt payload of a ``job`` message, for this executor.
+
+    The job's trace context rides in the payload, so spans in a pool
+    process join the campaign's tree.  An injected crash may hard-exit
+    only a process the executor can replace.
+    """
+    payload = dict(job["payload"], trace=job.get("trace"))
+    if "inject_mode" in payload:
+        payload["allow_hard_crash"] = getattr(
+            executor, "supports_crash_isolation", True
+        )
+    return payload
+
+
+def _shutdown_now(executor) -> None:
+    try:
+        executor.shutdown(wait=False, cancel_futures=True)
+    except Exception:  # noqa: BLE001 — a broken pool may refuse shutdown
+        pass

@@ -3,7 +3,7 @@
 A :class:`CampaignSpec` declares *what* to run — a named experiment from
 the registry, a grid of swept parameters, fixed parameters shared by
 every cell, and a trial count — without saying anything about *how* it
-runs (that is the runner's job).  Expansion into :class:`JobSpec` jobs
+runs (that is the scheduler's job).  Expansion into :class:`JobSpec` jobs
 is deterministic: the same spec always yields the same jobs, the same
 job ids and the same per-job seeds, which is what makes resume and
 cross-machine reproduction possible.
@@ -67,9 +67,9 @@ class JobSpec:
 class FaultInjection:
     """Deliberate first-attempt failures, for drills and tests.
 
-    The runner consults this before each attempt; an injected job fails
-    its first ``attempts`` attempts (with an exception, or by killing the
-    worker process when ``mode`` is ``"crash"``) and then behaves
+    The scheduler consults this as it leases each attempt; an injected
+    job fails its first ``attempts`` attempts (with an exception, or by
+    killing the worker process when ``mode`` is ``"crash"``) and then behaves
     normally — proving in production that retry and crash recovery work.
     """
 

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro import obs
-from repro.campaign.spec import CampaignSpec, JobSpec
+from repro.campaign.spec import CampaignSpec
 
 MANIFEST_NAME = "manifest.json"
 RESULTS_NAME = "results.jsonl"
@@ -385,11 +385,6 @@ class ResultStore:
         campaign has not finalized yet)."""
         with open(self.diag_path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-
-    def pending_jobs(self, spec: CampaignSpec) -> list[JobSpec]:
-        """The spec's jobs that have no record yet, in expansion order."""
-        done = self.completed_ids()
-        return [job for job in spec.jobs() if job.job_id not in done]
 
 
 # -- pure record algebra (shared by store, scheduler, and tests) --------

@@ -1,17 +1,18 @@
 """Distributed campaign execution: scheduler, worker protocol, service.
 
-The package splits the single-host campaign runner along its natural
-seam.  The **scheduler** (:mod:`repro.cluster.scheduler`) owns job
-expansion, a work-stealing lease queue with heartbeat-backed crash
-recovery (:mod:`repro.cluster.queue`), retry accounting, and the
-shard-merge finalize; **workers** (:mod:`repro.cluster.worker`) own
-execution via the shared :mod:`repro.campaign.executor` core and write
-their records to per-worker ``shard-<id>/`` sub-stores.  The two talk
-a JSON-lines protocol over TCP or a Unix socket
-(:mod:`repro.cluster.protocol`), served by the asyncio shell in
-:mod:`repro.cluster.service` — one-shot (``repro cluster run``) or as
-a long-lived campaign service (``repro cluster serve`` +
-``submit``/``status``/``cancel``).
+The **scheduler** (:mod:`repro.cluster.scheduler`) is the one campaign
+state machine: job expansion, a work-stealing lease queue with
+heartbeat-backed crash recovery (:mod:`repro.cluster.queue`), retry
+accounting, and the shard-merge finalize.  **Workers**
+(:mod:`repro.cluster.worker`) own execution via the shared
+:mod:`repro.campaign.executor` core and write their records to
+per-worker ``shard-<id>/`` sub-stores.  The two talk a JSON-lines
+protocol over TCP or a Unix socket (:mod:`repro.cluster.protocol`),
+served by the asyncio shell in :mod:`repro.cluster.service` — one-shot
+(``repro cluster run``) or as a long-lived campaign service (``repro
+cluster serve`` + ``submit``/``status``/``cancel``).  The local
+:class:`~repro.campaign.runner.CampaignRunner` is the scheduler's
+other transport: its executor-pool slots are the workers.
 
 The determinism contract carries over unchanged: job metrics are a
 pure function of ``(experiment, params, seed)``, so the same spec

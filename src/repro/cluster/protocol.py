@@ -7,9 +7,10 @@ back — while ``heartbeat``, ``result`` and ``goodbye`` are one-way
 (the scheduler never replies to them, so a single reader loop on each
 side suffices and messages can never interleave).
 
-Worker → scheduler::
+Worker → scheduler (field types are checked by
+:func:`check_worker_message`; ``?`` marks an optional field)::
 
-    register   {worker_id, pid, protocol}
+    register   {worker_id, pid?, protocol?}
     lease      {worker_id}                     -> job | idle | drain
     heartbeat  {worker_id}                     (one-way)
     result     {worker_id, campaign_id, lease_id, job_id, status,
@@ -43,7 +44,7 @@ commands use the same stream)::
 
 Determinism note: nothing on the wire feeds the job's metrics — the
 ``payload`` carries the same ``(experiment, params, seed)`` triple the
-single-host runner builds, so transport cannot perturb results.
+local pool transport runs, so transport cannot perturb results.
 """
 
 from __future__ import annotations
@@ -53,6 +54,13 @@ import socket
 import threading
 from dataclasses import dataclass
 from typing import Optional
+
+from repro.campaign.store import (
+    STATUS_CRASHED,
+    STATUS_FAILED,
+    STATUS_OK,
+    STATUS_TIMEOUT,
+)
 
 PROTOCOL_VERSION = 1
 
@@ -82,6 +90,63 @@ MSG_ERROR = "error"
 
 class ProtocolError(Exception):
     """A malformed, oversized, or out-of-order protocol message."""
+
+
+_NUMBER = (int, float)
+# (required, optional) fields of each worker -> scheduler message, with
+# the types a value may have.  An optional field may also be null.
+WORKER_FIELDS = {
+    MSG_REGISTER: ({"worker_id": str}, {"pid": int, "protocol": int}),
+    MSG_LEASE: ({"worker_id": str}, {}),
+    MSG_HEARTBEAT: ({"worker_id": str}, {}),
+    MSG_RESULT: (
+        {
+            "worker_id": str,
+            "campaign_id": str,
+            "lease_id": str,
+            "job_id": str,
+            "status": str,
+            "duration": _NUMBER,
+        },
+        {
+            "error": str,
+            "timeout_enforced": bool,
+            "trace": dict,
+            "metrics": dict,
+        },
+    ),
+    MSG_GOODBYE: ({}, {"worker_id": str}),
+}
+RESULT_STATUSES = (STATUS_OK, STATUS_FAILED, STATUS_TIMEOUT, STATUS_CRASHED)
+
+
+def check_worker_message(message: dict) -> None:
+    """Raise :class:`ProtocolError` unless a worker → scheduler message
+    carries every field it needs, each with an allowed type.
+
+    Other message types pass unchecked.  The scheduler drops a
+    connection on a malformed message, which charges the worker's
+    leases, instead of letting a bad value raise inside the scheduler.
+    """
+    kind = message.get("type")
+    if kind not in WORKER_FIELDS:
+        return
+    required, optional = WORKER_FIELDS[kind]
+    for name, types in {**required, **optional}.items():
+        value = message.get(name)
+        if name not in required and value is None:
+            continue
+        if name not in message:
+            raise ProtocolError(f"{kind} message has no {name!r}")
+        # bool is an int subclass; only a bool field accepts one.
+        if not isinstance(value, types) or (
+            isinstance(value, bool) and types is not bool
+        ):
+            raise ProtocolError(
+                f"{kind} field {name!r} has a bad value {value!r}"
+            )
+    if kind == MSG_RESULT and message["status"] not in RESULT_STATUSES:
+        raise ProtocolError(f"result has unknown status {message['status']!r}")
 
 
 def encode_message(message: dict) -> bytes:

@@ -3,11 +3,11 @@
 Jobs sit in a pending list until any worker asks for work (that *is*
 the work stealing: there is no per-worker assignment, the next free
 worker takes the next eligible job).  A leased job is invisible to
-other workers until its lease expires or its worker disconnects; then
-it is charged one attempt — exactly the accounting the single-host
-runner applies when a broken pool takes in-flight jobs with it — and
-either requeued with the runner's exponential backoff or declared
-terminally crashed.
+other workers until it is resolved, its lease expires or its worker
+disconnects.  The queue is the one place campaign retries are
+computed: :meth:`LeaseQueue.retry` charges an attempt and applies the
+exponential backoff, for both transports of the scheduler (socket
+workers and the local executor pool).
 
 The clock is injected so every lease-expiry path is unit-testable
 without sleeping.
@@ -28,7 +28,7 @@ class QueuedJob:
 
     job: JobSpec
     position: int  # index in spec expansion order (fault-injection anchor)
-    attempt: int = 0  # 0-based, same convention as the runner
+    attempt: int = 0  # 0-based; records store attempt + 1
     eligible_at: float = 0.0  # clock time before which it is held back
     # Clock time the job (re-)became eligible to run: submission time
     # initially, the end of the backoff hold after a retry.  Lease time
@@ -56,8 +56,8 @@ class LeaseQueue:
     Args:
         jobs: pending jobs in deterministic (expansion) order.
         max_retries: attempts beyond the first before a job is terminal.
-        retry_backoff: base of the runner-compatible exponential backoff
-            (``delay = retry_backoff * 2**attempt``).
+        retry_backoff: base of the exponential backoff; the delay
+            doubles with every charged attempt (see :meth:`retry`).
         lease_seconds: how long a lease lives between heartbeats.
         clock: monotonic time source (injected in tests).
     """
@@ -156,8 +156,8 @@ class LeaseQueue:
         self._done.add(job_id)
 
     def retry(self, queued: QueuedJob) -> float:
-        """Requeue a failed attempt with the runner's backoff; returns
-        the applied delay.  Caller must have checked
+        """Charge a failed attempt and requeue it behind its backoff
+        hold; returns the applied delay.  Caller must have checked
         :meth:`is_final_attempt` first."""
         delay = self.retry_backoff * (2**queued.attempt)
         queued.attempt += 1

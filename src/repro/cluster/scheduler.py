@@ -1,19 +1,24 @@
-"""The cluster scheduler: campaigns in, leases out, records merged.
+"""The campaign scheduler: campaigns in, leases out, records merged.
 
-This is the distributed twin of
-:class:`repro.campaign.runner.CampaignRunner`, split along the
-scheduler/worker seam: the scheduler owns job expansion, the lease
-queue, retry/backoff accounting and finalize, while workers own
-execution (:func:`repro.campaign.executor.run_attempt`) and write
-records to their own ``shard-<worker_id>/`` sub-store.  Crash recovery
-generalizes the runner's broken-pool rebuild: a lease that expires, or
-a worker whose connection drops, charges the job exactly one attempt
-and requeues it with the same exponential backoff.
+This is the one owner of the campaign state machine.  The scheduler
+owns job expansion, the lease queue, retry/backoff accounting,
+terminal crash records and finalize; workers own execution
+(:func:`repro.campaign.executor.run_attempt`) and persist the terminal
+record of each leased job (:func:`repro.cluster.worker.finish_job`).
+Crash recovery is one rule: a lease that expires, or a worker that
+disconnects, charges the job exactly one attempt and either requeues
+it with exponential backoff or records the terminal crash.
 
-The class is deliberately synchronous with an injected clock — the
-asyncio service in :mod:`repro.cluster.service` is a thin transport
-shell around it, and every failure path (lease expiry, duplicate
-completion, mid-campaign cancel) unit-tests without sockets or sleeps.
+Two transports drive it.  The asyncio
+:class:`~repro.cluster.service.SchedulerServer` serves socket workers
+(``repro cluster run|serve``).  The local
+:class:`~repro.campaign.runner.CampaignRunner` registers each slot of
+its executor pool as a worker (``repro campaign run``) and reports a
+broken pool as a disconnect of every busy slot.
+
+The class is deliberately synchronous with an injected clock, so every
+failure path (lease expiry, duplicate completion, mid-campaign cancel)
+unit-tests without sockets or sleeps.
 
 Multiple campaigns queue FIFO and drain through the same worker fleet:
 a lease request scans campaigns in submission order and takes the
@@ -31,12 +36,7 @@ from repro import obs
 from repro.campaign import executor as executor_mod
 from repro.obs import tracectx
 from repro.campaign.spec import CampaignSpec
-from repro.campaign.store import (
-    STATUS_CRASHED,
-    STATUS_OK,
-    JobRecord,
-    ResultStore,
-)
+from repro.campaign.store import STATUS_CRASHED, STATUS_OK, ResultStore
 from repro.cluster.queue import Lease, LeaseQueue, QueuedJob
 
 STATE_RUNNING = "running"
@@ -72,12 +72,14 @@ class CampaignExec:
     started_at: float = 0.0
     finished_at: Optional[float] = None
     # Trace context: the campaign's trace id and the id reserved for
-    # its root span.  The span event itself is emitted at finalize
+    # its span.  The span event itself is emitted at finalize
     # (duration known); reserving the id at submit lets every job
     # message carry it, so worker spans parent to a span that does not
-    # exist in any sink yet.
+    # exist in any sink yet.  ``parent_span`` is the submitter's open
+    # span, if any (the local runner's ``campaign.run``).
     trace_id: str = ""
     span_id: str = ""
+    parent_span: Optional[str] = None
     span_wall: float = 0.0
 
     def bump(self, status: str) -> None:
@@ -100,7 +102,7 @@ class ClusterScheduler:
             (must be comfortably under ``lease_seconds``).
         clock: monotonic time source, injected in tests.
         on_event: optional human-readable progress callback (the CLI
-            prints these lines, mirroring the runner's ``on_event``).
+            prints these lines).
     """
 
     def __init__(
@@ -165,11 +167,13 @@ class ClusterScheduler:
         )
         if obs.enabled():
             # One trace per campaign; join an inherited process trace
-            # (REPRO_OBS_TRACE) if the scheduler itself runs inside one.
+            # (REPRO_OBS_TRACE) if the scheduler itself runs inside one,
+            # and hang the campaign span under the submitter's open span.
             exec_.trace_id = (
                 tracectx.current_trace_id() or tracectx.new_trace_id()
             )
             exec_.span_id = obs.new_span_id()
+            exec_.parent_span = tracectx.current_parent()
             exec_.span_wall = time.time()
         self.campaigns[campaign_id] = exec_
         self._order.append(campaign_id)
@@ -188,6 +192,11 @@ class ClusterScheduler:
             f"submitted {campaign_id}: {len(pending)} jobs "
             f"({exec_.skipped} already recorded)"
         )
+        if (
+            spec.timeout_seconds is not None
+            and not executor_mod.alarm_supported()
+        ):
+            self._warn_unenforced(spec)
         if not pending:
             self._finalize(exec_)
         return campaign_id
@@ -224,6 +233,7 @@ class ClusterScheduler:
                 ts=exec_.span_wall,
                 dur=max(0.0, exec_.finished_at - exec_.started_at),
                 span_id=exec_.span_id,
+                parent=exec_.parent_span,
                 trace=exec_.trace_id,
                 status="ok" if state == STATE_DONE else state,
                 campaign=exec_.spec.name,
@@ -285,10 +295,12 @@ class ClusterScheduler:
             if exec_.state != STATE_RUNNING:
                 continue
             for lease in exec_.queue.release_worker(worker_id):
-                self._charge_crash(
+                self._charge(
                     exec_,
-                    lease,
+                    lease.queued,
+                    STATUS_CRASHED,
                     f"worker {worker_id} disconnected mid-job",
+                    lease=lease,
                 )
                 released += 1
             if exec_.queue.drained():
@@ -354,11 +366,11 @@ class ClusterScheduler:
             job, queued.position, queued.attempt
         ):
             payload["inject_mode"] = inject.mode
-            # A cluster worker must not hard-exit on an injected crash:
-            # unlike a pool worker there is nothing to respawn it, so
-            # the drill surfaces as WorkerCrash (the in-process
-            # executor's convention).  Real worker death is exercised
-            # by the SIGKILL drill instead.
+            # A socket worker must not hard-exit on an injected crash:
+            # nothing respawns it, so the drill surfaces as WorkerCrash.
+            # Real worker death is exercised by the SIGKILL drill; the
+            # local transport re-allows the hard exit for a pool that
+            # rebuilds itself.
             payload["allow_hard_crash"] = False
         message = {
             "campaign_id": exec_.campaign_id,
@@ -387,108 +399,92 @@ class ClusterScheduler:
         if queued is None:
             obs.counter_add("cluster.results_stale")
             return
-        obs.counter_add("cluster.attempts")
+        if message.get("timeout_enforced") is False:
+            self._warn_unenforced(exec_.spec)
         status = message.get("status", "")
+        duration = float(message.get("duration", 0.0))
         if status == STATUS_OK:
+            obs.counter_add("campaign.attempts")
             exec_.queue.mark_done(job_id)
             exec_.bump(STATUS_OK)
             info = self.workers.get(worker_id)
             if info is not None:
                 info.jobs_done += 1
             obs.counter_add("campaign.ok")
-            obs.observe(
-                "campaign.job_seconds", float(message.get("duration", 0.0))
-            )
+            obs.observe("campaign.job_seconds", duration)
             self._emit(
                 f"ok {job_id} via {worker_id} "
-                f"({float(message.get('duration', 0.0)):.2f}s, "
-                f"attempt {queued.attempt + 1})"
-            )
-        elif exec_.queue.is_final_attempt(queued):
-            # The worker already wrote the terminal failure record to
-            # its shard (it was told final=true on the lease).
-            exec_.queue.mark_done(job_id)
-            exec_.bump(status)
-            obs.counter_add(f"campaign.{status}")
-            obs.log(
-                "warning",
-                "job gave up",
-                job_id=job_id,
-                status=status,
-                attempts=queued.attempt + 1,
-                error=message.get("error"),
-            )
-            self._emit(
-                f"gave up on {job_id} after {queued.attempt + 1} attempts: "
-                f"{message.get('error')}"
+                f"({duration:.2f}s, attempt {queued.attempt + 1})"
             )
         else:
-            delay = exec_.queue.retry(queued)
-            exec_.retries += 1
-            obs.counter_add("campaign.retries")
-            obs.observe("cluster.backoff_seconds", delay)
-            self._emit(
-                f"retry {job_id} (attempt {queued.attempt + 1}, "
-                f"after {delay:.2f}s): {message.get('error')}"
-            )
+            # On a final attempt the worker already wrote the terminal
+            # record to its store (it was told final=true on the lease).
+            self._charge(exec_, queued, status, message.get("error"))
         if exec_.queue.drained():
             self._finalize(exec_)
 
-    # -- crash recovery --------------------------------------------------
-    def _timeout_enforced_hint(self, exec_: CampaignExec) -> Optional[bool]:
-        if (
-            exec_.spec.timeout_seconds is not None
-            and not executor_mod.alarm_supported()
+    def _warn_unenforced(self, spec: CampaignSpec) -> None:
+        if obs.warn_once(
+            "campaign.timeout-unenforced",
+            "per-job wall-clock budgets are not enforceable here "
+            "(no SIGALRM or worker off the main thread); jobs may "
+            "overrun their budget",
+            timeout_seconds=spec.timeout_seconds,
         ):
-            return False
-        return None
+            self._emit(
+                "warning: per-job timeout cannot be enforced on this "
+                "platform (no SIGALRM); budgets are advisory"
+            )
 
-    def _charge_crash(
-        self, exec_: CampaignExec, lease: Lease, error: str
+    # -- the state machine -----------------------------------------------
+    def _charge(
+        self,
+        exec_: CampaignExec,
+        queued: QueuedJob,
+        status: str,
+        error: Optional[str],
+        lease: Optional[Lease] = None,
     ) -> None:
-        """Charge a dead lease one attempt — retry with backoff or
-        record the terminal crash, mirroring the runner's broken-pool
-        accounting (in-flight jobs are charged exactly once)."""
-        queued = lease.queued
+        """Charge one failed attempt: requeue it with backoff, or make
+        the failure terminal.  ``lease`` marks a dead lease (expired, or
+        its worker disconnected): nobody reported on it, so a terminal
+        crash record is written here, to the scheduler's own shard."""
+        obs.counter_add("campaign.attempts")
+        job_id = queued.job.job_id
         if not exec_.queue.is_final_attempt(queued):
             delay = exec_.queue.retry(queued)
             exec_.retries += 1
             obs.counter_add("campaign.retries")
             obs.observe("cluster.backoff_seconds", delay)
             self._emit(
-                f"retry {queued.job.job_id} (attempt {queued.attempt + 1}, "
+                f"retry {job_id} (attempt {queued.attempt + 1}, "
                 f"after {delay:.2f}s): {error}"
             )
             return
-        job = queued.job
-        record = JobRecord(
-            job_id=job.job_id,
-            experiment=job.experiment,
-            params=job.params_dict(),
-            trial=job.trial,
-            seed=job.seed,
-            status=STATUS_CRASHED,
-            attempts=queued.attempt + 1,
-            duration_seconds=max(0.0, self.clock() - lease.issued_at),
-            error=error,
-            timeout_enforced=self._timeout_enforced_hint(exec_),
-        )
-        shard = exec_.store.shard_store(SCHEDULER_SHARD)
-        shard.root.mkdir(parents=True, exist_ok=True)
-        shard.append(record)
-        exec_.queue.mark_done(job.job_id)
-        exec_.bump(STATUS_CRASHED)
-        obs.counter_add("campaign.crashed")
+        if lease is not None:
+            job = self._job_message(exec_, lease)
+            outcome = executor_mod.failed_outcome(
+                job["payload"],
+                status,
+                error,
+                max(0.0, self.clock() - lease.issued_at),
+            )
+            shard = exec_.store.shard_store(SCHEDULER_SHARD)
+            shard.root.mkdir(parents=True, exist_ok=True)
+            shard.append(executor_mod.job_record(job, outcome))
+        exec_.queue.mark_done(job_id)
+        exec_.bump(status)
+        obs.counter_add(f"campaign.{status}")
         obs.log(
             "warning",
             "job gave up",
-            job_id=job.job_id,
-            status=STATUS_CRASHED,
+            job_id=job_id,
+            status=status,
             attempts=queued.attempt + 1,
             error=error,
         )
         self._emit(
-            f"gave up on {job.job_id} after {queued.attempt + 1} "
+            f"gave up on {job_id} after {queued.attempt + 1} "
             f"attempts: {error}"
         )
 
@@ -500,11 +496,13 @@ class ClusterScheduler:
                 continue
             for lease in exec_.queue.expire():
                 obs.counter_add("cluster.leases_expired")
-                self._charge_crash(
+                self._charge(
                     exec_,
-                    lease,
+                    lease.queued,
+                    STATUS_CRASHED,
                     f"lease expired (worker {lease.worker_id} "
                     f"missed heartbeats)",
+                    lease=lease,
                 )
             if exec_.queue.drained():
                 self._finalize(exec_)

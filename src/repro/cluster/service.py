@@ -125,11 +125,12 @@ class SchedulerServer:
                 if not line:
                     break
                 message = protocol.decode_message(line.rstrip(b"\n"))
+                protocol.check_worker_message(message)
                 kind = message["type"]
                 if kind == protocol.MSG_REGISTER:
-                    worker_id = str(message["worker_id"])
+                    worker_id = message["worker_id"]
                     body = self.scheduler.register_worker(
-                        worker_id, pid=int(message.get("pid", 0))
+                        worker_id, pid=message.get("pid") or 0
                     )
                     await self._send(
                         writer, {"type": protocol.MSG_REGISTERED, **body}
@@ -137,11 +138,9 @@ class SchedulerServer:
                 elif kind == protocol.MSG_LEASE:
                     await self._handle_lease(writer, message)
                 elif kind == protocol.MSG_HEARTBEAT:
-                    self.scheduler.heartbeat(str(message["worker_id"]))
+                    self.scheduler.heartbeat(message["worker_id"])
                 elif kind == protocol.MSG_RESULT:
-                    self.scheduler.handle_result(
-                        str(message["worker_id"]), message
-                    )
+                    self.scheduler.handle_result(message["worker_id"], message)
                 elif kind == protocol.MSG_GOODBYE:
                     break
                 elif kind == protocol.MSG_SUBMIT:
@@ -196,7 +195,7 @@ class SchedulerServer:
     async def _handle_lease(
         self, writer: asyncio.StreamWriter, message: dict
     ) -> None:
-        worker_id = str(message["worker_id"])
+        worker_id = message["worker_id"]
         job = self.scheduler.request_lease(worker_id)
         if job is not None:
             await self._send(writer, {"type": protocol.MSG_JOB, **job})

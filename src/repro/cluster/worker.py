@@ -7,14 +7,15 @@ heartbeats ride a daemon thread (the
 :class:`~repro.cluster.protocol.MessageStream` send lock keeps the two
 from interleaving on the wire).
 
-Record-writing split (the determinism-critical part):
+Record-writing split (the determinism-critical part), implemented by
+:func:`finish_job` for every transport that executes leased jobs:
 
 - ``ok`` outcomes and **final**-attempt failures are written by the
-  worker to its own ``shard-<worker_id>/`` sub-store *before* the
-  result is reported, so a scheduler crash right after execution never
-  loses a finished job;
+  worker to its store (a socket worker's own ``shard-<worker_id>/``
+  sub-store) *before* the result is reported, so a scheduler crash
+  right after execution never loses a finished job;
 - non-final failures produce no record — the scheduler requeues the
-  job with backoff, exactly like the single-host runner's retry path;
+  job with backoff;
 - a worker that dies mid-job writes nothing, and the scheduler's lease
   expiry / disconnect handling charges the attempt.
 
@@ -38,11 +39,43 @@ import uuid
 from typing import Callable, Optional
 
 from repro import obs
-from repro.campaign.executor import run_attempt
-from repro.campaign.store import JobRecord, ResultStore
+from repro.campaign.executor import AttemptOutcome, job_record, run_attempt
+from repro.campaign.store import ResultStore
 from repro.cluster import protocol
 from repro.cluster.protocol import Endpoint, MessageStream
 from repro.obs import tracectx
+
+
+def finish_job(
+    store: ResultStore, worker_id: str, job: dict, outcome: AttemptOutcome
+) -> dict:
+    """Persist a leased job's terminal outcome; return its ``result``
+    message.
+
+    ``job`` is the scheduler's ``job`` message.  An ok outcome, or any
+    outcome of the job's final attempt, is appended to ``store`` before
+    the result exists; a non-final failure writes nothing.  The caller
+    reports the result (``ClusterScheduler.handle_result``).
+    """
+    if outcome.ok or job.get("final"):
+        store.root.mkdir(parents=True, exist_ok=True)
+        store.append(job_record(job, outcome))
+    result = {
+        "type": protocol.MSG_RESULT,
+        "worker_id": worker_id,
+        "campaign_id": job["campaign_id"],
+        "lease_id": job["lease_id"],
+        "job_id": job["job_id"],
+        "status": outcome.status,
+        "duration": outcome.duration,
+    }
+    if outcome.error is not None:
+        result["error"] = outcome.error
+    if outcome.timeout_enforced is not None:
+        result["timeout_enforced"] = outcome.timeout_enforced
+    if job.get("trace") is not None:
+        result["trace"] = job["trace"]
+    return result
 
 
 def default_worker_id() -> str:
@@ -92,58 +125,23 @@ class ClusterWorker:
 
     # -- job execution ---------------------------------------------------
     def _run_job(self, stream: MessageStream, message: dict) -> None:
-        payload = message["payload"]
-        job_id = message["job_id"]
+        attempt = int(message["payload"].get("attempt", 0)) + 1
         # Adopt the campaign's trace for exactly this job: a parked
         # worker serves many campaigns, so the context is per-lease,
         # not per-process.  The job's spans (and the shard store's)
         # then parent to the scheduler's campaign span.
         with tracectx.adopted(message.get("trace")):
-            outcome = run_attempt(payload)
-            if outcome.ok or message.get("final"):
-                # Terminal either way — persist before reporting, so
-                # the record survives a scheduler crash between the two.
-                shard = ResultStore(message["store_root"]).shard_store(
-                    self.worker_id
-                )
-                shard.root.mkdir(parents=True, exist_ok=True)
-                shard.append(
-                    JobRecord(
-                        job_id=job_id,
-                        experiment=payload["experiment"],
-                        params=payload["params"],
-                        trial=int(message.get("trial", 0)),
-                        seed=payload["seed"],
-                        status=outcome.status,
-                        attempts=int(payload.get("attempt", 0)) + 1,
-                        duration_seconds=outcome.duration,
-                        metrics=outcome.metrics,
-                        error=outcome.error,
-                        timeout_enforced=outcome.timeout_enforced,
-                    )
-                )
+            outcome = run_attempt(message["payload"])
+            shard = ResultStore(message["store_root"]).shard_store(
+                self.worker_id
+            )
+            result = finish_job(shard, self.worker_id, message, outcome)
         self.jobs_done += 1
         obs.counter_add("cluster.worker_jobs")
-        result = {
-            "type": protocol.MSG_RESULT,
-            "worker_id": self.worker_id,
-            "campaign_id": message["campaign_id"],
-            "lease_id": message["lease_id"],
-            "job_id": job_id,
-            "status": outcome.status,
-            "duration": outcome.duration,
-        }
-        if outcome.error is not None:
-            result["error"] = outcome.error
-        if outcome.timeout_enforced is not None:
-            result["timeout_enforced"] = outcome.timeout_enforced
-        if message.get("trace") is not None:
-            result["trace"] = message["trace"]
         stream.send(result)
         self._emit(
-            f"{outcome.status} {job_id} "
-            f"(attempt {int(payload.get('attempt', 0)) + 1}, "
-            f"{outcome.duration:.2f}s)"
+            f"{outcome.status} {message['job_id']} "
+            f"(attempt {attempt}, {outcome.duration:.2f}s)"
         )
 
     # -- the main loop ---------------------------------------------------

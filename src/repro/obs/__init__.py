@@ -25,9 +25,10 @@ or from the environment (inherited by campaign worker processes)::
     REPRO_OBS=run.jsonl REPRO_OBS_LEVEL=debug python -m repro campaign run ...
 
 Cross-process causal tracing lives in :mod:`repro.obs.tracectx`: a
-campaign installs a ``trace_id`` and exports it (``REPRO_OBS_TRACE``,
-or the ``trace`` field on cluster lease messages) so scheduler, worker,
-and shard-store spans stitch into one tree — rendered by ``obs report
+campaign's ``trace_id`` travels on the ``trace`` field of every job
+lease (pool or cluster worker alike; ``REPRO_OBS_TRACE`` hands one to
+a whole process) so scheduler, worker, and shard-store spans stitch
+into one tree — rendered by ``obs report
 --trace`` and exportable to Perfetto via :mod:`repro.obs.export`
 (``obs export --format chrome-trace``).
 """

@@ -440,6 +440,18 @@ class ObsState:
 STATE = ObsState()
 
 
+def _zero_metrics_in_child() -> None:
+    """A forked child (a process-pool worker) starts its counters and
+    histograms at zero: snapshots are cumulative per pid, so values
+    inherited from the parent would be counted once per process."""
+    STATE.counters.clear()
+    STATE.histograms.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_zero_metrics_in_child)
+
+
 # -- module-level API (what instrumented code calls) -------------------
 def enabled() -> bool:
     """Whether observability is currently recording."""

@@ -320,7 +320,7 @@ def trace_summary(events: list[dict]) -> dict:
     * ``compute`` — total ``campaign.job`` span time across workers
       (can exceed wall-clock: it sums over parallel workers);
     * ``retry_backoff`` — deliberate delay before re-running failed
-      jobs (``cluster.backoff_seconds`` / ``campaign.backoff_seconds``);
+      jobs (``cluster.backoff_seconds``, from either transport);
     * ``merge`` — ``store.merge`` span time folding worker shards at
       finalize.
 
@@ -364,8 +364,7 @@ def trace_summary(events: list[dict]) -> dict:
         "wall_seconds": float(root.get("dur", 0.0)) if root else None,
         "queue_wait_seconds": _hist_total("cluster.lease_wait_seconds"),
         "compute_seconds": _span_total("campaign.job"),
-        "retry_backoff_seconds": _hist_total("cluster.backoff_seconds")
-        + _hist_total("campaign.backoff_seconds"),
+        "retry_backoff_seconds": _hist_total("cluster.backoff_seconds"),
         "merge_seconds": _span_total("store.merge"),
         "n_spans": len(stitched["by_id"]),
         "n_roots": len(stitched["roots"]),

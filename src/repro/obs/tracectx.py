@@ -16,16 +16,16 @@ context repairs that with two process-level fields on the obs state:
     an empty thread-local stack adopt it; nested spans keep their real
     local parent.
 
-The context crosses process boundaries two ways, matching the two ways
-this codebase starts workers:
+The context crosses process boundaries two ways:
 
-* ``REPRO_OBS_TRACE="<trace_id>:<parent_span_id>"`` — inherited by
-  ProcessPool campaign workers at import, alongside ``REPRO_OBS``
-  (:func:`repro.obs.core._activate_from_env`).
-* A ``trace`` field (:func:`wire_context` payload) on the cluster
-  ``job``/``result`` lease messages — adopted per-job by long-lived
-  cluster workers via :func:`adopted`, because a parked worker serves
-  many campaigns and each job may belong to a different trace.
+* A ``trace`` field (:func:`wire_context` payload) on every scheduler
+  ``job`` lease — adopted per job via :func:`adopted`, by socket
+  cluster workers and local pool processes alike, because a
+  long-lived worker serves many campaigns and each job may belong to
+  a different trace.
+* ``REPRO_OBS_TRACE="<trace_id>:<parent_span_id>"`` in the environment
+  installs a context for a whole process at import, alongside
+  ``REPRO_OBS`` (:func:`repro.obs.core._activate_from_env`).
 
 Non-perturbation: trace ids come from :func:`uuid.uuid4` (OS entropy,
 ``os.urandom``) — never ``random`` or numpy — so enabling tracing
@@ -36,7 +36,6 @@ pinned metrics digest, byte-identical (asserted in
 
 from __future__ import annotations
 
-import os
 import uuid
 from contextlib import contextmanager
 from typing import Iterator, Optional
@@ -53,7 +52,6 @@ __all__ = [
     "current_parent",
     "wire_context",
     "env_value",
-    "export_to_env",
     "adopted",
 ]
 
@@ -86,7 +84,7 @@ def clear_trace() -> None:
 def begin_trace() -> str:
     """The current trace id, creating and installing one if absent.
 
-    Campaign entry points (runner, scheduler) call this so that a
+    The local campaign runner calls this so that a
     campaign started *inside* an existing trace joins it instead of
     forking a new one.
     """
@@ -135,22 +133,6 @@ def env_value(
     if context is None:
         return None
     return f"{context['trace']}:{context.get('parent', '')}"
-
-
-def export_to_env(
-    trace_id: Optional[str] = None,
-    parent: Optional[str] = None,
-    environ: Optional[dict] = None,
-) -> bool:
-    """Write the trace context into ``environ`` (default
-    ``os.environ``) so spawned worker processes inherit it at import.
-    Returns True when a context was exported."""
-    value = env_value(trace_id, parent)
-    if value is None:
-        return False
-    target = os.environ if environ is None else environ
-    target[ENV_TRACE] = value
-    return True
 
 
 @contextmanager

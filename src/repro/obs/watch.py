@@ -33,6 +33,9 @@ from repro.obs.core import Histogram
 
 SPARK_CHARS = " ▁▂▃▄▅▆▇█"
 ROLLING_WINDOW = 64
+# The campaign store's terminal non-ok statuses (``campaign.<status>``
+# counters); obs does not import the campaign package.
+TERMINAL_FAILURES = ("failed", "timeout", "crashed")
 
 
 def sparkline(values: list[float], width: int = 24) -> str:
@@ -288,10 +291,15 @@ class WatchState:
         return merged
 
     def job_progress(self) -> dict:
-        """Done/failed/retried from the campaign counters."""
+        """Done/failed/retried from the campaign counters, which both
+        campaign transports (local pool and cluster) emit.  Every
+        terminal non-ok status counts as failed."""
         counters = self.counters()
         done = int(counters.get("campaign.ok", 0))
-        failed = int(counters.get("campaign.failed", 0))
+        failed = sum(
+            int(counters.get(f"campaign.{status}", 0))
+            for status in TERMINAL_FAILURES
+        )
         attempts = int(counters.get("campaign.attempts", 0))
         retried = max(0, attempts - done - failed)
         return {

@@ -364,6 +364,26 @@ class TestTimeoutEnforcement:
         assert record.timeout_enforced is True
         assert not any("cannot be enforced" in e for e in events)
 
+    def test_scheduler_warns_once_at_submit(self, tmp_path, monkeypatch):
+        """The warning lives in the scheduler, so `cluster run` gives
+        it too: once per process, however many campaigns it takes."""
+        import repro.campaign.executor as executor_mod
+        from repro.cluster import ClusterScheduler
+
+        monkeypatch.setattr(executor_mod, "alarm_supported", lambda: False)
+        events = []
+        scheduler = ClusterScheduler(on_event=events.append)
+        for name in ("noalarm-a", "noalarm-b"):
+            spec = CampaignSpec(
+                name=name,
+                experiment="test_echo",
+                grid={"x": [1]},
+                timeout_seconds=5.0,
+            )
+            scheduler.submit(spec, tmp_path / name)
+        warnings = [e for e in events if "cannot be enforced" in e]
+        assert len(warnings) == 1
+
     def test_no_budget_means_not_applicable(self, tmp_path):
         spec = CampaignSpec(
             name="nobudget", experiment="test_echo", grid={"x": [1]}

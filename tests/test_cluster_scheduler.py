@@ -21,8 +21,9 @@ from repro.campaign import (
 )
 from repro.campaign.executor import run_attempt
 from repro.campaign.spec import FaultInjection
-from repro.campaign.store import JobRecord, SpecMismatchError
+from repro.campaign.store import SpecMismatchError
 from repro.cluster import ClusterScheduler
+from repro.cluster.worker import finish_job
 from repro.obs import tracectx
 from repro.obs.report import trace_summary
 from repro.cluster.scheduler import (
@@ -63,38 +64,11 @@ def work_once(scheduler: ClusterScheduler, worker_id: str):
     message = scheduler.request_lease(worker_id)
     if message is None:
         return None
-    payload = message["payload"]
     with tracectx.adopted(message.get("trace")):
-        outcome = run_attempt(payload)
-        if outcome.ok or message["final"]:
-            shard = ResultStore(message["store_root"]).shard_store(worker_id)
-            shard.root.mkdir(parents=True, exist_ok=True)
-            shard.append(
-                JobRecord(
-                    job_id=message["job_id"],
-                    experiment=payload["experiment"],
-                    params=payload["params"],
-                    trial=message["trial"],
-                    seed=payload["seed"],
-                    status=outcome.status,
-                    attempts=payload["attempt"] + 1,
-                    duration_seconds=outcome.duration,
-                    metrics=outcome.metrics,
-                    error=outcome.error,
-                    timeout_enforced=outcome.timeout_enforced,
-                )
-            )
-    scheduler.handle_result(
-        worker_id,
-        {
-            "campaign_id": message["campaign_id"],
-            "lease_id": message["lease_id"],
-            "job_id": message["job_id"],
-            "status": outcome.status,
-            "duration": outcome.duration,
-            "error": outcome.error,
-        },
-    )
+        outcome = run_attempt(message["payload"])
+        shard = ResultStore(message["store_root"]).shard_store(worker_id)
+        result = finish_job(shard, worker_id, message, outcome)
+    scheduler.handle_result(worker_id, result)
     return message
 
 
@@ -151,9 +125,13 @@ class TestFullFlow:
         single_store = ResultStore(tmp_path / "single")
         result = CampaignRunner(drill_spec(), single_store).run()
         assert result.counts == {"ok": 8}
-        assert metrics_digest(records) == metrics_digest(
-            single_store.load_records()
-        )
+        single = single_store.load_records()
+        assert metrics_digest(records) == metrics_digest(single)
+        # Same state machine, same accounting: every job ends with the
+        # same status after the same number of attempts.
+        assert {
+            job_id: (r.status, r.attempts) for job_id, r in records.items()
+        } == {job_id: (r.status, r.attempts) for job_id, r in single.items()}
 
     def test_results_spread_across_worker_shards(self, tmp_path):
         clock = FakeClock()
@@ -266,34 +244,9 @@ class TestDuplicateCompletion:
         # A wakes up and its completion lands while the job sits
         # requeued: the lease is gone, so the result is stale — a
         # no-op, even though A wrote its shard record before reporting.
-        payload = slow["payload"]
-        outcome = run_attempt(payload)
+        outcome = run_attempt(slow["payload"])
         shard = ResultStore(slow["store_root"]).shard_store("wA")
-        shard.root.mkdir(parents=True, exist_ok=True)
-        shard.append(
-            JobRecord(
-                job_id=slow["job_id"],
-                experiment=payload["experiment"],
-                params=payload["params"],
-                trial=slow["trial"],
-                seed=payload["seed"],
-                status=outcome.status,
-                attempts=1,
-                duration_seconds=outcome.duration,
-                metrics=outcome.metrics,
-            )
-        )
-        scheduler.handle_result(
-            "wA",
-            {
-                "campaign_id": slow["campaign_id"],
-                "lease_id": slow["lease_id"],
-                "job_id": slow["job_id"],
-                "status": outcome.status,
-                "duration": outcome.duration,
-                "error": None,
-            },
-        )
+        scheduler.handle_result("wA", finish_job(shard, "wA", slow, outcome))
         assert exec_.counts == {}  # not counted
         assert exec_.state == STATE_RUNNING
 

@@ -4,7 +4,7 @@ rotation, and the Chrome Trace / critical-path exports.
 The contract under test: a campaign gets one ``trace_id``; spans in
 every participating process join that trace (root spans adopt the
 remote parent, nested spans keep their local parent); the context
-travels via ``REPRO_OBS_TRACE`` for pool workers and never touches an
+travels on each job lease (or ``REPRO_OBS_TRACE``) and never touches an
 RNG stream; rotated sinks still reconstruct the full tree; and the
 merged events export losslessly to the Trace Event Format.
 """
@@ -91,14 +91,6 @@ class TestTraceContext:
         _activate_from_env()
         assert tracectx.current_trace_id() == "abcd"
         assert tracectx.current_parent() == "9-3"
-
-    def test_export_to_env_writes_and_clears(self):
-        environ = {}
-        assert tracectx.export_to_env(
-            trace_id="abcd", parent="9-3", environ=environ
-        )
-        assert environ[obs.ENV_TRACE] == "abcd:9-3"
-        assert not tracectx.export_to_env(environ=environ)
 
     def test_adopted_restores_prior_context(self):
         tracectx.set_trace("outer-trace", parent="outer-parent")
@@ -424,3 +416,45 @@ class TestTraceSummary:
             [{"kind": "log", "pid": 1, "ts": 1.0, "msg": "x"}]
         )
         assert "no spans" in text
+
+
+class TestLocalRunTrace:
+    """A local pool run is a scheduler run: its pool processes adopt
+    the per-lease trace, so the sink holds one connected tree rooted at
+    ``campaign.run``, and a pool crash is counted once per attempt."""
+
+    def test_pool_run_is_one_tree_with_exact_counters(self, tmp_path):
+        from repro.campaign import CampaignRunner, CampaignSpec, ResultStore
+        from repro.campaign.spec import FaultInjection
+        from repro.obs.report import merge_events
+
+        sink = tmp_path / "obs.jsonl"
+        obs.enable(sink_path=str(sink))
+        spec = CampaignSpec(
+            name="traced-pool",
+            experiment="lzw_recovery",  # importable by pool processes
+            grid={"size": [30, 40]},
+            max_retries=2,
+            retry_backoff=0.0,
+            inject_failures=FaultInjection(count=1, attempts=1, mode="crash"),
+        )
+        store = ResultStore(tmp_path / "c")
+        result = CampaignRunner(spec, store, workers=2).run()
+        assert result.counts == {"ok": 2}
+        events = obs.load_events(str(sink))
+
+        summary = trace_summary(events)
+        assert summary["root"]["name"] == "campaign.run"
+        assert (summary["n_roots"], summary["n_orphans"]) == (1, 0)
+        assert len(summary["trace_ids"]) == 1
+        names = [e["name"] for e in events if e.get("kind") == "span"]
+        assert names.count("campaign.job") == 2
+        assert "cluster.campaign" in names
+
+        # Pool processes are forked after the scheduler has counted; a
+        # child that kept the parent's counters would count them twice.
+        counters = merge_events(events)["counters"]
+        attempts = sum(r.attempts for r in store.load_records().values())
+        assert counters["campaign.attempts"] == attempts
+        assert counters["campaign.pool_rebuilds"] == 1
+        assert counters["cluster.campaigns_submitted"] == 1

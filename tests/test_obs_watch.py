@@ -18,6 +18,11 @@ from pathlib import Path
 import pytest
 
 from repro import obs
+from repro.campaign import CampaignSpec, ResultStore, register_experiment
+from repro.campaign.executor import run_attempt
+from repro.campaign.spec import FaultInjection
+from repro.cluster import ClusterScheduler
+from repro.cluster.worker import finish_job
 from repro.obs.watch import (
     SinkFollower,
     WatchState,
@@ -219,6 +224,55 @@ class TestWatchState:
         (row,) = state.warnings.values()
         assert row["count"] == 3
         assert row["pids"] == {1, 2}
+
+
+@register_experiment("watch_echo")
+def _watch_echo(params: dict, seed: int) -> dict:
+    return {"value": params.get("x", 0)}
+
+
+class TestSchedulerSink:
+    """Progress over a sink that a scheduler run wrote: one job fails
+    its first attempt (one retry), then its second attempt's worker
+    disconnects mid-job (a terminal crash charged by the scheduler)."""
+
+    def test_progress_counts_retry_and_terminal_crash(self, tmp_path):
+        sink = tmp_path / "obs.jsonl"
+        obs.enable(sink_path=str(sink))
+        spec = CampaignSpec(
+            name="watched",
+            experiment="watch_echo",
+            grid={"x": [1, 2, 3]},
+            max_retries=1,
+            retry_backoff=0.0,
+            inject_failures=FaultInjection(count=1, attempts=1),
+        )
+        scheduler = ClusterScheduler()
+        scheduler.register_worker("w")
+        scheduler.submit(spec, tmp_path / "c")
+        while scheduler.active():
+            job = scheduler.request_lease("w")
+            if job["payload"]["attempt"] == 1:
+                scheduler.disconnect_worker("w")
+                scheduler.register_worker("w")
+                continue
+            outcome = run_attempt(job["payload"])
+            shard = ResultStore(job["store_root"]).shard_store("w")
+            scheduler.handle_result("w", finish_job(shard, "w", job, outcome))
+        obs.flush()
+
+        state = WatchState()
+        state.ingest(obs.load_events(str(sink)))
+        assert state.job_progress() == {
+            "done": 2, "failed": 1, "retried": 1, "attempts": 4, "total": 3,
+        }
+        assert "jobs [watched]: 2/3 done  1 failed  1 retried" in render_watch(
+            state
+        )
+        statuses = sorted(
+            r.status for r in ResultStore(tmp_path / "c").load_records().values()
+        )
+        assert statuses == ["crashed", "ok", "ok"]
 
 
 class TestRenderWatch:
