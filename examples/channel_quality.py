@@ -14,16 +14,17 @@ Run:  python examples/channel_quality.py
 import tempfile
 from pathlib import Path
 
+from repro import gate
 from repro.diag import (
-    baseline_payload,
     collect_diag_metrics,
-    compare_diag,
+    metric_direction,
     render_channel_health,
     render_survey_leakage,
     survey_leakage,
     survey_leakage_from_store,
 )
 from repro.diag.channel import channel_health
+from repro.diag.drift import ABS_EPSILON, DEFAULT_TOLERANCE
 from repro.traces.capture import capture_survey_traces
 from repro.traces.store import TraceStore
 
@@ -55,12 +56,18 @@ def main() -> None:
 
     print("\n# drift-gate drill\n")
     params = dict(size=60, samples=400, n_targets=2, step_n=16)
-    baseline = baseline_payload(collect_diag_metrics(**params), params)
-    clean = compare_diag(collect_diag_metrics(**params), baseline)
-    print(f"against itself: {clean.summary().splitlines()[-1]}")
-    noisy = compare_diag(
-        collect_diag_metrics(noise_sigma=30.0, **params), baseline
+    baseline = gate.payload(
+        params, collect_diag_metrics(**params), metric_direction
     )
+
+    def drift_gate(metrics):
+        return gate.compare(
+            metrics, baseline, DEFAULT_TOLERANCE, abs_epsilon=ABS_EPSILON
+        )
+
+    clean = drift_gate(collect_diag_metrics(**params))
+    print(f"against itself: {clean.summary().splitlines()[-1]}")
+    noisy = drift_gate(collect_diag_metrics(noise_sigma=30.0, **params))
     print(f"with noise_sigma bumped to 30: "
           f"{noisy.summary().splitlines()[-1]}")
     for row in noisy.regressions[:4]:

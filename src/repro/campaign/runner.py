@@ -51,14 +51,8 @@ class CampaignResult:
     """What a runner invocation did, in aggregate."""
 
     counts: dict = field(default_factory=dict)
-    records: list = field(default_factory=list)
     skipped: int = 0
     elapsed_seconds: float = 0.0
-
-    @property
-    def completed(self) -> int:
-        """Jobs that finished (any terminal status) this invocation."""
-        return len(self.records)
 
     def summary(self) -> str:
         """One-line human digest."""
@@ -134,19 +128,11 @@ class CampaignRunner:
             run_span.note(jobs=len(exec_.queue.jobs))
             self._drive(scheduler, exec_, slots)
 
-        ran = {queued.job.job_id for queued in exec_.queue.jobs}
-        result = CampaignResult(
+        return CampaignResult(
             counts=dict(exec_.counts),
-            records=[
-                record
-                for job_id, record in self.store.load_records().items()
-                if job_id in ran
-            ],
             skipped=exec_.skipped,
             elapsed_seconds=time.monotonic() - start,
         )
-        self._emit(result.summary())
-        return result
 
     def _drive(self, scheduler, exec_, slots: list) -> None:
         """Move jobs between the scheduler and the executor until the

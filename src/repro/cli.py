@@ -876,7 +876,8 @@ def cmd_diag_collect(args: argparse.Namespace) -> int:
     (the baseline-refresh path: ``--out benchmarks/diag_baseline.json``)."""
     import json as _json
 
-    from repro.diag import baseline_payload, collect_diag_metrics
+    from repro import gate
+    from repro.diag import collect_diag_metrics, metric_direction
 
     params = {
         "size": args.size,
@@ -891,11 +892,9 @@ def cmd_diag_collect(args: argparse.Namespace) -> int:
         include_confusion=args.confusion,
         **params,
     )
-    payload = baseline_payload(metrics, params=params)
+    payload = gate.payload(params, metrics, metric_direction)
     if args.out:
-        from repro.diag import save_baseline
-
-        save_baseline(args.out, payload)
+        gate.save(args.out, payload)
         print(f"wrote {len(metrics)} metrics to {args.out}")
     else:
         _json.dump(payload, sys.stdout, indent=2, sort_keys=True)
@@ -905,40 +904,39 @@ def cmd_diag_collect(args: argparse.Namespace) -> int:
 
 def cmd_diag_compare(args: argparse.Namespace) -> int:
     """The leakage drift gate: current metrics vs a committed baseline;
-    exit 1 when a gated metric regressed beyond tolerance."""
-    import json as _json
-
-    from repro.diag import collect_diag_metrics, compare_diag, load_baseline
+    exit 1 when a gated metric regressed beyond tolerance, 2 on an
+    unreadable gate file."""
+    from repro import gate
+    from repro.diag import collect_diag_metrics
+    from repro.diag.drift import ABS_EPSILON
 
     try:
-        baseline = load_baseline(args.baseline)
-    except FileNotFoundError:
-        print(f"error: no baseline at {args.baseline}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        baseline = gate.load(args.baseline, "baseline")
+        if args.current:
+            current = gate.load(args.current, "metrics file")["metrics"]
+        else:
+            # No file given: re-collect now with the baseline's parameters
+            # (plus any injected override, e.g. --noise-sigma for drills).
+            params = baseline["params"]
+            current = collect_diag_metrics(
+                size=int(params.get("size", 120)),
+                seed=int(params.get("seed", 7)),
+                samples=int(params.get("samples", 1500)),
+                n_targets=int(params.get("n_targets", 4)),
+                step_n=int(params.get("step_n", 32)),
+                oracle_samples=int(params.get("oracle_samples", 48)),
+                noise_sigma=args.noise_sigma,
+            )
+        result = gate.compare(
+            current,
+            baseline,
+            args.tolerance,
+            abs_epsilon=ABS_EPSILON,
+            title="diag compare",
+        )
+    except gate.GateInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.current:
-        try:
-            with open(args.current, "r", encoding="utf-8") as handle:
-                current = _json.load(handle)
-        except FileNotFoundError:
-            print(f"error: no metrics file at {args.current}", file=sys.stderr)
-            return 2
-    else:
-        # No file given: re-collect now with the baseline's parameters
-        # (plus any injected override, e.g. --noise-sigma for drills).
-        params = baseline.get("params", {})
-        current = collect_diag_metrics(
-            size=int(params.get("size", 120)),
-            seed=int(params.get("seed", 7)),
-            samples=int(params.get("samples", 1500)),
-            n_targets=int(params.get("n_targets", 4)),
-            step_n=int(params.get("step_n", 32)),
-            oracle_samples=int(params.get("oracle_samples", 48)),
-            noise_sigma=args.noise_sigma,
-        )
-    result = compare_diag(current, baseline, tolerance=args.tolerance)
     print(result.summary())
     return 0 if result.ok else 1
 
@@ -1187,82 +1185,58 @@ def cmd_oracle_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_perf_run(args: argparse.Namespace) -> int:
-    """Time the bench catalogue; optionally annotate speedups vs a
-    recorded baseline and write the JSON report."""
-    from repro.perf import load_report, run_benches
-    from repro.perf.harness import apply_baseline, merge_reports
+    """Time the bench catalogue into a gate payload (the baseline-refresh
+    path: ``--quick --out benchmarks/perf_baseline.json``)."""
+    import json as _json
 
-    report = run_benches(
+    from repro import gate
+    from repro.perf import run_benches
+
+    payload = run_benches(
         names=args.bench or None,
         quick=args.quick,
         repeats=args.repeats,
-        on_event=None if args.quiet else print,
+        on_event=None if args.quiet else _print_stderr,
     )
-    if args.baseline:
-        try:
-            baseline = load_report(args.baseline)
-        except FileNotFoundError:
-            print(f"error: no baseline at {args.baseline}", file=sys.stderr)
-            return 2
-        try:
-            apply_baseline(report, baseline)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    print(report.summary())
-    out_path, to_write = args.out, report
-    if args.update:
-        out_path = args.update
-        try:
-            to_write = merge_reports(load_report(args.update), report)
-        except FileNotFoundError:
-            to_write = report
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(to_write.to_json())
-        print(f"wrote {out_path}")
-    changed = [
-        name
-        for name, r in report.benches.items()
-        if r.metrics_match is False
-    ]
-    if changed:
-        print(
-            f"error: metrics changed vs baseline for {sorted(changed)}",
-            file=sys.stderr,
-        )
-        return 1
+    if args.out:
+        gate.save(args.out, payload)
+        print(f"wrote {len(payload['params']['benches'])} benches to {args.out}")
+    else:
+        _json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+        print()
     return 0
 
 
+def _print_stderr(line: str) -> None:
+    print(line, file=sys.stderr)
+
+
 def cmd_perf_compare(args: argparse.Namespace) -> int:
-    """The regression gate: compare a current report (or a fresh quick
-    run) against a baseline file; exit 1 on regression."""
-    from repro.perf import compare_reports, load_report, run_benches
+    """The regression gate: compare a current payload (or a fresh run)
+    against a baseline file; exit 1 on regression, 2 on an unreadable
+    gate file."""
+    from repro import gate
+    from repro.perf import compare_benches, run_benches
 
     try:
-        baseline = load_report(args.baseline)
-    except FileNotFoundError:
-        print(f"error: no baseline at {args.baseline}", file=sys.stderr)
-        return 2
-    if args.current:
-        try:
-            current = load_report(args.current)
-        except FileNotFoundError:
-            print(f"error: no report at {args.current}", file=sys.stderr)
-            return 2
-    else:
-        # No report given: run the benches now, in the baseline's mode.
-        current = run_benches(
-            quick=baseline.mode == "quick",
-            on_event=None if args.quiet else print,
+        baseline = gate.load(args.baseline, "baseline")
+        if args.current:
+            current = gate.load(args.current, "report")
+        else:
+            # No report given: run the benches now, with the baseline's pins.
+            current = run_benches(
+                quick=bool(baseline["params"].get("quick")),
+                on_event=None if args.quiet else _print_stderr,
+            )
+        result = compare_benches(
+            current,
+            baseline,
+            tolerance=args.tolerance,
+            normalize=not args.absolute,
         )
-    result = compare_reports(
-        current,
-        baseline,
-        tolerance=args.tolerance,
-        normalize=not args.absolute,
-    )
+    except gate.GateInputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(result.summary())
     return 0 if result.ok else 1
 
@@ -1835,19 +1809,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     psub = p.add_subparsers(dest="perf_command", required=True)
 
-    q = psub.add_parser("run", help="time benches and write a JSON report")
+    q = psub.add_parser("run", help="time benches into a gate payload")
     q.add_argument("--bench", action="append",
                    help="bench name (repeatable; default: all)")
     q.add_argument("--quick", action="store_true",
                    help="CI-sized workloads instead of the full pins")
     q.add_argument("--repeats", type=int,
                    help="override per-bench timing repetitions")
-    q.add_argument("--baseline",
-                   help="recorded report to compute speedups against")
-    q.add_argument("--out", help="write the JSON report here")
-    q.add_argument("--update",
-                   help="merge this run into an existing report file "
-                        "(quick runs land in its quick_benches section)")
+    q.add_argument("--out", help="write the payload here (default: stdout)")
     q.add_argument("--quiet", action="store_true")
     q.set_defaults(func=cmd_perf_run)
 
@@ -1855,9 +1824,10 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="regression gate: current report vs baseline"
     )
     q.add_argument("current", nargs="?",
-                   help="report to check (default: run benches now)")
+                   help="`perf run` payload to check (default: run "
+                        "benches now)")
     q.add_argument("--baseline", required=True,
-                   help="recorded baseline report")
+                   help="committed baseline payload")
     q.add_argument("--tolerance", type=float, default=0.2,
                    help="allowed slowdown fraction (default 0.2 = 20%%)")
     q.add_argument("--absolute", action="store_true",

@@ -11,9 +11,11 @@ Three layers, all deterministic given their seeds:
   timing-margin histograms (decision margin in σ), eviction-set
   quality versus the cache model's ground truth, single-step fidelity,
   and fingerprint confusion matrices;
-* **drift gate** (:mod:`repro.diag.drift`) — ``repro diag compare``
-  fails when leakage metrics regress beyond tolerance against the
-  committed ``benchmarks/diag_baseline.json``;
+* **drift gate** (:mod:`repro.diag.drift`) — the metrics and
+  directions ``repro diag compare`` feeds to the shared
+  :mod:`repro.gate` engine; it fails when leakage metrics regress
+  beyond tolerance against the committed
+  ``benchmarks/diag_baseline.json``;
 * **oracle channel MI** (:mod:`repro.diag.oracle`) — per-character
   mutual information of the BREACH compression-ratio oracle, scored
   through the same plug-in MI core as the cache gadgets and gated in
@@ -34,17 +36,7 @@ from repro.diag.channel import (
     single_step_fidelity,
     timing_margins,
 )
-from repro.diag.drift import (
-    DIAG_SCHEMA,
-    DiagComparison,
-    DiagRow,
-    baseline_payload,
-    collect_diag_metrics,
-    compare_diag,
-    load_baseline,
-    metric_direction,
-    save_baseline,
-)
+from repro.diag.drift import collect_diag_metrics, metric_direction
 from repro.diag.leakage import (
     GADGET_TARGETS,
     GadgetLeakage,
@@ -66,21 +58,15 @@ from repro.diag.oracle import (
 )
 
 __all__ = [
-    "DIAG_SCHEMA",
-    "DiagComparison",
-    "DiagRow",
     "GADGET_TARGETS",
     "GadgetLeakage",
     "ORACLE_MI_CHARSET",
     "OracleChannelDiag",
-    "baseline_payload",
     "channel_health",
     "collect_diag_metrics",
-    "compare_diag",
     "eviction_quality",
     "fingerprint_confusion",
     "leakage_from_lines",
-    "load_baseline",
     "measure_gadget_from_store",
     "measure_gadget_live",
     "measure_oracle_channel",
@@ -92,7 +78,6 @@ __all__ = [
     "render_leakage",
     "render_survey_leakage",
     "render_timing_margins",
-    "save_baseline",
     "single_step_fidelity",
     "survey_leakage",
     "survey_leakage_from_store",

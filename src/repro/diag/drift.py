@@ -1,35 +1,32 @@
 """The leakage drift gate: fail CI when channel quality regresses.
 
-Modeled on the ``repro perf compare`` gate (PR 3) but for *leakage*
-metrics instead of timings: :func:`collect_diag_metrics` runs the
-deterministic diagnostics suite — the three gadgets' leakage meters,
-the mitigation before/after loop, and the channel-health probes — into
-one flat ``{metric: value}``
-dict, and :func:`compare_diag` checks it against a committed
-``benchmarks/diag_baseline.json`` with a per-metric *direction*:
+The same :mod:`repro.gate` engine as ``repro perf compare``, fed with
+*leakage* metrics instead of timings: :func:`collect_diag_metrics` runs
+the deterministic diagnostics suite — the three gadgets' leakage
+meters, the mitigation before/after loop, and the channel-health probes
+— into one flat ``{metric: value}`` dict, :func:`metric_direction`
+gives each metric its gate direction, and ``repro diag compare`` checks
+the result against the committed ``benchmarks/diag_baseline.json``:
 
 * ``higher`` (bit accuracy, mutual information, eviction quality,
   fidelity) fails when ``current < baseline * (1 - tolerance)``;
-* ``lower`` (misclassification rate) fails when
-  ``current > baseline * (1 + tolerance)`` (plus an absolute epsilon
-  so a 0.0 baseline doesn't make any nonzero value a failure);
+* ``lower`` (misclassification rate, leakage left after a mitigation)
+  fails when ``current > baseline * (1 + tolerance)``;
 * ``info`` metrics are recorded but never gate.
 
-Every probe is seeded, so on one machine the collected numbers are
-exactly reproducible; the tolerance absorbs the last-ulp libm
-differences a different platform may introduce into the timing draws.
+Both gated directions get :data:`ABS_EPSILON` of absolute slack, so a
+0.0 baseline doesn't make any nonzero value a failure.  Every probe is
+seeded, so on one machine the collected numbers are exactly
+reproducible; the tolerance absorbs the last-ulp libm differences a
+different platform may introduce into the timing draws.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from typing import Optional
 
-DIAG_SCHEMA = "repro-diag/1"
-
 DEFAULT_TOLERANCE = 0.05
-# Absolute slack for lower-is-better metrics with ~0 baselines.
+# Absolute slack on gated metrics with ~0 baselines.
 ABS_EPSILON = 0.005
 
 DEFAULT_PARAMS = {
@@ -169,135 +166,3 @@ def collect_diag_metrics(
             oracle_channel_metrics(seed=seed, n_samples=oracle_samples)
         )
     return metrics
-
-
-def baseline_payload(metrics: dict, params: Optional[dict] = None) -> dict:
-    """The JSON document ``repro diag collect --out`` writes."""
-    return {
-        "schema": DIAG_SCHEMA,
-        "params": dict(params or DEFAULT_PARAMS),
-        "metrics": dict(sorted(metrics.items())),
-        "directions": {
-            name: metric_direction(name) for name in sorted(metrics)
-        },
-    }
-
-
-def save_baseline(path: str, payload: dict) -> None:
-    """Write a :func:`baseline_payload` document to ``path``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def load_baseline(path: str) -> dict:
-    """Read a baseline back, rejecting non-``repro-diag/1`` files."""
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("schema") != DIAG_SCHEMA:
-        raise ValueError(
-            f"{path} is not a {DIAG_SCHEMA} baseline "
-            f"(schema={payload.get('schema')!r})"
-        )
-    return payload
-
-
-@dataclass
-class DiagRow:
-    """One metric's comparison outcome."""
-
-    name: str
-    direction: str
-    baseline: Optional[float]
-    current: Optional[float]
-    ok: bool
-    note: str = ""
-
-
-@dataclass
-class DiagComparison:
-    """The full gate result; ``ok`` is what CI exits on."""
-
-    rows: list[DiagRow] = field(default_factory=list)
-    tolerance: float = DEFAULT_TOLERANCE
-
-    @property
-    def ok(self) -> bool:
-        return all(row.ok for row in self.rows)
-
-    @property
-    def regressions(self) -> list[DiagRow]:
-        return [row for row in self.rows if not row.ok]
-
-    def summary(self) -> str:
-        lines = [
-            f"diag compare (tolerance {self.tolerance * 100:.1f}%):",
-            f"{'metric':<38} {'dir':<7} {'baseline':>12} "
-            f"{'current':>12}  status",
-        ]
-        for row in self.rows:
-            base = "-" if row.baseline is None else f"{row.baseline:.6g}"
-            cur = "-" if row.current is None else f"{row.current:.6g}"
-            status = "ok" if row.ok else "REGRESSED"
-            if row.direction == "info" and row.ok:
-                status = "info"
-            note = f"  ({row.note})" if row.note else ""
-            lines.append(
-                f"{row.name:<38} {row.direction:<7} {base:>12} "
-                f"{cur:>12}  {status}{note}"
-            )
-        verdict = "PASS" if self.ok else "FAIL"
-        n_bad = len(self.regressions)
-        lines.append(
-            f"{verdict}: {n_bad} regression{'s' if n_bad != 1 else ''} "
-            f"across {len(self.rows)} metrics"
-        )
-        return "\n".join(lines)
-
-
-def compare_diag(
-    current: dict,
-    baseline: dict,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> DiagComparison:
-    """Gate ``current`` metrics against a baseline payload.
-
-    ``current`` may be a flat metrics dict or a full baseline-shaped
-    payload; ``baseline`` must be the payload form (it carries the
-    directions).  A metric present in the baseline but missing from
-    the current run is a failure (the suite shrank); new metrics are
-    informational.
-    """
-    base_metrics = baseline.get("metrics", baseline)
-    directions = baseline.get("directions", {})
-    cur_metrics = current.get("metrics", current)
-
-    comparison = DiagComparison(tolerance=tolerance)
-    for name in sorted(base_metrics):
-        direction = directions.get(name) or metric_direction(name)
-        base = float(base_metrics[name])
-        if name not in cur_metrics:
-            comparison.rows.append(
-                DiagRow(name, direction, base, None, False, "missing")
-            )
-            continue
-        cur = float(cur_metrics[name])
-        if direction == "higher":
-            ok = cur >= base * (1.0 - tolerance) - ABS_EPSILON
-        elif direction == "lower":
-            ok = cur <= base * (1.0 + tolerance) + ABS_EPSILON
-        else:
-            ok = True
-        comparison.rows.append(DiagRow(name, direction, base, cur, ok))
-    for name in sorted(set(cur_metrics) - set(base_metrics)):
-        comparison.rows.append(
-            DiagRow(
-                name,
-                "info",
-                None,
-                float(cur_metrics[name]),
-                True,
-                "new",
-            )
-        )
-    return comparison

@@ -8,30 +8,25 @@ experiment metrics one:
 * :mod:`repro.perf.benches` — the bench catalogue: a named, pinned
   (experiment, params, seed) triple per bench, each with a ``--quick``
   variant small enough for CI.
-* :mod:`repro.perf.harness` — runs benches under ``time.perf_counter``,
-  hashes their metrics (so a speedup that changes results is caught as
-  loudly as a slowdown), computes speedups against a recorded baseline
-  file, and compares two reports as a CI regression gate.
+* :mod:`repro.perf.harness` — runs benches under ``time.perf_counter``
+  and hashes their metrics (so a speedup that changes results is caught
+  as loudly as a slowdown) into a :mod:`repro.gate` payload, and gates
+  two payloads through :func:`repro.gate.compare` after the perf-only
+  pin check and machine normalisation.
 
-CLI::
+The one committed baseline is ``benchmarks/perf_baseline.json`` (quick
+pins).  CLI::
 
-    python -m repro perf run --out BENCH_PR3.json \
-        --baseline benchmarks/perf_baseline.json
-    python -m repro perf run --quick --out bench_ci.json
-    python -m repro perf compare bench_ci.json \
-        --baseline BENCH_PR3.json --tolerance 0.2
+    python -m repro perf run --quick --out perf_quick.json
+    python -m repro perf compare perf_quick.json \
+        --baseline benchmarks/perf_baseline.json --tolerance 0.2
+    python -m repro perf run --quick --out benchmarks/perf_baseline.json
     python -m repro perf profile sec5e_attack --quick
 """
 
 from repro.perf.benches import PerfBench, available_benches, get_bench
 from repro.perf.harness import (
-    BenchResult,
-    ComparisonResult,
-    PerfReport,
-    apply_baseline,
-    compare_reports,
-    load_report,
-    merge_reports,
+    compare_benches,
     metrics_digest,
     profile_bench,
     render_site_profile,
@@ -43,13 +38,7 @@ __all__ = [
     "PerfBench",
     "available_benches",
     "get_bench",
-    "BenchResult",
-    "ComparisonResult",
-    "PerfReport",
-    "apply_baseline",
-    "compare_reports",
-    "load_report",
-    "merge_reports",
+    "compare_benches",
     "metrics_digest",
     "profile_bench",
     "render_site_profile",

@@ -8,8 +8,8 @@ so any behaviour change under the same pin is flagged as a correctness
 regression, not silently timed.
 
 Every bench carries a ``quick_params`` variant sized for CI (a few
-seconds total for the whole quick suite) next to the full variant used
-for the committed ``BENCH_*.json`` numbers.
+seconds total for the whole quick suite) next to the full variant; the
+quick pins are the ones committed in ``benchmarks/perf_baseline.json``.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class PerfBench:
         return fn(self.resolved_params(quick), self.seed)
 
 
-# The catalogue.  Names are load-bearing: committed BENCH_*.json files
+# The catalogue.  Names are load-bearing: the committed baseline rows
 # and the CI gate key on them, so renaming one orphans its baseline.
 BENCHES: tuple[PerfBench, ...] = (
     PerfBench(
@@ -118,26 +118,13 @@ BENCHES: tuple[PerfBench, ...] = (
         repeats=2,
         note="noisy-channel LZW recovery (tracing + recovery search)",
     ),
-    # The replay pairs share every param except `mode`, and the
-    # experiments keep `mode` out of their metrics — so the harness
-    # digest pins the columnar decoder to the object decoder while the
-    # wall-time ratio records the speedup.  The capture happens once per
-    # process (see experiments._bench_store); repeats > 1 so the min
-    # discards the capture-bearing first run.
+    # The capture happens once per process (see
+    # experiments._bench_store); repeats > 1 so the min discards the
+    # capture-bearing first run.
     PerfBench(
-        name="survey_replay_object",
+        name="survey_replay",
         experiment="survey_replay",
-        params={"size": 2000, "mode": "object"},
-        quick_params={"size": 300},
-        seed=11,
-        repeats=3,
-        quick_repeats=2,
-        note="Section IV survey line streams from store (object decode)",
-    ),
-    PerfBench(
-        name="survey_replay_array",
-        experiment="survey_replay",
-        params={"size": 2000, "mode": "array"},
+        params={"size": 2000},
         quick_params={"size": 300},
         seed=11,
         repeats=3,
@@ -145,19 +132,9 @@ BENCHES: tuple[PerfBench, ...] = (
         note="Section IV survey line streams from store (columnar decode)",
     ),
     PerfBench(
-        name="fig7_replay_object",
+        name="fig7_replay",
         experiment="fig7_replay",
-        params={"corpus": "brotli", "traces": 10, "mode": "object"},
-        quick_params={"traces": 2, "max_file_bytes": 1200},
-        seed=77,
-        repeats=3,
-        quick_repeats=2,
-        note="Fig. 7 dataset from stored fingerprints (object decode)",
-    ),
-    PerfBench(
-        name="fig7_replay_array",
-        experiment="fig7_replay",
-        params={"corpus": "brotli", "traces": 10, "mode": "array"},
+        params={"corpus": "brotli", "traces": 10},
         quick_params={"traces": 2, "max_file_bytes": 1200},
         seed=77,
         repeats=3,

@@ -1,20 +1,27 @@
-"""Timing, reporting, baseline speedups, and the CI regression gate.
+"""Timing, metrics digests, and the perf pre-steps of the regression gate.
 
 Design decisions worth knowing:
 
 * **Metrics are hashed, not just timed.**  Each bench's returned metrics
   dict is canonicalised (volatile wall-clock fields stripped) and
-  sha256-hashed.  A "speedup" that changes experiment output is a bug,
-  and the compare gate fails on a digest mismatch before it looks at a
-  single timing.
-* **The gate is machine-normalised by default.**  CI runners and dev
-  laptops differ in absolute speed, so comparing raw seconds across
-  machines with a 20 % tolerance would flap.  ``compare_reports``
-  divides every bench's current/baseline ratio by the geometric mean of
-  all ratios: a uniformly slower machine cancels out, while one bench
-  regressing *relative to the others* still trips the gate.  Pass
-  ``normalize=False`` (CLI ``--absolute``) for same-machine comparisons
-  such as the committed ``BENCH_PR3.json`` speedup table.
+  sha256-hashed.  A "speedup" that changes experiment output is a bug:
+  the digest is an ``equal`` row of the gate payload, so ``perf
+  compare`` fails on it whatever the timings say.
+* **One payload, one gate.**  :func:`run_benches` returns the
+  :mod:`repro.gate` payload directly — per bench a ``<bench>.seconds``
+  (``lower``) and a ``<bench>.metrics_digest`` (``equal``) row, with the
+  ``(params, seed)`` pins under ``params["benches"]`` — and
+  :func:`compare_benches` hands it to :func:`repro.gate.compare` after
+  two perf-only pre-steps:
+
+  - a bench whose pin differs between the two files ran a different
+    workload, so its rows drop to ``info`` (noted ``pin changed``);
+  - **machine normalisation.**  CI runners and dev laptops differ in
+    absolute speed, so when at least three benches share a pin every
+    current time is divided by the geometric mean of the
+    current/baseline ratios: a uniformly slower machine cancels out,
+    while one bench regressing *relative to the others* still trips the
+    gate.  ``normalize=False`` (CLI ``--absolute``) compares raw seconds.
 * **min-of-N timing.**  Repeated runs report the minimum, the standard
   noise-robust estimator for deterministic workloads.
 """
@@ -29,17 +36,17 @@ import math
 import platform
 import pstats
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-from repro import obs
+from repro import gate, obs
 from repro.perf.benches import BENCHES, PerfBench, get_bench
-
-SCHEMA = "repro-perf/1"
 
 # Metrics keys that legitimately vary run to run (wall clock measured
 # inside the experiment itself) and must not poison the digest.
 VOLATILE_METRIC_KEYS = ("elapsed_seconds", "duration_seconds")
+
+SECONDS = "seconds"
+DIGEST = "metrics_digest"
 
 
 def metrics_digest(metrics: dict) -> str:
@@ -53,135 +60,18 @@ def metrics_digest(metrics: dict) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-@dataclass
-class BenchResult:
-    """One bench's timing + pinned identity in one report."""
-
-    name: str
-    seconds: float
-    all_seconds: list[float]
-    params: dict
-    seed: int
-    metrics: dict
-    metrics_digest: str
-    baseline_seconds: Optional[float] = None
-    speedup: Optional[float] = None
-    metrics_match: Optional[bool] = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "seconds": self.seconds,
-            "all_seconds": self.all_seconds,
-            "params": self.params,
-            "seed": self.seed,
-            "metrics": self.metrics,
-            "metrics_digest": self.metrics_digest,
-        }
-        if self.baseline_seconds is not None:
-            out["baseline_seconds"] = self.baseline_seconds
-            out["speedup"] = self.speedup
-            out["metrics_match"] = self.metrics_match
-        return out
-
-    @classmethod
-    def from_dict(cls, name: str, data: dict) -> "BenchResult":
-        return cls(
-            name=name,
-            seconds=float(data["seconds"]),
-            all_seconds=[float(s) for s in data.get("all_seconds", [])],
-            params=dict(data.get("params", {})),
-            seed=int(data.get("seed", 0)),
-            metrics=dict(data.get("metrics", {})),
-            metrics_digest=str(data.get("metrics_digest", "")),
-            baseline_seconds=data.get("baseline_seconds"),
-            speedup=data.get("speedup"),
-            metrics_match=data.get("metrics_match"),
-        )
+def bench_direction(name: str) -> str:
+    """Gate direction of a perf row: digests must match, times must
+    not grow."""
+    return "equal" if name.endswith(f".{DIGEST}") else "lower"
 
 
-@dataclass
-class PerfReport:
-    """A ``perf run`` output: environment + per-bench results.
-
-    ``benches`` holds the report's primary mode; a full-mode report may
-    additionally carry a ``quick_benches`` section so one committed file
-    (e.g. ``BENCH_PR3.json``) can serve both as the human-facing speedup
-    record (full pins) and as the CI gate baseline (quick pins).
-    """
-
-    mode: str  # "full" | "quick"
-    benches: dict[str, BenchResult] = field(default_factory=dict)
-    quick_benches: dict[str, BenchResult] = field(default_factory=dict)
-    python: str = ""
-    machine: str = ""
-
-    def section_for(self, mode: str) -> dict[str, BenchResult]:
-        """The bench section comparable to a report of ``mode``."""
-        if mode == self.mode:
-            return self.benches
-        if mode == "quick" and self.quick_benches:
-            return self.quick_benches
-        raise ValueError(
-            f"report has no {mode!r} section (mode={self.mode!r})"
-        )
-
-    def to_dict(self) -> dict:
-        out = {
-            "schema": SCHEMA,
-            "mode": self.mode,
-            "python": self.python,
-            "machine": self.machine,
-            "benches": {
-                name: result.to_dict()
-                for name, result in sorted(self.benches.items())
-            },
-        }
-        if self.quick_benches:
-            out["quick_benches"] = {
-                name: result.to_dict()
-                for name, result in sorted(self.quick_benches.items())
-            }
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False) + "\n"
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PerfReport":
-        if data.get("schema") != SCHEMA:
-            raise ValueError(
-                f"not a {SCHEMA} report (schema={data.get('schema')!r})"
-            )
-        report = cls(
-            mode=str(data.get("mode", "full")),
-            python=str(data.get("python", "")),
-            machine=str(data.get("machine", "")),
-        )
-        for name, payload in data.get("benches", {}).items():
-            report.benches[name] = BenchResult.from_dict(name, payload)
-        for name, payload in data.get("quick_benches", {}).items():
-            report.quick_benches[name] = BenchResult.from_dict(name, payload)
-        return report
-
-    def summary(self) -> str:
-        lines = [f"{'bench':<20} {'seconds':>10} {'speedup':>9}  metrics"]
-        for name, r in sorted(self.benches.items()):
-            speed = f"{r.speedup:.2f}x" if r.speedup is not None else "-"
-            match = (
-                "identical"
-                if r.metrics_match
-                else ("CHANGED" if r.metrics_match is False else "")
-            )
-            lines.append(
-                f"{name:<20} {r.seconds:>10.3f} {speed:>9}  {match}"
-            )
-        return "\n".join(lines)
+def _bench_of(row: str) -> str:
+    return row.rpartition(".")[0]
 
 
-def load_report(path: str) -> PerfReport:
-    """Read a ``perf run`` JSON file back into a report."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return PerfReport.from_dict(json.load(handle))
+def _positive(value: object) -> bool:
+    return isinstance(value, (int, float)) and value > 0
 
 
 def _time_bench(
@@ -202,189 +92,81 @@ def run_benches(
     quick: bool = False,
     repeats: Optional[int] = None,
     on_event: Optional[Callable[[str], None]] = None,
-) -> PerfReport:
-    """Time the named benches (default: the whole catalogue)."""
+) -> dict:
+    """Time the named benches (default: the whole catalogue) into a
+    :mod:`repro.gate` payload."""
     benches: Iterable[PerfBench] = (
         BENCHES if not names else [get_bench(name) for name in names]
     )
-    report = PerfReport(
-        mode="quick" if quick else "full",
-        python=platform.python_version(),
-        machine=f"{platform.system()}-{platform.machine()}",
-    )
+    mode = "quick" if quick else "full"
+    pins: dict[str, dict] = {}
+    metrics: dict[str, object] = {}
     for bench in benches:
         if on_event:
-            on_event(f"[perf] {bench.name} ({report.mode}) ...")
-        with obs.span("perf.bench", bench=bench.name, mode=report.mode):
-            timings, metrics = _time_bench(bench, quick, repeats)
-        result = BenchResult(
-            name=bench.name,
-            seconds=min(timings),
-            all_seconds=[round(t, 6) for t in timings],
-            params=bench.resolved_params(quick),
-            seed=bench.seed,
-            metrics=metrics,
-            metrics_digest=metrics_digest(metrics),
-        )
-        report.benches[bench.name] = result
+            on_event(f"[perf] {bench.name} ({mode}) ...")
+        with obs.span("perf.bench", bench=bench.name, mode=mode):
+            timings, result = _time_bench(bench, quick, repeats)
+        pins[bench.name] = {
+            "params": bench.resolved_params(quick),
+            "seed": bench.seed,
+        }
+        metrics[f"{bench.name}.{SECONDS}"] = min(timings)
+        metrics[f"{bench.name}.{DIGEST}"] = metrics_digest(result)
         if on_event:
-            on_event(f"[perf] {bench.name}: {result.seconds:.3f}s")
-    return report
+            on_event(f"[perf] {bench.name}: {min(timings):.3f}s")
+    params = {
+        "quick": quick,
+        "python": platform.python_version(),
+        "machine": f"{platform.system()}-{platform.machine()}",
+        "benches": pins,
+    }
+    return gate.payload(params, metrics, bench_direction)
 
 
-def merge_reports(existing: PerfReport, new: PerfReport) -> PerfReport:
-    """Fold a fresh run into an existing report file, per bench.
-
-    Full-mode results land in the primary section of a full report; a
-    quick run against a full report lands in its ``quick_benches``
-    section, so one committed file carries both pins.  Benches absent
-    from the new run are kept as-is.
-    """
-    if existing.mode == "full" and new.mode == "quick":
-        existing.quick_benches.update(new.benches)
-        return existing
-    if existing.mode == "quick" and new.mode == "full":
-        # The full run takes over as primary; keep old quick pins.
-        new.quick_benches = dict(existing.benches)
-        return new
-    existing.benches.update(new.benches)
-    existing.quick_benches.update(new.quick_benches)
-    existing.python = new.python or existing.python
-    existing.machine = new.machine or existing.machine
-    return existing
-
-
-def apply_baseline(report: PerfReport, baseline: PerfReport) -> PerfReport:
-    """Annotate ``report`` with per-bench speedups vs ``baseline``.
-
-    Speedups are only meaningful same-machine, same-pin: the baseline
-    section matching the report's mode is used (a baseline without one
-    is refused).
-    """
-    section = baseline.section_for(report.mode)
-    for name, result in report.benches.items():
-        base = section.get(name)
-        if base is None:
-            continue
-        result.baseline_seconds = base.seconds
-        result.speedup = base.seconds / result.seconds if result.seconds else None
-        same_pin = base.params == result.params and base.seed == result.seed
-        result.metrics_match = (
-            base.metrics_digest == result.metrics_digest if same_pin else None
-        )
-    return report
-
-
-@dataclass
-class ComparisonRow:
-    name: str
-    current_seconds: float
-    baseline_seconds: float
-    ratio: float  # current / baseline (>1 = slower)
-    normalized_ratio: float
-    pin_matches: bool
-    digest_matches: Optional[bool]  # None when pins differ
-
-
-@dataclass
-class ComparisonResult:
-    """Outcome of the regression gate."""
-
-    rows: list[ComparisonRow]
-    tolerance: float
-    normalized: bool
-    regressions: list[str] = field(default_factory=list)
-    digest_failures: list[str] = field(default_factory=list)
-    missing: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions and not self.digest_failures
-
-    def summary(self) -> str:
-        kind = "normalized" if self.normalized else "absolute"
-        lines = [
-            f"perf compare ({kind} ratios, tolerance "
-            f"{self.tolerance * 100:.0f}%)",
-            f"{'bench':<20} {'current':>10} {'baseline':>10} "
-            f"{'ratio':>7} {'norm':>7}  verdict",
-        ]
-        for row in self.rows:
-            if row.name in self.digest_failures:
-                verdict = "METRICS CHANGED"
-            elif row.name in self.regressions:
-                verdict = "REGRESSION"
-            else:
-                verdict = "ok"
-            lines.append(
-                f"{row.name:<20} {row.current_seconds:>10.3f} "
-                f"{row.baseline_seconds:>10.3f} {row.ratio:>7.2f} "
-                f"{row.normalized_ratio:>7.2f}  {verdict}"
-            )
-        for name in self.missing:
-            lines.append(f"{name:<20} (no baseline entry; skipped)")
-        lines.append("PASS" if self.ok else "FAIL")
-        return "\n".join(lines)
-
-
-def compare_reports(
-    current: PerfReport,
-    baseline: PerfReport,
+def compare_benches(
+    current: dict,
+    baseline: dict,
     tolerance: float = 0.2,
     normalize: bool = True,
-) -> ComparisonResult:
-    """The regression gate: is ``current`` no worse than ``baseline``?
-
-    Fails on (a) any bench whose metrics digest changed under an
-    identical pin — a correctness regression — and (b) any bench whose
-    (machine-normalised) time ratio exceeds ``1 + tolerance``.
-    Normalisation needs at least three common benches to estimate the
-    machine-speed scale; with fewer, raw ratios are used.
-    """
-    section = baseline.section_for(current.mode)
-    common = [name for name in current.benches if name in section]
-    missing = [name for name in current.benches if name not in section]
-    ratios = {}
-    for name in common:
-        cur, base = current.benches[name], section[name]
-        same_pin = cur.params == base.params and cur.seed == base.seed
-        if same_pin and base.seconds > 0 and cur.seconds > 0:
-            ratios[name] = cur.seconds / base.seconds
-    use_norm = normalize and len(ratios) >= 3
-    if use_norm:
-        log_sum = sum(math.log(r) for r in ratios.values())
-        scale = math.exp(log_sum / len(ratios))
-    else:
-        scale = 1.0
-
-    result = ComparisonResult(
-        rows=[], tolerance=tolerance, normalized=use_norm, missing=missing
+) -> gate.Comparison:
+    """The perf regression gate: is ``current`` no worse than
+    ``baseline``?  Both are :func:`run_benches` payloads."""
+    cur_pins = current["params"].get("benches", {})
+    base_pins = baseline["params"].get("benches", {})
+    changed = {
+        name
+        for name in cur_pins.keys() & base_pins.keys()
+        if cur_pins[name] != base_pins[name]
+    }
+    cur = dict(current["metrics"])
+    timed = [
+        name
+        for name in cur
+        if name.endswith(f".{SECONDS}")
+        and _bench_of(name) not in changed
+        and _positive(cur[name])
+    ]
+    ratios = [
+        cur[name] / baseline["metrics"][name]
+        for name in timed
+        if _positive(baseline["metrics"].get(name))
+    ]
+    title = "perf compare (absolute times)"
+    if normalize and len(ratios) >= 3:
+        scale = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
+        for name in timed:
+            cur[name] /= scale
+        title = f"perf compare (times / machine scale {scale:.3f})"
+    directions = {
+        name: "info" if _bench_of(name) in changed else direction
+        for name, direction in baseline["directions"].items()
+    }
+    result = gate.compare(
+        cur, dict(baseline, directions=directions), tolerance, title=title
     )
-    for name in sorted(common):
-        cur, base = current.benches[name], section[name]
-        pin = cur.params == base.params and cur.seed == base.seed
-        if not pin:
-            # Different workload: times are incomparable; flag only.
-            result.missing.append(f"{name} (pin changed)")
-            continue
-        ratio = ratios.get(name, float("inf"))
-        norm_ratio = ratio / scale
-        digest = cur.metrics_digest == base.metrics_digest
-        result.rows.append(
-            ComparisonRow(
-                name=name,
-                current_seconds=cur.seconds,
-                baseline_seconds=base.seconds,
-                ratio=ratio,
-                normalized_ratio=norm_ratio,
-                pin_matches=pin,
-                digest_matches=digest,
-            )
-        )
-        if digest is False:
-            result.digest_failures.append(name)
-        if norm_ratio > 1.0 + tolerance:
-            result.regressions.append(name)
+    for row in result.rows:
+        if _bench_of(row.name) in changed:
+            row.note = "pin changed"
     return result
 
 

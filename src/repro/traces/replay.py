@@ -19,11 +19,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.exec.events import MemoryAccess
-from repro.traces.format import (
-    FingerprintCapture,
-    SPECIES_FINGERPRINT,
-    SPECIES_MEMORY,
-)
+from repro.traces.format import SPECIES_FINGERPRINT, SPECIES_MEMORY
 from repro.traces.store import TraceStore
 
 
@@ -61,8 +57,8 @@ def replay_lines_array(
 
 def _target_filter(target: str) -> tuple[tuple[str, ...], Optional[str]]:
     """The (sites, kind) observation filter each survey target uses —
-    one definition shared by live observation, object replay, columnar
-    replay, and the diag leakage meter."""
+    one definition shared by live observation, replay, and the diag
+    leakage meter."""
     if target == "zlib":
         from repro.compression.lz77 import SITE_HEAD
 
@@ -82,16 +78,14 @@ def target_lines(
     store: TraceStore,
     trace_id: str,
     target: Optional[str] = None,
-    use_columns: bool = True,
 ) -> np.ndarray:
     """One stored trace's attacker-observed line stream for a survey
-    target (defaults to the trace's own ``target`` metadata)."""
+    target (defaults to the trace's own ``target`` metadata), decoded
+    columnar; equal to :func:`replay_lines` over the stored records
+    (``tests/test_traces_replay.py`` pins it)."""
     meta = _require_species(store, trace_id, SPECIES_MEMORY)
     sites, kind = _target_filter(target or meta["target"])
-    if use_columns:
-        return replay_lines_array(store.read_columns(trace_id), sites, kind)
-    lines = replay_lines(store.iter_records(trace_id), sites=sites, kind=kind)
-    return np.asarray(lines, dtype=np.int64)
+    return replay_lines_array(store.read_columns(trace_id), sites, kind)
 
 
 def _require_species(store: TraceStore, trace_id: str, species: str) -> dict:
@@ -111,22 +105,17 @@ def _truth(meta: dict) -> bytes:
     return make_input(meta["input_kind"], int(meta["size"]), int(meta["input_seed"]))
 
 
-def recover_from_trace(
-    store: TraceStore, trace_id: str, use_columns: bool = True
-) -> dict:
+def recover_from_trace(store: TraceStore, trace_id: str) -> dict:
     """Run the matching Section IV recovery on one stored memory trace.
 
     Dispatches on the trace's ``target`` metadata and returns the same
-    metric names the live survey produces for that target.  The default
-    columnar path feeds the recovery decoders the identical line stream
-    (``tests/test_traces_columns.py`` pins the metric equality); pass
-    ``use_columns=False`` to force the object decode.
+    metric names the live survey produces for that target.
     """
     meta = _require_species(store, trace_id, SPECIES_MEMORY)
     target = meta["target"]
     n = int(meta["size"])
     truth = _truth(meta)
-    lines = target_lines(store, trace_id, target, use_columns=use_columns)
+    lines = target_lines(store, trace_id, target)
 
     if target == "zlib":
         from repro.recovery.zlib_recover import accuracy, recover_known_high_bits
@@ -161,7 +150,7 @@ def recover_from_trace(
 
 
 def survey_from_store(store: TraceStore, size: int, sweep_seed: int,
-                      prefix: str = "survey", use_columns: bool = True) -> dict:
+                      prefix: str = "survey") -> dict:
     """Assemble the Section IV survey metrics from a captured sweep.
 
     Reads the three traces :func:`repro.traces.capture.capture_survey_traces`
@@ -171,8 +160,7 @@ def survey_from_store(store: TraceStore, size: int, sweep_seed: int,
     out: dict = {}
     for target in ("zlib", "lzw", "bzip2"):
         metrics = recover_from_trace(
-            store, f"{prefix}-{target}-n{size}-s{sweep_seed}",
-            use_columns=use_columns,
+            store, f"{prefix}-{target}-n{size}-s{sweep_seed}"
         )
         metrics.pop("target")
         out.update(metrics)
@@ -180,7 +168,7 @@ def survey_from_store(store: TraceStore, size: int, sweep_seed: int,
 
 
 def dataset_from_store(
-    store: TraceStore, trace_id: str, use_columns: bool = True
+    store: TraceStore, trace_id: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reassemble the classifier dataset from one stored fingerprint
     trace: ``(X, y)`` exactly as live ``build_dataset`` returns them
@@ -188,22 +176,15 @@ def dataset_from_store(
     from repro.core.zipchannel.fingerprint import TENSOR_WIDTH, pool_trace
 
     _require_species(store, trace_id, SPECIES_FINGERPRINT)
-    if use_columns:
-        cols = store.read_columns(trace_id)
-        pooled = cols.pooled(TENSOR_WIDTH)
-        if pooled is not None:
-            # Pooling happened in the run domain — no tensor was ever
-            # materialised; bit-identical to pool_trace per capture.
-            x = pooled.reshape(cols.n, -1).astype(np.float32)
-            return x, np.array(cols.labels.tolist())
-        xs = [pool_trace(trace).reshape(-1) for trace in cols.traces]
-        return np.array(xs, dtype=np.float32), np.array(cols.labels.tolist())
-    xs, ys = [], []
-    for capture in store.iter_records(trace_id):
-        assert isinstance(capture, FingerprintCapture)
-        xs.append(pool_trace(capture.trace).reshape(-1))
-        ys.append(capture.label)
-    return np.array(xs, dtype=np.float32), np.array(ys)
+    cols = store.read_columns(trace_id)
+    pooled = cols.pooled(TENSOR_WIDTH)
+    if pooled is not None:
+        # Pooling happened in the run domain — no tensor was ever
+        # materialised; bit-identical to pool_trace per capture.
+        x = pooled.reshape(cols.n, -1).astype(np.float32)
+        return x, np.array(cols.labels.tolist())
+    xs = [pool_trace(trace).reshape(-1) for trace in cols.traces]
+    return np.array(xs, dtype=np.float32), np.array(cols.labels.tolist())
 
 
 def fingerprint_experiment_from_store(
@@ -212,7 +193,6 @@ def fingerprint_experiment_from_store(
     epochs: int = 20,
     seed: int = 0,
     hidden: int = 96,
-    use_columns: bool = True,
 ) -> dict:
     """Train and score the Section VI classifier from stored traces.
 
@@ -224,7 +204,7 @@ def fingerprint_experiment_from_store(
     from repro.classify import MLPClassifier, split_dataset
 
     meta = store.get(trace_id).meta
-    x, y = dataset_from_store(store, trace_id, use_columns=use_columns)
+    x, y = dataset_from_store(store, trace_id)
     n_files = int(meta.get("n_files", len(set(y.tolist()))))
     train, val, test = split_dataset(x, y, seed=seed + 1)
     clf = MLPClassifier(x.shape[1], n_files, hidden=hidden, seed=seed + 2)

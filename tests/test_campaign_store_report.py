@@ -179,6 +179,15 @@ class TestCampaignCli:
         assert "# Campaign — cli" in text
         assert "exact_found" in text
 
+    def test_run_prints_summary_once(self, tmp_path, capsys):
+        spec_path = self.write_spec(tmp_path)
+        out = tmp_path / "out"
+        assert main(["campaign", "run", str(spec_path), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        summaries = [line for line in lines if line.startswith("campaign: ")]
+        assert len(summaries) == 1, lines
+        assert summaries[0].startswith("campaign: 2 ok in ")
+
     def test_partial_failure_exits_3(self, tmp_path, capsys):
         spec_path = self.write_spec(
             tmp_path,

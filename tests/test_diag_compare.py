@@ -12,22 +12,31 @@ from pathlib import Path
 
 import pytest
 
+from repro import gate
 from repro.diag.drift import (
     ABS_EPSILON,
     DEFAULT_PARAMS,
-    DIAG_SCHEMA,
-    baseline_payload,
+    DEFAULT_TOLERANCE,
     collect_diag_metrics,
-    compare_diag,
-    load_baseline,
     metric_direction,
-    save_baseline,
 )
 
 REPO = Path(__file__).resolve().parent.parent
 BASELINE = REPO / "benchmarks" / "diag_baseline.json"
 
 SMALL = dict(size=40, samples=200, n_targets=2, step_n=16)
+
+
+def diag_payload(metrics, params=None):
+    """What ``repro diag collect`` writes."""
+    return gate.payload(params or DEFAULT_PARAMS, metrics, metric_direction)
+
+
+def diag_gate(current, baseline):
+    """What ``repro diag compare`` checks."""
+    return gate.compare(
+        current, baseline, DEFAULT_TOLERANCE, abs_epsilon=ABS_EPSILON
+    )
 
 
 class TestDirections:
@@ -51,27 +60,27 @@ class TestDirections:
 
 class TestCompareLogic:
     def _baseline(self, metrics):
-        return baseline_payload(metrics, params={})
+        return diag_payload(metrics, params={})
 
     def test_identical_metrics_pass(self):
         base = self._baseline({"a.bit_accuracy": 0.9, "t.hit_mean": 40.0})
-        cmp = compare_diag({"a.bit_accuracy": 0.9, "t.hit_mean": 40.0}, base)
+        cmp = diag_gate({"a.bit_accuracy": 0.9, "t.hit_mean": 40.0}, base)
         assert cmp.ok
         assert cmp.regressions == []
         assert "PASS: 0 regressions" in cmp.summary()
 
     def test_higher_metric_drop_beyond_tolerance_fails(self):
         base = self._baseline({"a.bit_accuracy": 0.9})
-        assert compare_diag({"a.bit_accuracy": 0.86}, base).ok  # within 5%
-        cmp = compare_diag({"a.bit_accuracy": 0.80}, base)
+        assert diag_gate({"a.bit_accuracy": 0.86}, base).ok  # within 5%
+        cmp = diag_gate({"a.bit_accuracy": 0.80}, base)
         assert not cmp.ok
         assert cmp.regressions[0].name == "a.bit_accuracy"
         assert "FAIL: 1 regression " in cmp.summary()
 
     def test_lower_metric_rise_beyond_tolerance_fails(self):
         base = self._baseline({"timing.misclassified_rate": 0.10})
-        assert compare_diag({"timing.misclassified_rate": 0.104}, base).ok
-        assert not compare_diag(
+        assert diag_gate({"timing.misclassified_rate": 0.104}, base).ok
+        assert not diag_gate(
             {"timing.misclassified_rate": 0.20}, base
         ).ok
 
@@ -79,18 +88,18 @@ class TestCompareLogic:
         # a 0.0 lower-is-better baseline must not fail on any epsilon
         base = self._baseline({"timing.misclassified_rate": 0.0})
         ok_rate = ABS_EPSILON * 0.9
-        assert compare_diag({"timing.misclassified_rate": ok_rate}, base).ok
-        assert not compare_diag(
+        assert diag_gate({"timing.misclassified_rate": ok_rate}, base).ok
+        assert not diag_gate(
             {"timing.misclassified_rate": ABS_EPSILON * 3}, base
         ).ok
 
     def test_info_metrics_never_gate(self):
         base = self._baseline({"timing.hit_mean": 40.0})
-        assert compare_diag({"timing.hit_mean": 400.0}, base).ok
+        assert diag_gate({"timing.hit_mean": 400.0}, base).ok
 
     def test_missing_metric_fails_and_new_metric_informs(self):
         base = self._baseline({"a.bit_accuracy": 0.9})
-        cmp = compare_diag({"b.bit_accuracy": 0.9}, base)
+        cmp = diag_gate({"b.bit_accuracy": 0.9}, base)
         assert not cmp.ok
         rows = {row.name: row for row in cmp.rows}
         assert rows["a.bit_accuracy"].note == "missing"
@@ -100,25 +109,25 @@ class TestCompareLogic:
     def test_accepts_payload_or_flat_dict_as_current(self):
         metrics = {"a.bit_accuracy": 0.9}
         base = self._baseline(metrics)
-        assert compare_diag(baseline_payload(metrics), base).ok
-        assert compare_diag(metrics, base).ok
+        assert diag_gate(diag_payload(metrics)["metrics"], base).ok
+        assert diag_gate(metrics, base).ok
 
 
 class TestBaselineIO:
     def test_roundtrip(self, tmp_path):
-        payload = baseline_payload({"a.bit_accuracy": 0.5}, params=SMALL)
+        payload = diag_payload({"a.bit_accuracy": 0.5}, params=SMALL)
         path = tmp_path / "base.json"
-        save_baseline(str(path), payload)
-        loaded = load_baseline(str(path))
+        gate.save(str(path), payload)
+        loaded = gate.load(str(path))
         assert loaded == payload
-        assert loaded["schema"] == DIAG_SCHEMA
+        assert loaded["schema"] == gate.SCHEMA
         assert loaded["directions"]["a.bit_accuracy"] == "higher"
 
     def test_wrong_schema_is_rejected(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text(json.dumps({"schema": "repro-perf/1"}))
-        with pytest.raises(ValueError, match="repro-diag/1"):
-            load_baseline(str(path))
+        with pytest.raises(ValueError, match=gate.SCHEMA):
+            gate.load(str(path))
 
 
 class TestCollectAndGate:
@@ -133,12 +142,12 @@ class TestCollectAndGate:
 
     def test_gate_passes_on_self(self):
         metrics = collect_diag_metrics(**SMALL)
-        assert compare_diag(metrics, baseline_payload(metrics)).ok
+        assert diag_gate(metrics, diag_payload(metrics)).ok
 
     def test_noise_injection_regresses_the_gate(self):
-        base = baseline_payload(collect_diag_metrics(**SMALL))
+        base = diag_payload(collect_diag_metrics(**SMALL))
         injected = collect_diag_metrics(noise_sigma=30.0, **SMALL)
-        cmp = compare_diag(injected, base)
+        cmp = diag_gate(injected, base)
         assert not cmp.ok
         assert any(
             row.name == "timing.margin_sigma" for row in cmp.regressions
@@ -146,7 +155,7 @@ class TestCollectAndGate:
 
     def test_committed_baseline_compares_clean(self):
         """The repo's own baseline must pass with the recorded params."""
-        baseline = load_baseline(str(BASELINE))
+        baseline = gate.load(str(BASELINE))
         assert baseline["params"] == DEFAULT_PARAMS
         params = baseline["params"]
         current = collect_diag_metrics(
@@ -156,7 +165,7 @@ class TestCollectAndGate:
             n_targets=params["n_targets"],
             step_n=params["step_n"],
         )
-        cmp = compare_diag(current, baseline)
+        cmp = diag_gate(current, baseline)
         assert cmp.ok, cmp.summary()
 
 
@@ -207,7 +216,7 @@ class TestCLI:
 
         out = self._collect(tmp_path)
         current = tmp_path / "current.json"
-        current.write_text(json.dumps(collect_diag_metrics(**SMALL)))
+        gate.save(str(current), diag_payload(collect_diag_metrics(**SMALL)))
         assert cli.main(
             ["diag", "compare", str(current), "--baseline", str(out)]
         ) == 0

@@ -1,39 +1,45 @@
-"""Unit tests for the repro.perf harness: digests, report round-trips,
-section merging, baselines, and the regression gate."""
+"""Unit tests for the repro.perf harness: digests, the gate payload
+``perf run`` writes, and the perf regression gate."""
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro import cli, gate
 from repro.perf.harness import (
-    BenchResult,
-    PerfReport,
-    apply_baseline,
-    compare_reports,
-    load_report,
-    merge_reports,
+    bench_direction,
+    compare_benches,
     metrics_digest,
+    run_benches,
 )
 
 
-def _result(name, seconds, params=None, seed=1, metrics=None):
+REPO = Path(__file__).resolve().parent.parent
+BASELINE = REPO / "benchmarks" / "perf_baseline.json"
+
+
+def _bench(name, seconds, params=None, seed=1, metrics=None):
+    """One bench's (pin, rows) as ``run_benches`` records them."""
     metrics = metrics if metrics is not None else {"answer": 42}
-    return BenchResult(
-        name=name,
-        seconds=seconds,
-        all_seconds=[seconds],
-        params=params or {"size": 100},
-        seed=seed,
-        metrics=metrics,
-        metrics_digest=metrics_digest(metrics),
+    pin = {"params": params or {"size": 100}, "seed": seed}
+    rows = {
+        f"{name}.seconds": seconds,
+        f"{name}.metrics_digest": metrics_digest(metrics),
+    }
+    return pin, rows
+
+
+def _report(**benches):
+    pins, metrics = {}, {}
+    for name, (pin, rows) in benches.items():
+        pins[name] = pin
+        metrics.update(rows)
+    return gate.payload(
+        {"quick": True, "benches": pins}, metrics, bench_direction
     )
-
-
-def _report(mode="full", **benches):
-    report = PerfReport(mode=mode, python="3.11", machine="test")
-    for name, res in benches.items():
-        report.benches[name] = res
-    return report
 
 
 class TestMetricsDigest:
@@ -54,136 +60,110 @@ class TestMetricsDigest:
 
 
 class TestReportRoundTrip:
-    def test_json_round_trip_preserves_sections(self, tmp_path):
-        report = _report(full=_result("x", 1.0))
-        report.quick_benches["x"] = _result("x", 0.1)
-        report.benches["x"] = report.benches.pop("full")
-        path = tmp_path / "r.json"
-        path.write_text(report.to_json())
-        back = load_report(str(path))
-        assert back.mode == "full"
-        assert back.benches["x"].seconds == 1.0
-        assert back.quick_benches["x"].seconds == 0.1
-        assert back.benches["x"].metrics_digest == metrics_digest(
-            {"answer": 42}
-        )
-
     def test_wrong_schema_rejected(self):
         with pytest.raises(ValueError, match="schema"):
-            PerfReport.from_dict({"schema": "other/9"})
+            gate.validate({"schema": "other/9"})
 
-    def test_section_for_missing_mode_is_refused(self):
-        report = _report(x=_result("x", 1.0))
-        with pytest.raises(ValueError, match="no 'quick' section"):
-            report.section_for("quick")
-
-
-class TestMergeReports:
-    def test_quick_into_full_lands_in_quick_section(self):
-        existing = _report(mode="full", a=_result("a", 2.0))
-        new = PerfReport(mode="quick", python="3.11", machine="test")
-        new.benches["a"] = _result("a", 0.2)
-        merged = merge_reports(existing, new)
-        assert merged.mode == "full"
-        assert merged.benches["a"].seconds == 2.0
-        assert merged.quick_benches["a"].seconds == 0.2
-
-    def test_same_mode_merge_keeps_absent_benches(self):
-        existing = _report(a=_result("a", 2.0), b=_result("b", 3.0))
-        new = _report(a=_result("a", 1.5))
-        merged = merge_reports(existing, new)
-        assert merged.benches["a"].seconds == 1.5
-        assert merged.benches["b"].seconds == 3.0  # not dropped
-
-    def test_full_into_quick_promotes_full_as_primary(self):
-        existing = PerfReport(mode="quick")
-        existing.benches["a"] = _result("a", 0.2)
-        new = _report(mode="full", a=_result("a", 2.0))
-        merged = merge_reports(existing, new)
-        assert merged.mode == "full"
-        assert merged.benches["a"].seconds == 2.0
-        assert merged.quick_benches["a"].seconds == 0.2
-
-
-class TestApplyBaseline:
-    def test_speedup_and_match_annotated(self):
-        current = _report(a=_result("a", 1.0))
-        baseline = _report(a=_result("a", 3.0))
-        apply_baseline(current, baseline)
-        res = current.benches["a"]
-        assert res.speedup == pytest.approx(3.0)
-        assert res.metrics_match is True
-
-    def test_pin_change_suppresses_metrics_verdict(self):
-        current = _report(a=_result("a", 1.0, params={"size": 500}))
-        baseline = _report(a=_result("a", 3.0, params={"size": 100}))
-        apply_baseline(current, baseline)
-        assert current.benches["a"].metrics_match is None
+    def test_run_payload_round_trips_pins_and_digests(self, tmp_path):
+        payload = run_benches(["lzw_recovery"], quick=True)
+        path = tmp_path / "r.json"
+        gate.save(str(path), payload)
+        back = gate.load(str(path))
+        assert back == json.loads(json.dumps(payload))
+        assert back["params"]["benches"]["lzw_recovery"] == {
+            "params": {"size": 150, "noise": 0.02},
+            "seed": 9,
+        }
+        assert back["directions"] == {
+            "lzw_recovery.metrics_digest": "equal",
+            "lzw_recovery.seconds": "lower",
+        }
+        assert compare_benches(back, payload).ok
 
 
 class TestCompareGate:
     def test_clean_comparison_passes(self):
-        current = _report(a=_result("a", 1.0), b=_result("b", 2.0))
-        baseline = _report(a=_result("a", 1.05), b=_result("b", 2.1))
-        outcome = compare_reports(current, baseline, tolerance=0.2)
+        current = _report(a=_bench("a", 1.0), b=_bench("b", 2.0))
+        baseline = _report(a=_bench("a", 1.05), b=_bench("b", 2.1))
+        outcome = compare_benches(current, baseline, tolerance=0.2)
         assert outcome.ok
         assert "PASS" in outcome.summary()
 
     def test_digest_mismatch_fails_before_timing(self):
-        current = _report(a=_result("a", 0.5, metrics={"bits": 1}))
-        baseline = _report(a=_result("a", 1.0, metrics={"bits": 2}))
-        outcome = compare_reports(current, baseline, tolerance=0.2)
+        current = _report(a=_bench("a", 0.5, metrics={"bits": 1}))
+        baseline = _report(a=_bench("a", 1.0, metrics={"bits": 2}))
+        outcome = compare_benches(current, baseline, tolerance=0.2)
         assert not outcome.ok
-        assert outcome.digest_failures == ["a"]
-        assert "METRICS CHANGED" in outcome.summary()
+        assert [r.name for r in outcome.regressions] == ["a.metrics_digest"]
+        assert "CHANGED" in outcome.summary()
 
     def test_absolute_regression_detected(self):
-        current = _report(a=_result("a", 2.0))
-        baseline = _report(a=_result("a", 1.0))
-        outcome = compare_reports(
+        current = _report(a=_bench("a", 2.0))
+        baseline = _report(a=_bench("a", 1.0))
+        outcome = compare_benches(
             current, baseline, tolerance=0.2, normalize=False
         )
-        assert outcome.regressions == ["a"]
-        assert "REGRESSION" in outcome.summary()
+        assert [r.name for r in outcome.regressions] == ["a.seconds"]
+        assert "REGRESSED" in outcome.summary()
 
     def test_uniform_machine_slowdown_cancels_when_normalized(self):
         # Everything 2x slower: a slower machine, not a regression.
         current = _report(
-            a=_result("a", 2.0), b=_result("b", 4.0), c=_result("c", 6.0)
+            a=_bench("a", 2.0), b=_bench("b", 4.0), c=_bench("c", 6.0)
         )
         baseline = _report(
-            a=_result("a", 1.0), b=_result("b", 2.0), c=_result("c", 3.0)
+            a=_bench("a", 1.0), b=_bench("b", 2.0), c=_bench("c", 3.0)
         )
-        outcome = compare_reports(current, baseline, tolerance=0.2)
-        assert outcome.normalized
+        outcome = compare_benches(current, baseline, tolerance=0.2)
+        assert "machine scale 2.000" in outcome.summary()
         assert outcome.ok
 
     def test_relative_regression_survives_normalization(self):
         # b regresses 3x while a and c are flat.
         current = _report(
-            a=_result("a", 1.0), b=_result("b", 3.0), c=_result("c", 1.0)
+            a=_bench("a", 1.0), b=_bench("b", 3.0), c=_bench("c", 1.0)
         )
         baseline = _report(
-            a=_result("a", 1.0), b=_result("b", 1.0), c=_result("c", 1.0)
+            a=_bench("a", 1.0), b=_bench("b", 1.0), c=_bench("c", 1.0)
         )
-        outcome = compare_reports(current, baseline, tolerance=0.2)
-        assert outcome.regressions == ["b"]
+        outcome = compare_benches(current, baseline, tolerance=0.2)
+        assert [r.name for r in outcome.regressions] == ["b.seconds"]
 
     def test_pin_change_skips_timing_comparison(self):
-        current = _report(a=_result("a", 9.0, params={"size": 999}))
-        baseline = _report(a=_result("a", 1.0, params={"size": 100}))
-        outcome = compare_reports(current, baseline, tolerance=0.2)
+        current = _report(a=_bench("a", 9.0, params={"size": 999}))
+        baseline = _report(a=_bench("a", 1.0, params={"size": 100}))
+        outcome = compare_benches(current, baseline, tolerance=0.2)
         assert outcome.ok  # incomparable, not a regression
-        assert any("pin changed" in m for m in outcome.missing)
+        assert any("pin changed" in r.note for r in outcome.rows)
 
-    def test_quick_current_compares_against_quick_section(self):
-        baseline = _report(a=_result("a", 5.0))
-        baseline.quick_benches["a"] = _result("a", 0.5)
-        current = PerfReport(mode="quick", python="3.11", machine="test")
-        current.benches["a"] = _result("a", 0.52)
-        outcome = compare_reports(current, baseline, tolerance=0.2)
+    def test_pin_change_suppresses_metrics_verdict(self):
+        current = _report(
+            a=_bench("a", 1.0, params={"size": 500}, metrics={"bits": 1})
+        )
+        baseline = _report(
+            a=_bench("a", 3.0, params={"size": 100}, metrics={"bits": 2})
+        )
+        outcome = compare_benches(current, baseline, tolerance=0.2)
         assert outcome.ok
-        assert outcome.rows[0].baseline_seconds == 0.5
+        rows = {r.name: r for r in outcome.rows}
+        assert rows["a.metrics_digest"].direction == "info"
+        assert rows["a.metrics_digest"].note == "pin changed"
+
+    def test_perf_rows_get_no_absolute_slack(self):
+        current = _report(a=_bench("a", 0.0013))
+        baseline = _report(a=_bench("a", 0.001))
+        outcome = compare_benches(
+            current, baseline, tolerance=0.2, normalize=False
+        )
+        assert not outcome.ok
+
+    def test_bench_missing_from_current_fails(self):
+        current = _report(a=_bench("a", 1.0))
+        baseline = _report(a=_bench("a", 1.0), b=_bench("b", 1.0))
+        outcome = compare_benches(current, baseline, tolerance=0.2)
+        assert {r.name for r in outcome.regressions} == {
+            "b.seconds", "b.metrics_digest"
+        }
 
 
 class TestBenchCatalogue:
@@ -201,3 +181,32 @@ class TestBenchCatalogue:
 
         with pytest.raises(KeyError, match="unknown bench"):
             get_bench("nope")
+
+
+class TestCommittedBaseline:
+    def test_gates_every_bench_at_its_quick_pin(self):
+        from repro.perf import available_benches, get_bench
+
+        baseline = gate.load(str(BASELINE))
+        assert baseline["params"]["quick"] is True
+        pins = baseline["params"]["benches"]
+        assert sorted(pins) == sorted(available_benches())
+        for name, pin in pins.items():
+            bench = get_bench(name)
+            assert pin == {
+                "params": bench.resolved_params(quick=True),
+                "seed": bench.seed,
+            }, name
+            assert baseline["directions"][f"{name}.seconds"] == "lower"
+            assert baseline["directions"][f"{name}.metrics_digest"] == "equal"
+
+
+class TestCLI:
+    def test_run_then_compare_against_itself_passes(self, tmp_path, capsys):
+        out = tmp_path / "quick.json"
+        assert cli.main(
+            ["perf", "run", "--quick", "--bench", "lzw_recovery",
+             "--out", str(out), "--quiet"]
+        ) == 0
+        assert cli.main(["perf", "compare", str(out), "--baseline", str(out)]) == 0
+        assert "PASS" in capsys.readouterr().out

@@ -13,6 +13,7 @@ from repro.campaign.experiments import get_experiment
 from repro.core.zipchannel.fingerprint import (
     build_dataset,
     derive_capture_seed,
+    pool_trace,
     run_fingerprint_experiment,
 )
 from repro.exec import TracingContext, TraceLimitExceeded
@@ -29,7 +30,9 @@ from repro.traces import (
     replay_lines,
     serialize_records,
     survey_from_store,
+    target_lines,
 )
+from repro.traces.replay import _target_filter
 from repro.workloads import repetitiveness_series
 
 SIZE = 150
@@ -79,6 +82,36 @@ class TestSurveyReplayFidelity:
         )
         with pytest.raises(ValueError, match="'memory'"):
             recover_from_trace(store, "fp")
+
+
+class TestColumnarReplayMatchesObjectReader:
+    """The columnar decode is the only production path; the object
+    reader is its reference on a real captured store."""
+
+    def test_target_lines_match_replay_lines(self, store):
+        capture_survey_traces(store, size=SIZE, seed=SEED)
+        for target in ("zlib", "lzw", "bzip2"):
+            trace_id = f"survey-{target}-n{SIZE}-s{SEED}"
+            sites, kind = _target_filter(target)
+            expected = replay_lines(
+                store.iter_records(trace_id), sites=sites, kind=kind
+            )
+            assert target_lines(store, trace_id).tolist() == expected, target
+
+    def test_dataset_matches_pool_trace_per_capture(self, store):
+        capture_fingerprint_traces(
+            store, "fp", corpus="brotli", traces_per_file=2, seed=SEED,
+            max_file_bytes=1200,
+        )
+        captures = list(store.iter_records("fp"))
+        x, y = dataset_from_store(store, "fp")
+        expected = np.array(
+            [pool_trace(c.trace).reshape(-1) for c in captures],
+            dtype=np.float32,
+        )
+        assert x.dtype == np.float32
+        assert np.array_equal(x, expected)
+        assert y.tolist() == [c.label for c in captures]
 
 
 class TestFingerprintReplayFidelity:
