@@ -79,22 +79,12 @@ def lzw_recovery(params: dict, seed: int) -> dict:
     corrupted observation is displaced by one cache line, the classic
     Prime+Probe neighbour error.
     """
-    from repro.compression.lzw import SITE_PRIMARY, SITE_SECONDARY, lzw_compress
-    from repro.exec import InstrumentationTier, TracingContext
-    from repro.recovery import recover_lzw_input
+    from repro.recovery import survey
 
     size = int(params.get("size", 200))
     noise = float(params.get("noise", 0.0))
     data = make_input(params.get("input_kind", "random"), size, seed)
-
-    # Recovery only reads the access stream: skip the data-flow records.
-    ctx = TracingContext(tier=InstrumentationTier.ADDRESS_ONLY)
-    lzw_compress(data, ctx=ctx)
-    lines = [
-        a.address >> 6
-        for a in ctx.tainted_accesses()
-        if a.site in (SITE_PRIMARY, SITE_SECONDARY) and a.kind == "read"
-    ]
+    lines, bases = survey.observe("lzw", data)
 
     rng = random.Random(seed ^ 0xC0FFEE)
     corrupted = 0
@@ -105,10 +95,10 @@ def lzw_recovery(params: dict, seed: int) -> dict:
             line += rng.choice((-1, 1))
         noisy.append(line)
 
-    candidates = recover_lzw_input(noisy, ctx.arrays["htab"].base, size)
+    extras = survey.decode("lzw", noisy, bases, size, data).extras
     return {
-        "exact_found": data in candidates,
-        "n_candidates": len(candidates),
+        "exact_found": extras["exact_found"],
+        "n_candidates": extras["n_candidates"],
         "n_observations": len(lines),
         "n_corrupted": corrupted,
     }
@@ -216,59 +206,17 @@ def fingerprint_dataset(params: dict, seed: int) -> dict:
 def survey_recovery(params: dict, seed: int) -> dict:
     """The Section IV survey: recover one input through each of the
     three compressors' gadgets, noise-free channel."""
-    from repro.compression import deflate_compress, lzw_compress
-    from repro.compression.bzip2 import SITE_FTAB
-    from repro.compression.bzip2.blocksort import histogram
-    from repro.compression.lz77 import SITE_HEAD
-    from repro.compression.lzw import SITE_PRIMARY, SITE_SECONDARY
-    from repro.exec import InstrumentationTier, TracingContext
-    from repro.recovery import observed_lines, recover_lzw_input
-    from repro.recovery.bzip2_recover import (
-        observations_from_lines,
-        recover_bzip2_block,
-    )
-    from repro.recovery.zlib_recover import accuracy, recover_known_high_bits
-    from repro.workloads import lowercase_ascii, random_bytes
+    from repro.recovery import survey
 
-    n = int(params.get("size", 300))
-
-    # All three recoveries consume only the memory-access stream.
-    tier = InstrumentationTier.ADDRESS_ONLY
-
-    data = lowercase_ascii(n, seed=seed)
-    ctx = TracingContext(tier=tier)
-    deflate_compress(data, ctx=ctx)
-    rec = recover_known_high_bits(
-        observed_lines(ctx, SITE_HEAD, kind="write"), ctx.arrays["head"].base, n
-    )
-    zlib_accuracy = accuracy(rec, data)
-
-    data = random_bytes(n, seed=seed)
-    ctx = TracingContext(tier=tier)
-    lzw_compress(data, ctx=ctx)
-    lines = [
-        a.address >> 6
-        for a in ctx.tainted_accesses()
-        if a.site in (SITE_PRIMARY, SITE_SECONDARY) and a.kind == "read"
-    ]
-    cands = recover_lzw_input(lines, ctx.arrays["htab"].base, n)
-    lzw_found = data in cands
-
-    data = random_bytes(n, seed=seed + 1)
-    ctx = TracingContext(tier=tier)
-    block = ctx.array("block", n)
-    for i, v in enumerate(ctx.input_bytes(data)):
-        block.set(i, v)
-    histogram(ctx, block, n)
-    obs = observations_from_lines(observed_lines(ctx, SITE_FTAB), n)
-    result = recover_bzip2_block(obs, ctx.arrays["ftab"].base, n)
-
-    return {
-        "zlib_accuracy": zlib_accuracy,
-        "lzw_exact_found": lzw_found,
-        "lzw_candidates": len(cands),
-        "bzip2_bit_accuracy": result.bit_accuracy(data),
-    }
+    size = int(params.get("size", 300))
+    out: dict = {}
+    for target in survey.SURVEY_TARGETS:
+        data = make_input(
+            survey.input_kind(target), size, survey.input_seed(target, seed)
+        )
+        lines, bases = survey.observe(target, data)
+        out.update(survey.decode(target, lines, bases, size, data).metrics)
+    return out
 
 
 @register_experiment("trace_capture")
@@ -377,14 +325,23 @@ def fingerprint_from_store(params: dict, seed: int) -> dict:
 _BENCH_STORES: Dict[tuple, object] = {}
 
 
-def _bench_store(key: tuple, capture) -> object:
+def _replay_store(params: dict, key: tuple, trace_id: str, capture) -> object:
+    """The store a replay experiment reads: ``params['store']`` (running
+    ``capture`` into it when ``trace_id`` is missing), else a
+    per-process scratch store captured on first use under ``key``."""
+    from repro.traces import TraceStore
+
+    path = params.get("store")
+    if path is not None:
+        store = TraceStore(path).open()
+        if trace_id not in {e.trace_id for e in store.list()}:
+            capture(store)
+        return store
     store = _BENCH_STORES.get(key)
     if store is None:
         import atexit
         import shutil
         import tempfile
-
-        from repro.traces import TraceStore
 
         scratch = tempfile.mkdtemp(prefix="repro-bench-store-")
         atexit.register(shutil.rmtree, scratch, True)
@@ -392,27 +349,6 @@ def _bench_store(key: tuple, capture) -> object:
         capture(store)
         _BENCH_STORES[key] = store
     return store
-
-
-def _survey_replay_store(params: dict, size: int, sweep_seed: int):
-    from repro.traces.capture import capture_survey_traces
-
-    path = params.get("store")
-    if path is not None:
-        from repro.traces import TraceStore
-
-        store = TraceStore(path).open()
-        ids = {e.trace_id for e in store.list()}
-        if f"survey-zlib-n{size}-s{sweep_seed}" not in ids:
-            capture_survey_traces(store, size=size, seed=sweep_seed,
-                                  overwrite=True)
-        return store
-    return _bench_store(
-        ("survey", size, sweep_seed),
-        lambda store: capture_survey_traces(
-            store, size=size, seed=sweep_seed, overwrite=True
-        ),
-    )
 
 
 @register_experiment("survey_replay")
@@ -429,16 +365,25 @@ def survey_replay(params: dict, seed: int) -> dict:
     """
     import hashlib
 
+    from repro.recovery import survey
+    from repro.traces.capture import capture_survey_traces
     from repro.traces.replay import target_lines
 
     size = int(params.get("size", 600))
     sweep_seed = int(params.get("sweep_seed", seed))
-    store = _survey_replay_store(params, size, sweep_seed)
+    store = _replay_store(
+        params,
+        ("survey", size, sweep_seed),
+        survey.trace_id("zlib", size, sweep_seed),
+        lambda store: capture_survey_traces(
+            store, size=size, seed=sweep_seed, overwrite=True
+        ),
+    )
     digest = hashlib.sha256()
     out: dict = {}
-    for target in ("zlib", "lzw", "bzip2"):
+    for target in survey.SURVEY_TARGETS:
         lines = target_lines(
-            store, f"survey-{target}-n{size}-s{sweep_seed}", target
+            store, survey.trace_id(target, size, sweep_seed), target
         )
         out[f"{target}_lines"] = int(lines.shape[0])
         digest.update(lines.astype("<i8").tobytes())
@@ -481,18 +426,12 @@ def fig7_replay(params: dict, seed: int) -> dict:
             max_file_bytes=max_file_bytes,
         )
 
-    path = params.get("store")
-    if path is not None:
-        from repro.traces import TraceStore
-
-        store = TraceStore(path).open()
-        if trace_id not in {e.trace_id for e in store.list()}:
-            capture(store)
-    else:
-        store = _bench_store(
-            ("fig7", corpus, traces, sweep_seed, work_factor, max_file_bytes),
-            capture,
-        )
+    store = _replay_store(
+        params,
+        ("fig7", corpus, traces, sweep_seed, work_factor, max_file_bytes),
+        trace_id,
+        capture,
+    )
     x, y = dataset_from_store(store, trace_id)
     digest = hashlib.sha256()
     digest.update(x.tobytes())
@@ -625,11 +564,12 @@ def gadget_leakage(params: dict, seed: int) -> dict:
     target = params.get("target", "bzip2")
     size = int(params.get("size", 120))
     if "store" in params:
+        from repro.recovery.survey import trace_id as survey_trace_id
         from repro.traces import TraceStore
 
         sweep_seed = int(params.get("sweep_seed", seed))
         trace_id = params.get(
-            "trace_id", f"survey-{target}-n{size}-s{sweep_seed}"
+            "trace_id", survey_trace_id(target, size, sweep_seed)
         )
         diag = measure_gadget_from_store(TraceStore(params["store"]), trace_id)
     else:

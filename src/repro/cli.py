@@ -38,7 +38,6 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from repro.compression import deflate_compress, lzw_compress
 from repro.workloads import english_like, lowercase_ascii, random_bytes
 
 # The shared notion of "analyse target X on input Y" lives with the tool.
@@ -138,58 +137,19 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
 
 def cmd_survey(args: argparse.Namespace) -> int:
     """Run the Section IV recovery survey on all three compressors."""
-    from repro.compression.bzip2.blocksort import histogram
-    from repro.compression.lz77 import SITE_HEAD
-    from repro.compression.lzw import SITE_PRIMARY, SITE_SECONDARY
-    from repro.exec import InstrumentationTier, TracingContext
-    from repro.recovery import observed_lines, recover_lzw_input
-    from repro.recovery.bzip2_recover import (
-        observations_from_lines,
-        recover_bzip2_block,
-    )
-    from repro.recovery.zlib_recover import accuracy, recover_known_high_bits
+    from repro.campaign.experiments import get_experiment
 
-    n = args.size
-
-    # The survey only consumes the memory-access stream.
-    tier = InstrumentationTier.ADDRESS_ONLY
-
-    data = lowercase_ascii(n, seed=args.seed)
-    ctx = TracingContext(tier=tier)
-    deflate_compress(data, ctx=ctx)
-    rec = recover_known_high_bits(
-        observed_lines(ctx, SITE_HEAD, kind="write"), ctx.arrays["head"].base, n
-    )
-    print(f"zlib (lowercase): {accuracy(rec, data) * 100:.2f}% of bytes recovered")
-
-    data = random_bytes(n, seed=args.seed)
-    ctx = TracingContext(tier=tier)
-    lzw_compress(data, ctx=ctx)
-    lines = [
-        a.address >> 6
-        for a in ctx.tainted_accesses()
-        if a.site in (SITE_PRIMARY, SITE_SECONDARY) and a.kind == "read"
-    ]
-    cands = recover_lzw_input(lines, ctx.arrays["htab"].base, n)
-    print(f"ncompress: exact input {'found' if data in cands else 'NOT found'} "
-          f"among {len(cands)} candidates")
-
-    data = random_bytes(n, seed=args.seed + 1)
-    ctx = TracingContext(tier=tier)
-    block = ctx.array("block", n)
-    for i, v in enumerate(ctx.input_bytes(data)):
-        block.set(i, v)
-    histogram(ctx, block, n)
-    from repro.compression.bzip2 import SITE_FTAB
-
-    obs = observations_from_lines(observed_lines(ctx, SITE_FTAB), n)
-    result = recover_bzip2_block(obs, ctx.arrays["ftab"].base, n)
-    print(f"bzip2: {result.bit_accuracy(data) * 100:.2f}% of bits recovered")
+    m = get_experiment("survey_recovery")({"size": args.size}, args.seed)
+    print(f"zlib (lowercase): {m['zlib_accuracy'] * 100:.2f}% of bytes recovered")
+    print(f"ncompress: exact input {'found' if m['lzw_exact_found'] else 'NOT found'} "
+          f"among {m['lzw_candidates']} candidates")
+    print(f"bzip2: {m['bzip2_bit_accuracy'] * 100:.2f}% of bits recovered")
     return 0
 
 
 def cmd_trace_capture(args: argparse.Namespace) -> int:
     """Capture victim traces into a trace store."""
+    from repro.recovery.survey import SURVEY_TARGETS
     from repro.traces import TraceStore
     from repro.traces.capture import (
         capture_fingerprint_traces,
@@ -202,7 +162,7 @@ def cmd_trace_capture(args: argparse.Namespace) -> int:
             store,
             size=args.size,
             seed=args.seed,
-            targets=args.targets or ("zlib", "lzw", "bzip2"),
+            targets=args.targets or SURVEY_TARGETS,
             overwrite=args.overwrite,
         )
     else:

@@ -14,12 +14,11 @@ cache-line observation stream into:
   the joint histogram) — the end-to-end "bits extracted per input
   byte", also normalised to bits per cache-line observation.
 
-The same :func:`leakage_from_lines` core consumes a live
-:class:`~repro.exec.context.TracingContext` (via
+The same :func:`leakage_from_lines` core consumes a live run (via
 :func:`measure_gadget_live`) or a stored ``.trc`` trace (via
-:func:`measure_gadget_from_store` and the
-:mod:`repro.traces.replay` adapters), so the two paths agree
-**bit-exactly** by construction — asserted in
+:func:`measure_gadget_from_store`); both take their observation
+filter and decoder from :mod:`repro.recovery.survey`, so the two paths
+agree **bit-exactly** by construction — asserted in
 ``tests/test_diag_leakage.py``.
 
 Estimator caveat: the plug-in MI estimator is biased upward for small
@@ -35,7 +34,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-GADGET_TARGETS = ("zlib", "lzw", "bzip2")
+from repro.recovery import survey
+
+# The survey targets under the name ``repro.diag`` exports.
+GADGET_TARGETS = survey.SURVEY_TARGETS
 
 # Shade ramp for heatmap cells: accuracy 0.0 .. 1.0 maps left to right.
 HEAT_RAMP = " .:-=+*#%@"
@@ -131,52 +133,6 @@ class GadgetLeakage:
         return out
 
 
-def _point_estimates(
-    target: str, lines: list[int], bases: dict, size: int, truth: bytes
-) -> tuple[list[Optional[int]], dict]:
-    """Run the target's Section IV decoder; return one estimated byte
-    per input position (None = no estimate) plus per-target extras."""
-    if target == "zlib":
-        from repro.recovery.zlib_recover import recover_known_high_bits
-
-        recovered = recover_known_high_bits(lines, bases["head"], size)
-        return list(recovered), {}
-
-    if target == "lzw":
-        from repro.recovery import recover_lzw_input
-
-        candidates = recover_lzw_input(lines, bases["htab"], size)
-        # The decoder returns whole-input candidates (first-byte low
-        # bits are ambiguous); the deterministic point estimate is the
-        # first candidate — the attacker's best single guess.
-        est: list[Optional[int]]
-        est = list(candidates[0]) if candidates else [None] * size
-        return est, {
-            "exact_found": truth in candidates,
-            "n_candidates": len(candidates),
-        }
-
-    if target == "bzip2":
-        from repro.recovery.bzip2_recover import (
-            observations_from_lines,
-            recover_bzip2_block,
-        )
-
-        observations = observations_from_lines(lines, size)
-        result = recover_bzip2_block(observations, bases["ftab"], size)
-        est = [
-            value if candidates else None
-            for value, candidates in zip(result.values, result.candidates)
-        ]
-        return est, {
-            "ambiguous_positions": len(result.ambiguous_positions()),
-        }
-
-    raise ValueError(
-        f"unknown gadget target {target!r}; choose from {GADGET_TARGETS}"
-    )
-
-
 def leakage_from_lines(
     target: str,
     lines: list[int],
@@ -192,7 +148,8 @@ def leakage_from_lines(
     from repro.campaign.experiments import make_input
 
     truth = make_input(input_kind, size, input_seed)
-    estimates, extras = _point_estimates(target, lines, bases, size, truth)
+    decoded = survey.decode(target, lines, bases, size, truth)
+    estimates = decoded.estimates
     n = len(truth)
 
     bit_matrix = [[0] * n for _ in range(8)]
@@ -228,53 +185,9 @@ def leakage_from_lines(
         mi_bits_per_byte=mi,
         input_entropy_bits=entropy,
         bits_per_observation=(mi * n / n_obs) if n_obs else 0.0,
-        extras=extras,
+        extras=decoded.extras,
         bit_matrix=bit_matrix,
     )
-
-
-def _live_lines(ctx, target: str) -> list[int]:
-    """Extract the attacker's cache-line stream from a live context with
-    exactly the site/kind filters the stored path replays."""
-    from repro.recovery import observed_lines
-
-    if target == "zlib":
-        from repro.compression.lz77 import SITE_HEAD
-
-        return observed_lines(ctx, SITE_HEAD, kind="write")
-    if target == "lzw":
-        from repro.compression.lzw import SITE_PRIMARY, SITE_SECONDARY
-
-        return [
-            access.address >> 6
-            for access in ctx.tainted_accesses()
-            if access.site in (SITE_PRIMARY, SITE_SECONDARY)
-            and access.kind == "read"
-        ]
-    if target == "bzip2":
-        from repro.compression.bzip2 import SITE_FTAB
-
-        return observed_lines(ctx, SITE_FTAB)
-    raise ValueError(
-        f"unknown gadget target {target!r}; choose from {GADGET_TARGETS}"
-    )
-
-
-def _stored_lines(store, trace_id: str, target: str) -> list[int]:
-    """The stored-trace counterpart of :func:`_live_lines`.
-
-    Decodes columnar (no per-record objects) via the same
-    :func:`~repro.traces.replay._target_filter` the replay path uses, so
-    the meter sees the identical line stream as live observation.
-    """
-    from repro.traces.replay import _target_filter, replay_lines_array
-
-    if target not in GADGET_TARGETS:
-        raise ValueError(
-            f"unknown gadget target {target!r}; choose from {GADGET_TARGETS}"
-        )
-    sites, kind = _target_filter(target)
-    return replay_lines_array(store.read_columns(trace_id), sites, kind).tolist()
 
 
 def measure_gadget_live(
@@ -286,14 +199,11 @@ def measure_gadget_live(
     """Run the gadget under tracing now and meter its leakage."""
     from repro import obs
     from repro.campaign.experiments import make_input
-    from repro.traces.capture import default_input_kind, run_memory_target
 
-    input_kind = input_kind or default_input_kind(target)
+    input_kind = input_kind or survey.input_kind(target)
     data = make_input(input_kind, size, seed)
     with obs.span("diag.leakage.live", target=target, size=size):
-        ctx = run_memory_target(target, data)
-        lines = _live_lines(ctx, target)
-        bases = {name: arr.base for name, arr in ctx.arrays.items()}
+        lines, bases = survey.observe(target, data)
         return leakage_from_lines(
             target, lines, bases, size, input_kind, seed
         )
@@ -307,6 +217,7 @@ def measure_gadget_from_store(store, trace_id: str) -> GadgetLeakage:
     """
     from repro import obs
     from repro.traces.format import SPECIES_MEMORY
+    from repro.traces.replay import target_lines
 
     entry = store.get(trace_id)
     if entry.species != SPECIES_MEMORY:
@@ -317,7 +228,8 @@ def measure_gadget_from_store(store, trace_id: str) -> GadgetLeakage:
     meta = entry.meta
     target = meta["target"]
     with obs.span("diag.leakage.stored", target=target, trace_id=trace_id):
-        lines = _stored_lines(store, trace_id, target)
+        # Columnar decode, same filter as the live path.
+        lines = target_lines(store, trace_id, target).tolist()
         return leakage_from_lines(
             target,
             lines,
@@ -330,13 +242,14 @@ def measure_gadget_from_store(store, trace_id: str) -> GadgetLeakage:
 
 def survey_leakage(size: int, seed: int) -> dict[str, GadgetLeakage]:
     """Leakage diagnostics for all three gadgets, live, with the survey
-    seed convention (bzip2 uses ``seed + 1``) so results line up with
-    ``survey_recovery`` campaigns and captured survey sweeps."""
-    out = {}
-    for target in GADGET_TARGETS:
-        input_seed = seed + 1 if target == "bzip2" else seed
-        out[target] = measure_gadget_live(target, size, input_seed)
-    return out
+    seed convention so results line up with ``survey_recovery``
+    campaigns and captured survey sweeps."""
+    return {
+        target: measure_gadget_live(
+            target, size, survey.input_seed(target, seed)
+        )
+        for target in GADGET_TARGETS
+    }
 
 
 def survey_leakage_from_store(
@@ -346,7 +259,7 @@ def survey_leakage_from_store(
     written by ``capture_survey_traces(store, size, sweep_seed)``)."""
     return {
         target: measure_gadget_from_store(
-            store, f"{prefix}-{target}-n{size}-s{sweep_seed}"
+            store, survey.trace_id(target, size, sweep_seed, prefix)
         )
         for target in GADGET_TARGETS
     }

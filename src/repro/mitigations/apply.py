@@ -28,9 +28,8 @@ from typing import Callable, Optional
 from repro.exec.context import ExecutionContext, NativeContext
 from repro.mitigations.plan import MITIGATION_GUARD, MitigationPlan
 from repro.mitigations.registry import MitigationRegistry
+from repro.recovery.survey import SURVEY_TARGETS
 from repro.taint.value import value_of
-
-APPLY_TARGETS = ("zlib", "lzw", "bzip2")
 
 DEFAULT_HASH_BITS = 12
 
@@ -290,5 +289,5 @@ def build_kernel(
         return _bzip2_kernel(plan, registry)
     raise ValueError(
         f"no kernel factory for target {target!r}; "
-        f"choose from {APPLY_TARGETS}"
+        f"choose from {SURVEY_TARGETS}"
     )

@@ -38,36 +38,14 @@ from repro import obs
 from repro.core.taintchannel.tool import TaintChannel, target_for
 from repro.diag.leakage import GadgetLeakage
 from repro.exec.context import InstrumentationTier, TracingContext
-from repro.exec.events import MemoryAccess
 from repro.mitigations.apply import (
     DEFAULT_HASH_BITS,
     MitigatedKernel,
     build_kernel,
 )
 from repro.mitigations.plan import MitigationPlan, build_plan
-
-VERIFY_TARGETS = ("zlib", "lzw", "bzip2")
-
-
-def _meter_filter(target: str) -> tuple[tuple[str, ...], Optional[str]]:
-    """(sites, kind) of the primary gadget — the same filter the diag
-    meter applies to the vulnerable kernel."""
-    if target == "zlib":
-        from repro.compression.lz77 import SITE_HEAD
-
-        return (SITE_HEAD,), "write"
-    if target == "lzw":
-        from repro.compression.lzw import SITE_PRIMARY, SITE_SECONDARY
-
-        return (SITE_PRIMARY, SITE_SECONDARY), "read"
-    if target == "bzip2":
-        from repro.compression.bzip2 import SITE_FTAB
-
-        return (SITE_FTAB,), None
-    raise ValueError(
-        f"unknown target {target!r}; choose from {VERIFY_TARGETS}"
-    )
-
+from repro.recovery import survey
+from repro.recovery.observe import replay_lines
 
 def _metered_lines(ctx: TracingContext, target: str) -> list[int]:
     """The attacker's line stream over *all* recorded accesses.
@@ -75,14 +53,8 @@ def _metered_lines(ctx: TracingContext, target: str) -> list[int]:
     ``ctx.tainted_accesses()`` would drop the untainted cover traffic;
     the channel does not, so neither does the meter.
     """
-    sites, kind = _meter_filter(target)
-    return [
-        e.address >> 6
-        for e in ctx.events
-        if isinstance(e, MemoryAccess)
-        and e.site in sites
-        and (kind is None or e.kind == kind)
-    ]
+    sites, kind = survey.observation_filter(target)
+    return replay_lines(ctx.memory_accesses(), sites, kind)
 
 
 def _burst_len(target: str, kernel: MitigatedKernel) -> int:
@@ -95,7 +67,7 @@ def _burst_len(target: str, kernel: MitigatedKernel) -> int:
     """
     from repro.mitigations.apply import _cover_count
 
-    sites, _kind = _meter_filter(target)
+    sites, _kind = survey.observation_filter(target)
     wrapper = next(
         (kernel.wrappers[s] for s in sites if s in kernel.wrappers), None
     )
@@ -120,10 +92,7 @@ def _reduce_bursts(lines: list[int], burst: int) -> list[int]:
 
 
 def _count_accesses(ctx: TracingContext) -> int:
-    return (
-        sum(1 for e in ctx.events if isinstance(e, MemoryAccess))
-        + ctx.plain_accesses
-    )
+    return len(ctx.memory_accesses()) + ctx.plain_accesses
 
 
 def _decode(target: str, blob: bytes) -> bytes:
@@ -264,13 +233,12 @@ def verify_mitigation(
     from repro.campaign.experiments import make_input
     from repro.diag.leakage import leakage_from_lines, measure_gadget_live
     from repro.exec.context import NativeContext
-    from repro.traces.capture import default_input_kind
 
-    if target not in VERIFY_TARGETS:
+    if target not in survey.SURVEY_TARGETS:
         raise ValueError(
-            f"unknown target {target!r}; choose from {VERIFY_TARGETS}"
+            f"unknown target {target!r}; choose from {survey.SURVEY_TARGETS}"
         )
-    input_kind = input_kind or default_input_kind(target)
+    input_kind = input_kind or survey.input_kind(target)
     data = make_input(input_kind, size, seed)
 
     with obs.span("mitigate.verify", target=target, size=size):
@@ -307,9 +275,9 @@ def verify_mitigation(
 
         lines = _metered_lines(ctx_after, target)
         reduced = _reduce_bursts(lines, _burst_len(target, kernel))
-        bases = {name: arr.base for name, arr in ctx_after.arrays.items()}
         after = leakage_from_lines(
-            target, reduced, bases, size, input_kind, seed
+            target, reduced, survey.array_bases(ctx_after), size,
+            input_kind, seed,
         )
 
         # 4. Outputs + the bill.

@@ -25,6 +25,8 @@ import hashlib
 from typing import Optional, Sequence
 
 from repro import obs
+from repro.recovery import survey
+from repro.recovery.survey import run_memory_target
 from repro.traces.format import (
     FingerprintCapture,
     OracleProbe,
@@ -34,7 +36,6 @@ from repro.traces.format import (
 )
 from repro.traces.store import TraceEntry, TraceStore
 
-MEMORY_TARGETS = ("zlib", "lzw", "bzip2")
 FINGERPRINT_CORPORA = ("brotli", "lipsum")
 
 
@@ -42,43 +43,6 @@ def _input_for(input_kind: str, size: int, seed: int) -> bytes:
     from repro.campaign.experiments import make_input
 
     return make_input(input_kind, size, seed)
-
-
-def default_input_kind(target: str) -> str:
-    """The survey's input regime per target: zlib's full recovery needs
-    lowercase ASCII (known high bits); the others use random bytes."""
-    return "lowercase" if target == "zlib" else "random"
-
-
-def run_memory_target(target: str, data: bytes):
-    """Run one survey target under tracing; returns the populated
-    :class:`~repro.exec.context.TracingContext`."""
-    from repro.exec import InstrumentationTier, TracingContext
-
-    # Captured ZTRC files hold only the access stream, which the
-    # ADDRESS_ONLY tier produces byte-identically to a FULL run.
-    ctx = TracingContext(tier=InstrumentationTier.ADDRESS_ONLY)
-    if target == "zlib":
-        from repro.compression import deflate_compress
-
-        deflate_compress(data, ctx=ctx)
-    elif target == "lzw":
-        from repro.compression import lzw_compress
-
-        lzw_compress(data, ctx=ctx)
-    elif target == "bzip2":
-        from repro.compression.bzip2.blocksort import histogram
-
-        block = ctx.array("block", len(data))
-        for i, v in enumerate(ctx.input_bytes(data)):
-            block.set(i, v)
-        histogram(ctx, block, len(data))
-    else:
-        raise ValueError(
-            f"unknown memory-trace target {target!r}; "
-            f"choose from {MEMORY_TARGETS}"
-        )
-    return ctx
 
 
 def capture_memory_trace(
@@ -97,7 +61,7 @@ def capture_memory_trace(
     input provenance); :mod:`repro.traces.replay` turns the pair back
     into the exact inputs the Section IV decoders take.
     """
-    input_kind = input_kind or default_input_kind(target)
+    input_kind = input_kind or survey.input_kind(target)
     data = _input_for(input_kind, size, seed)
     with obs.span(
         "trace.capture.memory", trace_id=trace_id, target=target, size=size
@@ -111,7 +75,7 @@ def capture_memory_trace(
         "size": size,
         "input_seed": seed,
         "input_sha256": hashlib.sha256(data).hexdigest(),
-        "bases": {name: arr.base for name, arr in ctx.arrays.items()},
+        "bases": survey.array_bases(ctx),
         **(extra_meta or {}),
     }
     with store.create(
@@ -260,28 +224,25 @@ def capture_survey_traces(
     store: TraceStore,
     size: int,
     seed: int,
-    targets: Sequence[str] = MEMORY_TARGETS,
+    targets: Sequence[str] = survey.SURVEY_TARGETS,
     prefix: str = "survey",
     overwrite: bool = False,
 ) -> list[TraceEntry]:
     """Capture every survey target in one sweep (the SURVEY corpus).
 
-    Seeds mirror :func:`repro.campaign.experiments.survey_recovery`:
-    zlib and lzw use ``seed``, bzip2 uses ``seed + 1`` — so replayed
-    recovery numbers are comparable 1:1 with the live experiment.
+    Trace ids and input seeds follow :mod:`repro.recovery.survey` (bzip2
+    uses ``seed + 1``), as the live ``survey_recovery`` experiment does,
+    so replayed recovery numbers are comparable 1:1 with it.
     """
-    entries = []
-    for target in targets:
-        input_seed = seed + 1 if target == "bzip2" else seed
-        entries.append(
-            capture_memory_trace(
-                store,
-                f"{prefix}-{target}-n{size}-s{seed}",
-                target,
-                size,
-                input_seed,
-                overwrite=overwrite,
-                extra_meta={"experiment": "survey", "sweep_seed": seed},
-            )
+    return [
+        capture_memory_trace(
+            store,
+            survey.trace_id(target, size, seed, prefix),
+            target,
+            size,
+            survey.input_seed(target, seed),
+            overwrite=overwrite,
+            extra_meta={"experiment": "survey", "sweep_seed": seed},
         )
-    return entries
+        for target in targets
+    ]

@@ -37,22 +37,18 @@ its analyses are scalar anyway — :func:`read_trace_columns` raises
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import BinaryIO, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.taint.bittaint import BitTaint
 from repro.traces.format import (
-    _CHUNK_HEADER,
-    _HEADER,
-    _SPECIES_NAMES,
+    _check_fingerprint_shape,
+    _iter_chunks,
+    _read_header,
     _StringTable,
-    MAGIC,
     SPECIES_FINGERPRINT,
     SPECIES_MEMORY,
-    SUPPORTED_VERSIONS,
     TraceFormatError,
     iter_trace,
     read_uvarint,
@@ -377,44 +373,6 @@ def _safe_cumsum(deltas: np.ndarray) -> np.ndarray:
     return np.cumsum(deltas)
 
 
-# ----------------------------------------------------------------------
-# chunk iteration (shared header/CRC validation)
-# ----------------------------------------------------------------------
-def _read_header(data: bytes) -> tuple[str, int]:
-    if len(data) < _HEADER.size:
-        raise TraceFormatError("truncated trace header")
-    magic, version, species_code, _ = _HEADER.unpack_from(data, 0)
-    if magic != MAGIC:
-        raise TraceFormatError(f"bad magic {magic!r}: not a trace file")
-    if version not in SUPPORTED_VERSIONS:
-        raise TraceFormatError(
-            f"unsupported trace format version {version} "
-            f"(this reader speaks {SUPPORTED_VERSIONS})"
-        )
-    species = _SPECIES_NAMES.get(species_code)
-    if species is None:
-        raise TraceFormatError(f"unknown species code {species_code}")
-    return species, version
-
-
-def _iter_chunks(data: bytes) -> Iterator[bytes]:
-    """CRC-checked chunk payloads of an in-memory trace file."""
-    pos = _HEADER.size
-    total = len(data)
-    while pos < total:
-        if pos + _CHUNK_HEADER.size > total:
-            raise TraceFormatError("truncated chunk header")
-        length, crc = _CHUNK_HEADER.unpack_from(data, pos)
-        pos += _CHUNK_HEADER.size
-        raw = data[pos : pos + length]
-        if len(raw) != length:
-            raise TraceFormatError("truncated chunk payload")
-        if zlib.crc32(raw) != crc:
-            raise TraceFormatError("chunk CRC mismatch: trace file is corrupted")
-        pos += length
-        yield raw
-
-
 def _read_directory(
     raw: bytes, buf: memoryview, strings: _StringTable
 ) -> tuple[int, np.ndarray, int]:
@@ -541,11 +499,11 @@ _COLUMN_NAMES = (
 )
 
 
-def _memory_columns(data: bytes, version: int) -> MemoryColumns:
+def _memory_columns(stream: BinaryIO, version: int) -> MemoryColumns:
     strings = _StringTable()
     acc: dict[str, list[np.ndarray]] = {name: [] for name in _COLUMN_NAMES}
     decode = _decode_memory_chunk_v2 if version >= 2 else _decode_memory_chunk_v1
-    for raw in _iter_chunks(data):
+    for raw in _iter_chunks(stream):
         decode(raw, strings, acc)
 
     def cat(name: str, dtype) -> np.ndarray:
@@ -640,7 +598,7 @@ def _decode_fingerprint_chunk(
             acc["capture_seeds"].append(int(v[i + 1]))
             rows, cols = int(v[i + 2]), int(v[i + 3])
             i += 4
-            size = rows * cols
+            size = _check_fingerprint_shape(rows, cols)
             if not size:
                 acc["shapes"].append((rows, cols))
                 acc["starts"].append(0)
@@ -678,7 +636,7 @@ def _decode_fingerprint_chunk(
         )
 
 
-def _fingerprint_columns(data: bytes, version: int) -> FingerprintColumns:
+def _fingerprint_columns(stream: BinaryIO, version: int) -> FingerprintColumns:
     strings = _StringTable()
     acc: dict = {
         "labels": [],
@@ -687,7 +645,7 @@ def _fingerprint_columns(data: bytes, version: int) -> FingerprintColumns:
         "starts": [],
         "runs": [],
     }
-    for raw in _iter_chunks(data):
+    for raw in _iter_chunks(stream):
         _decode_fingerprint_chunk(raw, strings, version, acc)
     return FingerprintColumns(
         labels=np.asarray(acc["labels"], dtype=np.int64),
@@ -723,26 +681,18 @@ def read_trace_columns(path) -> TraceColumns:
     traces have no columnar layout; use the object reader for them.
     """
     with open(path, "rb") as handle:
-        data = handle.read()
-    species, version = _read_header(data)
-    if species == SPECIES_MEMORY:
+        species, version = _read_header(handle)
+        if species == SPECIES_MEMORY:
+            decode, fallback = _memory_columns, _memory_columns_from_records
+        elif species == SPECIES_FINGERPRINT:
+            decode, fallback = _fingerprint_columns, _fingerprint_columns_from_records
+        else:
+            raise ValueError(
+                f"no columnar decoder for {species!r} traces; "
+                f"use iter_trace/read_trace"
+            )
         try:
-            return _memory_columns(data, version)
+            return decode(handle, version)
         except _FallbackNeeded:
-            return _memory_columns_from_records(iter_trace(path))
-    if species == SPECIES_FINGERPRINT:
-        try:
-            return _fingerprint_columns(data, version)
-        except _FallbackNeeded:
-            return _fingerprint_columns_from_records(iter_trace(path))
-    raise ValueError(
-        f"no columnar decoder for {species!r} traces; "
-        f"use iter_trace/read_trace"
-    )
-
-
-def memory_taints(path) -> Iterator[tuple[BitTaint, BitTaint]]:
-    """Full per-record taint objects for a memory trace, for consumers
-    that need more than the boolean columns (rare; object-path cost)."""
-    for record in iter_trace(path):
-        yield record.addr_taint, record.value_taint
+            pass
+    return fallback(iter_trace(path))

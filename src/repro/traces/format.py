@@ -79,6 +79,11 @@ _CHUNK_HEADER = struct.Struct("<II")
 
 DEFAULT_CHUNK_RECORDS = 4096
 
+# Largest fingerprint record (rows x cols samples) a reader will decode
+# or a writer will encode.  The paper's capture is 2 x 10,000 samples;
+# the bound stops a crafted header from forcing a huge allocation.
+MAX_FINGERPRINT_SAMPLES = 1 << 22
+
 
 class TraceFormatError(ValueError):
     """Malformed, truncated, or corrupted trace file."""
@@ -340,6 +345,20 @@ class _MemoryCodec:
         return record, pos
 
 
+def _check_fingerprint_shape(rows: int, cols: int) -> int:
+    """Sample count of a fingerprint record, refused with
+    :class:`TraceFormatError` above the bound.  Both decoders call it
+    on the record header before allocating, and the writer before
+    encoding."""
+    size = rows * cols
+    if size > MAX_FINGERPRINT_SAMPLES:
+        raise TraceFormatError(
+            f"fingerprint record of {rows} x {cols} samples exceeds the "
+            f"{MAX_FINGERPRINT_SAMPLES}-sample bound"
+        )
+    return size
+
+
 class _FingerprintCodec:
     """Run-length codec for boolean hit/miss tensors."""
 
@@ -357,6 +376,7 @@ class _FingerprintCodec:
         trace = np.ascontiguousarray(record.trace, dtype=np.int8)
         if trace.ndim != 2:
             raise ValueError(f"fingerprint trace must be 2-D, got {trace.shape}")
+        _check_fingerprint_shape(*trace.shape)
         if trace.size and not np.isin(trace, (0, 1)).all():
             raise ValueError("fingerprint trace must contain only 0/1 samples")
         write_svarint(out, record.label)
@@ -381,7 +401,7 @@ class _FingerprintCodec:
         capture_seed, pos = read_uvarint(buf, pos)
         rows, pos = read_uvarint(buf, pos)
         cols, pos = read_uvarint(buf, pos)
-        size = rows * cols
+        size = _check_fingerprint_shape(rows, cols)
         if not size:
             trace = np.zeros((rows, cols), dtype=np.int8)
             return FingerprintCapture(label, capture_seed, trace), pos
@@ -581,6 +601,42 @@ class TraceWriter:
             self._closed = True  # don't flush half a record set on error
 
 
+def _read_header(stream: BinaryIO) -> tuple[str, int]:
+    """Read and check a trace file's header; returns (species, version)."""
+    header = stream.read(_HEADER.size)
+    if len(header) != _HEADER.size:
+        raise TraceFormatError("truncated trace header")
+    magic, version, species_code, _ = _HEADER.unpack(header)
+    if magic != MAGIC:
+        raise TraceFormatError(f"bad magic {magic!r}: not a trace file")
+    if version not in SUPPORTED_VERSIONS:
+        raise TraceFormatError(
+            f"unsupported trace format version {version} "
+            f"(this reader speaks {SUPPORTED_VERSIONS})"
+        )
+    species = _SPECIES_NAMES.get(species_code)
+    if species is None:
+        raise TraceFormatError(f"unknown species code {species_code}")
+    return species, version
+
+
+def _iter_chunks(stream: BinaryIO) -> Iterator[bytes]:
+    """CRC-checked chunk payloads, read from just past the header."""
+    while True:
+        chunk_header = stream.read(_CHUNK_HEADER.size)
+        if not chunk_header:
+            return
+        if len(chunk_header) != _CHUNK_HEADER.size:
+            raise TraceFormatError("truncated chunk header")
+        length, crc = _CHUNK_HEADER.unpack(chunk_header)
+        raw = stream.read(length)
+        if len(raw) != length:
+            raise TraceFormatError("truncated chunk payload")
+        if zlib.crc32(raw) != crc:
+            raise TraceFormatError("chunk CRC mismatch: trace file is corrupted")
+        yield raw
+
+
 class TraceReader:
     """Chunked streaming reader: iterate to get records lazily.
 
@@ -591,20 +647,7 @@ class TraceReader:
 
     def __init__(self, stream: BinaryIO) -> None:
         self._stream = stream
-        header = stream.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise TraceFormatError("truncated trace header")
-        magic, version, species_code, _ = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise TraceFormatError(f"bad magic {magic!r}: not a trace file")
-        if version not in SUPPORTED_VERSIONS:
-            raise TraceFormatError(
-                f"unsupported trace format version {version} "
-                f"(this reader speaks {SUPPORTED_VERSIONS})"
-            )
-        species = _SPECIES_NAMES.get(species_code)
-        if species is None:
-            raise TraceFormatError(f"unknown species code {species_code}")
+        species, version = _read_header(stream)
         self.species = species
         self.version = version
         self._strings = _StringTable()
@@ -615,20 +658,7 @@ class TraceReader:
         if self._consumed:
             raise ValueError("trace readers are single-pass; reopen the file")
         self._consumed = True
-        while True:
-            chunk_header = self._stream.read(_CHUNK_HEADER.size)
-            if not chunk_header:
-                return
-            if len(chunk_header) != _CHUNK_HEADER.size:
-                raise TraceFormatError("truncated chunk header")
-            length, crc = _CHUNK_HEADER.unpack(chunk_header)
-            raw = self._stream.read(length)
-            if len(raw) != length:
-                raise TraceFormatError("truncated chunk payload")
-            if zlib.crc32(raw) != crc:
-                raise TraceFormatError(
-                    "chunk CRC mismatch: trace file is corrupted"
-                )
+        for raw in _iter_chunks(self._stream):
             buf = memoryview(raw)
             pos = self._strings.read_prelude(buf, 0)
             n_records, pos = read_uvarint(buf, pos)
@@ -690,26 +720,14 @@ def count_trace_records(path) -> int:
     cost is one CRC pass over the bytes, not one decode per record.
     """
     with open(path, "rb") as handle:
-        reader = TraceReader(handle)  # validates magic/version/species
+        _read_header(handle)
+        strings = _StringTable()
         total = 0
-        while True:
-            chunk_header = handle.read(_CHUNK_HEADER.size)
-            if not chunk_header:
-                return total
-            if len(chunk_header) != _CHUNK_HEADER.size:
-                raise TraceFormatError("truncated chunk header")
-            length, crc = _CHUNK_HEADER.unpack(chunk_header)
-            raw = handle.read(length)
-            if len(raw) != length:
-                raise TraceFormatError("truncated chunk payload")
-            if zlib.crc32(raw) != crc:
-                raise TraceFormatError(
-                    "chunk CRC mismatch: trace file is corrupted"
-                )
+        for raw in _iter_chunks(handle):
             buf = memoryview(raw)
-            pos = reader._strings.read_prelude(buf, 0)
-            n_records, _ = read_uvarint(buf, pos)
+            n_records, _ = read_uvarint(buf, strings.read_prelude(buf, 0))
             total += n_records
+        return total
 
 
 def serialize_records(

@@ -3,8 +3,9 @@ captures.
 
 The contract throughout is *interchangeability*: every function here
 reproduces, bit for bit, what the corresponding live pipeline computes —
-:func:`replay_lines` matches :func:`repro.recovery.observe.observed_lines`
-over the same execution, :func:`dataset_from_store` matches
+:func:`replay_lines` filters a live run's accesses and a stored trace's
+records alike (the filters and decoders are
+:mod:`repro.recovery.survey`'s), :func:`dataset_from_store` matches
 :func:`repro.core.zipchannel.fingerprint.build_dataset` under the same
 base seed, and :func:`survey_from_store` returns the same metrics dict
 as the live ``survey_recovery`` campaign experiment.  Tests assert the
@@ -18,30 +19,10 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.exec.events import MemoryAccess
+from repro.recovery import survey
+from repro.recovery.observe import replay_lines  # noqa: F401  (re-export)
 from repro.traces.format import SPECIES_FINGERPRINT, SPECIES_MEMORY
 from repro.traces.store import TraceStore
-
-
-def replay_lines(
-    records: Iterable[MemoryAccess],
-    sites: Optional[Iterable[str]] = None,
-    kind: Optional[str] = None,
-) -> list[int]:
-    """Cache-line observations from stored records, in program order.
-
-    The stored-trace counterpart of
-    :func:`repro.recovery.observe.observed_lines` (which reads a live
-    :class:`TracingContext`): same site/kind filtering, same ``>> 6``
-    attacker view.
-    """
-    site_set = None if sites is None else set(sites)
-    return [
-        record.address >> 6
-        for record in records
-        if (site_set is None or record.site in site_set)
-        and (kind is None or record.kind == kind)
-    ]
 
 
 def replay_lines_array(
@@ -55,25 +36,6 @@ def replay_lines_array(
     return columns.address[columns.mask(sites, kind)] >> 6
 
 
-def _target_filter(target: str) -> tuple[tuple[str, ...], Optional[str]]:
-    """The (sites, kind) observation filter each survey target uses —
-    one definition shared by live observation, replay, and the diag
-    leakage meter."""
-    if target == "zlib":
-        from repro.compression.lz77 import SITE_HEAD
-
-        return (SITE_HEAD,), "write"
-    if target == "lzw":
-        from repro.compression.lzw import SITE_PRIMARY, SITE_SECONDARY
-
-        return (SITE_PRIMARY, SITE_SECONDARY), "read"
-    if target == "bzip2":
-        from repro.compression.bzip2 import SITE_FTAB
-
-        return (SITE_FTAB,), None
-    raise ValueError(f"no observation filter for target {target!r}")
-
-
 def target_lines(
     store: TraceStore,
     trace_id: str,
@@ -84,7 +46,7 @@ def target_lines(
     columnar; equal to :func:`replay_lines` over the stored records
     (``tests/test_traces_replay.py`` pins it)."""
     meta = _require_species(store, trace_id, SPECIES_MEMORY)
-    sites, kind = _target_filter(target or meta["target"])
+    sites, kind = survey.observation_filter(target or meta["target"])
     return replay_lines_array(store.read_columns(trace_id), sites, kind)
 
 
@@ -98,55 +60,22 @@ def _require_species(store: TraceStore, trace_id: str, species: str) -> dict:
     return entry.meta
 
 
-def _truth(meta: dict) -> bytes:
-    """Regenerate the captured input from its stored provenance."""
-    from repro.campaign.experiments import make_input
-
-    return make_input(meta["input_kind"], int(meta["size"]), int(meta["input_seed"]))
-
-
 def recover_from_trace(store: TraceStore, trace_id: str) -> dict:
     """Run the matching Section IV recovery on one stored memory trace.
 
     Dispatches on the trace's ``target`` metadata and returns the same
     metric names the live survey produces for that target.
     """
+    from repro.campaign.experiments import make_input
+
     meta = _require_species(store, trace_id, SPECIES_MEMORY)
     target = meta["target"]
-    n = int(meta["size"])
-    truth = _truth(meta)
+    size = int(meta["size"])
+    # The input regenerates from its stored provenance for scoring.
+    truth = make_input(meta["input_kind"], size, int(meta["input_seed"]))
     lines = target_lines(store, trace_id, target)
-
-    if target == "zlib":
-        from repro.recovery.zlib_recover import accuracy, recover_known_high_bits
-
-        recovered = recover_known_high_bits(lines, meta["bases"]["head"], n)
-        return {"target": target, "zlib_accuracy": accuracy(recovered, truth)}
-
-    if target == "lzw":
-        from repro.recovery import recover_lzw_input
-
-        candidates = recover_lzw_input(lines, meta["bases"]["htab"], n)
-        return {
-            "target": target,
-            "lzw_exact_found": truth in candidates,
-            "lzw_candidates": len(candidates),
-        }
-
-    if target == "bzip2":
-        from repro.recovery.bzip2_recover import (
-            observations_from_lines,
-            recover_bzip2_block,
-        )
-
-        obs = observations_from_lines(lines, n)
-        result = recover_bzip2_block(obs, meta["bases"]["ftab"], n)
-        return {
-            "target": target,
-            "bzip2_bit_accuracy": result.bit_accuracy(truth),
-        }
-
-    raise ValueError(f"no recovery decoder for stored target {target!r}")
+    decoded = survey.decode(target, lines, meta["bases"], size, truth)
+    return {"target": target, **decoded.metrics}
 
 
 def survey_from_store(store: TraceStore, size: int, sweep_seed: int,
@@ -158,9 +87,9 @@ def survey_from_store(store: TraceStore, size: int, sweep_seed: int,
     the live ``survey_recovery`` experiment.
     """
     out: dict = {}
-    for target in ("zlib", "lzw", "bzip2"):
+    for target in survey.SURVEY_TARGETS:
         metrics = recover_from_trace(
-            store, f"{prefix}-{target}-n{size}-s{sweep_seed}"
+            store, survey.trace_id(target, size, sweep_seed, prefix)
         )
         metrics.pop("target")
         out.update(metrics)

@@ -64,10 +64,23 @@ class TestCommands:
         assert "ambiguous: 40" in out  # every observation floods
 
     def test_survey(self, capsys):
+        import re
+
+        from repro.campaign.experiments import get_experiment
+
         assert main(["survey", "--size", "150"]) == 0
         out = capsys.readouterr().out
         assert "zlib" in out and "ncompress" in out and "bzip2" in out
         assert "100.00% of bits recovered" in out
+        # The printed numbers are the survey_recovery experiment's.
+        live = get_experiment("survey_recovery")({"size": 150}, 0)
+        zlib = re.search(r"zlib \(lowercase\): ([\d.]+)% of bytes", out)
+        lzw = re.search(r"exact input (found|NOT found) among (\d+) candidates", out)
+        bzip2 = re.search(r"bzip2: ([\d.]+)% of bits", out)
+        assert zlib.group(1) == f"{live['zlib_accuracy'] * 100:.2f}"
+        assert (lzw.group(1) == "found") == live["lzw_exact_found"]
+        assert int(lzw.group(2)) == live["lzw_candidates"]
+        assert bzip2.group(1) == f"{live['bzip2_bit_accuracy'] * 100:.2f}"
 
     def test_fingerprint_lipsum_quick(self, capsys):
         assert main(

@@ -1,6 +1,7 @@
 """Property and unit tests for the binary trace serialization."""
 
 import io
+import zlib
 
 import numpy as np
 import pytest
@@ -19,9 +20,14 @@ from repro.traces import (
     deserialize_records,
     serialize_records,
 )
+from repro.traces.columns import read_trace_columns
 from repro.traces.format import (
+    _CHUNK_HEADER,
     _HEADER,
+    MAGIC,
+    MAX_FINGERPRINT_SAMPLES,
     read_svarint,
+    read_trace,
     read_uvarint,
     write_svarint,
     write_uvarint,
@@ -185,6 +191,51 @@ class TestFingerprintRoundTrip:
     def test_rejects_non_boolean_tensor(self):
         capture = FingerprintCapture(0, 0, np.full((2, 4), 7, dtype=np.int8))
         with pytest.raises(ValueError):
+            serialize_records(SPECIES_FINGERPRINT, [capture])
+
+
+class TestFingerprintSizeBound:
+    """A crafted fingerprint record header must not make either reader
+    allocate its claimed tensor."""
+
+    @staticmethod
+    def _crafted_file(tmp_path):
+        # One v2 chunk holding one record: label 0, seed 0, rows 1,
+        # cols 2**34, start value 0, one run of 2**34 samples (16 GiB).
+        record = bytearray([0, 0, 1])
+        write_uvarint(record, 1 << 34)
+        record += bytes([0, 1])
+        write_uvarint(record, 1 << 34)
+        payload = bytearray([0, 1])  # no new strings, one record
+        directory = bytearray()
+        write_uvarint(directory, len(record) << 2)
+        write_uvarint(payload, len(directory))
+        payload += directory + record
+        blob = (
+            _HEADER.pack(MAGIC, 2, 2, 0)
+            + _CHUNK_HEADER.pack(len(payload), zlib.crc32(payload))
+            + bytes(payload)
+        )
+        assert len(blob) == 35
+        path = tmp_path / "crafted.trc"
+        path.write_bytes(blob)
+        return path
+
+    def test_object_reader_rejects_oversized_record(self, tmp_path):
+        path = self._crafted_file(tmp_path)
+        with pytest.raises(TraceFormatError, match="sample bound"):
+            read_trace(path)
+
+    def test_columnar_reader_rejects_oversized_record(self, tmp_path):
+        path = self._crafted_file(tmp_path)
+        with pytest.raises(TraceFormatError, match="sample bound"):
+            read_trace_columns(path).traces
+
+    def test_writer_refuses_oversized_record(self):
+        capture = FingerprintCapture(
+            0, 0, np.zeros((1, MAX_FINGERPRINT_SAMPLES + 1), dtype=np.int8)
+        )
+        with pytest.raises(TraceFormatError, match="sample bound"):
             serialize_records(SPECIES_FINGERPRINT, [capture])
 
 

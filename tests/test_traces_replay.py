@@ -32,7 +32,7 @@ from repro.traces import (
     survey_from_store,
     target_lines,
 )
-from repro.traces.replay import _target_filter
+from repro.recovery.survey import observation_filter as _target_filter
 from repro.workloads import repetitiveness_series
 
 SIZE = 150
@@ -297,6 +297,25 @@ class TestTraceCli:
 
         assert main(["trace", "list", "--store", str(tmp_path / "no")]) == 2
         capsys.readouterr()
+
+    def test_cli_captured_store_replays_to_the_live_survey(
+        self, tmp_path, capsys
+    ):
+        """A store captured by ``repro trace capture`` replays to the
+        live ``survey_recovery`` metrics, same size and seed."""
+        from repro.cli import main
+
+        store_dir = str(tmp_path / "smoke.trstore")
+        assert main([
+            "trace", "capture", "--store", store_dir,
+            "--size", str(SIZE), "--seed", str(SEED),
+        ]) == 0
+        capsys.readouterr()
+        live = get_experiment("survey_recovery")({"size": SIZE}, SEED)
+        replayed = survey_from_store(
+            TraceStore(store_dir), size=SIZE, sweep_seed=SEED
+        )
+        assert replayed == live
 
     def test_fingerprint_capture_cli(self, tmp_path, capsys):
         from repro.cli import main
