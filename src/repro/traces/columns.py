@@ -7,32 +7,34 @@ analysis pass downstream immediately reduces the record to two or three
 integers (address, site id, kind id).  This module decodes the same
 chunk bytes straight into int64 columns.
 
-For version-2 files the chunk's record directory (see
-:mod:`repro.traces.format`) makes this almost free of per-record Python
-work:
+The chunk's record directory (see :mod:`repro.traces.format`) makes
+this almost free of per-record Python work:
 
 1. record byte boundaries are a cumulative sum of the directory's
    length entries, and the per-record taint booleans are directory flag
    bits — the taint-run payloads are never decoded at all;
 2. the seven header varints of *all* records in a chunk are assembled
    together, one byte lane at a time, over vectors of record offsets;
-3. per-chunk delta fields (seq, index, address) become ``np.cumsum``.
+3. per-chunk delta fields (seq, index, address) become ``np.cumsum``,
+   with an exact per-step int64 overflow test.
 
-Version-1 files (no directory) take a slower but still object-free
-path: every varint in the chunk is decoded in one vectorised pass, then
-a cursor walk over the value list recovers record boundaries.
+This is the only memory/fingerprint decoder: there is no object
+fallback.  Every column is int64, so a varint longer than nine bytes or
+a running sum that leaves int64 raises :class:`TraceFormatError`; the
+writer refuses the records that would produce either.  Every chunk's
+CRC is checked before decoding, and any structural damage raises
+:class:`TraceFormatError` too.
 
-Corruption detection is unchanged: every chunk's CRC is checked before
-decoding and structural damage raises :class:`TraceFormatError`.  The
-output is proven equal, field for field, to the object path
-(``tests/test_traces_columns.py``); inputs the vectorised paths cannot
-represent exactly (any varint beyond 63 bits, i.e. values past
-``2**63 - 1``) fall back to object decoding transparently.
+Contract with the object reader (:class:`repro.traces.format.TraceReader`):
+on every file the writer produces the columns equal, field for field,
+what the object reader decodes (``tests/test_traces_columns.py``).  On
+crafted input the two may disagree — the directory's taint flags are
+authoritative here, and the taint payloads the object reader checks are
+skipped — but each reader either returns or raises
+:class:`TraceFormatError` (``tests/test_traces_format.py``).
 
-The ``oracle`` species stores fixed-width IEEE-754 doubles mid-record,
-which breaks the uniform-varint property the version-1 path needs, and
-its analyses are scalar anyway — :func:`read_trace_columns` raises
-``ValueError`` for it.
+The ``oracle`` species has no columnar layout (its analyses are
+scalar); :func:`read_trace_columns` raises ``ValueError`` for it.
 """
 
 from __future__ import annotations
@@ -50,16 +52,14 @@ from repro.traces.format import (
     SPECIES_FINGERPRINT,
     SPECIES_MEMORY,
     TraceFormatError,
-    iter_trace,
     read_uvarint,
 )
 
 LINE_BITS = 6
 
-# Values at or above 2**63 overflow the int64 columns the vectorised
-# paths assemble into; any varint longer than this many bytes routes the
-# whole trace through the object-path fallback.
-_MAX_FAST_VARINT_BYTES = 9
+# Nine varint bytes carry 63 bits, the most an int64 column holds; a
+# longer varint is refused.
+_MAX_VARINT_BYTES = 9
 
 
 @dataclass
@@ -150,14 +150,13 @@ class _FingerprintRle:
 class FingerprintColumns:
     """One fingerprint trace: per-capture labels, seeds, and tensors.
 
-    ``traces`` materialises lazily when the trace was decoded columnar
-    (the run-length form is kept; :meth:`pooled` never needs the full
-    tensors)."""
+    The run-length form is kept as stored; ``traces`` materialises the
+    tensors on first use, and :meth:`pooled` never needs them."""
 
     labels: np.ndarray
     capture_seeds: np.ndarray
+    _rle: _FingerprintRle
     _traces: Optional[list[np.ndarray]] = None  # per capture, (rows, cols) int8
-    _rle: Optional[_FingerprintRle] = None
 
     species = SPECIES_FINGERPRINT
 
@@ -168,7 +167,6 @@ class FingerprintColumns:
     @property
     def traces(self) -> list[np.ndarray]:
         if self._traces is None:
-            assert self._rle is not None
             self._traces = self._rle.materialise()
         return self._traces
 
@@ -188,12 +186,12 @@ class FingerprintColumns:
         so interval marking over the run boundaries replaces tensor
         materialisation entirely.  Bit-identical to ``pool_trace`` over
         :attr:`traces` (the tensors are 0/1, so max is presence).
-        Returns None when the run-length form is unavailable, shapes
-        are not uniform, or ``cols < width`` — callers fall back to the
+        Returns None when there are no captures, shapes are not
+        uniform, or ``cols < width`` — callers fall back to the
         per-capture pooling path.
         """
         rle = self._rle
-        if rle is None or not rle.shapes:
+        if not rle.shapes:
             return None
         rows, cols = rle.shapes[0]
         if any(s != (rows, cols) for s in rle.shapes):
@@ -282,10 +280,6 @@ class FingerprintColumns:
 TraceColumns = Union[MemoryColumns, FingerprintColumns]
 
 
-class _FallbackNeeded(Exception):
-    """A chunk contains a varint the int64 fast path cannot hold."""
-
-
 # ----------------------------------------------------------------------
 # vectorised varint decoding
 # ----------------------------------------------------------------------
@@ -296,8 +290,8 @@ def _decode_varint_stream(
 
     Returns ``(values, starts)`` — the decoded uint-interpreted values
     as int64 and each varint's byte offset (for error reporting).
-    Raises :class:`_FallbackNeeded` when any varint exceeds the int64
-    fast path and :class:`TraceFormatError` on a truncated tail.
+    Raises :class:`TraceFormatError` on a varint past nine bytes or a
+    truncated tail.
     """
     if body.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
@@ -309,8 +303,8 @@ def _decode_varint_stream(
     starts[1:] = ends[:-1] + 1
     lengths = ends - starts + 1
     max_len = int(lengths.max())
-    if max_len > _MAX_FAST_VARINT_BYTES:
-        raise _FallbackNeeded
+    if max_len > _MAX_VARINT_BYTES:
+        raise TraceFormatError(f"{max_len}-byte varint overflows int64")
     # Gather lane by lane from the uint8 body: only the (shrinking) set
     # of varints long enough for each lane pays the int64 widening, so
     # the body is never materialised as int64 wholesale.
@@ -341,8 +335,8 @@ def _gather_varints(
     limit = data.shape[0]
     shift = 0
     while active.size:
-        if shift >= 7 * _MAX_FAST_VARINT_BYTES:
-            raise _FallbackNeeded
+        if shift >= 7 * _MAX_VARINT_BYTES:
+            raise TraceFormatError("varint past nine bytes overflows int64")
         offsets = cur[active]
         if int(offsets.max()) >= limit:
             raise TraceFormatError("truncated varint")
@@ -359,24 +353,24 @@ def _unzigzag(values: np.ndarray) -> np.ndarray:
     return (values >> 1) ^ -(values & 1)
 
 
-def _safe_cumsum(deltas: np.ndarray) -> np.ndarray:
-    """Per-chunk delta accumulation with an int64-overflow guard.
+def _checked_cumsum(deltas: np.ndarray) -> np.ndarray:
+    """Per-chunk delta accumulation that refuses to leave int64.
 
-    ``n * max|delta|`` bounds every partial sum; when that bound could
-    wrap int64 the caller must take the object path instead.  Real
-    traces sit many orders of magnitude below the bound.
+    A step overflows exactly when the running sum before it and the
+    delta share a sign the wrapped result lacks.  Every step before the
+    first overflow is exact, so the test catches that first one.
     """
-    if deltas.size:
-        peak = int(np.abs(deltas).max())
-        if peak and peak > (1 << 62) // deltas.size:
-            raise _FallbackNeeded
-    return np.cumsum(deltas)
+    sums = np.cumsum(deltas)
+    before = sums - deltas
+    if (((before ^ sums) & (deltas ^ sums)) < 0).any():
+        raise TraceFormatError("delta-coded field leaves int64")
+    return sums
 
 
 def _read_directory(
     raw: bytes, buf: memoryview, strings: _StringTable
 ) -> tuple[int, np.ndarray, int]:
-    """Common v2 chunk prefix: prelude, count, record directory.
+    """Common chunk prefix: prelude, count, record directory.
 
     Returns ``(n_records, directory_values, records_base)`` where
     ``records_base`` is the byte offset of the first record.
@@ -399,20 +393,16 @@ def _read_directory(
 # ----------------------------------------------------------------------
 # memory species
 # ----------------------------------------------------------------------
-def _decode_memory_chunk_v2(
-    raw: bytes, strings: _StringTable, acc: dict
-) -> None:
+def _decode_memory_chunk(raw: bytes, strings: _StringTable, acc: dict) -> None:
     """Directory-driven decode: no per-record Python in the hot loop."""
     buf = memoryview(raw)
     n_records, entries, base = _read_directory(raw, buf, strings)
-    if base + int((entries >> 2).sum()) != len(raw):
-        raise TraceFormatError(
-            f"{len(raw) - base - int((entries >> 2).sum())} "
-            f"trailing bytes in chunk"
-        )
+    byte_lens = entries >> 2
+    # Bounding each length first keeps the sum from wrapping.
+    if (byte_lens > len(raw)).any() or base + int(byte_lens.sum()) != len(raw):
+        raise TraceFormatError("record directory does not tile the chunk")
     if not n_records:
         return
-    byte_lens = entries >> 2
     rec_starts = np.empty(n_records, dtype=np.int64)
     rec_starts[0] = 0
     np.cumsum(byte_lens[:-1], out=rec_starts[1:])
@@ -427,70 +417,15 @@ def _decode_memory_chunk_v2(
     # directory flags already carry the per-record taint booleans.
     if (pos > rec_starts + byte_lens).any():
         raise TraceFormatError("record fields overrun the directory entry")
-    acc["seq"].append(_safe_cumsum(_unzigzag(fields[0])))
+    acc["seq"].append(_checked_cumsum(_unzigzag(fields[0])))
     acc["kind_id"].append(fields[1])
     acc["array_id"].append(fields[2])
-    acc["index"].append(_safe_cumsum(_unzigzag(fields[3])))
+    acc["index"].append(_checked_cumsum(_unzigzag(fields[3])))
     acc["elem_size"].append(fields[4])
-    acc["address"].append(_safe_cumsum(_unzigzag(fields[5])))
+    acc["address"].append(_checked_cumsum(_unzigzag(fields[5])))
     acc["site_id"].append(fields[6])
     acc["addr_tainted"].append((entries & 0b10) != 0)
     acc["value_tainted"].append((entries & 0b01) != 0)
-
-
-def _decode_memory_chunk_v1(
-    raw: bytes, strings: _StringTable, acc: dict
-) -> None:
-    """Legacy chunks: vectorised varint pass + cursor walk over values."""
-    buf = memoryview(raw)
-    prelude_end = strings.read_prelude(buf, 0)
-    body = np.frombuffer(raw, dtype=np.uint8, offset=prelude_end)
-    values, starts = _decode_varint_stream(body)
-    v = values.tolist()
-    if not v:
-        raise TraceFormatError("truncated varint")
-    n_records = v[0]
-    i = 1
-    rec_starts: list[int] = []
-    addr_runs: list[int] = []
-    value_runs: list[int] = []
-    # One pass over the value stream recovers the record structure:
-    # 7 fixed header fields, then the two taint encodings, each
-    # ``n_runs`` of (gap, length, n_tags, tags...).
-    try:
-        for _ in range(n_records):
-            rec_starts.append(i)
-            i += 7
-            n_runs = v[i]
-            i += 1
-            addr_runs.append(n_runs)
-            for _ in range(n_runs):
-                i += 3 + v[i + 2]
-            n_runs = v[i]
-            i += 1
-            value_runs.append(n_runs)
-            for _ in range(n_runs):
-                i += 3 + v[i + 2]
-    except IndexError:
-        raise TraceFormatError("truncated varint") from None
-    if i > len(v):
-        raise TraceFormatError("truncated varint")
-    if i != len(v):
-        raise TraceFormatError(
-            f"{len(body) - int(starts[i])} trailing bytes in chunk"
-        )
-    if not rec_starts:
-        return
-    rs = np.asarray(rec_starts, dtype=np.int64)
-    acc["seq"].append(_safe_cumsum(_unzigzag(values[rs])))
-    acc["kind_id"].append(values[rs + 1])
-    acc["array_id"].append(values[rs + 2])
-    acc["index"].append(_safe_cumsum(_unzigzag(values[rs + 3])))
-    acc["elem_size"].append(values[rs + 4])
-    acc["address"].append(_safe_cumsum(_unzigzag(values[rs + 5])))
-    acc["site_id"].append(values[rs + 6])
-    acc["addr_tainted"].append(np.asarray(addr_runs, dtype=np.int64) > 0)
-    acc["value_tainted"].append(np.asarray(value_runs, dtype=np.int64) > 0)
 
 
 _COLUMN_NAMES = (
@@ -499,12 +434,11 @@ _COLUMN_NAMES = (
 )
 
 
-def _memory_columns(stream: BinaryIO, version: int) -> MemoryColumns:
+def _memory_columns(stream: BinaryIO) -> MemoryColumns:
     strings = _StringTable()
     acc: dict[str, list[np.ndarray]] = {name: [] for name in _COLUMN_NAMES}
-    decode = _decode_memory_chunk_v2 if version >= 2 else _decode_memory_chunk_v1
     for raw in _iter_chunks(stream):
-        decode(raw, strings, acc)
+        _decode_memory_chunk(raw, strings, acc)
 
     def cat(name: str, dtype) -> np.ndarray:
         parts = acc[name]
@@ -533,64 +467,19 @@ def _memory_columns(stream: BinaryIO, version: int) -> MemoryColumns:
     return columns
 
 
-def _memory_columns_from_records(records) -> MemoryColumns:
-    """Object-path fallback (and test oracle): identical columns built
-    from decoded :class:`MemoryAccess` records."""
-    strings = _StringTable()
-    seq, kind_id, array_id, index = [], [], [], []
-    elem_size, address, site_id = [], [], []
-    addr_tainted, value_tainted = [], []
-    for record in records:
-        seq.append(record.seq)
-        kind_id.append(strings.intern(record.kind))
-        array_id.append(strings.intern(record.array))
-        index.append(record.index)
-        elem_size.append(record.elem_size)
-        address.append(record.address)
-        site_id.append(strings.intern(record.site))
-        addr_tainted.append(bool(record.addr_taint))
-        value_tainted.append(bool(record.value_taint))
-    def col(vals: list) -> np.ndarray:
-        # Values past int64 (>63-bit varints are why we're on this
-        # path at all) keep exact Python ints in an object column.
-        try:
-            return np.asarray(vals, dtype=np.int64)
-        except OverflowError:
-            return np.asarray(vals, dtype=object)
-
-    return MemoryColumns(
-        seq=col(seq),
-        kind_id=np.asarray(kind_id, dtype=np.int64),
-        array_id=np.asarray(array_id, dtype=np.int64),
-        index=col(index),
-        elem_size=col(elem_size),
-        address=col(address),
-        site_id=np.asarray(site_id, dtype=np.int64),
-        addr_tainted=np.asarray(addr_tainted, dtype=bool),
-        value_tainted=np.asarray(value_tainted, dtype=bool),
-        strings=tuple(strings._strings),
-    )
-
-
 # ----------------------------------------------------------------------
 # fingerprint species
 # ----------------------------------------------------------------------
-def _decode_fingerprint_chunk(
-    raw: bytes, strings: _StringTable, version: int, acc: dict
-) -> None:
+def _decode_fingerprint_chunk(raw: bytes, strings: _StringTable, acc: dict) -> None:
     buf = memoryview(raw)
-    prelude_end = strings.read_prelude(buf, 0)
-    body = np.frombuffer(raw, dtype=np.uint8, offset=prelude_end)
+    n_records, _, base = _read_directory(raw, buf, strings)
+    # Fingerprint records are all-varint streams: decode the records
+    # region in one pass.  Only the handful of header scalars per
+    # capture leave the array (the run vectors stay as int64 views).
+    body = np.frombuffer(raw, dtype=np.uint8, offset=base)
     values, starts = _decode_varint_stream(body)
     v = values
-    if not v.shape[0]:
-        raise TraceFormatError("truncated varint")
-    n_records = int(v[0])
-    # The v2 record directory is one varint per record; fingerprint
-    # chunks are all-varint streams, so skipping it is pure arithmetic.
-    # Only the handful of header scalars per capture leave the array
-    # (the run vectors stay as int64 views), so no wholesale tolist.
-    i = 2 + n_records if version >= 2 else 1
+    i = 0
     try:
         for _ in range(n_records):
             raw_label = int(v[i])
@@ -617,10 +506,11 @@ def _decode_fingerprint_chunk(
             i += n_runs
             # Run values alternate from start_value; the run-length
             # form is kept as-is (materialised lazily), so the only
-            # decode-time work left is validating coverage.
-            covered = int(runs.sum())
-            if covered > size:
+            # decode-time work left is validating coverage.  Bounding
+            # each run first keeps the sum from wrapping.
+            if n_runs and int(runs.max()) > size:
                 raise TraceFormatError("fingerprint runs overflow the tensor")
+            covered = int(runs.sum())
             if covered != size:
                 raise TraceFormatError(
                     f"fingerprint runs cover {covered} of {size} samples"
@@ -636,7 +526,7 @@ def _decode_fingerprint_chunk(
         )
 
 
-def _fingerprint_columns(stream: BinaryIO, version: int) -> FingerprintColumns:
+def _fingerprint_columns(stream: BinaryIO) -> FingerprintColumns:
     strings = _StringTable()
     acc: dict = {
         "labels": [],
@@ -646,7 +536,7 @@ def _fingerprint_columns(stream: BinaryIO, version: int) -> FingerprintColumns:
         "runs": [],
     }
     for raw in _iter_chunks(stream):
-        _decode_fingerprint_chunk(raw, strings, version, acc)
+        _decode_fingerprint_chunk(raw, strings, acc)
     return FingerprintColumns(
         labels=np.asarray(acc["labels"], dtype=np.int64),
         capture_seeds=np.asarray(acc["capture_seeds"], dtype=np.int64),
@@ -656,43 +546,24 @@ def _fingerprint_columns(stream: BinaryIO, version: int) -> FingerprintColumns:
     )
 
 
-def _fingerprint_columns_from_records(records) -> FingerprintColumns:
-    labels, seeds, traces = [], [], []
-    for record in records:
-        labels.append(record.label)
-        seeds.append(record.capture_seed)
-        traces.append(np.ascontiguousarray(record.trace, dtype=np.int8))
-    return FingerprintColumns(
-        labels=np.asarray(labels, dtype=np.int64),
-        capture_seeds=np.asarray(seeds, dtype=np.int64),
-        _traces=traces,
-    )
-
-
 # ----------------------------------------------------------------------
 # entry points
 # ----------------------------------------------------------------------
 def read_trace_columns(path) -> TraceColumns:
     """Decode a whole ``.trc`` file into columns (memory/fingerprint).
 
-    Equivalent, field for field, to object decoding via
-    :func:`repro.traces.format.read_trace` — the Hypothesis oracle in
-    ``tests/test_traces_columns.py`` asserts exactly that.  Oracle
-    traces have no columnar layout; use the object reader for them.
+    Equal, field for field, to object decoding via
+    :func:`repro.traces.format.read_trace` on every file the writer
+    produces — the Hypothesis oracle in ``tests/test_traces_columns.py``
+    asserts exactly that.  Oracle traces have no columnar layout; use
+    the object reader for them.
     """
     with open(path, "rb") as handle:
-        species, version = _read_header(handle)
+        species = _read_header(handle)
         if species == SPECIES_MEMORY:
-            decode, fallback = _memory_columns, _memory_columns_from_records
-        elif species == SPECIES_FINGERPRINT:
-            decode, fallback = _fingerprint_columns, _fingerprint_columns_from_records
-        else:
-            raise ValueError(
-                f"no columnar decoder for {species!r} traces; "
-                f"use iter_trace/read_trace"
-            )
-        try:
-            return decode(handle, version)
-        except _FallbackNeeded:
-            pass
-    return fallback(iter_trace(path))
+            return _memory_columns(handle)
+        if species == SPECIES_FINGERPRINT:
+            return _fingerprint_columns(handle)
+    raise ValueError(
+        f"no columnar decoder for {species!r} traces; use iter_trace/read_trace"
+    )

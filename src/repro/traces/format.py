@@ -32,16 +32,23 @@ Layout of one ``.trc`` file::
     chunk*   payload_len u32 LE | crc32(payload) u32 LE | payload
 
     payload  new-strings prelude | record count varint
-             | record directory (v2+) | records
+             | record directory | records
 
     directory  total-bytes varint, then one varint per record:
                (record_byte_len << 2) | addr_tainted << 1 | value_tainted
 
-The version-2 record directory costs ~1 byte per record and is what
-makes the columnar fast path (:mod:`repro.traces.columns`) possible:
-record boundaries become a cumulative sum instead of a sequential
-decode, so replay analyses read whole chunks straight into numpy
-arrays.  Version-1 files (no directory) remain fully readable.
+The record directory costs ~1 byte per record and is what makes the
+columnar reader (:mod:`repro.traces.columns`) possible: record
+boundaries become a cumulative sum instead of a sequential decode, so
+replay analyses read whole chunks straight into numpy arrays.  Version
+2 is the only format; any other version raises :class:`TraceFormatError`
+(re-capture the trace from its ``(target, size, seed)``).
+
+Every byte string parses or raises :class:`TraceFormatError`, and the
+writer refuses records a reader could not give back: memory fields
+outside +-2**61, taint past :data:`MAX_TAINT_BITS`, fingerprints over
+:data:`MAX_FINGERPRINT_SAMPLES`.  The object reader (:class:`TraceReader`)
+reads every species and is the columnar reader's test reference.
 
 Taint is preserved bit-exactly (the per-bit tag sets of
 :class:`~repro.taint.bittaint.BitTaint`), so replayed traces drive the
@@ -65,7 +72,6 @@ from repro.taint.bittaint import BitTaint
 
 MAGIC = b"ZTRC"
 FORMAT_VERSION = 2
-SUPPORTED_VERSIONS = (1, 2)
 
 SPECIES_MEMORY = "memory"
 SPECIES_FINGERPRINT = "fingerprint"
@@ -83,6 +89,14 @@ DEFAULT_CHUNK_RECORDS = 4096
 # or a writer will encode.  The paper's capture is 2 x 10,000 samples;
 # the bound stops a crafted header from forcing a huge allocation.
 MAX_FINGERPRINT_SAMPLES = 1 << 22
+
+# Every stored taint run ends at or below this bit (the taint engine
+# tracks 64-bit values); it caps the object reader's per-bit expansion.
+MAX_TAINT_BITS = 1 << 10
+
+# Writers accept integer fields below this magnitude: the zigzag delta
+# of two such values fits the columnar reader's nine-byte varints.
+_FIELD_BOUND = 1 << 61
 
 
 class TraceFormatError(ValueError):
@@ -199,6 +213,8 @@ def _encode_bittaint(out: bytearray, taint: BitTaint) -> None:
             runs[-1] = (runs[-1][0], runs[-1][1] + 1, ordered)
         else:
             runs.append((bit, 1, ordered))
+    if runs and runs[-1][0] + runs[-1][1] > MAX_TAINT_BITS:
+        raise ValueError(f"taint reaches past bit {MAX_TAINT_BITS}")
     write_uvarint(out, len(runs))
     prev_end = 0
     for start, length, ordered in runs:
@@ -223,6 +239,8 @@ def _decode_bittaint(buf: memoryview, pos: int) -> tuple[BitTaint, int]:
         length, pos = read_uvarint(buf, pos)
         start = end + gap
         end = start + length
+        if end > MAX_TAINT_BITS:
+            raise TraceFormatError(f"taint run ends at bit {end}, past {MAX_TAINT_BITS}")
         n_tags, pos = read_uvarint(buf, pos)
         tags = []
         tag = 0
@@ -273,7 +291,10 @@ class _StringTable:
             length, pos = read_uvarint(buf, pos)
             if pos + length > len(buf):
                 raise TraceFormatError("truncated string table entry")
-            self._strings.append(bytes(buf[pos : pos + length]).decode("utf-8"))
+            try:
+                self._strings.append(bytes(buf[pos : pos + length]).decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise TraceFormatError(f"string table entry: {exc}") from None
             pos += length
         return pos
 
@@ -305,6 +326,10 @@ class _MemoryCodec:
         return (bool(record.addr_taint) << 1) | bool(record.value_taint)
 
     def encode(self, out: bytearray, record: MemoryAccess) -> None:
+        b = _FIELD_BOUND
+        if not (-b < record.seq < b and -b < record.index < b
+                and -b < record.address < b and 0 <= record.elem_size < b):
+            raise ValueError(f"memory record {record.seq}: a field lies outside +-2**61")
         write_svarint(out, record.seq - self._prev_seq)
         self._prev_seq = record.seq
         write_uvarint(out, self.strings.intern(record.kind))
@@ -379,6 +404,9 @@ class _FingerprintCodec:
         _check_fingerprint_shape(*trace.shape)
         if trace.size and not np.isin(trace, (0, 1)).all():
             raise ValueError("fingerprint trace must contain only 0/1 samples")
+        if not (-_FIELD_BOUND < record.label < _FIELD_BOUND
+                and 0 <= record.capture_seed < 1 << 63):
+            raise ValueError("fingerprint label or capture seed out of range")
         write_svarint(out, record.label)
         write_uvarint(out, record.capture_seed)
         rows, cols = trace.shape
@@ -517,24 +545,20 @@ class TraceWriter:
         stream: BinaryIO,
         species: str,
         chunk_records: int = DEFAULT_CHUNK_RECORDS,
-        version: int = FORMAT_VERSION,
     ) -> None:
         if species not in _SPECIES_CODES:
             raise ValueError(f"unknown trace species {species!r}")
         if chunk_records < 1:
             raise ValueError("chunk_records must be >= 1")
-        if version not in SUPPORTED_VERSIONS:
-            raise ValueError(f"unsupported trace format version {version}")
         self.species = species
         self.chunk_records = chunk_records
-        self.version = version
         self._stream = stream
         self._strings = _StringTable()
         self._codec = _CODECS[species](self._strings)
         self._buffer: list[TraceRecord] = []
         self._closed = False
         self.summary = TraceSummary(species=species)
-        header = _HEADER.pack(MAGIC, version, _SPECIES_CODES[species], 0)
+        header = _HEADER.pack(MAGIC, FORMAT_VERSION, _SPECIES_CODES[species], 0)
         self._stream.write(header)
         self.summary.size_bytes = len(header)
 
@@ -563,14 +587,13 @@ class TraceWriter:
             self._codec.encode(records_block, record)
             lengths.append(len(records_block) - before)
             flags.append(self._codec.flags(record))
+        directory = bytearray()
+        for length, flag in zip(lengths, flags):
+            write_uvarint(directory, (length << 2) | flag)
         body = bytearray()
         write_uvarint(body, len(self._buffer))
-        if self.version >= 2:
-            directory = bytearray()
-            for length, flag in zip(lengths, flags):
-                write_uvarint(directory, (length << 2) | flag)
-            write_uvarint(body, len(directory))
-            body.extend(directory)
+        write_uvarint(body, len(directory))
+        body.extend(directory)
         body.extend(records_block)
         # String-table prelude goes first, but interning happens during
         # record encoding — so build the body first, then the prelude.
@@ -601,23 +624,23 @@ class TraceWriter:
             self._closed = True  # don't flush half a record set on error
 
 
-def _read_header(stream: BinaryIO) -> tuple[str, int]:
-    """Read and check a trace file's header; returns (species, version)."""
+def _read_header(stream: BinaryIO) -> str:
+    """Read and check a trace file's header; returns its species."""
     header = stream.read(_HEADER.size)
     if len(header) != _HEADER.size:
         raise TraceFormatError("truncated trace header")
     magic, version, species_code, _ = _HEADER.unpack(header)
     if magic != MAGIC:
         raise TraceFormatError(f"bad magic {magic!r}: not a trace file")
-    if version not in SUPPORTED_VERSIONS:
+    if version != FORMAT_VERSION:
         raise TraceFormatError(
-            f"unsupported trace format version {version} "
-            f"(this reader speaks {SUPPORTED_VERSIONS})"
+            f"unsupported trace format version {version} (this reader "
+            f"speaks {FORMAT_VERSION}; re-capture the trace)"
         )
     species = _SPECIES_NAMES.get(species_code)
     if species is None:
         raise TraceFormatError(f"unknown species code {species_code}")
-    return species, version
+    return species
 
 
 def _iter_chunks(stream: BinaryIO) -> Iterator[bytes]:
@@ -647,11 +670,9 @@ class TraceReader:
 
     def __init__(self, stream: BinaryIO) -> None:
         self._stream = stream
-        species, version = _read_header(stream)
-        self.species = species
-        self.version = version
+        self.species = _read_header(stream)
         self._strings = _StringTable()
-        self._codec = _CODECS[species](self._strings)
+        self._codec = _CODECS[self.species](self._strings)
         self._consumed = False
 
     def __iter__(self) -> Iterator[TraceRecord]:
@@ -662,13 +683,12 @@ class TraceReader:
             buf = memoryview(raw)
             pos = self._strings.read_prelude(buf, 0)
             n_records, pos = read_uvarint(buf, pos)
-            if self.version >= 2:
-                # The record directory serves the columnar reader; the
-                # object path decodes records sequentially and skips it.
-                dir_nbytes, pos = read_uvarint(buf, pos)
-                if pos + dir_nbytes > len(buf):
-                    raise TraceFormatError("truncated record directory")
-                pos += dir_nbytes
+            # The record directory serves the columnar reader; the
+            # object reader decodes records sequentially and skips it.
+            dir_nbytes, pos = read_uvarint(buf, pos)
+            if pos + dir_nbytes > len(buf):
+                raise TraceFormatError("truncated record directory")
+            pos += dir_nbytes
             self._codec.begin_chunk()
             for _ in range(n_records):
                 record, pos = self._codec.decode(buf, pos)
@@ -704,12 +724,6 @@ def iter_trace(path) -> Iterator[TraceRecord]:
 def read_trace(path) -> list[TraceRecord]:
     """Read the whole trace into memory (small traces / tests)."""
     return list(iter_trace(path))
-
-
-def trace_species(path) -> str:
-    """Peek at a file's species without decoding any records."""
-    with open(path, "rb") as handle:
-        return TraceReader(handle).species
 
 
 def count_trace_records(path) -> int:

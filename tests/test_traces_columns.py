@@ -1,14 +1,18 @@
 """Equivalence proofs for the columnar ZTRC decoder.
 
-The columnar decoder (:mod:`repro.traces.columns`) has no authority of
-its own: every column must equal, field for field, what the object
-reader produces from the same bytes, for both format versions and any
-chunking.  The Hypothesis suites here pin exactly that, including the
-object-path fallback for varints past int64 and the run-domain pooling
-against ``pool_trace``.
+The columnar decoder (:mod:`repro.traces.columns`) is the only
+memory/fingerprint reader analyses use, and it has no authority of its
+own: on every file the writer produces, each column must equal, field
+for field, what the object reader decodes from the same bytes, for any
+chunking.  The Hypothesis suites here pin exactly that, plus the
+run-domain pooling against ``pool_trace``.  Values the int64 columns
+cannot hold are refused: by the writer, and by the reader with
+:class:`TraceFormatError` on a hand-built file.  Crafted and damaged
+input is the fuzz test's business (``tests/test_traces_format.py``).
 """
 
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +29,7 @@ from repro.traces import (
     SPECIES_FINGERPRINT,
     SPECIES_MEMORY,
     SPECIES_ORACLE,
+    TraceFormatError,
     TraceStore,
     TraceWriter,
     count_trace_records,
@@ -33,22 +38,51 @@ from repro.traces import (
     replay_lines,
     replay_lines_array,
 )
+from repro.traces.format import (
+    _CHUNK_HEADER,
+    _HEADER,
+    MAGIC,
+    write_svarint,
+    write_uvarint,
+)
 from tests.test_traces_format import fingerprint_captures, memory_accesses
 
 
-def _write(path, species, records, chunk_records=7, version=2):
+def _write(path, species, records, chunk_records=7):
     with open(path, "wb") as handle:
-        with TraceWriter(
-            handle, species, chunk_records=chunk_records, version=version
-        ) as writer:
+        with TraceWriter(handle, species, chunk_records=chunk_records) as writer:
             writer.extend(records)
 
 
-def _roundtrip(species, records, chunk_records, version):
+def _roundtrip(species, records, chunk_records):
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "t.trc"
-        _write(path, species, records, chunk_records, version)
+        _write(path, species, records, chunk_records)
         return read_trace_columns(path), read_trace(path), count_trace_records(path)
+
+
+def _hand_built_memory_file(path, addresses):
+    """One chunk of records the writer would refuse: each record's
+    address field is the raw svarint ``addresses[i]`` (delta from the
+    previous record); every other field is zero, strings table ``["s"]``."""
+    records = []
+    for address in addresses:
+        fields = bytearray([0, 0, 0, 0, 2])  # seq, kind, array, index, elem_size
+        write_svarint(fields, address)
+        fields += bytes([0, 0, 0])  # site, no addr taint, no value taint
+        records.append(fields)
+    directory = bytearray()
+    for fields in records:
+        write_uvarint(directory, len(fields) << 2)
+    payload = bytearray([1, 1]) + b"s"  # one new string: "s"
+    write_uvarint(payload, len(records))
+    write_uvarint(payload, len(directory))
+    payload += directory + b"".join(records)
+    path.write_bytes(
+        _HEADER.pack(MAGIC, 2, 1, 0)
+        + _CHUNK_HEADER.pack(len(payload), zlib.crc32(payload))
+        + bytes(payload)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -59,12 +93,9 @@ class TestMemoryColumns:
     @given(
         records=st.lists(memory_accesses(), max_size=40),
         chunk_records=st.sampled_from([1, 3, 7, 64]),
-        version=st.sampled_from([1, 2]),
     )
-    def test_columns_match_objects(self, records, chunk_records, version):
-        cols, objs, counted = _roundtrip(
-            SPECIES_MEMORY, records, chunk_records, version
-        )
+    def test_columns_match_objects(self, records, chunk_records):
+        cols, objs, counted = _roundtrip(SPECIES_MEMORY, records, chunk_records)
         assert counted == len(objs) == cols.n == len(records)
         for i, r in enumerate(objs):
             assert int(cols.seq[i]) == r.seq
@@ -91,35 +122,64 @@ class TestMemoryColumns:
             ),
         ),
         kind=st.one_of(st.none(), st.sampled_from(["read", "write", "update"])),
-        version=st.sampled_from([1, 2]),
     )
-    def test_replay_lines_array_matches_objects(
-        self, records, sites, kind, version
-    ):
-        cols, objs, _ = _roundtrip(SPECIES_MEMORY, records, 7, version)
+    def test_replay_lines_array_matches_objects(self, records, sites, kind):
+        cols, objs, _ = _roundtrip(SPECIES_MEMORY, records, 7)
         expected = replay_lines(objs, sites=sites, kind=kind)
         got = replay_lines_array(cols, sites=sites, kind=kind)
         assert got.tolist() == expected
 
     def test_huge_address_falls_back_to_objects(self):
-        # A 70-bit address overflows the int64 fast path; the decode
-        # must transparently route through the object reader and keep
-        # the exact value in an object-dtype column.
+        # A 70-bit address does not fit the int64 columns: the writer
+        # refuses it, and a hand-built file that carries one (a 10-byte
+        # varint) is refused by the columnar reader.
         record = MemoryAccess(
             seq=1, kind="read", array="head", index=2, elem_size=2,
             address=1 << 70, addr_taint=BitTaint.byte(0), site="s",
         )
         with tempfile.TemporaryDirectory() as scratch:
             path = Path(scratch) / "t.trc"
-            _write(path, SPECIES_MEMORY, [record])
-            cols = read_trace_columns(path)
-        assert cols.address.dtype == object
-        assert cols.address[0] == 1 << 70
-        assert bool(cols.addr_tainted[0])
+            with pytest.raises(ValueError, match="2\\*\\*61"):
+                _write(path, SPECIES_MEMORY, [record])
+            _hand_built_memory_file(path, [1 << 70])  # an 11-byte varint
+            with pytest.raises(TraceFormatError, match="overflows int64"):
+                read_trace_columns(path)
+            _hand_built_memory_file(path, [1 << 62])  # exactly 10 bytes
+            with pytest.raises(TraceFormatError, match="overflows int64"):
+                read_trace_columns(path)
+
+    def test_running_sum_past_int64_is_refused(self, tmp_path):
+        # Each delta fits nine bytes, but the third running sum is
+        # 3 * (2**62 - 1) > 2**63 - 1.
+        path = tmp_path / "t.trc"
+        _hand_built_memory_file(path, [(1 << 62) - 1] * 2)
+        assert read_trace_columns(path).address.tolist() == [(1 << 62) - 1, (1 << 63) - 2]
+        _hand_built_memory_file(path, [(1 << 62) - 1] * 3)
+        with pytest.raises(TraceFormatError, match="leaves int64"):
+            read_trace_columns(path)
+        _hand_built_memory_file(path, [-(1 << 62) + 1] * 3)
+        with pytest.raises(TraceFormatError, match="leaves int64"):
+            read_trace_columns(path)
 
     def test_empty_trace(self):
-        cols, objs, counted = _roundtrip(SPECIES_MEMORY, [], 7, 2)
+        cols, objs, counted = _roundtrip(SPECIES_MEMORY, [], 7)
         assert cols.n == 0 and objs == [] and counted == 0
+
+    def test_large_chunks_match_objects(self):
+        # One 65,536-record chunk whose addresses jump by 2**47: a
+        # conservative ``n * max|delta|`` overflow bound (2**64) would
+        # refuse this valid chunk; the exact per-step test must not.
+        records = [
+            MemoryAccess(seq=i, kind="write", array="ftab", index=i,
+                         elem_size=4, address=((i % 2) << 47) + 64 * i,
+                         site="s")
+            for i in range(65536)
+        ]
+        cols, objs, counted = _roundtrip(SPECIES_MEMORY, records, 65536)
+        assert counted == cols.n == len(objs) == 65536
+        assert cols.address.tolist() == [r.address for r in records]
+        assert cols.seq.tolist() == [r.seq for r in objs]
+        assert cols.index.tolist() == [r.index for r in objs]
 
 
 # ----------------------------------------------------------------------
@@ -130,12 +190,9 @@ class TestFingerprintColumns:
     @given(
         captures=st.lists(fingerprint_captures(), max_size=8),
         chunk_records=st.sampled_from([1, 3, 64]),
-        version=st.sampled_from([1, 2]),
     )
-    def test_columns_match_objects(self, captures, chunk_records, version):
-        cols, objs, counted = _roundtrip(
-            SPECIES_FINGERPRINT, captures, chunk_records, version
-        )
+    def test_columns_match_objects(self, captures, chunk_records):
+        cols, objs, counted = _roundtrip(SPECIES_FINGERPRINT, captures, chunk_records)
         assert counted == len(objs) == cols.n
         assert cols.labels.tolist() == [c.label for c in objs]
         assert cols.capture_seeds.tolist() == [c.capture_seed for c in objs]
@@ -147,10 +204,9 @@ class TestFingerprintColumns:
     @given(
         captures=st.lists(fingerprint_captures(), min_size=1, max_size=6),
         width=st.integers(min_value=1, max_value=500),
-        version=st.sampled_from([1, 2]),
     )
-    def test_pooled_matches_pool_trace(self, captures, width, version):
-        cols, objs, _ = _roundtrip(SPECIES_FINGERPRINT, captures, 3, version)
+    def test_pooled_matches_pool_trace(self, captures, width):
+        cols, objs, _ = _roundtrip(SPECIES_FINGERPRINT, captures, 3)
         shapes = {c.trace.shape for c in objs}
         pooled = cols.pooled(width)
         if len(shapes) != 1 or next(iter(shapes))[1] // width < 1:
@@ -166,7 +222,7 @@ class TestFingerprintColumns:
             FingerprintCapture(0, 1, np.zeros((2, 40), dtype=np.int8)),
             FingerprintCapture(1, 2, np.ones((2, 40), dtype=np.int8)),
         ]
-        cols, objs, _ = _roundtrip(SPECIES_FINGERPRINT, captures, 3, 2)
+        cols, objs, _ = _roundtrip(SPECIES_FINGERPRINT, captures, 3)
         for width in (1, 3, 10, 40):
             ref = np.stack([pool_trace(c.trace, width) for c in objs])
             assert np.array_equal(cols.pooled(width), ref)

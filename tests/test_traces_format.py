@@ -1,7 +1,11 @@
 """Property and unit tests for the binary trace serialization."""
 
+import contextlib
 import io
+import signal
+import tempfile
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +16,10 @@ from repro.exec.events import MemoryAccess
 from repro.taint.bittaint import BitTaint
 from repro.traces import (
     FingerprintCapture,
+    OracleProbe,
     SPECIES_FINGERPRINT,
     SPECIES_MEMORY,
+    SPECIES_ORACLE,
     TraceFormatError,
     TraceReader,
     TraceWriter,
@@ -26,6 +32,7 @@ from repro.traces.format import (
     _HEADER,
     MAGIC,
     MAX_FINGERPRINT_SAMPLES,
+    MAX_TAINT_BITS,
     read_svarint,
     read_trace,
     read_uvarint,
@@ -193,6 +200,12 @@ class TestFingerprintRoundTrip:
         with pytest.raises(ValueError):
             serialize_records(SPECIES_FINGERPRINT, [capture])
 
+    def test_rejects_seed_past_int64(self):
+        # The columnar reader keeps seeds in an int64 column.
+        capture = FingerprintCapture(0, 1 << 63, np.zeros((1, 4), dtype=np.int8))
+        with pytest.raises(ValueError, match="capture seed"):
+            serialize_records(SPECIES_FINGERPRINT, [capture])
+
 
 class TestFingerprintSizeBound:
     """A crafted fingerprint record header must not make either reader
@@ -239,6 +252,186 @@ class TestFingerprintSizeBound:
             serialize_records(SPECIES_FINGERPRINT, [capture])
 
 
+class TestTaintRunBound:
+    """A crafted taint run must not make the object reader expand it
+    bit by bit."""
+
+    @staticmethod
+    def _crafted_file(tmp_path):
+        # One chunk, one memory record whose address taint is a single
+        # run of 2**40 bits carrying tag 0.  String table: "s".
+        record = bytearray([0, 0, 0, 0, 1])  # seq, kind, array, index, elem_size
+        write_svarint(record, 64)  # address
+        record += bytes([0, 1, 0])  # site; addr taint: one run at gap 0
+        write_uvarint(record, 1 << 40)
+        record += bytes([1, 0, 0])  # one tag (0); no value taint
+        payload = bytearray([1, 1]) + b"s" + bytes([1])  # prelude, one record
+        directory = bytearray()
+        write_uvarint(directory, (len(record) << 2) | 0b10)
+        write_uvarint(payload, len(directory))
+        payload += directory + record
+        blob = (
+            _HEADER.pack(MAGIC, 2, 1, 0)
+            + _CHUNK_HEADER.pack(len(payload), zlib.crc32(payload))
+            + bytes(payload)
+        )
+        assert len(blob) == 41
+        path = tmp_path / "crafted.trc"
+        path.write_bytes(blob)
+        return path
+
+    def test_object_reader_rejects_huge_run_quickly(self, tmp_path):
+        path = self._crafted_file(tmp_path)
+        with _time_limit(1.0), pytest.raises(TraceFormatError, match="taint run"):
+            read_trace(path)
+
+    def test_columnar_reader_skips_taint_payloads(self, tmp_path):
+        cols = read_trace_columns(self._crafted_file(tmp_path))
+        assert cols.n == 1
+        assert cols.addr_tainted.tolist() == [True]
+        assert cols.address.tolist() == [64]
+
+    def test_writer_refuses_taint_past_the_bound(self):
+        inside = MemoryAccess(
+            seq=1, addr_taint=BitTaint.of_bits(0, [MAX_TAINT_BITS - 1])
+        )
+        (back,) = deserialize_records(serialize_records(SPECIES_MEMORY, [inside]))
+        assert _same_access(back, inside)
+        outside = MemoryAccess(
+            seq=1, value_taint=BitTaint.of_bits(0, [MAX_TAINT_BITS])
+        )
+        with pytest.raises(ValueError, match="taint"):
+            serialize_records(SPECIES_MEMORY, [outside])
+
+
+# ----------------------------------------------------------------------
+# Trust boundary: damaged payloads parse or raise TraceFormatError
+# ----------------------------------------------------------------------
+_FUZZ_SAMPLES = {
+    SPECIES_MEMORY: [
+        MemoryAccess(
+            seq=3 * i, kind=("read", "write")[i % 2],
+            array=("head", "htab")[i % 2], index=i * 17, elem_size=2,
+            address=0x7F00_0000_0000 + 64 * i,
+            addr_taint=BitTaint.byte(i, lo_bit=6) if i % 3 else BitTaint.empty(),
+            value_taint=BitTaint.of_bits(i + 1, [0, 2, 9]),
+            site=("deflate_slow/head[ins_h]", "lzw/htab[hp]")[i % 2],
+        )
+        for i in range(6)
+    ] + [
+        # Two-byte gap and length varints ending just under the taint
+        # bound: damage to either high byte moves the run past it.
+        MemoryAccess(seq=20, addr_taint=BitTaint.of_bits(9, range(600, 1000)),
+                     value_taint=BitTaint.of_bits(9, range(600, 1000)))
+    ],
+    SPECIES_FINGERPRINT: [
+        FingerprintCapture(
+            label=i, capture_seed=1000 + i,
+            trace=(np.arange(48).reshape(2, 24) % (i + 3) == 0).astype(np.int8),
+        )
+        for i in range(3)
+    ],
+    SPECIES_ORACLE: [
+        OracleProbe(step=i, label=("confirm:a", "half:bc")[i % 2],
+                    probe_len=30 + i, observation=-1.5 * i, queries=4 * i + 1)
+        for i in range(4)
+    ],
+}
+
+
+def _payload_offsets(blob: bytes) -> list[int]:
+    """Byte offsets of every chunk payload byte (not the chunk headers)."""
+    offsets, pos = [], _HEADER.size
+    while pos < len(blob):
+        length, _ = _CHUNK_HEADER.unpack_from(blob, pos)
+        pos += _CHUNK_HEADER.size
+        offsets.extend(range(pos, pos + length))
+        pos += length
+    return offsets
+
+
+def _reseal(blob: bytearray) -> bytes:
+    """Recompute every chunk CRC, so damage reaches the decoders."""
+    pos = _HEADER.size
+    while pos < len(blob):
+        length, _ = _CHUNK_HEADER.unpack_from(blob, pos)
+        start = pos + _CHUNK_HEADER.size
+        crc = zlib.crc32(bytes(blob[start : start + length]))
+        _CHUNK_HEADER.pack_into(blob, pos, length, crc)
+        pos = start + length
+    return bytes(blob)
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: float):
+    """Turn a decode that runs past ``seconds`` into a test failure
+    instead of a hung suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"decode ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _read_objects(path) -> None:
+    for record in read_trace(path):
+        if isinstance(record, MemoryAccess):
+            # The bound that caps the per-bit taint expansion holds on
+            # every record that decodes.
+            bits = record.addr_taint.tainted_bits() + record.value_taint.tainted_bits()
+            assert all(bit < MAX_TAINT_BITS for bit in bits)
+
+
+def _read_columns(path) -> None:
+    cols = read_trace_columns(path)
+    if cols.species == SPECIES_FINGERPRINT:
+        cols.traces  # materialise the run-length form too
+
+
+class TestTrustBoundaryFuzz:
+    """Every reader either returns or raises :class:`TraceFormatError`
+    on a damaged payload; nothing else escapes and nothing hangs.  The
+    readers need not agree with each other on crafted input: the
+    columnar view trusts the directory's taint flags and never decodes
+    the taint payloads."""
+
+    @pytest.mark.parametrize(
+        "species", [SPECIES_MEMORY, SPECIES_FINGERPRINT, SPECIES_ORACLE]
+    )
+    @settings(max_examples=300, deadline=1000)
+    @given(data=st.data())
+    def test_mutated_payload_parses_or_raises_typed_error(self, species, data):
+        blob = serialize_records(species, _FUZZ_SAMPLES[species], chunk_records=2)
+        offsets = _payload_offsets(blob)
+        edits = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(offsets), st.integers(0, 255)),
+                min_size=1, max_size=3,
+            )
+        )
+        damaged = bytearray(blob)
+        for offset, value in edits:
+            damaged[offset] = value
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "t.trc"
+            path.write_bytes(_reseal(damaged))
+            readers = [_read_objects]
+            if species != SPECIES_ORACLE:
+                readers.append(_read_columns)
+            for read in readers:
+                with _time_limit(2.0):
+                    try:
+                        read(path)
+                    except TraceFormatError:
+                        pass
+
+
 # ----------------------------------------------------------------------
 # Corruption and misuse
 # ----------------------------------------------------------------------
@@ -272,11 +465,17 @@ class TestCorruption:
         with pytest.raises(TraceFormatError, match="magic"):
             deserialize_records(bytes(blob))
 
-    def test_unsupported_version(self):
-        blob = bytearray(self._blob())
-        blob[4] ^= 0xFF
-        with pytest.raises(TraceFormatError, match="version"):
-            deserialize_records(bytes(blob))
+    def test_unsupported_version(self, tmp_path):
+        # A version-1 file (no record directory) is re-captured, not read.
+        for version in (2 ^ 0xFF, 1):
+            blob = bytearray(self._blob())
+            blob[4] = version
+            with pytest.raises(TraceFormatError, match="version"):
+                deserialize_records(bytes(blob))
+            path = tmp_path / "t.trc"
+            path.write_bytes(bytes(blob))
+            with pytest.raises(TraceFormatError, match="version"):
+                read_trace_columns(path)
 
     def test_truncated_file(self):
         blob = self._blob()
