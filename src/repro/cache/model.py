@@ -16,8 +16,9 @@ evictions deterministic while other traffic is confined elsewhere.
 The access path is the hottest loop in the whole simulator (every
 victim instruction, every prime, every probe, every noise line lands
 here), so the line state lives in flat preallocated ``array('q')``
-buffers rather than per-set dicts, the slice hash is a 16-bit parity
-table plus a per-line memo, and latency noise draws its standard-normal
+buffers rather than per-set dicts, a resident-line index answers every
+hit test with one dict lookup, the slice hash is a 16-bit parity table
+plus a per-line memo, and latency noise draws its standard-normal
 variates from a prefetched buffer.  All of it is bit-compatible with
 the straightforward model it replaced: same hit/miss/eviction stream,
 same RNG consumption, same latencies to the last float bit.
@@ -182,9 +183,13 @@ class Cache:
 
     Line state is two flat arrays indexed ``(slice * sets + set) * ways
     + way``: ``_tags`` (line tag, -1 = empty) and ``_stamps`` (global
-    access stamp for LRU).  ``cos_masks`` maps a class of service to the
-    tuple of way indices its misses may fill; COS 0 defaults to all
-    ways.
+    access stamp for LRU).  ``_slot`` indexes them: it maps each resident
+    line tag to its flat index, so a hit is one dict lookup and only a
+    miss computes the line's set (``_locate``) and scans for a victim
+    way.  ``_fill``, :meth:`flush` and :meth:`clear` keep it equal to
+    the non-empty entries of ``_tags``.  ``cos_masks`` maps a class of
+    service to the tuple of way indices its misses may fill; COS 0
+    defaults to all ways.
 
     Latency noise is ``rng.gauss(base, sigma)``; CPython's gauss
     computes ``mu + z * sigma`` from a mu/sigma-independent variate
@@ -217,6 +222,7 @@ class Cache:
         self._nsets = cfg.sets_per_slice
         self._set_mask = cfg.sets_per_slice - 1
         self._plru_on = cfg.replacement == "plru"
+        self._slot: dict[int, int] = {}  # resident line tag -> flat way index
         self._plru: dict[int, PlruTree] = {}  # set base -> tree
         self._loc: dict[int, tuple[int, int, int]] = {}  # line tag -> (sl, st, base)
         self._cos_memo: dict[tuple[int, ...], int] = {}  # allowed tuple -> bitmask
@@ -353,9 +359,15 @@ class Cache:
         lat = base + self._next_z() * self._sigma
         return lat if lat > 1.0 else 1.0
 
-    def _fill(self, tag: int, base: int, cos: int, plru) -> Optional[int]:
+    def _fill(self, tag: int, cos: int) -> Optional[int]:
         """Miss path: pick a victim way under ``cos``'s mask, install
         ``tag``; returns the evicted line address (or None)."""
+        base = self._locate(tag)[2]
+        plru = None
+        if self._plru_on:
+            plru = self._plru.get(base)
+            if plru is None:
+                plru = self._plru[base] = PlruTree(self._ways)
         tags = self._tags
         allowed = self.cos_masks.get(cos)
         if allowed is None:
@@ -383,74 +395,59 @@ class Cache:
                     if s < best:
                         best = s
                         victim_way = w
-            evicted = tags[base + victim_way] << LINE_BITS
+            old = tags[base + victim_way]
+            del self._slot[old]
+            evicted = old << LINE_BITS
             self._evictions += 1
-        tags[base + victim_way] = tag
-        self._stamps[base + victim_way] = self._stamp
+        idx = base + victim_way
+        tags[idx] = tag
+        self._slot[tag] = idx
+        self._stamps[idx] = self._stamp
         if plru is not None:
             plru.touch(victim_way)
         return evicted
 
-    def _plru_for(self, base: int) -> Optional[PlruTree]:
-        if not self._plru_on:
-            return None
-        plru = self._plru.get(base)
-        if plru is None:
-            plru = self._plru[base] = PlruTree(self._ways)
-        return plru
+    def _hit(self, idx: int) -> None:
+        """Hit path: restamp the resident line at flat index ``idx``
+        and, under PLRU, touch its way (the tree exists: ``_fill`` made
+        it when the line was installed)."""
+        self._stamps[idx] = self._stamp
+        if self._plru_on:
+            way = idx % self._ways
+            self._plru[idx - way].touch(way)
+        self._hits += 1
 
     def access(self, paddr: int, cos: int = 0) -> AccessResult:
         """Load/store the line containing ``paddr`` under class ``cos``."""
         tag = paddr >> LINE_BITS
-        loc = self._loc.get(tag)
-        if loc is None:
-            loc = self._locate(tag)
-        base = loc[2]
         self._stamp += 1
-        plru = self._plru_for(base)
-        try:
-            idx = self._tags.index(tag, base, base + self._ways)
-        except ValueError:
-            pass
-        else:
-            self._stamps[idx] = self._stamp
-            if plru is not None:
-                plru.touch(idx - base)
-            self._hits += 1
+        idx = self._slot.get(tag)
+        if idx is not None:
+            self._hit(idx)
             return AccessResult(True, self._latency(self._hit_lat))
         self._misses += 1
-        evicted = self._fill(tag, base, cos, plru)
+        evicted = self._fill(tag, cos)
         return AccessResult(False, self._latency(self._miss_lat), evicted)
 
     def access_timed(self, paddr: int, cos: int = 0) -> float:
         """:meth:`access`, returning just the latency — the probe-loop
-        entry point.  Inlined hit path, no result object."""
-        tag = paddr >> LINE_BITS
-        loc = self._loc.get(tag)
-        if loc is None:
-            loc = self._locate(tag)
-        base = loc[2]
-        self._stamp = stamp = self._stamp + 1
+        entry point.  Inlined noise draw, no result object."""
+        self._stamp += 1
         i = self._zi
         buf = self._zbuf
         if i >= len(buf):
             buf = self._refill_z()
             i = 0
         self._zi = i + 1
-        z = buf[i]
-        plru = self._plru_for(base) if self._plru_on else None
-        try:
-            idx = self._tags.index(tag, base, base + self._ways)
-        except ValueError:
+        tag = paddr >> LINE_BITS
+        idx = self._slot.get(tag)
+        if idx is None:
             self._misses += 1
-            self._fill(tag, base, cos, plru)
-            lat = self._miss_lat + z * self._sigma
-            return lat if lat > 1.0 else 1.0
-        self._stamps[idx] = stamp
-        if plru is not None:
-            plru.touch(idx - base)
-        self._hits += 1
-        lat = self._hit_lat + z * self._sigma
+            self._fill(tag, cos)
+            lat = self._miss_lat + buf[i] * self._sigma
+        else:
+            self._hit(idx)
+            lat = self._hit_lat + buf[i] * self._sigma
         return lat if lat > 1.0 else 1.0
 
     def access_silent(self, paddr: int, cos: int = 0) -> None:
@@ -459,41 +456,23 @@ class Cache:
         eviction behaviour to :meth:`access`; skips the latency draw —
         see the class docstring for why that is unobservable."""
         tag = paddr >> LINE_BITS
-        loc = self._loc.get(tag)
-        if loc is None:
-            loc = self._locate(tag)
-        base = loc[2]
-        self._stamp = stamp = self._stamp + 1
-        if self._plru_on:
-            plru = self._plru_for(base)
-            try:
-                idx = self._tags.index(tag, base, base + self._ways)
-            except ValueError:
-                self._misses += 1
-                self._fill(tag, base, cos, plru)
-                return
-            self._stamps[idx] = stamp
-            plru.touch(idx - base)
-            self._hits += 1
-            return
-        try:
-            idx = self._tags.index(tag, base, base + self._ways)
-        except ValueError:
+        self._stamp += 1
+        idx = self._slot.get(tag)
+        if idx is None:
             self._misses += 1
-            self._fill(tag, base, cos, None)
-            return
-        self._stamps[idx] = stamp
-        self._hits += 1
+            self._fill(tag, cos)
+        else:
+            self._hit(idx)
 
     # -- the batch access path -------------------------------------------
     #
     # Accesses are stateful (an eviction changes what the next access
-    # hits), so the hit scans and fills stay sequential; what batching
-    # buys is doing the *stateless* work — address -> (slice, set, way
-    # base) mapping and the Box-Muller noise stream — for the whole
-    # vector at once, plus hoisting the per-call attribute traffic out
-    # of the loop.  Every method consumes RNG state, counters, stamps,
-    # and PLRU bits exactly as the equivalent scalar loop would
+    # hits), so the hit lookups and fills stay sequential; what batching
+    # buys is doing the *stateless* work — the address -> line-tag shift
+    # and the Box-Muller noise stream — for the whole vector at once,
+    # plus hoisting the per-call attribute traffic out of the loop.
+    # Every method consumes RNG state, counters, stamps, and PLRU bits
+    # exactly as the equivalent scalar loop would
     # (tests/test_cache_batch.py pins the equivalence).
 
     def _take_z(self, n: int):
@@ -517,50 +496,41 @@ class Cache:
         return out
 
     def _batch_walk(self, paddrs, cos: int, hits_out, evicted_out):
-        """The shared sequential core: one fused pass per address — the
-        scalar hit scan with the memoised mapping and every hot
-        attribute hoisted out of the loop.  Repeated sweeps (prime and
-        probe rounds, eviction trials) hit the ``_locate`` memo for
-        every tag, so the mapping costs one dict get per access."""
-        if hasattr(paddrs, "tolist"):
-            paddrs = paddrs.tolist()
-        get = self._loc.get
-        locate = self._locate
-        tags = self._tags
+        """The shared sequential core: one fused pass per address — a
+        resident-line lookup with every hot attribute hoisted out of the
+        loop; only misses reach ``_locate`` and the victim scan."""
+        if hasattr(paddrs, "dtype"):
+            lines = (paddrs >> LINE_BITS).tolist()
+        else:
+            lines = [p >> LINE_BITS for p in paddrs]
+        slot = self._slot.get
         stamps = self._stamps
         ways = self._ways
+        plru = self._plru if self._plru_on else None
         stamp = self._stamp
-        plru_on = self._plru_on
-        plru_for = self._plru_for
         fill = self._fill
         n_hits = 0
-        n_misses = 0
-        for k, paddr in enumerate(paddrs):
-            tag = paddr >> LINE_BITS
-            entry = get(tag)
-            base = (entry or locate(tag))[2]
+        for k, tag in enumerate(lines):
             stamp += 1
-            plru = plru_for(base) if plru_on else None
-            try:
-                idx = tags.index(tag, base, base + ways)
-            except ValueError:
-                n_misses += 1
+            idx = slot(tag)
+            if idx is None:
                 self._stamp = stamp  # _fill stamps the installed line
-                evicted = fill(tag, base, cos, plru)
+                evicted = fill(tag, cos)
                 if evicted_out is not None:
                     evicted_out.append(evicted)
-            else:
-                stamps[idx] = stamp
-                if plru is not None:
-                    plru.touch(idx - base)
-                n_hits += 1
-                if hits_out is not None:
-                    hits_out[k] = True
-                if evicted_out is not None:
-                    evicted_out.append(None)
+                continue
+            stamps[idx] = stamp
+            if plru is not None:
+                way = idx % ways
+                plru[idx - way].touch(way)
+            n_hits += 1
+            if hits_out is not None:
+                hits_out[k] = True
+            if evicted_out is not None:
+                evicted_out.append(None)
         self._stamp = stamp
         self._hits += n_hits
-        self._misses += n_misses
+        self._misses += len(lines) - n_hits
 
     def access_many(self, paddrs, cos: int = 0) -> BatchAccessResult:
         """:meth:`access` over a whole address vector; same state
@@ -598,24 +568,13 @@ class Cache:
 
     def flush(self, paddr: int) -> None:
         """clflush: remove the line from the cache entirely."""
-        tag = paddr >> LINE_BITS
-        base = self._locate(tag)[2]
-        try:
-            idx = self._tags.index(tag, base, base + self._ways)
-        except ValueError:
-            pass
-        else:
+        idx = self._slot.pop(paddr >> LINE_BITS, None)
+        if idx is not None:
             self._tags[idx] = -1
         self._flushes += 1
 
     def contains(self, paddr: int) -> bool:
-        tag = paddr >> LINE_BITS
-        base = self._locate(tag)[2]
-        try:
-            self._tags.index(tag, base, base + self._ways)
-        except ValueError:
-            return False
-        return True
+        return (paddr >> LINE_BITS) in self._slot
 
     def occupancy(self, sl: int, st: int) -> int:
         base = (sl * self._nsets + st) * self._ways
@@ -624,3 +583,4 @@ class Cache:
 
     def clear(self) -> None:
         self._tags = array("q", [-1]) * len(self._tags)
+        self._slot.clear()

@@ -21,6 +21,15 @@ class Permissions(enum.Flag):
     RW = READ | WRITE
 
 
+# (perms, is_write) -> access allowed: the ``perms & need`` rule as one
+# dict lookup instead of a Python-level ``enum.Flag.__and__``.
+_ALLOWED = {
+    (perms, is_write): bool(perms & (Permissions.WRITE if is_write else Permissions.READ))
+    for perms in (Permissions.NONE, Permissions.READ, Permissions.WRITE, Permissions.RW)
+    for is_write in (False, True)
+}
+
+
 class PageFault(Exception):
     """Access violated page permissions (or hit an unmapped page).
 
@@ -53,6 +62,8 @@ class AddressSpace:
 
     def __init__(self, n_frames: int = 32768, seed: int = 99) -> None:
         self._pages: dict[int, _PageEntry] = {}
+        # (first vpn, last vpn) -> that range's entries, for mprotect.
+        self._ranges: dict[tuple[int, int], list[_PageEntry]] = {}
         rng = random.Random(seed)
         pool = list(range(n_frames))
         rng.shuffle(pool)
@@ -96,13 +107,25 @@ class AddressSpace:
 
     # -- permissions -------------------------------------------------------
     def mprotect(self, vaddr: int, size: int, perms: Permissions) -> None:
-        """Set permissions on all pages covering the range."""
+        """Set permissions on all pages covering the range.
+
+        A range with an unmapped page raises before any page changes.
+        Each range's entries are looked up once and kept: pages are
+        never unmapped and :meth:`remap` changes an entry in place, so
+        the kept list stays exactly the range's pages.
+        """
         first = vaddr >> PAGE_BITS
         last = (vaddr + max(size, 1) - 1) >> PAGE_BITS
-        for vpn in range(first, last + 1):
-            entry = self._pages.get(vpn)
-            if entry is None:
-                raise ValueError(f"mprotect of unmapped page 0x{vpn << PAGE_BITS:x}")
+        entries = self._ranges.get((first, last))
+        if entries is None:
+            entries = []
+            for vpn in range(first, last + 1):
+                entry = self._pages.get(vpn)
+                if entry is None:
+                    raise ValueError(f"mprotect of unmapped page 0x{vpn << PAGE_BITS:x}")
+                entries.append(entry)
+            self._ranges[first, last] = entries
+        for entry in entries:
             entry.perms = perms
 
     def _entry(self, vaddr: int) -> _PageEntry:
@@ -120,10 +143,10 @@ class AddressSpace:
                 masked page address, as SGX guarantees.
         """
         entry = self._entry(vaddr)
-        need = Permissions.WRITE if kind in ("write", "update") else Permissions.READ
-        if not entry.perms & need:
+        is_write = kind in ("write", "update")
+        if not _ALLOWED[entry.perms, is_write]:
             self.fault_count += 1
-            raise PageFault(vaddr, "write" if need is Permissions.WRITE else "read")
+            raise PageFault(vaddr, "write" if is_write else "read")
         return (entry.frame << PAGE_BITS) | (vaddr & OFFSET_MASK)
 
     def page_addresses(self, vaddr: int, size: int) -> list[int]:

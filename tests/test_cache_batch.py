@@ -5,8 +5,9 @@ the *identical* state mutations, RNG consumption, and latencies a scalar
 loop over the same addresses would produce.  The Hypothesis program here
 interleaves scalar and batch calls on one cache while a reference cache
 replays everything scalar-wise, then demands bit-equal latencies,
-identical line/stamp/PLRU state, and an identical noise-stream
-continuation afterwards.
+identical line/stamp/PLRU state, a resident-line index that matches the
+tag array (``flush`` and ``clear`` ops included), and an identical
+noise-stream continuation afterwards.
 """
 
 import numpy as np
@@ -40,7 +41,7 @@ def programs() -> st.SearchStrategy[list]:
     )
     op = st.tuples(
         st.sampled_from(["access", "timed", "silent", "many", "many_timed",
-                         "many_silent"]),
+                         "many_silent", "flush", "clear"]),
         addrs,
         st.sampled_from([0, 1]),
     )
@@ -48,6 +49,13 @@ def programs() -> st.SearchStrategy[list]:
 
 
 def _run_scalar(cache: Cache, op: str, paddrs: list, cos: int) -> list:
+    if op == "flush":
+        for p in paddrs:
+            cache.flush(p)
+        return []
+    if op == "clear":
+        cache.clear()
+        return []
     if op in ("access", "many"):
         return [
             (r.hit, r.latency, r.evicted)
@@ -77,6 +85,11 @@ def _run_batch(cache: Cache, op: str, paddrs: list, cos: int) -> list:
 
 
 def _assert_same_state(batch: Cache, ref: Cache) -> None:
+    for cache in (batch, ref):
+        # The resident-line index is exactly the non-empty tag slots.
+        assert cache._slot == {
+            tag: i for i, tag in enumerate(cache._tags) if tag != -1
+        }
     assert batch._tags == ref._tags
     assert batch._stamps == ref._stamps
     assert batch._stamp == ref._stamp

@@ -89,6 +89,38 @@ class TestPermissions:
         with pytest.raises(ValueError):
             space.mprotect(0x999000, PAGE_SIZE, Permissions.READ)
 
+    def test_mprotect_unmapped_then_mapped(self, space):
+        """A range with an unmapped page raises without changing any
+        page, and protects the whole range once the gap is mapped."""
+        space.map_range(0x90000, PAGE_SIZE)
+        with pytest.raises(ValueError):
+            space.mprotect(0x90000, 2 * PAGE_SIZE, Permissions.READ)
+        space.translate(0x90000, "write")
+        space.map_range(0x91000, PAGE_SIZE)
+        space.mprotect(0x90000, 2 * PAGE_SIZE, Permissions.READ)
+        for vaddr in (0x90000, 0x91000):
+            with pytest.raises(PageFault):
+                space.translate(vaddr, "write")
+
+    @pytest.mark.parametrize(
+        "perms",
+        [Permissions.NONE, Permissions.READ, Permissions.WRITE, Permissions.RW],
+    )
+    @pytest.mark.parametrize("kind", ["read", "write", "update"])
+    def test_translate_follows_flag_rule(self, space, perms, kind):
+        """Allowed exactly when ``perms & need``: WRITE for write and
+        update, READ for read."""
+        space.map_range(0xA0000, PAGE_SIZE)
+        space.mprotect(0xA0000, PAGE_SIZE, perms)
+        need = Permissions.READ if kind == "read" else Permissions.WRITE
+        if perms & need:
+            assert space.translate(0xA0010, kind) % PAGE_SIZE == 0x10
+        else:
+            with pytest.raises(PageFault) as exc:
+                space.translate(0xA0010, kind)
+            assert exc.value.kind == ("read" if kind == "read" else "write")
+            assert space.fault_count == 1
+
     def test_fault_count(self, space):
         space.map_range(0x70000, PAGE_SIZE)
         space.mprotect(0x70000, PAGE_SIZE, Permissions.NONE)
@@ -120,6 +152,18 @@ class TestRemap:
         space.remap(0x80000)
         with pytest.raises(PageFault):
             space.translate(0x80000, "write")
+
+    def test_protect_after_remap_governs_new_frame(self, space):
+        """Protecting a range again after one of its pages moved still
+        applies to that page, at its new frame."""
+        space.map_range(0x80000, 2 * PAGE_SIZE)
+        space.mprotect(0x80000, 2 * PAGE_SIZE, Permissions.RW)
+        new = space.remap(0x81000)
+        space.mprotect(0x80000, 2 * PAGE_SIZE, Permissions.NONE)
+        with pytest.raises(PageFault):
+            space.translate(0x81000, "read")
+        space.mprotect(0x80000, 2 * PAGE_SIZE, Permissions.READ)
+        assert space.translate(0x81040, "read") == new * PAGE_SIZE + 0x40
 
     def test_page_addresses(self, space):
         got = space.page_addresses(0x1800, 2 * PAGE_SIZE)

@@ -87,3 +87,36 @@ class TestAblations:
         ).run()
         # Even the stripped-down attack stays far above chance (50% bits).
         assert outcome.bit_accuracy > 0.9
+
+
+class TestExactWork:
+    """The attack's cache and page-table work, pinned count for count.
+
+    A speedup of the cache or memsys model must leave every hit, miss,
+    eviction, fault and frame remap where it was; a change in any of
+    them fails here with the count's name."""
+
+    @pytest.mark.parametrize(
+        "n, overrides, expected",
+        [
+            (1500, {}, (428096, 15583, 3574, 4500, 62)),
+            (1500, {"use_frame_selection": False},
+             (402435, 19068, 7749, 4500, 0)),
+            (300, {"use_cat": False}, (846700, 77699, 20142, 900, 62)),
+        ],
+        ids=["default", "no_frame_selection", "no_cat"],
+    )
+    def test_counts_match_recorded(self, n, overrides, expected):
+        attack = SgxBzip2Attack(
+            random_bytes(n, seed=5), AttackConfig(**overrides)
+        )
+        outcome = attack.run()
+        stats = attack.cache.stats
+        got = {
+            "hits": stats["hits"],
+            "misses": stats["misses"],
+            "evictions": stats["evictions"],
+            "faults": outcome.faults,
+            "frame_remaps": outcome.frame_remaps,
+        }
+        assert got == dict(zip(got, expected))
