@@ -21,6 +21,8 @@ from functools import cmp_to_key
 from itertools import accumulate
 from typing import Callable, Optional
 
+import numpy as np
+
 from repro.exec.arrays import TArray
 from repro.exec.context import ExecutionContext
 from repro.taint.value import value_of
@@ -129,10 +131,15 @@ def main_sort(
         # The match length ``m`` is exact (identical to the byte-at-a-
         # time walk it replaces) because the budget drain and the tick
         # stream — the side channel itself — are derived from it.
-        state = {"budget": budget}
-        tick = ctx.tick
+        # Budget and ticks live in closure ints; the ticks are flushed
+        # before BudgetExhausted and after the bucket loop.  The profiler
+        # reads the clock only at function marks, so every interval is
+        # the one a per-comparison tick gives.
+        left = budget
+        ticks = 0
 
         def compare(a: int, b: int) -> int:
+            nonlocal left, ticks
             pa, pb = a + 2, b + 2
             n = nblock
             m = 0
@@ -159,9 +166,10 @@ def main_sort(
                         lo += 1
                     m += lo
                     break
-            state["budget"] -= m + 1
-            tick((m >> 2) + 1)
-            if state["budget"] < 0:
+            left -= m + 1
+            ticks += (m >> 2) + 1
+            if left < 0:
+                ctx.tick(ticks)
                 raise BudgetExhausted(
                     f"too repetitive; used more than {budget} work units"
                 )
@@ -175,6 +183,7 @@ def main_sort(
             if end - start > 1:
                 ptr[start:end] = sorted(ptr[start:end], key=cmp_to_key(compare))
             start = end
+        ctx.tick(ticks)
         return ptr
 
 
@@ -185,28 +194,29 @@ def fallback_sort(ctx: ExecutionContext, block: TArray, nblock: int) -> list[int
     rotations compare equal and any tie order yields the same BWT).
     """
     with ctx.func("fallbackSort"):
-        values = block.snapshot()
         n = nblock
-        rank = list(values)
-        order = sorted(range(n), key=rank.__getitem__)
+        rank = np.array(block.snapshot(), dtype=np.int64)
+        order = np.argsort(rank, kind="stable")
         ctx.tick(n)
 
         h = 1
         while h < n:
-            key = list(zip(rank, rank[h:] + rank[:h]))
-            order.sort(key=key.__getitem__)
-            new_rank = [0] * n
-            r = 0
-            for pos in range(1, n):
-                if key[order[pos]] != key[order[pos - 1]]:
-                    r += 1
-                new_rank[order[pos]] = r
+            # Stable sort of the current order by (rank[i], rank[i+h]).
+            second = np.roll(rank, -h)
+            order = order[np.lexsort((second[order], rank[order]))]
+            first_sorted, second_sorted = rank[order], second[order]
+            bumps = (first_sorted[1:] != first_sorted[:-1]) | (
+                second_sorted[1:] != second_sorted[:-1]
+            )
+            new_rank = np.empty(n, dtype=np.int64)
+            new_rank[order[0]] = 0
+            new_rank[order[1:]] = np.cumsum(bumps)
             ctx.tick(3 * n)
             rank = new_rank
-            if r == n - 1:
+            if rank[order[-1]] == n - 1:
                 break
             h *= 2
-        return order
+        return order.tolist()
 
 
 def block_sort(

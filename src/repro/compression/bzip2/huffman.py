@@ -39,24 +39,25 @@ def build_code_lengths(freqs: list[int], max_len: int = MAX_CODE_LEN) -> list[in
 
 
 def _huffman_lengths(weights: list[int], present: list[int]) -> list[int]:
-    heap: list[tuple[int, int, tuple]] = []
-    counter = 0
-    for i in present:
-        heap.append((weights[i], counter, (i,)))
-        counter += 1
+    # Heap entries are (weight, node); node ids grow with creation, so
+    # they break weight ties exactly as an insertion counter would.
+    heap = [(weights[i], node) for node, i in enumerate(present)]
     heapq.heapify(heap)
-    depth: dict[int, int] = {i: 0 for i in present}
+    parent = [0] * (2 * len(present) - 1)
+    node = len(present)
     while len(heap) > 1:
-        wa, _, syms_a = heapq.heappop(heap)
-        wb, _, syms_b = heapq.heappop(heap)
-        merged = syms_a + syms_b
-        for s in merged:
-            depth[s] += 1
-        counter += 1
-        heapq.heappush(heap, (wa + wb, counter, merged))
+        wa, a = heapq.heappop(heap)
+        wb, b = heapq.heappop(heap)
+        parent[a] = parent[b] = node
+        heapq.heappush(heap, (wa + wb, node))
+        node += 1
+    # Parents are created after their children: walk from the root down.
+    depth = [0] * len(parent)
+    for child in range(len(parent) - 2, -1, -1):
+        depth[child] = depth[parent[child]] + 1
     lengths = [0] * len(weights)
-    for i in present:
-        lengths[i] = depth[i]
+    for leaf, i in enumerate(present):
+        lengths[i] = depth[leaf]
     return lengths
 
 

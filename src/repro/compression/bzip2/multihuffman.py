@@ -18,6 +18,8 @@ header bit records the choice so the decompressor is self-describing.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.compression.bitio import MSBBitReader, MSBBitWriter
 from repro.compression.bzip2.huffman import (
     HuffmanTable,
@@ -67,10 +69,6 @@ def _initial_lengths(
     return lengths
 
 
-def _group_cost(lengths: list[int], group: list[int]) -> int:
-    return sum(map(lengths.__getitem__, group))
-
-
 def fit_tables(
     symbols: list[int], alpha_size: int, n_groups: int
 ) -> tuple[list[list[int]], list[int]]:
@@ -79,30 +77,23 @@ def fit_tables(
     Returns ``(tables_lengths, selectors)`` where ``selectors[g]`` is
     the table used by the g-th group of 50 symbols.
     """
-    groups = [
-        symbols[i : i + GROUP_SIZE] for i in range(0, len(symbols), GROUP_SIZE)
-    ]
-    freqs = [0] * alpha_size
-    for s in symbols:
-        freqs[s] += 1
-    tables = _initial_lengths(freqs, n_groups, alpha_size)
+    n_sel = -(-len(symbols) // GROUP_SIZE)
+    flat = np.arange(len(symbols)) // GROUP_SIZE * alpha_size
+    flat += np.asarray(symbols, dtype=np.int64)
+    counts = np.bincount(flat, minlength=n_sel * alpha_size)
+    counts = counts.reshape(n_sel, alpha_size)
+    tables = _initial_lengths(counts.sum(axis=0).tolist(), n_groups, alpha_size)
 
-    selectors: list[int] = [0] * len(groups)
+    selectors = np.zeros(n_sel, dtype=np.int64)
     for _ in range(N_ITERS):
-        table_freqs = [[0] * alpha_size for _ in range(n_groups)]
-        for g, group in enumerate(groups):
-            best = min(
-                range(n_groups), key=lambda t: _group_cost(tables[t], group)
-            )
-            selectors[g] = best
-            for s in group:
-                table_freqs[best][s] += 1
-        for t in range(n_groups):
-            # Keep every symbol encodable by every table (freq >= 1), as
-            # bzip2 does via its +1 fudge.
-            adjusted = [f + 1 for f in table_freqs[t]]
-            tables[t] = build_code_lengths(adjusted)
-    return tables, selectors
+        # Group cost under each table; argmin keeps the first minimum.
+        selectors = (counts @ np.array(tables, dtype=np.int64).T).argmin(axis=1)
+        table_freqs = np.zeros((n_groups, alpha_size), dtype=np.int64)
+        np.add.at(table_freqs, selectors, counts)
+        # Keep every symbol encodable by every table (freq >= 1), as
+        # bzip2 does via its +1 fudge.
+        tables = [build_code_lengths((f + 1).tolist()) for f in table_freqs]
+    return tables, selectors.tolist()
 
 
 # -- serialisation (bzip2's format) ---------------------------------------
@@ -162,7 +153,10 @@ def encode_stream(
     out: MSBBitWriter, symbols: list[int], alpha_size: int
 ) -> None:
     """Write the full multi-table coded stream (tables, selectors,
-    symbols).  ``symbols`` must end with EOB."""
+    symbols).  ``symbols`` must end with EOB.  Raises ``ValueError`` if
+    the stream needs more selectors than the 15-bit count holds."""
+    if -(-len(symbols) // GROUP_SIZE) >= 1 << 15:
+        raise ValueError(f"{len(symbols)} symbols need 2**15+ selectors")
     n_groups = choose_n_groups(len(symbols))
     tables_lengths, selectors = fit_tables(symbols, alpha_size, n_groups)
     tables = [HuffmanTable.from_lengths(l) for l in tables_lengths]

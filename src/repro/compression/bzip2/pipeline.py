@@ -54,6 +54,8 @@ def _compress_block(
     values = block.snapshot()
     last = [values[(p + n - 1) % n] for p in ptr]
     orig_ptr = ptr.index(0)
+    if orig_ptr >= 1 << 24:
+        raise ValueError(f"orig_ptr {orig_ptr} does not fit its 24-bit field")
     ctx.tick(n)
 
     symbols, in_use = mtf_rle2_encode(last)

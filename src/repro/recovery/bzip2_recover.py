@@ -16,12 +16,16 @@ consecutive values:
 The same decoder serves the noise-free survey (one line per iteration)
 and the end-to-end SGX attack (a *set* of candidate lines per iteration,
 possibly empty on missed probes or polluted by false positives).
+
+Candidate sets are held as 256-bit integers and each observation as a
+few ``(hi, lo_mask)`` pairs computed arithmetically from its line, so a
+block costs a few small ints per position and no state outlives the
+call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 Observation = Optional[Sequence[int]]  # candidate cache lines, or None
@@ -53,20 +57,34 @@ class RecoveredBlock:
         return [i for i, c in enumerate(self.candidates) if len(c) != 1]
 
 
-@lru_cache(maxsize=None)
-def _pairs_for_line(line: int, ftab_base: int) -> frozenset[tuple[int, int]]:
-    """All (hi, lo) byte pairs whose ftab access falls in ``line``.
+def _line_pairs(line: int, ftab_base: int) -> list[tuple[int, int]]:
+    """The ``(hi, lo_mask)`` byte pairs whose ftab access falls in ``line``.
 
     ``4j + base in [lo_addr, lo_addr+63]`` pins ``j`` to the closed
     interval ``[ceil((lo_addr-base)/4), floor((lo_addr+63-base)/4)]``
-    (16 consecutive values, clamped to the valid 16-bit range).  Traces
-    revisit the same few thousand lines constantly, so the result is
-    memoised per ``(line, ftab_base)``.
+    (16 consecutive values, clamped to the valid 16-bit range), so at
+    most two ``hi = j >> 8`` bytes; ``lo_mask`` has bit ``lo`` set for
+    each ``(hi << 8) | lo`` in the interval.  A line outside ftab gives
+    no pairs.
     """
     lo_addr = line << 6
     j_lo = max(0, -(-(lo_addr - ftab_base) // 4))
     j_hi = min(0xFFFF, (lo_addr + 63 - ftab_base) // 4)
-    return frozenset((j >> 8, j & 0xFF) for j in range(j_lo, j_hi + 1))
+    pairs = []
+    for hi in range(j_lo >> 8, (j_hi >> 8) + 1):
+        first = max(j_lo - (hi << 8), 0)
+        last = min(j_hi - (hi << 8), 0xFF)
+        pairs.append((hi, ((2 << last) - 1) ^ ((1 << first) - 1)))
+    return pairs
+
+
+def _bits(mask: int) -> set[int]:
+    out = set()
+    while mask:
+        low = mask & -mask
+        out.add(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def recover_bzip2_block(
@@ -90,56 +108,61 @@ def recover_bzip2_block(
         a :class:`RecoveredBlock` with per-position candidate sets after
         propagation and a point estimate.
     """
-    all_bytes = set(range(256))
-    candidates: list[set[int]] = [set(all_bytes) for _ in range(n)]
+    # Candidates are 256-bit masks: bit v set <=> byte value v survives.
+    masks = [(1 << 256) - 1] * n
 
-    # Pair constraints: observation i links positions i and (i+1) % n.
-    pair_sets: list[Optional[set[tuple[int, int]]]] = [None] * n
-    for i in range(n):
-        obs = observations[i] if i < len(observations) else None
+    # Pair constraints: observation i links positions i and (i+1) % n,
+    # held as (hi, lo_mask) pairs.  Initial narrowing from each
+    # observation in isolation happens as they are built.
+    links: list[Optional[list[tuple[int, int]]]] = [None] * n
+    for i in range(min(n, len(observations))):
+        obs = observations[i]
         if not obs:
             continue
-        pairs: set[tuple[int, int]] = set()
+        merged: dict[int, int] = {}
         for line in obs:
-            pairs |= _pairs_for_line(line, ftab_base)
-        if pairs:
-            pair_sets[i] = pairs
-
-    # Initial narrowing from each observation in isolation.
-    for i, pairs in enumerate(pair_sets):
-        if pairs is None:
+            for hi, lo_mask in _line_pairs(line, ftab_base):
+                merged[hi] = merged.get(hi, 0) | lo_mask
+        if not merged:
             continue
-        candidates[i] &= {hi for hi, _ in pairs}
-        candidates[(i + 1) % n] &= {lo for _, lo in pairs}
+        links[i] = list(merged.items())
+        hi_mask = lo_union = 0
+        for hi, lo_mask in links[i]:
+            hi_mask |= 1 << hi
+            lo_union |= lo_mask
+        masks[i] &= hi_mask
+        masks[(i + 1) % n] &= lo_union
 
     # Propagate joint pair constraints until fixpoint (error correction
-    # via the consecutive-iteration redundancy).
+    # via the consecutive-iteration redundancy), updating in place in
+    # ascending i.
     for _ in range(max_rounds):
         changed = False
-        for i, pairs in enumerate(pair_sets):
+        for i, pairs in enumerate(links):
             if pairs is None:
                 continue
             nxt = (i + 1) % n
-            ok_pairs = {
-                (hi, lo)
-                for hi, lo in pairs
-                if hi in candidates[i] and lo in candidates[nxt]
-            }
-            if not ok_pairs:
+            cur_hi, cur_lo = masks[i], masks[nxt]
+            new_hi = new_lo = 0
+            for hi, lo_mask in pairs:
+                if cur_hi >> hi & 1:
+                    ok_lo = lo_mask & cur_lo
+                    if ok_lo:
+                        new_hi |= 1 << hi
+                        new_lo |= ok_lo
+            if not new_hi:
                 continue  # contradictory (noisy) observation: skip
-            new_hi = {hi for hi, _ in ok_pairs}
-            new_lo = {lo for _, lo in ok_pairs}
-            if new_hi != candidates[i]:
-                candidates[i] = new_hi
+            if new_hi != masks[i]:
+                masks[i] = new_hi
                 changed = True
-            if new_lo != candidates[nxt]:
-                candidates[nxt] = new_lo
+            if new_lo != masks[nxt]:
+                masks[nxt] = new_lo
                 changed = True
         if not changed:
             break
 
-    values = [min(c) if c else 0 for c in candidates]
-    return RecoveredBlock(candidates=candidates, values=values)
+    values = [(m & -m).bit_length() - 1 if m else 0 for m in masks]
+    return RecoveredBlock(candidates=[_bits(m) for m in masks], values=values)
 
 
 def observations_from_lines(lines: Iterable[int], n: int) -> list[Observation]:

@@ -50,6 +50,69 @@ class TestVictimTimeline:
         assert a.intervals == b.intervals and a.duration == b.duration
 
 
+class TestExactWork:
+    """The Fig. 6/7 victim's virtual clock and output bytes, pinned.
+
+    The sorting path, the tick stream (the Sec. VI duration feature)
+    and the compressed bytes must not move under any optimisation of
+    the bzip2 layer; these values were recorded before the bit-parallel
+    rewrite of blocksort and the Huffman fitters.
+    """
+
+    TIMELINES = {
+        # name: (paths, duration, first mainSort, first fallbackSort)
+        "alice29.txt": (
+            ["mainSort", "mainSort", "fallbackSort"],
+            365345, (24000, 139868), (293117, 357117),
+        ),
+        "quickfox_repeated": (
+            ["mainSort+fallbackSort", "mainSort+fallbackSort", "fallbackSort"],
+            2545156, (21500, 816245), (816245, 1246245),
+        ),
+        "ecoli_dna": (
+            ["mainSort", "mainSort", "fallbackSort"],
+            376384, (22000, 153426), (341922, 370171),
+        ),
+        "zeros": (["fallbackSort"], 23442, None, (15000, 23120)),
+        "backward65536": (
+            ["mainSort+fallbackSort", "fallbackSort"],
+            1475252, (15360, 809852), (809852, 1239852),
+        ),
+    }
+
+    COMPRESSED_SHA256 = {
+        ("alice29.txt", True):
+            "0f4093f506b7272fa5bbe584980ed6e1e0b83529f4200f25f6178f668c5d7bd0",
+        ("alice29.txt", False):
+            "ec58a4ec1fdbca09a9f79e8724aa193d07f757d02dc9920f930768b23caf9ee4",
+        ("quickfox_repeated", True):
+            "e8c1aaf259d1aa4a8ffae04d060b7ce361d7de44c464826148ac57147339243c",
+        ("quickfox_repeated", False):
+            "8ebfedd73b3ae64387584699d19221f552cca80c947511aaa7dddeb17878afcd",
+    }
+
+    @pytest.mark.parametrize("name", sorted(TIMELINES))
+    def test_victim_timeline_pinned(self, name):
+        paths, duration, first_main, first_fallback = self.TIMELINES[name]
+        tl = victim_timeline(brotli_like_corpus()[name])
+        assert tl.paths == paths
+        assert tl.duration == duration
+        mains = tl.intervals["mainSort"]
+        assert (mains[0] if mains else None) == first_main
+        assert tl.intervals["fallbackSort"][0] == first_fallback
+
+    @pytest.mark.parametrize("name,multi", sorted(COMPRESSED_SHA256))
+    def test_compressed_bytes_pinned(self, name, multi):
+        import hashlib
+
+        from repro.compression.bzip2.pipeline import bzip2_compress
+
+        blob = bzip2_compress(brotli_like_corpus()[name], multi_huffman=multi)
+        assert hashlib.sha256(blob).hexdigest() == self.COMPRESSED_SHA256[
+            (name, multi)
+        ]
+
+
 class TestChannel:
     def _timeline(self):
         return victim_timeline(english_like(12000, seed=4))

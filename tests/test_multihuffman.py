@@ -149,3 +149,13 @@ class TestPipelineIntegration:
         ]
         assert all(bzip2_decompress(b) == data for b in mixed)
         assert mixed[0] != mixed[1]
+
+
+@pytest.mark.parametrize("n_groups_of_50", [1 << 15, (1 << 15) + 1])
+def test_encode_stream_rejects_selector_count_overflow(n_groups_of_50):
+    """The selector count is written in 15 bits; a stream needing 2**15
+    or more selectors must fail loudly, before any table fitting, rather
+    than write a count that wraps and decodes as garbage."""
+    symbols = [0] * (GROUP_SIZE * (n_groups_of_50 - 1) + 1)
+    with pytest.raises(ValueError, match="selectors"):
+        encode_stream(MSBBitWriter(), symbols, 3)

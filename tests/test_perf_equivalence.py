@@ -12,11 +12,18 @@ independent in-test reference implementations, driven by Hypothesis:
 * ``TracingContext`` FULL vs ADDRESS_ONLY tiers: identical memory-access
   streams, byte-identical ZTRC serialisation, identical recovery
   metrics.
+* The bzip2 layer: the bit-mask ftab decoder vs a per-position-set
+  decoder, numpy prefix doubling and batched mainSort ticks vs
+  list/per-comparison versions (same order, same virtual clock), and
+  the parent-link Huffman depths and numpy table fitting vs the
+  tuple-heap and loop versions.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -413,3 +420,382 @@ def test_profile_only_records_functions_only():
     assert ctx.memory_accesses() == []
     assert ctx.function_events()  # enter/exit markers survive
     assert ctx.plain_accesses > 0
+
+
+# ----------------------------------------------------------------------
+# bzip2 layer vs list/set references
+# ----------------------------------------------------------------------
+def ref_recover_bzip2_block(observations, ftab_base, n, max_rounds=4):
+    """The per-position ``set`` decoder, kept as an oracle.
+
+    Returns ``(candidates, values)``.
+    """
+
+    def pairs_for_line(line):
+        lo_addr = line << 6
+        j_lo = max(0, -(-(lo_addr - ftab_base) // 4))
+        j_hi = min(0xFFFF, (lo_addr + 63 - ftab_base) // 4)
+        return {(j >> 8, j & 0xFF) for j in range(j_lo, j_hi + 1)}
+
+    candidates = [set(range(256)) for _ in range(n)]
+    pair_sets = [None] * n
+    for i in range(n):
+        obs = observations[i] if i < len(observations) else None
+        if not obs:
+            continue
+        pairs = set()
+        for line in obs:
+            pairs |= pairs_for_line(line)
+        if pairs:
+            pair_sets[i] = pairs
+    for i, pairs in enumerate(pair_sets):
+        if pairs is None:
+            continue
+        candidates[i] &= {hi for hi, _ in pairs}
+        candidates[(i + 1) % n] &= {lo for _, lo in pairs}
+    for _ in range(max_rounds):
+        changed = False
+        for i, pairs in enumerate(pair_sets):
+            if pairs is None:
+                continue
+            nxt = (i + 1) % n
+            ok_pairs = {
+                (hi, lo)
+                for hi, lo in pairs
+                if hi in candidates[i] and lo in candidates[nxt]
+            }
+            if not ok_pairs:
+                continue
+            new_hi = {hi for hi, _ in ok_pairs}
+            new_lo = {lo for _, lo in ok_pairs}
+            if new_hi != candidates[i]:
+                candidates[i] = new_hi
+                changed = True
+            if new_lo != candidates[nxt]:
+                candidates[nxt] = new_lo
+                changed = True
+        if not changed:
+            break
+    return candidates, [min(c) if c else 0 for c in candidates]
+
+
+def ref_fallback_sort(values):
+    """List-based prefix doubling; returns ``(order, ticks)``."""
+    n = len(values)
+    rank = list(values)
+    order = sorted(range(n), key=rank.__getitem__)
+    ticks = n
+    h = 1
+    while h < n:
+        key = list(zip(rank, rank[h:] + rank[:h]))
+        order.sort(key=key.__getitem__)
+        new_rank = [0] * n
+        r = 0
+        for pos in range(1, n):
+            if key[order[pos]] != key[order[pos - 1]]:
+                r += 1
+            new_rank[order[pos]] = r
+        ticks += 3 * n
+        rank = new_rank
+        if r == n - 1:
+            break
+        h *= 2
+    return order, ticks
+
+
+def ref_main_sort(values, budget):
+    """mainSort with a byte-at-a-time comparator that ticks per call.
+
+    Returns ``(order, ticks)``; ``order`` is None when the budget runs
+    out, and ``ticks`` then counts up to the exhausting comparison.
+    """
+    from repro.compression.bzip2.blocksort import FTAB_LEN
+
+    n = len(values)
+    state = {"left": budget, "ticks": 3 * n + FTAB_LEN // 16 + n}
+
+    def rot(i, k):
+        return values[(i + k) % n]
+
+    class Exhausted(Exception):
+        pass
+
+    def compare(a, b):
+        m = 0
+        while m < n and rot(a, 2 + m) == rot(b, 2 + m):
+            m += 1
+        state["left"] -= m + 1
+        state["ticks"] += (m >> 2) + 1
+        if state["left"] < 0:
+            raise Exhausted
+        if m >= n:
+            return 0
+        return -1 if rot(a, 2 + m) < rot(b, 2 + m) else 1
+
+    buckets = {}
+    for i in range(n):
+        buckets.setdefault((values[i] << 8) | values[(i + 1) % n], []).append(i)
+    order = []
+    try:
+        for j in sorted(buckets):
+            order += sorted(buckets[j], key=cmp_to_key(compare))
+    except Exhausted:
+        return None, state["ticks"]
+    return order, state["ticks"]
+
+
+def ref_huffman_lengths(weights, present):
+    """The tuple-heap Huffman that re-walks merged symbol tuples."""
+    heap = []
+    counter = 0
+    for i in present:
+        heap.append((weights[i], counter, (i,)))
+        counter += 1
+    heapq.heapify(heap)
+    depth = {i: 0 for i in present}
+    while len(heap) > 1:
+        wa, _, syms_a = heapq.heappop(heap)
+        wb, _, syms_b = heapq.heappop(heap)
+        merged = syms_a + syms_b
+        for sym in merged:
+            depth[sym] += 1
+        counter += 1
+        heapq.heappush(heap, (wa + wb, counter, merged))
+    lengths = [0] * len(weights)
+    for i in present:
+        lengths[i] = depth[i]
+    return lengths
+
+
+def ref_build_code_lengths(freqs, max_len):
+    weights = [max(f, 0) for f in freqs]
+    present = [i for i, f in enumerate(weights) if f > 0]
+    if not present:
+        return [0] * len(freqs)
+    if len(present) == 1:
+        lengths = [0] * len(freqs)
+        lengths[present[0]] = 1
+        return lengths
+    while True:
+        lengths = ref_huffman_lengths(weights, present)
+        if max(lengths[i] for i in present) <= max_len:
+            return lengths
+        weights = [(w // 2) + 1 if w > 0 else 0 for w in weights]
+
+
+def ref_fit_tables(symbols, alpha_size, n_groups):
+    """The per-group loop table fitter (min over tables, first wins)."""
+    from repro.compression.bzip2.huffman import build_code_lengths
+    from repro.compression.bzip2.multihuffman import (
+        GROUP_SIZE,
+        N_ITERS,
+        _initial_lengths,
+    )
+
+    groups = [
+        symbols[i : i + GROUP_SIZE] for i in range(0, len(symbols), GROUP_SIZE)
+    ]
+    freqs = [0] * alpha_size
+    for sym in symbols:
+        freqs[sym] += 1
+    tables = _initial_lengths(freqs, n_groups, alpha_size)
+    selectors = [0] * len(groups)
+    for _ in range(N_ITERS):
+        table_freqs = [[0] * alpha_size for _ in range(n_groups)]
+        for g, group in enumerate(groups):
+            best = min(
+                range(n_groups),
+                key=lambda t: sum(tables[t][sym] for sym in group),
+            )
+            selectors[g] = best
+            for sym in group:
+                table_freqs[best][sym] += 1
+        for t in range(n_groups):
+            tables[t] = build_code_lengths([f + 1 for f in table_freqs[t]])
+    return tables, selectors
+
+
+@st.composite
+def _ftab_observations(draw):
+    """A block's per-iteration observations: true lines, lost probes
+    (``None``/``[]``), false positives and lines outside ftab."""
+    n = draw(st.integers(0, 24))
+    data = draw(st.binary(min_size=n, max_size=n))
+    base = draw(st.integers(0, 1 << 12)) * 64 + draw(
+        st.sampled_from([0, 4, 16, 48, 60])
+    )
+    first_line, last_line = base >> 6, (base + 4 * 0xFFFF) >> 6
+    line = st.one_of(
+        st.integers(first_line - 6, first_line + 6),
+        st.integers(last_line - 6, last_line + 6),
+        st.integers(first_line, last_line),
+        st.integers(-4, 4),
+    )
+    observations = []
+    for i in range(draw(st.integers(0, n + 2))):
+        kind = draw(st.sampled_from(["true", "true", "none", "empty", "fp", "any"]))
+        true = None
+        if i < n:
+            true = (base + 4 * ((data[i] << 8) | data[(i + 1) % n])) >> 6
+        if kind == "none":
+            observations.append(None)
+        elif kind == "empty":
+            observations.append([])
+        elif kind == "any" or true is None:
+            observations.append(draw(st.lists(line, min_size=1, max_size=3)))
+        elif kind == "fp":
+            observations.append([true] + draw(st.lists(line, max_size=2)))
+        else:
+            observations.append([true])
+    return observations, base, n
+
+
+@given(case=_ftab_observations(), max_rounds=st.integers(0, 4))
+@settings(max_examples=300, deadline=None)
+def test_bzip2_decoder_matches_set_reference(case, max_rounds):
+    from repro.recovery.bzip2_recover import recover_bzip2_block
+
+    observations, base, n = case
+    got = recover_bzip2_block(observations, base, n, max_rounds=max_rounds)
+    candidates, values = ref_recover_bzip2_block(
+        observations, base, n, max_rounds=max_rounds
+    )
+    assert got.candidates == candidates
+    assert got.values == values
+
+
+def test_bzip2_line_pairs_match_enumeration():
+    from repro.recovery.bzip2_recover import _line_pairs
+
+    for base in (0x7F0000000030, 0x1000, 0x1004):
+        expected = {}  # line -> {hi: lo_mask}, by enumerating every j
+        for j in range(0x10000):
+            pairs = expected.setdefault((base + 4 * j) >> 6, {})
+            pairs[j >> 8] = pairs.get(j >> 8, 0) | (1 << (j & 0xFF))
+        first_line = base >> 6
+        for line in range(first_line - 3, first_line + 4100):
+            assert dict(_line_pairs(line, base)) == expected.get(line, {})
+
+
+_sort_blocks = st.one_of(
+    st.binary(min_size=1, max_size=2),
+    st.binary(min_size=1, max_size=80),
+    st.builds(
+        lambda unit, reps: unit * reps,
+        st.binary(min_size=1, max_size=4),
+        st.integers(2, 30),
+    ),
+)
+
+
+def _native_block(values):
+    from repro.exec.context import NativeContext, Profiler
+
+    ctx = NativeContext(profiler=Profiler())
+    block = ctx.array("block", len(values), elem_size=1)
+    for i, v in enumerate(values):
+        block.set(i, v)
+    return ctx, block
+
+
+@given(data=_sort_blocks)
+@settings(max_examples=200, deadline=None)
+def test_fallback_sort_matches_list_prefix_doubling(data):
+    from repro.compression.bzip2.blocksort import fallback_sort
+
+    ctx, block = _native_block(data)
+    order = fallback_sort(ctx, block, len(data))
+    ref_order, ref_ticks = ref_fallback_sort(list(data))
+    assert order == ref_order
+    assert ctx.profiler.now == ref_ticks
+    assert ctx.profiler.intervals("fallbackSort") == [(0, ref_ticks)]
+
+
+@given(data=_sort_blocks, work_factor=st.sampled_from([1, 3, 30, 300]))
+@settings(max_examples=120, deadline=None)
+def test_main_sort_batched_ticks_match_per_comparison(data, work_factor):
+    from repro.compression.bzip2.blocksort import BudgetExhausted, main_sort
+
+    ctx, block = _native_block(data)
+    budget = work_factor * len(data)
+    ref_order, ref_ticks = ref_main_sort(list(data), budget)
+    if ref_order is None:
+        with pytest.raises(BudgetExhausted):
+            main_sort(ctx, block, len(data), budget)
+    else:
+        assert main_sort(ctx, block, len(data), budget) == ref_order
+    assert ctx.profiler.now == ref_ticks
+    assert ctx.profiler.intervals("mainSort") == [(0, ref_ticks)]
+
+
+def _fibonacci_weights(k):
+    weights = [1, 1]
+    while len(weights) < k:
+        weights.append(weights[-1] + weights[-2])
+    return weights
+
+
+_huffman_freqs = st.one_of(
+    st.lists(st.integers(0, 4), min_size=1, max_size=40),  # ties, zeros
+    st.lists(st.integers(0, 10**6), min_size=1, max_size=40),
+    st.integers(0, 30).map(lambda k: [0] * k + [7]),  # single symbol
+    st.integers(22, 40).map(_fibonacci_weights),  # deeper than MAX_CODE_LEN
+)
+
+
+@given(freqs=_huffman_freqs, max_len=st.sampled_from([8, 15, 20]))
+@settings(max_examples=200, deadline=None)
+def test_huffman_lengths_match_tuple_heap(freqs, max_len):
+    from repro.compression.bzip2.huffman import (
+        _huffman_lengths,
+        build_code_lengths,
+    )
+
+    present = [i for i, f in enumerate(freqs) if f > 0]
+    if present:
+        assert _huffman_lengths(freqs, present) == ref_huffman_lengths(
+            freqs, present
+        )
+    assert build_code_lengths(freqs, max_len) == ref_build_code_lengths(
+        freqs, max_len
+    )
+
+
+def test_huffman_rescale_path_is_exercised():
+    from repro.compression.bzip2.huffman import MAX_CODE_LEN, build_code_lengths
+
+    freqs = _fibonacci_weights(30)
+    present = list(range(len(freqs)))
+    assert max(ref_huffman_lengths(freqs, present)) > MAX_CODE_LEN
+    lengths = build_code_lengths(freqs)
+    assert max(lengths) <= MAX_CODE_LEN
+    assert lengths == ref_build_code_lengths(freqs, MAX_CODE_LEN)
+
+
+@st.composite
+def _symbol_streams(draw):
+    alpha = draw(st.integers(2, 24))
+    n_groups = draw(st.integers(2, 6))
+    phases = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, alpha - 1), min_size=1, max_size=4),
+                st.integers(1, 120),
+            ),
+            max_size=6,
+        )
+    )
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    symbols = [rng.choice(subset) for subset, length in phases for _ in range(length)]
+    return symbols, alpha, n_groups
+
+
+@given(case=_symbol_streams())
+@settings(max_examples=150, deadline=None)
+def test_fit_tables_matches_loop_reference(case):
+    from repro.compression.bzip2.multihuffman import fit_tables
+
+    symbols, alpha, n_groups = case
+    assert fit_tables(symbols, alpha, n_groups) == ref_fit_tables(
+        symbols, alpha, n_groups
+    )

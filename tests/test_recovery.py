@@ -171,12 +171,35 @@ class TestBzip2Recovery:
         between a low and a high value (the paper's 0x00-0x03 vs
         0xf4-0xff example) -- candidates span at most two hi values."""
         base = 0x7F0000000030  # misaligned like the paper's ftab
-        from repro.recovery.bzip2_recover import _pairs_for_line
+        from repro.recovery.bzip2_recover import _line_pairs
 
         for j in (0x015D, 0xF45C):
             line = (base + 4 * j) >> 6
-            his = {hi for hi, _ in _pairs_for_line(line, base)}
+            his = {hi for hi, _ in _line_pairs(line, base)}
             assert 1 <= len(his) <= 2
+
+    def test_decoder_memory_is_bounded(self):
+        """A noise-free 10,000-byte block decodes with a small traced
+        peak (per-position candidate masks, no set per byte value)."""
+        import tracemalloc
+
+        rng = random.Random(31)
+        data = bytes(rng.randrange(256) for _ in range(10_000))
+        base = 0x7F0000000030
+        n = len(data)
+        lines = [
+            (base + 4 * ((data[i] << 8) | data[(i + 1) % n])) >> 6
+            for i in range(n - 1, -1, -1)
+        ]
+        obs = observations_from_lines(lines, n)
+        tracemalloc.start()
+        try:
+            rec = recover_bzip2_block(obs, base, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.byte_accuracy(data) == 1.0
+        assert peak < 32 * 2**20, peak
 
     def test_empty_input(self):
         rec = recover_bzip2_block([], 0, 0)
