@@ -37,6 +37,9 @@ class MLPClassifier:
         self.lr = lr
         self._adam_m = {k: np.zeros_like(v) for k, v in self.params.items()}
         self._adam_v = {k: np.zeros_like(v) for k, v in self.params.items()}
+        self._adam_tmp = {
+            k: (np.empty_like(v), np.empty_like(v)) for k, v in self.params.items()
+        }
         self._adam_t = 0
         self._rng = rng
         self.n_classes = n_classes
@@ -74,12 +77,28 @@ class MLPClassifier:
 
         self._adam_t += 1
         beta1, beta2, eps = 0.9, 0.999, 1e-8
+        bias1 = 1 - beta1**self._adam_t
+        bias2 = 1 - beta2**self._adam_t
         for key, grad in grads.items():
-            self._adam_m[key] = beta1 * self._adam_m[key] + (1 - beta1) * grad
-            self._adam_v[key] = beta2 * self._adam_v[key] + (1 - beta2) * grad**2
-            m_hat = self._adam_m[key] / (1 - beta1**self._adam_t)
-            v_hat = self._adam_v[key] / (1 - beta2**self._adam_t)
-            self.params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + eps)
+            # In place, with the out-of-place rule's operation order:
+            # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2;
+            # p -= (lr * m/bias1) / (sqrt(v/bias2) + eps).
+            m, v = self._adam_m[key], self._adam_v[key]
+            step, denom = self._adam_tmp[key]
+            m *= beta1
+            np.multiply(grad, 1 - beta1, out=step)
+            m += step
+            v *= beta2
+            np.square(grad, out=denom)
+            denom *= 1 - beta2
+            v += denom
+            np.divide(m, bias1, out=step)
+            step *= self.lr
+            np.divide(v, bias2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            step /= denom
+            self.params[key] -= step
         return float(loss)
 
     # -- public API ---------------------------------------------------------
@@ -101,6 +120,9 @@ class MLPClassifier:
         :mod:`repro.obs` logger — never stdout, which campaign workers
         and the CLI parse — so training is silent unless observability
         is enabled."""
+        # One exact cast: the float64 weights make every matmul float64
+        # anyway, so each batch no longer converts its slice.
+        x = np.asarray(x, dtype=np.float64)
         history = []
         n = len(x)
         progress = verbose and x_val is not None and obs.enabled()

@@ -48,9 +48,9 @@ class Gadget:
         (bit >= 6, i.e. above the line offset)."""
         tags: set[int] = set()
         for acc in self.accesses:
-            for bit, bit_tags in acc.addr_taint:
-                if bit >= CACHE_LINE_BITS:
-                    tags |= bit_tags
+            for _, hi, run_tags in acc.addr_taint.runs:
+                if hi > CACHE_LINE_BITS:
+                    tags |= run_tags
         return frozenset(tags)
 
     def is_data_flow(self) -> bool:

@@ -142,9 +142,8 @@ def _leaked_addr_bits(gadget: Gadget) -> list[int]:
     """Tainted address bits the channel exposes (>= the line offset)."""
     bits: set[int] = set()
     for acc in gadget.accesses:
-        for bit, bit_tags in acc.addr_taint:
-            if bit >= CACHE_LINE_BITS and bit_tags:
-                bits.add(bit)
+        for lo, hi, _ in acc.addr_taint.runs:
+            bits.update(range(max(lo, CACHE_LINE_BITS), hi))
     return sorted(bits)
 
 

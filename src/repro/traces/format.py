@@ -9,7 +9,11 @@ Two trace *species* cover everything the reproduction records:
   as zigzag deltas from the previous record) with an incremental string
   table for the heavily repeated ``array``/``site``/``kind`` fields, so
   a 10 KB-input bzip2 ftab trace costs a few bytes per access instead of
-  a pickled dataclass each.
+  a pickled dataclass each.  The writer encodes a whole chunk at once:
+  the scalar fields become int64 columns written one varint byte lane
+  at a time (the mirror of the columnar reader), and each taint is
+  written straight from :class:`~repro.taint.bittaint.BitTaint`'s run
+  list.
 * ``fingerprint`` — sampled Flush+Reload hit/miss captures from
   :mod:`repro.core.zipchannel.fingerprint`: one
   :class:`FingerprintCapture` per classifier example, run-length coded
@@ -50,9 +54,11 @@ outside +-2**61, taint past :data:`MAX_TAINT_BITS`, fingerprints over
 :data:`MAX_FINGERPRINT_SAMPLES`.  The object reader (:class:`TraceReader`)
 reads every species and is the columnar reader's test reference.
 
-Taint is preserved bit-exactly (the per-bit tag sets of
-:class:`~repro.taint.bittaint.BitTaint`), so replayed traces drive the
-same gadget classification as live ones.  Provenance links
+Taint is preserved bit-exactly: a stored taint is
+:class:`~repro.taint.bittaint.BitTaint`'s canonical run list (gap,
+length, delta-coded sorted tags per run), and the object reader
+rebuilds the same runs without expanding them per bit, so replayed
+traces drive the same gadget classification as live ones.  Provenance links
 (``addr_origin``) are *not* serialized: a stored trace is the attacker's
 observation layer, not the full data-flow DAG.
 """
@@ -91,7 +97,7 @@ DEFAULT_CHUNK_RECORDS = 4096
 MAX_FINGERPRINT_SAMPLES = 1 << 22
 
 # Every stored taint run ends at or below this bit (the taint engine
-# tracks 64-bit values); it caps the object reader's per-bit expansion.
+# tracks 64-bit values); writer and object reader both refuse longer.
 MAX_TAINT_BITS = 1 << 10
 
 # Writers accept integer fields below this magnitude: the zigzag delta
@@ -152,18 +158,21 @@ TraceRecord = Union[MemoryAccess, FingerprintCapture, OracleProbe]
 # ----------------------------------------------------------------------
 # varint / zigzag primitives
 # ----------------------------------------------------------------------
+def _uvarint_bytes(value: int) -> list[int]:
+    """The bytes of one LEB128 varint (``value >= 0``), as a list of ints."""
+    out = []
+    while value >= 0x80:
+        out.append((value & 0x7F) | 0x80)
+        value >>= 7
+    out.append(value)
+    return out
+
+
 def write_uvarint(out: bytearray, value: int) -> None:
     """LEB128 unsigned varint."""
     if value < 0:
         raise ValueError(f"uvarint cannot encode negative value {value}")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+    out.extend(_uvarint_bytes(value))
 
 
 def write_svarint(out: bytearray, value: int) -> None:
@@ -199,40 +208,61 @@ def read_svarint(buf: memoryview, pos: int) -> tuple[int, int]:
 
 
 # ----------------------------------------------------------------------
-# BitTaint codec
+# Columnar varint encoding: the writer's mirror of the columnar reader's
+# lane-by-lane gather (:mod:`repro.traces.columns`).
 # ----------------------------------------------------------------------
-def _encode_bittaint(out: bytearray, taint: BitTaint) -> None:
-    # Taint is overwhelmingly *runs* of consecutive bits sharing one tag
-    # set (an input byte taints 8 bits, shifts translate whole runs), so
-    # encode maximal equal-tag-set runs: gap from the previous run's
-    # end, run length, then the delta-coded sorted tags.
-    runs: list[tuple[int, int, tuple[int, ...]]] = []  # (start, length, tags)
-    for bit, tags in taint:  # sorted (bit, frozenset) pairs
-        ordered = tuple(sorted(tags))
-        if runs and runs[-1][0] + runs[-1][1] == bit and runs[-1][2] == ordered:
-            runs[-1] = (runs[-1][0], runs[-1][1] + 1, ordered)
-        else:
-            runs.append((bit, 1, ordered))
-    if runs and runs[-1][0] + runs[-1][1] > MAX_TAINT_BITS:
-        raise ValueError(f"taint reaches past bit {MAX_TAINT_BITS}")
-    write_uvarint(out, len(runs))
-    prev_end = 0
-    for start, length, ordered in runs:
-        write_uvarint(out, start - prev_end)
-        write_uvarint(out, length)
-        prev_end = start + length
-        write_uvarint(out, len(ordered))
-        prev_tag = 0
-        for tag in ordered:
-            write_uvarint(out, tag - prev_tag)
-            prev_tag = tag
+def _zigzag(values: np.ndarray) -> np.ndarray:
+    """Vectorised zigzag map for int64 values inside +-2**62."""
+    return (values << 1) ^ (values >> 63)
 
 
+def _varint_lengths(values: np.ndarray) -> np.ndarray:
+    """LEB128 byte length of every (non-negative int64) value."""
+    lengths = np.ones(values.shape, dtype=np.int64)
+    top = int(values.max()) if values.size else 0
+    shift = 7
+    while shift < 64 and top >> shift:
+        lengths += values >= (1 << shift)
+        shift += 7
+    return lengths
+
+
+def _scatter_varints(
+    out: np.ndarray, offsets: np.ndarray, values: np.ndarray, lengths: np.ndarray
+) -> None:
+    """Write one LEB128 varint per row into ``out`` (uint8) at ``offsets``.
+
+    Byte lanes are written together: lane ``k`` holds bits ``7k..7k+6``
+    of every value that still has them, so the loop runs
+    max-varint-length times, not once per value.
+    """
+    lane = 0
+    while offsets.size:
+        more = lengths > lane + 1
+        out[offsets + lane] = (values & 0x7F) | (more << 7)
+        offsets, values, lengths = offsets[more], values[more] >> 7, lengths[more]
+        lane += 1
+
+
+def _varint_stream(values: np.ndarray) -> bytes:
+    """Back-to-back LEB128 varints of non-negative int64 ``values``."""
+    lengths = _varint_lengths(values)
+    offsets = np.cumsum(lengths) - lengths
+    out = np.empty(int(lengths.sum()), dtype=np.uint8)
+    _scatter_varints(out, offsets, values, lengths)
+    return out.tobytes()
+
+
+# ----------------------------------------------------------------------
+# BitTaint decoding
+# ----------------------------------------------------------------------
 def _decode_bittaint(buf: memoryview, pos: int) -> tuple[BitTaint, int]:
+    # A stored taint is BitTaint's run list: gap from the previous run's
+    # end, run length, then the delta-coded sorted tags of each run.
     n_runs, pos = read_uvarint(buf, pos)
     if not n_runs:
         return BitTaint.empty(), pos
-    bits: dict[int, frozenset[int]] = {}
+    runs = []
     end = 0
     for _ in range(n_runs):
         gap, pos = read_uvarint(buf, pos)
@@ -248,16 +278,15 @@ def _decode_bittaint(buf: memoryview, pos: int) -> tuple[BitTaint, int]:
             tag_delta, pos = read_uvarint(buf, pos)
             tag += tag_delta
             tags.append(tag)
-        frozen = frozenset(tags)
-        for bit in range(start, end):
-            bits[bit] = frozen
-    return BitTaint(bits), pos
+        runs.append((start, end, frozenset(tags)))
+    return BitTaint.from_runs(runs), pos
 
 
 # ----------------------------------------------------------------------
-# Species codecs.  Encoders hold per-chunk delta state; a fresh encoder
-# is created for every chunk so chunks decode independently of each
-# other (apart from the append-only string table).
+# Species codecs.  ``encode_chunk`` turns one chunk's records into the
+# records block and their directory entries; delta state restarts at
+# every chunk so chunks decode independently of each other (apart from
+# the append-only string table).
 # ----------------------------------------------------------------------
 class _StringTable:
     """Incremental interning: new strings ride in each chunk's prelude."""
@@ -305,11 +334,42 @@ class _StringTable:
             raise TraceFormatError(f"string id {idx} out of range") from None
 
 
+class _RecordCodec:
+    """A codec whose records are encoded one at a time (no directory
+    flags): ``encode`` appends one record, ``begin_chunk`` resets the
+    per-chunk delta state."""
+
+    def begin_chunk(self) -> None:
+        pass
+
+    def encode(self, out: bytearray, record) -> None:
+        raise NotImplementedError
+
+    def encode_chunk(self, records: list) -> tuple[bytes, np.ndarray]:
+        self.begin_chunk()
+        block = bytearray()
+        lengths = []
+        for record in records:
+            before = len(block)
+            self.encode(block, record)
+            lengths.append(len(block) - before)
+        return bytes(block), np.array(lengths, dtype=np.int64) << 2
+
+
 class _MemoryCodec:
-    """Delta+varint codec for MemoryAccess records."""
+    """Delta+varint codec for MemoryAccess records.
+
+    A record is seven varints — zigzag seq delta, kind id, array id,
+    zigzag index delta, elem_size, zigzag address delta, site id — then
+    the address taint and the value taint.  Encoding is columnar: the
+    scalar fields of a whole chunk become int64 columns written lane by
+    lane, and each taint is written straight from its run list.
+    """
 
     def __init__(self, strings: _StringTable) -> None:
         self.strings = strings
+        # Encoded tag sets, memoised for this writer only.
+        self._tag_bytes: dict[frozenset[int], tuple[int, ...]] = {}
         self._reset()
 
     def _reset(self) -> None:
@@ -320,28 +380,91 @@ class _MemoryCodec:
     def begin_chunk(self) -> None:
         self._reset()
 
-    def flags(self, record: MemoryAccess) -> int:
-        # Directory bits: the per-record taint booleans the columnar
-        # reader serves without decoding the taint-run payloads.
-        return (bool(record.addr_taint) << 1) | bool(record.value_taint)
+    def _taint_bytes(self, runs: tuple) -> bytes:
+        """``n_runs``, then per run: gap from the previous run's end,
+        length, and the run's tag set (count, then delta-coded sorted
+        tags)."""
+        if not runs:
+            return b"\x00"
+        if runs[-1][1] > MAX_TAINT_BITS:
+            raise ValueError(f"taint reaches past bit {MAX_TAINT_BITS}")
+        out = _uvarint_bytes(len(runs))
+        memo = self._tag_bytes
+        prev_end = 0
+        for lo, hi, tags in runs:
+            gap, length = lo - prev_end, hi - lo
+            if gap < 0x80 and length < 0x80:
+                out += (gap, length)
+            else:
+                out += _uvarint_bytes(gap) + _uvarint_bytes(length)
+            prev_end = hi
+            encoded = memo.get(tags)
+            if encoded is None:
+                encoded = _uvarint_bytes(len(tags))
+                prev_tag = 0
+                for tag in sorted(tags):
+                    encoded += _uvarint_bytes(tag - prev_tag)
+                    prev_tag = tag
+                encoded = memo[tags] = tuple(encoded)
+            out += encoded
+        return bytes(out)
 
-    def encode(self, out: bytearray, record: MemoryAccess) -> None:
-        b = _FIELD_BOUND
-        if not (-b < record.seq < b and -b < record.index < b
-                and -b < record.address < b and 0 <= record.elem_size < b):
-            raise ValueError(f"memory record {record.seq}: a field lies outside +-2**61")
-        write_svarint(out, record.seq - self._prev_seq)
-        self._prev_seq = record.seq
-        write_uvarint(out, self.strings.intern(record.kind))
-        write_uvarint(out, self.strings.intern(record.array))
-        write_svarint(out, record.index - self._prev_index)
-        self._prev_index = record.index
-        write_uvarint(out, record.elem_size)
-        write_svarint(out, record.address - self._prev_address)
-        self._prev_address = record.address
-        write_uvarint(out, self.strings.intern(record.site))
-        _encode_bittaint(out, record.addr_taint)
-        _encode_bittaint(out, record.value_taint)
+    def encode_chunk(self, records: list[MemoryAccess]) -> tuple[bytes, np.ndarray]:
+        n = len(records)
+        intern = self.strings.intern
+        taint_bytes = self._taint_bytes
+        # Strings are interned in record order (kind, array, site), so
+        # ids and the string prelude are what a record-at-a-time writer
+        # would produce.
+        ids: list[int] = []
+        scalars: list[tuple[int, int, int, int]] = []
+        blobs: list[bytes] = []
+        flags: list[int] = []
+        taint_error = None
+        for record in records:
+            ids += (intern(record.kind), intern(record.array), intern(record.site))
+            scalars.append(
+                (record.seq, record.index, record.address, record.elem_size)
+            )
+            addr_runs, value_runs = record.addr_taint.runs, record.value_taint.runs
+            try:
+                blobs.append(taint_bytes(addr_runs) + taint_bytes(value_runs))
+            except ValueError as exc:
+                # A field error earlier in record order takes precedence.
+                taint_error = exc
+                break
+            flags.append((bool(addr_runs) << 1) | bool(value_runs))
+        seq, index, address, elem_size = _memory_fields(records, scalars)
+        if taint_error is not None:
+            raise taint_error
+
+        string_ids = np.array(ids, dtype=np.int64).reshape(n, 3)
+        fields = np.empty((7, n), dtype=np.int64)
+        fields[0] = _zigzag(np.diff(seq, prepend=0))
+        fields[1] = string_ids[:, 0]
+        fields[2] = string_ids[:, 1]
+        fields[3] = _zigzag(np.diff(index, prepend=0))
+        fields[4] = elem_size
+        fields[5] = _zigzag(np.diff(address, prepend=0))
+        fields[6] = string_ids[:, 2]
+        field_lens = _varint_lengths(fields)
+        taint_lens = np.fromiter(map(len, blobs), dtype=np.int64, count=n)
+        header_lens = field_lens.sum(axis=0)
+        record_lens = header_lens + taint_lens
+        record_starts = np.cumsum(record_lens) - record_lens
+        out = np.empty(int(record_lens.sum()), dtype=np.uint8)
+        field_offsets = record_starts + (np.cumsum(field_lens, axis=0) - field_lens)
+        _scatter_varints(
+            out, field_offsets.ravel(), fields.ravel(), field_lens.ravel()
+        )
+        # Each record's taint bytes follow its header: one gather of the
+        # joined blobs into their record slots.
+        blob_starts = np.cumsum(taint_lens) - taint_lens
+        dest = np.repeat(record_starts + header_lens - blob_starts, taint_lens)
+        dest += np.arange(dest.shape[0])
+        out[dest] = np.frombuffer(b"".join(blobs), dtype=np.uint8)
+        entries = (record_lens << 2) | np.array(flags, dtype=np.int64)
+        return out.tobytes(), entries
 
     def decode(self, buf: memoryview, pos: int) -> tuple[MemoryAccess, int]:
         seq_delta, pos = read_svarint(buf, pos)
@@ -370,6 +493,36 @@ class _MemoryCodec:
         return record, pos
 
 
+def _memory_fields(
+    records: list[MemoryAccess], scalars: list[tuple[int, int, int, int]]
+) -> np.ndarray:
+    """``(seq, index, address, elem_size)`` columns of the first
+    ``len(scalars)`` records, refusing any field outside +-2**61
+    (``elem_size`` must also be non-negative) with a ``ValueError``
+    naming the first such record."""
+    cols = np.array(scalars).T
+    if cols.dtype == np.int64:
+        b = _FIELD_BOUND
+        bad = ((cols[:3] <= -b) | (cols[:3] >= b)).any(axis=0)
+        bad |= (cols[3] < 0) | (cols[3] >= b)
+        first = int(np.argmax(bad)) if bad.any() else None
+    else:
+        # Past int64 (object/uint64 columns) or not integers at all.
+        first = next(
+            (k for k, (seq, index, address, elem_size) in enumerate(scalars)
+             if not (-_FIELD_BOUND < seq < _FIELD_BOUND
+                     and -_FIELD_BOUND < index < _FIELD_BOUND
+                     and -_FIELD_BOUND < address < _FIELD_BOUND
+                     and 0 <= elem_size < _FIELD_BOUND)),
+            None,
+        )
+        if first is None:
+            raise TypeError("memory record fields must be integers")
+    if first is not None:
+        raise ValueError(f"memory record {records[first].seq}: a field lies outside +-2**61")
+    return cols
+
+
 def _check_fingerprint_shape(rows: int, cols: int) -> int:
     """Sample count of a fingerprint record, refused with
     :class:`TraceFormatError` above the bound.  Both decoders call it
@@ -384,35 +537,30 @@ def _check_fingerprint_shape(rows: int, cols: int) -> int:
     return size
 
 
-class _FingerprintCodec:
+class _FingerprintCodec(_RecordCodec):
     """Run-length codec for boolean hit/miss tensors."""
 
     def __init__(self, strings: _StringTable) -> None:
         del strings  # fingerprint records carry no strings
 
-    def begin_chunk(self) -> None:
-        pass
-
-    def flags(self, record: FingerprintCapture) -> int:
-        del record
-        return 0
-
     def encode(self, out: bytearray, record: FingerprintCapture) -> None:
-        trace = np.ascontiguousarray(record.trace, dtype=np.int8)
-        if trace.ndim != 2:
-            raise ValueError(f"fingerprint trace must be 2-D, got {trace.shape}")
-        _check_fingerprint_shape(*trace.shape)
-        if trace.size and not np.isin(trace, (0, 1)).all():
+        # Check the caller's samples before the int8 cast, which would
+        # otherwise wrap 256 to 0 or truncate 0.5 to 0.
+        samples = np.asarray(record.trace)
+        if samples.ndim != 2:
+            raise ValueError(f"fingerprint trace must be 2-D, got {samples.shape}")
+        _check_fingerprint_shape(*samples.shape)
+        if samples.size and not np.isin(samples, (0, 1)).all():
             raise ValueError("fingerprint trace must contain only 0/1 samples")
         if not (-_FIELD_BOUND < record.label < _FIELD_BOUND
                 and 0 <= record.capture_seed < 1 << 63):
             raise ValueError("fingerprint label or capture seed out of range")
         write_svarint(out, record.label)
         write_uvarint(out, record.capture_seed)
-        rows, cols = trace.shape
+        rows, cols = samples.shape
         write_uvarint(out, rows)
         write_uvarint(out, cols)
-        flat = trace.reshape(-1)
+        flat = np.ascontiguousarray(samples, dtype=np.int8).reshape(-1)
         if not flat.size:
             return
         # Run boundaries via the classic diff trick; first value, then
@@ -421,8 +569,7 @@ class _FingerprintCodec:
         runs = np.diff(np.concatenate(([0], boundaries, [flat.size])))
         out.append(int(flat[0]))
         write_uvarint(out, len(runs))
-        for run in runs:
-            write_uvarint(out, int(run))
+        out += _varint_stream(runs)
 
     def decode(self, buf: memoryview, pos: int) -> tuple[FingerprintCapture, int]:
         label, pos = read_svarint(buf, pos)
@@ -456,7 +603,7 @@ class _FingerprintCodec:
         return FingerprintCapture(label, capture_seed, flat.reshape(rows, cols)), pos
 
 
-class _OracleCodec:
+class _OracleCodec(_RecordCodec):
     """Delta+varint codec for OracleProbe records.
 
     Steps and query counts are monotone within an attack, so both are
@@ -477,10 +624,6 @@ class _OracleCodec:
 
     def begin_chunk(self) -> None:
         self._reset()
-
-    def flags(self, record: OracleProbe) -> int:
-        del record
-        return 0
 
     def encode(self, out: bytearray, record: OracleProbe) -> None:
         write_svarint(out, record.step - self._prev_step)
@@ -577,28 +720,16 @@ class TraceWriter:
     def _flush_chunk(self) -> None:
         if not self._buffer:
             return
+        # Interning happens while records encode, so the records go
+        # first and the string-table prelude is emitted after them.
+        records_block, entries = self._codec.encode_chunk(self._buffer)
+        directory = _varint_stream(entries)
         payload = bytearray()
-        self._codec.begin_chunk()
-        records_block = bytearray()
-        lengths: list[int] = []
-        flags: list[int] = []
-        for record in self._buffer:
-            before = len(records_block)
-            self._codec.encode(records_block, record)
-            lengths.append(len(records_block) - before)
-            flags.append(self._codec.flags(record))
-        directory = bytearray()
-        for length, flag in zip(lengths, flags):
-            write_uvarint(directory, (length << 2) | flag)
-        body = bytearray()
-        write_uvarint(body, len(self._buffer))
-        write_uvarint(body, len(directory))
-        body.extend(directory)
-        body.extend(records_block)
-        # String-table prelude goes first, but interning happens during
-        # record encoding — so build the body first, then the prelude.
         self._strings.flush_prelude(payload)
-        payload.extend(body)
+        write_uvarint(payload, len(self._buffer))
+        write_uvarint(payload, len(directory))
+        payload += directory
+        payload += records_block
         raw = bytes(payload)
         self._stream.write(_CHUNK_HEADER.pack(len(raw), zlib.crc32(raw)))
         self._stream.write(raw)

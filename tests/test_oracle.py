@@ -377,3 +377,33 @@ class TestOracleCli:
         ) == 0
         out = capsys.readouterr().out
         assert "mitigation" in out and "size" in out
+
+
+class TestOracleCampaign:
+    def test_breach_recovers_unmitigated_and_padding_defends(self, tmp_path, capsys):
+        """Two ``breach_recovery`` cells through the campaign engine:
+        the secret is recovered with no mitigation and not under
+        padding."""
+        import json
+
+        from repro.campaign.store import ResultStore
+        from repro.cli import main
+
+        spec = {
+            "name": "oracle-smoke",
+            "experiment": "breach_recovery",
+            "grid": {"mitigation": ["none", "padding"]},
+            "fixed": {"victim": "http", "observable": "size", "secret_len": 6},
+            "base_seed": 11,
+        }
+        spec_path = tmp_path / "oracle_spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "runs" / "oracle"
+        assert main(["campaign", "run", str(spec_path), "--out", str(out),
+                     "--quiet"]) == 0
+        capsys.readouterr()
+        records = ResultStore(str(out)).load_records()
+        by_mit = {r.params["mitigation"]: r for r in records.values()}
+        assert by_mit["none"].status == "ok" and by_mit["none"].metrics["correct"]
+        assert by_mit["padding"].status == "ok"
+        assert not by_mit["padding"].metrics["correct"]

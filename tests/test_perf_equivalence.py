@@ -5,8 +5,12 @@ instrumentation tiers) claims to be *observably identical* to the
 straightforward code it replaced.  These tests check that claim against
 independent in-test reference implementations, driven by Hypothesis:
 
-* ``BitTaint`` (interned tag sets + run compression) vs a plain
+* ``BitTaint`` (canonical run lists of interned tag sets) vs a plain
   dict-of-frozensets reference with the original propagation rules.
+* The columnar ZTRC memory writer vs the record-at-a-time encoder with
+  the per-bit taint runs it replaced: same bytes, same refusals.
+* The in-place Adam step (and ``fit``'s one float64 cast) vs the
+  out-of-place update: bit-identical parameters.
 * ``Cache`` (flat arrays, batched noise variates, silent accesses) vs a
   per-set-list reference that draws ``rng.gauss`` per timed access.
 * ``TracingContext`` FULL vs ADDRESS_ONLY tiers: identical memory-access
@@ -23,14 +27,19 @@ from __future__ import annotations
 
 import heapq
 import random
+import zlib
 from functools import cmp_to_key
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.model import LINE_SIZE, Cache, CacheConfig
+from repro.classify import MLPClassifier
 from repro.exec import InstrumentationTier, TracingContext
-from repro.taint.bittaint import BitTaint
+from repro.exec.events import MemoryAccess
+from repro.taint.bittaint import BitTaint, intern_tags
+from repro.traces import format as fmt
 
 
 # ----------------------------------------------------------------------
@@ -109,8 +118,49 @@ def observable(t):
     return list(t)
 
 
+def assert_canonical(t):
+    """The run tuple invariants every BitTaint keeps."""
+    prev = None
+    for lo, hi, tags in t.runs:
+        assert lo < hi and tags, t.runs
+        assert intern_tags(tags) is tags, t.runs
+        if prev is not None:
+            assert prev[1] <= lo, t.runs
+            assert not (prev[1] == lo and prev[2] == tags), t.runs
+        prev = (lo, hi, tags)
+
+
+def rebuilt(t):
+    """The same taint built another way: a per-bit dict of fresh,
+    equal but non-identical tag sets."""
+    return BitTaint({bit: frozenset(list(tags)) for bit, tags in t})
+
+
+# A start value: one input byte, or a dict with gaps whose equal tag
+# sets are distinct objects (the constructor must intern and merge).
+_dict_entries = st.lists(
+    st.tuples(st.integers(0, 30), st.sets(st.integers(0, 5), min_size=1, max_size=2)),
+    max_size=10,
+)
+_starts = st.one_of(
+    st.tuples(st.just("byte"), st.integers(0, 5), st.integers(0, 8)),
+    st.tuples(st.just("dict"), _dict_entries),
+)
+
+
+def _start(start):
+    if start[0] == "byte":
+        _, tag, lo = start
+        return BitTaint.byte(tag, lo), RefTaint.byte(tag, lo)
+    bits = dict(start[1])
+    return (
+        BitTaint({bit: frozenset(list(tags)) for bit, tags in bits.items()}),
+        RefTaint({bit: frozenset(tags) for bit, tags in bits.items()}),
+    )
+
+
 # One step of the differential walk: (method, args) applied to both.
-_taint_ops = st.one_of(
+_unary_ops = st.one_of(
     st.tuples(st.just("shifted"), st.integers(-20, 20)),
     st.tuples(st.just("masked"), st.integers(0, (1 << 24) - 1)),
     st.tuples(st.just("truncated"), st.integers(0, 32)),
@@ -123,36 +173,50 @@ _taint_ops = st.one_of(
         st.just("union_byte"), st.integers(0, 5), st.integers(0, 16)
     ),
 )
-
-
-@given(
-    tag=st.integers(0, 5),
-    lo=st.integers(0, 8),
-    ops=st.lists(_taint_ops, max_size=12),
+# ...plus a union with a second walked (typically multi-run) taint.
+_taint_ops = st.one_of(
+    _unary_ops,
+    st.tuples(st.just("union_walked"), _starts, st.lists(_unary_ops, max_size=6)),
 )
-@settings(max_examples=300, deadline=None)
-def test_bittaint_matches_dict_reference(tag, lo, ops):
-    fast = BitTaint.byte(tag, lo)
-    ref = RefTaint.byte(tag, lo)
-    assert observable(fast) == observable(ref)
+
+
+def _walk(fast, ref, ops):
     for op in ops:
         name, args = op[0], op[1:]
         if name == "union_byte":
             other_tag, other_lo = args
             fast = fast.union(BitTaint.byte(other_tag, other_lo))
             ref = ref.union(RefTaint.byte(other_tag, other_lo))
-        elif name == "sign_extended":
-            fast = fast.sign_extended(*args)
-            ref = ref.sign_extended(*args)
+        elif name == "union_walked":
+            other_fast, other_ref = _walk(*_start(args[0]), args[1])
+            fast = fast.union(other_fast)
+            ref = ref.union(other_ref)
         else:
             fast = getattr(fast, name)(*args)
             ref = getattr(ref, name)(*args)
         assert observable(fast) == observable(ref), name
+        assert_canonical(fast)
+    return fast, ref
+
+
+@given(start=_starts, ops=st.lists(_taint_ops, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_bittaint_matches_dict_reference(start, ops):
+    fast, ref = _start(start)
+    assert observable(fast) == observable(ref)
+    assert_canonical(fast)
+    for op in ops:
+        fast, ref = _walk(fast, ref, [op])
         # Derived views must agree with the per-bit map.
         assert fast.tainted_bits() == [b for b, _ in observable(ref)]
         assert fast.is_empty() == (not ref.bits)
         all_tags = frozenset().union(frozenset(), *ref.bits.values())
         assert fast.tags() == all_tags
+        for bit in range(-1, 40):
+            assert fast.at(bit) == ref.bits.get(bit, frozenset())
+        # Built another way, the taint is equal and hashes alike.
+        other = rebuilt(fast)
+        assert other == fast and hash(other) == hash(fast)
 
 
 @given(tag=st.integers(0, 3), lo=st.integers(0, 8))
@@ -169,6 +233,245 @@ def test_run_and_dict_backed_equal_and_hash_alike(tag, lo):
     assert run_backed.masked(0b1010101010101010) == dict_backed.masked(
         0b1010101010101010
     )
+
+
+# ----------------------------------------------------------------------
+# Columnar ZTRC memory writer vs the record-at-a-time reference
+# ----------------------------------------------------------------------
+def ref_encode_bittaint(out, taint):
+    """The per-bit taint encoder the run-list writer replaced."""
+    runs = []  # (start, length, sorted tags)
+    for bit, tags in taint:
+        ordered = tuple(sorted(tags))
+        if runs and runs[-1][0] + runs[-1][1] == bit and runs[-1][2] == ordered:
+            runs[-1] = (runs[-1][0], runs[-1][1] + 1, ordered)
+        else:
+            runs.append((bit, 1, ordered))
+    if runs and runs[-1][0] + runs[-1][1] > fmt.MAX_TAINT_BITS:
+        raise ValueError(f"taint reaches past bit {fmt.MAX_TAINT_BITS}")
+    fmt.write_uvarint(out, len(runs))
+    prev_end = 0
+    for start, length, ordered in runs:
+        fmt.write_uvarint(out, start - prev_end)
+        fmt.write_uvarint(out, length)
+        prev_end = start + length
+        fmt.write_uvarint(out, len(ordered))
+        prev_tag = 0
+        for tag in ordered:
+            fmt.write_uvarint(out, tag - prev_tag)
+            prev_tag = tag
+
+
+def ref_serialize_memory(records, chunk_records):
+    """Whole ``.trc`` bytes from the per-record memory encoder."""
+    strings = fmt._StringTable()
+    blob = bytearray(fmt._HEADER.pack(
+        fmt.MAGIC, fmt.FORMAT_VERSION, fmt._SPECIES_CODES[fmt.SPECIES_MEMORY], 0
+    ))
+    b = fmt._FIELD_BOUND
+    for first in range(0, len(records), chunk_records):
+        chunk = records[first : first + chunk_records]
+        block = bytearray()
+        directory = bytearray()
+        prev_seq = prev_index = prev_address = 0
+        for record in chunk:
+            before = len(block)
+            if not (-b < record.seq < b and -b < record.index < b
+                    and -b < record.address < b and 0 <= record.elem_size < b):
+                raise ValueError(
+                    f"memory record {record.seq}: a field lies outside +-2**61"
+                )
+            fmt.write_svarint(block, record.seq - prev_seq)
+            prev_seq = record.seq
+            fmt.write_uvarint(block, strings.intern(record.kind))
+            fmt.write_uvarint(block, strings.intern(record.array))
+            fmt.write_svarint(block, record.index - prev_index)
+            prev_index = record.index
+            fmt.write_uvarint(block, record.elem_size)
+            fmt.write_svarint(block, record.address - prev_address)
+            prev_address = record.address
+            fmt.write_uvarint(block, strings.intern(record.site))
+            ref_encode_bittaint(block, record.addr_taint)
+            ref_encode_bittaint(block, record.value_taint)
+            flags = (bool(record.addr_taint) << 1) | bool(record.value_taint)
+            fmt.write_uvarint(directory, ((len(block) - before) << 2) | flags)
+        payload = bytearray()
+        strings.flush_prelude(payload)
+        fmt.write_uvarint(payload, len(chunk))
+        fmt.write_uvarint(payload, len(directory))
+        payload += directory + block
+        blob += fmt._CHUNK_HEADER.pack(len(payload), zlib.crc32(payload))
+        blob += payload
+    return bytes(blob)
+
+
+_EDGE = (1 << 61) - 1
+_fields = st.one_of(
+    st.integers(-300, 300),
+    st.integers(-_EDGE, _EDGE),
+    st.sampled_from([_EDGE, -_EDGE]),
+)
+
+
+@st.composite
+def _stored_taints(draw):
+    """Empty, one-run and multi-run taints; bits and tags past 127 so
+    gaps, lengths and tags need multi-byte varints."""
+    kind = draw(st.sampled_from(["empty", "byte", "bits", "union"]))
+    if kind == "empty":
+        return BitTaint.empty()
+    if kind == "byte":
+        return BitTaint.byte(draw(st.integers(0, 400)), draw(st.integers(0, 300)))
+    taint = BitTaint.empty()
+    for _ in range(draw(st.integers(1, 3))):
+        bits = draw(st.lists(st.integers(0, 400), min_size=1, max_size=12))
+        taint = taint.union(BitTaint.of_bits(draw(st.integers(0, 70_000)), bits))
+        if kind == "bits":
+            break
+    return taint
+
+
+# Pools larger than one chunk's draw, so strings first appear mid-trace.
+_memory_records = st.builds(
+    MemoryAccess,
+    seq=_fields,
+    kind=st.sampled_from(["read", "write", "update"]),
+    array=st.sampled_from([f"arr{i}" for i in range(12)]),
+    index=_fields,
+    elem_size=st.one_of(st.sampled_from([1, 2, 4, 8]), st.integers(0, _EDGE)),
+    address=_fields,
+    addr_taint=_stored_taints(),
+    value_taint=_stored_taints(),
+    site=st.sampled_from(["", "s/é", *(f"site{i}" for i in range(12))]),
+)
+
+
+def _serialize_both(records, chunk_records):
+    """(outcome of the writer, outcome of the reference): bytes, or the
+    ValueError message."""
+    outcomes = []
+    for serialize in (
+        lambda: fmt.serialize_records(
+            fmt.SPECIES_MEMORY, records, chunk_records=chunk_records
+        ),
+        lambda: ref_serialize_memory(records, chunk_records),
+    ):
+        try:
+            outcomes.append(serialize())
+        except ValueError as exc:
+            outcomes.append(("ValueError", str(exc)))
+    return outcomes
+
+
+@given(records=st.lists(_memory_records, min_size=1, max_size=25), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_columnar_memory_writer_matches_record_reference(records, data):
+    chunk_records = data.draw(st.integers(1, len(records)))
+    ours, ref = _serialize_both(records, chunk_records)
+    assert isinstance(ours, bytes)
+    assert ours == ref
+
+
+_bad_fields = st.one_of(
+    st.tuples(st.sampled_from(["seq", "index", "address"]),
+              st.sampled_from([1 << 61, -(1 << 61), 1 << 63, -(1 << 70)])),
+    st.tuples(st.just("elem_size"), st.sampled_from([-1, 1 << 61, 1 << 64])),
+    st.tuples(st.sampled_from(["addr_taint", "value_taint"]),
+              st.sampled_from([fmt.MAX_TAINT_BITS, fmt.MAX_TAINT_BITS + 300])),
+)
+
+
+@given(
+    records=st.lists(_memory_records, min_size=1, max_size=12),
+    bad=st.lists(st.tuples(st.integers(0, 11), _bad_fields), min_size=1, max_size=3),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_columnar_memory_writer_refuses_what_the_reference_refuses(records, bad, data):
+    for position, (name, value) in bad:
+        record = records[position % len(records)]
+        if name.endswith("taint"):
+            value = BitTaint.of_bits(7, [value])
+        setattr(record, name, value)
+    chunk_records = data.draw(st.integers(1, len(records)))
+    ours, ref = _serialize_both(records, chunk_records)
+    assert isinstance(ref, tuple)
+    assert ours == ref
+
+
+# ----------------------------------------------------------------------
+# In-place Adam vs the out-of-place reference step
+# ----------------------------------------------------------------------
+class RefAdamMLP(MLPClassifier):
+    """The classifier with the out-of-place Adam update it used to run."""
+
+    def _step(self, x, y):
+        z1, a1, logits = self._forward(x)
+        probs = self._softmax(logits)
+        n = len(y)
+        loss = -np.log(probs[np.arange(n), y] + 1e-12).mean()
+        dlogits = probs
+        dlogits[np.arange(n), y] -= 1.0
+        dlogits /= n
+        grads = {"W2": a1.T @ dlogits, "b2": dlogits.sum(axis=0)}
+        da1 = dlogits @ self.params["W2"].T
+        dz1 = da1 * (z1 > 0)
+        grads["W1"] = x.T @ dz1
+        grads["b1"] = dz1.sum(axis=0)
+        self._adam_t += 1
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
+        for key, grad in grads.items():
+            self._adam_m[key] = beta1 * self._adam_m[key] + (1 - beta1) * grad
+            self._adam_v[key] = beta2 * self._adam_v[key] + (1 - beta2) * grad**2
+            m_hat = self._adam_m[key] / (1 - beta1**self._adam_t)
+            v_hat = self._adam_v[key] / (1 - beta2**self._adam_t)
+            self.params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + eps)
+        return float(loss)
+
+    def fit_reference(self, x, y, epochs, batch_size):
+        """The training loop without the one-off float64 cast."""
+        for _ in range(epochs):
+            order = self._rng.permutation(len(x))
+            for start in range(0, len(x), batch_size):
+                batch = order[start : start + batch_size]
+                self._step(x[batch], y[batch])
+
+
+def _classifier_data(dtype, n=23, n_inputs=17, n_classes=4):
+    rng = np.random.default_rng(5)
+    x = (rng.random((n, n_inputs)) < 0.3).astype(dtype) * rng.random(n_inputs)
+    y = rng.integers(0, n_classes, n)
+    return x.astype(dtype), y
+
+
+def _assert_same_params(ours, ref):
+    for key in ref.params:
+        assert np.array_equal(ours.params[key], ref.params[key]), key
+        assert np.array_equal(ours._adam_m[key], ref._adam_m[key]), key
+        assert np.array_equal(ours._adam_v[key], ref._adam_v[key]), key
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch_size", [1, 5])  # 23 % 5: a ragged last batch
+def test_adam_step_matches_out_of_place_reference(dtype, batch_size):
+    x, y = _classifier_data(dtype)
+    ours = MLPClassifier(x.shape[1], 4, hidden=9, seed=3)
+    ref = RefAdamMLP(x.shape[1], 4, hidden=9, seed=3)
+    for start in range(0, len(x), batch_size):
+        batch = slice(start, start + batch_size)
+        assert ours._step(x[batch], y[batch]) == ref._step(x[batch], y[batch])
+    _assert_same_params(ours, ref)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch_size", [1, 5])
+def test_fit_matches_reference_training_loop(dtype, batch_size):
+    x, y = _classifier_data(dtype)
+    ours = MLPClassifier(x.shape[1], 4, hidden=9, seed=3)
+    ref = RefAdamMLP(x.shape[1], 4, hidden=9, seed=3)
+    ours.fit(x, y, epochs=3, batch_size=batch_size)
+    ref.fit_reference(x, y, epochs=3, batch_size=batch_size)
+    _assert_same_params(ours, ref)
 
 
 # ----------------------------------------------------------------------

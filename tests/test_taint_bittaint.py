@@ -118,3 +118,27 @@ class TestRendering:
 
     def test_inequality(self):
         assert BitTaint.of_bits(1, [0]) != BitTaint.of_bits(2, [0])
+
+
+class TestCanonicalRuns:
+    def test_empty_tag_sets_carry_no_taint(self):
+        # Only a crafted per-bit map (or ZTRC run) has an empty tag set;
+        # such a bit is dropped rather than making the taint truthy.
+        assert not BitTaint({3: frozenset()})
+        assert BitTaint({3: frozenset()}) == BitTaint.empty()
+        t = BitTaint({1: frozenset({2}), 3: frozenset()})
+        assert t == BitTaint.of_bits(2, [1])
+        assert BitTaint.from_runs([(0, 8, frozenset())]).is_empty()
+
+    def test_equal_tag_sets_merge_into_one_run(self):
+        t = BitTaint({bit: frozenset([4, 5]) for bit in range(3, 9)})
+        assert len(t.runs) == 1 and t.runs[0][:2] == (3, 9)
+
+    def test_multi_run_union(self):
+        # LZW's htab index (c << 9) ^ ent: two runs, no per-bit map.
+        c = BitTaint.byte(1).shifted(9)
+        ent = BitTaint.byte(2, 0).union(BitTaint.byte(3, 8))
+        t = c.union(ent)
+        assert [(lo, hi, sorted(tags)) for lo, hi, tags in t.runs] == [
+            (0, 8, [2]), (8, 9, [3]), (9, 16, [1, 3]), (16, 17, [1]),
+        ]

@@ -200,6 +200,22 @@ class TestFingerprintRoundTrip:
         with pytest.raises(ValueError):
             serialize_records(SPECIES_FINGERPRINT, [capture])
 
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            np.array([[0, 256]], dtype=np.int16),
+            np.array([[0.5, 1.0]]),
+            np.array([[1, -255]], dtype=np.int16),
+        ],
+        ids=["int16-256", "float-half", "int16-minus-255"],
+    )
+    def test_rejects_samples_an_int8_cast_would_rewrite(self, samples):
+        # Cast to int8 these read 0/1 (256 -> 0, 0.5 -> 0, -255 -> 1):
+        # the check must see the caller's values, not the cast's.
+        capture = FingerprintCapture(0, 0, samples)
+        with pytest.raises(ValueError, match="0/1"):
+            serialize_records(SPECIES_FINGERPRINT, [capture])
+
     def test_rejects_seed_past_int64(self):
         # The columnar reader keeps seeds in an int64 column.
         capture = FingerprintCapture(0, 1 << 63, np.zeros((1, 4), dtype=np.int8))
@@ -302,6 +318,19 @@ class TestTaintRunBound:
         )
         with pytest.raises(ValueError, match="taint"):
             serialize_records(SPECIES_MEMORY, [outside])
+
+    def test_zero_tag_run_decodes_to_no_taint(self):
+        # The writer never emits a run without tags; a crafted one
+        # decodes to untainted bits rather than a truthy empty taint.
+        from repro.traces.format import _decode_bittaint
+
+        # One run of 8 bits without tags; then two runs: bits 0-3
+        # without tags, bit 4 with tag 5.
+        blob = bytes([1, 0, 8, 0] + [2, 0, 4, 0, 0, 1, 1, 5])
+        empty, pos = _decode_bittaint(memoryview(blob), 0)
+        assert not empty and pos == 4
+        taint, pos = _decode_bittaint(memoryview(blob), pos)
+        assert taint == BitTaint.of_bits(5, [4]) and pos == len(blob)
 
 
 # ----------------------------------------------------------------------
@@ -515,3 +544,49 @@ class TestCompactness:
         ]
         blob = serialize_records(SPECIES_MEMORY, records)
         assert len(blob) / len(records) < 24
+
+
+class TestExactBytes:
+    """Whole-file digests of captured stores.  Every byte comes from the
+    taint algebra, the capture path and the writer together; any change
+    to one of them that alters a byte fails here."""
+
+    SURVEY_150_5 = {
+        "survey-zlib-n150-s5":
+            "f8ba9fa54b3091893fb160a8b35f07883bea4baae114eea8eadd20a7c2a58703",
+        "survey-lzw-n150-s5":
+            "868cca2cfa0124f968410c1a6ea9f6e874208dc937a8638046e187e1080abc4b",
+        "survey-bzip2-n150-s5":
+            "63c604fe409b31a57551f9f14680b0513a59aa8253197052bf1de02d4fafff10",
+    }
+    FIG7_SMALL = "f9ba87a1920b7dfcd233f14548444c91b080aee0e406da196670bbc834020311"
+
+    def test_survey_capture_bytes(self, tmp_path):
+        from repro.traces import TraceStore
+        from repro.traces.capture import capture_survey_traces
+        from repro.traces.store import file_sha256
+
+        store = TraceStore(tmp_path / "store").open()
+        entries = capture_survey_traces(store, size=150, seed=5)
+        assert {e.trace_id: e.sha256 for e in entries} == self.SURVEY_150_5
+        for entry in entries:
+            assert file_sha256(store.trace_path(entry.trace_id)) == entry.sha256
+
+    def test_fig7_store_bytes_and_accuracies(self, tmp_path):
+        from repro.traces import TraceStore
+        from repro.traces.capture import capture_fingerprint_traces
+        from repro.traces.replay import fingerprint_experiment_from_store
+
+        store = TraceStore(tmp_path / "store").open()
+        entry = capture_fingerprint_traces(
+            store, "fig7", corpus="brotli", traces_per_file=2, seed=5,
+            max_file_bytes=1200,
+        )
+        assert entry.sha256 == self.FIG7_SMALL
+        assert fingerprint_experiment_from_store(store, "fig7", seed=5) == {
+            "test_accuracy": 0.0,
+            "train_accuracy": 1.0,
+            "n_files": 21,
+            "chance": 1 / 21,
+            "n_traces": 42,
+        }
