@@ -41,7 +41,7 @@ def discover_sinks(root) -> list[str]:
     """The obs sinks a campaign run conventionally leaves in its store:
     ``<root>/obs.jsonl`` plus per-worker ``shard-*/obs.jsonl``.
     Rotated ``.1`` generations ride along via ``expand_sinks``."""
-    from repro.obs.report import expand_sinks
+    from repro.obs.watch import expand_sinks
 
     root = Path(root)
     candidates = [
@@ -121,11 +121,33 @@ def _obs_lines(merged: dict) -> list[str]:
     return lines
 
 
-def build_dossier(
+def read_campaign_sinks(
     store: ResultStore, sinks: Optional[Sequence[str]] = None
+) -> tuple[list[str], list[dict], int]:
+    """``(sinks, events, corrupt_lines)`` of a campaign's obs sinks —
+    the given ones, else :func:`discover_sinks`.  Sinks that cannot be
+    read give no events."""
+    from repro.obs.watch import open_sinks
+
+    sinks = list(sinks) if sinks is not None else discover_sinks(store.root)
+    if not sinks:
+        return sinks, [], 0
+    try:
+        follower = open_sinks(sinks)
+    except OSError:
+        return sinks, [], 0
+    return sinks, follower.poll(final=True), follower.corrupt
+
+
+def build_dossier(
+    store: ResultStore,
+    sinks: Optional[Sequence[str]] = None,
+    events: Optional[list[dict]] = None,
 ) -> str:
     """The full markdown dossier for one campaign directory.
 
+    ``events`` are the already-read events of ``sinks`` (see
+    :func:`read_campaign_sinks`); without them the sinks are read here.
     Degrades gracefully: a campaign without ``diag.json`` gets it
     derived on the fly (when records exist), and one run without
     observability simply notes the missing sinks — every section that
@@ -148,16 +170,8 @@ def build_dossier(
     else:
         lines += _diag_lines(diag)
 
-    if sinks is None:
-        sinks = discover_sinks(store.root)
-    events: list[dict] = []
-    if sinks:
-        from repro.obs.report import load_events_multi
-
-        try:
-            events = load_events_multi(list(sinks))
-        except (FileNotFoundError, OSError):
-            events = []
+    if events is None:
+        sinks, events, _ = read_campaign_sinks(store, sinks)
     lines += ["", "## Observability", ""]
     if not events:
         lines.append(
@@ -165,7 +179,8 @@ def build_dossier(
             "`--obs`/`--obs-shards` to collect one)"
         )
     else:
-        from repro.obs.report import merge_events, render_trace
+        from repro.obs.report import render_trace
+        from repro.obs.watch import merge_events
 
         sink_list = ", ".join(f"`{s}`" for s in sinks)
         lines.append(f"Sinks: {sink_list}")

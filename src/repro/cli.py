@@ -638,17 +638,31 @@ def cmd_cluster_shutdown(args: argparse.Namespace) -> int:
     return 0
 
 
+def _warn_corrupt(corrupt: int) -> None:
+    """Say on stderr how many sink lines the reader skipped (stdout
+    stays what a clean sink prints)."""
+    if corrupt:
+        print(
+            f"warning: skipped {corrupt} corrupt obs sink "
+            f"line{'s' if corrupt != 1 else ''}",
+            file=sys.stderr,
+        )
+
+
 def _load_obs_events(sink):
-    """Read one or many JSONL obs sinks (globs allowed) or None (with a
-    stderr message) when nothing matches."""
-    from repro.obs import load_events_multi
+    """Read one or many finished JSONL obs sinks (globs allowed), or
+    None (with a stderr message) when nothing matches."""
+    from repro.obs import open_sinks
 
     try:
-        return load_events_multi(sink)
+        follower = open_sinks(sink)
     except FileNotFoundError:
         shown = sink if isinstance(sink, str) else " ".join(sink)
         print(f"error: no obs sink at {shown}", file=sys.stderr)
         return None
+    events = follower.poll(final=True)
+    _warn_corrupt(follower.corrupt)
+    return events
 
 
 def cmd_obs_report(args: argparse.Namespace) -> int:
@@ -670,42 +684,37 @@ def cmd_obs_tail(args: argparse.Namespace) -> int:
     """Print the last N events of a JSONL sink, one line each.
 
     With ``--follow`` keep polling the sink for appended lines (like
-    ``tail -f``); truncated or corrupt trailing lines from killed
-    workers are buffered/skipped instead of raising."""
+    ``tail -f``): the first poll shows its last N events, later polls
+    every new one; torn or corrupt lines from killed workers are
+    buffered/skipped instead of raising."""
     from repro.obs import format_event, render_tail
 
     if not args.follow:
         events = _load_obs_events(args.sink)
         if events is None:
             return 2
-        print(render_tail(events, n=args.n))
+        text = render_tail(events, n=args.n)
+        if text:
+            print(text)
         return 0
 
-    import time as _time
+    from repro.obs.watch import follow
 
-    from repro.obs.watch import make_follower
+    first = True
 
-    follower = make_follower(args.sink)
-    deadline = (
-        None
-        if args.duration is None
-        else _time.monotonic() + args.duration
+    def show(events: list) -> None:
+        nonlocal first
+        if first:
+            events = events[max(0, len(events) - args.n):]
+            first = False
+        for event in events:
+            print(format_event(event))
+        sys.stdout.flush()
+
+    _warn_corrupt(
+        follow(args.sink, show, interval=args.interval,
+               duration=args.duration).corrupt
     )
-    shown = 0
-    try:
-        while True:
-            events = follower.poll()
-            if shown == 0 and events:
-                events = events[-args.n:]
-            for event in events:
-                print(format_event(event))
-                shown += 1
-            sys.stdout.flush()
-            if deadline is not None and _time.monotonic() >= deadline:
-                break
-            _time.sleep(args.interval)
-    except KeyboardInterrupt:
-        pass
     return 0
 
 
@@ -715,13 +724,14 @@ def cmd_obs_watch(args: argparse.Namespace) -> int:
     counters/histograms, recent warnings."""
     from repro.obs.watch import watch_loop
 
-    watch_loop(
+    state = watch_loop(
         args.sink,
         interval=args.interval,
         duration=args.duration,
         clear=not args.no_clear,
         once=args.once,
     )
+    _warn_corrupt(state.corrupt)
     return 0
 
 
@@ -758,12 +768,15 @@ def cmd_report(args: argparse.Namespace) -> int:
     """Write the unified campaign dossier: campaign report + diag
     timeseries + obs summary + trace critical path, one markdown doc."""
     from repro.campaign import ResultStore, build_dossier
+    from repro.campaign.dossier import read_campaign_sinks
 
     store = ResultStore(args.dir)
     if not store.exists():
         print(f"error: no campaign manifest in {args.dir}", file=sys.stderr)
         return 2
-    text = build_dossier(store, sinks=args.obs or None)
+    sinks, events, corrupt = read_campaign_sinks(store, args.obs or None)
+    _warn_corrupt(corrupt)
+    text = build_dossier(store, sinks=sinks, events=events)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -1255,6 +1268,19 @@ def cmd_perf_list(args: argparse.Namespace) -> int:
     return 0
 
 
+def _count_arg(text: str) -> int:
+    """argparse type for a count: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argparse tree for all subcommands."""
     parser = argparse.ArgumentParser(
@@ -1595,7 +1621,8 @@ def build_parser() -> argparse.ArgumentParser:
     o = osub.add_parser("tail", help="print the last N events of a sink")
     o.add_argument("sink", nargs="+",
                    help="JSONL sink file(s) or glob")
-    o.add_argument("-n", type=int, default=20, help="events to show")
+    o.add_argument("-n", type=_count_arg, default=20,
+                   help="events to show (0: none)")
     o.add_argument("--follow", "-f", action="store_true",
                    help="poll the sink for appended events (tail -f); "
                         "tolerates torn lines from killed workers")

@@ -121,7 +121,8 @@ class ClusterScheduler:
         self._submit_seq = 0
         self._on_event = on_event
 
-    def _emit(self, message: str) -> None:
+    def emit(self, message: str) -> None:
+        """Hand one human-readable progress line to ``on_event``."""
         if self._on_event is not None:
             self._on_event(message)
 
@@ -188,7 +189,7 @@ class ClusterScheduler:
             jobs=len(pending),
             workers=len([w for w in self.workers.values() if w.connected]),
         )
-        self._emit(
+        self.emit(
             f"submitted {campaign_id}: {len(pending)} jobs "
             f"({exec_.skipped} already recorded)"
         )
@@ -211,7 +212,7 @@ class ClusterScheduler:
         exec_.state = STATE_CANCELLED
         self._finalize(exec_, state=STATE_CANCELLED)
         obs.counter_add("cluster.campaigns_cancelled")
-        self._emit(f"cancelled {campaign_id} ({dropped} jobs dropped)")
+        self.emit(f"cancelled {campaign_id} ({dropped} jobs dropped)")
         return True
 
     def _finalize(self, exec_: CampaignExec, state: str = STATE_DONE) -> None:
@@ -249,7 +250,7 @@ class ClusterScheduler:
             **{k: v for k, v in counts.items()},
         )
         obs.flush()
-        self._emit(
+        self.emit(
             f"finalized {exec_.campaign_id}: "
             + (", ".join(f"{v} {k}" for k, v in sorted(counts.items())) or "empty")
         )
@@ -262,12 +263,15 @@ class ClusterScheduler:
 
     # -- worker lifecycle -----------------------------------------------
     def register_worker(self, worker_id: str, pid: int = 0) -> dict:
-        """Admit a worker; returns the ``registered`` message body."""
+        """Admit a worker; returns the ``registered`` message body.
+
+        Not announced on ``on_event``: the network transport
+        (:mod:`repro.cluster.service`) announces the workers that
+        connect to it, and a local run's executor slots stay quiet."""
         self.workers[worker_id] = WorkerInfo(
             worker_id=worker_id, pid=pid, last_seen=self.clock()
         )
         obs.counter_add("cluster.workers_registered")
-        self._emit(f"worker {worker_id} registered (pid {pid})")
         return {
             "heartbeat_seconds": self.heartbeat_seconds,
             "lease_seconds": self.lease_seconds,
@@ -307,7 +311,7 @@ class ClusterScheduler:
                 self._finalize(exec_)
         if released:
             obs.counter_add("cluster.leases_released", released)
-        self._emit(
+        self.emit(
             f"worker {worker_id} disconnected ({released} leases released)"
         )
 
@@ -412,7 +416,7 @@ class ClusterScheduler:
                 info.jobs_done += 1
             obs.counter_add("campaign.ok")
             obs.observe("campaign.job_seconds", duration)
-            self._emit(
+            self.emit(
                 f"ok {job_id} via {worker_id} "
                 f"({duration:.2f}s, attempt {queued.attempt + 1})"
             )
@@ -431,7 +435,7 @@ class ClusterScheduler:
             "overrun their budget",
             timeout_seconds=spec.timeout_seconds,
         ):
-            self._emit(
+            self.emit(
                 "warning: per-job timeout cannot be enforced on this "
                 "platform (no SIGALRM); budgets are advisory"
             )
@@ -456,7 +460,7 @@ class ClusterScheduler:
             exec_.retries += 1
             obs.counter_add("campaign.retries")
             obs.observe("cluster.backoff_seconds", delay)
-            self._emit(
+            self.emit(
                 f"retry {job_id} (attempt {queued.attempt + 1}, "
                 f"after {delay:.2f}s): {error}"
             )
@@ -483,7 +487,7 @@ class ClusterScheduler:
             attempts=queued.attempt + 1,
             error=error,
         )
-        self._emit(
+        self.emit(
             f"gave up on {job_id} after {queued.attempt + 1} "
             f"attempts: {error}"
         )

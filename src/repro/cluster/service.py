@@ -129,9 +129,9 @@ class SchedulerServer:
                 kind = message["type"]
                 if kind == protocol.MSG_REGISTER:
                     worker_id = message["worker_id"]
-                    body = self.scheduler.register_worker(
-                        worker_id, pid=message.get("pid") or 0
-                    )
+                    pid = message.get("pid") or 0
+                    body = self.scheduler.register_worker(worker_id, pid=pid)
+                    self.scheduler.emit(f"worker {worker_id} registered (pid {pid})")
                     await self._send(
                         writer, {"type": protocol.MSG_REGISTERED, **body}
                     )

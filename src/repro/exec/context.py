@@ -176,7 +176,7 @@ class InstrumentationTier(enum.Enum):
     Consumers that only look at the memory-access stream (the recovery
     survey, ZTRC capture, the SGX attack's gadget observations) pay for
     the full data-flow DAG under ``FULL`` without ever reading it; the
-    lower tiers skip that work.
+    lower tier skips that work.
 
     * ``FULL`` — everything: op records, compare records, memory
       accesses, input records, function markers.  TaintChannel's tier.
@@ -185,14 +185,10 @@ class InstrumentationTier(enum.Enum):
       :class:`CompareRecord` construction.  Sequence numbers are still
       consumed for the skipped records, so the access stream — and a
       ZTRC file captured from it — is *byte-identical* to a FULL run's.
-    * ``PROFILE_ONLY`` — function markers only; input bytes stay plain
-      ints (no tags), so no taint propagates and no accesses record.
-      The cheapest tier; no sequence parity with FULL.
     """
 
     FULL = "full"
     ADDRESS_ONLY = "address_only"
-    PROFILE_ONLY = "profile_only"
 
 
 class TracingContext(ExecutionContext):
@@ -231,7 +227,6 @@ class TracingContext(ExecutionContext):
         # Flags the hot paths (TaintedInt._emit, record_access) read
         # instead of comparing enum members.
         self.record_ops = tier is InstrumentationTier.FULL
-        self.record_addresses = tier is not InstrumentationTier.PROFILE_ONLY
         self.plain_accesses = 0
         self._seq = 0
         self._next_base = _HEAP_BASE
@@ -270,9 +265,6 @@ class TracingContext(ExecutionContext):
         value_taint: BitTaint,
         site: str,
     ) -> None:
-        if not self.record_addresses:
-            self.plain_accesses += 1
-            return
         i = value_of(index)
         self._append(
             MemoryAccess(
@@ -291,8 +283,6 @@ class TracingContext(ExecutionContext):
 
     # -- ExecutionContext API ------------------------------------------
     def input_bytes(self, data: bytes, source: str = "input") -> list:
-        if not self.record_addresses:
-            return list(data)
         out: list[TaintedInt] = []
         for i, b in enumerate(data):
             tag = self.tags.new_tag(source, i)

@@ -3,8 +3,8 @@
 The repo's logging/metrics/tracing substrate: span-based hierarchical
 timing, named counters and histograms, and a verbosity-controlled
 structured logger, all recording into a bounded in-memory ring and an
-optional JSONL sink that ``python -m repro obs report|tail|export``
-renders.
+optional JSONL sink that ``python -m repro obs report|tail|export|watch``
+renders through one reader and one fold (:mod:`repro.obs.watch`).
 
 Disabled (the default) every entry point is a single attribute test, so
 instrumentation in the hot layers — the cache model, the campaign
@@ -66,13 +66,7 @@ from repro.obs.export import (
     render_chrome_trace,
 )
 from repro.obs.report import (
-    expand_sinks,
     format_event,
-    load_events,
-    load_events_multi,
-    logical_sink,
-    merge_events,
-    merge_warnings,
     render_report,
     render_span_tree,
     render_tail,
@@ -84,7 +78,12 @@ from repro.obs.watch import (
     MultiSinkFollower,
     SinkFollower,
     WatchState,
+    expand_sinks,
+    load_events,
+    logical_sink,
     make_follower,
+    merge_events,
+    open_sinks,
     render_watch,
     sparkline,
 )
@@ -111,15 +110,14 @@ __all__ = [
     "get_logger",
     "histograms_snapshot",
     "load_events",
-    "load_events_multi",
     "log",
     "logical_sink",
     "make_follower",
     "MultiSinkFollower",
     "merge_events",
-    "merge_warnings",
     "new_span_id",
     "observe",
+    "open_sinks",
     "profiler_chrome_events",
     "publish_metrics",
     "recent",

@@ -1,6 +1,6 @@
-"""Render observability JSONL sinks back into human-readable form.
+"""Render observability sinks back into human-readable form.
 
-Four views, matching the ``python -m repro obs`` subcommands:
+Three views, matching the ``python -m repro obs`` subcommands:
 
 * :func:`render_report` — merged counter/histogram tables plus
   per-span-name timing aggregates and the reconstructed span tree;
@@ -8,209 +8,19 @@ Four views, matching the ``python -m repro obs`` subcommands:
   (``obs report --trace``): the stitched span tree over all merged
   sinks and a critical-path breakdown of campaign wall-clock into
   queue-wait / compute / retry-backoff / merge;
-* :func:`render_tail` — the last N events, one formatted line each;
-* :func:`merge_events` — the machine-readable merge (``obs export``).
+* :func:`render_tail` — the last N events, one formatted line each.
 
-Counter snapshots are *cumulative per process*, so merging keeps the
-last snapshot per pid and sums across pids — a campaign's worker
-processes all appending to one sink aggregate correctly.
+Every view renders events read by :func:`repro.obs.watch.load_events`
+and aggregates by :func:`repro.obs.watch.merge_events` (the one reader
+and the one fold; both are importable from here too).
 """
 
 from __future__ import annotations
 
-import json
 from typing import Optional
 
-from repro.obs.core import Histogram
-
-
-def load_events(path: str) -> list[dict]:
-    """Read a JSONL sink; a torn final line (process died mid-write) is
-    skipped rather than poisoning the report."""
-    events: list[dict] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(event, dict):
-                events.append(event)
-    return events
-
-
-def logical_sink(path: str) -> str:
-    """The sink a file logically belongs to: ``sink.jsonl.1`` (the
-    rotated generation, see ``ObsState._rotate_sink``) maps back to
-    ``sink.jsonl``.  Counter snapshots merge last-per-(sink, pid), and
-    a rotated generation is the *same* sink — keying by the physical
-    path would double-count its cumulative snapshots."""
-    return path[:-2] if path.endswith(".1") else path
-
-
-def expand_sinks(patterns) -> list[str]:
-    """Expand sink paths and globs into a sorted, deduplicated list.
-
-    ``patterns`` is one path/glob or a sequence of them — this is what
-    lets ``obs report 'runs/x/shard-*/obs.jsonl'`` cover a sharded
-    cluster campaign with one argument.  A sink that has rotated
-    (``sink.jsonl.1`` exists beside it) contributes both generations.
-    """
-    import glob as _glob
-    import os as _os
-
-    if isinstance(patterns, (str, bytes)):
-        patterns = [patterns]
-    paths: list[str] = []
-    for pattern in patterns:
-        pattern = str(pattern)
-        if any(ch in pattern for ch in "*?["):
-            paths.extend(_glob.glob(pattern))
-        else:
-            paths.append(pattern)
-    for path in list(paths):
-        rotated = path + ".1"
-        if not path.endswith(".1") and _os.path.exists(rotated):
-            paths.append(rotated)
-    seen: set[str] = set()
-    unique = []
-    for path in sorted(paths):
-        if path not in seen:
-            seen.add(path)
-            unique.append(path)
-    return unique
-
-
-def load_events_multi(patterns) -> list[dict]:
-    """Read one or many sinks (globs allowed) into one event stream.
-
-    Events from a multi-sink read are tagged with their source path in
-    ``"_src"`` so :func:`merge_events` keeps counter snapshots
-    last-per-``(sink, pid)`` and then sums — two shard sinks written by
-    workers that happen to share a pid namespace still merge correctly.
-    A single concrete path behaves exactly like :func:`load_events`.
-    """
-    paths = expand_sinks(patterns)
-    if not paths:
-        raise FileNotFoundError(
-            f"no obs sink matches {patterns!r}"
-        )
-    if len(paths) == 1:
-        return load_events(paths[0])
-    events: list[dict] = []
-    for path in paths:
-        src = logical_sink(path)
-        for event in load_events(path):
-            event["_src"] = src
-            events.append(event)
-    events.sort(key=lambda e: float(e.get("ts", 0.0)))
-    return events
-
-
-def merge_warnings(events: list[dict]) -> list[dict]:
-    """Deduplicate warning logs by ``warn_key``.
-
-    ``warn_once`` dedupes per process, so a campaign's forked workers
-    each emit the same warning once; here they collapse to one row with
-    a count and the set of pids that raised it.  Warnings without a
-    ``warn_key`` dedupe by message text."""
-    merged: dict[str, dict] = {}
-    for event in events:
-        if event.get("kind") != "log" or event.get("level") != "warning":
-            continue
-        fields = event.get("fields") or {}
-        key = str(fields.get("warn_key", event.get("msg", "?")))
-        row = merged.setdefault(
-            key,
-            {
-                "key": key,
-                "msg": event.get("msg", ""),
-                "count": 0,
-                "pids": [],
-            },
-        )
-        row["count"] += 1
-        pid = event.get("pid")
-        if pid is not None and pid not in row["pids"]:
-            row["pids"].append(pid)
-    for row in merged.values():
-        row["pids"].sort()
-    return sorted(merged.values(), key=lambda r: (-r["count"], r["key"]))
-
-
-def merge_events(events: list[dict]) -> dict:
-    """Aggregate a sink's events into one JSON-ready summary:
-    ``{"counters", "histograms", "spans", "metrics", "warnings", ...}``."""
-    # Last cumulative snapshot per (sink, pid), then summed.  The sink
-    # half of the key is None for single-sink reads (identical to the
-    # historical per-pid merge) and the source path for multi-sink
-    # reads, so shard sinks with colliding pids still sum correctly.
-    last_per_pid: dict = {}
-    for event in events:
-        if event.get("kind") == "counters":
-            last_per_pid[(event.get("_src"), event.get("pid", 0))] = event
-    counters: dict[str, float] = {}
-    histograms: dict[str, Histogram] = {}
-    for snapshot in last_per_pid.values():
-        for name, value in snapshot.get("counters", {}).items():
-            counters[name] = counters.get(name, 0) + value
-        for name, payload in snapshot.get("histograms", {}).items():
-            histograms.setdefault(name, Histogram()).merge_dict(payload)
-
-    spans: dict[str, dict] = {}
-    metrics: dict[str, dict] = {}
-    n_logs = 0
-    for event in events:
-        kind = event.get("kind")
-        if kind == "span":
-            agg = spans.setdefault(
-                event.get("name", "?"),
-                {"count": 0, "total": 0.0, "max": 0.0, "errors": 0},
-            )
-            duration = float(event.get("dur", 0.0))
-            agg["count"] += 1
-            agg["total"] += duration
-            if duration > agg["max"]:
-                agg["max"] = duration
-            if event.get("status") == "error":
-                agg["errors"] += 1
-        elif kind == "log":
-            n_logs += 1
-        elif kind == "metrics":
-            prefix = event.get("name", "?")
-            for key, value in (event.get("values") or {}).items():
-                agg = metrics.setdefault(
-                    f"{prefix}.{key}",
-                    {
-                        "count": 0,
-                        "total": 0.0,
-                        "min": float("inf"),
-                        "max": float("-inf"),
-                        "last": None,
-                    },
-                )
-                value = float(value)
-                agg["count"] += 1
-                agg["total"] += value
-                agg["min"] = min(agg["min"], value)
-                agg["max"] = max(agg["max"], value)
-                agg["last"] = value
-    for agg in metrics.values():
-        agg["mean"] = agg["total"] / agg["count"] if agg["count"] else 0.0
-    return {
-        "counters": dict(sorted(counters.items())),
-        "histograms": {
-            name: h.to_dict() for name, h in sorted(histograms.items())
-        },
-        "spans": dict(sorted(spans.items())),
-        "metrics": dict(sorted(metrics.items())),
-        "warnings": merge_warnings(events),
-        "n_logs": n_logs,
-        "n_events": len(events),
-    }
+# load_events is re-exported: callers read sinks through this module too.
+from repro.obs.watch import counter_lines, load_events, merge_events  # noqa: F401
 
 
 def stitch_spans(events: list[dict]) -> dict:
@@ -243,6 +53,11 @@ def stitch_spans(events: list[dict]) -> dict:
     }
 
 
+def _fields_suffix(event: dict) -> str:
+    fields = event.get("fields") or {}
+    return "".join(f" {k}={v}" for k, v in sorted(fields.items()))
+
+
 def render_span_tree(
     events: list[dict], max_roots: int = 10, max_depth: int = 6
 ) -> str:
@@ -271,15 +86,10 @@ def render_span_tree(
         if depth > max_depth:
             return
         marker = " !" if event.get("status") == "error" else ""
-        fields = event.get("fields") or {}
-        suffix = (
-            " " + " ".join(f"{k}={v}" for k, v in sorted(fields.items()))
-            if fields
-            else ""
-        )
         lines.append(
             f"{'  ' * depth}{event.get('name')}  "
-            f"{float(event.get('dur', 0.0)) * 1e3:.2f} ms{marker}{suffix}"
+            f"{float(event.get('dur', 0.0)) * 1e3:.2f} ms{marker}"
+            f"{_fields_suffix(event)}"
         )
         kids = children.get(event.get("id"), [])
         kids.sort(key=lambda e: float(e.get("ts", 0.0)))
@@ -431,11 +241,7 @@ def render_report(events: list[dict]) -> str:
 
     if merged["counters"]:
         lines += ["", "## counters", f"{'name':<44} {'value':>14}"]
-        for name, value in merged["counters"].items():
-            rendered = (
-                f"{value:.0f}" if float(value).is_integer() else f"{value:.4f}"
-            )
-            lines.append(f"{name:<44} {rendered:>14}")
+        lines += counter_lines(merged["counters"])
 
     if merged["histograms"]:
         lines += [
@@ -452,8 +258,7 @@ def render_report(events: list[dict]) -> str:
         for name, h in merged["histograms"].items():
             lines.append(
                 f"{name:<34} {h['count']:>8} {h['mean']:>12.6f} "
-                f"{h['min']:>12.6f} {h['max']:>12.6f} "
-                f"{_q(h, 'p50')} {_q(h, 'p95')} {_q(h, 'p99')}"
+                + " ".join(_q(h, key) for key in ("min", "max", "p50", "p95", "p99"))
             )
 
     if merged["metrics"]:
@@ -505,15 +310,9 @@ def format_event(event: dict) -> str:
     kind = event.get("kind")
     ts = float(event.get("ts", 0.0))
     if kind == "log":
-        fields = event.get("fields") or {}
-        suffix = (
-            " " + " ".join(f"{k}={v}" for k, v in sorted(fields.items()))
-            if fields
-            else ""
-        )
         return (
             f"{ts:.3f} {event.get('level', '?'):<8} "
-            f"{event.get('msg', '')}{suffix}"
+            f"{event.get('msg', '')}{_fields_suffix(event)}"
         )
     if kind == "span":
         return (
@@ -538,7 +337,7 @@ def format_event(event: dict) -> str:
 
 
 def render_tail(events: list[dict], n: int = 20) -> str:
-    """The last ``n`` events, formatted."""
+    """The last ``n`` events, formatted (none for ``n == 0``)."""
     if not events:
         return "(no events)"
-    return "\n".join(format_event(e) for e in events[-n:])
+    return "\n".join(format_event(e) for e in events[max(0, len(events) - n):])

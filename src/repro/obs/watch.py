@@ -1,35 +1,39 @@
-"""Live views over a growing observability sink.
+"""One reader and one fold for observability sinks.
 
-Two pieces, shared by ``repro obs watch`` and ``repro obs tail
---follow``:
+Every view of a sink — ``obs report|export|tail|watch``, the ``repro
+report`` dossier, the perfbench campaign workloads — goes through the
+same two pieces:
 
-* :class:`SinkFollower` — incremental JSONL reader.  Remembers its file
-  offset between polls, parses only *complete* lines (a worker killed
-  mid-``write`` leaves a truncated tail; the partial line is buffered
-  until its newline arrives or skipped if garbage), and tolerates the
-  sink not existing yet (the campaign may not have opened it).
-* :class:`WatchState` + :func:`render_watch` — an incrementally updated
-  aggregate of the event stream and a pure text renderer for it: job
-  progress (done/failed/retried against the announced total), rolling
-  per-metric sparklines (bit accuracy, mutual information, job
-  seconds), merged counters/histograms with tail quantiles, and the
-  most recent deduplicated warnings.
+* :class:`SinkFollower` / :class:`MultiSinkFollower` — the only code
+  that reads sink bytes.  A follower remembers its offset between
+  polls, delivers only complete lines (a torn tail from a worker killed
+  mid-``write`` waits for its newline), follows size-capped rotation
+  (``sink`` → ``sink.1``), and checks each line's envelope once
+  (:func:`valid_event`): a line that fails is skipped and counted in
+  ``corrupt``.  :func:`load_events` is one drain of a follower.
+* :class:`WatchState` — the only event fold: last counter/histogram
+  snapshot per ``(sink, pid)``, span and metric aggregates, rolling
+  metric series, deduplicated warnings, log and event counts.
+  :func:`merge_events` folds a finished event list into the ``obs
+  export`` summary; :func:`render_watch` renders a live one.
 
-The renderer is deliberately a pure function of the state so tests can
-drive a poll loop against a live campaign subprocess with a deadline
-instead of sleeps, and assert on the rendered text.
+The renderer is a pure function of the state, so tests drive a poll
+loop against a live campaign subprocess with a deadline instead of
+sleeps and assert on the rendered text.
 """
 
 from __future__ import annotations
 
+import glob
 import json
+import math
 import os
 import sys
 import time
 from collections import deque
-from typing import Optional
+from typing import Callable, Optional
 
-from repro.obs.core import Histogram
+from repro.obs.core import _N_QUANTILE_BINS, Histogram
 
 SPARK_CHARS = " ▁▂▃▄▅▆▇█"
 ROLLING_WINDOW = 64
@@ -53,14 +57,116 @@ def sparkline(values: list[float], width: int = 24) -> str:
     )
 
 
+# -- the trust boundary ------------------------------------------------
+def _number(value) -> bool:
+    """A finite JSON number; ``true``/``false`` are not numbers here."""
+    kind = type(value)
+    if kind is float:
+        return math.isfinite(value)
+    return kind is int and -sys.float_info.max <= value <= sys.float_info.max
+
+
+def _numbers(value) -> bool:
+    return isinstance(value, dict) and all(map(_number, value.values()))
+
+
+def _count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _bin(key: str, n) -> bool:
+    return (
+        len(key) < 5 and key.isascii() and key.isdigit()
+        and int(key) <= _N_QUANTILE_BINS and _count(n)
+    )
+
+
+def _histogram(payload) -> bool:
+    """A :meth:`Histogram.to_dict` payload, as far as
+    :meth:`Histogram.merge_dict` reads it."""
+    if not isinstance(payload, dict):
+        return False
+    lo, hi, bins = payload.get("min"), payload.get("max"), payload.get("bins", {})
+    return (
+        _count(payload.get("count", 0))
+        and _number(payload.get("total", 0.0))
+        and (lo is None or _number(lo))
+        and (hi is None or _number(hi))
+        and isinstance(bins, dict)
+        and all(map(_bin, bins.keys(), bins.values()))
+    )
+
+
+def _str(value) -> bool:
+    return isinstance(value, str)
+
+
+_ENVELOPE = {
+    "kind": _str, "name": _str, "level": _str, "msg": _str, "status": _str,
+    "id": _str, "trace": _str, "_src": _str,
+    "parent": lambda v: v is None or isinstance(v, str),
+    "pid": lambda v: type(v) is int, "depth": lambda v: type(v) is int,
+    "ts": _number, "dur": _number,
+    "fields": lambda v: isinstance(v, dict),
+    "counters": _numbers, "values": _numbers,
+    "histograms": lambda v: isinstance(v, dict) and all(map(_histogram, v.values())),
+}
+
+
+def valid_event(event) -> bool:
+    """Whether one decoded sink line has a well-formed envelope: a JSON
+    object whose ``ts``/``dur`` are finite numbers, whose ``counters``
+    and metric ``values`` are dicts of numbers, whose ``fields`` is a
+    dict, whose histogram payloads are well formed, and whose name-like
+    keys are strings.  Absent keys are fine; unknown keys are ignored."""
+    if not isinstance(event, dict):
+        return False
+    for key, value in event.items():
+        check = _ENVELOPE.get(key)
+        if check is not None and not check(value):
+            return False
+    return True
+
+
+# -- the one reader ----------------------------------------------------
+def logical_sink(path: str) -> str:
+    """The sink a file logically belongs to: ``sink.jsonl.1`` (the
+    rotated generation, see ``ObsState._rotate_sink``) maps back to
+    ``sink.jsonl``.  Counter snapshots merge last-per-(sink, pid), and
+    a rotated generation is the *same* sink — keying by the physical
+    path would double-count its cumulative snapshots."""
+    return path[:-2] if path.endswith(".1") else path
+
+
+def expand_sinks(patterns) -> list[str]:
+    """Expand sink paths and globs into a sorted, deduplicated list.
+
+    ``patterns`` is one path/glob or a sequence of them — this is what
+    lets ``obs report 'runs/x/shard-*/obs.jsonl'`` cover a sharded
+    cluster campaign with one argument.  A sink that has rotated
+    (``sink.jsonl.1`` exists beside it) contributes both generations.
+    """
+    if isinstance(patterns, (str, bytes)):
+        patterns = [patterns]
+    paths: list[str] = []
+    for pattern in map(str, patterns):
+        paths.extend(glob.glob(pattern) if any(ch in pattern for ch in "*?[") else [pattern])
+    paths += [
+        p + ".1" for p in paths if not p.endswith(".1") and os.path.exists(p + ".1")
+    ]
+    return sorted(set(paths))
+
+
 class SinkFollower:
-    """Incrementally read complete JSONL events appended to a sink.
+    """Incrementally read complete, valid JSONL events from one sink.
 
     Each :meth:`poll` reads from the remembered offset to EOF, splits
-    on newlines, and keeps any trailing partial line in a buffer for
-    the next poll — so a line that is mid-``write`` when we read is
-    delivered once complete, and a line truncated forever (worker
-    killed) is simply never delivered.  Complete-but-corrupt lines are
+    on newlines, and keeps a trailing partial line for the next poll —
+    so a line that is mid-``write`` is delivered once complete, and a
+    line truncated forever (worker killed) is never delivered.
+    ``poll(final=True)`` treats the sink as finished: a last line that
+    parses without its newline is delivered, a torn one is corrupt.
+    Lines that are not UTF-8 JSON objects with a valid envelope are
     counted in :attr:`corrupt` and skipped.  If the file shrinks (sink
     recreated), the follower restarts from the beginning; if it
     *rotates* (size-capped sinks rename ``sink`` → ``sink.1`` and start
@@ -73,79 +179,71 @@ class SinkFollower:
         self.path = str(path)
         self.offset = 0
         self.corrupt = 0
-        self._buffer = ""
+        self._buffer = b""
         self._ino: Optional[int] = None
 
-    def _decode(self, data: str) -> list[dict]:
-        lines = data.split("\n")
-        self._buffer = lines.pop()  # "" when data ended in a newline
+    def _decode(self, data: bytes, final: bool) -> list[dict]:
+        lines = data.split(b"\n")
+        self._buffer = b"" if final else lines.pop()
         events: list[dict] = []
         for line in lines:
             line = line.strip()
             if not line:
                 continue
             try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                self.corrupt += 1
-                continue
-            if isinstance(event, dict):
+                event = json.loads(line.decode("utf-8"))
+            except (ValueError, RecursionError):  # bad UTF-8 or JSON
+                event = None
+            if valid_event(event):
                 events.append(event)
             else:
                 self.corrupt += 1
         return events
 
-    def _read_from(self, path: str) -> list[dict]:
+    def _read_from(self, path: str, final: bool) -> list[dict]:
         """Read ``path`` from the remembered offset to EOF and decode."""
         try:
-            with open(path, "r", encoding="utf-8", errors="replace") as fh:
+            with open(path, "rb") as fh:
                 fh.seek(self.offset)
                 chunk = fh.read()
-                self.offset = fh.tell()
         except OSError:
             return []
-        return self._decode(self._buffer + chunk)
+        self.offset += len(chunk)
+        return self._decode(self._buffer + chunk, final)
 
-    def poll(self) -> list[dict]:
+    def poll(self, final: bool = False) -> list[dict]:
         """Newly appended complete events since the last poll."""
         try:
             st = os.stat(self.path)
         except OSError:
             return []
+        rotated = self.path + ".1"
         events: list[dict] = []
         if self._ino is None and self.offset == 0:
             # First contact with the sink.  A generation that rotated
             # out *before* we attached still holds the campaign's
             # earlier events — deliver it first, oldest-first.
-            rotated = self.path + ".1"
             if not self.path.endswith(".1") and os.path.exists(rotated):
-                events.extend(self._read_from(rotated))
+                events.extend(self._read_from(rotated, final=True))
                 self.offset = 0
-                self._buffer = ""
         if self._ino is not None and st.st_ino != self._ino:
             # The sink rotated out from under us.  The file we were
             # reading should now be at <path>.1 — drain its unread
             # tail (rotation happens on whole-line boundaries) before
             # restarting on the fresh file.
-            rotated = self.path + ".1"
             try:
-                rotated_st = os.stat(rotated)
+                if os.stat(rotated).st_ino == self._ino:
+                    events.extend(self._read_from(rotated, final=True))
             except OSError:
-                rotated_st = None
-            if (
-                rotated_st is not None
-                and rotated_st.st_ino == self._ino
-                and rotated_st.st_size > self.offset
-            ):
-                events.extend(self._read_from(rotated))
+                pass
             self.offset = 0
-            self._buffer = ""
+            self._buffer = b""
         self._ino = st.st_ino
         if st.st_size < self.offset:  # truncated/recreated: start over
             self.offset = 0
-            self._buffer = ""
-        if st.st_size > self.offset:
-            events.extend(self._read_from(self.path))
+            self._buffer = b""
+        if st.st_size > self.offset or (final and self._buffer):
+            events.extend(self._read_from(self.path, final))
         return events
 
 
@@ -154,9 +252,9 @@ class MultiSinkFollower:
 
     Re-expands the glob on every poll, so shard sinks that appear
     mid-campaign (a worker registering late) are picked up live.  Each
-    delivered event is tagged with its source path in ``"_src"``, which
-    :class:`WatchState` uses to key counter snapshots per
-    ``(sink, pid)`` — the shard-aware version of last-per-pid-then-sum.
+    delivered event is tagged with its logical sink in ``"_src"``, which
+    :class:`WatchState` uses to key counter snapshots per ``(sink,
+    pid)``; each poll's events are ordered by timestamp.
     """
 
     def __init__(self, patterns) -> None:
@@ -169,10 +267,8 @@ class MultiSinkFollower:
     def corrupt(self) -> int:
         return sum(f.corrupt for f in self._followers.values())
 
-    def poll(self) -> list[dict]:
+    def poll(self, final: bool = False) -> list[dict]:
         """Newly appended complete events across every matching sink."""
-        from repro.obs.report import expand_sinks, logical_sink
-
         expanded = set(expand_sinks(self.patterns))
         for path in expanded:
             # A rotated generation (<sink>.1) whose live sink is also
@@ -185,7 +281,7 @@ class MultiSinkFollower:
         events: list[dict] = []
         for path in sorted(self._followers):
             src = logical_sink(path)
-            for event in self._followers[path].poll():
+            for event in self._followers[path].poll(final):
                 event["_src"] = src
                 events.append(event)
         events.sort(key=lambda e: float(e.get("ts", 0.0)))
@@ -193,38 +289,77 @@ class MultiSinkFollower:
 
 
 def make_follower(sink):
-    """The right follower for one path, many paths, or a glob."""
+    """The live follower for one path, many paths, or a glob."""
     patterns = [sink] if isinstance(sink, (str, bytes)) else list(sink)
-    if len(patterns) == 1 and not any(
-        ch in str(patterns[0]) for ch in "*?["
-    ):
+    if len(patterns) == 1 and not any(ch in str(patterns[0]) for ch in "*?["):
         return SinkFollower(str(patterns[0]))
     return MultiSinkFollower(patterns)
 
 
+def open_sinks(patterns):
+    """The follower that drains finished sinks (paths or globs).
+
+    One physical file is read in file order; several (shards, or a
+    sink beside its rotated generation) merge by timestamp with their
+    source tagged.  Raises :class:`FileNotFoundError` when nothing
+    matches or a named sink is missing."""
+    paths = expand_sinks(patterns)
+    missing = [p for p in paths if not os.path.exists(p)]
+    if not paths or missing:
+        raise FileNotFoundError(f"no obs sink matches {missing or patterns!r}")
+    return SinkFollower(paths[0]) if len(paths) == 1 else MultiSinkFollower(paths)
+
+
+def load_events(patterns) -> list[dict]:
+    """Every valid event of one or many finished sinks (globs allowed):
+    one drain of :func:`open_sinks`."""
+    return open_sinks(patterns).poll(final=True)
+
+
+def follow(sink, on_poll: Callable[[list], None], interval: float = 0.5,
+           duration: Optional[float] = None, once: bool = False):
+    """Poll ``sink`` and hand each batch of new events to ``on_poll``.
+
+    Runs until Ctrl-C, until ``duration`` seconds pass, or after one
+    poll with ``once``.  Returns the follower (its ``corrupt`` count
+    says how many lines the reader skipped)."""
+    follower = make_follower(sink)
+    deadline = None if duration is None else time.monotonic() + duration
+    try:
+        while True:
+            on_poll(follower.poll())
+            if once or (deadline is not None and time.monotonic() >= deadline):
+                break
+            time.sleep(interval)
+    except KeyboardInterrupt:  # pragma: no cover - interactive exit
+        pass
+    return follower
+
+
+# -- the one fold ------------------------------------------------------
 class WatchState:
-    """Incrementally aggregated view of a sink's event stream."""
+    """Incrementally folded view of a sink's event stream."""
 
     def __init__(self, rolling_window: int = ROLLING_WINDOW) -> None:
         self.n_events = 0
+        self.n_logs = 0
+        self.corrupt = 0  # lines the reader skipped (set by watch_loop)
         self.first_ts: Optional[float] = None
         self.last_ts: Optional[float] = None
         self.pids: set = set()
-        # Campaign progress: counters are cumulative per pid, so keep
-        # the last snapshot per pid and merge on demand.
-        self._counters_per_pid: dict = {}
-        self._histograms_per_pid: dict = {}
+        # Counters are cumulative per process: keep the last snapshot
+        # per (sink, pid) and merge on demand.
+        self._snapshots: dict = {}
         self.total_jobs: Optional[int] = None
         self.campaign: Optional[str] = None
-        # Rolling numeric series from "metrics" events.
+        self.spans: dict[str, dict] = {}
+        self.metrics: dict[str, dict] = {}
         self.series: dict[str, deque] = {}
         self._rolling_window = rolling_window
-        self.span_counts: dict[str, int] = {}
         self.warnings: dict[str, dict] = {}
 
-    # -- ingestion -----------------------------------------------------
     def ingest(self, events: list[dict]) -> None:
-        """Fold newly polled events in."""
+        """Fold events in, in order."""
         for event in events:
             self.n_events += 1
             ts = event.get("ts")
@@ -237,34 +372,52 @@ class WatchState:
                 self.pids.add(pid)
             kind = event.get("kind")
             if kind == "counters":
-                # Keyed (sink, pid): None-sink for single-sink watches
-                # (the historical behavior), the shard path for merged
-                # watches — same pid in two shard sinks must sum.
-                key = (event.get("_src"), event.get("pid", 0))
-                self._counters_per_pid[key] = event.get("counters", {})
-                self._histograms_per_pid[key] = event.get("histograms", {})
+                # None-sink for single-sink reads, the logical sink for
+                # merged ones — the same pid in two shards must sum.
+                self._snapshots[(event.get("_src"), event.get("pid", 0))] = event
+            elif kind == "span":
+                agg = self.spans.setdefault(
+                    event.get("name", "?"),
+                    {"count": 0, "total": 0.0, "max": 0.0, "errors": 0},
+                )
+                duration = float(event.get("dur", 0.0))
+                agg["count"] += 1
+                agg["total"] += duration
+                agg["max"] = max(agg["max"], duration)
+                agg["errors"] += event.get("status") == "error"
             elif kind == "metrics":
                 prefix = event.get("name", "?")
-                for name, value in (event.get("values") or {}).items():
-                    series = self.series.setdefault(
-                        f"{prefix}.{name}",
-                        deque(maxlen=self._rolling_window),
-                    )
-                    series.append(float(value))
-            elif kind == "span":
-                name = event.get("name", "?")
-                self.span_counts[name] = self.span_counts.get(name, 0) + 1
+                for key, value in (event.get("values") or {}).items():
+                    self._ingest_metric(f"{prefix}.{key}", float(value))
             elif kind == "log":
+                self.n_logs += 1
                 self._ingest_log(event)
+
+    def _ingest_metric(self, name: str, value: float) -> None:
+        agg = self.metrics.get(name)
+        if agg is None:
+            agg = self.metrics[name] = {
+                "count": 0, "total": 0.0, "min": math.inf, "max": -math.inf, "last": None,
+            }
+            self.series[name] = deque(maxlen=self._rolling_window)
+        agg["count"] += 1
+        agg["total"] += value
+        agg["min"] = min(agg["min"], value)
+        agg["max"] = max(agg["max"], value)
+        agg["last"] = value
+        self.series[name].append(value)
 
     def _ingest_log(self, event: dict) -> None:
         fields = event.get("fields") or {}
         if event.get("msg") == "campaign started":
-            if "jobs" in fields:
-                self.total_jobs = int(fields["jobs"])
+            if type(fields.get("jobs")) is int:
+                self.total_jobs = fields["jobs"]
             if "campaign" in fields:
                 self.campaign = str(fields["campaign"])
         if event.get("level") == "warning":
+            # warn_once dedupes per process, so forked workers each
+            # emit the same warning once; collapse them by warn_key
+            # (or message text) with a count and the pids that raised it.
             key = str(fields.get("warn_key", event.get("msg", "?")))
             row = self.warnings.setdefault(
                 key, {"msg": event.get("msg", ""), "count": 0, "pids": set()}
@@ -275,20 +428,42 @@ class WatchState:
 
     # -- derived views -------------------------------------------------
     def counters(self) -> dict[str, float]:
-        """Merged counters (last snapshot per pid, summed)."""
+        """Merged counters (last snapshot per (sink, pid), summed)."""
         merged: dict[str, float] = {}
-        for snapshot in self._counters_per_pid.values():
-            for name, value in snapshot.items():
+        for snapshot in self._snapshots.values():
+            for name, value in snapshot.get("counters", {}).items():
                 merged[name] = merged.get(name, 0) + value
         return merged
 
     def histograms(self) -> dict[str, Histogram]:
-        """Merged histograms (last snapshot per pid, folded)."""
+        """Merged histograms (last snapshot per (sink, pid), folded)."""
         merged: dict[str, Histogram] = {}
-        for snapshot in self._histograms_per_pid.values():
-            for name, payload in snapshot.items():
+        for snapshot in self._snapshots.values():
+            for name, payload in snapshot.get("histograms", {}).items():
                 merged.setdefault(name, Histogram()).merge_dict(payload)
         return merged
+
+    def summary(self) -> dict:
+        """The JSON-ready merge: ``{"counters", "histograms", "spans",
+        "metrics", "warnings", "n_logs", "n_events"}``."""
+        warnings = [
+            {"key": key, "msg": row["msg"], "count": row["count"], "pids": sorted(row["pids"])}
+            for key, row in self.warnings.items()
+        ]
+        return {
+            "counters": dict(sorted(self.counters().items())),
+            "histograms": {
+                name: h.to_dict() for name, h in sorted(self.histograms().items())
+            },
+            "spans": {name: dict(agg) for name, agg in sorted(self.spans.items())},
+            "metrics": {
+                name: dict(agg, mean=agg["total"] / agg["count"])
+                for name, agg in sorted(self.metrics.items())
+            },
+            "warnings": sorted(warnings, key=lambda r: (-r["count"], r["key"])),
+            "n_logs": self.n_logs,
+            "n_events": self.n_events,
+        }
 
     def job_progress(self) -> dict:
         """Done/failed/retried from the campaign counters, which both
@@ -309,6 +484,24 @@ class WatchState:
             "attempts": attempts,
             "total": self.total_jobs,
         }
+
+
+def merge_events(events: list[dict]) -> dict:
+    """Fold a finished event list into one JSON-ready summary
+    (:meth:`WatchState.summary`)."""
+    state = WatchState()
+    state.ingest(events)
+    return state.summary()
+
+
+def counter_lines(counters: dict) -> list[str]:
+    """One aligned ``name value`` row per counter (integral values
+    without decimals)."""
+    lines = []
+    for name, value in counters.items():
+        rendered = f"{value:.0f}" if float(value).is_integer() else f"{value:.4f}"
+        lines.append(f"{name:<44} {rendered:>14}")
+    return lines
 
 
 def render_watch(state: WatchState, sink: str = "", width: int = 78) -> str:
@@ -334,8 +527,7 @@ def render_watch(state: WatchState, sink: str = "", width: int = 78) -> str:
         )
 
     if state.series:
-        lines.append("")
-        lines.append("## rolling metrics")
+        lines += ["", "## rolling metrics"]
         for name in sorted(state.series):
             values = list(state.series[name])
             lines.append(
@@ -344,19 +536,12 @@ def render_watch(state: WatchState, sink: str = "", width: int = 78) -> str:
 
     counters = state.counters()
     if counters:
-        lines.append("")
-        lines.append("## counters")
-        for name in sorted(counters):
-            value = counters[name]
-            rendered = (
-                f"{value:.0f}" if float(value).is_integer() else f"{value:.4f}"
-            )
-            lines.append(f"{name:<44} {rendered:>14}")
+        lines += ["", "## counters"]
+        lines += counter_lines(dict(sorted(counters.items())))
 
     histograms = state.histograms()
     if histograms:
-        lines.append("")
-        lines.append("## histograms")
+        lines += ["", "## histograms"]
         for name in sorted(histograms):
             h = histograms[name]
             p50, p95 = h.quantile(0.5), h.quantile(0.95)
@@ -370,8 +555,7 @@ def render_watch(state: WatchState, sink: str = "", width: int = 78) -> str:
             )
 
     if state.warnings:
-        lines.append("")
-        lines.append("## recent warnings")
+        lines += ["", "## recent warnings"]
         rows = sorted(
             state.warnings.items(), key=lambda kv: -kv[1]["count"]
         )
@@ -406,22 +590,13 @@ def watch_loop(
         def emit(text: str) -> None:
             sys.stdout.write(text + "\n")
             sys.stdout.flush()
-    follower = make_follower(sink)
     title = sink if isinstance(sink, str) else " ".join(str(s) for s in sink)
     state = WatchState()
-    deadline = None if duration is None else time.monotonic() + duration
-    try:
-        while True:
-            state.ingest(follower.poll())
-            frame = render_watch(state, sink=title)
-            if clear and not once:
-                frame = "\x1b[2J\x1b[H" + frame
-            emit(frame)
-            if once:
-                break
-            if deadline is not None and time.monotonic() >= deadline:
-                break
-            time.sleep(interval)
-    except KeyboardInterrupt:  # pragma: no cover - interactive exit
-        pass
+
+    def on_poll(events: list[dict]) -> None:
+        state.ingest(events)
+        frame = render_watch(state, sink=title)
+        emit("\x1b[2J\x1b[H" + frame if clear and not once else frame)
+
+    state.corrupt = follow(sink, on_poll, interval, duration, once).corrupt
     return state

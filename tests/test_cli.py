@@ -89,3 +89,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "test accuracy" in out
         assert "test_00001.txt" in out
+
+    def test_campaign_run_does_not_announce_local_slots(self, tmp_path, capsys):
+        """The local transport's executor slots are scheduler workers,
+        but registering them is not progress: only ``cluster run`` and
+        ``cluster serve`` announce workers."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            '{"name": "slots", "experiment": "lzw_recovery", "grid": {"size": [30, 40]}}'
+        )
+        assert main(["campaign", "run", str(spec), "--out", str(tmp_path / "out"),
+                     "--workers", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "finalized" in out
+        assert not [line for line in out.splitlines() if "registered" in line]

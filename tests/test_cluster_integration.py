@@ -19,15 +19,17 @@ from pathlib import Path
 
 import pytest
 
-from repro import obs
+from repro import cli, obs
 from repro.campaign import (
     CampaignRunner,
     CampaignSpec,
     ResultStore,
+    discover_sinks,
     metrics_digest,
 )
 from repro.campaign.spec import FaultInjection
 from repro.cluster import run_cluster
+from repro.obs.report import trace_summary
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -65,16 +67,26 @@ class TestKillDrill:
     ):
         """The acceptance drill: 2 workers, w0 SIGKILLed mid-run; all
         jobs complete and the metrics digest equals the single-host
-        run's — crash recovery must not change a single metric byte."""
+        run's — crash recovery must not change a single metric byte.
+
+        Run as ``cluster run --obs-shards --obs <store>/obs.jsonl``: the
+        scheduler's sink and the per-worker shard sinks under the store
+        must stitch into one trace tree and export to Chrome Trace."""
+        root = tmp_path / "cluster"
+        obs.enable(sink_path=str(root / "obs.jsonl"))
         result = run_cluster(
             drill_spec(),
-            tmp_path / "cluster",
+            root,
             workers=2,
             lease_seconds=10.0,
             heartbeat_seconds=0.3,
+            obs_shards=True,
+            obs_sink=str(root / "obs.jsonl"),
             drill_kill_worker=2,
             deadline_seconds=120.0,
         )
+        obs.flush()
+        obs.reset()
         assert result["state"] == "done"
         assert result["counts"]["ok"] == 6
         assert result["counts"].get("crashed", 0) == 0
@@ -94,6 +106,25 @@ class TestKillDrill:
         assert metrics_digest(records) == metrics_digest(
             single_store.load_records()
         )
+
+        sinks = discover_sinks(root)
+        assert len(sinks) == 3  # the scheduler's sink and two shards
+        summary = trace_summary(obs.load_events(sinks))
+        assert summary["root"] and summary["root"]["name"] == "cluster.campaign"
+        assert summary["n_orphans"] == 0
+        assert len(summary["trace_ids"]) == 1
+        assert summary["compute_seconds"] > 0.0
+
+        trace_json = tmp_path / "trace.json"
+        assert cli.main(
+            ["obs", "export", str(root / "obs.jsonl"),
+             str(root / "shard-*" / "obs.jsonl"),
+             "--format", "chrome-trace", "--out", str(trace_json)]
+        ) == 0
+        doc = json.loads(trace_json.read_text())
+        assert doc["displayTimeUnit"] == "ms"
+        names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
+        assert {"cluster.campaign", "campaign.job"} <= names
 
 
 def popen_repro(*argv, **kwargs):
@@ -219,7 +250,6 @@ class TestTraceDrill:
         scheduler's campaign span, with zero orphans, and the merged
         events must export to valid Chrome Trace JSON."""
         from repro.obs.export import event_pid, render_chrome_trace
-        from repro.obs.report import trace_summary
 
         sink = tmp_path / "obs.jsonl"
         obs.enable(sink_path=str(sink))
@@ -238,7 +268,7 @@ class TestTraceDrill:
         assert result["state"] == "done"
         assert result["counts"]["ok"] == 6
 
-        events = obs.load_events_multi([str(sink)])
+        events = obs.load_events([str(sink)])
         summary = trace_summary(events)
         assert summary["root"]["name"] == "cluster.campaign"
         assert summary["n_orphans"] == 0

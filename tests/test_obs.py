@@ -260,6 +260,34 @@ class TestReportRendering:
         assert "made widgets" in text
         assert "counters" in text
 
+    def test_tail_n_zero_prints_no_event_lines(self, tmp_path, capsys):
+        from repro.cli import main
+
+        events = self._sinked_events(tmp_path)
+        assert obs.render_tail(events, n=0) == ""
+        assert obs.render_tail(events, n=1) == obs.format_event(events[-1])
+        sink = str(tmp_path / "obs.jsonl")
+        assert main(["obs", "tail", sink, "-n", "0"]) == 0
+        assert capsys.readouterr().out == ""
+        # --follow: the first poll shows the last n events, here none
+        assert main(["obs", "tail", sink, "-n", "0", "--follow",
+                     "--duration", "0"]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["obs", "tail", sink, "-n", "1", "--follow",
+                     "--duration", "0"]) == 0
+        assert capsys.readouterr().out == obs.format_event(events[-1]) + "\n"
+
+    def test_tail_rejects_a_negative_n(self, tmp_path, capsys):
+        from repro.cli import main
+
+        self._sinked_events(tmp_path)
+        sink = str(tmp_path / "obs.jsonl")
+        for extra in ([], ["--follow", "--duration", "0"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["obs", "tail", sink, "-n", "-1", *extra])
+            assert exc.value.code == 2
+            assert "non-negative" in capsys.readouterr().err
+
     def test_empty_inputs_render_placeholders(self):
         assert "(no events)" in obs.render_tail([])
         assert "(no spans)" in obs.render_span_tree([])

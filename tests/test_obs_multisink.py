@@ -16,10 +16,8 @@ from repro import obs
 from repro.obs import (
     MultiSinkFollower,
     SinkFollower,
-    WatchState,
     expand_sinks,
     load_events,
-    load_events_multi,
     make_follower,
     merge_events,
 )
@@ -67,13 +65,15 @@ class TestExpandSinks:
 class TestLoadEventsMulti:
     def test_no_match_raises_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="no obs sink matches"):
-            load_events_multi(str(tmp_path / "shard-*" / "obs.jsonl"))
+            load_events(str(tmp_path / "shard-*" / "obs.jsonl"))
+        with pytest.raises(FileNotFoundError, match="no obs sink matches"):
+            load_events([str(tmp_path / "missing.jsonl")])
 
     def test_single_concrete_path_behaves_like_load_events(self, tmp_path):
         sink = tmp_path / "obs.jsonl"
         write_sink(sink, [counters_event(1, 3)])
-        events = load_events_multi(str(sink))
-        assert events == load_events(str(sink))
+        events = load_events([str(sink)])
+        assert events == load_events(str(sink)) == [counters_event(1, 3)]
         assert "_src" not in events[0]  # historical single-sink shape
 
     def test_multi_sink_tags_source_and_sorts_by_ts(self, tmp_path):
@@ -85,7 +85,7 @@ class TestLoadEventsMulti:
             tmp_path / "shard-w1" / "obs.jsonl",
             [{"kind": "log", "msg": "early", "ts": 1.0}],
         )
-        events = load_events_multi(str(tmp_path / "shard-*" / "obs.jsonl"))
+        events = load_events(str(tmp_path / "shard-*" / "obs.jsonl"))
         assert [e["msg"] for e in events] == ["early", "late"]
         assert events[0]["_src"].endswith("shard-w1/obs.jsonl")
         assert events[1]["_src"].endswith("shard-w0/obs.jsonl")
@@ -103,29 +103,15 @@ class TestMergeAcrossSinks:
             tmp_path / "shard-w1" / "obs.jsonl",
             [counters_event(7, 4)],
         )
-        events = load_events_multi(str(tmp_path / "shard-*" / "obs.jsonl"))
+        events = load_events(str(tmp_path / "shard-*" / "obs.jsonl"))
         merged = merge_events(events)
         assert merged["counters"]["campaign.ok"] == 7  # 3 (last of w0) + 4
 
     def test_single_sink_same_pid_keeps_last_snapshot_only(self, tmp_path):
         sink = tmp_path / "obs.jsonl"
         write_sink(sink, [counters_event(7, 2), counters_event(7, 3)])
-        merged = merge_events(load_events_multi(str(sink)))
+        merged = merge_events(load_events(str(sink)))
         assert merged["counters"]["campaign.ok"] == 3  # not 5
-
-    def test_watch_state_applies_the_same_keying(self):
-        state = WatchState()
-        state.ingest(
-            [
-                {**counters_event(7, 3), "_src": "shard-w0/obs.jsonl"},
-                {**counters_event(7, 4), "_src": "shard-w1/obs.jsonl"},
-            ]
-        )
-        assert state.counters() == {"campaign.ok": 7}
-        # Without _src (single-sink watch) the pid key still dedupes.
-        state2 = WatchState()
-        state2.ingest([counters_event(7, 2), counters_event(7, 3)])
-        assert state2.counters() == {"campaign.ok": 3}
 
 
 class TestMakeFollower:

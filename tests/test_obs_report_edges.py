@@ -14,7 +14,6 @@ from repro.obs.core import Histogram, _quantile_bin, _quantile_bin_value
 from repro.obs.report import (
     format_event,
     merge_events,
-    merge_warnings,
     render_report,
     render_span_tree,
 )
@@ -251,18 +250,18 @@ class TestWarningDedupe:
                 "msg": msg, "ts": 1.0, "fields": {"warn_key": key}}
 
     def test_same_key_collapses_across_pids(self):
-        rows = merge_warnings(
+        rows = merge_events(
             [self._warn(1), self._warn(2), self._warn(1)]
-        )
+        )["warnings"]
         (row,) = rows
         assert row["count"] == 3
         assert row["pids"] == [1, 2]
 
     def test_rows_sort_by_count_then_key(self):
-        rows = merge_warnings(
+        rows = merge_events(
             [self._warn(1, key="b"), self._warn(1, key="a"),
              self._warn(2, key="a")]
-        )
+        )["warnings"]
         assert [r["key"] for r in rows] == ["a", "b"]
 
     def test_missing_key_dedupes_by_message(self):
@@ -272,7 +271,7 @@ class TestWarningDedupe:
             {"kind": "log", "level": "warning", "pid": 1,
              "msg": "no key here", "ts": 2.0},
         ]
-        (row,) = merge_warnings(events)
+        (row,) = merge_events(events)["warnings"]
         assert row["count"] == 2
 
     def test_warn_once_emits_the_key_field(self):
@@ -281,7 +280,7 @@ class TestWarningDedupe:
         (event,) = [e for e in obs.recent() if e["kind"] == "log"]
         assert event["fields"]["warn_key"] == "disk"
         assert event["fields"]["device"] == "sda"
-        (row,) = merge_warnings([event])
+        (row,) = merge_events([event])["warnings"]
         assert row["key"] == "disk"
 
     def test_report_renders_the_warning_section(self):

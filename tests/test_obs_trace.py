@@ -23,12 +23,8 @@ from repro.obs.export import (
     event_pid,
     render_chrome_trace,
 )
-from repro.obs.report import (
-    logical_sink,
-    render_trace,
-    stitch_spans,
-    trace_summary,
-)
+from repro.obs.report import render_trace, stitch_spans, trace_summary
+from repro.obs.watch import logical_sink
 
 
 @pytest.fixture(autouse=True)
@@ -219,10 +215,10 @@ class TestSinkRotation:
             for line in path.read_text().splitlines():
                 json.loads(line)
 
-    def test_load_events_multi_recovers_both_generations(self, tmp_path):
+    def test_load_events_recovers_both_generations(self, tmp_path):
         sink = tmp_path / "s.jsonl"
         self._fill(sink, cap=2048, n=120)
-        events = obs.load_events_multi([str(sink)])
+        events = obs.load_events([str(sink)])
         seqs = [
             e["fields"]["seq"]
             for e in events
@@ -241,7 +237,7 @@ class TestSinkRotation:
         for _ in range(10):
             obs.counter_add("rot.jobs")
             obs.flush()  # each flush writes a cumulative snapshot
-        events = obs.load_events_multi([str(sink)])
+        events = obs.load_events([str(sink)])
         assert {logical_sink(e["_src"]) for e in events} == {str(sink)}
         from repro.obs.report import merge_events
 

@@ -715,16 +715,6 @@ def test_survey_metrics_identical_across_tiers(monkeypatch):
     assert fast == slow
 
 
-def test_profile_only_records_functions_only():
-    from repro.compression import lzw_compress
-
-    ctx = TracingContext(tier=InstrumentationTier.PROFILE_ONLY)
-    lzw_compress(b"abcabcabcXYZ" * 4, ctx=ctx)
-    assert ctx.memory_accesses() == []
-    assert ctx.function_events()  # enter/exit markers survive
-    assert ctx.plain_accesses > 0
-
-
 # ----------------------------------------------------------------------
 # bzip2 layer vs list/set references
 # ----------------------------------------------------------------------
