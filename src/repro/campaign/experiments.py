@@ -172,15 +172,9 @@ def fingerprint_dataset(params: dict, seed: int) -> dict:
     import hashlib
 
     from repro.core.zipchannel.fingerprint import build_dataset
-    from repro.workloads import brotli_like_corpus, repetitiveness_series
+    from repro.workloads import fingerprint_corpus
 
-    corpus = params.get("corpus", "lipsum")
-    if corpus == "brotli":
-        files = list(brotli_like_corpus().values())
-    elif corpus == "lipsum":
-        files = repetitiveness_series()
-    else:
-        raise ValueError(f"unknown corpus {corpus!r}")
+    files = list(fingerprint_corpus(params.get("corpus", "lipsum")).values())
     max_bytes = params.get("max_file_bytes")
     if max_bytes is not None:
         files = [f[: int(max_bytes)] for f in files]
@@ -494,20 +488,13 @@ def probe_sweep(params: dict, seed: int) -> dict:
 def mitigation_overhead(params: dict, seed: int) -> dict:
     """Section VIII costing: the full attack against the vulnerable and
     the oblivious histogram, same secret, same knobs."""
-    from repro.core.zipchannel import AttackConfig, SgxBzip2Attack
-    from repro.mitigations import oblivious_histogram
+    from repro.core.zipchannel import AttackConfig, run_attack
     from repro.workloads import random_bytes
 
     secret = random_bytes(int(params.get("size", 200)), seed=seed)
-    noise = int(params.get("noise", 2))
-    vulnerable = SgxBzip2Attack(
-        secret, AttackConfig(background_noise_rate=noise)
-    ).run()
-    hardened = SgxBzip2Attack(
-        secret,
-        AttackConfig(background_noise_rate=noise),
-        victim_histogram=oblivious_histogram,
-    ).run()
+    config = AttackConfig(background_noise_rate=int(params.get("noise", 2)))
+    vulnerable = run_attack(secret, config)
+    hardened = run_attack(secret, config, mitigated=True)
     return {
         "vulnerable_byte_accuracy": vulnerable.byte_accuracy,
         "mitigated_byte_accuracy": hardened.byte_accuracy,

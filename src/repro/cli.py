@@ -5,7 +5,7 @@ run the end-to-end attacks, regenerate the survey, or drive a whole
 experiment campaign — all from a shell.
 
     python -m repro taintchannel zlib --lowercase 600
-    python -m repro sgx-attack --size 2000
+    python -m repro sgx-attack --random 2000
     python -m repro fingerprint --corpus lipsum --traces 40
     python -m repro survey --size 800
     python -m repro oracle demo --victim http
@@ -29,21 +29,34 @@ experiment campaign — all from a shell.
     python -m repro obs report runs/lzw/obs.jsonl
     python -m repro obs watch 'runs/lzw-cluster/shard-*/obs.jsonl'
     python -m repro obs tail runs/lzw/obs.jsonl -n 40
+
+Every command imports what it needs inside its own function, so
+starting the CLI (once for the scheduler, each worker and the report of
+a cluster campaign) loads only this file and :mod:`repro.workloads`.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from typing import Optional, Sequence
 
-from repro.workloads import english_like, lowercase_ascii, random_bytes
+from repro.workloads import (
+    english_like,
+    fingerprint_corpus,
+    lowercase_ascii,
+    random_bytes,
+)
 
-# The shared notion of "analyse target X on input Y" lives with the tool.
-from repro.core.taintchannel.tool import target_for as _target_for
+
+class UsageError(Exception):
+    """Unusable command input: :func:`main` prints ``error: <message>``
+    on stderr and exits 2."""
 
 
+# -- idioms shared by the commands ---------------------------------------
 def _load_input(args: argparse.Namespace) -> bytes:
     if args.file:
         with open(args.file, "rb") as handle:
@@ -55,17 +68,161 @@ def _load_input(args: argparse.Namespace) -> bytes:
     return random_bytes(args.random, seed=args.seed)
 
 
+def _json(doc, sort_keys: bool = True) -> str:
+    """The CLI's JSON rendering: two-space indent, newline-terminated."""
+    return json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n"
+
+
+def _emit(text: str, out: Optional[str] = None, wrote: str = "") -> None:
+    """Write ``text`` to stdout or, given ``--out``, to that file and
+    say so on stdout."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    with open(out, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    print(wrote or f"wrote {out}")
+
+
+def _print_stderr(line: str) -> None:
+    print(line, file=sys.stderr)
+
+
+def _progress(args: argparse.Namespace):
+    """The ``on_event`` callback: per-job lines unless ``--quiet``."""
+    return None if args.quiet else print
+
+
+def _campaign_store(path: str):
+    """An existing campaign result directory."""
+    from repro.campaign import ResultStore
+
+    store = ResultStore(path)
+    if not store.exists():
+        raise UsageError(f"no campaign manifest in {path}")
+    return store
+
+
+def _trace_store(path: str):
+    """An existing trace store."""
+    from repro.traces import TraceStore
+
+    store = TraceStore(path)
+    if not store.exists():
+        raise UsageError(f"no trace store at {path}")
+    return store
+
+
+def _exit_code(counts: dict) -> int:
+    """0 when no job failed, 1 when every job failed (``failed``,
+    ``timeout`` or ``crashed``), 3 on partial failure — so scripts and
+    CI can tell the cases apart.  ``skipped`` jobs do not count."""
+    failed = sum(counts.get(k, 0) for k in ("failed", "timeout", "crashed"))
+    if not failed:
+        return 0
+    return 1 if counts.get("ok", 0) == 0 else 3
+
+
+def _campaign_runner(args: argparse.Namespace, spec, out: str):
+    """The local runner behind ``campaign run|resume``."""
+    from repro.campaign import CampaignRunner, ResultStore
+
+    if args.obs:
+        from repro import obs
+
+        # Export the sink path so spawned campaign worker processes
+        # activate from the environment and append to the same file.
+        os.environ[obs.ENV_SINK] = args.obs
+        obs.enable(sink_path=args.obs)
+    return CampaignRunner(
+        spec, ResultStore(out), workers=args.workers, on_event=_progress(args)
+    )
+
+
+def _run_campaign(runner, resume: bool) -> int:
+    """Run to the end and print the summary; Ctrl-C exits 130 at once
+    with the command that continues the campaign."""
+    from repro.campaign import SpecMismatchError
+
+    try:
+        result = runner.run(resume=resume)
+    except SpecMismatchError as exc:
+        raise UsageError(exc) from None
+    except KeyboardInterrupt:
+        print(
+            f"interrupted — finished jobs are checkpointed; continue "
+            f"with `python -m repro campaign resume {runner.store.root}`",
+            file=sys.stderr,
+        )
+        # The terminal delivers SIGINT to the whole process group; a
+        # second delivery during interpreter shutdown (while atexit
+        # joins the dead pool's threads) prints an ignorable traceback.
+        # The runner already flushed obs and the store fsyncs per
+        # record, so exit hard with the conventional SIGINT code.
+        sys.stderr.flush()
+        sys.stdout.flush()
+        os._exit(130)
+    print(result.summary())
+    return _exit_code(result.counts)
+
+
+def _cluster_control(args: argparse.Namespace, message: dict) -> dict:
+    """Send one control message to ``--connect`` and return the reply."""
+    from repro.cluster import control_request, parse_endpoint
+
+    try:
+        return control_request(parse_endpoint(args.connect), message)
+    except OSError as exc:
+        raise UsageError(
+            f"cannot reach scheduler at {args.connect}: {exc}"
+        ) from None
+
+
+def _require_ok(reply: dict) -> None:
+    if reply.get("type") != "ok":
+        raise UsageError(reply.get("error", reply))
+
+
+def _warn_corrupt(corrupt: int) -> None:
+    """Say on stderr how many sink lines the reader skipped (stdout
+    stays what a clean sink prints)."""
+    if corrupt:
+        print(
+            f"warning: skipped {corrupt} corrupt obs sink "
+            f"line{'s' if corrupt != 1 else ''}",
+            file=sys.stderr,
+        )
+
+
+def _sink_names(sink) -> str:
+    return sink if isinstance(sink, str) else " ".join(sink)
+
+
+def _load_obs_events(sink) -> list:
+    """Read one or many finished JSONL obs sinks (globs allowed)."""
+    from repro.obs import open_sinks
+
+    try:
+        follower = open_sinks(sink)
+    except FileNotFoundError:
+        raise UsageError(f"no obs sink at {_sink_names(sink)}") from None
+    events = follower.poll(final=True)
+    _warn_corrupt(follower.corrupt)
+    return events
+
+
+# -- the paper's attacks and tools ---------------------------------------
 def cmd_taintchannel(args: argparse.Namespace) -> int:
     """Run TaintChannel on a named target and render its gadgets."""
     from repro.core.taintchannel import TaintChannel
+    from repro.core.taintchannel.tool import target_for
 
     data = _load_input(args)
     tc = TaintChannel(carry_aware_add=args.carry_aware, max_events=args.max_events)
     try:
-        target = _target_for(args.target, data)
+        target = target_for(args.target, data)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(exc) from None
     result = tc.analyze(args.target, target)
     print(result.summary())
     gadgets = result.gadgets
@@ -79,22 +236,14 @@ def cmd_taintchannel(args: argparse.Namespace) -> int:
 
 def cmd_sgx_attack(args: argparse.Namespace) -> int:
     """Run the Section V extraction attack end to end."""
-    from repro.core.zipchannel import AttackConfig, SgxBzip2Attack
+    from repro.core.zipchannel import AttackConfig, run_attack
 
-    secret = _load_input(args)
     config = AttackConfig(
         use_cat=not args.no_cat,
         use_frame_selection=not args.no_frame_selection,
         background_noise_rate=args.noise,
     )
-    if args.mitigated:
-        from repro.mitigations import oblivious_histogram
-
-        outcome = SgxBzip2Attack(
-            secret, config, victim_histogram=oblivious_histogram
-        ).run()
-    else:
-        outcome = SgxBzip2Attack(secret, config).run()
+    outcome = run_attack(_load_input(args), config, mitigated=args.mitigated)
     print(outcome.summary())
     print(
         f"empty observations: {outcome.observations_empty}, "
@@ -107,31 +256,23 @@ def cmd_sgx_attack(args: argparse.Namespace) -> int:
 def cmd_fingerprint(args: argparse.Namespace) -> int:
     """Run the Section VI fingerprinting attack and print the confusion
     matrix."""
-    from repro.classify import (
-        MLPClassifier,
-        confusion_matrix,
-        render_confusion,
-        split_dataset,
+    from repro.classify import confusion_matrix, render_confusion
+    from repro.core.zipchannel.fingerprint import (
+        build_dataset,
+        train_classifier,
     )
-    from repro.core.zipchannel.fingerprint import build_dataset
-    from repro.workloads import brotli_like_corpus, repetitiveness_series
 
-    if args.corpus == "brotli":
-        corpus = brotli_like_corpus()
-        names, files = list(corpus), list(corpus.values())
-    else:
-        files = repetitiveness_series()
-        names = [f"test_0000{i + 1}.txt" for i in range(len(files))]
-
+    corpus = fingerprint_corpus(args.corpus)
+    files = list(corpus.values())
     print(f"capturing {args.traces} traces for each of {len(files)} files...")
     x, y, _ = build_dataset(files, traces_per_file=args.traces, seed=args.seed)
-    train, val, test = split_dataset(x, y, seed=args.seed + 1)
-    clf = MLPClassifier(x.shape[1], len(files), hidden=96, seed=args.seed + 2)
-    clf.fit(*train, epochs=args.epochs, x_val=val[0], y_val=val[1])
-    print(f"test accuracy: {clf.accuracy(*test) * 100:.1f}% "
+    clf, test, metrics = train_classifier(
+        x, y, len(files), args.epochs, args.seed
+    )
+    print(f"test accuracy: {metrics['test_accuracy'] * 100:.1f}% "
           f"(chance {100 / len(files):.1f}%)")
     matrix = confusion_matrix(test[1], clf.predict(test[0]), len(files))
-    print(render_confusion(matrix, names))
+    print(render_confusion(matrix, list(corpus)))
     return 0
 
 
@@ -147,6 +288,7 @@ def cmd_survey(args: argparse.Namespace) -> int:
     return 0
 
 
+# -- trace stores ---------------------------------------------------------
 def cmd_trace_capture(args: argparse.Namespace) -> int:
     """Capture victim traces into a trace store."""
     from repro.recovery.survey import SURVEY_TARGETS
@@ -189,13 +331,7 @@ def cmd_trace_capture(args: argparse.Namespace) -> int:
 
 def cmd_trace_list(args: argparse.Namespace) -> int:
     """List the traces in a store."""
-    from repro.traces import TraceStore
-
-    store = TraceStore(args.store)
-    if not store.exists():
-        print(f"error: no trace store at {args.store}", file=sys.stderr)
-        return 2
-    entries = store.list(species=args.species)
+    entries = _trace_store(args.store).list(species=args.species)
     for entry in entries:
         meta = entry.meta
         label = (
@@ -213,29 +349,19 @@ def cmd_trace_list(args: argparse.Namespace) -> int:
 
 def cmd_trace_verify(args: argparse.Namespace) -> int:
     """Verify stored traces against their hashes; exit 1 on corruption."""
-    from repro.traces import TraceStore
-
-    store = TraceStore(args.store)
-    if not store.exists():
-        print(f"error: no trace store at {args.store}", file=sys.stderr)
-        return 2
-    reports = store.verify(args.id)
-    bad = 0
+    reports = _trace_store(args.store).verify(args.id)
     for report in reports:
         if report.ok:
             print(f"ok      {report.trace_id}")
         else:
-            bad += 1
             print(f"CORRUPT {report.trace_id}: {report.problem}")
     if not reports:
         print("(store is empty)")
-    return 1 if bad else 0
+    return 1 if any(not report.ok for report in reports) else 0
 
 
 def cmd_trace_export(args: argparse.Namespace) -> int:
     """Export one trace to JSON for external tooling."""
-    import json
-
     from repro.traces import (
         SPECIES_FINGERPRINT,
         SPECIES_MEMORY,
@@ -246,8 +372,7 @@ def cmd_trace_export(args: argparse.Namespace) -> int:
     try:
         entry = store.get(args.id)
     except (KeyError, FileNotFoundError):
-        print(f"error: no trace {args.id!r} in {args.store}", file=sys.stderr)
-        return 2
+        raise UsageError(f"no trace {args.id!r} in {args.store}") from None
     records = []
     if entry.species == SPECIES_MEMORY:
         cols = store.read_columns(args.id)
@@ -291,129 +416,41 @@ def cmd_trace_export(args: argparse.Namespace) -> int:
                 }
             )
     payload = {"entry": entry.to_dict(), "records": records}
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {len(records)} records to {args.out}")
-    else:
-        json.dump(payload, sys.stdout, indent=2)
-        print()
+    _emit(
+        _json(payload, sort_keys=False),
+        args.out,
+        f"wrote {len(records)} records to {args.out}",
+    )
     return 0
 
 
-def _campaign_pieces(args: argparse.Namespace, spec=None):
-    """Build (spec, store, runner) from parsed campaign arguments."""
-    from repro.campaign import CampaignRunner, ResultStore
-    from repro.campaign.spec import CampaignSpec
-
-    sink = getattr(args, "obs", None)
-    if sink:
-        from repro import obs
-
-        # Enable here and export the sink path so spawned campaign
-        # worker processes activate from the environment and append to
-        # the same JSONL file.
-        os.environ[obs.ENV_SINK] = sink
-        obs.enable(sink_path=sink)
-    if spec is None:
-        spec = CampaignSpec.from_json_file(args.spec)
-    out = getattr(args, "out", None) or f"runs/{spec.name}"
-    store = ResultStore(out)
-    runner = CampaignRunner(
-        spec,
-        store,
-        workers=args.workers,
-        on_event=None if args.quiet else print,
-    )
-    return spec, store, runner
-
-
-def _campaign_exit_code(result) -> int:
-    """0 if every job succeeded, 1 if every job terminally failed,
-    3 on partial failure — so scripts/CI can tell the cases apart."""
-    failed = sum(v for k, v in result.counts.items() if k != "ok")
-    if not failed:
-        return 0
-    return 1 if result.counts.get("ok", 0) == 0 else 3
-
-
+# -- campaigns and the cluster -------------------------------------------
 def cmd_campaign_run(args: argparse.Namespace) -> int:
     """Expand a spec file into jobs and run them in parallel."""
-    from repro.campaign import SpecMismatchError
+    from repro.campaign.spec import CampaignSpec
 
-    spec, store, runner = _campaign_pieces(args)
+    spec = CampaignSpec.from_json_file(args.spec)
+    runner = _campaign_runner(args, spec, args.out or f"runs/{spec.name}")
     print(
         f"campaign {spec.name!r}: {spec.n_jobs()} jobs of "
-        f"{spec.experiment!r} -> {store.root} "
+        f"{spec.experiment!r} -> {runner.store.root} "
         f"({args.workers} worker{'s' if args.workers != 1 else ''})"
     )
-    try:
-        result = runner.run(resume=args.resume)
-    except SpecMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        print(
-            f"interrupted — finished jobs are checkpointed; continue "
-            f"with `python -m repro campaign resume {store.root}`",
-            file=sys.stderr,
-        )
-        # The terminal delivers SIGINT to the whole process group; a
-        # second delivery during interpreter shutdown (while atexit
-        # joins the dead pool's threads) prints an ignorable traceback.
-        # The runner already flushed obs and the store fsyncs per
-        # record, so exit hard with the conventional SIGINT code.
-        sys.stderr.flush()
-        sys.stdout.flush()
-        os._exit(130)
-    print(result.summary())
-    return _campaign_exit_code(result)
+    return _run_campaign(runner, resume=args.resume)
 
 
 def cmd_campaign_resume(args: argparse.Namespace) -> int:
     """Continue an interrupted campaign from its result directory: the
     spec is rehydrated from the manifest and recorded jobs are skipped."""
-    from repro.campaign import ResultStore, SpecMismatchError
-
-    store = ResultStore(args.dir)
-    if not store.exists():
-        print(f"error: no campaign manifest in {args.dir}", file=sys.stderr)
-        return 2
-    args.out = args.dir
-    try:
-        spec, store, runner = _campaign_pieces(args, spec=store.load_spec())
-        result = runner.run(resume=True)
-    except SpecMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        print(
-            f"interrupted — finished jobs are checkpointed; continue "
-            f"with `python -m repro campaign resume {store.root}`",
-            file=sys.stderr,
-        )
-        # The terminal delivers SIGINT to the whole process group; a
-        # second delivery during interpreter shutdown (while atexit
-        # joins the dead pool's threads) prints an ignorable traceback.
-        # The runner already flushed obs and the store fsyncs per
-        # record, so exit hard with the conventional SIGINT code.
-        sys.stderr.flush()
-        sys.stdout.flush()
-        os._exit(130)
-    print(result.summary())
-    return _campaign_exit_code(result)
+    spec = _campaign_store(args.dir).load_spec()
+    return _run_campaign(_campaign_runner(args, spec, args.dir), resume=True)
 
 
 def cmd_campaign_report(args: argparse.Namespace) -> int:
     """Render the per-cell aggregate report for a campaign directory."""
-    from repro.campaign import ResultStore, render_report
+    from repro.campaign import render_report
 
-    store = ResultStore(args.dir)
-    if not store.exists():
-        print(f"error: no campaign manifest in {args.dir}", file=sys.stderr)
-        return 2
-    print(render_report(store))
+    print(render_report(_campaign_store(args.dir)))
     return 0
 
 
@@ -429,32 +466,14 @@ def cmd_campaign_list(args: argparse.Namespace) -> int:
 def cmd_campaign_status(args: argparse.Namespace) -> int:
     """Read-only progress snapshot of a campaign directory (local or
     cluster; live or finished) from its JSONL checkpoint."""
-    import json as _json
+    from repro.campaign import campaign_status, render_status
 
-    from repro.campaign import ResultStore, campaign_status, render_status
-
-    store = ResultStore(args.dir)
-    if not store.exists():
-        print(f"error: no campaign manifest in {args.dir}", file=sys.stderr)
-        return 2
-    status = campaign_status(store)
+    status = campaign_status(_campaign_store(args.dir))
     if args.json:
-        _json.dump(status, sys.stdout, indent=2, sort_keys=True)
-        print()
+        _emit(_json(status))
     else:
         print(render_status(status))
     return 0
-
-
-def _cluster_exit_code(counts: dict) -> int:
-    """Same convention as local campaigns: 0 all ok, 1 all failed,
-    3 partial."""
-    failed = sum(
-        v for k, v in counts.items() if k in ("failed", "timeout", "crashed")
-    )
-    if not failed:
-        return 0
-    return 1 if counts.get("ok", 0) == 0 else 3
 
 
 def cmd_cluster_run(args: argparse.Namespace) -> int:
@@ -489,22 +508,18 @@ def cmd_cluster_run(args: argparse.Namespace) -> int:
             obs_shards=args.obs_shards,
             obs_sink=args.obs,
             drill_kill_worker=args.drill_kill_worker,
-            on_event=None if args.quiet else print,
+            on_event=_progress(args),
             deadline_seconds=args.deadline,
         )
-    except SpecMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TimeoutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (SpecMismatchError, TimeoutError) as exc:
+        raise UsageError(exc) from None
     counts = outcome["counts"]
     summary = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
     print(
         f"cluster campaign: {summary or 'nothing to do'} "
         f"in {outcome['elapsed_seconds']:.2f}s"
     )
-    return _cluster_exit_code(counts)
+    return _exit_code(counts)
 
 
 def cmd_cluster_worker(args: argparse.Namespace) -> int:
@@ -515,14 +530,13 @@ def cmd_cluster_worker(args: argparse.Namespace) -> int:
     worker = ClusterWorker(
         parse_endpoint(args.connect),
         worker_id=args.worker_id,
-        on_event=None if args.quiet else print,
+        on_event=_progress(args),
         max_jobs=args.max_jobs,
     )
     try:
         worker.run()
     except (ConnectionRefusedError, FileNotFoundError) as exc:
-        print(f"error: cannot reach scheduler: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot reach scheduler: {exc}") from None
     return 0
 
 
@@ -540,23 +554,9 @@ def cmd_cluster_serve(args: argparse.Namespace) -> int:
         parse_endpoint(args.listen),
         lease_seconds=args.lease_seconds,
         heartbeat_seconds=args.heartbeat_seconds,
-        on_event=None if args.quiet else print,
+        on_event=_progress(args),
     )
     return 0
-
-
-def _cluster_control(args: argparse.Namespace, message: dict):
-    """Send one control message; returns the reply or None on error."""
-    from repro.cluster import control_request, parse_endpoint
-
-    try:
-        return control_request(parse_endpoint(args.connect), message)
-    except (ConnectionRefusedError, FileNotFoundError, OSError) as exc:
-        print(
-            f"error: cannot reach scheduler at {args.connect}: {exc}",
-            file=sys.stderr,
-        )
-        return None
 
 
 def cmd_cluster_submit(args: argparse.Namespace) -> int:
@@ -574,25 +574,16 @@ def cmd_cluster_submit(args: argparse.Namespace) -> int:
             "resume": args.resume,
         },
     )
-    if reply is None:
-        return 2
-    if reply.get("type") != "ok":
-        print(f"error: {reply.get('error', reply)}", file=sys.stderr)
-        return 2
+    _require_ok(reply)
     print(f"submitted {reply['campaign_id']} -> {out}")
     return 0
 
 
 def cmd_cluster_status(args: argparse.Namespace) -> int:
     """Show campaigns and workers of a running scheduler."""
-    import json as _json
-
     reply = _cluster_control(args, {"type": "status"})
-    if reply is None:
-        return 2
     if args.json:
-        _json.dump(reply, sys.stdout, indent=2, sort_keys=True)
-        print()
+        _emit(_json(reply))
         return 0
     campaigns = reply.get("campaigns", [])
     workers = reply.get("workers", [])
@@ -617,54 +608,21 @@ def cmd_cluster_status(args: argparse.Namespace) -> int:
 
 def cmd_cluster_cancel(args: argparse.Namespace) -> int:
     """Cancel a queued/running campaign on the scheduler."""
-    reply = _cluster_control(
-        args, {"type": "cancel", "campaign_id": args.campaign_id}
+    _require_ok(
+        _cluster_control(args, {"type": "cancel", "campaign_id": args.campaign_id})
     )
-    if reply is None:
-        return 2
-    if reply.get("type") != "ok":
-        print(f"error: {reply.get('error', reply)}", file=sys.stderr)
-        return 2
     print(f"cancelled {args.campaign_id}")
     return 0
 
 
 def cmd_cluster_shutdown(args: argparse.Namespace) -> int:
     """Ask a serving scheduler to drain and exit."""
-    reply = _cluster_control(args, {"type": "shutdown"})
-    if reply is None:
-        return 2
+    _cluster_control(args, {"type": "shutdown"})
     print("shutdown requested (scheduler drains running campaigns first)")
     return 0
 
 
-def _warn_corrupt(corrupt: int) -> None:
-    """Say on stderr how many sink lines the reader skipped (stdout
-    stays what a clean sink prints)."""
-    if corrupt:
-        print(
-            f"warning: skipped {corrupt} corrupt obs sink "
-            f"line{'s' if corrupt != 1 else ''}",
-            file=sys.stderr,
-        )
-
-
-def _load_obs_events(sink):
-    """Read one or many finished JSONL obs sinks (globs allowed), or
-    None (with a stderr message) when nothing matches."""
-    from repro.obs import open_sinks
-
-    try:
-        follower = open_sinks(sink)
-    except FileNotFoundError:
-        shown = sink if isinstance(sink, str) else " ".join(sink)
-        print(f"error: no obs sink at {shown}", file=sys.stderr)
-        return None
-    events = follower.poll(final=True)
-    _warn_corrupt(follower.corrupt)
-    return events
-
-
+# -- observability --------------------------------------------------------
 def cmd_obs_report(args: argparse.Namespace) -> int:
     """Render counters, histograms, and span timings from a JSONL sink.
 
@@ -674,8 +632,6 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
     from repro.obs import render_report, render_trace
 
     events = _load_obs_events(args.sink)
-    if events is None:
-        return 2
     print(render_trace(events) if args.trace else render_report(events))
     return 0
 
@@ -690,10 +646,7 @@ def cmd_obs_tail(args: argparse.Namespace) -> int:
     from repro.obs import format_event, render_tail
 
     if not args.follow:
-        events = _load_obs_events(args.sink)
-        if events is None:
-            return 2
-        text = render_tail(events, n=args.n)
+        text = render_tail(_load_obs_events(args.sink), n=args.n)
         if text:
             print(text)
         return 0
@@ -742,50 +695,31 @@ def cmd_obs_export(args: argparse.Namespace) -> int:
     JSON; ``--format chrome-trace`` converts spans, logs and metric
     points into Chrome Trace Event JSON loadable in ``chrome://tracing``
     and Perfetto."""
-    import json
-
     from repro.obs import merge_events, render_chrome_trace
 
     events = _load_obs_events(args.sink)
-    if events is None:
-        return 2
     if args.format == "chrome-trace":
-        shown = args.sink if isinstance(args.sink, str) else " ".join(args.sink)
-        text = render_chrome_trace(events, origin=shown)
+        text = render_chrome_trace(events, origin=_sink_names(args.sink))
+        _emit(text + "\n", args.out)
     else:
-        text = json.dumps(merge_events(events), indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.write("\n")
-        print(f"wrote {args.out}")
-    else:
-        print(text)
+        _emit(_json(merge_events(events)), args.out)
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Write the unified campaign dossier: campaign report + diag
     timeseries + obs summary + trace critical path, one markdown doc."""
-    from repro.campaign import ResultStore, build_dossier
+    from repro.campaign import build_dossier
     from repro.campaign.dossier import read_campaign_sinks
 
-    store = ResultStore(args.dir)
-    if not store.exists():
-        print(f"error: no campaign manifest in {args.dir}", file=sys.stderr)
-        return 2
+    store = _campaign_store(args.dir)
     sinks, events, corrupt = read_campaign_sinks(store, args.obs or None)
     _warn_corrupt(corrupt)
-    text = build_dossier(store, sinks=sinks, events=events)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
+    _emit(build_dossier(store, sinks=sinks, events=events), args.out)
     return 0
 
 
+# -- diagnostics ----------------------------------------------------------
 def cmd_diag_report(args: argparse.Namespace) -> int:
     """Per-gadget leakage metering: mutual information, per-bit
     accuracy, and Figs. 2-4-style heatmaps — from a live run or (with
@@ -797,24 +731,17 @@ def cmd_diag_report(args: argparse.Namespace) -> int:
     )
 
     if args.store:
-        from repro.traces import TraceStore
-
-        store = TraceStore(args.store)
-        if not store.exists():
-            print(f"error: no trace store at {args.store}", file=sys.stderr)
-            return 2
+        store = _trace_store(args.store)
         try:
             diags = survey_leakage_from_store(
                 store, args.size, args.seed, prefix=args.prefix
             )
         except (KeyError, FileNotFoundError) as exc:
-            print(
-                f"error: missing survey trace: {exc} — capture with "
+            raise UsageError(
+                f"missing survey trace: {exc} — capture with "
                 f"`repro trace capture --store {args.store} "
-                f"--size {args.size} --seed {args.seed}`",
-                file=sys.stderr,
-            )
-            return 2
+                f"--size {args.size} --seed {args.seed}`"
+            ) from None
         source = f"stored traces ({args.store})"
     else:
         diags = survey_leakage(args.size, args.seed)
@@ -847,8 +774,6 @@ def cmd_diag_channel(args: argparse.Namespace) -> int:
 def cmd_diag_collect(args: argparse.Namespace) -> int:
     """Run the deterministic diagnostics suite and write the metrics
     (the baseline-refresh path: ``--out benchmarks/diag_baseline.json``)."""
-    import json as _json
-
     from repro import gate
     from repro.diag import collect_diag_metrics, metric_direction
 
@@ -865,13 +790,11 @@ def cmd_diag_collect(args: argparse.Namespace) -> int:
         include_confusion=args.confusion,
         **params,
     )
-    payload = gate.payload(params, metrics, metric_direction)
-    if args.out:
-        gate.save(args.out, payload)
-        print(f"wrote {len(metrics)} metrics to {args.out}")
-    else:
-        _json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        print()
+    _emit(
+        _json(gate.payload(params, metrics, metric_direction)),
+        args.out,
+        f"wrote {len(metrics)} metrics to {args.out}",
+    )
     return 0
 
 
@@ -881,7 +804,7 @@ def cmd_diag_compare(args: argparse.Namespace) -> int:
     unreadable gate file."""
     from repro import gate
     from repro.diag import collect_diag_metrics
-    from repro.diag.drift import ABS_EPSILON
+    from repro.diag.drift import ABS_EPSILON, DEFAULT_PARAMS
 
     try:
         baseline = gate.load(args.baseline, "baseline")
@@ -890,15 +813,12 @@ def cmd_diag_compare(args: argparse.Namespace) -> int:
         else:
             # No file given: re-collect now with the baseline's parameters
             # (plus any injected override, e.g. --noise-sigma for drills).
-            params = baseline["params"]
+            params = {
+                k: v for k, v in baseline["params"].items()
+                if k in DEFAULT_PARAMS
+            }
             current = collect_diag_metrics(
-                size=int(params.get("size", 120)),
-                seed=int(params.get("seed", 7)),
-                samples=int(params.get("samples", 1500)),
-                n_targets=int(params.get("n_targets", 4)),
-                step_n=int(params.get("step_n", 32)),
-                oracle_samples=int(params.get("oracle_samples", 48)),
-                noise_sigma=args.noise_sigma,
+                **params, noise_sigma=args.noise_sigma
             )
         result = gate.compare(
             current,
@@ -908,42 +828,36 @@ def cmd_diag_compare(args: argparse.Namespace) -> int:
             title="diag compare",
         )
     except gate.GateInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(exc) from None
     print(result.summary())
     return 0 if result.ok else 1
 
 
-def _parse_spans(raw_spans: Optional[list]) -> list:
-    """``--secret-span LO:HI`` values -> [(lo, hi), ...]."""
-    spans = []
-    for raw in raw_spans or []:
-        lo, sep, hi = raw.partition(":")
-        if not sep:
-            raise ValueError(f"bad span {raw!r}; expected LO:HI")
-        spans.append((int(lo), int(hi)))
-    return spans
+# -- mitigation synthesis -------------------------------------------------
+def _span_arg(text: str) -> tuple:
+    """argparse type for ``--secret-span LO:HI``."""
+    lo, sep, hi = text.partition(":")
+    try:
+        if sep:
+            return int(lo), int(hi)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"bad span {text!r}; expected LO:HI")
 
 
 def cmd_mitigate_survey(args: argparse.Namespace) -> int:
     """Scan the vulnerable kernel and print/write its mitigation plan."""
     from repro.mitigations.verify import survey_plan
 
-    data = _load_input(args)
-    try:
-        spans = _parse_spans(args.secret_span)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    plan, result = survey_plan(args.target, data, secret_spans=spans or None)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(plan.to_json())
-            handle.write("\n")
-        print(f"wrote plan ({len(plan.sites)} sites) to {args.out}")
-        return 0
-    if args.json:
-        print(plan.to_json())
+    plan, result = survey_plan(
+        args.target, _load_input(args), secret_spans=args.secret_span
+    )
+    if args.out or args.json:
+        _emit(
+            plan.to_json() + "\n",
+            args.out,
+            f"wrote plan ({len(plan.sites)} sites) to {args.out}",
+        )
         return 0
     print(result.summary())
     print()
@@ -960,22 +874,15 @@ def cmd_mitigate_apply(args: argparse.Namespace) -> int:
     from repro.mitigations.verify import survey_plan
 
     data = _load_input(args)
-    try:
-        spans = _parse_spans(args.secret_span)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if args.plan:
         with open(args.plan, "r", encoding="utf-8") as handle:
             plan = MitigationPlan.from_json(handle.read())
         if plan.target != args.target:
-            print(
-                f"error: plan targets {plan.target!r}, not {args.target!r}",
-                file=sys.stderr,
+            raise UsageError(
+                f"plan targets {plan.target!r}, not {args.target!r}"
             )
-            return 2
     else:
-        plan, _ = survey_plan(args.target, data, secret_spans=spans or None)
+        plan, _ = survey_plan(args.target, data, secret_spans=args.secret_span)
     kernel = build_kernel(args.target, plan, hash_bits=args.hash_bits)
     blob = kernel.run_native(data)
     vuln = target_for(args.target, data)(NativeContext())
@@ -997,28 +904,18 @@ def cmd_mitigate_report(args: argparse.Namespace) -> int:
 
     Exits 1 when a mitigated site still shows tainted accesses or the
     patched output diverges (outside of guard mode, where it may)."""
-    import json as _json
-
     from repro.mitigations.verify import verify_mitigation
 
-    try:
-        spans = _parse_spans(args.secret_span)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     report = verify_mitigation(
         args.target,
         size=args.size,
         input_kind=args.input_kind,
         seed=args.seed,
         hash_bits=args.hash_bits,
-        secret_spans=spans or None,
+        secret_spans=args.secret_span,
     )
     if args.json:
-        _json.dump(
-            report.metric_dict(), sys.stdout, indent=2, sort_keys=True
-        )
-        print()
+        _emit(_json(report.metric_dict()))
     else:
         print(report.summary())
     ok = not report.residual_sites and (
@@ -1028,10 +925,9 @@ def cmd_mitigate_report(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+# -- compression oracles --------------------------------------------------
 def _oracle_params(args: argparse.Namespace) -> dict:
     """Shared experiment params from parsed oracle-command arguments."""
-    import json as _json
-
     params = {
         "victim": args.victim,
         "observable": args.observable,
@@ -1042,7 +938,7 @@ def _oracle_params(args: argparse.Namespace) -> dict:
         "max_queries": args.max_queries,
     }
     if args.mitigation_params:
-        params["mitigation_params"] = _json.loads(args.mitigation_params)
+        params["mitigation_params"] = json.loads(args.mitigation_params)
     if getattr(args, "store", None):
         params["store"] = args.store
         params["overwrite"] = True
@@ -1117,8 +1013,6 @@ def cmd_oracle_attack(args: argparse.Namespace) -> int:
 
 def cmd_oracle_sweep(args: argparse.Namespace) -> int:
     """Recovery-rate-vs-overhead matrix across mitigations/observables."""
-    import json as _json
-
     from repro.campaign.experiments import get_experiment
 
     params = {
@@ -1132,8 +1026,7 @@ def cmd_oracle_sweep(args: argparse.Namespace) -> int:
         params["mitigations"] = args.mitigations
     metrics = get_experiment("oracle_mitigation_sweep")(params, args.seed)
     if args.json:
-        _json.dump(metrics, sys.stdout, indent=2, sort_keys=True)
-        print()
+        _emit(_json(metrics))
         return 0
     cells = sorted(
         {key.rsplit(".", 1)[0] for key in metrics if key.endswith(".correct")}
@@ -1157,12 +1050,10 @@ def cmd_oracle_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+# -- the perf gate --------------------------------------------------------
 def cmd_perf_run(args: argparse.Namespace) -> int:
     """Time the bench catalogue into a gate payload (the baseline-refresh
     path: ``--quick --out benchmarks/perf_baseline.json``)."""
-    import json as _json
-
-    from repro import gate
     from repro.perf import run_benches
 
     payload = run_benches(
@@ -1171,17 +1062,12 @@ def cmd_perf_run(args: argparse.Namespace) -> int:
         repeats=args.repeats,
         on_event=None if args.quiet else _print_stderr,
     )
-    if args.out:
-        gate.save(args.out, payload)
-        print(f"wrote {len(payload['params']['benches'])} benches to {args.out}")
-    else:
-        _json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        print()
+    _emit(
+        _json(payload),
+        args.out,
+        f"wrote {len(payload['params']['benches'])} benches to {args.out}",
+    )
     return 0
-
-
-def _print_stderr(line: str) -> None:
-    print(line, file=sys.stderr)
 
 
 def cmd_perf_compare(args: argparse.Namespace) -> int:
@@ -1208,8 +1094,7 @@ def cmd_perf_compare(args: argparse.Namespace) -> int:
             normalize=not args.absolute,
         )
     except gate.GateInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(exc) from None
     print(result.summary())
     return 0 if result.ok else 1
 
@@ -1221,8 +1106,6 @@ def cmd_perf_profile(args: argparse.Namespace) -> int:
     one ADDRESS_ONLY traced run of the named analysis target, hottest
     sites first, keyed by the same site labels the gadget reports and
     ``repro mitigate`` plans use."""
-    import json as _json
-
     from repro.perf import profile_bench
 
     if args.sites:
@@ -1232,8 +1115,7 @@ def cmd_perf_profile(args: argparse.Namespace) -> int:
         try:
             rows = site_access_profile(args.sites, data)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise UsageError(exc) from None
         print(
             render_site_profile(rows, args.sites, len(data), top=args.top)
         )
@@ -1245,12 +1127,11 @@ def cmd_perf_profile(args: argparse.Namespace) -> int:
             sort=args.sort,
             top=args.top,
             experiment=args.experiment,
-            params=_json.loads(args.params) if args.params else None,
+            params=json.loads(args.params) if args.params else None,
             seed=args.seed,
         )
     except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+        raise UsageError(exc.args[0]) from None
     print(text)
     return 0
 
@@ -1268,6 +1149,7 @@ def cmd_perf_list(args: argparse.Namespace) -> int:
     return 0
 
 
+# -- the parser -----------------------------------------------------------
 def _count_arg(text: str) -> int:
     """argparse type for a count: a non-negative integer."""
     try:
@@ -1281,6 +1163,74 @@ def _count_arg(text: str) -> int:
     return value
 
 
+# Arguments declared identically by several commands, declared once
+# here; ``build_parser`` adds them by key, where each command lists them.
+_SHARED_ARGS = {
+    "seed": (("--seed",), {"type": int, "default": 0}),
+    "seed=7": (("--seed",), {"type": int, "default": 7}),
+    "quiet": (("--quiet",), {"action": "store_true"}),
+    "store": (("--store",), {"required": True}),
+    "connect": (
+        ("--connect",),
+        {"default": "tcp:127.0.0.1:7633", "help": "scheduler endpoint"},
+    ),
+    "spec": (("spec",), {"help": "path to the campaign spec (JSON)"}),
+    "dir": (("dir",), {"help": "campaign result directory"}),
+    "out-dir": (("--out",), {"help": "result directory (default runs/<name>)"}),
+    "out-file": (("--out",), {"help": "output file (default: stdout)"}),
+    "resume": (
+        ("--resume",),
+        {
+            "action": "store_true",
+            "help": "continue if the directory already holds this campaign",
+        },
+    ),
+    "sinks": (("sink",), {"nargs": "+", "help": "JSONL sink file(s) or glob"}),
+    "kernel": (("target",), {"choices": ["zlib", "lzw", "bzip2"]}),
+    "size=120": (("--size",), {"type": int, "default": 120, "help": "input bytes"}),
+    "hash-bits": (
+        ("--hash-bits",),
+        {
+            "type": int,
+            "default": 12,
+            "help": "reduced LZW hash-table bits (covered table)",
+        },
+    ),
+    "noise-sigma": (
+        ("--noise-sigma",),
+        {"type": float, "help": "override the cache timer noise σ"},
+    ),
+    "secret-span": (
+        ("--secret-span",),
+        {
+            "action": "append",
+            "type": _span_arg,
+            "metavar": "LO:HI",
+            "help": "secret input byte range (repeatable); switches the "
+                    "zlib match-finder sites to Debreach-style guarding",
+        },
+    ),
+    "lease": (
+        ("--lease-seconds",),
+        {
+            "type": float,
+            "default": 30.0,
+            "help": "job lease lifetime; expiry requeues the job",
+        },
+    ),
+    "heartbeat": (
+        ("--heartbeat-seconds",),
+        {"type": float, "default": 1.0, "help": "worker heartbeat interval"},
+    ),
+}
+
+
+def _shared(parser: argparse.ArgumentParser, *keys: str) -> None:
+    for key in keys:
+        flags, kwargs = _SHARED_ARGS[key]
+        parser.add_argument(*flags, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argparse tree for all subcommands."""
     parser = argparse.ArgumentParser(
@@ -1289,6 +1239,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def group(name: str, help: str, dest: str):
+        return sub.add_parser(name, help=help).add_subparsers(
+            dest=dest, required=True
+        )
+
+    def command(parent, name: str, func, help: str) -> argparse.ArgumentParser:
+        p = parent.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
     def add_input_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--file", help="read the input/secret from a file")
         p.add_argument("--random", type=int, default=500,
@@ -1296,9 +1256,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lowercase", type=int,
                        help="lowercase-ASCII input of N bytes")
         p.add_argument("--text", type=int, help="English-like input of N bytes")
-        p.add_argument("--seed", type=int, default=0)
+        _shared(p, "seed")
 
-    p = sub.add_parser("taintchannel", help="detect cache side-channel gadgets")
+    p = command(sub, "taintchannel", cmd_taintchannel,
+                "detect cache side-channel gadgets")
     p.add_argument("target", choices=["zlib", "lzw", "bzip2", "aes"])
     add_input_args(p)
     p.add_argument("--carry-aware", action="store_true",
@@ -1307,9 +1268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gadget", help="only render gadgets whose site matches")
     p.add_argument("--top", type=int, default=3, help="gadget reports to render")
     p.add_argument("--no-slice", action="store_true")
-    p.set_defaults(func=cmd_taintchannel)
 
-    p = sub.add_parser("sgx-attack", help="end-to-end Section V attack")
+    p = command(sub, "sgx-attack", cmd_sgx_attack, "end-to-end Section V attack")
     add_input_args(p)
     p.add_argument("--no-cat", action="store_true")
     p.add_argument("--no-frame-selection", action="store_true")
@@ -1317,29 +1277,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="background line touches per victim access")
     p.add_argument("--mitigated", action="store_true",
                    help="attack the Section VIII oblivious victim instead")
-    p.set_defaults(func=cmd_sgx_attack)
 
-    p = sub.add_parser("fingerprint", help="Section VI fingerprinting attack")
+    p = command(sub, "fingerprint", cmd_fingerprint,
+                "Section VI fingerprinting attack")
     p.add_argument("--corpus", choices=["brotli", "lipsum"], default="brotli")
     p.add_argument("--traces", type=int, default=30)
     p.add_argument("--epochs", type=int, default=60)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_fingerprint)
+    _shared(p, "seed")
 
-    p = sub.add_parser("survey", help="Section IV recovery survey")
+    p = command(sub, "survey", cmd_survey, "Section IV recovery survey")
     p.add_argument("--size", type=int, default=600)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_survey)
+    _shared(p, "seed")
 
-    p = sub.add_parser(
-        "trace",
-        help="capture, inspect, and verify stored victim traces",
-    )
-    tsub = p.add_subparsers(dest="trace_command", required=True)
-
-    t = tsub.add_parser(
-        "capture", help="run a victim and store what the attacker saw"
-    )
+    tsub = group("trace", "capture, inspect, and verify stored victim traces",
+                 "trace_command")
+    t = command(tsub, "capture", cmd_trace_capture,
+                "run a victim and store what the attacker saw")
     t.add_argument("--store", required=True,
                    help="trace store directory (conventionally *.trstore)")
     t.add_argument("--species", choices=["memory", "fingerprint"],
@@ -1353,34 +1306,29 @@ def build_parser() -> argparse.ArgumentParser:
                    default="lipsum", help="fingerprint corpus")
     t.add_argument("--traces", type=int, default=10,
                    help="fingerprint captures per corpus file")
-    t.add_argument("--seed", type=int, default=0)
+    _shared(t, "seed")
     t.add_argument("--id", help="explicit trace id (fingerprint captures)")
     t.add_argument("--overwrite", action="store_true")
-    t.set_defaults(func=cmd_trace_capture)
 
-    t = tsub.add_parser("list", help="list the traces in a store")
-    t.add_argument("--store", required=True)
+    t = command(tsub, "list", cmd_trace_list, "list the traces in a store")
+    _shared(t, "store")
     t.add_argument("--species", choices=["memory", "fingerprint", "oracle"])
-    t.set_defaults(func=cmd_trace_list)
 
-    t = tsub.add_parser(
-        "verify", help="check stored traces against their content hashes"
-    )
-    t.add_argument("--store", required=True)
+    t = command(tsub, "verify", cmd_trace_verify,
+                "check stored traces against their content hashes")
+    _shared(t, "store")
     t.add_argument("--id", help="verify a single trace")
-    t.set_defaults(func=cmd_trace_verify)
 
-    t = tsub.add_parser("export", help="export one trace as JSON")
-    t.add_argument("--store", required=True)
+    t = command(tsub, "export", cmd_trace_export, "export one trace as JSON")
+    _shared(t, "store")
     t.add_argument("--id", required=True)
-    t.add_argument("--out", help="output file (default: stdout)")
-    t.set_defaults(func=cmd_trace_export)
+    _shared(t, "out-file")
 
-    p = sub.add_parser(
+    orsub = group(
         "oracle",
-        help="compression-ratio/timing oracles: BREACH & memory compression",
+        "compression-ratio/timing oracles: BREACH & memory compression",
+        "oracle_command",
     )
-    orsub = p.add_subparsers(dest="oracle_command", required=True)
 
     def add_oracle_args(o: argparse.ArgumentParser) -> None:
         o.add_argument("--victim", choices=["http", "memcomp"],
@@ -1396,7 +1344,7 @@ def build_parser() -> argparse.ArgumentParser:
         o.add_argument("--charset", default="alnum_lower",
                        help="victim secret charset "
                             "(hex/alnum_lower/alnum/token68)")
-        o.add_argument("--seed", type=int, default=0)
+        _shared(o, "seed")
         o.add_argument("--reps", type=int, default=2,
                        help="probe repetitions per score")
         o.add_argument("--max-queries", type=int, default=50_000,
@@ -1404,25 +1352,20 @@ def build_parser() -> argparse.ArgumentParser:
         o.add_argument("--mitigation-params",
                        help='mitigation knobs as JSON, e.g. \'{"quantum": 32}\'')
 
-    o = orsub.add_parser(
-        "demo", help="show the raw true-vs-false guess signal"
-    )
+    o = command(orsub, "demo", cmd_oracle_demo,
+                "show the raw true-vs-false guess signal")
     add_oracle_args(o)
-    o.set_defaults(func=cmd_oracle_demo)
 
-    o = orsub.add_parser(
-        "attack", help="end-to-end BREACH recovery through a sealed oracle"
-    )
+    o = command(orsub, "attack", cmd_oracle_attack,
+                "end-to-end BREACH recovery through a sealed oracle")
     add_oracle_args(o)
     o.add_argument("--strategy", choices=["dnc", "scan"],
                    help="per-character search (default: per scenario)")
     o.add_argument("--store",
                    help="persist the per-guess probe trace into this store")
-    o.set_defaults(func=cmd_oracle_attack)
 
-    o = orsub.add_parser(
-        "sweep", help="recovery-rate vs overhead across mitigations"
-    )
+    o = command(orsub, "sweep", cmd_oracle_sweep,
+                "recovery-rate vs overhead across mitigations")
     o.add_argument("--observables", nargs="*",
                    help="observables to sweep (default: size time)")
     o.add_argument("--mitigations", nargs="*",
@@ -1431,94 +1374,70 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--max-queries", type=int, default=4_000)
     o.add_argument("--mi-samples", type=int, default=24,
                    help="per-cell oracle-MI samples (0 skips MI)")
-    o.add_argument("--seed", type=int, default=0)
+    _shared(o, "seed")
     o.add_argument("--json", action="store_true",
                    help="raw metrics JSON instead of the table")
-    o.set_defaults(func=cmd_oracle_sweep)
 
-    p = sub.add_parser(
+    csub = group(
         "campaign",
-        help="parallel experiment campaigns with a persistent result store",
+        "parallel experiment campaigns with a persistent result store",
+        "campaign_command",
     )
-    csub = p.add_subparsers(dest="campaign_command", required=True)
-
-    c = csub.add_parser("run", help="run a campaign from a JSON spec file")
-    c.add_argument("spec", help="path to the campaign spec (JSON)")
-    c.add_argument("--out", help="result directory (default runs/<name>)")
+    c = command(csub, "run", cmd_campaign_run,
+                "run a campaign from a JSON spec file")
+    _shared(c, "spec", "out-dir")
     c.add_argument("--workers", type=int, default=1,
                    help="parallel worker processes")
-    c.add_argument("--resume", action="store_true",
-                   help="continue if the directory already holds this campaign")
+    _shared(c, "resume")
     c.add_argument("--quiet", action="store_true",
                    help="suppress per-job progress lines")
     c.add_argument("--obs", metavar="SINK",
                    help="record observability events (spans, counters, "
                         "logs) to this JSONL file; workers inherit it")
-    c.set_defaults(func=cmd_campaign_run)
 
-    c = csub.add_parser(
-        "resume", help="continue an interrupted campaign directory"
-    )
-    c.add_argument("dir", help="campaign result directory")
+    c = command(csub, "resume", cmd_campaign_resume,
+                "continue an interrupted campaign directory")
+    _shared(c, "dir")
     c.add_argument("--workers", type=int, default=1)
-    c.add_argument("--quiet", action="store_true")
+    _shared(c, "quiet")
     c.add_argument("--obs", metavar="SINK",
                    help="record observability events to this JSONL file")
-    c.set_defaults(func=cmd_campaign_resume)
 
-    c = csub.add_parser("report", help="aggregate a campaign into markdown")
-    c.add_argument("dir", help="campaign result directory")
-    c.set_defaults(func=cmd_campaign_report)
+    c = command(csub, "report", cmd_campaign_report,
+                "aggregate a campaign into markdown")
+    _shared(c, "dir")
 
-    c = csub.add_parser(
-        "status",
-        help="read-only done/failed/retried/pending snapshot of a "
-             "campaign directory (local or cluster)",
-    )
-    c.add_argument("dir", help="campaign result directory")
+    c = command(csub, "status", cmd_campaign_status,
+                "read-only done/failed/retried/pending snapshot of a "
+                "campaign directory (local or cluster)")
+    _shared(c, "dir")
     c.add_argument("--json", action="store_true",
                    help="machine-readable JSON instead of text")
-    c.set_defaults(func=cmd_campaign_status)
 
-    c = csub.add_parser("list", help="list registered experiments")
-    c.set_defaults(func=cmd_campaign_list)
+    command(csub, "list", cmd_campaign_list, "list registered experiments")
 
-    p = sub.add_parser(
-        "report",
-        help="unified campaign dossier: results, diag timeseries, obs "
-             "summary, and the trace critical path in one markdown doc",
-    )
-    p.add_argument("dir", help="campaign result directory")
+    p = command(sub, "report", cmd_report,
+                "unified campaign dossier: results, diag timeseries, obs "
+                "summary, and the trace critical path in one markdown doc")
+    _shared(p, "dir")
     p.add_argument("--obs", nargs="+", metavar="SINK",
                    help="obs sink file(s)/glob(s) to merge (default: "
                         "auto-discover obs.jsonl and shard-*/obs.jsonl "
                         "under the campaign directory)")
     p.add_argument("--out", help="write the dossier here "
                                  "(default: stdout)")
-    p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser(
+    clsub = group(
         "cluster",
-        help="distributed campaigns: scheduler, workers, campaign service",
+        "distributed campaigns: scheduler, workers, campaign service",
+        "cluster_command",
     )
-    clsub = p.add_subparsers(dest="cluster_command", required=True)
-
-    def add_cluster_tuning(k: argparse.ArgumentParser) -> None:
-        k.add_argument("--lease-seconds", type=float, default=30.0,
-                       help="job lease lifetime; expiry requeues the job")
-        k.add_argument("--heartbeat-seconds", type=float, default=1.0,
-                       help="worker heartbeat interval")
-
-    k = clsub.add_parser(
-        "run",
-        help="one-shot distributed run: scheduler + N local workers",
-    )
-    k.add_argument("spec", help="path to the campaign spec (JSON)")
-    k.add_argument("--out", help="result directory (default runs/<name>)")
+    k = command(clsub, "run", cmd_cluster_run,
+                "one-shot distributed run: scheduler + N local workers")
+    _shared(k, "spec", "out-dir")
     k.add_argument("--workers", type=int, default=2,
                    help="worker processes to spawn")
-    k.add_argument("--resume", action="store_true",
-                   help="continue if the directory already holds this campaign")
+    _shared(k, "resume")
     k.add_argument("--listen",
                    help="scheduler endpoint (unix:/path or tcp:host:port; "
                         "default: ephemeral localhost TCP)")
@@ -1536,13 +1455,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "after N jobs have completed")
     k.add_argument("--deadline", type=float, default=600.0,
                    help="abort the run after this many seconds")
-    k.add_argument("--quiet", action="store_true")
-    add_cluster_tuning(k)
-    k.set_defaults(func=cmd_cluster_run)
+    _shared(k, "quiet", "lease", "heartbeat")
 
-    k = clsub.add_parser(
-        "worker", help="run one worker against a scheduler"
-    )
+    k = command(clsub, "worker", cmd_cluster_worker,
+                "run one worker against a scheduler")
     k.add_argument("--connect", required=True,
                    help="scheduler endpoint (unix:/path or tcp:host:port)")
     k.add_argument("--worker-id",
@@ -1550,13 +1466,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "names the shard directory")
     k.add_argument("--max-jobs", type=int,
                    help="exit after executing N jobs (test hook)")
-    k.add_argument("--quiet", action="store_true")
-    k.set_defaults(func=cmd_cluster_worker)
+    _shared(k, "quiet")
 
-    k = clsub.add_parser(
-        "serve",
-        help="long-lived campaign service (submit/status/cancel against it)",
-    )
+    k = command(clsub, "serve", cmd_cluster_serve,
+                "long-lived campaign service (submit/status/cancel against it)")
     k.add_argument("--listen", default="tcp:127.0.0.1:7633",
                    help="endpoint to listen on (default tcp:127.0.0.1:7633)")
     k.add_argument("--obs", metavar="SINK",
@@ -1565,62 +1478,40 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rotate the sink (SINK -> SINK.1) when it "
                         "would exceed N bytes — bounds disk use for a "
                         "long-running service")
-    k.add_argument("--quiet", action="store_true")
-    add_cluster_tuning(k)
-    k.set_defaults(func=cmd_cluster_serve)
+    _shared(k, "quiet", "lease", "heartbeat")
 
-    k = clsub.add_parser(
-        "submit", help="queue a campaign on a running scheduler"
-    )
-    k.add_argument("spec", help="path to the campaign spec (JSON)")
-    k.add_argument("--connect", default="tcp:127.0.0.1:7633",
-                   help="scheduler endpoint")
-    k.add_argument("--out", help="result directory (default runs/<name>)")
+    k = command(clsub, "submit", cmd_cluster_submit,
+                "queue a campaign on a running scheduler")
+    _shared(k, "spec", "connect", "out-dir")
     k.add_argument("--resume", action="store_true")
-    k.set_defaults(func=cmd_cluster_submit)
 
-    k = clsub.add_parser(
-        "status", help="campaigns and workers of a running scheduler"
-    )
-    k.add_argument("--connect", default="tcp:127.0.0.1:7633",
-                   help="scheduler endpoint")
+    k = command(clsub, "status", cmd_cluster_status,
+                "campaigns and workers of a running scheduler")
+    _shared(k, "connect")
     k.add_argument("--json", action="store_true",
                    help="raw status payload as JSON")
-    k.set_defaults(func=cmd_cluster_status)
 
-    k = clsub.add_parser("cancel", help="cancel a campaign by id")
+    k = command(clsub, "cancel", cmd_cluster_cancel, "cancel a campaign by id")
     k.add_argument("campaign_id", help="id from `cluster status`")
-    k.add_argument("--connect", default="tcp:127.0.0.1:7633",
-                   help="scheduler endpoint")
-    k.set_defaults(func=cmd_cluster_cancel)
+    _shared(k, "connect")
 
-    k = clsub.add_parser(
-        "shutdown", help="drain and stop a serving scheduler"
-    )
-    k.add_argument("--connect", default="tcp:127.0.0.1:7633",
-                   help="scheduler endpoint")
-    k.set_defaults(func=cmd_cluster_shutdown)
+    k = command(clsub, "shutdown", cmd_cluster_shutdown,
+                "drain and stop a serving scheduler")
+    _shared(k, "connect")
 
-    p = sub.add_parser(
-        "obs",
-        help="render observability sinks (spans, counters, logs)",
-    )
-    osub = p.add_subparsers(dest="obs_command", required=True)
-
-    o = osub.add_parser(
-        "report", help="counter/histogram tables and span tree from a sink"
-    )
+    osub = group("obs", "render observability sinks (spans, counters, logs)",
+                 "obs_command")
+    o = command(osub, "report", cmd_obs_report,
+                "counter/histogram tables and span tree from a sink")
     o.add_argument("sink", nargs="+",
                    help="JSONL sink file(s) or glob, e.g. "
                         "'runs/x/shard-*/obs.jsonl'")
     o.add_argument("--trace", action="store_true",
                    help="cross-process trace view: stitched span tree "
                         "over all sinks + critical-path breakdown")
-    o.set_defaults(func=cmd_obs_report)
 
-    o = osub.add_parser("tail", help="print the last N events of a sink")
-    o.add_argument("sink", nargs="+",
-                   help="JSONL sink file(s) or glob")
+    o = command(osub, "tail", cmd_obs_tail, "print the last N events of a sink")
+    _shared(o, "sinks")
     o.add_argument("-n", type=_count_arg, default=20,
                    help="events to show (0: none)")
     o.add_argument("--follow", "-f", action="store_true",
@@ -1631,12 +1522,9 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--duration", type=float,
                    help="stop following after this many seconds "
                         "(default: until Ctrl-C)")
-    o.set_defaults(func=cmd_obs_tail)
 
-    o = osub.add_parser(
-        "watch",
-        help="live dashboard over a sink a running campaign is writing",
-    )
+    o = command(osub, "watch", cmd_obs_watch,
+                "live dashboard over a sink a running campaign is writing")
     o.add_argument("sink", nargs="+",
                    help="JSONL sink file(s) or glob (--obs SINK of the "
                         "run, or 'out/shard-*/obs.jsonl' for a cluster)")
@@ -1649,76 +1537,58 @@ def build_parser() -> argparse.ArgumentParser:
                    help="render one frame and exit (CI smoke)")
     o.add_argument("--no-clear", action="store_true",
                    help="append frames instead of clearing the screen")
-    o.set_defaults(func=cmd_obs_watch)
 
-    o = osub.add_parser(
-        "export", help="merge a sink into one JSON summary document"
-    )
-    o.add_argument("sink", nargs="+",
-                   help="JSONL sink file(s) or glob")
+    o = command(osub, "export", cmd_obs_export,
+                "merge a sink into one JSON summary document")
+    _shared(o, "sinks")
     o.add_argument("--format", choices=["summary", "chrome-trace"],
                    default="summary",
                    help="summary: merged counters/histograms/spans; "
                         "chrome-trace: Chrome Trace Event JSON for "
                         "chrome://tracing / Perfetto")
-    o.add_argument("--out", help="output file (default: stdout)")
-    o.set_defaults(func=cmd_obs_export)
+    _shared(o, "out-file")
 
-    p = sub.add_parser(
+    dsub = group(
         "diag",
-        help="channel-quality diagnostics: leakage metering and drift gate",
+        "channel-quality diagnostics: leakage metering and drift gate",
+        "diag_command",
     )
-    dsub = p.add_subparsers(dest="diag_command", required=True)
-
-    d = dsub.add_parser(
-        "report",
-        help="per-gadget MI + per-bit accuracy heatmaps (live or stored)",
-    )
-    d.add_argument("--size", type=int, default=120, help="input bytes")
+    d = command(dsub, "report", cmd_diag_report,
+                "per-gadget MI + per-bit accuracy heatmaps (live or stored)")
+    _shared(d, "size=120")
     d.add_argument("--seed", type=int, default=7, help="survey sweep seed")
     d.add_argument("--store",
                    help="meter stored survey traces instead of a live run")
     d.add_argument("--prefix", default="survey",
                    help="trace id prefix in the store")
-    d.set_defaults(func=cmd_diag_report)
 
-    d = dsub.add_parser(
-        "channel",
-        help="timing margins, eviction-set quality, single-step fidelity",
-    )
+    d = command(dsub, "channel", cmd_diag_channel,
+                "timing margins, eviction-set quality, single-step fidelity")
     d.add_argument("--samples", type=int, default=1500,
                    help="hit/miss timing draws")
     d.add_argument("--targets", type=int, default=4,
                    help="eviction-set targets to build")
     d.add_argument("--step-n", type=int, default=32,
                    help="single-step probe input bytes")
-    d.add_argument("--noise-sigma", type=float,
-                   help="override the cache timer noise σ")
+    _shared(d, "noise-sigma")
     d.add_argument("--confusion", action="store_true",
                    help="include a small fingerprint confusion matrix")
-    d.set_defaults(func=cmd_diag_channel)
 
-    d = dsub.add_parser(
-        "collect",
-        help="run the deterministic diag suite into a metrics JSON",
-    )
+    d = command(dsub, "collect", cmd_diag_collect,
+                "run the deterministic diag suite into a metrics JSON")
     d.add_argument("--out", help="write here (default: stdout)")
     d.add_argument("--size", type=int, default=120)
-    d.add_argument("--seed", type=int, default=7)
+    _shared(d, "seed=7")
     d.add_argument("--samples", type=int, default=1500)
     d.add_argument("--targets", type=int, default=4)
     d.add_argument("--step-n", type=int, default=32)
     d.add_argument("--oracle-samples", type=int, default=48,
                    help="oracle-MI samples per mitigation (0 skips)")
-    d.add_argument("--noise-sigma", type=float,
-                   help="override the cache timer noise σ")
+    _shared(d, "noise-sigma")
     d.add_argument("--confusion", action="store_true")
-    d.set_defaults(func=cmd_diag_collect)
 
-    d = dsub.add_parser(
-        "compare",
-        help="drift gate: current metrics vs committed baseline",
-    )
+    d = command(dsub, "compare", cmd_diag_compare,
+                "drift gate: current metrics vs committed baseline")
     d.add_argument("current", nargs="?",
                    help="metrics JSON to check (default: collect now "
                         "with the baseline's parameters)")
@@ -1729,74 +1599,47 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--noise-sigma", type=float,
                    help="override the cache noise σ for the fresh "
                         "collection (regression-injection drills)")
-    d.set_defaults(func=cmd_diag_compare)
 
-    p = sub.add_parser(
+    msub = group(
         "mitigate",
-        help="gadget-report-driven mitigation synthesis: survey, apply, "
-             "verify",
+        "gadget-report-driven mitigation synthesis: survey, apply, verify",
+        "mitigate_command",
     )
-    msub = p.add_subparsers(dest="mitigate_command", required=True)
-
-    def add_span_args(m: argparse.ArgumentParser) -> None:
-        m.add_argument(
-            "--secret-span", action="append", metavar="LO:HI",
-            help="secret input byte range (repeatable); switches the "
-                 "zlib match-finder sites to Debreach-style guarding",
-        )
-
-    m = msub.add_parser(
-        "survey",
-        help="scan the vulnerable kernel and derive its mitigation plan",
-    )
-    m.add_argument("target", choices=["zlib", "lzw", "bzip2"])
+    m = command(msub, "survey", cmd_mitigate_survey,
+                "scan the vulnerable kernel and derive its mitigation plan")
+    _shared(m, "kernel")
     add_input_args(m)
-    add_span_args(m)
+    _shared(m, "secret-span")
     m.add_argument("--json", action="store_true",
                    help="print the plan as JSON instead of a summary")
     m.add_argument("--out", help="write the plan JSON here (feed back "
                                  "to `mitigate apply --plan`)")
-    m.set_defaults(func=cmd_mitigate_survey)
 
-    m = msub.add_parser(
-        "apply",
-        help="instantiate the patched kernel and compress the input",
-    )
-    m.add_argument("target", choices=["zlib", "lzw", "bzip2"])
+    m = command(msub, "apply", cmd_mitigate_apply,
+                "instantiate the patched kernel and compress the input")
+    _shared(m, "kernel")
     add_input_args(m)
-    add_span_args(m)
+    _shared(m, "secret-span")
     m.add_argument("--plan", help="plan JSON from `mitigate survey` "
                                   "(default: survey this input now)")
-    m.add_argument("--hash-bits", type=int, default=12,
-                   help="reduced LZW hash-table bits (covered table)")
+    _shared(m, "hash-bits")
     m.add_argument("--out", help="write the mitigated compressed blob")
-    m.set_defaults(func=cmd_mitigate_apply)
 
-    m = msub.add_parser(
-        "report",
-        help="full loop: scan, plan, apply, re-meter; before/after "
-             "leakage and the overhead bill",
-    )
-    m.add_argument("target", choices=["zlib", "lzw", "bzip2"])
-    m.add_argument("--size", type=int, default=120, help="input bytes")
-    m.add_argument("--seed", type=int, default=7)
+    m = command(msub, "report", cmd_mitigate_report,
+                "full loop: scan, plan, apply, re-meter; before/after "
+                "leakage and the overhead bill")
+    _shared(m, "kernel")
+    _shared(m, "size=120", "seed=7")
     m.add_argument("--input-kind", choices=["random", "lowercase", "text"],
                    help="input distribution (default: the target's "
                         "survey default)")
-    m.add_argument("--hash-bits", type=int, default=12,
-                   help="reduced LZW hash-table bits (covered table)")
-    add_span_args(m)
+    _shared(m, "hash-bits", "secret-span")
     m.add_argument("--json", action="store_true",
                    help="emit the flat metric dict as JSON")
-    m.set_defaults(func=cmd_mitigate_report)
 
-    p = sub.add_parser(
-        "perf",
-        help="time the bench catalogue and gate regressions",
-    )
-    psub = p.add_subparsers(dest="perf_command", required=True)
-
-    q = psub.add_parser("run", help="time benches into a gate payload")
+    psub = group("perf", "time the bench catalogue and gate regressions",
+                 "perf_command")
+    q = command(psub, "run", cmd_perf_run, "time benches into a gate payload")
     q.add_argument("--bench", action="append",
                    help="bench name (repeatable; default: all)")
     q.add_argument("--quick", action="store_true",
@@ -1804,12 +1647,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--repeats", type=int,
                    help="override per-bench timing repetitions")
     q.add_argument("--out", help="write the payload here (default: stdout)")
-    q.add_argument("--quiet", action="store_true")
-    q.set_defaults(func=cmd_perf_run)
+    _shared(q, "quiet")
 
-    q = psub.add_parser(
-        "compare", help="regression gate: current report vs baseline"
-    )
+    q = command(psub, "compare", cmd_perf_compare,
+                "regression gate: current report vs baseline")
     q.add_argument("current", nargs="?",
                    help="`perf run` payload to check (default: run "
                         "benches now)")
@@ -1819,10 +1660,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="allowed slowdown fraction (default 0.2 = 20%%)")
     q.add_argument("--absolute", action="store_true",
                    help="raw time ratios (same-machine comparisons only)")
-    q.add_argument("--quiet", action="store_true")
-    q.set_defaults(func=cmd_perf_compare)
+    _shared(q, "quiet")
 
-    q = psub.add_parser("profile", help="cProfile one bench")
+    q = command(psub, "profile", cmd_perf_profile, "cProfile one bench")
     q.add_argument("name", nargs="?", default="",
                    help="bench name from `perf list`")
     q.add_argument("--experiment",
@@ -1835,15 +1675,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--size", type=int, default=500,
                    help="input bytes for --sites (default 500)")
     q.add_argument("--params", help="JSON params for --experiment")
-    q.add_argument("--seed", type=int, default=0)
+    _shared(q, "seed")
     q.add_argument("--quick", action="store_true")
     q.add_argument("--sort", default="cumulative",
                    help="pstats sort key (default cumulative)")
     q.add_argument("--top", type=int, default=30)
-    q.set_defaults(func=cmd_perf_profile)
 
-    q = psub.add_parser("list", help="list the bench catalogue")
-    q.set_defaults(func=cmd_perf_list)
+    command(psub, "list", cmd_perf_list, "list the bench catalogue")
 
     return parser
 
@@ -1853,6 +1691,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream pipe (e.g. `| head`) closed early; not an error.
         # Detach stdout so interpreter shutdown doesn't re-raise on flush.

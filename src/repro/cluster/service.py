@@ -9,8 +9,8 @@ Three entry points, all thin shells over
 - :func:`run_cluster` — the one-shot ``repro cluster run`` front end:
   submit one campaign, spawn N local worker subprocesses, serve until
   drained, reap the workers.  ``drill_kill_worker`` SIGKILLs the first
-  worker after N results land — the crash-recovery drill the CI smoke
-  and the integration tests run.
+  worker after N results land, once one of them is its own — the
+  crash-recovery drill the CI smoke and the integration tests run.
 - :func:`control_request` — the synchronous client the
   ``submit``/``status``/``cancel``/``shutdown`` commands use.
 
@@ -311,8 +311,10 @@ def run_cluster(
     reaps the workers, and returns the outcome counts.
 
     ``drill_kill_worker=N`` SIGKILLs the first worker after N jobs have
-    completed — the lease/disconnect recovery drill.  ``obs_shards``
-    points each worker's obs sink at
+    completed, at least one of them on that worker — the
+    lease/disconnect recovery drill.  (A worker still starting up when
+    the others finish N jobs has no lease and no shard to recover.)
+    ``obs_shards`` points each worker's obs sink at
     ``<store>/shard-<worker_id>/obs.jsonl``; ``obs_sink`` instead gives
     every worker the *same* sink path (one merged JSONL file — fine for
     smoke-scale fleets, where one-line appends don't interleave), which
@@ -353,10 +355,13 @@ def run_cluster(
             killed_drill = False
             exec_ = scheduler.campaigns[campaign_id]
             while scheduler.active():
+                first = scheduler.workers.get("w0")
                 if (
                     drill_kill_worker is not None
                     and not killed_drill
                     and exec_.queue.done_count >= drill_kill_worker
+                    and first is not None
+                    and first.jobs_done > 0
                     and procs[0].poll() is None
                 ):
                     procs[0].kill()

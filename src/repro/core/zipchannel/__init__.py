@@ -13,6 +13,7 @@ from repro.core.zipchannel.sgx_attack import (
     AttackConfig,
     AttackOutcome,
     SgxBzip2Attack,
+    run_attack,
     run_extraction_experiment,
 )
 from repro.core.zipchannel.fingerprint import (
@@ -22,6 +23,7 @@ from repro.core.zipchannel.fingerprint import (
     derive_capture_seed,
     pool_trace,
     run_fingerprint_experiment,
+    train_classifier,
     victim_timeline,
 )
 
@@ -29,6 +31,7 @@ __all__ = [
     "SgxBzip2Attack",
     "AttackConfig",
     "AttackOutcome",
+    "run_attack",
     "run_extraction_experiment",
     "FingerprintChannel",
     "capture_raw_trace",
@@ -36,5 +39,6 @@ __all__ = [
     "derive_capture_seed",
     "pool_trace",
     "run_fingerprint_experiment",
+    "train_classifier",
     "victim_timeline",
 ]

@@ -169,6 +169,35 @@ def duration_only_feature(
     return np.array([timeline.duration * speed], dtype=np.float32)
 
 
+def train_classifier(
+    x: np.ndarray,
+    y: np.ndarray,
+    n_files: int,
+    epochs: int,
+    seed: int,
+    hidden: int = 96,
+):
+    """The Section VI training recipe every fingerprint path shares:
+    split the dataset at ``seed + 1``, initialise the MLP at
+    ``seed + 2``, fit once against the validation split.
+
+    Returns ``(classifier, test split, metrics)``; the metrics are the
+    picklable dict the campaign experiments report."""
+    from repro.classify import MLPClassifier, split_dataset
+
+    train, val, test = split_dataset(x, y, seed=seed + 1)
+    clf = MLPClassifier(x.shape[1], n_files, hidden=hidden, seed=seed + 2)
+    clf.fit(*train, epochs=epochs, x_val=val[0], y_val=val[1])
+    metrics = {
+        "test_accuracy": float(clf.accuracy(*test)),
+        "train_accuracy": float(clf.accuracy(*train)),
+        "n_files": n_files,
+        "chance": 1.0 / n_files,
+        "n_traces": int(x.shape[0]),
+    }
+    return clf, test, metrics
+
+
 def run_fingerprint_experiment(
     corpus: str = "lipsum",
     traces: int = 10,
@@ -178,27 +207,11 @@ def run_fingerprint_experiment(
 ) -> dict:
     """One campaign-runnable Section VI attack: capture traces of each
     corpus file, train the classifier, return picklable metrics."""
-    from repro.classify import MLPClassifier, split_dataset
-    from repro.workloads import brotli_like_corpus, repetitiveness_series
+    from repro.workloads import fingerprint_corpus
 
-    if corpus == "brotli":
-        files = list(brotli_like_corpus().values())
-    elif corpus == "lipsum":
-        files = repetitiveness_series()
-    else:
-        raise ValueError(f"unknown corpus {corpus!r}")
-
+    files = list(fingerprint_corpus(corpus).values())
     x, y, _ = build_dataset(files, traces_per_file=traces, seed=seed)
-    train, val, test = split_dataset(x, y, seed=seed + 1)
-    clf = MLPClassifier(x.shape[1], len(files), hidden=hidden, seed=seed + 2)
-    clf.fit(*train, epochs=epochs, x_val=val[0], y_val=val[1])
-    return {
-        "test_accuracy": float(clf.accuracy(*test)),
-        "train_accuracy": float(clf.accuracy(*train)),
-        "n_files": len(files),
-        "chance": 1.0 / len(files),
-        "n_traces": int(x.shape[0]),
-    }
+    return train_classifier(x, y, len(files), epochs, seed, hidden)[2]
 
 
 def build_dataset(

@@ -252,6 +252,22 @@ class SgxBzip2Attack:
         )
 
 
+def run_attack(
+    secret: bytes,
+    config: Optional[AttackConfig] = None,
+    mitigated: bool = False,
+) -> AttackOutcome:
+    """Run the extraction once against the vulnerable victim or, with
+    ``mitigated``, against the Section VIII oblivious histogram."""
+    if not mitigated:
+        return SgxBzip2Attack(secret, config).run()
+    from repro.mitigations import oblivious_histogram
+
+    return SgxBzip2Attack(
+        secret, config, victim_histogram=oblivious_histogram
+    ).run()
+
+
 def run_extraction_experiment(
     size: int,
     seed: int,
@@ -276,12 +292,4 @@ def run_extraction_experiment(
         use_frame_selection=use_frame_selection,
         background_noise_rate=noise,
     )
-    if mitigated:
-        from repro.mitigations import oblivious_histogram
-
-        outcome = SgxBzip2Attack(
-            secret, config, victim_histogram=oblivious_histogram
-        ).run()
-    else:
-        outcome = SgxBzip2Attack(secret, config).run()
-    return outcome.to_dict()
+    return run_attack(secret, config, mitigated).to_dict()

@@ -282,27 +282,23 @@ def fingerprint_confusion(
     diagonal mean, and a rendered table.  Deliberately small defaults —
     this is a health probe, not the Fig. 7 experiment.
     """
-    from repro.classify import (
-        MLPClassifier,
-        confusion_matrix,
-        render_confusion,
-        split_dataset,
-    )
+    from repro.classify import confusion_matrix, render_confusion
     from repro.classify.metrics import diagonal_accuracy
-    from repro.core.zipchannel.fingerprint import build_dataset
-    from repro.traces.capture import fingerprint_corpus
+    from repro.core.zipchannel.fingerprint import (
+        build_dataset,
+        train_classifier,
+    )
+    from repro.workloads import fingerprint_corpus
 
-    files = fingerprint_corpus(corpus)
+    files = list(fingerprint_corpus(corpus).values())
     names = [f"file_{i}" for i in range(len(files))]
     with obs.span(
         "diag.fingerprint_confusion", corpus=corpus, traces=traces
     ):
         x, y, _ = build_dataset(files, traces_per_file=traces, seed=seed)
-        train, val, test = split_dataset(x, y, seed=seed + 1)
-        clf = MLPClassifier(
-            x.shape[1], len(files), hidden=hidden, seed=seed + 2
+        clf, test, metrics = train_classifier(
+            x, y, len(files), epochs, seed, hidden
         )
-        clf.fit(*train, epochs=epochs, x_val=val[0], y_val=val[1])
         matrix = confusion_matrix(
             test[1], clf.predict(test[0]), len(files)
         )
@@ -310,7 +306,7 @@ def fingerprint_confusion(
         "corpus": corpus,
         "n_files": len(files),
         "chance": 1.0 / len(files),
-        "test_accuracy": float(clf.accuracy(*test)),
+        "test_accuracy": metrics["test_accuracy"],
         "diagonal_accuracy": float(diagonal_accuracy(matrix).mean()),
         "matrix": matrix.tolist(),
         "rendered": render_confusion(matrix, names),

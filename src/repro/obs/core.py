@@ -36,7 +36,8 @@ Two cross-process extensions ride the same machinery:
   the sink: when a write would push the file past ``max_sink_bytes``
   the current sink is renamed to ``<sink>.1`` and a fresh file starts.
   Rotation happens on whole-line boundaries, so followers and the
-  report reader never see torn lines.
+  report reader never see torn lines.  The cap is checked against the
+  file itself, so processes sharing one sink rotate it together.
 """
 
 from __future__ import annotations
@@ -287,8 +288,8 @@ class ObsState:
         self.trace_id: Optional[str] = None
         self.remote_parent: Optional[str] = None
         self.max_sink_bytes: Optional[int] = None
-        self._sink_bytes = 0
         self._sink_handle = None
+        self._sink_stat: Optional[os.stat_result] = None
         self._lock = threading.Lock()
         self._local = threading.local()
         self._span_counter = itertools.count(1)
@@ -345,7 +346,6 @@ class ObsState:
             self.trace_id = None
             self.remote_parent = None
             self.max_sink_bytes = None
-            self._sink_bytes = 0
 
     def close(self) -> None:
         """atexit hook: persist the final counter snapshot."""
@@ -370,13 +370,13 @@ class ObsState:
 
     # -- event emission ------------------------------------------------
     def _open_sink(self) -> None:
-        """Open the sink for append and learn its current size (the
-        cap must count bytes written by earlier runs of this sink)."""
+        """Open the sink for append and remember which file it is."""
         self._sink_handle = open(self.sink_path, "a", encoding="utf-8")
-        try:
-            self._sink_bytes = os.path.getsize(self.sink_path)
-        except OSError:
-            self._sink_bytes = 0
+        self._sink_stat = os.fstat(self._sink_handle.fileno())
+
+    def _reopen_sink(self) -> None:
+        self._sink_handle.close()
+        self._open_sink()
 
     def _rotate_sink(self) -> None:
         """Rename ``sink`` → ``sink.1`` and start a fresh file.
@@ -385,14 +385,30 @@ class ObsState:
         the new one contain only complete JSONL lines.  One rotated
         generation is kept; an older ``.1`` is overwritten.
         """
-        if self._sink_handle is not None:
-            self._sink_handle.close()
-            self._sink_handle = None
         try:
             os.replace(self.sink_path, self.sink_path + ".1")
         except OSError:
             pass
-        self._sink_bytes = 0
+        self._reopen_sink()
+
+    def _enforce_cap(self, n: int) -> None:
+        """Rotate first if writing ``n`` more bytes would push the sink
+        past ``max_sink_bytes``.
+
+        Campaign workers append to one shared sink, so the size comes
+        from the file, never from this process's own writes; and when
+        another writer has rotated, the path no longer names the open
+        file, so this writer follows it instead of appending to ``.1``.
+        """
+        try:
+            st = os.stat(self.sink_path)
+        except FileNotFoundError:
+            st = None
+        if st is None or not os.path.samestat(st, self._sink_stat):
+            self._reopen_sink()
+            st = self._sink_stat
+        if st.st_size > 0 and st.st_size + n > self.max_sink_bytes:
+            self._rotate_sink()
 
     def emit(self, event: dict) -> None:
         """Append one event to the ring and, if configured, the sink."""
@@ -402,17 +418,10 @@ class ObsState:
                 line = json.dumps(event, sort_keys=True, default=str) + "\n"
                 if self._sink_handle is None:
                     self._open_sink()
-                if (
-                    self.max_sink_bytes is not None
-                    and self._sink_bytes > 0
-                    and self._sink_bytes + len(line) > self.max_sink_bytes
-                ):
-                    self._rotate_sink()
-                if self._sink_handle is None:
-                    self._open_sink()
+                if self.max_sink_bytes is not None:
+                    self._enforce_cap(len(line))
                 self._sink_handle.write(line)
                 self._sink_handle.flush()
-                self._sink_bytes += len(line)
 
     def flush(self) -> None:
         """Emit a cumulative snapshot of counters and histograms.

@@ -35,8 +35,7 @@ from repro.traces.format import (
     SPECIES_ORACLE,
 )
 from repro.traces.store import TraceEntry, TraceStore
-
-FINGERPRINT_CORPORA = ("brotli", "lipsum")
+from repro.workloads import fingerprint_corpus
 
 
 def _input_for(input_kind: str, size: int, seed: int) -> bytes:
@@ -87,20 +86,6 @@ def capture_memory_trace(
     return writer.entry
 
 
-def fingerprint_corpus(corpus: str) -> list[bytes]:
-    """The named fingerprint corpus as an ordered file list (order is
-    the label assignment, so it must match live dataset assembly)."""
-    from repro.workloads import brotli_like_corpus, repetitiveness_series
-
-    if corpus == "brotli":
-        return list(brotli_like_corpus().values())
-    if corpus == "lipsum":
-        return repetitiveness_series()
-    raise ValueError(
-        f"unknown corpus {corpus!r}; choose from {FINGERPRINT_CORPORA}"
-    )
-
-
 def capture_fingerprint_traces(
     store: TraceStore,
     trace_id: str,
@@ -128,7 +113,7 @@ def capture_fingerprint_traces(
         victim_timeline,
     )
 
-    files = fingerprint_corpus(corpus)
+    files = list(fingerprint_corpus(corpus).values())
     if max_file_bytes is not None:
         files = [f[: int(max_file_bytes)] for f in files]
     channel = FingerprintChannel(**(channel_params or {}))

@@ -130,18 +130,9 @@ def fingerprint_experiment_from_store(
     given the same base seed it consumes an identical dataset, so the
     returned metrics match the live experiment exactly.
     """
-    from repro.classify import MLPClassifier, split_dataset
+    from repro.core.zipchannel.fingerprint import train_classifier
 
     meta = store.get(trace_id).meta
     x, y = dataset_from_store(store, trace_id)
     n_files = int(meta.get("n_files", len(set(y.tolist()))))
-    train, val, test = split_dataset(x, y, seed=seed + 1)
-    clf = MLPClassifier(x.shape[1], n_files, hidden=hidden, seed=seed + 2)
-    clf.fit(*train, epochs=epochs, x_val=val[0], y_val=val[1])
-    return {
-        "test_accuracy": float(clf.accuracy(*test)),
-        "train_accuracy": float(clf.accuracy(*train)),
-        "n_files": n_files,
-        "chance": 1.0 / n_files,
-        "n_traces": int(x.shape[0]),
-    }
+    return train_classifier(x, y, n_files, epochs, seed, hidden)[2]

@@ -13,7 +13,11 @@ payload class via :func:`~repro.workloads.corpus.http_response_corpus`).
 """
 
 from repro.workloads.lipsum import lipsum_paragraph, repetitiveness_series
-from repro.workloads.corpus import brotli_like_corpus, http_response_corpus
+from repro.workloads.corpus import (
+    brotli_like_corpus,
+    fingerprint_corpus,
+    http_response_corpus,
+)
 from repro.workloads.generators import (
     TOKEN_CHARSETS,
     HttpResponseGenerator,
@@ -29,6 +33,7 @@ __all__ = [
     "lipsum_paragraph",
     "repetitiveness_series",
     "brotli_like_corpus",
+    "fingerprint_corpus",
     "http_response_corpus",
     "english_like",
     "lowercase_ascii",

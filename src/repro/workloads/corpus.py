@@ -12,6 +12,9 @@ Brotli corpus so the confusion matrix reads like the paper's.
 from __future__ import annotations
 
 from repro.workloads.generators import dna_like, english_like, random_bytes
+from repro.workloads.lipsum import repetitiveness_series
+
+FINGERPRINT_CORPORA = ("brotli", "lipsum")
 
 
 def brotli_like_corpus() -> dict[str, bytes]:
@@ -49,6 +52,23 @@ def brotli_like_corpus() -> dict[str, bytes]:
     if len(corpus) != 21:
         raise AssertionError(f"corpus must have 21 files, has {len(corpus)}")
     return corpus
+
+
+def fingerprint_corpus(corpus: str) -> dict[str, bytes]:
+    """A Section VI corpus by name: ``brotli`` (Fig. 7) or ``lipsum``
+    (the Fig. 8 series, named ``test_00001.txt`` ...).  File order is
+    the label assignment, so every capture and replay path takes the
+    files from here."""
+    if corpus == "brotli":
+        return brotli_like_corpus()
+    if corpus == "lipsum":
+        return {
+            f"test_{i:05d}.txt": data
+            for i, data in enumerate(repetitiveness_series(), start=1)
+        }
+    raise ValueError(
+        f"unknown corpus {corpus!r}; choose from {FINGERPRINT_CORPORA}"
+    )
 
 
 def http_response_corpus(n: int = 6, seed: int = 0) -> dict[str, bytes]:

@@ -1,8 +1,59 @@
 """Tests for the command-line interface."""
 
+import argparse
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+def _run(argv):
+    """``main``'s exit code, whether it returns it or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _parser_nodes(parser, prefix=()):
+    yield prefix
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _parser_nodes(child, prefix + (name,))
+
+
+def _extraction_lines(size, mitigated):
+    """What ``sgx-attack --random SIZE`` prints, elapsed time left out,
+    built from the campaign experiment's metrics for the same secret."""
+    from repro.core.zipchannel import run_extraction_experiment
+
+    m = run_extraction_experiment(size=size, seed=0, mitigated=mitigated)
+    return (
+        f"SGX ZipChannel attack: bit accuracy {m['bit_accuracy'] * 100:.2f}%, "
+        f"byte accuracy {m['byte_accuracy'] * 100:.2f}%, "
+        f"{m['faults']} faults, {m['frame_remaps']} frame remaps\n"
+        f"empty observations: {m['observations_empty']}, "
+        f"ambiguous: {m['observations_ambiguous']}, "
+        f"victim accesses: {m['victim_accesses']}\n"
+    )
+
+
+def _without_elapsed(out):
+    return re.sub(r"\d+\.\d+s, ", "", out)
+
+
+def _tiny_campaign(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        '{"name": "tiny", "experiment": "lzw_recovery", "grid": {"size": [30]}}'
+    )
+    return str(spec), str(tmp_path / "out")
 
 
 class TestParser:
@@ -19,6 +70,21 @@ class TestParser:
     def test_unknown_target_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["taintchannel", "gzip2"])
+
+    @pytest.mark.parametrize(
+        "node", list(_parser_nodes(build_parser())), ids=" ".join
+    )
+    def test_help_exits_zero_on_every_node(self, node, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*node, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: repro")
+
+    @pytest.mark.parametrize("command", ["survey", "apply", "report"])
+    def test_bad_secret_span_is_a_usage_error(self, command, capsys):
+        argv = ["mitigate", command, "lzw", "--secret-span", "5"]
+        assert _run(argv) == 2
+        assert "bad span '5'; expected LO:HI" in capsys.readouterr().err
 
     def test_sgx_flags(self):
         args = build_parser().parse_args(
@@ -56,12 +122,14 @@ class TestCommands:
         assert main(["sgx-attack", "--random", "80"]) == 0
         out = capsys.readouterr().out
         assert "bit accuracy 100.00%" in out
+        assert _without_elapsed(out) == _extraction_lines(80, mitigated=False)
 
     def test_sgx_attack_mitigated(self, capsys):
         assert main(["sgx-attack", "--random", "40", "--mitigated"]) == 0
         out = capsys.readouterr().out
         assert "bit accuracy" in out
         assert "ambiguous: 40" in out  # every observation floods
+        assert _without_elapsed(out) == _extraction_lines(40, mitigated=True)
 
     def test_survey(self, capsys):
         import re
@@ -89,6 +157,13 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "test accuracy" in out
         assert "test_00001.txt" in out
+        # The printed accuracy is the campaign experiment's.
+        from repro.core.zipchannel import run_fingerprint_experiment
+
+        m = run_fingerprint_experiment(
+            corpus="lipsum", traces=6, epochs=5, seed=0, hidden=96
+        )
+        assert f"test accuracy: {m['test_accuracy'] * 100:.1f}% " in out
 
     def test_campaign_run_does_not_announce_local_slots(self, tmp_path, capsys):
         """The local transport's executor slots are scheduler workers,
@@ -103,3 +178,93 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "finalized" in out
         assert not [line for line in out.splitlines() if "registered" in line]
+
+
+class TestSharedIdioms:
+    @pytest.mark.parametrize(
+        "counts,code",
+        [
+            ({}, 0),
+            ({"ok": 4}, 0),
+            ({"ok": 4, "skipped": 2}, 0),
+            ({"skipped": 3}, 0),
+            ({"failed": 2}, 1),
+            ({"timeout": 1, "crashed": 1, "skipped": 5}, 1),
+            ({"ok": 3, "failed": 1}, 3),
+            ({"ok": 1, "timeout": 1}, 3),
+            ({"ok": 1, "crashed": 2, "skipped": 1}, 3),
+        ],
+    )
+    def test_one_exit_code_rule(self, counts, code):
+        from repro.cli import _exit_code
+
+        assert _exit_code(counts) == code
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["campaign", "resume", "{missing}"], "no campaign manifest in"),
+            (["campaign", "report", "{missing}"], "no campaign manifest in"),
+            (["campaign", "status", "{missing}"], "no campaign manifest in"),
+            (["report", "{missing}"], "no campaign manifest in"),
+            (["trace", "list", "--store", "{missing}"], "no trace store at"),
+            (["trace", "verify", "--store", "{missing}"], "no trace store at"),
+            (["diag", "report", "--store", "{missing}"], "no trace store at"),
+        ],
+    )
+    def test_missing_directory_exits_2(self, argv, message, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        assert main([a.format(missing=missing) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {message} {missing}\n"
+
+    @pytest.mark.parametrize("command", ["run", "resume"])
+    def test_interrupt_exits_130_with_the_resume_hint(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        from repro.campaign.runner import CampaignRunner
+
+        spec, out = _tiny_campaign(tmp_path)
+        if command == "resume":
+            assert main(["campaign", "run", spec, "--out", out, "--quiet"]) == 0
+
+        def interrupted(self, resume=False):
+            raise KeyboardInterrupt
+
+        def exit_now(code):
+            raise SystemExit(code)
+
+        monkeypatch.setattr(CampaignRunner, "run", interrupted)
+        monkeypatch.setattr(os, "_exit", exit_now)
+        argv = (
+            ["campaign", "run", spec, "--out", out, "--quiet"]
+            if command == "run"
+            else ["campaign", "resume", out, "--quiet"]
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 130
+        assert (
+            f"continue with `python -m repro campaign resume {out}`"
+            in capsys.readouterr().err
+        )
+
+
+def test_cli_startup_imports_no_command_package():
+    """Each ``python -m repro`` process (four per cluster campaign)
+    pays only for the parser; commands import their packages."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys, repro.cli; "
+        "print(' '.join(m for m in sys.modules if m.startswith('repro.')))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    heavy = (
+        "diag", "classify", "campaign", "cluster", "mitigations",
+        "core", "taint", "exec",
+    )
+    assert "repro.cli" in loaded
+    assert not [m for m in loaded if m.split(".")[1] in heavy]

@@ -100,6 +100,12 @@ class TestFingerprintConfusion:
         assert 0.0 <= report["diagonal_accuracy"] <= 1.0
         assert len(report["matrix"]) == report["n_files"]
         assert "file_0" in report["rendered"]
+        # Same split, init and fit as the campaign experiment.
+        from repro.core.zipchannel import run_fingerprint_experiment
+
+        assert report["test_accuracy"] == run_fingerprint_experiment(
+            corpus="lipsum", traces=8, epochs=12, seed=0, hidden=48
+        )["test_accuracy"]
 
 
 class TestChannelHealth:

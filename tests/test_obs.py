@@ -7,12 +7,17 @@ renderer reconstructs it all — including multi-process counter merging.
 """
 
 import json
+import os
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
 from repro import obs
-from repro.obs.core import STATE, Histogram
+from repro.obs.core import STATE, Histogram, ObsState
 
 
 @pytest.fixture(autouse=True)
@@ -165,6 +170,81 @@ class TestRingAndSink:
         )
         events = obs.load_events(str(sink))
         assert len(events) == 1
+
+    def _capped_writers(self, sink, n):
+        writers = [ObsState() for _ in range(n)]
+        for writer in writers:
+            writer.enable(sink_path=str(sink), max_sink_bytes=2000)
+        return writers
+
+    def _seqs(self, sink):
+        lines = []
+        for path in (f"{sink}.1", str(sink)):
+            with open(path, encoding="utf-8") as handle:
+                lines += [json.loads(x)["seq"] for x in handle]
+        return lines
+
+    def test_writers_sharing_a_capped_sink_rotate_as_one(self, tmp_path):
+        """Worker processes share one sink: the cap counts every
+        writer's bytes, and a writer whose sink another writer rotated
+        follows the new file instead of appending to ``.1``."""
+        events = [
+            {"kind": "log", "msg": "x" * 35, "seq": f"{i:03d}"}
+            for i in range(60)
+        ]
+        assert len(json.dumps(events[0], sort_keys=True)) + 1 == 76
+        alone = tmp_path / "alone.jsonl"
+        shared = tmp_path / "shared.jsonl"
+        (single,) = self._capped_writers(alone, 1)
+        pair = self._capped_writers(shared, 2)
+        for i, event in enumerate(events):
+            single.emit(event)
+            pair[i % 2].emit(event)
+        for writer in (single, *pair):
+            writer.disable()
+        kept = [f"{i:03d}" for i in range(26, 60)]
+        assert self._seqs(alone) == kept
+        assert self._seqs(shared) == kept
+
+    def test_processes_sharing_a_capped_sink_stay_near_the_cap(self, tmp_path):
+        """Three processes (more than this suite assumes cores) hold one
+        capped sink open and append to it at once.  Together they write
+        more than the cap, each alone less.  A writer may append one line
+        after its check and before another writer's, so neither
+        generation may pass the cap by more than one line per writer,
+        and every line stays whole."""
+        sink, cap, writers = tmp_path / "s.jsonl", 3000, 3
+        # Each writer opens the sink with its first event, then waits
+        # for ``start`` so that the rest of the appends interleave.
+        script = (
+            "import sys, time\n"
+            "from repro.obs.core import ObsState\n"
+            "state = ObsState()\n"
+            f"state.enable(sink_path={str(sink)!r}, max_sink_bytes={cap})\n"
+            "for i in range(40):\n"
+            "    state.emit({'kind': 'log', 'msg': sys.argv[1], 'seq': i})\n"
+            "    if i == 0:\n"
+            "        time.sleep(max(0.0, float(sys.argv[2]) - time.time()))\n"
+            "state.disable()\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        start = str(time.time() + 2.0)
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, f"w{k}", start], env=env
+            )
+            for k in range(writers)
+        ]
+        assert [p.wait(timeout=60) for p in procs] == [0] * writers
+        longest = len(json.dumps(
+            {"kind": "log", "msg": "w0", "seq": 39}, sort_keys=True
+        )) + 1
+        assert 40 * longest < cap < writers * 40 * longest
+        for path in (sink, tmp_path / "s.jsonl.1"):
+            assert path.stat().st_size <= cap + writers * longest
+            for line in path.read_text().splitlines():
+                json.loads(line)
 
     def test_level_filters_logs(self):
         obs.enable(level="warning")
