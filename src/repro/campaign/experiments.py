@@ -231,6 +231,7 @@ def trace_capture(params: dict, seed: int) -> dict:
     from repro.traces.capture import (
         capture_fingerprint_traces,
         capture_survey_traces,
+        fingerprint_trace_id,
     )
 
     store = TraceStore(params["store"])
@@ -249,7 +250,7 @@ def trace_capture(params: dict, seed: int) -> dict:
         entries = [
             capture_fingerprint_traces(
                 store,
-                f"fingerprint-{corpus}-t{traces}-s{sweep_seed}",
+                fingerprint_trace_id(corpus, traces, sweep_seed),
                 corpus=corpus,
                 traces_per_file=traces,
                 seed=sweep_seed,
@@ -295,6 +296,7 @@ def fingerprint_from_store(params: dict, seed: int) -> dict:
     in the live ``fingerprint`` experiment.
     """
     from repro.traces import TraceStore
+    from repro.traces.capture import fingerprint_trace_id
     from repro.traces.replay import fingerprint_experiment_from_store
 
     trace_id = params.get("trace_id")
@@ -302,7 +304,7 @@ def fingerprint_from_store(params: dict, seed: int) -> dict:
         corpus = params.get("corpus", "lipsum")
         traces = int(params.get("traces", 10))
         sweep_seed = int(params.get("sweep_seed", seed))
-        trace_id = f"fingerprint-{corpus}-t{traces}-s{sweep_seed}"
+        trace_id = fingerprint_trace_id(corpus, traces, sweep_seed)
     return fingerprint_experiment_from_store(
         TraceStore(params["store"]),
         trace_id,
@@ -398,7 +400,7 @@ def fig7_replay(params: dict, seed: int) -> dict:
     """
     import hashlib
 
-    from repro.traces.capture import capture_fingerprint_traces
+    from repro.traces.capture import capture_fingerprint_traces, fingerprint_trace_id
     from repro.traces.replay import dataset_from_store
 
     corpus = params.get("corpus", "lipsum")
@@ -406,7 +408,7 @@ def fig7_replay(params: dict, seed: int) -> dict:
     sweep_seed = int(params.get("sweep_seed", seed))
     work_factor = params.get("work_factor")
     max_file_bytes = params.get("max_file_bytes")
-    trace_id = f"fingerprint-{corpus}-t{traces}-s{sweep_seed}"
+    trace_id = fingerprint_trace_id(corpus, traces, sweep_seed)
 
     def capture(store) -> None:
         capture_fingerprint_traces(

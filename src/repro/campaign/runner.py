@@ -137,8 +137,6 @@ class CampaignRunner:
     def _drive(self, scheduler, exec_, slots: list) -> None:
         """Move jobs between the scheduler and the executor until the
         campaign is finalized."""
-        from repro.cluster.worker import finish_job
-
         executor = self._factory()
         in_flight: dict[Future, tuple[str, dict]] = {}  # -> (slot, job)
         try:
@@ -177,10 +175,8 @@ class CampaignRunner:
                         broken = True
                         continue
                     slot, job = in_flight.pop(future)
-                    outcome = future.result()  # re-raises KeyboardInterrupt
-                    scheduler.handle_result(
-                        slot, finish_job(self.store, slot, job, outcome)
-                    )
+                    # result() re-raises KeyboardInterrupt.
+                    self._finish(scheduler, slot, job, future.result())
                 if broken:
                     executor = self._replace_pool(
                         scheduler, executor, in_flight
@@ -208,15 +204,26 @@ class CampaignRunner:
             executor.shutdown(wait=True)
             obs.flush()
 
+    def _finish(self, scheduler, slot: str, job: dict, outcome) -> None:
+        """Persist one attempt's outcome and hand it to the scheduler."""
+        from repro.cluster.worker import finish_job
+
+        scheduler.handle_result(slot, finish_job(self.store, slot, job, outcome))
+
     def _replace_pool(self, scheduler, executor, in_flight: dict):
-        """A worker process died and took the pool with it: disconnect
-        every slot with a job in flight (the scheduler charges each of
-        those jobs exactly one attempt) and return a fresh pool."""
+        """A worker process died and took the pool with it.  An attempt
+        whose result already arrived is finished as usual; every other
+        slot with a job in flight is disconnected (the scheduler charges
+        each of those jobs exactly one attempt and re-queues it).
+        Returns a fresh pool."""
         obs.counter_add("campaign.pool_rebuilds")
         self._emit("worker pool broke (crashed worker); rebuilding pool")
-        for slot, _ in in_flight.values():
-            scheduler.disconnect_worker(slot)
-            scheduler.register_worker(slot, pid=os.getpid())
+        for future, (slot, job) in in_flight.items():
+            if future.done() and not future.cancelled() and future.exception() is None:
+                self._finish(scheduler, slot, job, future.result())
+            else:
+                scheduler.disconnect_worker(slot)
+                scheduler.register_worker(slot, pid=os.getpid())
         in_flight.clear()
         _shutdown_now(executor)
         return self._factory()

@@ -63,6 +63,20 @@ class JobSpec:
         return dict(self.params)
 
 
+def _json_number(data: dict, key: str, default, integer: bool = False):
+    """``data[key]`` (or ``default`` when absent) checked to be a JSON
+    integer, or with ``integer=False`` any JSON number; ``null`` passes
+    only where the default is ``None``.  Anything else, booleans
+    included, raises ``ValueError``."""
+    value = data.get(key, default)
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ValueError(f"spec {key!r} must be {kind}, got {value!r}")
+    return value
+
+
 @dataclass
 class FaultInjection:
     """Deliberate first-attempt failures, for drills and tests.
@@ -96,12 +110,24 @@ class FaultInjection:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultInjection":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`; a malformed block raises
+        ``ValueError``."""
+        if not isinstance(data, dict):
+            raise ValueError("spec 'inject_failures' must be an object")
+        jobs = data.get("jobs", [])
+        if not isinstance(jobs, list) or not all(isinstance(j, str) for j in jobs):
+            raise ValueError("spec 'inject_failures.jobs' must be a list of job ids")
+        mode = data.get("mode", "exception")
+        if mode not in ("exception", "crash"):
+            # Any other mode would silently inject nothing.
+            raise ValueError(
+                f"spec 'inject_failures.mode' must be 'exception' or 'crash', got {mode!r}"
+            )
         return cls(
-            count=int(data.get("count", 0)),
-            jobs=list(data.get("jobs", [])),
-            attempts=int(data.get("attempts", 1)),
-            mode=str(data.get("mode", "exception")),
+            count=_json_number(data, "count", 0, integer=True),
+            jobs=list(jobs),
+            attempts=_json_number(data, "attempts", 1, integer=True),
+            mode=mode,
         )
 
 
@@ -209,9 +235,15 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignSpec":
-        """Build a spec from its JSON form, rejecting unknown keys so a
-        typo in a spec file fails loudly instead of silently running the
-        default."""
+        """Build a spec from its JSON form.
+
+        Every malformed spec raises ``ValueError``: a non-object, an
+        unknown key (so a typo fails loudly instead of silently running
+        the default), a missing or non-string ``name``/``experiment``, a
+        non-object ``grid``/``fixed``, or a field of the wrong type.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("a campaign spec must be a JSON object")
         known = {
             "name",
             "experiment",
@@ -227,17 +259,23 @@ class CampaignSpec:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown spec keys: {sorted(unknown)}")
+        for key in ("name", "experiment"):
+            if not isinstance(data.get(key), str):
+                raise ValueError(f"spec {key!r} must be a string")
+        for key in ("grid", "fixed"):
+            if not isinstance(data.get(key, {}), dict):
+                raise ValueError(f"spec {key!r} must be an object")
         inject = data.get("inject_failures")
         return cls(
             name=data["name"],
             experiment=data["experiment"],
             grid=dict(data.get("grid", {})),
             fixed=dict(data.get("fixed", {})),
-            trials=int(data.get("trials", 1)),
-            base_seed=int(data.get("base_seed", 0)),
-            timeout_seconds=data.get("timeout_seconds"),
-            max_retries=int(data.get("max_retries", 2)),
-            retry_backoff=float(data.get("retry_backoff", 0.05)),
+            trials=_json_number(data, "trials", 1, integer=True),
+            base_seed=_json_number(data, "base_seed", 0, integer=True),
+            timeout_seconds=_json_number(data, "timeout_seconds", None),
+            max_retries=_json_number(data, "max_retries", 2, integer=True),
+            retry_backoff=float(_json_number(data, "retry_backoff", 0.05)),
             inject_failures=(
                 FaultInjection.from_dict(inject) if inject is not None else None
             ),

@@ -93,6 +93,17 @@ def _progress(args: argparse.Namespace):
     return None if args.quiet else print
 
 
+def _load_spec(path: str):
+    """A campaign spec file; an unreadable or malformed one is a usage
+    error."""
+    from repro.campaign.spec import CampaignSpec
+
+    try:
+        return CampaignSpec.from_json_file(path)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"{path}: {exc}") from None
+
+
 def _campaign_store(path: str):
     """An existing campaign result directory."""
     from repro.campaign import ResultStore
@@ -296,6 +307,7 @@ def cmd_trace_capture(args: argparse.Namespace) -> int:
     from repro.traces.capture import (
         capture_fingerprint_traces,
         capture_survey_traces,
+        fingerprint_trace_id,
     )
 
     store = TraceStore(args.store)
@@ -308,8 +320,8 @@ def cmd_trace_capture(args: argparse.Namespace) -> int:
             overwrite=args.overwrite,
         )
     else:
-        trace_id = args.id or (
-            f"fingerprint-{args.corpus}-t{args.traces}-s{args.seed}"
+        trace_id = args.id or fingerprint_trace_id(
+            args.corpus, args.traces, args.seed
         )
         entries = [
             capture_fingerprint_traces(
@@ -362,59 +374,38 @@ def cmd_trace_verify(args: argparse.Namespace) -> int:
 
 def cmd_trace_export(args: argparse.Namespace) -> int:
     """Export one trace to JSON for external tooling."""
-    from repro.traces import (
-        SPECIES_FINGERPRINT,
-        SPECIES_MEMORY,
-        TraceStore,
-    )
+    from repro.traces import SPECIES_FINGERPRINT, SPECIES_MEMORY, TraceStore
 
     store = TraceStore(args.store)
     try:
         entry = store.get(args.id)
     except (KeyError, FileNotFoundError):
         raise UsageError(f"no trace {args.id!r} in {args.store}") from None
-    records = []
-    if entry.species == SPECIES_MEMORY:
-        cols = store.read_columns(args.id)
-        kinds = cols.lookup(cols.kind_id)
-        arrays = cols.lookup(cols.array_id)
-        sites = cols.lookup(cols.site_id)
-        lines = cols.lines()
-        for i in range(cols.n):
-            records.append(
-                {
-                    "seq": int(cols.seq[i]),
-                    "kind": kinds[i],
-                    "array": arrays[i],
-                    "index": int(cols.index[i]),
-                    "elem_size": int(cols.elem_size[i]),
-                    "address": int(cols.address[i]),
-                    "cache_line": int(lines[i]),
-                    "site": sites[i],
-                    "tainted": bool(cols.addr_tainted[i]),
-                }
-            )
-    elif entry.species == SPECIES_FINGERPRINT:
-        cols = store.read_columns(args.id)
-        for i in range(cols.n):
-            records.append(
-                {
-                    "label": int(cols.labels[i]),
-                    "capture_seed": int(cols.capture_seeds[i]),
-                    "trace": cols.traces[i].tolist(),
-                }
-            )
+    cols = store.read_columns(args.id)
+    if cols.species == SPECIES_MEMORY:
+        keys = ("seq", "kind", "array", "index", "elem_size", "address",
+                "cache_line", "site", "tainted")
+        rows = zip(
+            cols.seq.tolist(), cols.lookup(cols.kind_id).tolist(),
+            cols.lookup(cols.array_id).tolist(), cols.index.tolist(),
+            cols.elem_size.tolist(), cols.address.tolist(),
+            cols.lines().tolist(), cols.lookup(cols.site_id).tolist(),
+            cols.addr_tainted.tolist(),
+        )
+    elif cols.species == SPECIES_FINGERPRINT:
+        keys = ("label", "capture_seed", "trace")
+        rows = zip(
+            cols.labels.tolist(), cols.capture_seeds.tolist(),
+            (trace.tolist() for trace in cols.traces),
+        )
     else:
-        for record in store.iter_records(args.id):
-            records.append(
-                {
-                    "step": record.step,
-                    "label": record.label,
-                    "probe_len": record.probe_len,
-                    "observation": record.observation,
-                    "queries": record.queries,
-                }
-            )
+        keys = ("step", "label", "probe_len", "observation", "queries")
+        rows = zip(
+            cols.step.tolist(), cols.lookup(cols.label_id).tolist(),
+            cols.probe_len.tolist(), cols.observation.tolist(),
+            cols.queries.tolist(),
+        )
+    records = [dict(zip(keys, row)) for row in rows]
     payload = {"entry": entry.to_dict(), "records": records}
     _emit(
         _json(payload, sort_keys=False),
@@ -427,9 +418,7 @@ def cmd_trace_export(args: argparse.Namespace) -> int:
 # -- campaigns and the cluster -------------------------------------------
 def cmd_campaign_run(args: argparse.Namespace) -> int:
     """Expand a spec file into jobs and run them in parallel."""
-    from repro.campaign.spec import CampaignSpec
-
-    spec = CampaignSpec.from_json_file(args.spec)
+    spec = _load_spec(args.spec)
     runner = _campaign_runner(args, spec, args.out or f"runs/{spec.name}")
     print(
         f"campaign {spec.name!r}: {spec.n_jobs()} jobs of "
@@ -479,10 +468,9 @@ def cmd_campaign_status(args: argparse.Namespace) -> int:
 def cmd_cluster_run(args: argparse.Namespace) -> int:
     """One-shot distributed run: scheduler + N local worker processes."""
     from repro.campaign import SpecMismatchError
-    from repro.campaign.spec import CampaignSpec
     from repro.cluster import parse_endpoint, run_cluster
 
-    spec = CampaignSpec.from_json_file(args.spec)
+    spec = _load_spec(args.spec)
     out = args.out or f"runs/{spec.name}"
     endpoint = parse_endpoint(args.listen) if args.listen else None
     if args.obs:
@@ -561,9 +549,7 @@ def cmd_cluster_serve(args: argparse.Namespace) -> int:
 
 def cmd_cluster_submit(args: argparse.Namespace) -> int:
     """Queue a campaign on a running ``cluster serve`` scheduler."""
-    from repro.campaign.spec import CampaignSpec
-
-    spec = CampaignSpec.from_json_file(args.spec)
+    spec = _load_spec(args.spec)
     out = args.out or f"runs/{spec.name}"
     reply = _cluster_control(
         args,

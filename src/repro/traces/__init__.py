@@ -10,6 +10,8 @@ This package decouples them:
   access streams, ``fingerprint`` hit/miss tensors, and ``oracle``
   per-guess probe streams), with per-record delta+varint coding and
   per-chunk CRCs;
+* :mod:`repro.traces.columns` — the one reader: every species decoded
+  chunk by chunk straight into numpy columns;
 * :mod:`repro.traces.store` — an indexed on-disk :class:`TraceStore`
   (``*.trstore`` directories) with list/get/put/verify and corruption
   detection on read;
@@ -28,6 +30,7 @@ analysis jobs out over it in another.
 from repro.traces.columns import (
     FingerprintColumns,
     MemoryColumns,
+    OracleColumns,
     read_trace_columns,
 )
 from repro.traces.format import (
@@ -38,13 +41,9 @@ from repro.traces.format import (
     SPECIES_MEMORY,
     SPECIES_ORACLE,
     TraceFormatError,
-    TraceReader,
     TraceSummary,
     TraceWriter,
     count_trace_records,
-    deserialize_records,
-    iter_trace,
-    read_trace,
     serialize_records,
     write_trace,
 )
@@ -70,13 +69,13 @@ __all__ = [
     "FingerprintCapture",
     "FingerprintColumns",
     "MemoryColumns",
+    "OracleColumns",
     "OracleProbe",
     "SPECIES_FINGERPRINT",
     "SPECIES_MEMORY",
     "SPECIES_ORACLE",
     "TraceEntry",
     "TraceFormatError",
-    "TraceReader",
     "TraceStore",
     "TraceSummary",
     "TraceWriter",
@@ -87,11 +86,8 @@ __all__ = [
     "capture_survey_traces",
     "count_trace_records",
     "dataset_from_store",
-    "deserialize_records",
     "file_sha256",
     "fingerprint_experiment_from_store",
-    "iter_trace",
-    "read_trace",
     "read_trace_columns",
     "recover_from_trace",
     "replay_lines",

@@ -86,6 +86,12 @@ def capture_memory_trace(
     return writer.entry
 
 
+def fingerprint_trace_id(corpus: str, traces: int, seed: int) -> str:
+    """Store id of one captured fingerprint dataset (``traces`` captures
+    per corpus file, base seed ``seed``)."""
+    return f"fingerprint-{corpus}-t{traces}-s{seed}"
+
+
 def capture_fingerprint_traces(
     store: TraceStore,
     trace_id: str,

@@ -1,11 +1,10 @@
 """Columnar ZTRC decode: whole chunks into numpy arrays, no objects.
 
-The object reader (:class:`repro.traces.format.TraceReader`) spends its
-time constructing one :class:`~repro.exec.events.MemoryAccess` (plus two
-:class:`~repro.taint.bittaint.BitTaint`) per record, while every
-analysis pass downstream immediately reduces the record to two or three
-integers (address, site id, kind id).  This module decodes the same
-chunk bytes straight into int64 columns.
+This is the one ZTRC reader, for all three species.  Every analysis of
+a stored trace reduces each record to a few numbers (a memory access to
+its address, site id and kind id), so the reader decodes chunk bytes
+straight into int64 columns (float64 for oracle observations) and
+never builds a record object.
 
 The chunk's record directory (see :mod:`repro.traces.format`) makes
 this almost free of per-record Python work:
@@ -13,28 +12,33 @@ this almost free of per-record Python work:
 1. record byte boundaries are a cumulative sum of the directory's
    length entries, and the per-record taint booleans are directory flag
    bits — the taint-run payloads are never decoded at all;
-2. the seven header varints of *all* records in a chunk are assembled
-   together, one byte lane at a time, over vectors of record offsets;
-3. per-chunk delta fields (seq, index, address) become ``np.cumsum``,
-   with an exact per-step int64 overflow test.
+2. the fixed fields of *all* records in a chunk (seven varints per
+   memory record; four varints and one 8-byte lane per oracle record)
+   are assembled together, one byte lane at a time, over vectors of
+   record offsets;
+3. per-chunk delta fields (seq, index, address; step, queries) become
+   ``np.cumsum``, with an exact per-step int64 overflow test.
 
-This is the only memory/fingerprint decoder: there is no object
-fallback.  Every column is int64, so a varint longer than nine bytes or
-a running sum that leaves int64 raises :class:`TraceFormatError`; the
+Fingerprint records are all varints, so their chunks decode as one
+varint stream and keep their run-length form.
+
+Every integer column is int64, so a varint longer than nine bytes or a
+running sum that leaves int64 raises :class:`TraceFormatError`; the
 writer refuses the records that would produce either.  Every chunk's
-CRC is checked before decoding, and any structural damage raises
-:class:`TraceFormatError` too.
+CRC is checked before decoding, and structural damage raises
+:class:`TraceFormatError` too: a directory that does not tile its
+chunk, fields that overrun their record (an oracle record must end
+exactly at its directory boundary), a string id past the table.
 
-Contract with the object reader (:class:`repro.traces.format.TraceReader`):
-on every file the writer produces the columns equal, field for field,
-what the object reader decodes (``tests/test_traces_columns.py``).  On
-crafted input the two may disagree — the directory's taint flags are
-authoritative here, and the taint payloads the object reader checks are
-skipped — but each reader either returns or raises
-:class:`TraceFormatError` (``tests/test_traces_format.py``).
+The directory flags are the reader's whole view of taint.  The stored
+taint runs stay in the file as the writer wrote them, but no code in
+``repro`` parses them yet.
 
-The ``oracle`` species has no columnar layout (its analyses are
-scalar); :func:`read_trace_columns` raises ``ValueError`` for it.
+On every file the writer produces, the columns equal, field for field,
+what the test suite's record-at-a-time reference decoder
+(``tests/ztrc_reference.py``) rebuilds from the same bytes
+(``tests/test_traces_columns.py``); on damaged input the reader returns
+or raises :class:`TraceFormatError` (``tests/test_traces_format.py``).
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from repro.traces.format import (
     _StringTable,
     SPECIES_FINGERPRINT,
     SPECIES_MEMORY,
+    SPECIES_ORACLE,
     TraceFormatError,
     read_uvarint,
 )
@@ -62,15 +67,32 @@ LINE_BITS = 6
 _MAX_VARINT_BYTES = 9
 
 
+class _InternedColumns:
+    """Lookups into ``strings``, the trace's interned string table, for
+    the species whose records carry string ids."""
+
+    strings: tuple[str, ...]
+
+    def string_ids(self, names: Sequence[str]) -> list[int]:
+        """Table ids of the given strings (absent names simply match
+        nothing, like a filter over objects would)."""
+        wanted = set(names)
+        return [i for i, s in enumerate(self.strings) if s in wanted]
+
+    def lookup(self, ids: np.ndarray) -> np.ndarray:
+        """Resolve an id column to its strings (object-dtype array)."""
+        table = np.array(self.strings, dtype=object)
+        return table[ids]
+
+
 @dataclass
-class MemoryColumns:
+class MemoryColumns(_InternedColumns):
     """One memory trace as parallel int64/bool columns.
 
-    ``strings`` is the trace's interned string table; ``kind_id``,
-    ``array_id`` and ``site_id`` index into it.  ``addr_tainted`` /
-    ``value_tainted`` record whether each access carried any taint (the
-    attacker-facing bit the export and replay paths consume; full
-    per-bit tag sets remain on the object path).
+    ``kind_id``, ``array_id`` and ``site_id`` index into ``strings``.
+    ``addr_tainted`` / ``value_tainted`` record whether each access
+    carried any taint: the directory flag bits, which are the
+    attacker-facing bit the export and replay paths consume.
     """
 
     seq: np.ndarray
@@ -94,12 +116,6 @@ class MemoryColumns:
         """Per-record cache line — the attacker's ``address >> 6`` view."""
         return self.address >> LINE_BITS
 
-    def string_ids(self, names: Sequence[str]) -> list[int]:
-        """Table ids of the given strings (absent names simply match
-        nothing, like a filter over objects would)."""
-        wanted = set(names)
-        return [i for i, s in enumerate(self.strings) if s in wanted]
-
     def mask(
         self,
         sites: Optional[Sequence[str]] = None,
@@ -112,11 +128,6 @@ class MemoryColumns:
         if kind is not None:
             mask &= np.isin(self.kind_id, self.string_ids((kind,)))
         return mask
-
-    def lookup(self, ids: np.ndarray) -> np.ndarray:
-        """Resolve an id column to its strings (object-dtype array)."""
-        table = np.array(self.strings, dtype=object)
-        return table[ids]
 
 
 @dataclass
@@ -277,7 +288,32 @@ class FingerprintColumns:
         return flat.reshape(out_shape)
 
 
-TraceColumns = Union[MemoryColumns, FingerprintColumns]
+@dataclass
+class OracleColumns(_InternedColumns):
+    """One oracle trace as parallel columns, one row per scored probe.
+
+    ``step``, ``label_id`` (an index into ``strings``), ``probe_len``
+    and ``queries`` (the cumulative oracle-query count) are int64;
+    ``observation`` is the probe's float64 score, bit for bit as the
+    attack recorded it (``-0.0``, infinities and NaN payloads
+    included).
+    """
+
+    step: np.ndarray
+    label_id: np.ndarray
+    probe_len: np.ndarray
+    observation: np.ndarray
+    queries: np.ndarray
+    strings: tuple[str, ...]
+
+    species = SPECIES_ORACLE
+
+    @property
+    def n(self) -> int:
+        return int(self.step.shape[0])
+
+
+TraceColumns = Union[MemoryColumns, FingerprintColumns, OracleColumns]
 
 
 # ----------------------------------------------------------------------
@@ -390,6 +426,42 @@ def _read_directory(
     return n_records, entries, pos + dir_nbytes
 
 
+def _record_bounds(
+    raw: bytes, entries: np.ndarray, base: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end offset of every record; the directory's lengths
+    must tile the chunk from ``base`` to its last byte exactly."""
+    byte_lens = entries >> 2
+    # Bounding each length first keeps the sum from wrapping.
+    if (byte_lens > len(raw)).any() or base + int(byte_lens.sum()) != len(raw):
+        raise TraceFormatError("record directory does not tile the chunk")
+    ends = np.cumsum(byte_lens) + base
+    return ends - byte_lens, ends
+
+
+def _check_string_ids(strings: _StringTable, *id_columns: np.ndarray) -> None:
+    """Refuse ids past the string table as read so far (a gathered id is
+    at most nine varint bytes, so never negative)."""
+    n_strings = len(strings._strings)
+    for ids in id_columns:
+        if ids.size and int(ids.max()) >= n_strings:
+            raise TraceFormatError(f"string id {int(ids.max())} out of range")
+
+
+def _decode_chunks(stream: BinaryIO, decode_chunk, dtypes: dict) -> tuple[dict, tuple]:
+    """Run ``decode_chunk`` over every chunk; returns the concatenated
+    column of each name in ``dtypes`` and the final string table."""
+    strings = _StringTable()
+    acc: dict[str, list[np.ndarray]] = {name: [] for name in dtypes}
+    for raw in _iter_chunks(stream):
+        decode_chunk(raw, strings, acc)
+    columns = {
+        name: np.concatenate(parts) if parts else np.empty(0, dtype=dtypes[name])
+        for name, parts in acc.items()
+    }
+    return columns, tuple(strings._strings)
+
+
 # ----------------------------------------------------------------------
 # memory species
 # ----------------------------------------------------------------------
@@ -397,16 +469,9 @@ def _decode_memory_chunk(raw: bytes, strings: _StringTable, acc: dict) -> None:
     """Directory-driven decode: no per-record Python in the hot loop."""
     buf = memoryview(raw)
     n_records, entries, base = _read_directory(raw, buf, strings)
-    byte_lens = entries >> 2
-    # Bounding each length first keeps the sum from wrapping.
-    if (byte_lens > len(raw)).any() or base + int(byte_lens.sum()) != len(raw):
-        raise TraceFormatError("record directory does not tile the chunk")
+    rec_starts, rec_ends = _record_bounds(raw, entries, base)
     if not n_records:
         return
-    rec_starts = np.empty(n_records, dtype=np.int64)
-    rec_starts[0] = 0
-    np.cumsum(byte_lens[:-1], out=rec_starts[1:])
-    rec_starts += base
     data = np.frombuffer(raw, dtype=np.uint8)
     pos = rec_starts
     fields = []
@@ -415,8 +480,9 @@ def _decode_memory_chunk(raw: bytes, strings: _StringTable, acc: dict) -> None:
         fields.append(value)
     # The taint-run payloads occupy the rest of each record; the
     # directory flags already carry the per-record taint booleans.
-    if (pos > rec_starts + byte_lens).any():
+    if (pos > rec_ends).any():
         raise TraceFormatError("record fields overrun the directory entry")
+    _check_string_ids(strings, fields[1], fields[2], fields[6])
     acc["seq"].append(_checked_cumsum(_unzigzag(fields[0])))
     acc["kind_id"].append(fields[1])
     acc["array_id"].append(fields[2])
@@ -428,43 +494,16 @@ def _decode_memory_chunk(raw: bytes, strings: _StringTable, acc: dict) -> None:
     acc["value_tainted"].append((entries & 0b01) != 0)
 
 
-_COLUMN_NAMES = (
-    "seq", "kind_id", "array_id", "index", "elem_size",
-    "address", "site_id", "addr_tainted", "value_tainted",
-)
+_MEMORY_DTYPES = {
+    "seq": np.int64, "kind_id": np.int64, "array_id": np.int64,
+    "index": np.int64, "elem_size": np.int64, "address": np.int64,
+    "site_id": np.int64, "addr_tainted": bool, "value_tainted": bool,
+}
 
 
 def _memory_columns(stream: BinaryIO) -> MemoryColumns:
-    strings = _StringTable()
-    acc: dict[str, list[np.ndarray]] = {name: [] for name in _COLUMN_NAMES}
-    for raw in _iter_chunks(stream):
-        _decode_memory_chunk(raw, strings, acc)
-
-    def cat(name: str, dtype) -> np.ndarray:
-        parts = acc[name]
-        if not parts:
-            return np.empty(0, dtype=dtype)
-        return np.concatenate(parts)
-
-    columns = MemoryColumns(
-        seq=cat("seq", np.int64),
-        kind_id=cat("kind_id", np.int64),
-        array_id=cat("array_id", np.int64),
-        index=cat("index", np.int64),
-        elem_size=cat("elem_size", np.int64),
-        address=cat("address", np.int64),
-        site_id=cat("site_id", np.int64),
-        addr_tainted=cat("addr_tainted", bool),
-        value_tainted=cat("value_tainted", bool),
-        strings=tuple(strings._strings),
-    )
-    n_strings = len(columns.strings)
-    for ids in (columns.kind_id, columns.array_id, columns.site_id):
-        if ids.size and (int(ids.max()) >= n_strings or int(ids.min()) < 0):
-            raise TraceFormatError(
-                f"string id {int(ids.max())} out of range"
-            )
-    return columns
+    columns, strings = _decode_chunks(stream, _decode_memory_chunk, _MEMORY_DTYPES)
+    return MemoryColumns(**columns, strings=strings)
 
 
 # ----------------------------------------------------------------------
@@ -547,23 +586,67 @@ def _fingerprint_columns(stream: BinaryIO) -> FingerprintColumns:
 
 
 # ----------------------------------------------------------------------
-# entry points
+# oracle species
 # ----------------------------------------------------------------------
-def read_trace_columns(path) -> TraceColumns:
-    """Decode a whole ``.trc`` file into columns (memory/fingerprint).
+_OBSERVATION_BYTES = 8
 
-    Equal, field for field, to object decoding via
-    :func:`repro.traces.format.read_trace` on every file the writer
-    produces — the Hypothesis oracle in ``tests/test_traces_columns.py``
-    asserts exactly that.  Oracle traces have no columnar layout; use
-    the object reader for them.
+
+def _decode_oracle_chunk(raw: bytes, strings: _StringTable, acc: dict) -> None:
+    """Per record: step delta, label id, probe length, a little-endian
+    double, queries delta.  The varints are gathered for the whole
+    chunk and the doubles read as one 8-byte lane; each record must end
+    exactly at its directory boundary."""
+    buf = memoryview(raw)
+    n_records, entries, base = _read_directory(raw, buf, strings)
+    rec_starts, rec_ends = _record_bounds(raw, entries, base)
+    if not n_records:
+        return
+    data = np.frombuffer(raw, dtype=np.uint8)
+    step, pos = _gather_varints(data, rec_starts)
+    label_id, pos = _gather_varints(data, pos)
+    probe_len, pos = _gather_varints(data, pos)
+    if (pos + _OBSERVATION_BYTES > rec_ends).any():
+        raise TraceFormatError("truncated oracle observation")
+    lane = data[pos[:, None] + np.arange(_OBSERVATION_BYTES)]
+    observation = lane.view("<f8").reshape(n_records)
+    queries, pos = _gather_varints(data, pos + _OBSERVATION_BYTES)
+    if (pos != rec_ends).any():
+        raise TraceFormatError("oracle record does not end at its directory entry")
+    _check_string_ids(strings, label_id)
+    acc["step"].append(_checked_cumsum(_unzigzag(step)))
+    acc["label_id"].append(label_id)
+    acc["probe_len"].append(probe_len)
+    acc["observation"].append(observation)
+    acc["queries"].append(_checked_cumsum(_unzigzag(queries)))
+
+
+_ORACLE_DTYPES = {
+    "step": np.int64, "label_id": np.int64, "probe_len": np.int64,
+    "observation": np.float64, "queries": np.int64,
+}
+
+
+def _oracle_columns(stream: BinaryIO) -> OracleColumns:
+    columns, strings = _decode_chunks(stream, _decode_oracle_chunk, _ORACLE_DTYPES)
+    return OracleColumns(**columns, strings=strings)
+
+
+# ----------------------------------------------------------------------
+# entry point
+# ----------------------------------------------------------------------
+_SPECIES_COLUMNS = {
+    SPECIES_MEMORY: _memory_columns,
+    SPECIES_FINGERPRINT: _fingerprint_columns,
+    SPECIES_ORACLE: _oracle_columns,
+}
+
+
+def read_trace_columns(path) -> TraceColumns:
+    """Decode a whole ``.trc`` file of any species into columns.
+
+    Equal, field for field, to the test suite's record-at-a-time
+    reference decoder on every file the writer produces; the Hypothesis
+    suites in ``tests/test_traces_columns.py`` assert exactly that.
     """
     with open(path, "rb") as handle:
-        species = _read_header(handle)
-        if species == SPECIES_MEMORY:
-            return _memory_columns(handle)
-        if species == SPECIES_FINGERPRINT:
-            return _fingerprint_columns(handle)
-    raise ValueError(
-        f"no columnar decoder for {species!r} traces; use iter_trace/read_trace"
-    )
+        return _SPECIES_COLUMNS[_read_header(handle)](handle)

@@ -1,6 +1,6 @@
 """Compact, versioned binary serialization for captured traces.
 
-Two trace *species* cover everything the reproduction records:
+Three trace *species* cover everything the reproduction records:
 
 * ``memory`` — :class:`~repro.exec.events.MemoryAccess` streams from
   :class:`~repro.exec.context.TracingContext`: the raw material of the
@@ -25,10 +25,9 @@ Two trace *species* cover everything the reproduction records:
   replayed and re-scored without re-running the victim.
 
 Files are written and read in *chunks*: the writer flushes every
-``chunk_records`` records, the reader yields records chunk by chunk, and
-neither ever materialises the whole trace.  Every chunk carries a CRC-32
-so corruption is detected at read time, at the damaged chunk, not as a
-garbage analysis result.
+``chunk_records`` records and the reader decodes one chunk at a time.
+Every chunk carries a CRC-32 so corruption is detected at read time, at
+the damaged chunk, not as a garbage analysis result.
 
 Layout of one ``.trc`` file::
 
@@ -42,23 +41,24 @@ Layout of one ``.trc`` file::
                (record_byte_len << 2) | addr_tainted << 1 | value_tainted
 
 The record directory costs ~1 byte per record and is what makes the
-columnar reader (:mod:`repro.traces.columns`) possible: record
-boundaries become a cumulative sum instead of a sequential decode, so
-replay analyses read whole chunks straight into numpy arrays.  Version
-2 is the only format; any other version raises :class:`TraceFormatError`
-(re-capture the trace from its ``(target, size, seed)``).
+columnar reader (:mod:`repro.traces.columns`), the one ZTRC reader,
+possible: record boundaries become a cumulative sum instead of a
+sequential decode, so every species is read whole chunks at a time
+straight into numpy arrays.  Version 2 is the only format; any other
+version raises :class:`TraceFormatError` (re-capture the trace from its
+``(target, size, seed)``).
 
 Every byte string parses or raises :class:`TraceFormatError`, and the
-writer refuses records a reader could not give back: memory fields
+writer refuses records the reader could not give back: integer fields
 outside +-2**61, taint past :data:`MAX_TAINT_BITS`, fingerprints over
-:data:`MAX_FINGERPRINT_SAMPLES`.  The object reader (:class:`TraceReader`)
-reads every species and is the columnar reader's test reference.
+:data:`MAX_FINGERPRINT_SAMPLES`.
 
-Taint is preserved bit-exactly: a stored taint is
+Taint is stored bit-exactly: a stored taint is
 :class:`~repro.taint.bittaint.BitTaint`'s canonical run list (gap,
-length, delta-coded sorted tags per run), and the object reader
-rebuilds the same runs without expanding them per bit, so replayed
-traces drive the same gadget classification as live ones.  Provenance links
+length, delta-coded sorted tags per run).  The reader takes each
+record's taint booleans from the directory flags and skips the runs; no
+code in ``repro`` parses them yet, and the test suite's record-at-a-time
+reference decoder checks them round trip.  Provenance links
 (``addr_origin``) are *not* serialized: a stored trace is the attacker's
 observation layer, not the full data-flow DAG.
 """
@@ -69,12 +69,11 @@ import io
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterable, Iterator, Optional, Union
+from typing import BinaryIO, Iterable, Iterator, Union
 
 import numpy as np
 
 from repro.exec.events import MemoryAccess
-from repro.taint.bittaint import BitTaint
 
 MAGIC = b"ZTRC"
 FORMAT_VERSION = 2
@@ -97,7 +96,7 @@ DEFAULT_CHUNK_RECORDS = 4096
 MAX_FINGERPRINT_SAMPLES = 1 << 22
 
 # Every stored taint run ends at or below this bit (the taint engine
-# tracks 64-bit values); writer and object reader both refuse longer.
+# tracks 64-bit values); the writer refuses longer.
 MAX_TAINT_BITS = 1 << 10
 
 # Writers accept integer fields below this magnitude: the zigzag delta
@@ -201,12 +200,6 @@ def read_uvarint(buf: memoryview, pos: int) -> tuple[int, int]:
         shift += 7
 
 
-def read_svarint(buf: memoryview, pos: int) -> tuple[int, int]:
-    """Decode one zigzag varint at ``pos``; returns (value, new_pos)."""
-    raw, pos = read_uvarint(buf, pos)
-    return (raw >> 1) if not raw & 1 else -((raw + 1) >> 1), pos
-
-
 # ----------------------------------------------------------------------
 # Columnar varint encoding: the writer's mirror of the columnar reader's
 # lane-by-lane gather (:mod:`repro.traces.columns`).
@@ -254,35 +247,6 @@ def _varint_stream(values: np.ndarray) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# BitTaint decoding
-# ----------------------------------------------------------------------
-def _decode_bittaint(buf: memoryview, pos: int) -> tuple[BitTaint, int]:
-    # A stored taint is BitTaint's run list: gap from the previous run's
-    # end, run length, then the delta-coded sorted tags of each run.
-    n_runs, pos = read_uvarint(buf, pos)
-    if not n_runs:
-        return BitTaint.empty(), pos
-    runs = []
-    end = 0
-    for _ in range(n_runs):
-        gap, pos = read_uvarint(buf, pos)
-        length, pos = read_uvarint(buf, pos)
-        start = end + gap
-        end = start + length
-        if end > MAX_TAINT_BITS:
-            raise TraceFormatError(f"taint run ends at bit {end}, past {MAX_TAINT_BITS}")
-        n_tags, pos = read_uvarint(buf, pos)
-        tags = []
-        tag = 0
-        for _ in range(n_tags):
-            tag_delta, pos = read_uvarint(buf, pos)
-            tag += tag_delta
-            tags.append(tag)
-        runs.append((start, end, frozenset(tags)))
-    return BitTaint.from_runs(runs), pos
-
-
-# ----------------------------------------------------------------------
 # Species codecs.  ``encode_chunk`` turns one chunk's records into the
 # records block and their directory entries; delta state restarts at
 # every chunk so chunks decode independently of each other (apart from
@@ -327,12 +291,6 @@ class _StringTable:
             pos += length
         return pos
 
-    def lookup(self, idx: int) -> str:
-        try:
-            return self._strings[idx]
-        except IndexError:
-            raise TraceFormatError(f"string id {idx} out of range") from None
-
 
 class _RecordCodec:
     """A codec whose records are encoded one at a time (no directory
@@ -370,15 +328,6 @@ class _MemoryCodec:
         self.strings = strings
         # Encoded tag sets, memoised for this writer only.
         self._tag_bytes: dict[frozenset[int], tuple[int, ...]] = {}
-        self._reset()
-
-    def _reset(self) -> None:
-        self._prev_seq = 0
-        self._prev_address = 0
-        self._prev_index = 0
-
-    def begin_chunk(self) -> None:
-        self._reset()
 
     def _taint_bytes(self, runs: tuple) -> bytes:
         """``n_runs``, then per run: gap from the previous run's end,
@@ -466,32 +415,6 @@ class _MemoryCodec:
         entries = (record_lens << 2) | np.array(flags, dtype=np.int64)
         return out.tobytes(), entries
 
-    def decode(self, buf: memoryview, pos: int) -> tuple[MemoryAccess, int]:
-        seq_delta, pos = read_svarint(buf, pos)
-        self._prev_seq += seq_delta
-        kind_id, pos = read_uvarint(buf, pos)
-        array_id, pos = read_uvarint(buf, pos)
-        index_delta, pos = read_svarint(buf, pos)
-        self._prev_index += index_delta
-        elem_size, pos = read_uvarint(buf, pos)
-        addr_delta, pos = read_svarint(buf, pos)
-        self._prev_address += addr_delta
-        site_id, pos = read_uvarint(buf, pos)
-        addr_taint, pos = _decode_bittaint(buf, pos)
-        value_taint, pos = _decode_bittaint(buf, pos)
-        record = MemoryAccess(
-            seq=self._prev_seq,
-            kind=self.strings.lookup(kind_id),
-            array=self.strings.lookup(array_id),
-            index=self._prev_index,
-            elem_size=elem_size,
-            address=self._prev_address,
-            addr_taint=addr_taint,
-            value_taint=value_taint,
-            site=self.strings.lookup(site_id),
-        )
-        return record, pos
-
 
 def _memory_fields(
     records: list[MemoryAccess], scalars: list[tuple[int, int, int, int]]
@@ -525,8 +448,8 @@ def _memory_fields(
 
 def _check_fingerprint_shape(rows: int, cols: int) -> int:
     """Sample count of a fingerprint record, refused with
-    :class:`TraceFormatError` above the bound.  Both decoders call it
-    on the record header before allocating, and the writer before
+    :class:`TraceFormatError` above the bound.  The reader calls it on
+    the record header before allocating, and the writer before
     encoding."""
     size = rows * cols
     if size > MAX_FINGERPRINT_SAMPLES:
@@ -571,37 +494,6 @@ class _FingerprintCodec(_RecordCodec):
         write_uvarint(out, len(runs))
         out += _varint_stream(runs)
 
-    def decode(self, buf: memoryview, pos: int) -> tuple[FingerprintCapture, int]:
-        label, pos = read_svarint(buf, pos)
-        capture_seed, pos = read_uvarint(buf, pos)
-        rows, pos = read_uvarint(buf, pos)
-        cols, pos = read_uvarint(buf, pos)
-        size = _check_fingerprint_shape(rows, cols)
-        if not size:
-            trace = np.zeros((rows, cols), dtype=np.int8)
-            return FingerprintCapture(label, capture_seed, trace), pos
-        if pos >= len(buf):
-            raise TraceFormatError("truncated fingerprint record")
-        value = buf[pos]
-        pos += 1
-        if value not in (0, 1):
-            raise TraceFormatError(f"invalid fingerprint start value {value}")
-        n_runs, pos = read_uvarint(buf, pos)
-        flat = np.empty(size, dtype=np.int8)
-        offset = 0
-        for _ in range(n_runs):
-            run, pos = read_uvarint(buf, pos)
-            if offset + run > size:
-                raise TraceFormatError("fingerprint runs overflow the tensor")
-            flat[offset : offset + run] = value
-            offset += run
-            value ^= 1
-        if offset != size:
-            raise TraceFormatError(
-                f"fingerprint runs cover {offset} of {size} samples"
-            )
-        return FingerprintCapture(label, capture_seed, flat.reshape(rows, cols)), pos
-
 
 class _OracleCodec(_RecordCodec):
     """Delta+varint codec for OracleProbe records.
@@ -616,16 +508,18 @@ class _OracleCodec(_RecordCodec):
 
     def __init__(self, strings: _StringTable) -> None:
         self.strings = strings
-        self._reset()
 
-    def _reset(self) -> None:
+    def begin_chunk(self) -> None:
         self._prev_step = 0
         self._prev_queries = 0
 
-    def begin_chunk(self) -> None:
-        self._reset()
-
     def encode(self, out: bytearray, record: OracleProbe) -> None:
+        if not (-_FIELD_BOUND < record.step < _FIELD_BOUND
+                and 0 <= record.probe_len < _FIELD_BOUND
+                and -_FIELD_BOUND < record.queries < _FIELD_BOUND):
+            raise ValueError(
+                "oracle step, probe length or query count outside +-2**61"
+            )
         write_svarint(out, record.step - self._prev_step)
         self._prev_step = record.step
         write_uvarint(out, self.strings.intern(record.label))
@@ -633,26 +527,6 @@ class _OracleCodec(_RecordCodec):
         out.extend(self._OBSERVATION.pack(record.observation))
         write_svarint(out, record.queries - self._prev_queries)
         self._prev_queries = record.queries
-
-    def decode(self, buf: memoryview, pos: int) -> tuple[OracleProbe, int]:
-        step_delta, pos = read_svarint(buf, pos)
-        self._prev_step += step_delta
-        label_id, pos = read_uvarint(buf, pos)
-        probe_len, pos = read_uvarint(buf, pos)
-        if pos + self._OBSERVATION.size > len(buf):
-            raise TraceFormatError("truncated oracle observation")
-        (observation,) = self._OBSERVATION.unpack_from(buf, pos)
-        pos += self._OBSERVATION.size
-        queries_delta, pos = read_svarint(buf, pos)
-        self._prev_queries += queries_delta
-        record = OracleProbe(
-            step=self._prev_step,
-            label=self.strings.lookup(label_id),
-            probe_len=probe_len,
-            observation=observation,
-            queries=self._prev_queries,
-        )
-        return record, pos
 
 
 _CODECS = {
@@ -663,7 +537,7 @@ _CODECS = {
 
 
 # ----------------------------------------------------------------------
-# Streaming writer / reader
+# Streaming writer; the header and chunk framing the reader shares
 # ----------------------------------------------------------------------
 @dataclass
 class TraceSummary:
@@ -791,45 +665,6 @@ def _iter_chunks(stream: BinaryIO) -> Iterator[bytes]:
         yield raw
 
 
-class TraceReader:
-    """Chunked streaming reader: iterate to get records lazily.
-
-    Each chunk's CRC is checked before decoding, so a flipped byte
-    anywhere in the file raises :class:`TraceFormatError` instead of
-    yielding silently wrong records.
-    """
-
-    def __init__(self, stream: BinaryIO) -> None:
-        self._stream = stream
-        self.species = _read_header(stream)
-        self._strings = _StringTable()
-        self._codec = _CODECS[self.species](self._strings)
-        self._consumed = False
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        if self._consumed:
-            raise ValueError("trace readers are single-pass; reopen the file")
-        self._consumed = True
-        for raw in _iter_chunks(self._stream):
-            buf = memoryview(raw)
-            pos = self._strings.read_prelude(buf, 0)
-            n_records, pos = read_uvarint(buf, pos)
-            # The record directory serves the columnar reader; the
-            # object reader decodes records sequentially and skips it.
-            dir_nbytes, pos = read_uvarint(buf, pos)
-            if pos + dir_nbytes > len(buf):
-                raise TraceFormatError("truncated record directory")
-            pos += dir_nbytes
-            self._codec.begin_chunk()
-            for _ in range(n_records):
-                record, pos = self._codec.decode(buf, pos)
-                yield record
-            if pos != len(buf):
-                raise TraceFormatError(
-                    f"{len(buf) - pos} trailing bytes in chunk"
-                )
-
-
 # ----------------------------------------------------------------------
 # Whole-file convenience wrappers
 # ----------------------------------------------------------------------
@@ -844,17 +679,6 @@ def write_trace(
         with TraceWriter(handle, species, chunk_records=chunk_records) as writer:
             writer.extend(records)
         return writer.close()
-
-
-def iter_trace(path) -> Iterator[TraceRecord]:
-    """Stream records from ``path`` without materialising the trace."""
-    with open(path, "rb") as handle:
-        yield from TraceReader(handle)
-
-
-def read_trace(path) -> list[TraceRecord]:
-    """Read the whole trace into memory (small traces / tests)."""
-    return list(iter_trace(path))
 
 
 def count_trace_records(path) -> int:
@@ -887,7 +711,3 @@ def serialize_records(
     writer.close()
     return buffer.getvalue()
 
-
-def deserialize_records(blob: bytes) -> list[TraceRecord]:
-    """Inverse of :func:`serialize_records`."""
-    return list(TraceReader(io.BytesIO(blob)))

@@ -17,9 +17,10 @@ its own pair of files, parallel campaign workers can capture into the
 same store without any cross-process locking — there is no shared file
 two writers ever race on.
 
-Corruption detection happens at two levels: every read streams through
-the per-chunk CRCs of the binary format, and :meth:`TraceStore.verify`
-additionally recomputes each file's SHA-256 against the sidecar.
+Corruption detection happens at two levels: every read
+(:meth:`TraceStore.read_columns`) checks the per-chunk CRCs of the
+binary format, and :meth:`TraceStore.verify` additionally recomputes
+each file's SHA-256 against the sidecar.
 """
 
 from __future__ import annotations
@@ -30,11 +31,10 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.traces.format import (
     TraceFormatError,
-    TraceReader,
     TraceWriter,
     TraceRecord,
     DEFAULT_CHUNK_RECORDS,
@@ -299,31 +299,14 @@ class TraceStore:
             out.append(entry)
         return out
 
-    def iter_records(self, trace_id: str) -> Iterator[TraceRecord]:
-        """Stream one trace's records (chunk CRCs checked as read)."""
-        entry = self.get(trace_id)
-        with open(self.trace_path(trace_id), "rb") as handle:
-            reader = TraceReader(handle)
-            if reader.species != entry.species:
-                raise TraceFormatError(
-                    f"trace {trace_id!r}: file says species "
-                    f"{reader.species!r} but the index says "
-                    f"{entry.species!r}"
-                )
-            yield from reader
-
-    def read(self, trace_id: str) -> list[TraceRecord]:
-        """Materialise one trace (small traces / tests)."""
-        return list(self.iter_records(trace_id))
-
     def read_columns(self, trace_id: str):
-        """Decode one trace straight into numpy columns.
+        """Decode one trace straight into numpy columns: the one way
+        to read a stored trace (chunk CRCs checked as read).
 
-        Returns :class:`repro.traces.columns.MemoryColumns` or
-        :class:`~repro.traces.columns.FingerprintColumns` — the
-        array-native view replay analyses run on, 1–2 orders of
-        magnitude faster than materialising records.  Raises
-        ``ValueError`` for oracle traces (no columnar layout).
+        Returns :class:`repro.traces.columns.MemoryColumns`,
+        :class:`~repro.traces.columns.FingerprintColumns` or
+        :class:`~repro.traces.columns.OracleColumns` after the file's
+        species is checked against the index entry's.
         """
         from repro.traces.columns import read_trace_columns
 

@@ -315,6 +315,54 @@ class TestBrokenPoolAccounting:
         assert [r.attempts for r in store.load_records().values()] == [2, 2]
 
 
+class _BreaksOnSubmit(InProcessExecutor):
+    """Runs its first ``runs`` submissions to completion, then raises
+    ``BrokenExecutor`` from ``submit``: a pool whose worker finished
+    one job and then died."""
+
+    def __init__(self, runs: int) -> None:
+        self.runs = runs
+
+    def submit(self, fn, *args, **kwargs) -> Future:
+        if self.runs == 0:
+            raise BrokenExecutor("worker died")
+        self.runs -= 1
+        return super().submit(fn, *args, **kwargs)
+
+
+class TestPoolRebuildBystander:
+    """A job whose result is already in its future when the pool breaks
+    is finished, not re-run: only the jobs the broken pool lost move to
+    the fresh pool."""
+
+    def test_finished_job_runs_once_and_is_charged_once(self, tmp_path):
+        spec = CampaignSpec(
+            name="broke-bystander",
+            experiment="test_echo",
+            grid={"x": [1, 2]},
+            max_retries=1,
+            retry_backoff=0.0,
+        )
+        built = []
+
+        def factory():
+            # Pool 1 finishes job A (x=1), then breaks on job B (x=2).
+            executor = _BreaksOnSubmit(runs=1 if not built else 99)
+            built.append(executor)
+            return executor
+
+        CALLS.clear()
+        store = ResultStore(tmp_path / spec.name)
+        runner = CampaignRunner(spec, store, workers=2, executor_factory=factory)
+        result = runner.run()
+        assert result.counts == {"ok": 2}
+        assert len(built) == 2
+        runs = [dict(params)["x"] for params, _ in CALLS]
+        assert sorted(runs) == [1, 2]  # A ran once, B once on the new pool
+        attempts = {r.params["x"]: r.attempts for r in store.load_records().values()}
+        assert attempts == {1: 1, 2: 1}
+
+
 class TestTimeoutEnforcement:
     """Per-job budgets silently do nothing without SIGALRM; the runner
     must say so (once) and stamp ``timeout_enforced: false`` on the

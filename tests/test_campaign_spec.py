@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign.spec import CampaignSpec, FaultInjection, derive_seed
 
@@ -103,6 +105,86 @@ class TestSerialisation:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(make_spec().to_dict()))
         assert CampaignSpec.from_json_file(path).jobs() == make_spec().jobs()
+
+
+_SPEC_KEYS = [
+    "name", "experiment", "grid", "fixed", "trials", "base_seed",
+    "timeout_seconds", "max_retries", "retry_backoff", "inject_failures",
+]
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_valid_spec = {
+    "name": "fuzz", "experiment": "lzw_recovery", "grid": {"size": [30, 40]},
+    "fixed": {"k": 1}, "trials": 2, "base_seed": 3, "timeout_seconds": 5,
+    "max_retries": 1, "retry_backoff": 0.0,
+    "inject_failures": {"count": 1, "jobs": [], "attempts": 1, "mode": "crash"},
+}
+# Spec-shaped documents: a valid spec with a few fields replaced, spec
+# keys with arbitrary values, and arbitrary JSON documents.
+_spec_documents = st.one_of(
+    st.builds(
+        lambda edits: {**_valid_spec, **edits},
+        st.dictionaries(
+            st.sampled_from(_SPEC_KEYS + ["bogus"]), _json_values, min_size=1, max_size=3
+        ),
+    ),
+    st.builds(
+        lambda edits, inject: {**_valid_spec, **edits, "inject_failures": inject},
+        st.dictionaries(st.sampled_from(_SPEC_KEYS[:2]), _json_values, max_size=1),
+        st.dictionaries(
+            st.sampled_from(["count", "jobs", "attempts", "mode"]), _json_values,
+            max_size=4,
+        ),
+    ),
+    st.dictionaries(st.sampled_from(_SPEC_KEYS), _json_values, max_size=6),
+    _json_values,
+)
+
+
+class TestSpecTrustBoundary:
+    """A spec read from a file or the wire either loads or raises
+    ``ValueError``: never another exception, never a hang."""
+
+    @settings(max_examples=400, deadline=500)
+    @given(document=_spec_documents)
+    def test_from_dict_loads_or_raises_value_error(self, document):
+        try:
+            spec = CampaignSpec.from_dict(document)
+        except ValueError:
+            return
+        # A loaded spec is usable: it round-trips and sizes itself.
+        assert CampaignSpec.from_dict(spec.to_dict()).spec_hash() == spec.spec_hash()
+        assert spec.n_jobs() >= 1
+
+    @pytest.mark.parametrize(
+        "document,message",
+        [
+            ([], "JSON object"),
+            ({"name": "a", "experiment": "e", "fixed": [1]}, "'fixed' must be an object"),
+            ({"name": "a", "experiment": "e", "grid": [1]}, "'grid' must be an object"),
+            ({"experiment": "e"}, "'name' must be a string"),
+            ({"name": "a", "experiment": 7}, "'experiment' must be a string"),
+            ({"name": "a", "experiment": "e", "trials": True}, "'trials' must be an integer"),
+            ({"name": "a", "experiment": "e", "retry_backoff": "x"}, "must be a number"),
+            ({"name": "a", "experiment": "e", "inject_failures": [1]}, "'inject_failures'"),
+            ({"name": "a", "experiment": "e", "inject_failures": {"mode": "crsh"}},
+             "'exception' or 'crash'"),
+        ],
+    )
+    def test_malformed_specs_name_the_field(self, document, message):
+        with pytest.raises(ValueError, match=message):
+            CampaignSpec.from_dict(document)
+
+    def test_numbers_keep_their_json_form(self):
+        # An integer timeout stays an integer, so the spec hash of an
+        # existing manifest does not move.
+        spec = CampaignSpec.from_dict(dict(_valid_spec, retry_backoff=0))
+        assert spec.timeout_seconds == 5 and isinstance(spec.timeout_seconds, int)
+        assert spec.retry_backoff == 0.0 and isinstance(spec.retry_backoff, float)
 
 
 class TestFaultInjection:

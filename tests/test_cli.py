@@ -217,6 +217,31 @@ class TestSharedIdioms:
         assert main([a.format(missing=missing) for a in argv]) == 2
         assert capsys.readouterr().err == f"error: {message} {missing}\n"
 
+    @pytest.mark.parametrize(
+        "command",
+        [["campaign", "run"], ["cluster", "run"], ["cluster", "submit"]],
+        ids=["campaign-run", "cluster-run", "cluster-submit"],
+    )
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[]", "a campaign spec must be a JSON object"),
+            ('{"name":"a","experiment":"lzw_recovery","fixed":[1]}',
+             "spec 'fixed' must be an object"),
+            ('{"name":"a","experiment":"lzw_recovery","trials":"2"}',
+             "spec 'trials' must be an integer, got '2'"),
+            ("{bad", "Expecting property name"),
+        ],
+        ids=["list", "fixed-list", "string-trials", "not-json"],
+    )
+    def test_malformed_spec_exits_2(self, command, text, message, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        assert main([*command, str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec}: {message}")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["run", "resume"])
     def test_interrupt_exits_130_with_the_resume_hint(
         self, command, tmp_path, monkeypatch, capsys

@@ -151,6 +151,36 @@ def run_repro(*argv, timeout=60):
 
 
 class TestServiceMode:
+    def test_malformed_submitted_spec_gets_an_error_reply(self, tmp_path):
+        from repro.cluster import control_request, parse_endpoint
+
+        serve = popen_repro(
+            "cluster", "serve", "--listen", "tcp:127.0.0.1:0",
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+        )
+        try:
+            line = serve.stdout.readline()
+            assert "serving on " in line, line
+            endpoint = parse_endpoint(line.strip().rsplit("serving on ", 1)[1])
+            for spec, message in (
+                ([], "JSON object"),
+                ({"name": "a", "experiment": "lzw_recovery", "fixed": [1]},
+                 "'fixed' must be an object"),
+            ):
+                reply = control_request(
+                    endpoint,
+                    {"type": "submit", "spec": spec, "store": str(tmp_path / "out")},
+                    timeout=10.0,
+                )
+                assert reply["type"] == "error" and message in reply["error"], reply
+            assert control_request(endpoint, {"type": "shutdown"})["type"] == "ok"
+            assert serve.wait(timeout=30) == 0
+        finally:
+            if serve.poll() is None:
+                serve.kill()
+                serve.wait(timeout=10)
+
     def test_serve_accepts_second_campaign_while_first_drains(
         self, tmp_path
     ):

@@ -27,10 +27,10 @@ from repro.recovery.oracle_recover import (
 from repro.traces.format import (
     OracleProbe,
     SPECIES_ORACLE,
-    deserialize_records,
     serialize_records,
 )
 from repro.workloads.generators import TOKEN_CHARSETS, token_secret
+from tests.ztrc_reference import deserialize_records
 
 
 class TestVictims:
@@ -290,7 +290,11 @@ class TestOracleTraces:
         )
         assert entry.species == SPECIES_ORACLE
         assert entry.n_records == 2
-        assert list(store.iter_records("t1")) == probes
+        cols = store.read_columns("t1")
+        assert cols.step.tolist() == [p.step for p in probes]
+        assert cols.lookup(cols.label_id).tolist() == [p.label for p in probes]
+        assert cols.observation.tolist() == [p.observation for p in probes]
+        assert cols.queries.tolist() == [p.queries for p in probes]
         assert store.get("t1").meta["victim"] == "http"
 
 

@@ -1,16 +1,18 @@
 """Equivalence proofs for the columnar ZTRC decoder.
 
-The columnar decoder (:mod:`repro.traces.columns`) is the only
-memory/fingerprint reader analyses use, and it has no authority of its
-own: on every file the writer produces, each column must equal, field
-for field, what the object reader decodes from the same bytes, for any
-chunking.  The Hypothesis suites here pin exactly that, plus the
-run-domain pooling against ``pool_trace``.  Values the int64 columns
-cannot hold are refused: by the writer, and by the reader with
-:class:`TraceFormatError` on a hand-built file.  Crafted and damaged
-input is the fuzz test's business (``tests/test_traces_format.py``).
+The columnar decoder (:mod:`repro.traces.columns`) is the only ZTRC
+reader, and it has no authority of its own: on every file the writer
+produces, each column of every species must equal, field for field,
+what the record-at-a-time reference (``tests/ztrc_reference.py``)
+decodes from the same bytes, for any chunking.  The Hypothesis suites
+here pin exactly that, plus the run-domain pooling against
+``pool_trace``.  Values the int64 columns cannot hold are refused: by
+the writer, and by the reader with :class:`TraceFormatError` on a
+hand-built file.  Damaged input is the fuzz test's business
+(``tests/test_traces_format.py``).
 """
 
+import struct
 import tempfile
 import zlib
 from pathlib import Path
@@ -33,7 +35,6 @@ from repro.traces import (
     TraceStore,
     TraceWriter,
     count_trace_records,
-    read_trace,
     read_trace_columns,
     replay_lines,
     replay_lines_array,
@@ -46,6 +47,7 @@ from repro.traces.format import (
     write_uvarint,
 )
 from tests.test_traces_format import fingerprint_captures, memory_accesses
+from tests.ztrc_reference import read_trace
 
 
 def _write(path, species, records, chunk_records=7):
@@ -92,7 +94,7 @@ class TestMemoryColumns:
     @settings(max_examples=40, deadline=None)
     @given(
         records=st.lists(memory_accesses(), max_size=40),
-        chunk_records=st.sampled_from([1, 3, 7, 64]),
+        chunk_records=st.integers(min_value=1, max_value=64),
     )
     def test_columns_match_objects(self, records, chunk_records):
         cols, objs, counted = _roundtrip(SPECIES_MEMORY, records, chunk_records)
@@ -189,7 +191,7 @@ class TestFingerprintColumns:
     @settings(max_examples=40, deadline=None)
     @given(
         captures=st.lists(fingerprint_captures(), max_size=8),
-        chunk_records=st.sampled_from([1, 3, 64]),
+        chunk_records=st.integers(min_value=1, max_value=64),
     )
     def test_columns_match_objects(self, captures, chunk_records):
         cols, objs, counted = _roundtrip(SPECIES_FINGERPRINT, captures, chunk_records)
@@ -229,16 +231,119 @@ class TestFingerprintColumns:
 
 
 # ----------------------------------------------------------------------
+# oracle species
+# ----------------------------------------------------------------------
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+_FIELD = (1 << 61) - 1
+
+oracle_probes = st.builds(
+    OracleProbe,
+    step=st.one_of(st.integers(-300, 300), st.integers(-_FIELD, _FIELD)),
+    label=st.text(max_size=12),
+    probe_len=st.one_of(st.integers(0, 4_000), st.integers(0, _FIELD)),
+    observation=st.one_of(
+        st.floats(width=64),
+        st.sampled_from([0.0, -0.0, float("inf"), float("-inf")]),
+    ),
+    queries=st.one_of(st.integers(0, 100_000), st.integers(-_FIELD, _FIELD)),
+)
+
+
+def _hand_built_oracle_file(path, record: bytes, n_strings=1):
+    """One chunk holding one oracle record given as raw bytes; string
+    table ``["a"]`` (or empty for ``n_strings=0``)."""
+    directory = bytearray()
+    write_uvarint(directory, len(record) << 2)
+    payload = bytearray([1, 1]) + b"a" if n_strings else bytearray([0])
+    write_uvarint(payload, 1)
+    write_uvarint(payload, len(directory))
+    payload += directory + record
+    path.write_bytes(
+        _HEADER.pack(MAGIC, 2, 3, 0)
+        + _CHUNK_HEADER.pack(len(payload), zlib.crc32(payload))
+        + bytes(payload)
+    )
+
+
+class TestOracleColumns:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        probes=st.lists(oracle_probes, max_size=30),
+        chunk_records=st.integers(min_value=1, max_value=40),
+    )
+    def test_columns_match_objects(self, probes, chunk_records):
+        cols, objs, counted = _roundtrip(SPECIES_ORACLE, probes, chunk_records)
+        assert counted == len(objs) == cols.n == len(probes)
+        assert cols.step.tolist() == [p.step for p in objs]
+        assert cols.lookup(cols.label_id).tolist() == [p.label for p in objs]
+        assert cols.probe_len.tolist() == [p.probe_len for p in objs]
+        assert cols.queries.tolist() == [p.queries for p in objs]
+        # Bit for bit: -0.0, infinities and NaN payloads included.
+        assert cols.observation.dtype == np.float64
+        assert cols.observation.tobytes() == b"".join(
+            _bits(p.observation) for p in objs
+        )
+        assert [_bits(p.observation) for p in objs] == [
+            _bits(p.observation) for p in probes
+        ]
+
+    def test_signed_zero_and_infinities_survive(self, tmp_path):
+        probes = [OracleProbe(i, "x", 1, value, i)
+                  for i, value in enumerate((-0.0, float("inf"), float("-inf")))]
+        path = tmp_path / "t.trc"
+        _write(path, SPECIES_ORACLE, probes)
+        cols = read_trace_columns(path)
+        assert cols.observation.tobytes() == b"".join(_bits(p.observation) for p in probes)
+
+    def test_record_must_end_at_its_directory_boundary(self, tmp_path):
+        path = tmp_path / "t.trc"
+        record = bytes([0, 0, 3]) + _bits(1.5) + bytes([2])
+        _hand_built_oracle_file(path, record)
+        cols = read_trace_columns(path)
+        assert (cols.step.tolist(), cols.queries.tolist()) == ([0], [1])
+        _hand_built_oracle_file(path, record + bytes([0]))  # one spare byte
+        with pytest.raises(TraceFormatError, match="directory entry"):
+            read_trace_columns(path)
+        _hand_built_oracle_file(path, record[:8])  # the double is cut short
+        with pytest.raises(TraceFormatError, match="oracle observation"):
+            read_trace_columns(path)
+
+    def test_label_id_past_the_string_table_is_refused(self, tmp_path):
+        path = tmp_path / "t.trc"
+        record = bytes([0, 1, 3]) + _bits(1.5) + bytes([2])  # label id 1
+        _hand_built_oracle_file(path, record)
+        with pytest.raises(TraceFormatError, match="string id 1"):
+            read_trace_columns(path)
+        _hand_built_oracle_file(path, bytes([0, 0, 3]) + _bits(1.5) + bytes([2]),
+                                n_strings=0)
+        with pytest.raises(TraceFormatError, match="string id 0"):
+            read_trace_columns(path)
+
+
+# ----------------------------------------------------------------------
 # species coverage and store integration
 # ----------------------------------------------------------------------
 class TestEntryPoints:
-    def test_oracle_species_is_refused(self):
-        probes = [OracleProbe(0, "a", 3, -1.0, 7)]
+    def test_every_species_reads_through_the_store(self):
+        records = {
+            SPECIES_MEMORY: [MemoryAccess(seq=1, address=64, site="s")],
+            SPECIES_FINGERPRINT: [
+                FingerprintCapture(2, 9, np.ones((1, 3), dtype=np.int8))
+            ],
+            SPECIES_ORACLE: [OracleProbe(0, "a", 3, -1.0, 7)],
+        }
         with tempfile.TemporaryDirectory() as scratch:
-            path = Path(scratch) / "t.trc"
-            _write(path, SPECIES_ORACLE, probes)
-            with pytest.raises(ValueError, match="no columnar decoder"):
-                read_trace_columns(path)
+            store = TraceStore(scratch).open()
+            for species, batch in records.items():
+                store.put(species, species, batch)
+                cols = store.read_columns(species)
+                assert cols.species == species and cols.n == 1
+            cols = store.read_columns(SPECIES_ORACLE)
+            assert cols.lookup(cols.label_id).tolist() == ["a"]
+            assert cols.observation.tolist() == [-1.0]
 
     def test_store_count_and_verify_use_chunk_headers(self):
         records = [

@@ -21,9 +21,8 @@ from repro.traces import (
     SPECIES_MEMORY,
     SPECIES_ORACLE,
     TraceFormatError,
-    TraceReader,
     TraceWriter,
-    deserialize_records,
+    count_trace_records,
     serialize_records,
 )
 from repro.traces.columns import read_trace_columns
@@ -33,11 +32,16 @@ from repro.traces.format import (
     MAGIC,
     MAX_FINGERPRINT_SAMPLES,
     MAX_TAINT_BITS,
-    read_svarint,
-    read_trace,
     read_uvarint,
     write_svarint,
     write_uvarint,
+)
+from tests.ztrc_reference import (
+    ReferenceReader,
+    decode_bittaint,
+    deserialize_records,
+    read_svarint,
+    read_trace,
 )
 
 
@@ -224,8 +228,8 @@ class TestFingerprintRoundTrip:
 
 
 class TestFingerprintSizeBound:
-    """A crafted fingerprint record header must not make either reader
-    allocate its claimed tensor."""
+    """A crafted fingerprint record header must make neither the reader
+    nor the reference decoder allocate its claimed tensor."""
 
     @staticmethod
     def _crafted_file(tmp_path):
@@ -269,8 +273,8 @@ class TestFingerprintSizeBound:
 
 
 class TestTaintRunBound:
-    """A crafted taint run must not make the object reader expand it
-    bit by bit."""
+    """A crafted taint run must not make the reference decoder expand it
+    bit by bit; the reader never parses it."""
 
     @staticmethod
     def _crafted_file(tmp_path):
@@ -322,14 +326,12 @@ class TestTaintRunBound:
     def test_zero_tag_run_decodes_to_no_taint(self):
         # The writer never emits a run without tags; a crafted one
         # decodes to untainted bits rather than a truthy empty taint.
-        from repro.traces.format import _decode_bittaint
-
         # One run of 8 bits without tags; then two runs: bits 0-3
         # without tags, bit 4 with tag 5.
         blob = bytes([1, 0, 8, 0] + [2, 0, 4, 0, 0, 1, 1, 5])
-        empty, pos = _decode_bittaint(memoryview(blob), 0)
+        empty, pos = decode_bittaint(memoryview(blob), 0)
         assert not empty and pos == 4
-        taint, pos = _decode_bittaint(memoryview(blob), pos)
+        taint, pos = decode_bittaint(memoryview(blob), pos)
         assert taint == BitTaint.of_bits(5, [4]) and pos == len(blob)
 
 
@@ -417,6 +419,13 @@ def _read_objects(path) -> None:
             assert all(bit < MAX_TAINT_BITS for bit in bits)
 
 
+def _columns_of(blob: bytes):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "t.trc"
+        path.write_bytes(blob)
+        return read_trace_columns(path)
+
+
 def _read_columns(path) -> None:
     cols = read_trace_columns(path)
     if cols.species == SPECIES_FINGERPRINT:
@@ -424,11 +433,9 @@ def _read_columns(path) -> None:
 
 
 class TestTrustBoundaryFuzz:
-    """Every reader either returns or raises :class:`TraceFormatError`
-    on a damaged payload; nothing else escapes and nothing hangs.  The
-    readers need not agree with each other on crafted input: the
-    columnar view trusts the directory's taint flags and never decodes
-    the taint payloads."""
+    """The reader, the record counter and the reference decoder each
+    either return or raise :class:`TraceFormatError` on a damaged
+    payload of any species; nothing else escapes and nothing hangs."""
 
     @pytest.mark.parametrize(
         "species", [SPECIES_MEMORY, SPECIES_FINGERPRINT, SPECIES_ORACLE]
@@ -450,10 +457,7 @@ class TestTrustBoundaryFuzz:
         with tempfile.TemporaryDirectory() as scratch:
             path = Path(scratch) / "t.trc"
             path.write_bytes(_reseal(damaged))
-            readers = [_read_objects]
-            if species != SPECIES_ORACLE:
-                readers.append(_read_columns)
-            for read in readers:
+            for read in (_read_columns, count_trace_records, _read_objects):
                 with _time_limit(2.0):
                     try:
                         read(path)
@@ -487,12 +491,16 @@ class TestCorruption:
         blob[offset] ^= 1 << bit
         with pytest.raises(TraceFormatError):
             deserialize_records(bytes(blob))
+        with pytest.raises(TraceFormatError):
+            _columns_of(bytes(blob))
 
     def test_bad_magic(self):
         blob = bytearray(self._blob())
         blob[0] ^= 0xFF
         with pytest.raises(TraceFormatError, match="magic"):
             deserialize_records(bytes(blob))
+        with pytest.raises(TraceFormatError, match="magic"):
+            _columns_of(bytes(blob))
 
     def test_unsupported_version(self, tmp_path):
         # A version-1 file (no record directory) is re-captured, not read.
@@ -510,13 +518,15 @@ class TestCorruption:
         blob = self._blob()
         with pytest.raises(TraceFormatError, match="truncated"):
             deserialize_records(blob[: len(blob) - 3])
+        with pytest.raises(TraceFormatError, match="truncated"):
+            _columns_of(blob[: len(blob) - 3])
 
     def test_unknown_species_rejected_at_write(self):
         with pytest.raises(ValueError, match="species"):
             serialize_records("quantum", [])
 
     def test_reader_is_single_pass(self):
-        reader = TraceReader(io.BytesIO(self._blob()))
+        reader = ReferenceReader(io.BytesIO(self._blob()))
         assert len(list(reader)) == 50
         with pytest.raises(ValueError, match="single-pass"):
             list(reader)

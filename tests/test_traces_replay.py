@@ -24,7 +24,6 @@ from repro.traces import (
     capture_memory_trace,
     capture_survey_traces,
     dataset_from_store,
-    deserialize_records,
     fingerprint_experiment_from_store,
     recover_from_trace,
     replay_lines,
@@ -34,6 +33,7 @@ from repro.traces import (
 )
 from repro.recovery.survey import observation_filter as _target_filter
 from repro.workloads import repetitiveness_series
+from tests.ztrc_reference import deserialize_records, store_records
 
 SIZE = 150
 SEED = 5
@@ -65,7 +65,7 @@ class TestSurveyReplayFidelity:
 
         capture_memory_trace(store, "z", "zlib", SIZE, SEED)
         stored_lines = replay_lines(
-            store.iter_records("z"), sites=(SITE_HEAD,), kind="write"
+            store_records(store, "z"), sites=(SITE_HEAD,), kind="write"
         )
         assert stored_lines == live_lines
 
@@ -85,8 +85,8 @@ class TestSurveyReplayFidelity:
 
 
 class TestColumnarReplayMatchesObjectReader:
-    """The columnar decode is the only production path; the object
-    reader is its reference on a real captured store."""
+    """The columnar decode is the only reader; the record-at-a-time
+    reference decoder checks it on a real captured store."""
 
     def test_target_lines_match_replay_lines(self, store):
         capture_survey_traces(store, size=SIZE, seed=SEED)
@@ -94,7 +94,7 @@ class TestColumnarReplayMatchesObjectReader:
             trace_id = f"survey-{target}-n{SIZE}-s{SEED}"
             sites, kind = _target_filter(target)
             expected = replay_lines(
-                store.iter_records(trace_id), sites=sites, kind=kind
+                store_records(store, trace_id), sites=sites, kind=kind
             )
             assert target_lines(store, trace_id).tolist() == expected, target
 
@@ -103,7 +103,7 @@ class TestColumnarReplayMatchesObjectReader:
             store, "fp", corpus="brotli", traces_per_file=2, seed=SEED,
             max_file_bytes=1200,
         )
-        captures = list(store.iter_records("fp"))
+        captures = store_records(store, "fp")
         x, y = dataset_from_store(store, "fp")
         expected = np.array(
             [pool_trace(c.trace).reshape(-1) for c in captures],
@@ -145,7 +145,7 @@ class TestFingerprintReplayFidelity:
         capture_fingerprint_traces(
             store, "fp", corpus="lipsum", traces_per_file=2, seed=SEED
         )
-        records = store.read("fp")
+        records = store_records(store, "fp")
         expected = [
             derive_capture_seed(SEED, label, i)
             for label in range(5)

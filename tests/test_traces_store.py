@@ -36,8 +36,8 @@ class TestLifecycle:
         assert entry.n_records == 20
         assert store.get("t1").sha256 == entry.sha256
         assert store.get("t1").meta["target"] == "zlib"
-        back = store.read("t1")
-        assert [r.address for r in back] == [r.address for r in _records()]
+        back = store.read_columns("t1")
+        assert back.address.tolist() == [r.address for r in _records()]
 
     def test_get_missing_raises_keyerror(self, store):
         store.open()
@@ -141,7 +141,7 @@ class TestIntegrity:
         blob[-10] ^= 0x40
         path.write_bytes(bytes(blob))
         with pytest.raises(TraceFormatError):
-            store.read("t1")
+            store.read_columns("t1")
 
     def test_species_mismatch_between_index_and_file(self, store):
         store.put("t1", SPECIES_MEMORY, _records())
@@ -150,7 +150,7 @@ class TestIntegrity:
             entry_path.read_text().replace('"memory"', '"fingerprint"')
         )
         with pytest.raises(TraceFormatError, match="species"):
-            store.read("t1")
+            store.read_columns("t1")
 
     def test_file_sha256_matches_hashlib(self, tmp_path):
         import hashlib
