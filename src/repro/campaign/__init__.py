@@ -27,50 +27,31 @@ timeseries, and the campaign's obs sinks into one markdown document
 (``python -m repro report <campaign-dir>``).
 """
 
-from repro.campaign.dossier import build_dossier, discover_sinks
-from repro.campaign.experiments import (
-    available_experiments,
-    get_experiment,
-    register_experiment,
-)
-from repro.campaign.report import (
-    aggregate_records,
-    campaign_status,
-    render_report,
-    render_status,
-)
-from repro.campaign.executor import InProcessExecutor, JobTimeout, WorkerCrash
-from repro.campaign.runner import CampaignResult, CampaignRunner
-from repro.campaign.spec import CampaignSpec, JobSpec, derive_seed
-from repro.campaign.store import (
-    JobRecord,
-    ResultStore,
-    SpecMismatchError,
-    dedupe_records,
-    metrics_digest,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CampaignSpec",
-    "JobSpec",
-    "derive_seed",
-    "CampaignRunner",
-    "CampaignResult",
-    "InProcessExecutor",
-    "JobTimeout",
-    "WorkerCrash",
-    "ResultStore",
-    "JobRecord",
-    "SpecMismatchError",
-    "dedupe_records",
-    "metrics_digest",
-    "aggregate_records",
-    "build_dossier",
-    "campaign_status",
-    "discover_sinks",
-    "render_report",
-    "render_status",
-    "register_experiment",
-    "get_experiment",
-    "available_experiments",
-]
+# Imported on first access, so a cluster worker that only runs jobs
+# never loads the report and dossier renderers.  Built-in experiments
+# register when ``repro.campaign.experiments`` is first imported, which
+# happens before any job runs (the executor resolves jobs through it).
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "repro.campaign.spec": ("CampaignSpec", "JobSpec", "derive_seed"),
+        "repro.campaign.runner": ("CampaignRunner", "CampaignResult"),
+        "repro.campaign.executor": (
+            "InProcessExecutor", "JobTimeout", "WorkerCrash",
+        ),
+        "repro.campaign.store": (
+            "ResultStore", "JobRecord", "SpecMismatchError",
+            "dedupe_records", "metrics_digest",
+        ),
+        "repro.campaign.report": (
+            "aggregate_records", "campaign_status", "render_report",
+            "render_status",
+        ),
+        "repro.campaign.dossier": ("build_dossier", "discover_sinks"),
+        "repro.campaign.experiments": (
+            "register_experiment", "get_experiment", "available_experiments",
+        ),
+    },
+)

@@ -21,43 +21,24 @@ whether it ran on the local pool, one worker, or N workers with a
 mid-run crash.  See ``docs/cluster.md``.
 """
 
-from repro.cluster.protocol import (
-    Endpoint,
-    MessageStream,
-    ProtocolError,
-    parse_endpoint,
-)
-from repro.cluster.queue import Lease, LeaseQueue, QueuedJob
-from repro.cluster.scheduler import (
-    CampaignExec,
-    ClusterScheduler,
-    WorkerInfo,
-)
-from repro.cluster.service import (
-    SchedulerServer,
-    control_request,
-    run_cluster,
-    serve,
-    spawn_worker,
-)
-from repro.cluster.worker import ClusterWorker, default_worker_id
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Endpoint",
-    "MessageStream",
-    "ProtocolError",
-    "parse_endpoint",
-    "Lease",
-    "LeaseQueue",
-    "QueuedJob",
-    "CampaignExec",
-    "ClusterScheduler",
-    "WorkerInfo",
-    "SchedulerServer",
-    "control_request",
-    "run_cluster",
-    "serve",
-    "spawn_worker",
-    "ClusterWorker",
-    "default_worker_id",
-]
+# Imported on first access: a worker process loads the protocol and
+# its own loop, not the asyncio server or the scheduler core.
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "repro.cluster.protocol": (
+            "Endpoint", "MessageStream", "ProtocolError", "parse_endpoint",
+        ),
+        "repro.cluster.queue": ("Lease", "LeaseQueue", "QueuedJob"),
+        "repro.cluster.scheduler": (
+            "CampaignExec", "ClusterScheduler", "WorkerInfo",
+        ),
+        "repro.cluster.service": (
+            "SchedulerServer", "control_request", "run_cluster", "serve",
+            "spawn_worker",
+        ),
+        "repro.cluster.worker": ("ClusterWorker", "default_worker_id"),
+    },
+)

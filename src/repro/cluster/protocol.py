@@ -129,6 +129,8 @@ def check_worker_message(message: dict) -> None:
     leases, instead of letting a bad value raise inside the scheduler.
     """
     kind = message.get("type")
+    if not isinstance(kind, str):
+        raise ProtocolError(f"message type {kind!r} is not a string")
     if kind not in WORKER_FIELDS:
         return
     required, optional = WORKER_FIELDS[kind]
@@ -164,7 +166,9 @@ def encode_message(message: dict) -> bytes:
 
 
 def decode_message(line: bytes) -> dict:
-    """Parse one received line; raises :class:`ProtocolError` on junk."""
+    """Parse one received line into an object with a string ``type``;
+    raises :class:`ProtocolError` on junk (including nesting too deep
+    for the JSON parser)."""
     if len(line) > MAX_LINE_BYTES:
         raise ProtocolError(
             f"line of {len(line)} bytes exceeds the "
@@ -174,8 +178,10 @@ def decode_message(line: bytes) -> dict:
         message = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"undecodable protocol line: {exc}") from exc
-    if not isinstance(message, dict) or "type" not in message:
-        raise ProtocolError("protocol line is not an object with a 'type'")
+    except RecursionError:
+        raise ProtocolError("protocol line nests too deeply") from None
+    if not isinstance(message, dict) or not isinstance(message.get("type"), str):
+        raise ProtocolError("protocol line is not an object with a string 'type'")
     return message
 
 

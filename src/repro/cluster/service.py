@@ -121,7 +121,10 @@ class SchedulerServer:
         worker_id: Optional[str] = None
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError as exc:  # over the stream's line limit
+                    raise ProtocolError(f"oversized protocol line: {exc}") from exc
                 if not line:
                     break
                 message = protocol.decode_message(line.rstrip(b"\n"))

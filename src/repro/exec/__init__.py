@@ -7,7 +7,9 @@ workload) are written once against the small :class:`ExecutionContext` API
 and can then be run on three different substrates:
 
 * :class:`NativeContext` — plain Python values, no taint, fastest; also
-  hosts the virtual-time profiler used by the fingerprinting attack.
+  hosts the virtual-time profiler used by the fingerprinting attack and
+  the access hook the Section IV observer watches gadget sites with
+  (:class:`HookedArray`, also the enclave's array).
 * :class:`TracingContext` — TaintChannel's substrate: every input byte is
   tagged, every tainted operation and every memory access with a tainted
   address is recorded.  This plays the role DynamoRIO plays in the paper.
@@ -20,7 +22,7 @@ from repro.exec.events import (
     MemoryAccess,
     TraceLimitExceeded,
 )
-from repro.exec.arrays import TArray
+from repro.exec.arrays import HookedArray, TArray
 from repro.exec.context import (
     ExecutionContext,
     InstrumentationTier,
@@ -36,6 +38,7 @@ __all__ = [
     "TracingContext",
     "Profiler",
     "TArray",
+    "HookedArray",
     "MemoryAccess",
     "FunctionEvent",
     "TraceLimitExceeded",

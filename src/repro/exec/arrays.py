@@ -10,7 +10,7 @@ become explicit events.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 from repro.taint.bittaint import BitTaint
 from repro.taint.value import TaintedInt, taint_of, value_of
@@ -106,6 +106,56 @@ class TArray:
 
     def __setitem__(self, index: Index, value) -> None:
         self.set(index, value)
+
+
+AccessHook = Callable[[int, str, str], object]
+
+
+class HookedArray(TArray):
+    """Array that reports every element access to ``hook(address,
+    kind, site)`` before performing it.
+
+    ``kind`` is ``"read"``, ``"write"`` or ``"update"`` (``add``).  This
+    is the array of every context that *watches* a run without tracing
+    it: the simulated enclave routes each touch through page tables and
+    the cache, and the Section IV observer keeps the cache lines of the
+    accesses at its gadget sites.
+    """
+
+    __slots__ = ("hook",)
+
+    def __init__(
+        self,
+        hook: AccessHook,
+        name: str,
+        length: int,
+        elem_size: int,
+        base: int,
+        init: int = 0,
+    ) -> None:
+        super().__init__(name, length, elem_size, base, init)
+        self.hook = hook
+
+    def get(self, index: Index, site: str = ""):
+        i = index if type(index) is int else value_of(index)
+        if not 0 <= i < self.length:
+            self._check(i)
+        self.hook(self.base + i * self.elem_size, "read", site)
+        return self.values[i]
+
+    def set(self, index: Index, value, site: str = "") -> None:
+        i = index if type(index) is int else value_of(index)
+        if not 0 <= i < self.length:
+            self._check(i)
+        self.hook(self.base + i * self.elem_size, "write", site)
+        self.values[i] = value
+
+    def add(self, index: Index, delta, site: str = "") -> None:
+        i = index if type(index) is int else value_of(index)
+        if not 0 <= i < self.length:
+            self._check(i)
+        self.hook(self.base + i * self.elem_size, "update", site)
+        self.values[i] = self.values[i] + delta
 
 
 class TracingArray(TArray):

@@ -15,7 +15,7 @@ from abc import ABC, abstractmethod
 from typing import Iterator, Optional, Sequence
 
 from repro import obs
-from repro.exec.arrays import TArray, TracingArray
+from repro.exec.arrays import AccessHook, HookedArray, TArray, TracingArray
 from repro.exec.events import FunctionEvent, MemoryAccess, TraceLimitExceeded
 from repro.taint.bittaint import BitTaint
 from repro.taint.tags import TagRegistry
@@ -126,11 +126,20 @@ class NativeContext(ExecutionContext):
     """Fast un-instrumented execution (plain ints, plain arrays).
 
     Optionally carries a :class:`Profiler` so the fingerprinting attack
-    can extract the mainSort/fallbackSort timeline from a fast run.
+    can extract the mainSort/fallbackSort timeline from a fast run, and
+    an access ``hook(address, kind, site)`` that every array reports
+    each element access to (:class:`~repro.exec.arrays.HookedArray`) —
+    how the Section IV observer watches the gadget sites of an untraced
+    run.
     """
 
-    def __init__(self, profiler: Optional[Profiler] = None) -> None:
+    def __init__(
+        self,
+        profiler: Optional[Profiler] = None,
+        hook: Optional[AccessHook] = None,
+    ) -> None:
         self.profiler = profiler
+        self.hook = hook
         self._next_base = _HEAP_BASE
         self.arrays: dict[str, TArray] = {}
         if profiler is not None:
@@ -152,7 +161,10 @@ class NativeContext(ExecutionContext):
         misalign: int = 0,
     ) -> TArray:
         base = self._allocate(length * elem_size, align, misalign)
-        arr = TArray(name, length, elem_size, base, init)
+        if self.hook is None:
+            arr = TArray(name, length, elem_size, base, init)
+        else:
+            arr = HookedArray(self.hook, name, length, elem_size, base, init)
         self.arrays[name] = arr
         return arr
 

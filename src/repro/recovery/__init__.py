@@ -18,37 +18,25 @@ Section IV-A), reconstruct the plaintext.
   (two-guess probes, divide-and-conquer, charset escalation).
 """
 
-from repro.recovery.observe import observed_lines
-from repro.recovery.zlib_recover import (
-    recover_direct_bits,
-    recover_known_high_bits,
-)
-from repro.recovery.lzw_recover import recover_lzw_input
-from repro.recovery.bzip2_recover import RecoveredBlock, recover_bzip2_block
-from repro.recovery.oracle_recover import (
-    CONFIRM_THRESHOLD,
-    DEFAULT_CHARSET_LADDER,
-    ProbeOutcome,
-    RecoveryResult,
-    probe_pair,
-    recover_next_char,
-    recover_secret,
-    score_candidates,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "observed_lines",
-    "recover_direct_bits",
-    "recover_known_high_bits",
-    "recover_lzw_input",
-    "recover_bzip2_block",
-    "RecoveredBlock",
-    "CONFIRM_THRESHOLD",
-    "DEFAULT_CHARSET_LADDER",
-    "ProbeOutcome",
-    "RecoveryResult",
-    "probe_pair",
-    "recover_next_char",
-    "recover_secret",
-    "score_candidates",
-]
+# Imported on first access: a job that runs one decoder loads only that
+# decoder.
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "repro.recovery.observe": ("observed_lines",),
+        "repro.recovery.zlib_recover": (
+            "recover_direct_bits", "recover_known_high_bits",
+        ),
+        "repro.recovery.lzw_recover": ("recover_lzw_input",),
+        "repro.recovery.bzip2_recover": (
+            "recover_bzip2_block", "RecoveredBlock",
+        ),
+        "repro.recovery.oracle_recover": (
+            "CONFIRM_THRESHOLD", "DEFAULT_CHARSET_LADDER", "ProbeOutcome",
+            "RecoveryResult", "probe_pair", "recover_next_char",
+            "recover_secret", "score_candidates",
+        ),
+    },
+)

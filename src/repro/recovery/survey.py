@@ -13,14 +13,25 @@ The survey's input regime belongs to the same model: zlib's full
 recovery needs lowercase ASCII (known high bits), the others take random
 bytes, and bzip2's input seed is the sweep seed plus one.
 
-Every consumer reads these facts from here: the live
-``survey_recovery`` experiment and ``repro survey``, trace capture and
-replay (:mod:`repro.traces`), the leakage meter (:mod:`repro.diag`) and
-the mitigation verifier (:mod:`repro.mitigations.verify`).  A live run
-and a replayed trace are therefore filtered and decoded by the same
-code.
+Taint analysis (TaintChannel) is how a gadget is *found*; the attacker
+then only *observes* it.  So the live observation (:func:`observe`)
+runs the victim natively and keeps ``address >> 6`` of every access at
+the watched sites and kind, with no taint tracking.  Taint tracing
+(:func:`run_memory_target`) is kept where taint is the output: ZTRC
+capture, which stores each access's taint.  Both run the victim through
+the one target dispatch, :func:`run_target`.  On the three unmitigated
+targets every watched access has an input-tainted address, so the
+native observation equals the replay of a traced run's tainted accesses
+and of its stored trace.
 
-The repository benchmark (``perfbench/``) times
+Every consumer reads these facts from here: the live
+``survey_recovery`` and ``lzw_recovery`` experiments and ``repro
+survey``, trace capture and replay (:mod:`repro.traces`), the leakage
+meter (:mod:`repro.diag`) and the mitigation verifier
+(:mod:`repro.mitigations.verify`).  A live run and a replayed trace are
+therefore filtered and decoded by the same code.
+
+The repository benchmark (``perfbench/``) times trace capture's
 :func:`run_memory_target` and the decoders by patching their module
 attributes, so this module calls them as module globals or through
 function-local imports, never through a table built at import time.
@@ -94,19 +105,14 @@ def trace_id(target: str, size: int, seed: int, prefix: str = "survey") -> str:
 
 
 def array_bases(ctx) -> dict[str, int]:
-    """Base address of every array a traced run allocated."""
+    """Base address of every array a run allocated."""
     return {name: arr.base for name, arr in ctx.arrays.items()}
 
 
-def run_memory_target(target: str, data: bytes):
-    """Run one survey target under tracing; returns the populated
-    :class:`~repro.exec.context.TracingContext`."""
-    from repro.exec import InstrumentationTier, TracingContext
-
+def run_target(target: str, data: bytes, ctx):
+    """Run one survey target's victim over ``data`` on ``ctx``; returns
+    ``ctx``.  The one place a target name becomes a kernel call."""
     survey_target(target)  # rejects an unknown target
-    # The survey and captured ZTRC files use only the access stream,
-    # which the ADDRESS_ONLY tier produces byte-identically to FULL.
-    ctx = TracingContext(tier=InstrumentationTier.ADDRESS_ONLY)
     if target == "zlib":
         from repro.compression import deflate_compress
 
@@ -118,19 +124,52 @@ def run_memory_target(target: str, data: bytes):
     else:
         from repro.compression.bzip2.blocksort import histogram
 
-        block = ctx.array("block", len(data))
+        # One element even for empty input: the kernel reads block[0]
+        # before its (then empty) loop.
+        block = ctx.array("block", max(len(data), 1))
         for i, v in enumerate(ctx.input_bytes(data)):
             block.set(i, v)
         histogram(ctx, block, len(data))
     return ctx
 
 
+def run_memory_target(target: str, data: bytes):
+    """Run one survey target under taint tracing; returns the populated
+    :class:`~repro.exec.context.TracingContext` (trace capture's
+    victim run)."""
+    from repro.exec import InstrumentationTier, TracingContext
+
+    # Captured ZTRC files use only the access stream, which the
+    # ADDRESS_ONLY tier produces byte-identically to FULL.
+    return run_target(
+        target, data, TracingContext(tier=InstrumentationTier.ADDRESS_ONLY)
+    )
+
+
 def observe(target: str, data: bytes) -> tuple[list[int], dict[str, int]]:
-    """Run ``target`` over ``data`` under tracing now; returns the
-    attacker's line stream and the array bases its decoder needs."""
-    ctx = run_memory_target(target, data)
+    """Run ``target`` over ``data`` natively, watching its gadget sites;
+    returns the attacker's line stream and the array bases its decoder
+    needs.
+
+    Every access at the watched sites and kind is one observation
+    ``address >> 6``, in program order.  On the unmitigated targets each
+    such access has an input-tainted address, so this equals the
+    replay of a traced run's tainted accesses (and of its stored
+    trace) without paying for the taint.
+    """
+    from repro.exec import NativeContext
+
     sites, kind = observation_filter(target)
-    return replay_lines(ctx.tainted_accesses(), sites, kind), array_bases(ctx)
+    site_set = frozenset(sites)
+    lines: list[int] = []
+    append = lines.append
+
+    def watch(address: int, access_kind: str, site: str) -> None:
+        if site in site_set and (kind is None or access_kind == kind):
+            append(address >> 6)
+
+    ctx = run_target(target, data, NativeContext(hook=watch))
+    return lines, array_bases(ctx)
 
 
 @dataclass

@@ -5,49 +5,20 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.cache.model import Cache
-from repro.exec.arrays import TArray
+from repro.exec.arrays import HookedArray, TArray
 from repro.exec.context import ExecutionContext
 from repro.memsys.paging import AddressSpace, PageFault
-from repro.taint.value import value_of
 
 # Enclave virtual layout starts here; arrays are page-aligned by default.
 _ENCLAVE_BASE = 0x7F90_0000_0000
 _GUARD = 0x2000
 
 FaultHandler = Callable[[PageFault], None]
-AccessHook = Callable[[int, str], None]
+EnvHook = Callable[[int, str], None]
 
 
 class EnclaveKilled(RuntimeError):
     """A fault was not resolved by the handler (or no handler is set)."""
-
-
-class _EnclaveArray(TArray):
-    """Array whose element accesses translate and touch the cache."""
-
-    __slots__ = ("enclave",)
-
-    def __init__(self, enclave: "Enclave", *args) -> None:
-        super().__init__(*args)
-        self.enclave = enclave
-
-    def get(self, index, site: str = ""):
-        i = value_of(index)
-        self._check(i)
-        self.enclave.touch(self.address_of(i), "read")
-        return self.values[i]
-
-    def set(self, index, value, site: str = "") -> None:
-        i = value_of(index)
-        self._check(i)
-        self.enclave.touch(self.address_of(i), "write")
-        self.values[i] = value
-
-    def add(self, index, delta, site: str = "") -> None:
-        i = value_of(index)
-        self._check(i)
-        self.enclave.touch(self.address_of(i), "update")
-        self.values[i] = self.values[i] + delta
 
 
 class Enclave(ExecutionContext):
@@ -70,7 +41,7 @@ class Enclave(ExecutionContext):
         space: AddressSpace,
         cache: Cache,
         cos: int = 0,
-        env_hook: Optional[AccessHook] = None,
+        env_hook: Optional[EnvHook] = None,
         max_fault_retries: int = 8,
     ) -> None:
         self.space = space
@@ -84,9 +55,12 @@ class Enclave(ExecutionContext):
         self.access_count = 0
 
     # -- the access path the attack observes -----------------------------
-    def touch(self, vaddr: int, kind: str) -> int:
+    def touch(self, vaddr: int, kind: str, site: str = "") -> int:
         """One victim memory access: translate (delivering faults to the
-        attacker until permissions allow it), then access the cache."""
+        attacker until permissions allow it), then access the cache.
+
+        The access hook of every enclave array; the attacker sees no
+        site, so ``site`` is ignored."""
         for _ in range(self.max_fault_retries):
             try:
                 paddr = self.space.translate(vaddr, kind)
@@ -122,6 +96,6 @@ class Enclave(ExecutionContext):
         base = -(-self._next_base // align) * align + misalign
         self._next_base = base + size + _GUARD
         self.space.map_range(base, size)
-        arr = _EnclaveArray(self, name, length, elem_size, base, init)
+        arr = HookedArray(self.touch, name, length, elem_size, base, init)
         self.arrays[name] = arr
         return arr

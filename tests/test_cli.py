@@ -293,3 +293,30 @@ def test_cli_startup_imports_no_command_package():
     )
     assert "repro.cli" in loaded
     assert not [m for m in loaded if m.split(".")[1] in heavy]
+
+
+def test_worker_job_imports_no_report_or_decoder_it_does_not_use():
+    """A cluster worker process loads what its jobs need: running one
+    ``lzw_recovery`` job pulls in neither the campaign report and
+    dossier renderers nor another target's decoder."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys, repro.cluster.worker\n"
+        "from repro.campaign.executor import run_attempt\n"
+        "out = run_attempt({'experiment': 'lzw_recovery', "
+        "'params': {'size': 60}, 'seed': 3, 'attempt': 1})\n"
+        "assert out.status == 'ok' and out.metrics['exact_found'], out\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('repro.')))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "repro.recovery.lzw_recover" in loaded
+    unused = {
+        "repro.campaign.dossier",
+        "repro.campaign.report",
+        "repro.recovery.zlib_recover",
+    }
+    assert not unused & set(loaded)

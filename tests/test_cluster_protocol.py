@@ -6,8 +6,13 @@ instead of letting a bad field raise inside the scheduler.
 """
 
 import asyncio
+import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.campaign import CampaignSpec, register_experiment
@@ -119,3 +124,113 @@ class TestServerDropsMalformedWorker:
         exec_ = scheduler.campaigns[campaign_id]
         assert exec_.counts == {"crashed": 1}
         assert exec_.state == "done"
+
+
+# -- the trust boundary: any received line parses or is a ProtocolError --
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+FIELD_NAMES = sorted(
+    {"type", *(n for req, opt in protocol.WORKER_FIELDS.values() for n in {**req, **opt})}
+)
+DEEP = b'{"type":' + b"[" * 100_000
+
+
+def _json_line(value) -> bytes:
+    return json.dumps(value).encode("utf-8")
+
+
+LINES = st.one_of(
+    st.binary(max_size=64),
+    JSON_VALUES.map(_json_line),
+    st.builds(
+        lambda kind, fields: _json_line({**fields, "type": kind}),
+        JSON_VALUES | st.sampled_from(sorted(protocol.WORKER_FIELDS)),
+        st.dictionaries(st.sampled_from(FIELD_NAMES), JSON_VALUES, max_size=8),
+    ),
+    st.integers(1, 50).map(lambda depth: b'{"type":' + b"[" * depth * 1000),
+)
+
+
+class TestWireFuzz:
+    @given(line=LINES)
+    @example(line=b'{"type":[]}')
+    @example(line=b'{"type":{}}')
+    @example(line=DEEP)
+    @settings(max_examples=300, deadline=500)
+    def test_line_decodes_to_a_checked_dict_or_protocol_error(self, line):
+        try:
+            message = protocol.decode_message(line)
+        except ProtocolError:
+            return
+        assert isinstance(message, dict)
+        try:
+            check_worker_message(message)
+        except ProtocolError:
+            pass
+
+    @given(
+        kind=JSON_VALUES | st.sampled_from(sorted(protocol.WORKER_FIELDS)),
+        fields=st.dictionaries(
+            st.sampled_from(FIELD_NAMES), JSON_VALUES, max_size=8
+        ),
+    )
+    @example(kind=[], fields={})
+    @settings(max_examples=300, deadline=500)
+    def test_check_worker_message_passes_or_raises_protocol_error(
+        self, kind, fields
+    ):
+        try:
+            check_worker_message({**fields, "type": kind})
+        except ProtocolError:
+            pass
+
+
+class TestServerSurvivesJunkLines:
+    """Each junk line drops its own connection; nothing reaches the
+    event loop's exception handler and the server keeps answering."""
+
+    def test_junk_lines_are_dropped_and_server_still_answers(self):
+        scheduler = ClusterScheduler()
+        junk = [
+            b'{"type":[]}\n',
+            DEEP + b"\n",
+            b'{"type":"status","pad":"' + b"x" * protocol.MAX_LINE_BYTES + b'"}\n',
+        ]
+        loop_errors: list[dict] = []
+
+        async def scenario(path: str) -> dict:
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context)
+            )
+            server = SchedulerServer(scheduler, Endpoint(kind="unix", path=path))
+            await server.start()
+            try:
+                for line in junk:
+                    reader, writer = await asyncio.open_unix_connection(path)
+                    writer.write(line)
+                    await writer.drain()
+                    tail = await asyncio.wait_for(reader.read(), timeout=10)
+                    assert tail == b""  # the server hung up
+                    writer.close()
+                reader, writer = await asyncio.open_unix_connection(path)
+                writer.write(protocol.encode_message({"type": protocol.MSG_STATUS}))
+                await writer.drain()
+                reply = protocol.decode_message(
+                    await asyncio.wait_for(reader.readline(), timeout=10)
+                )
+                writer.close()
+                # Let the server-side handler tasks finish.
+                await asyncio.sleep(0.2)
+                return reply
+            finally:
+                await server.stop()
+
+        with tempfile.TemporaryDirectory() as tmp:
+            reply = asyncio.run(scenario(os.path.join(tmp, "s.sock")))
+        assert reply["type"] == protocol.MSG_STATUS
+        assert loop_errors == []

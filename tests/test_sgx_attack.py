@@ -1,5 +1,7 @@
 """Integration tests for the end-to-end SGX extraction attack."""
 
+import hashlib
+
 import pytest
 
 from repro.core.zipchannel import AttackConfig, SgxBzip2Attack
@@ -120,3 +122,50 @@ class TestExactWork:
             "frame_remaps": outcome.frame_remaps,
         }
         assert got == dict(zip(got, expected))
+
+
+def _attack_state_sha256(attack) -> str:
+    """One digest over the attack's whole simulated state: cache tags
+    and LRU stamps, the latency-noise cursor and RNG, every Prime+Probe
+    observation, and the page table (vpn, frame, permissions)."""
+    cache, space = attack.cache, attack.space
+    h = hashlib.sha256()
+    h.update(cache._tags.tobytes())
+    h.update(cache._stamps.tobytes())
+    h.update(repr((cache._zi, cache._rng.getstate())).encode())
+    h.update(repr(attack._observations).encode())
+    pages = sorted(
+        (vpn, entry.frame, entry.perms.value)
+        for vpn, entry in space._pages.items()
+    )
+    h.update(repr(pages).encode())
+    return h.hexdigest()
+
+
+class TestExactState:
+    """The attack's full final state, pinned by digest.
+
+    Counts (``TestExactWork``) can agree while the state differs: a
+    cache or memsys change that reorders fills, stamps, noise draws or
+    remaps fails here even when every total is unchanged."""
+
+    @pytest.mark.parametrize(
+        "n, overrides, expected",
+        [
+            (1500, {},
+             "8fbb812ff9a241f348798a36578aa8d5ce7242884d397f8148aa91f581d4a980"),
+            (1500, {"use_frame_selection": False},
+             "231cac18a84e4ab092f9f2f7a13433a1069b3bdb8ac9545f05707f4772944394"),
+            (300, {"use_cat": False},
+             "b0a157127fa4b94eb4266b732350a16f009c8f7aec5ad0bf8be384cfb28de832"),
+            (1500, {"background_noise_rate": 8},
+             "dfbd6b2779d6ba6adb1829ec33f36900b1d4769b78227d06bf228b4e347c66c8"),
+        ],
+        ids=["default", "no_frame_selection", "no_cat", "noise_rate_8"],
+    )
+    def test_state_matches_recorded(self, n, overrides, expected):
+        attack = SgxBzip2Attack(
+            random_bytes(n, seed=5), AttackConfig(**overrides)
+        )
+        attack.run()
+        assert _attack_state_sha256(attack) == expected

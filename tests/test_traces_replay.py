@@ -8,8 +8,10 @@ the same seeds.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.campaign.experiments import get_experiment
+from repro.campaign.experiments import get_experiment, make_input
 from repro.core.zipchannel.fingerprint import (
     build_dataset,
     derive_capture_seed,
@@ -31,6 +33,8 @@ from repro.traces import (
     survey_from_store,
     target_lines,
 )
+from repro.recovery import survey
+from repro.recovery.survey import SURVEY_TARGETS
 from repro.recovery.survey import observation_filter as _target_filter
 from repro.workloads import repetitiveness_series
 from tests.ztrc_reference import deserialize_records, store_records
@@ -82,6 +86,47 @@ class TestSurveyReplayFidelity:
         )
         with pytest.raises(ValueError, match="'memory'"):
             recover_from_trace(store, "fp")
+
+
+class TestNativeObservation:
+    """The live Section IV observation watches the gadget sites of a
+    native run; it must see exactly what taint tracing would keep."""
+
+    @given(
+        target=st.sampled_from(SURVEY_TARGETS),
+        data=st.binary(min_size=0, max_size=300),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_observe_equals_taint_filtered_replay(self, target, data):
+        lines, bases = survey.observe(target, data)
+        ctx = survey.run_memory_target(target, data)
+        sites, kind = _target_filter(target)
+        assert lines == replay_lines(ctx.tainted_accesses(), sites, kind)
+        assert bases == survey.array_bases(ctx)
+
+    def test_observe_equals_stored_trace_replay(self, store):
+        capture_survey_traces(store, size=SIZE, seed=SEED)
+        for target in SURVEY_TARGETS:
+            trace = store.get(survey.trace_id(target, SIZE, SEED))
+            data = make_input(
+                trace.meta["input_kind"], SIZE, trace.meta["input_seed"]
+            )
+            lines, bases = survey.observe(target, data)
+            assert lines == target_lines(store, trace.trace_id).tolist()
+            assert bases == trace.meta["bases"]
+
+    def test_observe_constructs_no_tracing_context(self, monkeypatch):
+        import repro.exec
+        import repro.exec.context
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("observe built a TracingContext")
+
+        monkeypatch.setattr(repro.exec, "TracingContext", refuse)
+        monkeypatch.setattr(repro.exec.context, "TracingContext", refuse)
+        for target in SURVEY_TARGETS:
+            lines, _bases = survey.observe(target, bytes(range(97, 123)))
+            assert lines
 
 
 class TestColumnarReplayMatchesObjectReader:
