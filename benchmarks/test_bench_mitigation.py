@@ -8,18 +8,15 @@ why such defences are not deployed and "disabling compression ... is
 the only known complete defense").
 """
 
-from repro.core.zipchannel import AttackConfig, SgxBzip2Attack
-from repro.mitigations import oblivious_histogram
+from repro.core.zipchannel import AttackConfig, run_attack
 from repro.workloads import random_bytes
 
 SECRET = random_bytes(200, seed=44)
 
 
 def run_pair():
-    vulnerable = SgxBzip2Attack(SECRET, AttackConfig()).run()
-    hardened = SgxBzip2Attack(
-        SECRET, AttackConfig(), victim_histogram=oblivious_histogram
-    ).run()
+    vulnerable = run_attack(SECRET, AttackConfig())
+    hardened = run_attack(SECRET, AttackConfig(), mitigated=True)
     return vulnerable, hardened
 
 

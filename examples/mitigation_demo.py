@@ -2,14 +2,13 @@
 """Section VIII: what constant-access compression buys, and what it costs.
 
 Runs the full Section V extraction twice — against the vulnerable
-Listing 3 histogram and against the oblivious-access hardened variant —
-and prints the security/performance trade-off.
+Listing 3 histogram and against the same loop over an oblivious-access
+``ftab`` — and prints the security/performance trade-off.
 
 Run:  python examples/mitigation_demo.py
 """
 
-from repro.core.zipchannel import AttackConfig, SgxBzip2Attack
-from repro.mitigations import oblivious_histogram
+from repro.core.zipchannel import AttackConfig, run_attack
 from repro.workloads import random_bytes
 
 
@@ -18,13 +17,11 @@ def main() -> None:
     print(f"secret: {len(secret)} bytes of random data\n")
 
     print("1) attacking the vulnerable histogram (Listing 3)...")
-    vulnerable = SgxBzip2Attack(secret, AttackConfig()).run()
+    vulnerable = run_attack(secret, AttackConfig())
     print(f"   {vulnerable.summary()}")
 
     print("\n2) attacking the oblivious-access histogram (Section VIII)...")
-    hardened = SgxBzip2Attack(
-        secret, AttackConfig(), victim_histogram=oblivious_histogram
-    ).run()
+    hardened = run_attack(secret, AttackConfig(), mitigated=True)
     print(f"   {hardened.summary()}")
 
     overhead = hardened.victim_accesses / vulnerable.victim_accesses

@@ -861,8 +861,11 @@ def cmd_mitigate_apply(args: argparse.Namespace) -> int:
 
     data = _load_input(args)
     if args.plan:
-        with open(args.plan, "r", encoding="utf-8") as handle:
-            plan = MitigationPlan.from_json(handle.read())
+        try:
+            with open(args.plan, "r", encoding="utf-8") as handle:
+                plan = MitigationPlan.from_json(handle.read())
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"{args.plan}: {exc}") from None
         if plan.target != args.target:
             raise UsageError(
                 f"plan targets {plan.target!r}, not {args.target!r}"

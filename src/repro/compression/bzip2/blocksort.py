@@ -27,7 +27,7 @@ from repro.exec.arrays import TArray
 from repro.exec.context import ExecutionContext
 from repro.taint.value import value_of
 
-#: Signature shared by :func:`histogram` and its hardened replacements.
+#: Signature shared by :func:`histogram` and the ``histogram_fn`` seam.
 HistogramFn = Callable[..., TArray]
 
 FTAB_LEN = 65537
@@ -96,9 +96,9 @@ def main_sort(
     ``ftab``/``quadrant`` may be supplied by the caller (the SGX attack
     pre-allocates them so it can revoke their page permissions before
     the victim runs).  ``histogram_fn`` swaps the Listing 3 histogram for
-    a signature-compatible replacement (e.g.
-    :func:`repro.mitigations.oblivious.oblivious_histogram`), the seam
-    the mitigation apply layer patches.
+    a signature-compatible replacement: the seam the mitigation apply
+    layer patches, with a function that runs :func:`histogram` itself
+    over a covered ``ftab`` (``repro.mitigations.apply``).
 
     Raises:
         BudgetExhausted: the comparison budget ran out; the caller must

@@ -23,9 +23,10 @@ recovery replay in :mod:`repro.recovery.lzw_recover` mirrors.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from repro.compression.bitio import LSBBitReader, LSBBitWriter
+from repro.exec.arrays import TArray
 from repro.exec.context import ExecutionContext, NativeContext
 from repro.taint.value import value_of
 
@@ -54,6 +55,8 @@ def lzw_compress(
     ctx: Optional[ExecutionContext] = None,
     max_bits: int = MAX_BITS,
     block_mode: bool = False,
+    hash_bits: Optional[int] = None,
+    wrap_table: Optional[Callable[[str, TArray], Any]] = None,
 ) -> bytes:
     """Compress ``data`` with ncompress-style LZW.
 
@@ -67,6 +70,17 @@ def lzw_compress(
         block_mode: emit CLEAR and reset the dictionary when the code
             table fills (deterministic variant of ncompress's ratio
             heuristic); default freezes the table instead.
+        hash_bits: shrink the hash table to ``1 << hash_bits`` slots and
+            reduce every probe index modulo that size (the Section VIII
+            patched kernel covers a table it can afford to scan).  The
+            emitted codes are unchanged while the table has room; a full
+            table raises :class:`RuntimeError`.  Default: the full
+            ``HSIZE`` table, indexed by ``hp`` directly.
+        wrap_table: ``wrap_table(site, array)`` returns the table the
+            accesses of one gadget site go through (``SITE_PRIMARY`` and
+            ``SITE_SECONDARY`` on ``htab``, ``SITE_CODETAB`` on
+            ``codetab``): the seam the mitigation apply layer routes its
+            cover wrappers through.  Default: the arrays themselves.
 
     Returns:
         the compressed stream (2 magic bytes, 1 flag byte, then variable
@@ -78,11 +92,19 @@ def lzw_compress(
         ctx = NativeContext()
     max_max_code = 1 << max_bits
     flag = max_bits | (BLOCK_MODE_FLAG if block_mode else 0)
+    hsize = HSIZE if hash_bits is None else 1 << hash_bits
+    reduce = hash_bits is not None
 
     out = LSBBitWriter()
     with ctx.func("compress"):
-        htab = ctx.array("htab", HSIZE, elem_size=8, init=-1)
-        codetab = ctx.array("codetab", HSIZE, elem_size=2, init=0)
+        htab = ctx.array("htab", hsize, elem_size=8, init=-1)
+        codetab = ctx.array("codetab", hsize, elem_size=2, init=0)
+        primary = secondary = htab
+        ctab = codetab
+        if wrap_table is not None:
+            primary = wrap_table(SITE_PRIMARY, htab)
+            secondary = wrap_table(SITE_SECONDARY, htab)
+            ctab = wrap_table(SITE_CODETAB, codetab)
         inp = ctx.input_bytes(data)
 
         if not data:
@@ -98,41 +120,52 @@ def lzw_compress(
             c = inp[pos]
             fc = (ent << 8) | c  # fcode identifying the pair (ent, c)
             hp = (c << HSHIFT) ^ ent  # Listing 2, line 9 -- leaks c
+            if reduce:
+                hp = hp % hsize
 
             # Primary probe: the gadget access.
             found = False
-            slot = htab.get(hp, site=SITE_PRIMARY)
+            slot = primary.get(hp, site=SITE_PRIMARY)
             if slot == fc:
                 found = True
             elif not (slot < 0):
                 # Secondary probing, as in compress.c.  ``hp -= disp; if
-                # (hp < 0) hp += HSIZE`` is expressed modularly because
-                # our tainted ints are unsigned; HSIZE is a power of two
+                # (hp < 0) hp += hsize`` is expressed modularly because
+                # our tainted ints are unsigned; hsize is a power of two
                 # so the reduction is a taint-preserving mask.  The step
                 # is forced odd: compress.c's prime table size makes any
                 # displacement walk every slot, but with a power-of-two
                 # table an even step cycles through a fraction of the
                 # slots and can loop forever once the table freezes.
-                disp = HSIZE - (value_of(hp) | 1)
+                disp = hsize - (value_of(hp) | 1)
+                probes = 0
                 while True:
                     ctx.tick(2)
-                    hp = (hp + (HSIZE - disp)) % HSIZE
-                    slot = htab.get(hp, site=SITE_SECONDARY)
+                    hp = (hp + (hsize - disp)) % hsize
+                    slot = secondary.get(hp, site=SITE_SECONDARY)
+                    probes += 1
                     if slot == fc:
                         found = True
                         break
                     if slot < 0:
                         break
+                    if probes > hsize:
+                        # Only a reduced table can fill: HSIZE has room
+                        # for every code of the 16-bit dictionary.
+                        raise RuntimeError(
+                            f"LZW hash table full ({hsize} slots); "
+                            f"raise hash_bits"
+                        )
 
             if found:
-                ent = codetab.get(hp, site=SITE_CODETAB)
+                ent = ctab.get(hp, site=SITE_CODETAB)
                 continue
 
             # Not in the table: emit the code for ent, insert (ent, c).
             out.write(ent, n_bits)
             if free_ent < max_max_code:
-                codetab.set(hp, free_ent, site=SITE_CODETAB)
-                htab.set(hp, fc, site=SITE_PRIMARY)
+                ctab.set(hp, free_ent, site=SITE_CODETAB)
+                primary.set(hp, fc, site=SITE_PRIMARY)
                 free_ent += 1
                 if free_ent > maxcode and n_bits < max_bits:
                     n_bits += 1

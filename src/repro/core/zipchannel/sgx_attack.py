@@ -104,10 +104,12 @@ class SgxBzip2Attack:
         config: Optional[AttackConfig] = None,
         victim_histogram=histogram,
     ) -> None:
-        """``victim_histogram`` selects the victim kernel: the default is
-        the vulnerable Listing 3 loop; pass
-        :func:`repro.mitigations.oblivious_histogram` to evaluate the
-        Section VIII mitigation under the same attack."""
+        """``victim_histogram`` selects the victim kernel, called as
+        ``victim_histogram(enclave, block, n, ftab=ftab, quadrant=quadrant)``: the
+        default is the vulnerable Listing 3 loop; :func:`run_attack`
+        with ``mitigated`` runs that same loop over an
+        :class:`~repro.mitigations.ObliviousTable` ``ftab`` to evaluate
+        the Section VIII mitigation under the same attack."""
         if not secret:
             raise ValueError("need a non-empty secret buffer")
         self.secret = secret
@@ -258,13 +260,20 @@ def run_attack(
     mitigated: bool = False,
 ) -> AttackOutcome:
     """Run the extraction once against the vulnerable victim or, with
-    ``mitigated``, against the Section VIII oblivious histogram."""
+    ``mitigated``, against the Section VIII defence: the same Listing 3
+    loop over an oblivious ``ftab`` that scans every line per
+    increment."""
     if not mitigated:
         return SgxBzip2Attack(secret, config).run()
-    from repro.mitigations import oblivious_histogram
+    from repro.mitigations import ObliviousTable
+
+    def oblivious_victim(ctx, block, nblock, ftab, quadrant):
+        histogram(
+            ctx, block, nblock, ftab=ObliviousTable(ftab), quadrant=quadrant
+        )
 
     return SgxBzip2Attack(
-        secret, config, victim_histogram=oblivious_histogram
+        secret, config, victim_histogram=oblivious_victim
     ).run()
 
 

@@ -5,12 +5,14 @@ Two families:
 **Oblivious access** (the paper's constant-time discussion) — make the
 cache-*address* trace input-independent:
 
-* :func:`oblivious_histogram` — a Bzip2 histogram whose loop touches
-  every cache line of ``ftab`` on every iteration, so the access trace
-  is input-independent at cache-line granularity.
 * :class:`ObliviousTable` — a table wrapper whose reads/writes stream
   over all lines (ORAM-free linear scanning, the classic constant-time
-  lookup), used to build a hardened LZW probe.
+  lookup).  The defended victims are the vulnerable loops themselves
+  over wrapped tables: the Listing 3 histogram over an oblivious
+  ``ftab`` (``run_attack(..., mitigated=True)``) and, per a synthesised
+  plan, :func:`build_kernel`'s zlib/LZW/bzip2 kernels.
+* :class:`MaskedTable` / :class:`PreloadedTable` — cheaper covers the
+  planner picks when few index bits carry taint or a site only reads.
 
 **Oracle shaping** (the BREACH / memory-compression channel of
 :mod:`repro.oracle`) — make the compressed *size* / *wall-time*
@@ -29,11 +31,7 @@ are rarely deployed — the paper's point.
 
 from repro.mitigations.apply import MitigatedKernel, build_kernel
 from repro.mitigations.masking import MaskedTable
-from repro.mitigations.oblivious import (
-    ObliviousTable,
-    oblivious_histogram,
-    oblivious_lzw_compress,
-)
+from repro.mitigations.oblivious import ObliviousTable
 from repro.mitigations.plan import (
     MITIGATION_KINDS,
     MitigationPlan,
@@ -41,11 +39,7 @@ from repro.mitigations.plan import (
     build_plan,
 )
 from repro.mitigations.preload import PreloadedTable
-from repro.mitigations.registry import (
-    MitigationRegistry,
-    ObliviousSiteTable,
-    make_wrapper,
-)
+from repro.mitigations.registry import MitigationRegistry, make_wrapper
 from repro.mitigations.verify import MitigationReport, verify_mitigation
 from repro.mitigations.padding import (
     LatencyJitter,
@@ -68,7 +62,6 @@ __all__ = [
     "MitigationPlan",
     "MitigationRegistry",
     "MitigationReport",
-    "ObliviousSiteTable",
     "PreloadedTable",
     "SitePlan",
     "build_kernel",
@@ -76,8 +69,6 @@ __all__ = [
     "make_wrapper",
     "verify_mitigation",
     "ObliviousTable",
-    "oblivious_histogram",
-    "oblivious_lzw_compress",
     "LatencyJitter",
     "ORACLE_MITIGATIONS",
     "OracleMitigation",

@@ -9,14 +9,17 @@ kernel's output is byte-identical to the vulnerable kernel's and
 decodes with the stock decompressors (property-tested in
 ``tests/test_mitigate_pipeline.py``).
 
-One LZW-specific twist, borrowed from
-:func:`~repro.mitigations.oblivious.oblivious_lzw_compress`: covering
-the full ``1 << 17`` hash table would cost ~16k line touches per probe,
-so the patched kernel reduces the table to ``1 << hash_bits`` slots
-(default 12) first and covers *that*.  The emitted code stream is
-unchanged as long as the table does not fill (the dictionary content,
-not the table layout, determines the output); filling it raises rather
-than looping forever on the power-of-two secondary probe.
+Each patched kernel is the vulnerable compressor itself, run over
+wrapped tables: LZW through :func:`~repro.compression.lzw.lzw_compress`'s
+``wrap_table`` seam, bzip2 through
+:func:`~repro.compression.bzip2.blocksort.histogram` over the wrapped
+``ftab``.  One LZW-specific twist: covering the full ``1 << 17`` hash
+table would cost ~16k line touches per probe, so the patched kernel
+reduces the table to ``1 << hash_bits`` slots (default 12) first and
+covers *that*.  The emitted code stream is unchanged as long as the
+table does not fill (the dictionary content, not the table layout,
+determines the output); filling it raises rather than looping forever
+on the power-of-two secondary probe.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from repro.exec.context import ExecutionContext, NativeContext
 from repro.mitigations.plan import MITIGATION_GUARD, MitigationPlan
 from repro.mitigations.registry import MitigationRegistry
 from repro.recovery.survey import SURVEY_TARGETS
-from repro.taint.value import value_of
 
 DEFAULT_HASH_BITS = 12
 
@@ -54,14 +56,6 @@ class MitigatedKernel:
     def run_native(self, data: bytes) -> bytes:
         """Run without tracing (output-equality checks, wall-clock)."""
         return self.run(data, NativeContext())
-
-
-def _cover_count(wrapper) -> int:
-    count = getattr(wrapper, "cover_count", None)
-    if count is not None:
-        return count
-    # ObliviousSiteTable: one touch per line of the backing array.
-    return len(wrapper._line_starts)
 
 
 def _zlib_kernel(plan: MitigationPlan, registry: MitigationRegistry) -> MitigatedKernel:
@@ -123,105 +117,30 @@ def _lzw_kernel(
     registry: MitigationRegistry,
     hash_bits: int = DEFAULT_HASH_BITS,
 ) -> MitigatedKernel:
-    from repro.compression.bitio import LSBBitWriter
-    from repro.compression.lzw import (
-        FIRST_FREE,
-        HSHIFT,
-        INIT_BITS,
-        MAGIC,
-        MAX_BITS,
-        MAX_MAX_CODE,
-        SITE_CODETAB,
-        SITE_PRIMARY,
-        SITE_SECONDARY,
-        _maxcode,
-    )
+    from repro.compression.lzw import SITE_PRIMARY, SITE_SECONDARY, lzw_compress
 
     kernel = MitigatedKernel(
         target="lzw", plan=plan, registry=registry, run=None
     )
-    hsize = 1 << hash_bits
+
+    def wrap_table(site: str, array):
+        if site not in registry:
+            # With the reduced table, secondary probing is *more*
+            # common than in the vulnerable kernel; an unplanned
+            # secondary site (absent from the scan at this input size)
+            # inherits the primary probe's wrapper rather than running
+            # naked.
+            if site == SITE_SECONDARY:
+                return kernel.wrappers.get(SITE_PRIMARY, array)
+            return array
+        kernel.wrappers[site] = registry.wrap(site, array)
+        return kernel.wrappers[site]
 
     def run(data: bytes, ctx: ExecutionContext) -> bytes:
-        out = LSBBitWriter()
-        with ctx.func("compress"):
-            htab = ctx.array("htab", hsize, elem_size=8, init=-1)
-            codetab = ctx.array("codetab", hsize, elem_size=2, init=0)
-            wrappers = {}
-            ht_primary = htab
-            if SITE_PRIMARY in registry:
-                ht_primary = registry.wrap(SITE_PRIMARY, htab)
-                wrappers[SITE_PRIMARY] = ht_primary
-            # With the reduced table, secondary probing is *more* common
-            # than in the vulnerable kernel; an unplanned secondary site
-            # (absent from the scan at this input size) inherits the
-            # primary probe's wrapper rather than running naked.
-            if SITE_SECONDARY in registry:
-                ht_secondary = registry.wrap(SITE_SECONDARY, htab)
-                wrappers[SITE_SECONDARY] = ht_secondary
-            else:
-                ht_secondary = ht_primary
-            ct = codetab
-            if SITE_CODETAB in registry:
-                ct = registry.wrap(SITE_CODETAB, codetab)
-                wrappers[SITE_CODETAB] = ct
-            kernel.wrappers = wrappers
-            inp = ctx.input_bytes(data)
-
-            if not data:
-                return MAGIC + bytes([MAX_BITS])
-
-            n_bits = INIT_BITS
-            maxcode = _maxcode(n_bits)
-            free_ent = FIRST_FREE
-
-            ent = inp[0]
-            for pos in range(1, len(data)):
-                ctx.tick(4)
-                c = inp[pos]
-                fc = (ent << 8) | c
-                hp = ((c << HSHIFT) ^ ent) % hsize
-
-                found = False
-                slot = ht_primary.get(hp, site=SITE_PRIMARY)
-                if slot == fc:
-                    found = True
-                elif not (slot < 0):
-                    disp = hsize - (value_of(hp) | 1)
-                    probes = 0
-                    while True:
-                        ctx.tick(2)
-                        hp = (hp + (hsize - disp)) % hsize
-                        slot = ht_secondary.get(hp, site=SITE_SECONDARY)
-                        probes += 1
-                        if slot == fc:
-                            found = True
-                            break
-                        if slot < 0:
-                            break
-                        if probes > hsize:
-                            raise RuntimeError(
-                                f"mitigated LZW hash table full "
-                                f"({hsize} slots); raise hash_bits"
-                            )
-
-                if found:
-                    ent = ct.get(hp, site=SITE_CODETAB)
-                    continue
-
-                out.write(ent, n_bits)
-                if free_ent < MAX_MAX_CODE:
-                    ct.set(hp, free_ent, site=SITE_CODETAB)
-                    ht_primary.set(hp, fc, site=SITE_PRIMARY)
-                    free_ent += 1
-                    if free_ent > maxcode and n_bits < MAX_BITS:
-                        n_bits += 1
-                        maxcode = _maxcode(n_bits)
-                ent = c
-
-            out.write(ent, n_bits)
-
-        return MAGIC + bytes([MAX_BITS]) + out.getvalue()
+        kernel.wrappers = {}
+        return lzw_compress(
+            data, ctx, hash_bits=hash_bits, wrap_table=wrap_table
+        )
 
     kernel.run = run
     return kernel
@@ -232,9 +151,8 @@ def _bzip2_kernel(plan: MitigationPlan, registry: MitigationRegistry) -> Mitigat
     from repro.compression.bzip2.blocksort import (
         FTAB_LEN,
         FTAB_MISALIGN,
-        SITE_BLOCK,
         SITE_FTAB,
-        SITE_QUADRANT,
+        histogram,
     )
 
     kernel = MitigatedKernel(
@@ -246,19 +164,10 @@ def _bzip2_kernel(plan: MitigationPlan, registry: MitigationRegistry) -> Mitigat
             ftab = ctx.array(
                 "ftab", FTAB_LEN, elem_size=4, misalign=FTAB_MISALIGN
             )
-        if quadrant is None:
-            quadrant = ctx.array("quadrant", max(nblock, 1), elem_size=2)
-        ftab.fill(0)
         wrapped = registry.wrap(SITE_FTAB, ftab)
         if wrapped is not ftab:
             kernel.wrappers[SITE_FTAB] = wrapped
-
-        j = block.get(0, site=SITE_BLOCK) << 8
-        for i in range(nblock - 1, -1, -1):
-            ctx.tick(3)
-            quadrant.set(i, 0, site=SITE_QUADRANT)
-            j = (j >> 8) | ((block.get(i, site=SITE_BLOCK) & 0xFF) << 8)
-            wrapped.add(j, 1, site=SITE_FTAB)
+        histogram(ctx, block, nblock, ftab=wrapped, quadrant=quadrant)
         return ftab
 
     def run(data: bytes, ctx: ExecutionContext) -> bytes:

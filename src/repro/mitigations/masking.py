@@ -20,12 +20,11 @@ table line, which is what makes masking worth selecting when
 from __future__ import annotations
 
 from repro.exec.arrays import TArray
+from repro.mitigations.oblivious import ObliviousTable
 from repro.taint.value import value_of
 
-CACHE_LINE = 64
 
-
-class MaskedTable:
+class MaskedTable(ObliviousTable):
     """Cover a :class:`TArray` access by varying its tainted index bits.
 
     Args:
@@ -35,24 +34,12 @@ class MaskedTable:
             size; the planner computes these).  Every access touches one
             element per distinct cache line reachable by varying exactly
             these bits of the requested index.
-        site: label stamped on the cover traffic, normally the
-            *original* gadget site so observers (and the diag meter)
-            attribute the uniform traffic to the mitigated location.
+        site: as for :class:`~repro.mitigations.oblivious.CoverTable`.
     """
 
     def __init__(self, array: TArray, mask_bits, site: str = "") -> None:
-        self.array = array
-        self.site = site
+        super().__init__(array, site=site)
         self.mask_bits = tuple(sorted(set(int(b) for b in mask_bits)))
-        self._line_starts: list[int] = []
-        self._line_of: dict[int, int] = {}
-        prev_line = None
-        for k in range(array.length):
-            line = array.address_of(k) >> 6
-            if line != prev_line:
-                self._line_of[line] = len(self._line_starts)
-                self._line_starts.append(k)
-                prev_line = line
 
     def _positions(self, index) -> tuple[int, list[int]]:
         """One probe element per line the tainted bits can reach; the
@@ -80,41 +67,3 @@ class MaskedTable:
     def cover_count(self) -> int:
         """Lines touched per access (with an in-range all-zero base)."""
         return len(self._positions(0)[1])
-
-    def get(self, index, site: str = ""):
-        i, positions = self._positions(index)
-        result = 0
-        for k in positions:
-            value = self.array.get(k, site=site or self.site)
-            if k == i:
-                result = value
-        return result
-
-    def set(self, index, new_value, site: str = "") -> None:
-        i, positions = self._positions(index)
-        for k in positions:
-            value = self.array.get(k, site=site or self.site)
-            self.array.set(
-                k, new_value if k == i else value, site=site or self.site
-            )
-
-    def add(self, index, delta, site: str = "") -> None:
-        i, positions = self._positions(index)
-        for k in positions:
-            value = self.array.get(k, site=site or self.site)
-            self.array.set(
-                k, value + delta if k == i else value, site=site or self.site
-            )
-
-    # -- TArray passthroughs (wrappers are drop-in table replacements) --
-    def snapshot(self) -> list:
-        return self.array.snapshot()
-
-    def fill(self, value) -> None:
-        self.array.fill(value)
-
-    def address_of(self, index: int) -> int:
-        return self.array.address_of(index)
-
-    def __len__(self) -> int:
-        return self.array.length

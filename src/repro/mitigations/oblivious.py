@@ -1,10 +1,13 @@
-"""Oblivious-access building blocks and hardened compressor variants.
+"""Oblivious-access table covers: the Section VIII defence.
 
 The defence property is *constant access at cache-line granularity*:
 for any two equal-length inputs, the multiset of cache lines touched per
 step is identical, so neither Prime+Probe nor the controlled channel
-carries information.  Correctness is preserved: the hardened variants
-produce output decodable by the ordinary decompressors.
+carries information.  Correctness is preserved: a cover wrapper keeps
+its table's contents exactly, so the vulnerable compressor run over
+wrapped tables (the histogram of Listing 3, ``lzw_compress`` through its
+``wrap_table`` seam) produces output decodable by — indeed identical to
+— the ordinary compressor's.
 
 The cost is also the point: every logical table access becomes a scan of
 one element per cache line of the table, which the mitigation benchmark
@@ -15,42 +18,22 @@ deployed complete defence).
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.compression.bitio import LSBBitWriter
-from repro.compression.bzip2.blocksort import (
-    FTAB_LEN,
-    FTAB_MISALIGN,
-    SITE_BLOCK,
-    SITE_QUADRANT,
-)
-from repro.compression.lzw import (
-    FIRST_FREE,
-    INIT_BITS,
-    MAGIC,
-    MAX_BITS,
-    MAX_MAX_CODE,
-    HSHIFT,
-    _maxcode,
-)
 from repro.exec.arrays import TArray
-from repro.exec.context import ExecutionContext, NativeContext
 from repro.taint.value import value_of
 
-CACHE_LINE = 64
 
-SITE_OBLIVIOUS_FTAB = "obliviousHistogram/ftab scan"
-SITE_OBLIVIOUS_HTAB = "obliviousCompress/htab scan"
+class CoverTable:
+    """What every cover wrapper shares: the table's cache-line layout
+    and the :class:`TArray` passthroughs that make a wrapper a drop-in
+    table replacement (``snapshot`` for zlib's ``flush_block``, ``fill``
+    for LZW's block-mode clear and the bzip2 histogram's reset).
 
-
-class ObliviousTable:
-    """Constant-access wrapper around a :class:`TArray`.
-
-    Every ``get``/``set``/``add`` touches exactly one element in *every*
-    cache line of the backing array, at the same intra-line offset, and
-    selects or updates the requested element with data-independent
-    control flow.  At cache-line granularity the access pattern is a
-    constant full scan.
+    Args:
+        array: the backing table.
+        site: label stamped on the cover traffic when a call passes no
+            ``site=`` of its own, normally the *original* gadget site so
+            observers (and the diag meter) attribute the uniform traffic
+            to the mitigated location.
     """
 
     def __init__(self, array: TArray, site: str = "") -> None:
@@ -58,7 +41,8 @@ class ObliviousTable:
         self.site = site
         # First element index of every distinct cache line the array
         # spans (computed from real addresses, so deliberately
-        # misaligned arrays like Bzip2's ftab are handled correctly).
+        # misaligned arrays like Bzip2's ftab are handled correctly),
+        # and each line's position in that list.
         self._line_starts: list[int] = []
         self._line_of: dict[int, int] = {}
         prev_line = None
@@ -68,6 +52,36 @@ class ObliviousTable:
                 self._line_of[line] = len(self._line_starts)
                 self._line_starts.append(k)
                 prev_line = line
+
+    @property
+    def cover_count(self) -> int:
+        """Lines touched per access: every line of the table."""
+        return len(self._line_starts)
+
+    # -- TArray passthroughs --------------------------------------------
+    def snapshot(self) -> list:
+        return self.array.snapshot()
+
+    def fill(self, value) -> None:
+        self.array.fill(value)
+
+    def address_of(self, index: int) -> int:
+        return self.array.address_of(index)
+
+    def __len__(self) -> int:
+        return self.array.length
+
+
+class ObliviousTable(CoverTable):
+    """Constant-access wrapper around a :class:`TArray`.
+
+    Every ``get``/``set``/``add`` touches exactly one element in *every*
+    cache line of the backing array, at the same intra-line offset, and
+    selects or updates the requested element with data-independent
+    control flow.  At cache-line granularity the access pattern is a
+    constant full scan.  Subclasses narrow the scanned lines by
+    overriding :meth:`_positions`.
+    """
 
     def _positions(self, index) -> tuple[int, list[int]]:
         """One element per cache line; the target's line probes the
@@ -79,132 +93,30 @@ class ObliviousTable:
         positions[self._line_of[target_line]] = i
         return i, positions
 
-    def get(self, index):
-        """Read ``array[index]`` while touching every line once."""
+    def get(self, index, site: str = ""):
+        """Read ``array[index]`` while touching every covered line once."""
+        site = site or self.site
         i, positions = self._positions(index)
         result = 0
         for k in positions:
-            value = self.array.get(k, site=self.site)
+            value = self.array.get(k, site=site)
             if k == i:
                 result = value
         return result
 
-    def set(self, index, new_value) -> None:
-        """Write ``array[index]``; every line gets one read + one write
-        (non-target lines write their old value back)."""
+    def set(self, index, new_value, site: str = "") -> None:
+        """Write ``array[index]``; every covered line gets one read + one
+        write (non-target lines write their old value back)."""
+        site = site or self.site
         i, positions = self._positions(index)
         for k in positions:
-            value = self.array.get(k, site=self.site)
-            self.array.set(k, new_value if k == i else value, site=self.site)
+            value = self.array.get(k, site=site)
+            self.array.set(k, new_value if k == i else value, site=site)
 
-    def add(self, index, delta) -> None:
-        """``array[index] += delta`` with uniform full-scan traffic."""
+    def add(self, index, delta, site: str = "") -> None:
+        """``array[index] += delta`` with uniform covered-line traffic."""
+        site = site or self.site
         i, positions = self._positions(index)
         for k in positions:
-            value = self.array.get(k, site=self.site)
-            self.array.set(k, value + delta if k == i else value, site=self.site)
-
-
-def oblivious_histogram(
-    ctx: ExecutionContext,
-    block: TArray,
-    nblock: int,
-    ftab: Optional[TArray] = None,
-    quadrant: Optional[TArray] = None,
-) -> TArray:
-    """Listing 3 hardened: ``ftab[j]++`` becomes a full-table scan.
-
-    Drop-in replacement for
-    :func:`repro.compression.bzip2.blocksort.histogram`; produces the
-    identical frequency table while touching every ftab cache line at
-    every iteration.
-    """
-    if ftab is None:
-        ftab = ctx.array("ftab", FTAB_LEN, elem_size=4, misalign=FTAB_MISALIGN)
-    if quadrant is None:
-        quadrant = ctx.array("quadrant", max(nblock, 1), elem_size=2)
-    ftab.fill(0)
-    oblivious = ObliviousTable(ftab, site=SITE_OBLIVIOUS_FTAB)
-
-    j = block.get(0, site=SITE_BLOCK) << 8
-    for i in range(nblock - 1, -1, -1):
-        ctx.tick(3)
-        quadrant.set(i, 0, site=SITE_QUADRANT)
-        j = (j >> 8) | ((block.get(i, site=SITE_BLOCK) & 0xFF) << 8)
-        oblivious.add(j, 1)
-    return ftab
-
-
-def oblivious_lzw_compress(
-    data: bytes,
-    ctx: Optional[ExecutionContext] = None,
-    hash_bits: int = 12,
-) -> bytes:
-    """Ncompress-style LZW with an oblivious hash-table probe.
-
-    The probe index is reduced modulo a (smaller, scan-affordable) table
-    and every probe scans the full table, so the access trace carries no
-    information about ``c`` or ``ent``.  Output remains decodable by
-    :func:`repro.compression.lzw.lzw_decompress`: the hash table is only
-    the *search structure*; the emitted code stream depends on the
-    dictionary content, which is unchanged.
-    """
-    if ctx is None:
-        ctx = NativeContext()
-    hsize = 1 << hash_bits
-
-    out = LSBBitWriter()
-    with ctx.func("oblivious_compress"):
-        htab = ctx.array("htab", hsize, elem_size=8, init=-1)
-        codetab = ctx.array("codetab", hsize, elem_size=2, init=0)
-        ob_htab = ObliviousTable(htab, site=SITE_OBLIVIOUS_HTAB)
-        ob_codetab = ObliviousTable(codetab, site=SITE_OBLIVIOUS_HTAB)
-        inp = ctx.input_bytes(data)
-
-        if not data:
-            return MAGIC + bytes([0x80 | MAX_BITS])
-
-        n_bits = INIT_BITS
-        maxcode = _maxcode(n_bits)
-        free_ent = FIRST_FREE
-
-        ent = inp[0]
-        for pos in range(1, len(data)):
-            ctx.tick(4)
-            c = inp[pos]
-            fc = (ent << 8) | c
-            hp = ((c << HSHIFT) ^ ent) % hsize
-
-            found = False
-            slot = ob_htab.get(hp)
-            if slot == fc:
-                found = True
-            elif not (slot < 0):
-                disp = hsize - value_of(hp) if value_of(hp) != 0 else 1
-                while True:
-                    ctx.tick(2)
-                    hp = (hp + (hsize - disp)) % hsize
-                    slot = ob_htab.get(hp)
-                    if slot == fc:
-                        found = True
-                        break
-                    if slot < 0:
-                        break
-
-            if found:
-                ent = ob_codetab.get(hp)
-                continue
-
-            out.write(ent, n_bits)
-            if free_ent < MAX_MAX_CODE:
-                ob_codetab.set(hp, free_ent)
-                ob_htab.set(hp, fc)
-                free_ent += 1
-                if free_ent > maxcode and n_bits < MAX_BITS:
-                    n_bits += 1
-                    maxcode = _maxcode(n_bits)
-            ent = c
-
-        out.write(ent, n_bits)
-
-    return MAGIC + bytes([0x80 | MAX_BITS]) + out.getvalue()
+            value = self.array.get(k, site=site)
+            self.array.set(k, value + delta if k == i else value, site=site)

@@ -121,11 +121,22 @@ class MitigationPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "MitigationPlan":
-        raw = json.loads(text)
+        """Parse a plan written by :meth:`to_json`.  A plan file is
+        untrusted input: anything malformed raises :class:`ValueError`
+        naming the bad field, never another exception later in apply."""
+        try:
+            raw = json.loads(text)  # JSONDecodeError is a ValueError
+        except RecursionError:
+            raise ValueError("plan nests too deeply") from None
+        if not isinstance(raw, dict):
+            raise ValueError(f"plan must be an object, got {type(raw).__name__}")
+        for key, kind in (("target", str), ("input_len", int), ("sites", list)):
+            if not _is(raw.get(key), kind):
+                raise ValueError(f"plan field {key!r} must be {kind.__name__}")
         return cls(
             target=raw["target"],
-            input_len=int(raw["input_len"]),
-            sites=[SitePlan(**sp) for sp in raw["sites"]],
+            input_len=raw["input_len"],
+            sites=[_site_from_json(sp, n) for n, sp in enumerate(raw["sites"])],
         )
 
     def summary(self) -> str:
@@ -136,6 +147,59 @@ class MitigationPlan:
         for sp in self.sites:
             lines.append(f"  - {sp.describe()}")
         return "\n".join(lines)
+
+
+#: :class:`SitePlan` JSON field -> value type (``(list, T)``: list of T).
+_SITE_FIELDS = {
+    "site": str, "array": str, "mitigation": str, "flow": str,
+    "kinds": (list, str), "leaked_addr_bits": (list, int),
+    "leaked_input_tags": int, "leaked_other_tags": int, "accesses": int,
+    "table_lines": int, "cover_lines": int, "rationale": str, "params": dict,
+}
+
+
+def _is(value, kind) -> bool:
+    if isinstance(kind, tuple):
+        return isinstance(value, list) and all(_is(v, kind[1]) for v in value)
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
+def _site_from_json(raw, n: int) -> SitePlan:
+    """One plan entry, type-checked field by field, with the params its
+    mitigation reads checked as well."""
+    where = f"plan site {n}"
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be an object, got {type(raw).__name__}")
+    missing = sorted(set(_SITE_FIELDS) - {"params"} - set(raw))
+    unknown = sorted(set(raw) - set(_SITE_FIELDS))
+    if missing or unknown:
+        raise ValueError(f"{where}: missing fields {missing}, unknown fields {unknown}")
+    for key, value in raw.items():
+        if not _is(value, _SITE_FIELDS[key]):
+            raise ValueError(f"{where}: field {key!r} has the wrong type")
+    sp = SitePlan(**raw)
+    if sp.mitigation not in MITIGATION_KINDS:
+        raise ValueError(
+            f"{where}: unknown mitigation {sp.mitigation!r} "
+            f"(choose from {', '.join(MITIGATION_KINDS)})"
+        )
+    bits = sp.params.get("mask_index_bits")
+    if sp.mitigation == MITIGATION_MASK and not (
+        _is(bits, (list, int))
+        and all(0 <= b < 64 for b in bits)
+        and 1 << len(set(bits)) <= MASK_COMBO_LIMIT
+    ):
+        raise ValueError(
+            f"{where}: mask needs params.mask_index_bits, a list of at most "
+            f"{MASK_COMBO_LIMIT.bit_length() - 1} index bits in [0, 64)"
+        )
+    spans = sp.params.get("secret_spans", [])
+    if not (
+        isinstance(spans, list)
+        and all(_is(span, (list, int)) and len(span) == 2 for span in spans)
+    ):
+        raise ValueError(f"{where}: params.secret_spans must be [lo, hi] int pairs")
+    return sp
 
 
 def _leaked_addr_bits(gadget: Gadget) -> list[int]:

@@ -16,30 +16,17 @@ observer would still see the lone real write of a ``set``.
 
 from __future__ import annotations
 
-from repro.exec.arrays import TArray
+from repro.mitigations.oblivious import CoverTable
 from repro.taint.value import value_of
 
 
-class PreloadedTable:
+class PreloadedTable(CoverTable):
     """Surround each access of a :class:`TArray` with a full-table read
     sweep (one element per cache line, ascending line order)."""
 
-    def __init__(self, array: TArray, site: str = "") -> None:
-        self.array = array
-        self.site = site
-        self._line_starts: list[int] = []
-        self._lines: list[int] = []
-        prev_line = None
-        for k in range(array.length):
-            line = array.address_of(k) >> 6
-            if line != prev_line:
-                self._line_starts.append(k)
-                self._lines.append(line)
-                prev_line = line
-
     def _cover(self, skip_line: int, site: str) -> None:
         """Read one element from every line except ``skip_line``."""
-        for line, start in zip(self._lines, self._line_starts):
+        for line, start in zip(self._line_of, self._line_starts):
             if line != skip_line:
                 self.array.get(start, site=site)
 
@@ -59,21 +46,3 @@ class PreloadedTable:
         value = self.array.get(i, site=site or self.site)
         self.array.set(i, value + delta, site=site or self.site)
         self._cover(self.array.address_of(i) >> 6, site or self.site)
-
-    @property
-    def cover_count(self) -> int:
-        """Distinct lines of the table (touches per ``get``)."""
-        return len(self._lines)
-
-    # -- TArray passthroughs --------------------------------------------
-    def snapshot(self) -> list:
-        return self.array.snapshot()
-
-    def fill(self, value) -> None:
-        self.array.fill(value)
-
-    def address_of(self, index: int) -> int:
-        return self.array.address_of(index)
-
-    def __len__(self) -> int:
-        return self.array.length

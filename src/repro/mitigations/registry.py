@@ -26,52 +26,12 @@ from repro.mitigations.plan import (
 from repro.mitigations.preload import PreloadedTable
 
 
-class ObliviousSiteTable(ObliviousTable):
-    """:class:`ObliviousTable` with the drop-in table interface.
-
-    The base class binds its site label at construction; kernel code
-    written against :class:`TArray` passes ``site=`` per call, so this
-    adapter accepts (and prefers) the per-call label and forwards the
-    passthroughs the kernels use (``snapshot`` for zlib's
-    ``flush_block``, ``fill`` for LZW's block-mode clear).
-    """
-
-    def get(self, index, site: str = ""):
-        if site:
-            self.site = site
-        return super().get(index)
-
-    def set(self, index, new_value, site: str = "") -> None:
-        if site:
-            self.site = site
-        super().set(index, new_value)
-
-    def add(self, index, delta, site: str = "") -> None:
-        if site:
-            self.site = site
-        super().add(index, delta)
-
-    def snapshot(self) -> list:
-        return self.array.snapshot()
-
-    def fill(self, value) -> None:
-        self.array.fill(value)
-
-    def address_of(self, index: int) -> int:
-        return self.array.address_of(index)
-
-    def __len__(self) -> int:
-        return self.array.length
-
-
 WrapperFactory = Callable[[TArray, SitePlan], object]
 
 #: mitigation kind -> wrapper factory.  ``none``/``guard`` entries are
 #: deliberately absent: they patch nothing at the table layer.
 MITIGATION_WRAPPERS: dict[str, WrapperFactory] = {
-    MITIGATION_OBLIVIOUS: lambda arr, sp: ObliviousSiteTable(
-        arr, site=sp.site
-    ),
+    MITIGATION_OBLIVIOUS: lambda arr, sp: ObliviousTable(arr, site=sp.site),
     MITIGATION_MASK: lambda arr, sp: MaskedTable(
         arr, sp.params["mask_index_bits"], site=sp.site
     ),

@@ -65,15 +65,13 @@ def _burst_len(target: str, kernel: MitigatedKernel) -> int:
     ``ftab[j]++`` is a read+write pair per line under the any-kind
     filter.
     """
-    from repro.mitigations.apply import _cover_count
-
     sites, _kind = survey.observation_filter(target)
     wrapper = next(
         (kernel.wrappers[s] for s in sites if s in kernel.wrappers), None
     )
     if wrapper is None:
         return 1
-    cover = _cover_count(wrapper)
+    cover = wrapper.cover_count
     return 2 * cover if target == "bzip2" else cover
 
 

@@ -59,33 +59,27 @@ from repro.obs.core import (
     span,
     warn_once,
 )
-from repro.obs.export import (
-    chrome_trace_document,
-    chrome_trace_events,
-    profiler_chrome_events,
-    render_chrome_trace,
-)
-from repro.obs.report import (
-    format_event,
-    render_report,
-    render_span_tree,
-    render_tail,
-    render_trace,
-    stitch_spans,
-    trace_summary,
-)
-from repro.obs.watch import (
-    MultiSinkFollower,
-    SinkFollower,
-    WatchState,
-    expand_sinks,
-    load_events,
-    logical_sink,
-    make_follower,
-    merge_events,
-    open_sinks,
-    render_watch,
-    sparkline,
+from repro._lazy import lazy_exports
+
+# The sink readers and renderers load on first access: a worker that
+# only emits events never imports them.
+__getattr__, __dir__, _lazy_all = lazy_exports(
+    globals(),
+    {
+        "repro.obs.export": (
+            "chrome_trace_document", "chrome_trace_events",
+            "profiler_chrome_events", "render_chrome_trace",
+        ),
+        "repro.obs.report": (
+            "format_event", "render_report", "render_span_tree",
+            "render_tail", "render_trace", "stitch_spans", "trace_summary",
+        ),
+        "repro.obs.watch": (
+            "MultiSinkFollower", "SinkFollower", "WatchState",
+            "expand_sinks", "load_events", "logical_sink", "make_follower",
+            "merge_events", "open_sinks", "render_watch", "sparkline",
+        ),
+    },
 )
 
 __all__ = [
@@ -96,43 +90,22 @@ __all__ = [
     "Histogram",
     "Logger",
     "Span",
-    "chrome_trace_document",
-    "chrome_trace_events",
     "counter_add",
     "counters_snapshot",
     "disable",
     "emit_span_event",
     "enable",
     "enabled",
-    "expand_sinks",
     "flush",
-    "format_event",
     "get_logger",
     "histograms_snapshot",
-    "load_events",
     "log",
-    "logical_sink",
-    "make_follower",
-    "MultiSinkFollower",
-    "merge_events",
     "new_span_id",
     "observe",
-    "open_sinks",
-    "profiler_chrome_events",
     "publish_metrics",
     "recent",
-    "render_chrome_trace",
-    "render_report",
-    "render_span_tree",
-    "render_tail",
-    "render_trace",
-    "render_watch",
     "reset",
     "span",
-    "sparkline",
-    "SinkFollower",
-    "stitch_spans",
-    "trace_summary",
     "warn_once",
-    "WatchState",
+    *_lazy_all,
 ]

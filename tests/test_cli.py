@@ -298,7 +298,8 @@ def test_cli_startup_imports_no_command_package():
 def test_worker_job_imports_no_report_or_decoder_it_does_not_use():
     """A cluster worker process loads what its jobs need: running one
     ``lzw_recovery`` job pulls in neither the campaign report and
-    dossier renderers nor another target's decoder."""
+    dossier renderers, nor the obs sink readers and renderers, nor
+    another target's decoder."""
     src = Path(__file__).resolve().parents[1] / "src"
     probe = (
         "import sys, repro.cluster.worker\n"
@@ -317,6 +318,9 @@ def test_worker_job_imports_no_report_or_decoder_it_does_not_use():
     unused = {
         "repro.campaign.dossier",
         "repro.campaign.report",
+        "repro.obs.export",
+        "repro.obs.report",
+        "repro.obs.watch",
         "repro.recovery.zlib_recover",
     }
     assert not unused & set(loaded)

@@ -10,10 +10,12 @@ kernel's output is byte-identical to the vulnerable kernel's and
 decodes with the stock decompressors.
 """
 
+import contextlib
 import json
+import signal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.taintchannel.tool import TaintChannel, target_for
@@ -240,6 +242,154 @@ class TestMitigateCli:
         ) == 0
         out = capsys.readouterr().out
         assert "byte-identical to vulnerable kernel: True" in out
+
+
+def _site_entry(site: str, mitigation: str, **params) -> dict:
+    return {
+        "site": site, "array": "htab", "mitigation": mitigation,
+        "flow": "data", "kinds": ["read"], "leaked_addr_bits": [9, 10],
+        "leaked_input_tags": 1, "leaked_other_tags": 0, "accesses": 3,
+        "table_lines": 512, "cover_lines": 4, "rationale": "fuzz",
+        "params": params,
+    }
+
+
+#: A well-formed plan exercising every mitigation kind and both params.
+_VALID_PLAN = {
+    "target": "lzw",
+    "input_len": 8,
+    "sites": [
+        _site_entry("compress/htab[hp]", "oblivious"),
+        _site_entry("compress/codetab[hp]", "mask", mask_index_bits=[8, 9]),
+        _site_entry("compress/htab[hp] (secondary probe)", "preload"),
+        _site_entry("deflate_slow/head[ins_h]", "guard", secret_spans=[[0, 4]]),
+        _site_entry("other", "none"),
+    ],
+}
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=False) | st.text(max_size=6)
+    | st.sampled_from(["lzw", "zlib", "bzip2", "mask", "oblivious", "preload",
+                       "guard", "none", "bogus", "mask_index_bits"])
+    | st.integers(0, 70),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    """Every (container path, key) pair of a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix, key
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def damaged_plans(draw) -> str:
+    """The valid plan with a few fields replaced, deleted or added, or
+    its text cut short."""
+    doc = json.loads(json.dumps(_VALID_PLAN))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        prefix, key = draw(st.sampled_from(paths))
+        parent = doc
+        for step in prefix:
+            parent = parent[step]
+        op = draw(st.sampled_from(["replace", "delete", "add"]))
+        if op == "delete" and isinstance(parent, dict):
+            del parent[key]
+        elif op == "add" and isinstance(parent, dict):
+            parent[draw(st.text(max_size=6))] = draw(_JSON_VALUES)
+        else:
+            parent[key] = draw(_JSON_VALUES)
+    text = json.dumps(doc)
+    if draw(st.booleans()) and draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: float):
+    """Turn a plan that hangs the kernel into a test failure instead of
+    a hung suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"plan ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# Each of these crashed ``from_json`` or the patched kernel with a
+# KeyError/TypeError before plans were checked on load.
+_BAD_PLANS = [
+    "{}",
+    "[1]",
+    json.dumps({"target": "lzw", "input_len": 8, "sites": [{"site": "x"}]}),
+    "not json",
+    json.dumps({**_VALID_PLAN, "sites": [_site_entry("compress/htab[hp]", "bogus")]}),
+    json.dumps({**_VALID_PLAN, "sites": [_site_entry("compress/htab[hp]", "mask")]}),
+]
+
+
+class TestPlanTrustBoundary:
+    """A plan file either loads into a plan every kernel factory can
+    run, or fails with :class:`ValueError` (``mitigate apply`` exit 2);
+    nothing else escapes and nothing hangs."""
+
+    def test_valid_plan_loads_and_runs(self):
+        plan = MitigationPlan.from_json(json.dumps(_VALID_PLAN))
+        assert [sp.mitigation for sp in plan.sites] == [
+            "oblivious", "mask", "preload", "guard", "none",
+        ]
+        data = b"abcabcab"
+        from repro.compression.lzw import lzw_compress
+
+        assert build_kernel("lzw", plan).run_native(data) == lzw_compress(data)
+
+    @settings(max_examples=150, deadline=2000)
+    @given(text=damaged_plans())
+    @example(text=_BAD_PLANS[0])
+    @example(text=_BAD_PLANS[1])
+    @example(text=_BAD_PLANS[2])
+    @example(text=_BAD_PLANS[3])
+    @example(text=_BAD_PLANS[4])
+    @example(text=_BAD_PLANS[5])
+    def test_damaged_plan_runs_or_raises_value_error(self, text):
+        with _time_limit(5.0):
+            try:
+                plan = MitigationPlan.from_json(text)
+                kernel = build_kernel(plan.target, plan)
+            except ValueError:
+                return
+            kernel.run_native(b"abcabcab")
+
+    @pytest.mark.parametrize("text", _BAD_PLANS, ids=[
+        "empty-object", "list", "site-missing-fields", "not-json",
+        "unknown-kind", "mask-without-bits",
+    ])
+    def test_apply_exits_2_with_one_error_line(self, text, tmp_path, capsys):
+        from repro.cli import main
+
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(text)
+        assert main(
+            ["mitigate", "apply", "lzw", "--random", "20",
+             "--plan", str(plan_path)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestOutputProperties:

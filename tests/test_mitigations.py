@@ -1,19 +1,17 @@
 """Tests for the Section VIII mitigations: correctness, the
 constant-access property, and defeat of the end-to-end attack."""
 
+import signal
+
 import pytest
 
-from repro.compression.bzip2.blocksort import histogram
+from repro.compression.bzip2.blocksort import FTAB_LEN, FTAB_MISALIGN, histogram
 from repro.compression.lzw import lzw_compress, lzw_decompress
-from repro.core.zipchannel import AttackConfig, SgxBzip2Attack
+from repro.core.zipchannel import AttackConfig, run_attack
 from repro.exec import NativeContext, TracingContext
-from repro.mitigations import (
-    ObliviousTable,
-    oblivious_histogram,
-    oblivious_lzw_compress,
-)
-from repro.mitigations.oblivious import SITE_OBLIVIOUS_FTAB, SITE_OBLIVIOUS_HTAB
-from repro.workloads import random_bytes
+from repro.mitigations import ObliviousTable, build_kernel
+from repro.mitigations.verify import survey_plan
+from repro.workloads import english_like, random_bytes
 
 
 class TestObliviousTable:
@@ -57,24 +55,51 @@ class TestObliviousTable:
         the real channel by running on the enclave memory system."""
 
         def lines_for(index):
-            from repro.cache import Cache, CacheConfig
-            from repro.memsys import AddressSpace
-            from repro.sgx import Enclave
-
             touched: list[int] = []
-            enclave = Enclave(
-                AddressSpace(seed=5),
-                Cache(CacheConfig()),
-                env_hook=lambda paddr, kind: touched.append(paddr >> 6),
-            )
-            arr = enclave.array("t", 256, elem_size=8)
+            arr = _enclave(5, touched).array("t", 256, elem_size=8)
             ObliviousTable(arr).get(index)
             return touched
 
         assert lines_for(3) == lines_for(250)
 
 
+def _enclave(seed: int, touched: list[int]):
+    """An enclave whose every victim access appends its cache line to
+    ``touched`` (the real channel, observed from the memory system)."""
+    from repro.cache import Cache, CacheConfig
+    from repro.memsys import AddressSpace
+    from repro.sgx import Enclave
+
+    return Enclave(
+        AddressSpace(seed=seed),
+        Cache(CacheConfig()),
+        env_hook=lambda paddr, kind: touched.append(paddr >> 6),
+    )
+
+
+def _oblivious_table(site: str, array):
+    return ObliviousTable(array, site=site)
+
+
 class TestObliviousHistogram:
+    """The Listing 3 loop over an oblivious ``ftab``: the Section VIII
+    victim ``run_attack(..., mitigated=True)`` runs."""
+
+    def _ftab(self, ctx):
+        return ctx.array("ftab", FTAB_LEN, elem_size=4, misalign=FTAB_MISALIGN)
+
+    def _histogram_lines(self, data: bytes, oblivious: bool) -> list[int]:
+        touched: list[int] = []
+        enclave = _enclave(7, touched)
+        block = enclave.array("block", len(data))
+        block.load(list(data))
+        ftab = self._ftab(enclave)
+        histogram(
+            enclave, block, len(data),
+            ftab=ObliviousTable(ftab) if oblivious else ftab,
+        )
+        return touched
+
     def test_same_counts_as_vulnerable_version(self):
         data = random_bytes(120, seed=1)
         ctx_a, ctx_b = NativeContext(), NativeContext()
@@ -83,130 +108,108 @@ class TestObliviousHistogram:
         block_a.load(list(data))
         block_b.load(list(data))
         plain = histogram(ctx_a, block_a, len(data)).snapshot()
-        hardened = oblivious_histogram(ctx_b, block_b, len(data)).snapshot()
-        assert plain == hardened
+        ftab = self._ftab(ctx_b)
+        histogram(ctx_b, block_b, len(data), ftab=ObliviousTable(ftab))
+        assert ftab.snapshot() == plain
 
     def test_ftab_line_trace_is_input_independent(self):
         """The full victim line sequence is identical across inputs."""
-
-        def all_lines(data):
-            from repro.cache import Cache, CacheConfig
-            from repro.memsys import AddressSpace
-            from repro.sgx import Enclave
-
-            touched: list[int] = []
-            enclave = Enclave(
-                AddressSpace(seed=7),
-                Cache(CacheConfig()),
-                env_hook=lambda paddr, kind: touched.append(paddr >> 6),
-            )
-            block = enclave.array("block", len(data))
-            block.load(list(data))
-            oblivious_histogram(enclave, block, len(data))
-            return touched
-
-        lines_a = all_lines(b"\x00\x11\x22\x33")
-        lines_b = all_lines(b"\xff\xee\xdd\xcc")
+        lines_a = self._histogram_lines(b"\x00\x11\x22\x33", oblivious=True)
+        lines_b = self._histogram_lines(b"\xff\xee\xdd\xcc", oblivious=True)
         assert lines_a and lines_a == lines_b
 
     def test_vulnerable_histogram_trace_is_input_dependent(self):
         """Control: the Listing 3 loop's line trace differs by input."""
-
-        def all_lines(data):
-            from repro.cache import Cache, CacheConfig
-            from repro.memsys import AddressSpace
-            from repro.sgx import Enclave
-
-            touched: list[int] = []
-            enclave = Enclave(
-                AddressSpace(seed=7),
-                Cache(CacheConfig()),
-                env_hook=lambda paddr, kind: touched.append(paddr >> 6),
-            )
-            block = enclave.array("block", len(data))
-            block.load(list(data))
-            histogram(enclave, block, len(data))
-            return touched
-
-        assert all_lines(b"\x00\x11\x22\x33") != all_lines(b"\xff\xee\xdd\xcc")
+        assert self._histogram_lines(
+            b"\x00\x11\x22\x33", oblivious=False
+        ) != self._histogram_lines(b"\xff\xee\xdd\xcc", oblivious=False)
 
 
 class TestObliviousLzw:
+    """``lzw_compress`` over a reduced table whose probes go through
+    oblivious covers (its ``hash_bits``/``wrap_table`` seam)."""
+
+    def _compress(self, data: bytes, ctx=None, hash_bits: int = 12) -> bytes:
+        return lzw_compress(
+            data, ctx, hash_bits=hash_bits, wrap_table=_oblivious_table
+        )
+
+    def _assert_same_stream(self, data: bytes) -> None:
+        blob = self._compress(data)
+        assert blob == lzw_compress(data)
+        assert lzw_decompress(blob) == data
+
     def test_roundtrip_with_standard_decompressor(self):
-        data = b"the oblivious compressor emits ordinary lzw streams"
-        assert lzw_decompress(oblivious_lzw_compress(data)) == data
+        self._assert_same_stream(
+            b"the oblivious compressor emits ordinary lzw streams"
+        )
 
     def test_roundtrip_repetitive(self):
-        data = b"abcabc" * 30
-        assert lzw_decompress(oblivious_lzw_compress(data)) == data
+        self._assert_same_stream(b"abcabc" * 30)
 
     def test_empty(self):
-        assert lzw_decompress(oblivious_lzw_compress(b"")) == b""
+        self._assert_same_stream(b"")
+
+    def test_output_differs_from_fast_path_only_in_timing(self):
+        # Same dictionary decisions -> the same compressed bytes as the
+        # unmitigated compressor while the reduced table has room.
+        self._assert_same_stream(b"to be or not to be")
+        self._assert_same_stream(english_like(600, seed=2))
+
+    def _lzw_lines(self, data: bytes, oblivious: bool) -> list[int]:
+        touched: list[int] = []
+        enclave = _enclave(6, touched)
+        if oblivious:
+            self._compress(data, ctx=enclave, hash_bits=8)
+        else:
+            lzw_compress(data, ctx=enclave)
+        return touched
 
     def test_htab_line_trace_is_input_independent(self):
         """The full victim cache-line sequence (the real channel) must be
         identical for different same-length inputs."""
-
-        def all_lines(data):
-            from repro.cache import Cache, CacheConfig
-            from repro.memsys import AddressSpace
-            from repro.sgx import Enclave
-
-            touched: list[int] = []
-            enclave = Enclave(
-                AddressSpace(seed=6),
-                Cache(CacheConfig()),
-                env_hook=lambda paddr, kind: touched.append(paddr >> 6),
-            )
-            oblivious_lzw_compress(data, ctx=enclave, hash_bits=8)
-            return touched
-
-        assert all_lines(b"ab") == all_lines(b"zq")
+        assert self._lzw_lines(b"ab", oblivious=True) == self._lzw_lines(
+            b"zq", oblivious=True
+        )
 
     def test_vulnerable_lzw_trace_is_input_dependent(self):
         """Control: the unmitigated compressor's line trace differs."""
-
-        def all_lines(data):
-            from repro.cache import Cache, CacheConfig
-            from repro.memsys import AddressSpace
-            from repro.sgx import Enclave
-
-            touched: list[int] = []
-            enclave = Enclave(
-                AddressSpace(seed=6),
-                Cache(CacheConfig()),
-                env_hook=lambda paddr, kind: touched.append(paddr >> 6),
-            )
-            lzw_compress(data, ctx=enclave)
-            return touched
-
-        assert all_lines(b"ab") != all_lines(b"zq")
-
-    def test_output_differs_from_fast_path_only_in_timing(self):
-        # Same dictionary decisions -> same compressed bytes as the
-        # unmitigated compressor when no hash collisions differ.
-        data = b"to be or not to be"
-        assert lzw_decompress(oblivious_lzw_compress(data)) == (
-            lzw_decompress(lzw_compress(data))
+        assert self._lzw_lines(b"ab", oblivious=False) != self._lzw_lines(
+            b"zq", oblivious=False
         )
+
+    def test_full_reduced_table_raises_within_budget(self):
+        """A mitigated kernel whose ``1 << hash_bits`` table fills stops
+        with an error instead of probing forever."""
+        plan, _ = survey_plan("lzw", random_bytes(60, seed=9))
+        assert plan.mitigated_sites()
+        kernel = build_kernel("lzw", plan, hash_bits=8)
+
+        def expire(signum, frame):
+            raise TimeoutError("mitigated LZW kernel ran past 20 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 20.0)
+        try:
+            with pytest.raises(RuntimeError, match="hash table full"):
+                kernel.run_native(random_bytes(400, seed=1))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestAttackVsMitigation:
     def test_oblivious_victim_defeats_extraction(self):
         secret = random_bytes(120, seed=31)
-        vulnerable = SgxBzip2Attack(secret, AttackConfig()).run()
-        hardened = SgxBzip2Attack(
-            secret, AttackConfig(), victim_histogram=oblivious_histogram
-        ).run()
+        vulnerable = run_attack(secret, AttackConfig())
+        hardened = run_attack(secret, AttackConfig(), mitigated=True)
         assert vulnerable.byte_accuracy > 0.95
         assert hardened.byte_accuracy < 0.10
         assert hardened.bit_accuracy < 0.80
 
     def test_mitigation_cost_is_visible(self):
         secret = random_bytes(60, seed=32)
-        vulnerable = SgxBzip2Attack(secret, AttackConfig()).run()
-        hardened = SgxBzip2Attack(
-            secret, AttackConfig(), victim_histogram=oblivious_histogram
-        ).run()
+        vulnerable = run_attack(secret, AttackConfig())
+        hardened = run_attack(secret, AttackConfig(), mitigated=True)
         # The oblivious scan costs orders of magnitude more accesses.
         assert hardened.victim_accesses > 100 * vulnerable.victim_accesses
