@@ -13,11 +13,12 @@ helper socket workers use) and reports the outcome with
 backoff, attempt charging, terminal crash records and finalize are
 therefore exactly those of ``repro cluster run``.
 
-Parallelism comes from ``concurrent.futures.ProcessPoolExecutor``.  A
-worker process that dies breaks the whole pool: every slot with a job
-in flight is disconnected from the scheduler — which charges each of
-those jobs exactly one attempt — and the pool is rebuilt.  The
-``executor_factory`` argument swaps in
+Parallelism comes from one single-process
+``concurrent.futures.ProcessPoolExecutor`` per slot.  A worker process
+that dies breaks only its own slot's executor: that slot is
+disconnected from the scheduler — which charges its job exactly one
+attempt — and gets a fresh executor, while the other slots' jobs run
+on untouched.  The ``executor_factory`` argument swaps in
 :class:`~repro.campaign.executor.InProcessExecutor` so
 every path (retries, timeouts, simulated crashes) runs single-process
 and fast under test.
@@ -71,11 +72,11 @@ class CampaignRunner:
     Args:
         spec: the campaign to run.
         store: where records and the manifest live.
-        workers: executor slots, each a scheduler worker (ignored by a
-            custom single-slot executor only in that submissions
-            serialise).
-        executor_factory: zero-arg callable building an executor; the
-            default builds a ``ProcessPoolExecutor(workers)``.  Pass
+        workers: executor slots, each a scheduler worker with its own
+            executor.
+        executor_factory: zero-arg callable building one slot's
+            executor; the default builds a
+            ``ProcessPoolExecutor(max_workers=1)``.  Pass
             ``InProcessExecutor`` for in-process runs.
         on_event: optional callback receiving human-readable progress
             lines (the CLI prints them).
@@ -93,7 +94,7 @@ class CampaignRunner:
         self.store = store
         self.workers = max(1, workers)
         self._factory = executor_factory or (
-            lambda: ProcessPoolExecutor(max_workers=self.workers)
+            lambda: ProcessPoolExecutor(max_workers=1)
         )
         self._on_event = on_event
 
@@ -135,9 +136,9 @@ class CampaignRunner:
         )
 
     def _drive(self, scheduler, exec_, slots: list) -> None:
-        """Move jobs between the scheduler and the executor until the
-        campaign is finalized."""
-        executor = self._factory()
+        """Move jobs between the scheduler and the slots' executors
+        until the campaign is finalized."""
+        executors = {slot: self._factory() for slot in slots}
         in_flight: dict[Future, tuple[str, dict]] = {}  # -> (slot, job)
         try:
             while scheduler.active():
@@ -149,18 +150,12 @@ class CampaignRunner:
                     if job is None:
                         break
                     try:
-                        future = executor.submit(
-                            run_attempt, _attempt_payload(job, executor)
-                        )
+                        future = self._submit(executors[slot], job)
                     except BrokenExecutor:
-                        # The pool died before this attempt ran: keep
-                        # its lease and run it on the fresh pool.
-                        executor = self._replace_pool(
-                            scheduler, executor, in_flight
-                        )
-                        future = executor.submit(
-                            run_attempt, _attempt_payload(job, executor)
-                        )
+                        # The slot's process died before this attempt
+                        # ran: keep its lease and run it on a fresh one.
+                        executors[slot] = self._rebuild(executors[slot])
+                        future = self._submit(executors[slot], job)
                     in_flight[future] = (slot, job)
 
                 if not in_flight:
@@ -169,18 +164,18 @@ class CampaignRunner:
                 finished, _ = wait(
                     list(in_flight), timeout=0.2, return_when=FIRST_COMPLETED
                 )
-                broken = False
                 for future in finished:
-                    if isinstance(future.exception(), BrokenExecutor):
-                        broken = True
-                        continue
                     slot, job = in_flight.pop(future)
+                    if isinstance(future.exception(), BrokenExecutor):
+                        # Only this slot's attempt was lost: the
+                        # scheduler charges it one attempt and re-queues
+                        # it; every other slot runs on.
+                        scheduler.disconnect_worker(slot)
+                        scheduler.register_worker(slot, pid=os.getpid())
+                        executors[slot] = self._rebuild(executors[slot])
+                        continue
                     # result() re-raises KeyboardInterrupt.
                     self._finish(scheduler, slot, job, future.result())
-                if broken:
-                    executor = self._replace_pool(
-                        scheduler, executor, in_flight
-                    )
         except KeyboardInterrupt:
             # Every finished job is already checkpointed (the store
             # flushes per record), so `campaign resume` picks up cleanly
@@ -198,10 +193,12 @@ class CampaignRunner:
                 f"interrupted: {done} records checkpointed "
                 f"this run; continue with `campaign resume {self.store.root}`"
             )
-            _shutdown_now(executor)
+            for executor in executors.values():
+                _shutdown_now(executor)
             raise
         finally:
-            executor.shutdown(wait=True)
+            for executor in executors.values():
+                executor.shutdown(wait=True)
             obs.flush()
 
     def _finish(self, scheduler, slot: str, job: dict, outcome) -> None:
@@ -210,21 +207,15 @@ class CampaignRunner:
 
         scheduler.handle_result(slot, finish_job(self.store, slot, job, outcome))
 
-    def _replace_pool(self, scheduler, executor, in_flight: dict):
-        """A worker process died and took the pool with it.  An attempt
-        whose result already arrived is finished as usual; every other
-        slot with a job in flight is disconnected (the scheduler charges
-        each of those jobs exactly one attempt and re-queues it).
-        Returns a fresh pool."""
+    @staticmethod
+    def _submit(executor, job: dict) -> Future:
+        return executor.submit(run_attempt, _attempt_payload(job, executor))
+
+    def _rebuild(self, executor):
+        """A slot's worker process died and broke its executor; returns
+        a fresh one for that slot."""
         obs.counter_add("campaign.pool_rebuilds")
-        self._emit("worker pool broke (crashed worker); rebuilding pool")
-        for future, (slot, job) in in_flight.items():
-            if future.done() and not future.cancelled() and future.exception() is None:
-                self._finish(scheduler, slot, job, future.result())
-            else:
-                scheduler.disconnect_worker(slot)
-                scheduler.register_worker(slot, pid=os.getpid())
-        in_flight.clear()
+        self._emit("worker process died (crashed worker); rebuilding its slot")
         _shutdown_now(executor)
         return self._factory()
 

@@ -790,15 +790,23 @@ def cmd_diag_compare(args: argparse.Namespace) -> int:
     unreadable gate file."""
     from repro import gate
     from repro.diag import collect_diag_metrics
+    from repro.diag.claims import CLAIMS_PARAMS, collect_claim_metrics
     from repro.diag.drift import ABS_EPSILON, DEFAULT_PARAMS
 
     try:
         baseline = gate.load(args.baseline, "baseline")
         if args.current:
             current = gate.load(args.current, "metrics file")["metrics"]
+        elif baseline["params"] == CLAIMS_PARAMS:
+            # No file given: re-collect whichever suite the baseline's
+            # parameters say produced it.
+            if args.noise_sigma is not None:
+                raise UsageError("--noise-sigma applies to the diag suite, "
+                                 "not to a claims baseline")
+            current = collect_claim_metrics()
         else:
-            # No file given: re-collect now with the baseline's parameters
-            # (plus any injected override, e.g. --noise-sigma for drills).
+            # The diag suite, with the baseline's parameters (plus any
+            # injected override, e.g. --noise-sigma for drills).
             params = {
                 k: v for k, v in baseline["params"].items()
                 if k in DEFAULT_PARAMS
@@ -817,6 +825,22 @@ def cmd_diag_compare(args: argparse.Namespace) -> int:
         raise UsageError(exc) from None
     print(result.summary())
     return 0 if result.ok else 1
+
+
+def cmd_diag_claims(args: argparse.Namespace) -> int:
+    """Run every paper claim (EXPERIMENTS.md) into a gate payload (the
+    baseline-refresh path: ``--out benchmarks/claims_baseline.json``)."""
+    from repro import gate
+    from repro.diag import metric_direction
+    from repro.diag.claims import CLAIMS_PARAMS, collect_claim_metrics
+
+    metrics = collect_claim_metrics()
+    _emit(
+        _json(gate.payload(CLAIMS_PARAMS, metrics, metric_direction)),
+        args.out,
+        f"wrote {len(metrics)} claim metrics to {args.out}",
+    )
+    return 0
 
 
 # -- mitigation synthesis -------------------------------------------------
@@ -1575,6 +1599,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="oracle-MI samples per mitigation (0 skips)")
     _shared(d, "noise-sigma")
     d.add_argument("--confusion", action="store_true")
+
+    d = command(dsub, "claims", cmd_diag_claims,
+                "run every paper claim (EXPERIMENTS.md) into a metrics JSON")
+    d.add_argument("--out", help="write here (default: stdout)")
 
     d = command(dsub, "compare", cmd_diag_compare,
                 "drift gate: current metrics vs committed baseline")

@@ -22,11 +22,10 @@ so :func:`repro.compression.lz77.deflate_decompress` decodes it.
 
 from __future__ import annotations
 
-import struct
 from typing import Optional
 
-from repro.compression.lz77 import MAGIC, WMASK, _Deflater, _run_deflater
-from repro.exec.context import ExecutionContext, NativeContext
+from repro.compression.lz77 import WMASK, _Deflater, deflate_compress
+from repro.exec.context import ExecutionContext
 
 HASH_MUL = 0x1E35A7BD
 BUCKET_BITS = 15
@@ -66,11 +65,4 @@ def brotli_like_compress(
 ) -> bytes:
     """Compress with the Brotli-style match finder (same container as
     :func:`repro.compression.lz77.deflate_compress`)."""
-    if ctx is None:
-        ctx = NativeContext()
-    header = MAGIC + struct.pack("<I", len(data))
-    if not data:
-        return header
-    with ctx.func("brotli_like"):
-        body = _run_deflater(_BrotliLikeDeflater(data, ctx), ctx)
-    return header + body
+    return deflate_compress(data, ctx, _BrotliLikeDeflater, "brotli_like")

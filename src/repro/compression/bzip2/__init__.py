@@ -23,6 +23,7 @@ from repro.compression.bzip2.pipeline import (
     BLOCK_SIZE,
     bzip2_compress,
     bzip2_decompress,
+    single_block_size,
 )
 from repro.compression.bzip2.blocksort import (
     SITE_FTAB,
@@ -37,6 +38,7 @@ __all__ = [
     "BLOCK_SIZE",
     "bzip2_compress",
     "bzip2_decompress",
+    "single_block_size",
     "block_sort",
     "histogram",
     "BudgetExhausted",

@@ -124,6 +124,19 @@ def bzip2_compress_with_paths(
     return bytes(body), paths
 
 
+def single_block_size(data: bytes) -> int:
+    """The block size that makes ``data`` one *full* block.
+
+    Blocks are cut from the RLE1 output, which runs of four or more
+    equal bytes lengthen or shorten, so the block is sized to that
+    output: the block then starts in ``mainSort`` (the ``ftab[j]++``
+    gadget the analyses look for), and the compressed bytes equal
+    :func:`bzip2_compress` at the default block size whenever the RLE1
+    output fits one default block.  Empty input gets size 1 (no blocks).
+    """
+    return max(len(rle1_encode(list(data), NativeContext())), 1)
+
+
 def bzip2_compress(
     data: bytes,
     ctx: Optional[ExecutionContext] = None,

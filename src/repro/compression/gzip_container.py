@@ -13,10 +13,10 @@ RFC 1951 (DESIGN.md); the framing and integrity checking are faithful.
 from __future__ import annotations
 
 import struct
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.compression.crc import crc32
-from repro.compression.lz77 import deflate_compress, deflate_decompress
+from repro.compression.lz77 import _Deflater, deflate_compress, deflate_decompress
 from repro.exec.context import ExecutionContext
 
 GZIP_MAGIC = b"\x1f\x8b"
@@ -55,9 +55,15 @@ def gzip_compress(
     data: bytes,
     ctx: Optional[ExecutionContext] = None,
     mtime: int = 0,
+    deflater: Callable[[bytes, ExecutionContext], _Deflater] = _Deflater,
 ) -> bytes:
-    """Wrap :func:`deflate_compress` output in a gzip container."""
-    return gzip_header(mtime) + deflate_compress(data, ctx) + gzip_trailer(data)
+    """Wrap :func:`deflate_compress` output (with the same ``deflater``)
+    in a gzip container."""
+    return (
+        gzip_header(mtime)
+        + deflate_compress(data, ctx, deflater)
+        + gzip_trailer(data)
+    )
 
 
 def compressed_size(

@@ -22,7 +22,7 @@ to the side channel (DESIGN.md).
 from __future__ import annotations
 
 import struct
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.compression.bitio import MSBBitReader, MSBBitWriter
 from repro.exec.context import ExecutionContext, NativeContext
@@ -236,15 +236,27 @@ def _run_deflater(d: "_Deflater", ctx: ExecutionContext) -> bytes:
     return d.flush_block()
 
 
-def deflate_compress(data: bytes, ctx: Optional[ExecutionContext] = None) -> bytes:
-    """Compress ``data`` with the zlib-style lazy-matching deflate."""
+def deflate_compress(
+    data: bytes,
+    ctx: Optional[ExecutionContext] = None,
+    deflater: Callable[[bytes, ExecutionContext], _Deflater] = _Deflater,
+    func_name: str = "deflate_slow",
+) -> bytes:
+    """Compress ``data`` with the zlib-style lazy-matching deflate.
+
+    ``deflater(data, ctx)`` builds the match finder the one lazy-matching
+    loop drives (the Brotli-like hasher, the Debreach guard, a
+    mitigation's wrapped tables all plug in here), and ``func_name`` is
+    the function the run is traced as; every variant shares this
+    container framing.
+    """
     if ctx is None:
         ctx = NativeContext()
     header = MAGIC + struct.pack("<I", len(data))
     if not data:
         return header
-    with ctx.func("deflate_slow"):
-        body = _run_deflater(_Deflater(data, ctx), ctx)
+    with ctx.func(func_name):
+        body = _run_deflater(deflater(data, ctx), ctx)
     return header + body
 
 

@@ -56,7 +56,10 @@ def target_for(name: str, data: bytes) -> Target:
     if name == "lzw":
         return lambda ctx: lzw_compress(data, ctx)
     if name == "bzip2":
-        return lambda ctx: bzip2_compress(data, ctx, block_size=len(data))
+        from repro.compression.bzip2 import single_block_size
+
+        block_size = single_block_size(data)
+        return lambda ctx: bzip2_compress(data, ctx, block_size=block_size)
     if name == "aes":
         from repro.crypto.aes import aes128_encrypt_block
 

@@ -13,10 +13,10 @@ threat model allows — combines:
    consecutive-iteration redundancy as error correction,
 
 to reconstruct the buffer.  The paper reports > 99 % of bits recovered
-for 10 KB of random data in under 30 s; the benchmark
-``benchmarks/test_bench_sec5e_sgx_attack.py`` reproduces that row, and
-the ablation benches re-run this attack with CAT or frame selection
-disabled.
+for 10 KB of random data in under 30 s; the SEC5E claim of
+:mod:`repro.diag.claims` reproduces that row, and the ABL-CAT,
+ABL-FRAME and MITIG claims re-run this attack with CAT or frame
+selection disabled or the histogram mitigated.
 """
 
 from __future__ import annotations

@@ -19,7 +19,11 @@ Three layers, all deterministic given their seeds:
 * **oracle channel MI** (:mod:`repro.diag.oracle`) — per-character
   mutual information of the BREACH compression-ratio oracle, scored
   through the same plug-in MI core as the cache gadgets and gated in
-  both directions (open unmitigated, closed mitigated).
+  both directions (open unmitigated, closed mitigated);
+* **paper claims** (:mod:`repro.diag.claims`) — every experiment of
+  the paper's evaluation as measured values plus ``claim.*.holds``
+  verdict rows, gated by the same ``diag compare`` against
+  ``benchmarks/claims_baseline.json``.
 
 Campaign workers publish these metrics through the obs sink
 (``obs.publish_metrics``); ``repro obs watch`` renders them live and

@@ -63,6 +63,7 @@ _HIGHER = (
     "output_equal",
     "decodable",
     "guard_ok",
+    "holds",  # a paper claim's verdict (repro.diag.claims): 1 -> 0 fails
 )
 # Mitigated rows are checked first: under an effective mitigation the
 # channel must stay *closed*, so leakage going up is the regression

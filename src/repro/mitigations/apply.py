@@ -24,7 +24,6 @@ on the power-of-two secondary probe.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -60,12 +59,11 @@ class MitigatedKernel:
 
 def _zlib_kernel(plan: MitigationPlan, registry: MitigationRegistry) -> MitigatedKernel:
     from repro.compression.lz77 import (
-        MAGIC,
         SITE_FREQ,
         SITE_HEAD,
         SITE_PREV,
         _Deflater,
-        _run_deflater,
+        deflate_compress,
     )
 
     guard_spans: list = []
@@ -79,34 +77,30 @@ def _zlib_kernel(plan: MitigationPlan, registry: MitigationRegistry) -> Mitigate
         guard_spans=guard_spans,
     )
 
-    def run(data: bytes, ctx: ExecutionContext) -> bytes:
-        header = MAGIC + struct.pack("<I", len(data))
-        if not data:
-            kernel.wrappers = {}
-            return header
-        with ctx.func("deflate_slow"):
-            if guard_spans:
-                # Debreach guarding fixes the match finder, not the
-                # tree counters: the guarded deflater still gets the
-                # plan's table wrappers routed over it below.
-                from repro.mitigations.debreach import GuardedDeflater
+    def deflater(data: bytes, ctx: ExecutionContext) -> _Deflater:
+        if guard_spans:
+            # Debreach guarding fixes the match finder, not the tree
+            # counters: the guarded deflater still gets the plan's
+            # table wrappers routed over it below.
+            from repro.mitigations.debreach import GuardedDeflater
 
-                d = GuardedDeflater(data, ctx, guard_spans)
-            else:
-                d = _Deflater(data, ctx)
-            wrappers = {}
-            for site, attr in (
-                (SITE_HEAD, "head"),
-                (SITE_PREV, "prev"),
-                (SITE_FREQ, "freq"),
-            ):
-                if site in registry:
-                    wrapped = registry.wrap(site, getattr(d, attr))
-                    setattr(d, attr, wrapped)
-                    wrappers[site] = wrapped
-            kernel.wrappers = wrappers
-            body = _run_deflater(d, ctx)
-        return header + body
+            d = GuardedDeflater(data, ctx, guard_spans)
+        else:
+            d = _Deflater(data, ctx)
+        for site, attr in (
+            (SITE_HEAD, "head"),
+            (SITE_PREV, "prev"),
+            (SITE_FREQ, "freq"),
+        ):
+            if site in registry:
+                wrapped = registry.wrap(site, getattr(d, attr))
+                setattr(d, attr, wrapped)
+                kernel.wrappers[site] = wrapped
+        return d
+
+    def run(data: bytes, ctx: ExecutionContext) -> bytes:
+        kernel.wrappers = {}
+        return deflate_compress(data, ctx, deflater)
 
     kernel.run = run
     return kernel
@@ -147,7 +141,7 @@ def _lzw_kernel(
 
 
 def _bzip2_kernel(plan: MitigationPlan, registry: MitigationRegistry) -> MitigatedKernel:
-    from repro.compression.bzip2 import bzip2_compress
+    from repro.compression.bzip2 import bzip2_compress, single_block_size
     from repro.compression.bzip2.blocksort import (
         FTAB_LEN,
         FTAB_MISALIGN,
@@ -175,7 +169,7 @@ def _bzip2_kernel(plan: MitigationPlan, registry: MitigationRegistry) -> Mitigat
         return bzip2_compress(
             data,
             ctx,
-            block_size=len(data),
+            block_size=single_block_size(data),
             histogram_fn=mitigated_histogram,
         )
 

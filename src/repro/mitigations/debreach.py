@@ -24,11 +24,9 @@ mitigation sweeps report as size overhead.
 
 from __future__ import annotations
 
-import struct
 from typing import Optional, Sequence
 
 from repro.compression.lz77 import (
-    MAGIC,
     MAX_CHAIN,
     MAX_DIST,
     MAX_MATCH,
@@ -40,10 +38,10 @@ from repro.compression.lz77 import (
     SITE_PREV,
     SITE_WINDOW,
     _Deflater,
-    _run_deflater,
+    deflate_compress,
 )
-from repro.compression.gzip_container import gzip_header, gzip_trailer
-from repro.exec.context import ExecutionContext, NativeContext
+from repro.compression.gzip_container import gzip_compress
+from repro.exec.context import ExecutionContext
 from repro.taint.value import value_of
 
 Span = tuple[int, int]
@@ -141,14 +139,7 @@ def guarded_deflate_compress(
     (its decompressor inverts this); with no spans the output is
     byte-identical to the stock compressor.
     """
-    if ctx is None:
-        ctx = NativeContext()
-    header = MAGIC + struct.pack("<I", len(data))
-    if not data:
-        return header
-    with ctx.func("deflate_slow"):
-        body = _run_deflater(GuardedDeflater(data, ctx, spans), ctx)
-    return header + body
+    return deflate_compress(data, ctx, _guarded(spans))
 
 
 def guarded_gzip_compress(
@@ -158,4 +149,9 @@ def guarded_gzip_compress(
     mtime: int = 0,
 ) -> bytes:
     """The gzip container around :func:`guarded_deflate_compress`."""
-    return gzip_header(mtime) + guarded_deflate_compress(data, spans, ctx) + gzip_trailer(data)
+    return gzip_compress(data, ctx, mtime, _guarded(spans))
+
+
+def _guarded(spans: Sequence[Span]):
+    """The ``deflater`` argument that builds a :class:`GuardedDeflater`."""
+    return lambda data, ctx: GuardedDeflater(data, ctx, spans)

@@ -7,7 +7,7 @@ smoke test at the bottom goes through a real ``ProcessPoolExecutor``.
 
 import os
 import time
-from concurrent.futures import BrokenExecutor, Future
+from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
 
 import pytest
 
@@ -242,10 +242,11 @@ class _BreakingExecutor(InProcessExecutor):
 
 
 class TestBrokenPoolAccounting:
-    """The pool-rebuild path must charge a broken-pool job exactly one
-    attempt and keep its real wall-clock duration (it used to reset
-    ``submitted_at`` to 0.0 right before recording, zeroing every
-    crash-terminated job's duration)."""
+    """Each runner slot has its own executor.  A broken executor charges
+    its slot's job exactly one attempt, keeps that attempt's real
+    wall-clock duration (it used to reset ``submitted_at`` to 0.0 right
+    before recording, zeroing every crash-terminated job's duration) and
+    rebuilds only that slot's executor."""
 
     def _runner(self, spec, tmp_path, breaks, delay=0.0):
         built = []
@@ -271,7 +272,7 @@ class TestBrokenPoolAccounting:
         runner, store, built = self._runner(spec, tmp_path, breaks=1)
         result = runner.run()
         assert result.counts == {"ok": 1}
-        assert len(built) == 2  # the pool was rebuilt exactly once
+        assert len(built) == 2  # the slot was rebuilt exactly once
         (record,) = store.load_records().values()
         # broken-pool attempt charged once, successful retry second
         assert record.attempts == 2
@@ -290,7 +291,7 @@ class TestBrokenPoolAccounting:
         assert record.attempts == 1
         assert record.duration_seconds >= 0.04  # not the old hard 0.0
 
-    def test_every_in_flight_job_charged_once_on_rebuild(self, tmp_path):
+    def test_only_the_crashed_slots_job_is_charged(self, tmp_path):
         spec = CampaignSpec(
             name="broke-flight",
             experiment="test_echo",
@@ -301,6 +302,7 @@ class TestBrokenPoolAccounting:
         built = []
 
         def factory():
+            # Slot 0's first executor breaks; slot 1's never does.
             executor = _BreakingExecutor(breaks=2 if not built else 0)
             built.append(executor)
             return executor
@@ -311,13 +313,14 @@ class TestBrokenPoolAccounting:
         )
         result = runner.run()
         assert result.counts == {"ok": 2}
-        assert len(built) == 2
-        assert [r.attempts for r in store.load_records().values()] == [2, 2]
+        assert len(built) == 3  # two slots, then slot 0 once more
+        attempts = {r.params["x"]: r.attempts for r in store.load_records().values()}
+        assert attempts == {1: 2, 2: 1}
 
 
 class _BreaksOnSubmit(InProcessExecutor):
     """Runs its first ``runs`` submissions to completion, then raises
-    ``BrokenExecutor`` from ``submit``: a pool whose worker finished
+    ``BrokenExecutor`` from ``submit``: a slot whose worker finished
     one job and then died."""
 
     def __init__(self, runs: int) -> None:
@@ -331,9 +334,9 @@ class _BreaksOnSubmit(InProcessExecutor):
 
 
 class TestPoolRebuildBystander:
-    """A job whose result is already in its future when the pool breaks
-    is finished, not re-run: only the jobs the broken pool lost move to
-    the fresh pool."""
+    """A job that already finished on a slot is not re-run when that
+    slot's executor breaks afterwards, and a job whose submit finds the
+    executor broken keeps its lease on the rebuilt slot, uncharged."""
 
     def test_finished_job_runs_once_and_is_charged_once(self, tmp_path):
         spec = CampaignSpec(
@@ -346,21 +349,72 @@ class TestPoolRebuildBystander:
         built = []
 
         def factory():
-            # Pool 1 finishes job A (x=1), then breaks on job B (x=2).
+            # Executor 1 finishes job A (x=1), then breaks on job B (x=2).
             executor = _BreaksOnSubmit(runs=1 if not built else 99)
             built.append(executor)
             return executor
 
         CALLS.clear()
         store = ResultStore(tmp_path / spec.name)
-        runner = CampaignRunner(spec, store, workers=2, executor_factory=factory)
+        runner = CampaignRunner(spec, store, executor_factory=factory)
         result = runner.run()
         assert result.counts == {"ok": 2}
         assert len(built) == 2
         runs = [dict(params)["x"] for params, _ in CALLS]
-        assert sorted(runs) == [1, 2]  # A ran once, B once on the new pool
+        assert sorted(runs) == [1, 2]  # A ran once, B once on the new slot
         attempts = {r.params["x"]: r.attempts for r in store.load_records().values()}
         assert attempts == {1: 1, 2: 1}
+
+
+def _slow(fn, payload):
+    time.sleep(0.3)
+    return fn(payload)
+
+
+class _ThreadedBreakOnce(ThreadPoolExecutor):
+    """Job x=1's first attempt comes back from a dead worker; every other
+    attempt runs on a thread for 0.3 s, so it is still in flight when
+    the crash is seen."""
+
+    def __init__(self, state: dict) -> None:
+        super().__init__(max_workers=1)
+        self.state = state
+
+    def submit(self, fn, payload) -> Future:
+        if payload["params"]["x"] == 1 and not self.state["broke"]:
+            self.state["broke"] = True
+            future: Future = Future()
+            future.set_exception(BrokenExecutor("worker died"))
+            return future
+        return super().submit(_slow, fn, payload)
+
+
+class TestSlotIsolation:
+    """A crash in one slot must not touch a job running in another: the
+    running job finishes on its own executor, runs once and is charged
+    one attempt (one shared pool used to fail every pending future, so
+    the bystander was charged and re-run)."""
+
+    def test_crash_in_slot_a_leaves_slot_b_running(self, tmp_path):
+        spec = CampaignSpec(
+            name="slot-isolation",
+            experiment="test_echo",
+            grid={"x": [1, 2]},
+            max_retries=1,
+            retry_backoff=0.0,
+        )
+        state = {"broke": False}
+        CALLS.clear()
+        store = ResultStore(tmp_path / spec.name)
+        runner = CampaignRunner(
+            spec, store, workers=2, executor_factory=lambda: _ThreadedBreakOnce(state)
+        )
+        result = runner.run()
+        assert result.counts == {"ok": 2}
+        runs = [dict(params)["x"] for params, _ in CALLS]
+        assert sorted(runs) == [1, 2]  # B ran once; A once after its crash
+        attempts = {r.params["x"]: r.attempts for r in store.load_records().values()}
+        assert attempts == {1: 2, 2: 1}
 
 
 class TestTimeoutEnforcement:
@@ -506,6 +560,26 @@ class TestProcessPool:
         records = store.load_records()
         assert all(r.ok for r in records.values())
         assert max(r.attempts for r in records.values()) >= 2
+
+    def test_worker_count_does_not_change_the_records(self, tmp_path):
+        """Derived seeds make a campaign's metrics the same for 1 and 4
+        workers (the ABL-CAT grid's determinism across runners)."""
+        from repro.campaign.store import metrics_digest
+
+        def spec(name):
+            return CampaignSpec(
+                name=name,
+                experiment="lzw_recovery",  # importable by worker processes
+                grid={"size": [30, 40, 50, 60]},
+                base_seed=66,
+            )
+
+        result1, store1 = run_spec(spec("w1"), tmp_path, workers=1, factory=None)
+        result4, store4 = run_spec(spec("w4"), tmp_path, workers=4, factory=None)
+        assert result1.counts == result4.counts == {"ok": 4}
+        assert metrics_digest(store1.load_records()) == metrics_digest(
+            store4.load_records()
+        )
 
     def test_parallel_workers_cut_wall_time(self, tmp_path):
         """Scheduler-level parallelism: sleep-bound jobs finish faster

@@ -1,9 +1,10 @@
 """Every documented ``python -m repro ...`` command line parses.
 
-Scans the fenced code blocks of ``README.md`` and ``docs/*.md`` plus the
-:mod:`repro.cli` docstring, joins backslash continuations, strips shell
-comments, and runs :func:`repro.cli.build_parser` on the arguments, so a
-renamed or removed option cannot linger in an example.
+Scans the fenced code blocks of ``README.md``, ``docs/*.md`` and
+``EXPERIMENTS.md``, the :mod:`repro.cli` docstring and the CI workflow,
+joins backslash continuations, strips shell comments, and runs
+:func:`repro.cli.build_parser` on the arguments, so a renamed or removed
+option cannot linger in an example.
 """
 
 import contextlib
@@ -54,6 +55,12 @@ def _documented_invocations():
             found.append((path.name, line))
     for line in _logical_lines(repro.cli.__doc__.splitlines()):
         found.append(("repro.cli", line))
+    lines = _fenced_lines((ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8"))
+    for line in _logical_lines(lines):
+        found.append(("EXPERIMENTS.md", line))
+    workflow = ROOT / ".github" / "workflows" / "ci.yml"
+    for line in _logical_lines(workflow.read_text(encoding="utf-8").splitlines()):
+        found.append(("ci.yml", line))
     invocations = []
     for source, line in found:
         match = INVOCATION.search(line)

@@ -425,13 +425,24 @@ class TestOutputProperties:
         assert deflate_decompress(blob) == data
 
     @settings(max_examples=6, deadline=None)
-    @given(data=st.binary(min_size=1, max_size=48))
+    @given(data=st.binary(min_size=0, max_size=48))
+    @example(data=b"")  # no block at all
+    @example(data=b"aaaa")  # RLE1 lengthens the input ...
+    @example(data=b"aaaab")
+    @example(data=b"a" * 10)  # ... or shortens it
     def test_bzip2_output_identical_and_decodable(self, kernels, data):
-        from repro.compression.bzip2 import bzip2_compress, bzip2_decompress
+        from repro.compression.bzip2 import (
+            SITE_FTAB,
+            bzip2_compress,
+            bzip2_decompress,
+        )
 
-        blob = kernels["bzip2"].run_native(data)
+        kernel = kernels["bzip2"]
+        blob = kernel.run_native(data)
         assert blob == bzip2_compress(data, NativeContext())
         assert bzip2_decompress(blob) == data
+        # One full block: mainSort's histogram (the wrapped ftab) ran.
+        assert (SITE_FTAB in kernel.wrappers) == bool(data)
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 1000))

@@ -157,7 +157,7 @@ class TestCompareGate:
         )
         assert not outcome.ok
 
-    def test_bench_missing_from_current_fails(self):
+    def test_missing_bench_in_current_fails(self):
         current = _report(a=_bench("a", 1.0))
         baseline = _report(a=_bench("a", 1.0), b=_bench("b", 1.0))
         outcome = compare_benches(current, baseline, tolerance=0.2)

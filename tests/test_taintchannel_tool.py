@@ -6,7 +6,7 @@ import pytest
 from repro.compression.bzip2 import SITE_FTAB, bzip2_compress
 from repro.compression.lz77 import SITE_HEAD, deflate_compress
 from repro.compression.lzw import SITE_PRIMARY, lzw_compress
-from repro.core.taintchannel import TaintChannel, avx_memcpy
+from repro.core.taintchannel import TaintChannel, avx_memcpy, target_for
 from repro.core.taintchannel.provenance import (
     backward_slice,
     input_roots,
@@ -67,6 +67,13 @@ class TestGadgetDiscovery:
             lambda ctx: bzip2_compress(data, ctx, block_size=len(data)),
         )
         assert result.input_coverage() == 1.0
+
+    @pytest.mark.parametrize("data", [b"aaaa", b"aaaab", b"a" * 10])
+    def test_bzip2_target_runs_main_sort_on_rle1_runs(self, tc, data):
+        # RLE1 lengthens or shortens these inputs; the analysis target
+        # still sorts them as one full block, through the ftab gadget.
+        result = tc.analyze("bzip2", target_for("bzip2", data))
+        assert result.gadget(SITE_FTAB).count >= 1
 
     def test_bzip2_short_block_has_no_ftab_gadget(self, tc):
         # Short blocks go straight to fallbackSort: no histogram runs.
