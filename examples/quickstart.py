@@ -9,6 +9,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.compression import bzip2_compress, deflate_compress, lzw_compress
+from repro.compression.bzip2 import single_block_size
 from repro.core.taintchannel import TaintChannel
 from repro.workloads import english_like
 
@@ -21,7 +22,7 @@ def main() -> None:
         "Gzip/Zlib (LZ77)": lambda ctx: deflate_compress(data, ctx),
         "Ncompress (LZ78/LZW)": lambda ctx: lzw_compress(data, ctx),
         "Bzip2 (BWT)": lambda ctx: bzip2_compress(
-            data, ctx, block_size=len(data)
+            data, ctx, block_size=single_block_size(data)
         ),
     }
 

@@ -226,12 +226,30 @@ class ResultStore:
 
     # -- results --------------------------------------------------------
     def append(self, record: JobRecord) -> None:
-        """Append one finished job, durably (flush per line)."""
+        """Append one finished job, durably (fsync before returning)."""
+        self.extend([record])
+
+    def extend(self, records: list[JobRecord]) -> None:
+        """Append finished jobs in one write and one fsync.
+
+        A line torn by a crash mid-append is closed with a newline
+        first, so it stays one skipped line instead of swallowing the
+        next record."""
+        if not records:
+            return
         observing = obs.enabled()
         start = time.perf_counter() if observing else 0.0
-        with open(self.results_path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record.to_dict(), sort_keys=True))
-            handle.write("\n")
+        data = "".join(
+            json.dumps(record.to_dict(), sort_keys=True) + "\n"
+            for record in records
+        ).encode("utf-8")
+        with open(self.results_path, "a+b") as handle:
+            end = handle.seek(0, os.SEEK_END)
+            if end:
+                handle.seek(end - 1)
+                if handle.read(1) != b"\n":
+                    data = b"\n" + data
+            handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
         if observing:
@@ -295,9 +313,10 @@ class ResultStore:
 
         Deduplicates with :func:`dedupe_records` (a stale worker
         completing an already-rescheduled job is idempotent), appends
-        winners in sorted job-id order for a deterministic merged log,
-        and returns how many records were (re)written.  Shard files are
-        left in place as an audit trail; the main log wins on re-read.
+        winners in sorted job-id order for a deterministic merged log
+        (one :meth:`extend`), and returns how many records were
+        (re)written.  Shard files are left in place as an audit trail;
+        the main log wins on re-read.
         """
         shards = self.shard_stores()
         with obs.span("store.merge", store=str(self.root), shards=len(shards)):
@@ -311,8 +330,9 @@ class ResultStore:
                 for job_id, record in sorted(merged.items())
                 if main.get(job_id) is not record
             ]
-            for record in changed:
-                self.append(record)
+            # One write, one fsync: the records are already durable in
+            # the shards, and a merge cut short is redone on resume.
+            self.extend(changed)
         if changed:
             obs.counter_add("store.shard_merged_records", len(changed))
         return len(changed)

@@ -466,7 +466,7 @@ def cmd_campaign_status(args: argparse.Namespace) -> int:
 
 
 def cmd_cluster_run(args: argparse.Namespace) -> int:
-    """One-shot distributed run: scheduler + N local worker processes."""
+    """One-shot distributed run: scheduler + N forked local workers."""
     from repro.campaign import SpecMismatchError
     from repro.cluster import parse_endpoint, run_cluster
 
@@ -511,8 +511,8 @@ def cmd_cluster_run(args: argparse.Namespace) -> int:
 
 
 def cmd_cluster_worker(args: argparse.Namespace) -> int:
-    """Run one worker process against a scheduler (spawned by
-    ``cluster run``, or started by hand against ``cluster serve``)."""
+    """Run one worker process against a scheduler (started by hand
+    against ``cluster serve``; ``cluster run`` forks its own)."""
     from repro.cluster import ClusterWorker, parse_endpoint
 
     worker = ClusterWorker(

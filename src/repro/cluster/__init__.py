@@ -9,8 +9,9 @@ accounting, and the shard-merge finalize.  **Workers**
 per-worker ``shard-<id>/`` sub-stores.  The two talk a JSON-lines
 protocol over TCP or a Unix socket (:mod:`repro.cluster.protocol`),
 served by the asyncio shell in :mod:`repro.cluster.service` — one-shot
-(``repro cluster run``) or as a long-lived campaign service (``repro
-cluster serve`` + ``submit``/``status``/``cancel``).  The local
+(``repro cluster run``, with forked local workers) or as a long-lived
+campaign service (``repro cluster serve`` +
+``submit``/``status``/``cancel``).  The local
 :class:`~repro.campaign.runner.CampaignRunner` is the scheduler's
 other transport: its executor-pool slots are the workers.
 
@@ -37,7 +38,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "repro.cluster.service": (
             "SchedulerServer", "control_request", "run_cluster", "serve",
-            "spawn_worker",
         ),
         "repro.cluster.worker": ("ClusterWorker", "default_worker_id"),
     },

@@ -2,16 +2,17 @@
 
 One message per line, each a JSON object with a ``type`` field.  The
 worker side is strictly request/response for flow control — a worker
-sends ``lease`` and reads exactly one of ``job`` / ``idle`` / ``drain``
-back — while ``heartbeat``, ``result`` and ``goodbye`` are one-way
-(the scheduler never replies to them, so a single reader loop on each
-side suffices and messages can never interleave).
+sends ``lease`` and reads exactly one of ``job`` / ``drain`` back, held
+by the scheduler until one of the two is due — while ``heartbeat``,
+``result`` and ``goodbye`` are one-way (the scheduler never replies to
+them, so a single reader loop on each side suffices and messages can
+never interleave).
 
 Worker → scheduler (field types are checked by
 :func:`check_worker_message`; ``?`` marks an optional field)::
 
     register   {worker_id, pid?, protocol?}
-    lease      {worker_id}                     -> job | idle | drain
+    lease      {worker_id}                     -> job | drain (held)
     heartbeat  {worker_id}                     (one-way)
     result     {worker_id, campaign_id, lease_id, job_id, status,
                 duration, metrics?, error?, timeout_enforced?,
@@ -23,16 +24,20 @@ Scheduler → worker::
     registered {heartbeat_seconds, lease_seconds}
     job        {campaign_id, lease_id, job_id, payload, final,
                 store_root, trial, trace?}
-    idle       {retry_after}
     drain      {}
+    error      {error}                         (register refused)
 
 The optional ``trace`` field is the campaign's observability trace
 context, ``{trace: <trace_id>, parent: <scheduler campaign span id>}``
 (:func:`repro.obs.tracectx.wire_context`).  A worker adopts it for the
 duration of the leased job — so the job's spans join the scheduler's
 span tree — and echoes it verbatim on the ``result``.  It is absent
-when the scheduler runs without observability, keeping those messages
-byte-identical to protocol version 1 without it.
+when the scheduler runs without observability.
+
+Version 2 dropped the ``idle {retry_after}`` reply: an idle worker's
+``lease`` is parked until a job or the drain is due.  A worker that
+registers with another ``protocol`` version gets an ``error`` reply
+and the connection closes.
 
 Control client → scheduler (the ``repro cluster submit|status|cancel``
 commands use the same stream)::
@@ -50,7 +55,9 @@ local pool transport runs, so transport cannot perturb results.
 from __future__ import annotations
 
 import json
+import os
 import socket
+import stat
 import threading
 from dataclasses import dataclass
 from typing import Optional
@@ -62,11 +69,14 @@ from repro.campaign.store import (
     STATUS_TIMEOUT,
 )
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 # A line larger than this is a protocol violation, not a big job — the
 # largest legitimate message is a result with a metrics dict.
 MAX_LINE_BYTES = 4 * 1024 * 1024
+
+# Pending connections a listening scheduler queues (asyncio's default).
+LISTEN_BACKLOG = 100
 
 # worker -> scheduler
 MSG_REGISTER = "register"
@@ -77,7 +87,6 @@ MSG_GOODBYE = "goodbye"
 # scheduler -> worker
 MSG_REGISTERED = "registered"
 MSG_JOB = "job"
-MSG_IDLE = "idle"
 MSG_DRAIN = "drain"
 # control plane
 MSG_SUBMIT = "submit"
@@ -216,6 +225,26 @@ class Endpoint:
             )
         sock.settimeout(None)
         return sock
+
+    def listen(self) -> tuple[socket.socket, "Endpoint"]:
+        """Bind a listening server socket here; returns it with the
+        bound endpoint (a TCP port ``0`` resolved to the real port).
+        A stale Unix socket file at the path is replaced."""
+        if self.kind == "unix":
+            try:
+                if stat.S_ISSOCK(os.stat(self.path).st_mode):
+                    os.unlink(self.path)
+            except FileNotFoundError:
+                pass
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.bind(self.path)
+            sock.listen(LISTEN_BACKLOG)
+            return sock, self
+        sock = socket.create_server(
+            (self.host or "127.0.0.1", self.port), backlog=LISTEN_BACKLOG
+        )
+        host, port = sock.getsockname()[:2]
+        return sock, Endpoint(kind="tcp", host=host, port=port)
 
 
 def parse_endpoint(text: str) -> Endpoint:

@@ -88,6 +88,10 @@ class LeaseQueue:
     def done_count(self) -> int:
         return len(self._done)
 
+    def held_by(self, worker_id: str) -> int:
+        """How many leases ``worker_id`` holds now."""
+        return sum(1 for lease in self._leases.values() if lease.worker_id == worker_id)
+
     def drained(self) -> bool:
         """Every job accounted for — nothing pending, nothing leased."""
         return not self._pending and not self._leases

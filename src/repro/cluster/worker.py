@@ -19,11 +19,12 @@ Record-writing split (the determinism-critical part), implemented by
 - a worker that dies mid-job writes nothing, and the scheduler's lease
   expiry / disconnect handling charges the attempt.
 
-Observability: workers self-activate from the ``REPRO_OBS``
-environment variable at import (the standard obs mechanism) — the
-one-shot ``repro cluster run --obs`` front end points each worker at
-``<store>/shard-<worker_id>/obs.jsonl`` so a sharded campaign is
-watchable live with ``repro obs watch --obs '<store>/shard-*/obs.jsonl'``.
+Observability: a worker started by hand self-activates from the
+``REPRO_OBS`` environment variable at import (the standard obs
+mechanism); the one-shot ``repro cluster run`` forks its workers and
+points each at its sink directly — with ``--obs-shards`` at
+``<store>/shard-<worker_id>/obs.jsonl``, so a sharded campaign is
+watchable live with ``repro obs watch '<store>/shard-*/obs.jsonl'``.
 Each ``job`` message may carry the campaign's trace context; the worker
 adopts it for exactly that job (:func:`repro.obs.tracectx.adopted`), so
 its ``campaign.job`` spans parent to the scheduler's campaign span and
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 import uuid
 from typing import Callable, Optional
 
@@ -192,8 +192,6 @@ class ClusterWorker:
                 kind = message.get("type")
                 if kind == protocol.MSG_JOB:
                     self._run_job(stream, message)
-                elif kind == protocol.MSG_IDLE:
-                    time.sleep(float(message.get("retry_after", 0.2)))
                 elif kind == protocol.MSG_DRAIN:
                     self._emit("drained; exiting")
                     break

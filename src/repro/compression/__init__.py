@@ -18,15 +18,15 @@ kernel runs natively, under TaintChannel, or inside the simulated enclave,
 and every compressor has a working decompressor for round-trip testing.
 """
 
-from repro.compression.lz77 import deflate_compress, deflate_decompress
-from repro.compression.lzw import lzw_compress, lzw_decompress
-from repro.compression.bzip2 import bzip2_compress, bzip2_decompress
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "deflate_compress",
-    "deflate_decompress",
-    "lzw_compress",
-    "lzw_decompress",
-    "bzip2_compress",
-    "bzip2_decompress",
-]
+# Imported on first access: an LZW job reads the LZW and DEFLATE site
+# names and must not load the bzip2 pipeline (and numpy) with them.
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "repro.compression.lz77": ("deflate_compress", "deflate_decompress"),
+        "repro.compression.lzw": ("lzw_compress", "lzw_decompress"),
+        "repro.compression.bzip2": ("bzip2_compress", "bzip2_decompress"),
+    },
+)

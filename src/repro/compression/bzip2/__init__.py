@@ -19,30 +19,20 @@ The container format is our own framing (DESIGN.md); every stage has an
 exact inverse so round-trip tests cover the full pipeline.
 """
 
-from repro.compression.bzip2.pipeline import (
-    BLOCK_SIZE,
-    bzip2_compress,
-    bzip2_decompress,
-    single_block_size,
-)
-from repro.compression.bzip2.blocksort import (
-    SITE_FTAB,
-    SITE_QUADRANT,
-    SITE_BLOCK,
-    BudgetExhausted,
-    block_sort,
-    histogram,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BLOCK_SIZE",
-    "bzip2_compress",
-    "bzip2_decompress",
-    "single_block_size",
-    "block_sort",
-    "histogram",
-    "BudgetExhausted",
-    "SITE_FTAB",
-    "SITE_QUADRANT",
-    "SITE_BLOCK",
-]
+# Imported on first access: reading a site name such as ``SITE_FTAB``
+# loads ``blocksort`` alone, not the MTF/Huffman pipeline.
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "repro.compression.bzip2.pipeline": (
+            "BLOCK_SIZE", "bzip2_compress", "bzip2_decompress",
+            "single_block_size",
+        ),
+        "repro.compression.bzip2.blocksort": (
+            "block_sort", "histogram", "BudgetExhausted",
+            "SITE_FTAB", "SITE_QUADRANT", "SITE_BLOCK",
+        ),
+    },
+)

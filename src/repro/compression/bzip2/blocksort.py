@@ -21,8 +21,6 @@ from functools import cmp_to_key
 from itertools import accumulate
 from typing import Callable, Optional
 
-import numpy as np
-
 from repro.exec.arrays import TArray
 from repro.exec.context import ExecutionContext
 from repro.taint.value import value_of
@@ -193,6 +191,10 @@ def fallback_sort(ctx: ExecutionContext, block: TArray, nblock: int) -> list[int
     Always terminates, even on fully periodic blocks (where distinct
     rotations compare equal and any tie order yields the same BWT).
     """
+    # numpy only here: a campaign worker that reads SITE_FTAB but never
+    # sorts a block does not pay for importing it.
+    import numpy as np
+
     with ctx.func("fallbackSort"):
         n = nblock
         rank = np.array(block.snapshot(), dtype=np.int64)

@@ -280,7 +280,8 @@ def test_cli_startup_imports_no_command_package():
     src = Path(__file__).resolve().parents[1] / "src"
     probe = (
         "import sys, repro.cli; "
-        "print(' '.join(m for m in sys.modules if m.startswith('repro.')))"
+        "print(' '.join(m for m in sys.modules "
+        "if m.startswith('repro.') or m == 'numpy'))"
     )
     loaded = subprocess.run(
         [sys.executable, "-c", probe],
@@ -299,7 +300,7 @@ def test_worker_job_imports_no_report_or_decoder_it_does_not_use():
     """A cluster worker process loads what its jobs need: running one
     ``lzw_recovery`` job pulls in neither the campaign report and
     dossier renderers, nor the obs sink readers and renderers, nor
-    another target's decoder."""
+    another target's decoder, nor the bzip2 pipeline and numpy."""
     src = Path(__file__).resolve().parents[1] / "src"
     probe = (
         "import sys, repro.cluster.worker\n"
@@ -307,7 +308,8 @@ def test_worker_job_imports_no_report_or_decoder_it_does_not_use():
         "out = run_attempt({'experiment': 'lzw_recovery', "
         "'params': {'size': 60}, 'seed': 3, 'attempt': 1})\n"
         "assert out.status == 'ok' and out.metrics['exact_found'], out\n"
-        "print(' '.join(m for m in sys.modules if m.startswith('repro.')))"
+        "print(' '.join(m for m in sys.modules "
+        "if m.startswith('repro.') or m == 'numpy'))"
     )
     loaded = subprocess.run(
         [sys.executable, "-c", probe],
@@ -322,5 +324,7 @@ def test_worker_job_imports_no_report_or_decoder_it_does_not_use():
         "repro.obs.report",
         "repro.obs.watch",
         "repro.recovery.zlib_recover",
+        "repro.compression.bzip2.pipeline",
+        "numpy",
     }
     assert not unused & set(loaded)

@@ -26,9 +26,11 @@ from repro.campaign import (
     ResultStore,
     discover_sinks,
     metrics_digest,
+    register_experiment,
 )
 from repro.campaign.spec import FaultInjection
 from repro.cluster import run_cluster
+from repro.obs import tracectx
 from repro.obs.report import trace_summary
 
 REPO = Path(__file__).resolve().parent.parent
@@ -74,6 +76,7 @@ class TestKillDrill:
         must stitch into one trace tree and export to Chrome Trace."""
         root = tmp_path / "cluster"
         obs.enable(sink_path=str(root / "obs.jsonl"))
+        lines: list[str] = []
         result = run_cluster(
             drill_spec(),
             root,
@@ -83,11 +86,14 @@ class TestKillDrill:
             obs_shards=True,
             obs_sink=str(root / "obs.jsonl"),
             drill_kill_worker=2,
+            on_event=lines.append,
             deadline_seconds=120.0,
         )
         obs.flush()
         obs.reset()
         assert result["state"] == "done"
+        # The SIGKILL lands while w0 holds a lease, which goes back.
+        assert "worker w0 disconnected (1 leases released)" in lines, lines
         assert result["counts"]["ok"] == 6
         assert result["counts"].get("crashed", 0) == 0
         assert result["counts"].get("failed", 0) == 0
@@ -327,3 +333,103 @@ class TestTraceDrill:
         assert "X" in phases
         names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
         assert {"cluster.campaign", "campaign.job", "store.merge"} <= names
+
+
+@register_experiment("fleet_env_probe")
+def _env_probe(params: dict, seed: int) -> dict:
+    """What a worker process sees of the obs environment variables."""
+    return {
+        "env_trace": int(obs.ENV_TRACE in os.environ),
+        "env_sink": int(obs.ENV_SINK in os.environ),
+    }
+
+
+def bench_spec() -> CampaignSpec:
+    """The 144-job campaign of the campaign benchmarks: noisy LZW
+    recovery over three sizes, four injected one-off failures."""
+    return CampaignSpec.from_dict({
+        "name": "bench",
+        "experiment": "lzw_recovery",
+        "grid": {"noise": [0.0, 0.01], "size": [150, 300, 600]},
+        "fixed": {"input_kind": "random"},
+        "trials": 24,
+        "base_seed": 11,
+        "timeout_seconds": 120,
+        "max_retries": 2,
+        "retry_backoff": 0.05,
+        "inject_failures": {"count": 4, "attempts": 1, "mode": "exception"},
+    })
+
+
+class TestForkedFleet:
+    """``run_cluster`` forks its workers from the scheduler process;
+    each must start as a fresh worker process would."""
+
+    def test_counters_sum_once_per_process_and_jobs_parent_to_campaign(
+        self, tmp_path
+    ):
+        sink = tmp_path / "obs.jsonl"
+        obs.enable(sink_path=str(sink))
+        result = run_cluster(
+            bench_spec(), tmp_path / "bench", workers=2,
+            obs_sink=str(sink), deadline_seconds=300.0,
+        )
+        obs.flush()
+        obs.reset()
+        assert result["counts"]["ok"] == 144
+        assert result["retries"] == 4
+
+        events = obs.load_events([str(sink)])
+        counters = obs.merge_events(events)["counters"]
+        # Summed over the scheduler's and both workers' pids: a counter
+        # the scheduler held when it forked is counted once.
+        assert counters["campaign.attempts"] == 148
+        assert counters["campaign.retries"] == 4
+        assert counters["cluster.campaigns_submitted"] == 1
+        assert counters["cluster.worker_jobs"] == 148
+
+        summary = trace_summary(events)
+        assert summary["root"]["name"] == "cluster.campaign"
+        assert summary["n_orphans"] == 0
+        job_spans = [
+            e for e in events
+            if e.get("kind") == "span" and e.get("name") == "campaign.job"
+        ]
+        assert len(job_spans) >= 144
+        assert {s["parent"] for s in job_spans} == {summary["root"]["id"]}
+        assert len({s["id"].split("-")[0] for s in job_spans}) == 2
+
+    def test_inherited_trace_context_does_not_reach_a_worker(
+        self, tmp_path, monkeypatch
+    ):
+        # The scheduler runs inside an inherited trace, as
+        # REPRO_OBS_TRACE installs it at import.
+        monkeypatch.setenv(obs.ENV_TRACE, "feedfacecafebeef:1-1")
+        tracectx.set_trace("feedfacecafebeef", "1-1")
+        sink = tmp_path / "obs.jsonl"
+        obs.enable(sink_path=str(sink))
+        spec = CampaignSpec(
+            name="env-probe", experiment="fleet_env_probe", grid={"x": [1, 2, 3, 4]},
+        )
+        result = run_cluster(
+            spec, tmp_path / "probe", workers=2, obs_sink=str(sink),
+            deadline_seconds=120.0,
+        )
+        obs.flush()
+        obs.reset()
+        assert result["counts"]["ok"] == 4
+
+        records = ResultStore(tmp_path / "probe").load_records().values()
+        assert [r.metrics for r in records] == [{"env_trace": 0, "env_sink": 0}] * 4
+        events = obs.load_events([str(sink)])
+        campaign = next(e for e in events if e.get("name") == "cluster.campaign")
+        # The campaign joins the inherited trace; its jobs parent to it,
+        # never to the inherited remote parent.
+        assert campaign["trace"] == "feedfacecafebeef"
+        assert campaign["parent"] == "1-1"
+        job_spans = [
+            e for e in events
+            if e.get("kind") == "span" and e.get("name") == "campaign.job"
+        ]
+        assert len(job_spans) == 4
+        assert {s["parent"] for s in job_spans} == {campaign["id"]}

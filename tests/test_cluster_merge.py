@@ -8,6 +8,9 @@ records were scattered across shards, and :func:`metrics_digest`
 covers exactly the reproducible fields (never wall-clock ones).
 """
 
+import os
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -94,6 +97,84 @@ class TestDedupeProperties:
         store.merge_shards()
         assert as_dicts(store.load_records()) == as_dicts(expected)
         # A second merge finds nothing new to write.
+        assert store.merge_shards() == 0
+
+
+def _sharded_store(root, n_jobs=12, shards=3):
+    """A store whose records sit in worker shards only, some jobs in two
+    shards (a failed attempt, then the ok retry elsewhere)."""
+    store = ResultStore(root)
+    for index in range(n_jobs):
+        record = JobRecord(
+            job_id=f"j{index:02d}", experiment="exp", params={"x": index},
+            trial=0, seed=index, status="ok", attempts=1 + index % 2,
+            duration_seconds=0.25 * index, metrics={"v": index * 3},
+            error=None, finished_at=10.0 + index,
+        )
+        shard = store.shard_store(f"w{index % shards}")
+        shard.root.mkdir(parents=True, exist_ok=True)
+        if index % 4 == 0:
+            stale = store.shard_store(f"w{(index + 1) % shards}")
+            stale.root.mkdir(parents=True, exist_ok=True)
+            stale.append(JobRecord(**{
+                **record.__dict__, "status": "crashed", "metrics": None,
+                "error": "worker died",
+            }))
+        shard.append(record)
+    return store
+
+
+def _merge_record_by_record(store):
+    """The merge as it was before one append: one append (and one
+    fsync) per record, in sorted job-id order."""
+    main = store.load_records()
+    combined = list(main.values())
+    for shard in store.shard_stores():
+        combined.extend(shard.load_records().values())
+    for job_id, record in sorted(dedupe_records(combined).items()):
+        if main.get(job_id) is not record:
+            store.append(record)
+
+
+class TestOneAppendMerge:
+    def test_one_fsync_and_the_bytes_of_the_record_by_record_merge(
+        self, tmp_path, monkeypatch
+    ):
+        reference = _sharded_store(tmp_path / "reference")
+        _merge_record_by_record(reference)
+        store = _sharded_store(tmp_path / "merged")
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd)
+        )
+        assert store.merge_shards() == 12
+        assert len(fsyncs) == 1
+        assert store.results_path.read_bytes() == (
+            reference.results_path.read_bytes()
+        )
+
+    @pytest.mark.parametrize("cut", ["mid-line", "line-end"])
+    def test_merge_cut_short_then_resumed_ends_in_the_same_log(
+        self, tmp_path, cut
+    ):
+        clean = _sharded_store(tmp_path / "clean")
+        clean.merge_shards()
+        merged = clean.results_path.read_bytes()
+        lines = merged.splitlines(keepends=True)
+        keep = sum(map(len, lines[:5]))
+        if cut == "mid-line":
+            keep += len(lines[5]) // 2
+
+        # A crash mid-merge left a prefix of the one append on disk
+        # (torn mid-record or not); resume merges again.
+        store = _sharded_store(tmp_path / "cut")
+        store.results_path.write_bytes(merged[:keep])
+        store.merge_shards()
+        assert as_dicts(store.load_records()) == as_dicts(clean.load_records())
+        assert metrics_digest(store.load_records()) == metrics_digest(
+            clean.load_records()
+        )
         assert store.merge_shards() == 0
 
 

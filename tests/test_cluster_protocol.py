@@ -234,3 +234,105 @@ class TestServerSurvivesJunkLines:
             reply = asyncio.run(scenario(os.path.join(tmp, "s.sock")))
         assert reply["type"] == protocol.MSG_STATUS
         assert loop_errors == []
+
+
+class TestHeldLease:
+    """Service mode answers a lease only with a job or the drain: an
+    idle worker's request is held, and a later submit wakes it."""
+
+    def test_held_lease_gets_the_job_of_a_later_submit(self, tmp_path):
+        scheduler = ClusterScheduler()
+        spec = CampaignSpec(
+            name="held", experiment="protocol_echo", grid={"x": [4]},
+        )
+        lines: list[dict] = []
+
+        async def scenario(path: str) -> None:
+            server = SchedulerServer(
+                scheduler, Endpoint(kind="unix", path=path), serve_forever=True
+            )
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_unix_connection(path)
+
+                async def send(message: dict) -> None:
+                    writer.write(protocol.encode_message(message))
+                    await writer.drain()
+
+                async def recv() -> dict:
+                    line = await asyncio.wait_for(reader.readline(), timeout=10)
+                    lines.append(protocol.decode_message(line))
+                    return lines[-1]
+
+                await send({"type": protocol.MSG_REGISTER, "worker_id": "w",
+                            "protocol": protocol.PROTOCOL_VERSION})
+                assert (await recv())["type"] == protocol.MSG_REGISTERED
+                await send({"type": protocol.MSG_LEASE, "worker_id": "w"})
+                # Longer than any idle retry: the request stays held.
+                await asyncio.sleep(0.5)
+                assert not reader.at_eof() and len(lines) == 1
+
+                control_reader, control = await asyncio.open_unix_connection(path)
+                control.write(protocol.encode_message({
+                    "type": protocol.MSG_SUBMIT, "spec": spec.to_dict(),
+                    "store": str(tmp_path / "held"),
+                }))
+                await control.drain()
+                reply = protocol.decode_message(await control_reader.readline())
+                assert reply["type"] == protocol.MSG_OK
+                job = await recv()
+                assert job["type"] == protocol.MSG_JOB
+                assert job["payload"]["params"] == {"x": 4}
+                await send(_result(job))
+
+                # The campaign is done; the next request is held again
+                # until shutdown, which drains it.
+                await send({"type": protocol.MSG_LEASE, "worker_id": "w"})
+                await asyncio.sleep(0.3)
+                assert len(lines) == 2
+                control.write(protocol.encode_message(
+                    {"type": protocol.MSG_SHUTDOWN}
+                ))
+                await control.drain()
+                assert (await recv())["type"] == protocol.MSG_DRAIN
+                await asyncio.wait_for(server.serve_until_shutdown(), 10)
+                for stream in (writer, control):
+                    stream.close()
+            finally:
+                await server.stop()
+
+        with tempfile.TemporaryDirectory() as tmp:
+            asyncio.run(scenario(os.path.join(tmp, "s.sock")))
+        assert [line["type"] for line in lines] == [
+            protocol.MSG_REGISTERED, protocol.MSG_JOB, protocol.MSG_DRAIN,
+        ]
+        assert scheduler.campaigns["c1-held"].counts == {"ok": 1}
+
+    def test_worker_of_another_protocol_version_is_refused(self):
+        scheduler = ClusterScheduler()
+
+        async def scenario(path: str) -> tuple[dict, bytes]:
+            server = SchedulerServer(scheduler, Endpoint(kind="unix", path=path))
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_unix_connection(path)
+                writer.write(protocol.encode_message({
+                    "type": protocol.MSG_REGISTER, "worker_id": "old",
+                    "protocol": protocol.PROTOCOL_VERSION - 1,
+                }))
+                await writer.drain()
+                reply = protocol.decode_message(
+                    await asyncio.wait_for(reader.readline(), timeout=10)
+                )
+                tail = await asyncio.wait_for(reader.read(), timeout=10)
+                writer.close()
+                return reply, tail
+            finally:
+                await server.stop()
+
+        with tempfile.TemporaryDirectory() as tmp:
+            reply, tail = asyncio.run(scenario(os.path.join(tmp, "s.sock")))
+        assert reply["type"] == protocol.MSG_ERROR
+        assert "protocol 1" in reply["error"]
+        assert tail == b""
+        assert "old" not in scheduler.workers

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.compression.bzip2 import SITE_FTAB, bzip2_compress
+from repro.compression.bzip2 import SITE_FTAB, bzip2_compress, single_block_size
 from repro.compression.lz77 import SITE_HEAD, deflate_compress
 from repro.compression.lzw import SITE_PRIMARY, lzw_compress
 from repro.core.comparators import (
@@ -83,7 +83,7 @@ class TestSymbolicCost:
         of input bytes, the paper's infeasibility figure."""
         data = b"pairs of bytes index a 65537-entry table" * 3
         ctx = self._trace(
-            lambda c: bzip2_compress(data, c, block_size=len(data))
+            lambda c: bzip2_compress(data, c, block_size=single_block_size(data))
         )
         estimate = estimate_symbolic_cost(ctx)
         # One ftab update per byte, each with a 16-bit symbolic index.
@@ -110,7 +110,7 @@ class TestSymbolicCost:
     def test_describe_magnitude(self):
         data = b"abcdefgh" * 8
         ctx = self._trace(
-            lambda c: bzip2_compress(data, c, block_size=len(data))
+            lambda c: bzip2_compress(data, c, block_size=single_block_size(data))
         )
         text = estimate_symbolic_cost(ctx).describe()
         assert "2^" in text and "per input byte" in text

@@ -3,7 +3,7 @@ targets, provenance slices, report rendering, control-flow diffing."""
 
 import pytest
 
-from repro.compression.bzip2 import SITE_FTAB, bzip2_compress
+from repro.compression.bzip2 import SITE_FTAB, bzip2_compress, single_block_size
 from repro.compression.lz77 import SITE_HEAD, deflate_compress
 from repro.compression.lzw import SITE_PRIMARY, lzw_compress
 from repro.core.taintchannel import TaintChannel, avx_memcpy, target_for
@@ -54,7 +54,7 @@ class TestGadgetDiscovery:
         data = b"bzip2 histogram leaks byte pairs via ftab accesses!"
         result = tc.analyze(
             "bzip2",
-            lambda ctx: bzip2_compress(data, ctx, block_size=len(data)),
+            lambda ctx: bzip2_compress(data, ctx, block_size=single_block_size(data)),
         )
         gadget = result.gadget(SITE_FTAB)
         assert gadget.count >= len(data)
@@ -64,9 +64,21 @@ class TestGadgetDiscovery:
         data = b"every byte appears in two consecutive ftab indices"
         result = tc.analyze(
             "bzip2",
-            lambda ctx: bzip2_compress(data, ctx, block_size=len(data)),
+            lambda ctx: bzip2_compress(data, ctx, block_size=single_block_size(data)),
         )
         assert result.input_coverage() == 1.0
+
+    def test_bzip2_ftab_gadget_found_on_input_with_a_run(self, tc):
+        # RLE1 shortens the run of eight z's, so a block of len(data)
+        # would never fill and would skip mainSort; the single-block
+        # size follows the RLE1 output.
+        data = b"a run of zzzzzzzz still reaches the ftab histogram"
+        result = tc.analyze(
+            "bzip2",
+            lambda ctx: bzip2_compress(data, ctx, block_size=single_block_size(data)),
+        )
+        assert SITE_FTAB == "mainSort/ftab[j]++"
+        assert result.gadget(SITE_FTAB).count >= 1
 
     @pytest.mark.parametrize("data", [b"aaaa", b"aaaab", b"a" * 10])
     def test_bzip2_target_runs_main_sort_on_rle1_runs(self, tc, data):
