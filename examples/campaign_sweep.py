@@ -4,7 +4,8 @@ Sweeps channel noise × input size over the Section IV-C Ncompress
 recovery (24 jobs: 4 noise levels × 3 sizes × 2 trials).  The same
 campaign is what
 ``python -m repro campaign run examples/specs/lzw_noise_sweep.json``
-runs; here we drive the Python API directly and print the report.
+runs: :func:`repro.cluster.run_cluster` forks a local fleet of worker
+processes, here driven from the Python API, then we print the report.
 
 Interrupt it and run again — completed jobs are skipped on resume.
 To watch the retry machinery survive deliberately injected failures,
@@ -14,7 +15,13 @@ run ``specs/lzw_fault_drill.json`` instead (pass ``--drill``).
 import pathlib
 import sys
 
-from repro.campaign import CampaignRunner, CampaignSpec, ResultStore, render_report
+from repro.campaign import (
+    CampaignResult,
+    CampaignSpec,
+    ResultStore,
+    render_report,
+)
+from repro.cluster import run_cluster
 
 SPECS = pathlib.Path(__file__).parent / "specs"
 
@@ -27,10 +34,11 @@ def main() -> int:
     )
     spec = CampaignSpec.from_json_file(SPECS / name)
     store = ResultStore(f"runs/{spec.name}")
-    runner = CampaignRunner(spec, store, workers=4, on_event=print)
-    result = runner.run(resume=store.exists())
+    outcome = run_cluster(
+        spec, store.root, workers=4, resume=store.exists(), on_event=print
+    )
     print()
-    print(result.summary())
+    print(CampaignResult.from_outcome(outcome).summary())
     print()
     print(render_report(store))
     return 0

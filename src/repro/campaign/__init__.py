@@ -9,11 +9,12 @@ ingredients, which this package provides once:
 1. :mod:`repro.campaign.spec` — a campaign is a parameter grid over a
    registered experiment, expanded into jobs with deterministic per-job
    seeds (same spec ⇒ same seeds, forever).
-2. :mod:`repro.campaign.runner` — a parallel runner on
-   ``concurrent.futures``, the local transport of the campaign
-   scheduler (:mod:`repro.cluster.scheduler`): per-job timeouts,
-   bounded retries with backoff, and worker-crash recovery that records
-   the failure and keeps the campaign going.
+2. :mod:`repro.campaign.runner` and :mod:`repro.campaign.executor` —
+   the inline driver of the campaign scheduler
+   (:mod:`repro.cluster.scheduler`) and the job-attempt core every
+   worker runs: per-job timeouts, bounded retries with backoff, and
+   crash records that keep the campaign going.  Multi-process runs go
+   through the forked worker fleet of :func:`repro.cluster.run_cluster`.
 3. :mod:`repro.campaign.store` — one JSONL record per job plus a
    campaign manifest; append-only, so an interrupted campaign resumes by
    skipping jobs whose records already exist.
@@ -38,9 +39,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         "repro.campaign.spec": ("CampaignSpec", "JobSpec", "derive_seed"),
         "repro.campaign.runner": ("CampaignRunner", "CampaignResult"),
-        "repro.campaign.executor": (
-            "InProcessExecutor", "JobTimeout", "WorkerCrash",
-        ),
+        "repro.campaign.executor": ("JobTimeout", "WorkerCrash"),
         "repro.campaign.store": (
             "ResultStore", "JobRecord", "SpecMismatchError",
             "dedupe_records", "metrics_digest",

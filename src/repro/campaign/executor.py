@@ -1,25 +1,23 @@
 """One job attempt, executed wherever the work landed.
 
-This is the execution core shared by both transports of the campaign
-scheduler (:class:`~repro.cluster.scheduler.ClusterScheduler`): the
-single-host :class:`~repro.campaign.runner.CampaignRunner` ships
-:func:`run_attempt` into ``ProcessPoolExecutor`` slots, and the
-:mod:`repro.cluster` socket worker calls it inside its own process.
-Keeping it in one module is what makes the determinism contract cheap
-to state: a job's metrics are a pure function of
-``(experiment, params, seed)``, so the same payload yields
-bit-identical metrics no matter which transport ran it.
+This is the execution core of every campaign worker: a forked or
+hand-started :mod:`repro.cluster` socket worker calls
+:func:`run_attempt` inside its own process, and the inline
+:class:`~repro.campaign.runner.CampaignRunner` calls it on the
+caller's thread.  Keeping it in one module is what makes the
+determinism contract cheap to state: a job's metrics are a pure
+function of ``(experiment, params, seed)``, so the same payload yields
+bit-identical metrics whichever worker ran it.
 
-The payload is a plain JSON-able dict (picklable *and* wire-encodable):
+The payload is a plain JSON-able dict (the ``payload`` of a scheduler
+``job`` message):
 
 ``job_id, experiment, params, seed, attempt, timeout_seconds`` plus the
-optional fault-injection fields ``inject_mode``/``allow_hard_crash``
-and an optional ``trace`` field — an obs trace context
-(:func:`repro.obs.tracectx.wire_context`) adopted for the duration of
-the attempt, so the job's spans parent to the campaign span of
-whichever process scheduled it.  ``trace`` never reaches the
-experiment function: metrics stay a pure function of
-``(experiment, params, seed)``.
+optional fault-injection field ``inject_mode``.  A worker runs the
+attempt under the job message's trace context
+(:func:`repro.obs.tracectx.adopted`), so the job's spans parent to the
+scheduler's campaign span; nothing of it reaches the experiment
+function.
 """
 
 from __future__ import annotations
@@ -45,8 +43,9 @@ class JobTimeout(Exception):
 
 
 class WorkerCrash(Exception):
-    """Stand-in for a hard worker death when crash isolation is off
-    (the in-process executor cannot survive a real ``os._exit``)."""
+    """An injected worker crash (the spec's ``"crash"`` drill mode),
+    recorded as ``crashed``.  A real worker death is a disconnect or an
+    expired lease, which the scheduler charges."""
 
 
 class InjectedFailure(Exception):
@@ -61,16 +60,10 @@ def alarm_supported() -> bool:
 
 
 def execute_payload(payload: dict) -> dict:
-    """Run one job attempt.  Executes inside a worker process (or inline
-    under the in-process executor); everything it touches must be
-    picklable and importable.
-    """
+    """Run one job attempt and return its metrics, duration and
+    whether its budget was enforced; a failure raises."""
     inject_mode = payload.get("inject_mode")
     if inject_mode == "crash":
-        if payload.get("allow_hard_crash"):
-            import os
-
-            os._exit(23)  # simulate a segfaulting worker
         raise WorkerCrash("injected worker crash")
     if inject_mode == "exception":
         raise InjectedFailure(
@@ -90,14 +83,12 @@ def execute_payload(payload: dict) -> dict:
     def _on_alarm(signum, frame):
         raise JobTimeout(f"job exceeded {timeout}s budget")
 
-    from repro.obs import tracectx
-
     start = time.perf_counter()
     if use_alarm:
         previous = signal.signal(signal.SIGALRM, _on_alarm)
         signal.setitimer(signal.ITIMER_REAL, timeout)
     try:
-        with tracectx.adopted(payload.get("trace")), obs.span(
+        with obs.span(
             "campaign.job",
             job_id=payload.get("job_id"),
             experiment=payload["experiment"],
@@ -119,10 +110,10 @@ def execute_payload(payload: dict) -> dict:
         if use_alarm:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
-        # Pool workers outlive jobs and are torn down without atexit
-        # hooks running reliably; snapshots are cumulative per pid, so
-        # flushing after every job keeps the sink's last-per-pid merge
-        # correct without double counting.
+        # A worker outlives its jobs and may die without running exit
+        # hooks (the SIGKILL drill); snapshots are cumulative per pid,
+        # so flushing after every job keeps the sink's last-per-pid
+        # merge correct without double counting.
         obs.flush()
     if not isinstance(metrics, dict):
         raise TypeError(
@@ -228,28 +219,3 @@ def job_record(job: dict, outcome: AttemptOutcome) -> JobRecord:
         error=outcome.error,
         timeout_enforced=outcome.timeout_enforced,
     )
-
-
-class InProcessExecutor:
-    """A drop-in executor that runs submissions synchronously.
-
-    Keeps tests (and debugging sessions) single-process while exercising
-    the full retry/timeout/crash logic of the scheduler behind the
-    runner.
-    """
-
-    supports_crash_isolation = False
-
-    def submit(self, fn, *args, **kwargs):
-        """Execute immediately; return an already-resolved future."""
-        from concurrent.futures import Future
-
-        future: Future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except BaseException as exc:  # noqa: BLE001 — mirrored into the future
-            future.set_exception(exc)
-        return future
-
-    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
-        """Nothing to tear down."""

@@ -82,9 +82,12 @@ class FaultInjection:
     """Deliberate first-attempt failures, for drills and tests.
 
     The scheduler consults this as it leases each attempt; an injected
-    job fails its first ``attempts`` attempts (with an exception, or by
-    killing the worker process when ``mode`` is ``"crash"``) and then behaves
-    normally — proving in production that retry and crash recovery work.
+    job fails its first ``attempts`` attempts and then behaves normally
+    — proving in production that retries work.  ``mode`` ``"exception"``
+    fails the attempt (``failed``); ``"crash"`` reports a worker crash
+    (:class:`~repro.campaign.executor.WorkerCrash`, ``crashed``) on
+    every transport.  A real worker death is the SIGKILL drill of
+    ``cluster run --drill-kill-worker``.
     """
 
     count: int = 0  # inject into the first N jobs (by expansion order)

@@ -450,8 +450,8 @@ def metrics_digest(records) -> str:
     and deliberately excludes the wall-clock fields (``attempts``,
     ``duration_seconds``, ``finished_at``, ``timeout_enforced``,
     ``error``): metrics are a pure function of (experiment, params,
-    seed), so the same spec must digest identically whether it ran on
-    the local pool, one worker, or N workers with a mid-run crash.
+    seed), so the same spec must digest identically whether it ran
+    inline, on one worker, or on N workers with a mid-run crash.
     """
     if isinstance(records, dict):
         records = records.values()

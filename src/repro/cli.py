@@ -134,46 +134,42 @@ def _exit_code(counts: dict) -> int:
     return 1 if counts.get("ok", 0) == 0 else 3
 
 
-def _campaign_runner(args: argparse.Namespace, spec, out: str):
-    """The local runner behind ``campaign run|resume``."""
-    from repro.campaign import CampaignRunner, ResultStore
+def _run_fleet(
+    args: argparse.Namespace, spec, out: str, resume: bool,
+    prefix: str = "", **options,
+) -> int:
+    """Run ``spec`` on a forked local worker fleet
+    (:func:`repro.cluster.run_cluster`) for ``campaign run|resume`` and
+    ``cluster run``, then print the ``campaign: … in Ns`` summary (after
+    ``prefix``).  Ctrl-C returns 130 with the command that continues
+    the campaign."""
+    from repro import obs
+    from repro.campaign import CampaignResult, SpecMismatchError
+    from repro.cluster import run_cluster
+    from repro.obs.core import STATE
 
     if args.obs:
-        from repro import obs
-
-        # Export the sink path so spawned campaign worker processes
-        # activate from the environment and append to the same file.
-        os.environ[obs.ENV_SINK] = args.obs
         obs.enable(sink_path=args.obs)
-    return CampaignRunner(
-        spec, ResultStore(out), workers=args.workers, on_event=_progress(args)
-    )
-
-
-def _run_campaign(runner, resume: bool) -> int:
-    """Run to the end and print the summary; Ctrl-C exits 130 at once
-    with the command that continues the campaign."""
-    from repro.campaign import SpecMismatchError
-
+    # The scheduler runs in this process; workers append to its sink
+    # (``--obs``, or a ``REPRO_OBS`` one), so one sink holds the whole
+    # trace tree.
     try:
-        result = runner.run(resume=resume)
-    except SpecMismatchError as exc:
+        outcome = run_cluster(
+            spec, out, workers=args.workers, resume=resume,
+            obs_sink=STATE.sink_path if obs.enabled() else None,
+            on_event=_progress(args), **options,
+        )
+    except (SpecMismatchError, TimeoutError) as exc:
         raise UsageError(exc) from None
     except KeyboardInterrupt:
         print(
             f"interrupted — finished jobs are checkpointed; continue "
-            f"with `python -m repro campaign resume {runner.store.root}`",
+            f"with `python -m repro campaign resume {out}`",
             file=sys.stderr,
         )
-        # The terminal delivers SIGINT to the whole process group; a
-        # second delivery during interpreter shutdown (while atexit
-        # joins the dead pool's threads) prints an ignorable traceback.
-        # The runner already flushed obs and the store fsyncs per
-        # record, so exit hard with the conventional SIGINT code.
-        sys.stderr.flush()
-        sys.stdout.flush()
-        os._exit(130)
-    print(result.summary())
+        return 130
+    result = CampaignResult.from_outcome(outcome)
+    print(prefix + result.summary())
     return _exit_code(result.counts)
 
 
@@ -419,20 +415,20 @@ def cmd_trace_export(args: argparse.Namespace) -> int:
 def cmd_campaign_run(args: argparse.Namespace) -> int:
     """Expand a spec file into jobs and run them in parallel."""
     spec = _load_spec(args.spec)
-    runner = _campaign_runner(args, spec, args.out or f"runs/{spec.name}")
+    out = args.out or f"runs/{spec.name}"
     print(
         f"campaign {spec.name!r}: {spec.n_jobs()} jobs of "
-        f"{spec.experiment!r} -> {runner.store.root} "
+        f"{spec.experiment!r} -> {out} "
         f"({args.workers} worker{'s' if args.workers != 1 else ''})"
     )
-    return _run_campaign(runner, resume=args.resume)
+    return _run_fleet(args, spec, out, resume=args.resume)
 
 
 def cmd_campaign_resume(args: argparse.Namespace) -> int:
     """Continue an interrupted campaign from its result directory: the
     spec is rehydrated from the manifest and recorded jobs are skipped."""
     spec = _campaign_store(args.dir).load_spec()
-    return _run_campaign(_campaign_runner(args, spec, args.dir), resume=True)
+    return _run_fleet(args, spec, args.dir, resume=True)
 
 
 def cmd_campaign_report(args: argparse.Namespace) -> int:
@@ -467,47 +463,24 @@ def cmd_campaign_status(args: argparse.Namespace) -> int:
 
 def cmd_cluster_run(args: argparse.Namespace) -> int:
     """One-shot distributed run: scheduler + N forked local workers."""
-    from repro.campaign import SpecMismatchError
-    from repro.cluster import parse_endpoint, run_cluster
+    from repro.cluster import parse_endpoint
 
     spec = _load_spec(args.spec)
     out = args.out or f"runs/{spec.name}"
-    endpoint = parse_endpoint(args.listen) if args.listen else None
-    if args.obs:
-        from repro import obs
-
-        # The scheduler runs in this process; workers append to the
-        # same file, so one sink holds the whole trace tree.
-        obs.enable(sink_path=args.obs)
     print(
         f"cluster campaign {spec.name!r}: {spec.n_jobs()} jobs of "
         f"{spec.experiment!r} -> {out} ({args.workers} worker "
         f"process{'es' if args.workers != 1 else ''})"
     )
-    try:
-        outcome = run_cluster(
-            spec,
-            out,
-            workers=args.workers,
-            endpoint=endpoint,
-            resume=args.resume,
-            lease_seconds=args.lease_seconds,
-            heartbeat_seconds=args.heartbeat_seconds,
-            obs_shards=args.obs_shards,
-            obs_sink=args.obs,
-            drill_kill_worker=args.drill_kill_worker,
-            on_event=_progress(args),
-            deadline_seconds=args.deadline,
-        )
-    except (SpecMismatchError, TimeoutError) as exc:
-        raise UsageError(exc) from None
-    counts = outcome["counts"]
-    summary = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
-    print(
-        f"cluster campaign: {summary or 'nothing to do'} "
-        f"in {outcome['elapsed_seconds']:.2f}s"
+    return _run_fleet(
+        args, spec, out, resume=args.resume, prefix="cluster ",
+        endpoint=parse_endpoint(args.listen) if args.listen else None,
+        lease_seconds=args.lease_seconds,
+        heartbeat_seconds=args.heartbeat_seconds,
+        obs_shards=args.obs_shards,
+        drill_kill_worker=args.drill_kill_worker,
+        deadline_seconds=args.deadline,
     )
-    return _exit_code(counts)
 
 
 def cmd_cluster_worker(args: argparse.Namespace) -> int:
@@ -1406,7 +1379,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="suppress per-job progress lines")
     c.add_argument("--obs", metavar="SINK",
                    help="record observability events (spans, counters, "
-                        "logs) to this JSONL file; workers inherit it")
+                        "logs) to this JSONL file; workers record to it too")
 
     c = command(csub, "resume", cmd_campaign_resume,
                 "continue an interrupted campaign directory")
@@ -1453,7 +1426,7 @@ def build_parser() -> argparse.ArgumentParser:
     _shared(k, "resume")
     k.add_argument("--listen",
                    help="scheduler endpoint (unix:/path or tcp:host:port; "
-                        "default: ephemeral localhost TCP)")
+                        "default: a Unix socket in a private temp dir)")
     k.add_argument("--obs", metavar="SINK",
                    help="record scheduler and worker obs events "
                         "(spans, counters, trace context) to this one "

@@ -9,17 +9,18 @@ accounting, and the shard-merge finalize.  **Workers**
 per-worker ``shard-<id>/`` sub-stores.  The two talk a JSON-lines
 protocol over TCP or a Unix socket (:mod:`repro.cluster.protocol`),
 served by the asyncio shell in :mod:`repro.cluster.service` — one-shot
-(``repro cluster run``, with forked local workers) or as a long-lived
-campaign service (``repro cluster serve`` +
-``submit``/``status``/``cancel``).  The local
-:class:`~repro.campaign.runner.CampaignRunner` is the scheduler's
-other transport: its executor-pool slots are the workers.
+(:func:`~repro.cluster.service.run_cluster`, with forked local workers:
+``repro campaign run|resume`` and ``repro cluster run``) or as a
+long-lived campaign service (``repro cluster serve`` +
+``submit``/``status``/``cancel``).  This is the one multi-process
+transport; the inline :class:`~repro.campaign.runner.CampaignRunner`
+drives the same scheduler on the caller's thread.
 
 The determinism contract carries over unchanged: job metrics are a
 pure function of ``(experiment, params, seed)``, so the same spec
 digests identically (:func:`repro.campaign.store.metrics_digest`)
-whether it ran on the local pool, one worker, or N workers with a
-mid-run crash.  See ``docs/cluster.md``.
+whether it ran inline, on one worker, or on N workers with a mid-run
+crash.  See ``docs/cluster.md``.
 """
 
 from repro._lazy import lazy_exports

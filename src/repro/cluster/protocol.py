@@ -47,9 +47,12 @@ commands use the same stream)::
     cancel     {campaign_id}                   -> ok | error
     shutdown   {}                              -> ok
 
+A ``lease``, ``heartbeat`` or ``result`` must name the worker its
+connection registered as; anything else is a :class:`ProtocolError`.
+
 Determinism note: nothing on the wire feeds the job's metrics — the
 ``payload`` carries the same ``(experiment, params, seed)`` triple the
-local pool transport runs, so transport cannot perturb results.
+inline runner runs, so transport cannot perturb results.
 """
 
 from __future__ import annotations

@@ -6,8 +6,7 @@ worker takes the next eligible job).  A leased job is invisible to
 other workers until it is resolved, its lease expires or its worker
 disconnects.  The queue is the one place campaign retries are
 computed: :meth:`LeaseQueue.retry` charges an attempt and applies the
-exponential backoff, for both transports of the scheduler (socket
-workers and the local executor pool).
+exponential backoff, whoever runs the job.
 
 The clock is injected so every lease-expiry path is unit-testable
 without sleeping.
@@ -141,16 +140,20 @@ class LeaseQueue:
                 extended += 1
         return extended
 
-    def resolve(self, job_id: str, worker_id: str) -> Optional[QueuedJob]:
-        """Claim the lease back on a result from ``worker_id``.
+    def resolve(
+        self, job_id: str, worker_id: str, lease_id: str
+    ) -> Optional[QueuedJob]:
+        """Claim lease ``lease_id`` of ``job_id`` back on a result from
+        ``worker_id``.
 
-        Returns the queued job when the lease is live and held by this
+        Returns the queued job when that lease is live and held by this
         worker, else ``None`` — a *stale* completion (the job was
-        already rescheduled or finished elsewhere), which callers must
-        treat as a no-op so duplicate completions stay idempotent.
+        already rescheduled or finished elsewhere, or the result names
+        another lease), which callers must treat as a no-op so
+        duplicate completions stay idempotent.
         """
         lease = self._leases.get(job_id)
-        if lease is None or lease.worker_id != worker_id:
+        if lease is None or (lease.worker_id, lease.lease_id) != (worker_id, lease_id):
             return None
         del self._leases[job_id]
         return lease.queued

@@ -9,12 +9,13 @@ Crash recovery is one rule: a lease that expires, or a worker that
 disconnects, charges the job exactly one attempt and either requeues
 it with exponential backoff or records the terminal crash.
 
-Two transports drive it.  The asyncio
-:class:`~repro.cluster.service.SchedulerServer` serves socket workers
-(``repro cluster run|serve``).  The local
-:class:`~repro.campaign.runner.CampaignRunner` registers each slot of
-its executor pool as a worker (``repro campaign run``) and reports a
-broken pool as a disconnect of every busy slot.
+One transport drives it across processes: the asyncio
+:class:`~repro.cluster.service.SchedulerServer` serves socket workers,
+forked by :func:`~repro.cluster.service.run_cluster` (``repro campaign
+run|resume``, ``repro cluster run``) or started by hand against
+``repro cluster serve``.  The inline
+:class:`~repro.campaign.runner.CampaignRunner` calls the same methods
+on the caller's thread, as a single-process reference.
 
 The class is deliberately synchronous with an injected clock, so every
 failure path (lease expiry, duplicate completion, mid-campaign cancel)
@@ -42,6 +43,7 @@ from repro.cluster.queue import Lease, LeaseQueue, QueuedJob
 STATE_RUNNING = "running"
 STATE_DONE = "done"
 STATE_CANCELLED = "cancelled"
+STATE_INTERRUPTED = "interrupted"
 
 SCHEDULER_SHARD = "scheduler"
 
@@ -76,7 +78,7 @@ class CampaignExec:
     # (duration known); reserving the id at submit lets every job
     # message carry it, so worker spans parent to a span that does not
     # exist in any sink yet.  ``parent_span`` is the submitter's open
-    # span, if any (the local runner's ``campaign.run``).
+    # span, or the inherited remote parent, if any.
     trace_id: str = ""
     span_id: str = ""
     parent_span: Optional[str] = None
@@ -215,17 +217,33 @@ class ClusterScheduler:
         self.emit(f"cancelled {campaign_id} ({dropped} jobs dropped)")
         return True
 
-    def _finalize(self, exec_: CampaignExec, state: str = STATE_DONE) -> None:
-        """Merge shards into the main store and stamp the manifest —
-        after this, ``campaign report``/``diag``/``obs`` read the merged
-        directory exactly as if the local runner had produced it."""
-        # Merge/finalize spans attach under the campaign span (managed
-        # manually, so it is never on this thread's stack).
-        with tracectx.adopted(exec_.wire_trace()):
-            merged = exec_.store.merge_shards()
-            counts = dict(exec_.counts)
-            counts["skipped"] = exec_.skipped
-            exec_.store.finalize(counts)
+    def interrupt(self, campaign_id: str) -> None:
+        """Stop a campaign whose process was interrupted, unfinalized
+        (a no-op once it has ended).
+
+        Leases still out are not charged and their late results are
+        stale, so the store and the shards hold only records a worker
+        finished, and ``campaign resume`` runs the rest."""
+        exec_ = self.campaigns[campaign_id]
+        if exec_.state != STATE_RUNNING:
+            return
+        self._end(exec_, STATE_INTERRUPTED)
+        done = exec_.queue.done_count
+        obs.log(
+            "warning",
+            "campaign interrupted",
+            campaign=exec_.spec.name,
+            records_checkpointed=done + exec_.skipped,
+            pending=exec_.queue.pending_count + exec_.queue.leased_count,
+        )
+        obs.flush()
+        self.emit(
+            f"interrupted: {done} records checkpointed this run; "
+            f"continue with `campaign resume {exec_.store.root}`"
+        )
+
+    def _end(self, exec_: CampaignExec, state: str) -> None:
+        """Leave the running state and emit the campaign's span."""
         exec_.state = state
         exec_.finished_at = self.clock()
         if exec_.span_id:
@@ -241,6 +259,19 @@ class ClusterScheduler:
                 campaign_id=exec_.campaign_id,
                 experiment=exec_.spec.experiment,
             )
+
+    def _finalize(self, exec_: CampaignExec, state: str = STATE_DONE) -> None:
+        """Merge shards into the main store and stamp the manifest —
+        after this, ``campaign report``/``diag``/``obs`` read the merged
+        directory exactly as if the inline runner had produced it."""
+        # Merge/finalize spans attach under the campaign span (managed
+        # manually, so it is never on this thread's stack).
+        with tracectx.adopted(exec_.wire_trace()):
+            merged = exec_.store.merge_shards()
+            counts = dict(exec_.counts)
+            counts["skipped"] = exec_.skipped
+            exec_.store.finalize(counts)
+        self._end(exec_, state)
         obs.log(
             "info",
             "campaign finalized",
@@ -265,9 +296,9 @@ class ClusterScheduler:
     def register_worker(self, worker_id: str, pid: int = 0) -> dict:
         """Admit a worker; returns the ``registered`` message body.
 
-        Not announced on ``on_event``: the network transport
+        Not announced on ``on_event``: a serving scheduler
         (:mod:`repro.cluster.service`) announces the workers that
-        connect to it, and a local run's executor slots stay quiet."""
+        connect to it; a one-shot run's own workers stay quiet."""
         self.workers[worker_id] = WorkerInfo(
             worker_id=worker_id, pid=pid, last_seen=self.clock()
         )
@@ -370,12 +401,6 @@ class ClusterScheduler:
             job, queued.position, queued.attempt
         ):
             payload["inject_mode"] = inject.mode
-            # A socket worker must not hard-exit on an injected crash:
-            # nothing respawns it, so the drill surfaces as WorkerCrash.
-            # Real worker death is exercised by the SIGKILL drill; the
-            # local transport re-allows the hard exit for a pool that
-            # rebuilds itself.
-            payload["allow_hard_crash"] = False
         message = {
             "campaign_id": exec_.campaign_id,
             "lease_id": lease.lease_id,
@@ -392,14 +417,17 @@ class ClusterScheduler:
 
     def handle_result(self, worker_id: str, message: dict) -> None:
         """Consume one worker ``result``; stale completions (lease
-        already rescheduled / campaign gone) are no-ops — the record
-        the worker wrote is reconciled by dedupe at merge time."""
+        already rescheduled or unknown, campaign gone) are no-ops — the
+        record the worker wrote is reconciled by dedupe at merge
+        time."""
         exec_ = self.campaigns.get(message.get("campaign_id", ""))
         if exec_ is None or exec_.state != STATE_RUNNING:
             obs.counter_add("cluster.results_stale")
             return
         job_id = message.get("job_id", "")
-        queued = exec_.queue.resolve(job_id, worker_id)
+        queued = exec_.queue.resolve(
+            job_id, worker_id, message.get("lease_id", "")
+        )
         if queued is None:
             obs.counter_add("cluster.results_stale")
             return

@@ -11,9 +11,12 @@ Three entry points, all thin shells over
   shutdown, an issued lease, a reaper tick) wakes the held requests,
   and each re-checks at least every ``idle_retry_after()`` so retry
   backoff still elapses.
-- :func:`run_cluster` — the one-shot ``repro cluster run`` front end:
-  submit one campaign, bind the socket, fork N local workers onto it,
-  serve until drained, reap the workers.  ``drill_kill_worker``
+- :func:`run_cluster` — the one-shot front end of ``repro campaign
+  run|resume`` and ``repro cluster run``: submit one campaign, bind the
+  socket (by default a Unix socket in a private temporary directory),
+  fork N local workers onto it, serve until drained, reap the workers.
+  An interrupt stops the campaign unfinalized, with every finished
+  record kept, so ``campaign resume`` continues it.  ``drill_kill_worker``
   SIGKILLs the first worker after N results land, once one of them is
   its own and while it holds a lease — the crash-recovery drill the CI
   smoke and the integration tests run.
@@ -29,8 +32,10 @@ from __future__ import annotations
 
 import asyncio
 import os
+import shutil
 import signal
 import socket
+import tempfile
 import time
 from typing import Callable, Optional
 
@@ -42,6 +47,9 @@ from repro.cluster.scheduler import ClusterScheduler
 from repro.cluster.worker import ClusterWorker
 from repro.obs import tracectx
 from repro.obs.core import STATE as OBS_STATE
+
+# Messages a connection may send only as the worker it registered.
+WORKER_PLANE = (protocol.MSG_LEASE, protocol.MSG_HEARTBEAT, protocol.MSG_RESULT)
 
 # How long a stopping server lets its open connections end by
 # themselves, and how long a stopping fleet waits after SIGTERM.
@@ -192,6 +200,11 @@ class SchedulerServer:
                 message = protocol.decode_message(line.rstrip(b"\n"))
                 protocol.check_worker_message(message)
                 kind = message["type"]
+                if kind in WORKER_PLANE and message["worker_id"] != worker_id:
+                    raise ProtocolError(
+                        f"{kind} for worker {message['worker_id']!r} on a "
+                        f"connection registered as {worker_id!r}"
+                    )
                 if kind == protocol.MSG_REGISTER:
                     version = message.get("protocol")
                     if version is not None and version != protocol.PROTOCOL_VERSION:
@@ -206,7 +219,12 @@ class SchedulerServer:
                     worker_id = message["worker_id"]
                     pid = message.get("pid") or 0
                     body = self.scheduler.register_worker(worker_id, pid=pid)
-                    self.scheduler.emit(f"worker {worker_id} registered (pid {pid})")
+                    if self.serve_forever:
+                        # A one-shot run's workers are its own forked
+                        # fleet; a service announces who connects.
+                        self.scheduler.emit(
+                            f"worker {worker_id} registered (pid {pid})"
+                        )
                     await self._send(
                         writer, {"type": protocol.MSG_REGISTERED, **body}
                     )
@@ -468,14 +486,23 @@ def run_cluster(
     obs_sink: Optional[str] = None,
     drill_kill_worker: Optional[int] = None,
     on_event: Optional[Callable[[str], None]] = None,
-    deadline_seconds: float = 600.0,
+    deadline_seconds: Optional[float] = None,
 ) -> dict:
     """Run one campaign on a local fleet of forked worker processes.
 
-    Blocks until the campaign finalizes (or the deadline passes),
-    reaps the workers, and returns the outcome counts.  The socket is
+    Blocks until the campaign finalizes, reaps the workers, and
+    returns the outcome counts.  ``deadline_seconds`` bounds the wait
+    (``TimeoutError`` when it passes); ``None``, the default, waits as
+    long as the campaign takes.  The socket is
     bound and the workers forked before the event loop starts; the
-    server then accepts the connections they already queued.
+    server then accepts the connections they already queued.  Without
+    an ``endpoint`` it is a Unix socket in a fresh ``0700`` temporary
+    directory, removed afterwards, so a one-shot run opens no port.
+
+    ``KeyboardInterrupt`` stops the campaign unfinalized
+    (:meth:`ClusterScheduler.interrupt`): the workers finish or drop
+    the jobs they hold, nothing is charged, and the interrupt
+    propagates once they are reaped.
 
     ``drill_kill_worker=N`` SIGKILLs the first worker after N jobs have
     completed, at least one of them on that worker, at a moment it
@@ -496,16 +523,23 @@ def run_cluster(
     )
     campaign_id = scheduler.submit(spec, store_root, resume=resume)
     exec_ = scheduler.campaigns[campaign_id]
-    listener, bound = (
-        endpoint or Endpoint(kind="tcp", host="127.0.0.1", port=0)
-    ).listen()
+    private_dir = None
+    if endpoint is None:
+        private_dir = tempfile.mkdtemp(prefix="repro-cluster-")
+        endpoint = Endpoint(
+            kind="unix", path=os.path.join(private_dir, "scheduler.sock")
+        )
+    listener, bound = endpoint.listen()
     fleet = LocalFleet()
 
     async def _drive() -> None:
         server = SchedulerServer(scheduler, bound, listener=listener)
         await server.start()
         try:
-            deadline = time.monotonic() + deadline_seconds
+            deadline = (
+                None if deadline_seconds is None
+                else time.monotonic() + deadline_seconds
+            )
             killed_drill = False
             while scheduler.active():
                 first = scheduler.workers.get("w0")
@@ -526,14 +560,21 @@ def run_cluster(
                             f"drill: SIGKILLed worker w0 after "
                             f"{exec_.queue.done_count} results"
                         )
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TimeoutError(
-                        f"cluster run exceeded {deadline_seconds}s deadline"
-                    )
+                remaining = None
+                if deadline is not None:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise TimeoutError(
+                            f"cluster run exceeded {deadline_seconds}s "
+                            f"deadline"
+                        )
                 await server.changed(remaining)
             # Campaign finalized; let workers see the drain reply.
             await fleet.exited(timeout=10.0)
+        except asyncio.CancelledError:  # KeyboardInterrupt
+            scheduler.interrupt(campaign_id)
+            server.notify()  # held leases see the drain
+            raise
         finally:
             await server.stop()
 
@@ -550,6 +591,8 @@ def run_cluster(
     finally:
         fleet.stop()
         listener.close()
+        if private_dir is not None:
+            shutil.rmtree(private_dir, ignore_errors=True)
     counts = dict(exec_.counts)
     counts["skipped"] = exec_.skipped
     return {

@@ -405,7 +405,7 @@ def ablation_cat() -> dict:
     """Sec. V-C1: the extraction with and without the CAT partition under
     background contention of 8 and 60 (500-byte secret, seed 66), run as
     a campaign grid."""
-    from repro.campaign import CampaignRunner, CampaignSpec, InProcessExecutor, ResultStore
+    from repro.campaign import CampaignRunner, CampaignSpec, ResultStore
 
     spec = CampaignSpec(
         name="ablation-cat",
@@ -418,7 +418,7 @@ def ablation_cat() -> dict:
     )
     with tempfile.TemporaryDirectory() as root:
         store = ResultStore(root)
-        result = CampaignRunner(spec, store, executor_factory=InProcessExecutor).run()
+        result = CampaignRunner(spec, store).run()
         records = store.load_records().values()
     values = {"jobs_ok": result.counts.get("ok", 0)}
     for record in records:

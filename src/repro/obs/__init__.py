@@ -26,9 +26,9 @@ or from the environment (inherited by campaign worker processes)::
 
 Cross-process causal tracing lives in :mod:`repro.obs.tracectx`: a
 campaign's ``trace_id`` travels on the ``trace`` field of every job
-lease (pool or cluster worker alike; ``REPRO_OBS_TRACE`` hands one to
-a whole process) so scheduler, worker, and shard-store spans stitch
-into one tree — rendered by ``obs report
+lease (socket worker or inline runner alike; ``REPRO_OBS_TRACE`` hands
+one to a whole process) so scheduler, worker, and shard-store spans
+stitch into one tree — rendered by ``obs report
 --trace`` and exportable to Perfetto via :mod:`repro.obs.export`
 (``obs export --format chrome-trace``).
 """

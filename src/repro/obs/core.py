@@ -450,7 +450,7 @@ STATE = ObsState()
 
 
 def _zero_metrics_in_child() -> None:
-    """A forked child (a process-pool worker) starts its counters and
+    """A forked child (a campaign's forked worker) starts its counters and
     histograms at zero: snapshots are cumulative per pid, so values
     inherited from the parent would be counted once per process."""
     STATE.counters.clear()

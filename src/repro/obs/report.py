@@ -115,6 +115,8 @@ def render_span_tree(
     return "\n".join(lines)
 
 
+# ``campaign.run`` roots the campaigns of sinks written before every
+# campaign ran through the scheduler's ``cluster.campaign`` span.
 ROOT_SPAN_NAMES = ("cluster.campaign", "campaign.run")
 
 

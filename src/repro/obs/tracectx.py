@@ -20,9 +20,9 @@ The context crosses process boundaries two ways:
 
 * A ``trace`` field (:func:`wire_context` payload) on every scheduler
   ``job`` lease — adopted per job via :func:`adopted`, by socket
-  cluster workers and local pool processes alike, because a
-  long-lived worker serves many campaigns and each job may belong to
-  a different trace.
+  cluster workers and the inline runner alike, because a long-lived
+  worker serves many campaigns and each job may belong to a different
+  trace.
 * ``REPRO_OBS_TRACE="<trace_id>:<parent_span_id>"`` in the environment
   installs a context for a whole process at import, alongside
   ``REPRO_OBS`` (:func:`repro.obs.core._activate_from_env`).
@@ -82,12 +82,9 @@ def clear_trace() -> None:
 
 
 def begin_trace() -> str:
-    """The current trace id, creating and installing one if absent.
-
-    The local campaign runner calls this so that a
-    campaign started *inside* an existing trace joins it instead of
-    forking a new one.
-    """
+    """The current trace id, creating and installing one if absent,
+    so that work started *inside* an existing trace joins it instead
+    of forking a new one."""
     if STATE.trace_id is None:
         STATE.trace_id = new_trace_id()
     return STATE.trace_id

@@ -466,9 +466,9 @@ class WatchState:
         }
 
     def job_progress(self) -> dict:
-        """Done/failed/retried from the campaign counters, which both
-        campaign transports (local pool and cluster) emit.  Every
-        terminal non-ok status counts as failed."""
+        """Done/failed/retried from the campaign counters, which the
+        campaign scheduler emits.  Every terminal non-ok status counts
+        as failed."""
         counters = self.counters()
         done = int(counters.get("campaign.ok", 0))
         failed = sum(

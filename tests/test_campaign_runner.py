@@ -1,13 +1,12 @@
 """Runner semantics: retries, timeouts, crash tolerance, resume.
 
-Everything here uses the in-process executor, so the full scheduling,
-retry and persistence machinery runs single-process and fast; one
-smoke test at the bottom goes through a real ``ProcessPoolExecutor``.
+Everything here uses the inline runner, so the full scheduling, retry
+and persistence machinery runs single-process and fast; the tests at
+the bottom go through real worker processes forked by ``run_cluster``.
 """
 
 import os
 import time
-from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
 
 import pytest
 
@@ -15,11 +14,12 @@ from repro import obs
 from repro.campaign import (
     CampaignRunner,
     CampaignSpec,
-    InProcessExecutor,
     ResultStore,
     register_experiment,
 )
 from repro.campaign.spec import FaultInjection
+from repro.campaign.store import metrics_digest
+from repro.cluster import run_cluster
 
 
 @pytest.fixture(autouse=True)
@@ -54,12 +54,19 @@ def _sleepy(params: dict, seed: int) -> dict:
     return {"slept": params.get("sleep", 0.01)}
 
 
-def run_spec(spec, tmp_path, resume=False, workers=1, factory=InProcessExecutor):
+def run_spec(spec, tmp_path, resume=False):
     store = ResultStore(tmp_path / spec.name)
-    runner = CampaignRunner(
-        spec, store, workers=workers, executor_factory=factory
+    return CampaignRunner(spec, store).run(resume=resume), store
+
+
+def run_fleet(spec, tmp_path, workers):
+    """``spec`` on ``workers`` forked worker processes; returns the
+    outcome counts (skipped excluded) and the store."""
+    outcome = run_cluster(
+        spec, tmp_path / spec.name, workers=workers, deadline_seconds=120.0
     )
-    return runner.run(resume=resume), store
+    counts = {k: v for k, v in outcome["counts"].items() if k != "skipped"}
+    return counts, ResultStore(tmp_path / spec.name)
 
 
 class TestHappyPath:
@@ -220,203 +227,6 @@ class TestResume:
             run_spec(other, tmp_path, resume=True)
 
 
-class _BreakingExecutor(InProcessExecutor):
-    """An executor whose first ``breaks`` submissions come back as a
-    broken pool (``BrokenExecutor`` raised at ``result()`` time, like a
-    real ``ProcessPoolExecutor`` after a worker dies), with a small
-    delay so terminal records have measurable wall clock."""
-
-    def __init__(self, breaks: int = 0, delay: float = 0.0) -> None:
-        self.breaks = breaks
-        self.delay = delay
-
-    def submit(self, fn, *args, **kwargs) -> Future:
-        if self.breaks > 0:
-            self.breaks -= 1
-            if self.delay:
-                time.sleep(self.delay)
-            future: Future = Future()
-            future.set_exception(BrokenExecutor("worker died"))
-            return future
-        return super().submit(fn, *args, **kwargs)
-
-
-class TestBrokenPoolAccounting:
-    """Each runner slot has its own executor.  A broken executor charges
-    its slot's job exactly one attempt, keeps that attempt's real
-    wall-clock duration (it used to reset ``submitted_at`` to 0.0 right
-    before recording, zeroing every crash-terminated job's duration) and
-    rebuilds only that slot's executor."""
-
-    def _runner(self, spec, tmp_path, breaks, delay=0.0):
-        built = []
-
-        def factory():
-            executor = _BreakingExecutor(
-                breaks=breaks if not built else 0, delay=delay
-            )
-            built.append(executor)
-            return executor
-
-        store = ResultStore(tmp_path / spec.name)
-        return CampaignRunner(spec, store, executor_factory=factory), store, built
-
-    def test_broken_pool_job_charged_exactly_one_attempt(self, tmp_path):
-        spec = CampaignSpec(
-            name="broke-retry",
-            experiment="test_echo",
-            grid={"x": [1]},
-            max_retries=1,
-            retry_backoff=0.0,
-        )
-        runner, store, built = self._runner(spec, tmp_path, breaks=1)
-        result = runner.run()
-        assert result.counts == {"ok": 1}
-        assert len(built) == 2  # the slot was rebuilt exactly once
-        (record,) = store.load_records().values()
-        # broken-pool attempt charged once, successful retry second
-        assert record.attempts == 2
-
-    def test_terminal_crash_keeps_wall_clock_duration(self, tmp_path):
-        spec = CampaignSpec(
-            name="broke-terminal",
-            experiment="test_echo",
-            grid={"x": [1]},
-            max_retries=0,
-        )
-        runner, store, _ = self._runner(spec, tmp_path, breaks=1, delay=0.05)
-        result = runner.run()
-        assert result.counts == {"crashed": 1}
-        (record,) = store.load_records().values()
-        assert record.attempts == 1
-        assert record.duration_seconds >= 0.04  # not the old hard 0.0
-
-    def test_only_the_crashed_slots_job_is_charged(self, tmp_path):
-        spec = CampaignSpec(
-            name="broke-flight",
-            experiment="test_echo",
-            grid={"x": [1, 2]},
-            max_retries=1,
-            retry_backoff=0.0,
-        )
-        built = []
-
-        def factory():
-            # Slot 0's first executor breaks; slot 1's never does.
-            executor = _BreakingExecutor(breaks=2 if not built else 0)
-            built.append(executor)
-            return executor
-
-        store = ResultStore(tmp_path / spec.name)
-        runner = CampaignRunner(
-            spec, store, workers=2, executor_factory=factory
-        )
-        result = runner.run()
-        assert result.counts == {"ok": 2}
-        assert len(built) == 3  # two slots, then slot 0 once more
-        attempts = {r.params["x"]: r.attempts for r in store.load_records().values()}
-        assert attempts == {1: 2, 2: 1}
-
-
-class _BreaksOnSubmit(InProcessExecutor):
-    """Runs its first ``runs`` submissions to completion, then raises
-    ``BrokenExecutor`` from ``submit``: a slot whose worker finished
-    one job and then died."""
-
-    def __init__(self, runs: int) -> None:
-        self.runs = runs
-
-    def submit(self, fn, *args, **kwargs) -> Future:
-        if self.runs == 0:
-            raise BrokenExecutor("worker died")
-        self.runs -= 1
-        return super().submit(fn, *args, **kwargs)
-
-
-class TestPoolRebuildBystander:
-    """A job that already finished on a slot is not re-run when that
-    slot's executor breaks afterwards, and a job whose submit finds the
-    executor broken keeps its lease on the rebuilt slot, uncharged."""
-
-    def test_finished_job_runs_once_and_is_charged_once(self, tmp_path):
-        spec = CampaignSpec(
-            name="broke-bystander",
-            experiment="test_echo",
-            grid={"x": [1, 2]},
-            max_retries=1,
-            retry_backoff=0.0,
-        )
-        built = []
-
-        def factory():
-            # Executor 1 finishes job A (x=1), then breaks on job B (x=2).
-            executor = _BreaksOnSubmit(runs=1 if not built else 99)
-            built.append(executor)
-            return executor
-
-        CALLS.clear()
-        store = ResultStore(tmp_path / spec.name)
-        runner = CampaignRunner(spec, store, executor_factory=factory)
-        result = runner.run()
-        assert result.counts == {"ok": 2}
-        assert len(built) == 2
-        runs = [dict(params)["x"] for params, _ in CALLS]
-        assert sorted(runs) == [1, 2]  # A ran once, B once on the new slot
-        attempts = {r.params["x"]: r.attempts for r in store.load_records().values()}
-        assert attempts == {1: 1, 2: 1}
-
-
-def _slow(fn, payload):
-    time.sleep(0.3)
-    return fn(payload)
-
-
-class _ThreadedBreakOnce(ThreadPoolExecutor):
-    """Job x=1's first attempt comes back from a dead worker; every other
-    attempt runs on a thread for 0.3 s, so it is still in flight when
-    the crash is seen."""
-
-    def __init__(self, state: dict) -> None:
-        super().__init__(max_workers=1)
-        self.state = state
-
-    def submit(self, fn, payload) -> Future:
-        if payload["params"]["x"] == 1 and not self.state["broke"]:
-            self.state["broke"] = True
-            future: Future = Future()
-            future.set_exception(BrokenExecutor("worker died"))
-            return future
-        return super().submit(_slow, fn, payload)
-
-
-class TestSlotIsolation:
-    """A crash in one slot must not touch a job running in another: the
-    running job finishes on its own executor, runs once and is charged
-    one attempt (one shared pool used to fail every pending future, so
-    the bystander was charged and re-run)."""
-
-    def test_crash_in_slot_a_leaves_slot_b_running(self, tmp_path):
-        spec = CampaignSpec(
-            name="slot-isolation",
-            experiment="test_echo",
-            grid={"x": [1, 2]},
-            max_retries=1,
-            retry_backoff=0.0,
-        )
-        state = {"broke": False}
-        CALLS.clear()
-        store = ResultStore(tmp_path / spec.name)
-        runner = CampaignRunner(
-            spec, store, workers=2, executor_factory=lambda: _ThreadedBreakOnce(state)
-        )
-        result = runner.run()
-        assert result.counts == {"ok": 2}
-        runs = [dict(params)["x"] for params, _ in CALLS]
-        assert sorted(runs) == [1, 2]  # B ran once; A once after its crash
-        attempts = {r.params["x"]: r.attempts for r in store.load_records().values()}
-        assert attempts == {1: 2, 2: 1}
-
-
 class TestTimeoutEnforcement:
     """Per-job budgets silently do nothing without SIGALRM; the runner
     must say so (once) and stamp ``timeout_enforced: false`` on the
@@ -425,12 +235,7 @@ class TestTimeoutEnforcement:
     def _run(self, tmp_path, spec):
         events = []
         store = ResultStore(tmp_path / spec.name)
-        runner = CampaignRunner(
-            spec,
-            store,
-            executor_factory=InProcessExecutor,
-            on_event=events.append,
-        )
+        runner = CampaignRunner(spec, store, on_event=events.append)
         return runner.run(), store, events
 
     def test_unenforceable_budget_flagged_and_warned_once(
@@ -521,12 +326,7 @@ class TestKeyboardInterrupt:
 
         events = []
         store = ResultStore(tmp_path / "ki")
-        runner = CampaignRunner(
-            spec(),
-            store,
-            executor_factory=InProcessExecutor,
-            on_event=events.append,
-        )
+        runner = CampaignRunner(spec(), store, on_event=events.append)
         with pytest.raises(KeyboardInterrupt):
             runner.run()
         # The finished job was flushed to the JSONL checkpoint before
@@ -541,12 +341,14 @@ class TestKeyboardInterrupt:
 
 
 class TestProcessPool:
+    """The same machinery on real worker processes: the forked fleet
+    of ``run_cluster``, which ``campaign run`` drives."""
+
     def test_real_pool_end_to_end_with_injected_crash(self, tmp_path):
-        """Smoke the default ProcessPoolExecutor path: real workers, a
-        real ``os._exit`` crash, pool rebuild, retry, full recovery."""
+        """Real workers, an injected crash, retry, full recovery."""
         spec = CampaignSpec(
             name="pool",
-            experiment="lzw_recovery",  # importable by worker processes
+            experiment="lzw_recovery",
             grid={"size": [30, 40]},
             trials=1,
             max_retries=2,
@@ -554,32 +356,33 @@ class TestProcessPool:
             timeout_seconds=60,
             inject_failures=FaultInjection(count=1, attempts=1, mode="crash"),
         )
-        store = ResultStore(tmp_path / "pool")
-        result = CampaignRunner(spec, store, workers=2).run()
-        assert result.counts == {"ok": 2}
+        counts, store = run_fleet(spec, tmp_path, workers=2)
+        assert counts == {"ok": 2}
         records = store.load_records()
         assert all(r.ok for r in records.values())
         assert max(r.attempts for r in records.values()) >= 2
 
     def test_worker_count_does_not_change_the_records(self, tmp_path):
-        """Derived seeds make a campaign's metrics the same for 1 and 4
-        workers (the ABL-CAT grid's determinism across runners)."""
-        from repro.campaign.store import metrics_digest
-
+        """Derived seeds make a campaign's metrics the same inline and
+        on 1 or 4 workers (the ABL-CAT grid's determinism across
+        runners)."""
         def spec(name):
             return CampaignSpec(
                 name=name,
-                experiment="lzw_recovery",  # importable by worker processes
+                experiment="lzw_recovery",
                 grid={"size": [30, 40, 50, 60]},
                 base_seed=66,
             )
 
-        result1, store1 = run_spec(spec("w1"), tmp_path, workers=1, factory=None)
-        result4, store4 = run_spec(spec("w4"), tmp_path, workers=4, factory=None)
-        assert result1.counts == result4.counts == {"ok": 4}
-        assert metrics_digest(store1.load_records()) == metrics_digest(
-            store4.load_records()
-        )
+        inline, inline_store = run_spec(spec("inline"), tmp_path)
+        counts1, store1 = run_fleet(spec("w1"), tmp_path, workers=1)
+        counts4, store4 = run_fleet(spec("w4"), tmp_path, workers=4)
+        assert inline.counts == counts1 == counts4 == {"ok": 4}
+        digests = {
+            metrics_digest(store.load_records())
+            for store in (inline_store, store1, store4)
+        }
+        assert len(digests) == 1
 
     def test_parallel_workers_cut_wall_time(self, tmp_path):
         """Scheduler-level parallelism: sleep-bound jobs finish faster
@@ -587,16 +390,16 @@ class TestProcessPool:
         def spec(name):
             return CampaignSpec(
                 name=name,
-                experiment="test_sleepy",
+                experiment="test_sleepy",  # the forked workers inherit it
                 grid={"i": list(range(8))},
                 fixed={"sleep": 0.15},
             )
 
         start = time.monotonic()
-        result1, _ = run_spec(spec("w1"), tmp_path, workers=1, factory=None)
+        counts1, _ = run_fleet(spec("w1"), tmp_path, workers=1)
         serial = time.monotonic() - start
         start = time.monotonic()
-        result4, _ = run_spec(spec("w4"), tmp_path, workers=4, factory=None)
+        counts4, _ = run_fleet(spec("w4"), tmp_path, workers=4)
         parallel = time.monotonic() - start
-        assert result1.counts == result4.counts == {"ok": 8}
+        assert counts1 == counts4 == {"ok": 8}
         assert parallel < serial

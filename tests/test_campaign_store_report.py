@@ -7,7 +7,6 @@ import pytest
 from repro.campaign import (
     CampaignRunner,
     CampaignSpec,
-    InProcessExecutor,
     ResultStore,
     aggregate_records,
     render_report,
@@ -122,9 +121,7 @@ class TestReport:
             base_seed=3,
         )
         store = ResultStore(tmp_path / "rep")
-        CampaignRunner(
-            spec, store, executor_factory=InProcessExecutor
-        ).run()
+        CampaignRunner(spec, store).run()
         return store
 
     def test_report_contains_cells_and_counts(self, tmp_path):

@@ -166,9 +166,9 @@ class TestCommands:
         assert f"test accuracy: {m['test_accuracy'] * 100:.1f}% " in out
 
     def test_campaign_run_does_not_announce_local_slots(self, tmp_path, capsys):
-        """The local transport's executor slots are scheduler workers,
-        but registering them is not progress: only ``cluster run`` and
-        ``cluster serve`` announce workers."""
+        """A one-shot run's forked workers are scheduler workers, but
+        registering them is not progress: only ``cluster serve``
+        announces the workers that connect to it."""
         spec = tmp_path / "spec.json"
         spec.write_text(
             '{"name": "slots", "experiment": "lzw_recovery", "grid": {"size": [30, 40]}}'
@@ -246,32 +246,61 @@ class TestSharedIdioms:
     def test_interrupt_exits_130_with_the_resume_hint(
         self, command, tmp_path, monkeypatch, capsys
     ):
-        from repro.campaign.runner import CampaignRunner
+        import repro.cluster
 
         spec, out = _tiny_campaign(tmp_path)
         if command == "resume":
             assert main(["campaign", "run", spec, "--out", out, "--quiet"]) == 0
 
-        def interrupted(self, resume=False):
+        def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
-        def exit_now(code):
-            raise SystemExit(code)
-
-        monkeypatch.setattr(CampaignRunner, "run", interrupted)
-        monkeypatch.setattr(os, "_exit", exit_now)
+        monkeypatch.setattr(repro.cluster, "run_cluster", interrupted)
         argv = (
             ["campaign", "run", spec, "--out", out, "--quiet"]
             if command == "run"
             else ["campaign", "resume", out, "--quiet"]
         )
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 130
+        assert main(argv) == 130
         assert (
             f"continue with `python -m repro campaign resume {out}`"
             in capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize(
+        "command, deadline",
+        [("campaign run", None), ("campaign resume", None),
+         ("cluster run", 600.0), ("cluster run --deadline 7", 7.0)],
+    )
+    def test_only_cluster_run_has_a_deadline(
+        self, command, deadline, tmp_path, monkeypatch
+    ):
+        """A campaign may run for hours: ``campaign run|resume`` wait
+        for it; only ``cluster run --deadline`` bounds the wait."""
+        import inspect
+
+        import repro.cluster
+
+        spec, out = _tiny_campaign(tmp_path)
+        if command == "campaign resume":
+            assert main(["campaign", "run", spec, "--out", out, "--quiet"]) == 0
+        default = inspect.signature(repro.cluster.run_cluster).parameters[
+            "deadline_seconds"
+        ].default
+        seen = {"deadline_seconds": default}
+
+        def fake(spec, store_root, **kwargs):
+            seen.update(kwargs)
+            return {"counts": {"ok": 1}, "elapsed_seconds": 0.0}
+
+        monkeypatch.setattr(repro.cluster, "run_cluster", fake)
+        words = command.split()
+        argv = (
+            [*words, out] if command == "campaign resume"
+            else [*words[:2], spec, "--out", out, *words[2:]]
+        )
+        assert main([*argv, "--quiet"]) == 0
+        assert seen["deadline_seconds"] == deadline
 
 
 def test_cli_startup_imports_no_command_package():

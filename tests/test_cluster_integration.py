@@ -12,6 +12,7 @@ Two drills, both deadline-polled (no fixed sleeps):
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -186,6 +187,7 @@ class TestServiceMode:
             if serve.poll() is None:
                 serve.kill()
                 serve.wait(timeout=10)
+            serve.stdout.close()
 
     def test_serve_accepts_second_campaign_while_first_drains(
         self, tmp_path
@@ -269,6 +271,7 @@ class TestServiceMode:
                 if proc.poll() is None:
                     proc.kill()
                     proc.wait(timeout=10)
+            serve.stdout.close()
 
         for index in (1, 2):
             store = ResultStore(tmp_path / f"out{index}")
@@ -276,6 +279,60 @@ class TestServiceMode:
             assert len(records) == 4
             assert all(record.ok for record in records.values())
             assert store.load_manifest()["outcomes"]["ok"] == 4
+
+
+class TestInterrupt:
+    def test_sigint_exits_130_and_resume_matches_an_uninterrupted_run(
+        self, tmp_path
+    ):
+        """Ctrl-C on a live ``campaign run --workers 2``: exit 130 with
+        the resume hint, no forked worker left behind, and ``campaign
+        resume`` finishes with the records of an uninterrupted run."""
+        spec = {
+            "name": "sigint", "experiment": "lzw_recovery",
+            "grid": {"size": [4000]}, "trials": 60, "base_seed": 5,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        store = ResultStore(out)
+        run = popen_repro(
+            "campaign", "run", str(spec_path), "--out", str(out),
+            "--workers", "2", "--quiet",
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while not store.completed_ids(include_shards=True):
+                assert run.poll() is None and time.monotonic() < deadline
+                time.sleep(0.02)
+            run.send_signal(signal.SIGINT)
+            _, err = run.communicate(timeout=60)
+        finally:
+            if run.poll() is None:
+                os.killpg(run.pid, signal.SIGKILL)
+                run.wait(timeout=10)
+            run.stderr.close()
+        assert run.returncode == 130, err
+        assert f"continue with `python -m repro campaign resume {out}`" in err
+        assert "Traceback" not in err
+        # The workers share the run's process group; none outlived it.
+        with pytest.raises(ProcessLookupError):
+            os.killpg(run.pid, 0)
+        assert 0 < len(store.completed_ids(include_shards=True)) < 60
+
+        resumed = run_repro(
+            "campaign", "resume", str(out), "--workers", "2", "--quiet"
+        )
+        assert resumed.returncode == 0, resumed.stderr
+        records = store.load_records()
+        assert len(records) == 60 and all(r.ok for r in records.values())
+        reference = ResultStore(tmp_path / "reference")
+        CampaignRunner(CampaignSpec.from_dict(spec), reference).run()
+        assert metrics_digest(records) == metrics_digest(
+            reference.load_records()
+        )
 
 
 class TestTraceDrill:

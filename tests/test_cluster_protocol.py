@@ -15,9 +15,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.campaign import CampaignSpec, register_experiment
+from repro.campaign import (
+    CampaignRunner,
+    CampaignSpec,
+    ResultStore,
+    metrics_digest,
+    register_experiment,
+)
+from repro.campaign.executor import run_attempt
 from repro.cluster import ClusterScheduler, Endpoint, SchedulerServer, protocol
 from repro.cluster.protocol import ProtocolError, check_worker_message
+from repro.cluster.worker import finish_job
 
 
 @pytest.fixture(autouse=True)
@@ -188,6 +196,158 @@ class TestWireFuzz:
             check_worker_message({**fields, "type": kind})
         except ProtocolError:
             pass
+
+
+# -- the held-lease task: hostile worker-plane messages are no-ops or
+# -- ProtocolErrors, and the campaign ends as it would have anyway ------
+
+def _fuzz_spec() -> CampaignSpec:
+    return CampaignSpec(
+        name="fuzz", experiment="protocol_echo", grid={"x": [1, 2]},
+        max_retries=1, retry_backoff=0.0,
+    )
+
+
+WORKER_IDS = st.text(max_size=6).filter(lambda wid: wid != "w")
+HOSTILE_MOVES = st.lists(
+    st.one_of(
+        # A result for a held job naming an unknown or stale lease, sent
+        # by the holder, or by a connection that never registered.
+        st.tuples(
+            st.just("result"),
+            st.one_of(st.text(max_size=12), st.integers(1, 9)),
+            st.sampled_from(protocol.RESULT_STATUSES),
+            st.booleans(),
+        ),
+        # A heartbeat from a connection that never registered.
+        st.tuples(st.just("heartbeat"), st.one_of(st.just("w"), WORKER_IDS)),
+        # A second lease while the first one is held.
+        st.tuples(st.just("lease"), WORKER_IDS),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class _Peer:
+    """One client connection to the server under test."""
+
+    def __init__(self, reader, writer) -> None:
+        self.reader, self.writer = reader, writer
+
+    @classmethod
+    async def open(cls, path: str) -> "_Peer":
+        return cls(*await asyncio.open_unix_connection(path))
+
+    async def send(self, message: dict) -> None:
+        self.writer.write(protocol.encode_message(message))
+        await self.writer.drain()
+
+    async def recv(self):
+        """The next message, or None at EOF (the server hung up)."""
+        line = await asyncio.wait_for(self.reader.readline(), timeout=10)
+        return protocol.decode_message(line) if line else None
+
+    def close(self) -> None:
+        self.writer.close()
+
+
+async def _hostile(path: str, move: tuple, job: dict, holder: _Peer) -> None:
+    """Play one hostile move against ``job``, held by worker ``w`` on
+    ``holder``; returns once the server has dealt with it."""
+    kind = move[0]
+    if kind == "result":
+        _, lease, status, impostor = move
+        if isinstance(lease, int):  # stale: the same job, another lease
+            lease = f"{job['job_id']}.{int(job['lease_id'].rsplit('.', 1)[1]) + lease}"
+        if not impostor:
+            if lease == job["lease_id"]:
+                return
+            await holder.send(_result(job, lease_id=lease, status=status))
+            return  # handled in order, before the holder's next message
+        peer = await _Peer.open(path)
+        await peer.send(_result(job, lease_id=job["lease_id"], status=status))
+    elif kind == "heartbeat":
+        peer = await _Peer.open(path)
+        await peer.send({"type": protocol.MSG_HEARTBEAT, "worker_id": move[1]})
+    else:
+        peer = await _Peer.open(path)
+        await peer.send({"type": protocol.MSG_REGISTER, "worker_id": move[1]})
+        assert (await peer.recv())["type"] == protocol.MSG_REGISTERED
+        for _ in range(2):
+            await peer.send({"type": protocol.MSG_LEASE, "worker_id": move[1]})
+    # A status reply proves the move was a no-op; EOF, a ProtocolError.
+    try:
+        await peer.send({"type": protocol.MSG_STATUS})
+        reply = await peer.recv()
+    except (BrokenPipeError, ConnectionResetError):
+        reply = None
+    assert reply is None or reply["type"] == protocol.MSG_STATUS
+    peer.close()
+
+
+class TestHeldLeaseFuzz:
+    """Worker ``w`` holds both jobs of a campaign while hostile peers
+    send results for unknown or stale leases, heartbeats without a
+    registration and a second lease while one is held.  Each is a no-op
+    or a ProtocolError: the campaign's counts, records and
+    ``metrics_digest`` are those of an undisturbed run."""
+
+    @given(moves=HOSTILE_MOVES)
+    @example(moves=[("result", 1, "failed", False)])
+    @example(moves=[("result", "", "failed", True)])
+    @example(moves=[("heartbeat", "w"), ("lease", "h")])
+    @settings(max_examples=60, deadline=None)
+    def test_hostile_messages_leave_the_campaign_unchanged(self, moves):
+        scheduler = ClusterScheduler()
+        with tempfile.TemporaryDirectory() as tmp:
+            root = os.path.join(tmp, "c")
+            campaign_id = scheduler.submit(_fuzz_spec(), root)
+
+            async def scenario(path: str) -> None:
+                server = SchedulerServer(scheduler, Endpoint(kind="unix", path=path))
+                await server.start()
+                try:
+                    holder = await _Peer.open(path)
+                    await holder.send({"type": protocol.MSG_REGISTER, "worker_id": "w"})
+                    assert (await holder.recv())["type"] == protocol.MSG_REGISTERED
+                    jobs = []
+                    for _ in range(2):
+                        await holder.send({"type": protocol.MSG_LEASE, "worker_id": "w"})
+                        jobs.append(await holder.recv())
+                    for job in jobs:
+                        for move in moves:
+                            await _hostile(path, move, job, holder)
+                    for job in jobs:
+                        shard = ResultStore(root).shard_store("w")
+                        await holder.send(
+                            finish_job(shard, "w", job, run_attempt(job["payload"]))
+                        )
+                    await holder.send({"type": protocol.MSG_LEASE, "worker_id": "w"})
+                    assert (await holder.recv())["type"] == protocol.MSG_DRAIN
+                    holder.close()
+                finally:
+                    await server.stop()
+
+            asyncio.run(scenario(os.path.join(tmp, "s.sock")))
+            exec_ = scheduler.campaigns[campaign_id]
+            assert exec_.counts == {"ok": 2}
+            assert exec_.retries == 0
+            records = ResultStore(root).load_records()
+            assert sorted(r.attempts for r in records.values()) == [1, 1]
+            assert metrics_digest(records) == _undisturbed_digest()
+
+
+_UNDISTURBED: list = []
+
+
+def _undisturbed_digest() -> str:
+    if not _UNDISTURBED:
+        with tempfile.TemporaryDirectory() as tmp:
+            store = ResultStore(os.path.join(tmp, "ref"))
+            CampaignRunner(_fuzz_spec(), store).run()
+            _UNDISTURBED.append(metrics_digest(store.load_records()))
+    return _UNDISTURBED[0]
 
 
 class TestServerSurvivesJunkLines:

@@ -52,7 +52,7 @@ class TestLeasing:
     def test_lease_ids_are_unique_per_checkout(self):
         queue, _, clock = make_queue(n=1, max_retries=1)
         first = queue.lease("w")
-        queued = queue.resolve(first.queued.job.job_id, "w")
+        queued = queue.resolve(first.queued.job.job_id, "w", first.lease_id)
         queue.retry(queued)
         second = queue.lease("w")
         assert first.lease_id != second.lease_id
@@ -93,16 +93,19 @@ class TestResolve:
         queue, jobs, _ = make_queue(n=1)
         lease = queue.lease("w")
         job_id = lease.queued.job.job_id
-        assert queue.resolve(job_id, "w") is lease.queued
+        assert queue.resolve(job_id, "w", lease.lease_id) is lease.queued
         # A duplicate completion is stale — idempotent no-op.
-        assert queue.resolve(job_id, "w") is None
+        assert queue.resolve(job_id, "w", lease.lease_id) is None
 
     def test_resolve_by_wrong_worker_is_stale(self):
         queue, _, _ = make_queue(n=1)
         lease = queue.lease("w1")
-        assert queue.resolve(lease.queued.job.job_id, "w2") is None
+        job_id = lease.queued.job.job_id
+        assert queue.resolve(job_id, "w2", lease.lease_id) is None
+        # Nor does the holder's result for another lease of the job.
+        assert queue.resolve(job_id, "w1", f"{job_id}.99") is None
         # The real holder can still resolve.
-        assert queue.resolve(lease.queued.job.job_id, "w1") is not None
+        assert queue.resolve(job_id, "w1", lease.lease_id) is not None
 
     def test_release_worker_returns_only_their_leases(self):
         queue, _, _ = make_queue(n=3)
@@ -113,7 +116,7 @@ class TestResolve:
         assert len(released) == 2
         assert all(lease.worker_id == "dead" for lease in released)
         assert queue.leased_count == 1
-        assert queue.resolve(kept.queued.job.job_id, "alive") is not None
+        assert queue.resolve(kept.queued.job.job_id, "alive", kept.lease_id) is not None
 
 
 class TestRetryBackoff:
@@ -121,17 +124,17 @@ class TestRetryBackoff:
         """delay = retry_backoff * 2**attempt, then attempt += 1 —
         byte-for-byte the single-host runner's accounting."""
         queue, _, clock = make_queue(n=1, max_retries=3, retry_backoff=0.1)
-        queued = queue.resolve(queue.lease("w").queued.job.job_id, "w")
+        queued = _resolve_next(queue, "w")
         assert queue.retry(queued) == 0.1  # attempt 0 -> 0.1 * 2**0
         assert queued.attempt == 1
         clock.advance(1.0)
-        queued = queue.resolve(queue.lease("w").queued.job.job_id, "w")
+        queued = _resolve_next(queue, "w")
         assert queue.retry(queued) == 0.2  # attempt 1 -> 0.1 * 2**1
         assert queued.attempt == 2
 
     def test_backoff_hold_gates_the_lease(self):
         queue, _, clock = make_queue(n=1, max_retries=1, retry_backoff=5.0)
-        queued = queue.resolve(queue.lease("w").queued.job.job_id, "w")
+        queued = _resolve_next(queue, "w")
         queue.retry(queued)
         assert queue.lease("w") is None  # held back
         assert 0.0 < queue.next_eligible_in() <= 5.0
@@ -153,7 +156,7 @@ class TestBookkeeping:
         assert not queue.drained()
         lease = queue.lease("w")
         assert not queue.drained()  # leased still counts as in flight
-        queue.resolve(lease.queued.job.job_id, "w")
+        queue.resolve(lease.queued.job.job_id, "w", lease.lease_id)
         queue.mark_done(lease.queued.job.job_id)
         assert queue.drained()
         assert queue.done_count == 1
@@ -169,3 +172,9 @@ class TestBookkeeping:
         queue, _, _ = make_queue(n=1)
         queue.lease("w")
         assert queue.next_eligible_in() is None
+
+
+def _resolve_next(queue, worker_id):
+    """Lease the next job to ``worker_id`` and claim it back."""
+    lease = queue.lease(worker_id)
+    return queue.resolve(lease.queued.job.job_id, worker_id, lease.lease_id)

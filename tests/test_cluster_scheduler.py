@@ -273,12 +273,17 @@ class TestDisconnect:
         scheduler.submit(spec, tmp_path / "gone")
         scheduler.register_worker("doomed", pid=7)
         assert scheduler.request_lease("doomed") is not None
-        scheduler.disconnect_worker("doomed")  # no clock advance needed
+        clock.advance(2.5)  # the worker dies 2.5 s into the job
+        scheduler.disconnect_worker("doomed")  # no lease expiry needed
         (exec_,) = scheduler.campaigns.values()
         assert exec_.state == STATE_DONE
         assert exec_.counts == {"crashed": 1}
         (record,) = ResultStore(tmp_path / "gone").load_records().values()
         assert "disconnected" in record.error
+        # Charged exactly one attempt, and the terminal record keeps
+        # the attempt's wall clock.
+        assert record.attempts == 1
+        assert record.duration_seconds == pytest.approx(2.5)
         assert not scheduler.workers["doomed"].connected
 
     def test_double_disconnect_is_a_noop(self, tmp_path):

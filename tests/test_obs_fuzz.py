@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import cli, obs
-from repro.campaign import CampaignRunner, CampaignSpec, InProcessExecutor, ResultStore
+from repro.campaign import CampaignRunner, CampaignSpec, ResultStore
 from repro.campaign.dossier import build_dossier, read_campaign_sinks
 from repro.obs.core import Histogram
 from repro.obs.export import chrome_trace_events
@@ -66,7 +66,7 @@ def campaign_dir(tmp_path_factory):
     """A finished one-job campaign; tests drop a sink into copies."""
     store = ResultStore(tmp_path_factory.mktemp("fuzz") / "campaign")
     spec = CampaignSpec(name="fuzz", experiment="lzw_recovery", grid={"size": [30]})
-    CampaignRunner(spec, store, executor_factory=InProcessExecutor).run()
+    CampaignRunner(spec, store).run()
     build_dossier(store)  # derives diag.json once
     return store.root
 

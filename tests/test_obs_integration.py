@@ -15,7 +15,7 @@ import json
 import pytest
 
 from repro import obs
-from repro.campaign import CampaignRunner, CampaignSpec, InProcessExecutor, ResultStore
+from repro.campaign import CampaignRunner, CampaignSpec, ResultStore
 from repro.perf.harness import metrics_digest
 
 
@@ -34,10 +34,7 @@ def _run_campaign(tmp_path, name="obs-int"):
         trials=1,
     )
     store = ResultStore(tmp_path / name)
-    runner = CampaignRunner(
-        spec, store, executor_factory=InProcessExecutor
-    )
-    return runner.run(), store
+    return CampaignRunner(spec, store).run(), store
 
 
 class TestCampaignSink:
@@ -53,7 +50,7 @@ class TestCampaignSink:
         assert merged["counters"]["campaign.ok"] == 2
         assert merged["counters"]["campaign.attempts"] == 2
         span_names = set(merged["spans"])
-        assert "campaign.run" in span_names
+        assert "cluster.campaign" in span_names
         assert "campaign.job" in span_names
         assert merged["spans"]["campaign.job"]["count"] == 2
         assert merged["histograms"]["campaign.job_seconds"]["count"] == 2
@@ -101,7 +98,7 @@ class TestCampaignSink:
         assert cli.main(["obs", "report", str(sink)]) == 0
         out = capsys.readouterr().out
         assert "campaign.ok" in out
-        assert "campaign.run" in out
+        assert "cluster.campaign" in out
 
     def test_missing_sink_is_a_clean_error(self, tmp_path, capsys):
         from repro import cli

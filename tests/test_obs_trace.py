@@ -415,42 +415,55 @@ class TestTraceSummary:
 
 
 class TestLocalRunTrace:
-    """A local pool run is a scheduler run: its pool processes adopt
-    the per-lease trace, so the sink holds one connected tree rooted at
-    ``campaign.run``, and a pool crash is counted once per attempt."""
+    """``campaign run`` is a scheduler run on forked workers: the sink
+    holds one connected tree rooted at the scheduler's
+    ``cluster.campaign`` span, and each attempt is counted once."""
 
-    def test_pool_run_is_one_tree_with_exact_counters(self, tmp_path):
-        from repro.campaign import CampaignRunner, CampaignSpec, ResultStore
-        from repro.campaign.spec import FaultInjection
+    def test_campaign_run_is_one_tree_with_exact_counters(self, tmp_path):
+        from repro import cli
+        from repro.campaign import ResultStore
         from repro.obs.report import merge_events
 
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "name": "traced-run",
+            "experiment": "lzw_recovery",
+            "grid": {"size": [30, 40]},
+            "max_retries": 2,
+            "retry_backoff": 0.0,
+            "inject_failures": {"count": 1, "attempts": 1, "mode": "crash"},
+        }))
         sink = tmp_path / "obs.jsonl"
-        obs.enable(sink_path=str(sink))
-        spec = CampaignSpec(
-            name="traced-pool",
-            experiment="lzw_recovery",  # importable by pool processes
-            grid={"size": [30, 40]},
-            max_retries=2,
-            retry_backoff=0.0,
-            inject_failures=FaultInjection(count=1, attempts=1, mode="crash"),
-        )
-        store = ResultStore(tmp_path / "c")
-        result = CampaignRunner(spec, store, workers=2).run()
-        assert result.counts == {"ok": 2}
+        out = tmp_path / "c"
+        assert cli.main([
+            "campaign", "run", str(spec), "--out", str(out),
+            "--workers", "2", "--quiet", "--obs", str(sink),
+        ]) == 0
+        obs.reset()  # the CLI enabled obs in-process
+        records = ResultStore(out).load_records()
+        assert [r.ok for r in records.values()] == [True, True]
         events = obs.load_events(str(sink))
 
         summary = trace_summary(events)
-        assert summary["root"]["name"] == "campaign.run"
+        root = summary["root"]
+        assert root["name"] == "cluster.campaign"
         assert (summary["n_roots"], summary["n_orphans"]) == (1, 0)
         assert len(summary["trace_ids"]) == 1
-        names = [e["name"] for e in events if e.get("kind") == "span"]
+        spans = [e for e in events if e.get("kind") == "span"]
+        names = [e["name"] for e in spans]
+        assert names.count("cluster.campaign") == 1
+        # The injected crash raises before its job span opens.
         assert names.count("campaign.job") == 2
-        assert "cluster.campaign" in names
+        assert names.count("store.merge") == 1
+        assert {
+            e["parent"] for e in spans
+            if e["name"] in ("campaign.job", "store.merge")
+        } == {root["id"]}
 
-        # Pool processes are forked after the scheduler has counted; a
-        # child that kept the parent's counters would count them twice.
+        # Workers are forked after the scheduler has counted; a child
+        # that kept the parent's counters would count them twice.
         counters = merge_events(events)["counters"]
-        attempts = sum(r.attempts for r in store.load_records().values())
+        attempts = sum(r.attempts for r in records.values())
+        assert attempts == 3
         assert counters["campaign.attempts"] == attempts
-        assert counters["campaign.pool_rebuilds"] == 1
         assert counters["cluster.campaigns_submitted"] == 1

@@ -16,7 +16,6 @@ from repro import cli, obs
 from repro.campaign import (
     CampaignRunner,
     CampaignSpec,
-    InProcessExecutor,
     ResultStore,
     build_dossier,
     discover_sinks,
@@ -40,9 +39,7 @@ def run_campaign(tmp_path, name="dossier", with_sink=False):
     store = ResultStore(tmp_path / name)
     if with_sink:
         obs.enable(sink_path=str(store.root / "obs.jsonl"))
-    result = CampaignRunner(
-        spec, store, executor_factory=InProcessExecutor
-    ).run()
+    result = CampaignRunner(spec, store).run()
     if with_sink:
         obs.flush()
         obs.reset()
@@ -72,7 +69,7 @@ class TestBuildDossier:
         assert "## Observability" in text
         assert "## Trace" in text
         assert "campaign.ok" in text
-        assert "campaign.run" in text  # the local runner's root span
+        assert "cluster.campaign" in text  # the scheduler's root span
         assert "## critical path" in text
 
     def test_diag_is_derived_when_missing(self, tmp_path):
@@ -147,7 +144,7 @@ class TestReportCli:
         names = {
             e["name"] for e in doc["traceEvents"] if e["ph"] == "X"
         }
-        assert "campaign.run" in names
+        assert "cluster.campaign" in names
         assert "campaign.job" in names
 
     def test_obs_export_default_format_unchanged(self, tmp_path, capsys):
