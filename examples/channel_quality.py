@@ -4,9 +4,9 @@
 Captures a survey sweep into a trace store, meters per-gadget leakage
 (mutual information + per-bit heatmaps) from the *stored* traces,
 checks that a live re-run agrees bit-exactly, probes the physical
-channel's health, and finishes with a drift-gate drill: the same
-metrics pass against themselves and fail once the cache noise is
-bumped.
+channel's health, and finishes with the claims gate's noise drill: the
+``CHANNEL`` claim passes against its committed baseline rows and fails
+once the cache noise is bumped.
 
 Run:  python examples/channel_quality.py
 """
@@ -16,18 +16,17 @@ from pathlib import Path
 
 from repro import gate
 from repro.diag import (
-    collect_diag_metrics,
-    metric_direction,
     render_channel_health,
     render_survey_leakage,
     survey_leakage,
     survey_leakage_from_store,
 )
 from repro.diag.channel import channel_health
-from repro.diag.drift import ABS_EPSILON, DEFAULT_TOLERANCE
+from repro.diag.claims import ABS_EPSILON, DEFAULT_TOLERANCE, channel, claim_rows
 from repro.traces.capture import capture_survey_traces
 from repro.traces.store import TraceStore
 
+BASELINE = Path(__file__).resolve().parent.parent / "benchmarks" / "claims_baseline.json"
 SIZE = 120
 SEED = 7
 
@@ -54,20 +53,23 @@ def main() -> None:
         channel_health(samples=800, n_targets=2, step_n=24)
     ))
 
-    print("\n# drift-gate drill\n")
-    params = dict(size=60, samples=400, n_targets=2, step_n=16)
-    baseline = gate.payload(
-        params, collect_diag_metrics(**params), metric_direction
-    )
+    print("\n# claims-gate noise drill: the CHANNEL claim\n")
+    committed = gate.load(str(BASELINE), "claims baseline")
+    rows = {
+        k: v for k, v in committed["metrics"].items()
+        if k.startswith("claim.CHANNEL.")
+    }
+    baseline = {**committed, "metrics": rows}
 
-    def drift_gate(metrics):
+    def channel_gate(noise_sigma=None):
         return gate.compare(
-            metrics, baseline, DEFAULT_TOLERANCE, abs_epsilon=ABS_EPSILON
+            claim_rows("CHANNEL", channel(noise_sigma)),
+            baseline, DEFAULT_TOLERANCE, abs_epsilon=ABS_EPSILON,
         )
 
-    clean = drift_gate(collect_diag_metrics(**params))
-    print(f"against itself: {clean.summary().splitlines()[-1]}")
-    noisy = drift_gate(collect_diag_metrics(noise_sigma=30.0, **params))
+    clean = channel_gate()
+    print(f"committed noise: {clean.summary().splitlines()[-1]}")
+    noisy = channel_gate(noise_sigma=30.0)
     print(f"with noise_sigma bumped to 30: "
           f"{noisy.summary().splitlines()[-1]}")
     for row in noisy.regressions[:4]:

@@ -774,8 +774,8 @@ def oracle_mitigation_sweep(params: dict, seed: int) -> dict:
     """Recovery-rate-versus-overhead across mitigations and observables.
 
     For every (observable, mitigation) cell: one BREACH recovery run,
-    the per-character oracle MI (same plug-in estimator as the drift
-    gate), and the observation overhead relative to the unmitigated
+    the per-character oracle MI (same plug-in estimator as the ORACLE
+    claim), and the observation overhead relative to the unmitigated
     cell on fixed neutral queries.  Overhead is measured through the
     oracle rather than the mitigation transform because the Debreach
     guard lives victim-side (it changes the compressor, not the

@@ -20,6 +20,7 @@ import json
 import os
 import subprocess
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -208,14 +209,21 @@ class ResultStore:
             raise SpecMismatchError(self.root, stored, spec.spec_hash())
         return spec
 
-    def finalize(self, counts: dict) -> None:
-        """Stamp completion time and outcome counts into the manifest,
-        and aggregate the per-job metrics into the diag timeseries."""
+    def finalize(self, cancelled: int = 0) -> None:
+        """Stamp completion time and the campaign's outcomes into the
+        manifest — one count per status over every record, so a resume
+        keeps what earlier runs finished, plus the ``cancelled`` jobs a
+        cancel dropped — and aggregate the per-job metrics into the
+        diag timeseries."""
+        records = self.load_records()
+        outcomes = Counter(record.status for record in records.values())
+        if cancelled:
+            outcomes["cancelled"] = cancelled
         manifest = self.load_manifest()
         manifest["finished_at"] = time.time()
-        manifest["outcomes"] = dict(counts)
+        manifest["outcomes"] = dict(outcomes)
         self._write_manifest(manifest)
-        self.write_diag()
+        self.write_diag(records)
 
     def _write_manifest(self, manifest: dict) -> None:
         tmp = self.manifest_path.with_suffix(".json.tmp")
@@ -342,17 +350,21 @@ class ResultStore:
     def diag_path(self) -> Path:
         return self.root / DIAG_NAME
 
-    def write_diag(self) -> Optional[Path]:
+    def write_diag(
+        self, records: Optional[dict[str, JobRecord]] = None
+    ) -> Optional[Path]:
         """Aggregate per-job numeric metrics into ``diag.json``.
 
         One point per recorded job in finish order, plus per-metric
         series and summary stats — the campaign-level view of the
         diagnostics that workers also streamed through the obs sink.
-        Returns the written path, or None when there are no records.
+        ``records`` are the store's already loaded records (default:
+        load them).  Returns the written path, or None when there are
+        no records.
         """
-        records = sorted(
-            self.load_records().values(), key=lambda r: (r.finished_at, r.job_id)
-        )
+        if records is None:
+            records = self.load_records()
+        records = sorted(records.values(), key=lambda r: (r.finished_at, r.job_id))
         if not records:
             return None
         points: list[dict] = []

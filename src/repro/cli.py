@@ -730,63 +730,37 @@ def cmd_diag_channel(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_diag_collect(args: argparse.Namespace) -> int:
-    """Run the deterministic diagnostics suite and write the metrics
-    (the baseline-refresh path: ``--out benchmarks/diag_baseline.json``)."""
-    from repro import gate
-    from repro.diag import collect_diag_metrics, metric_direction
-
-    params = {
-        "size": args.size,
-        "seed": args.seed,
-        "samples": args.samples,
-        "n_targets": args.targets,
-        "step_n": args.step_n,
-        "oracle_samples": args.oracle_samples,
-    }
-    metrics = collect_diag_metrics(
-        noise_sigma=args.noise_sigma,
-        include_confusion=args.confusion,
-        **params,
-    )
-    _emit(
-        _json(gate.payload(params, metrics, metric_direction)),
-        args.out,
-        f"wrote {len(metrics)} metrics to {args.out}",
-    )
-    return 0
-
-
 def cmd_diag_compare(args: argparse.Namespace) -> int:
-    """The leakage drift gate: current metrics vs a committed baseline;
-    exit 1 when a gated metric regressed beyond tolerance, 2 on an
-    unreadable gate file."""
+    """The claims gate: current claim metrics vs the committed baseline;
+    exit 1 when a gated row regressed beyond tolerance, 2 on an
+    unreadable gate file, or on a baseline of another suite when there
+    is no current file to compare and the claims are re-collected."""
     from repro import gate
-    from repro.diag import collect_diag_metrics
-    from repro.diag.claims import CLAIMS_PARAMS, collect_claim_metrics
-    from repro.diag.drift import ABS_EPSILON, DEFAULT_PARAMS
+    from repro.diag.claims import (
+        ABS_EPSILON,
+        CLAIMS_PARAMS,
+        channel,
+        claim_rows,
+        collect_claim_metrics,
+    )
 
     try:
         baseline = gate.load(args.baseline, "baseline")
         if args.current:
             current = gate.load(args.current, "metrics file")["metrics"]
-        elif baseline["params"] == CLAIMS_PARAMS:
-            # No file given: re-collect whichever suite the baseline's
-            # parameters say produced it.
-            if args.noise_sigma is not None:
-                raise UsageError("--noise-sigma applies to the diag suite, "
-                                 "not to a claims baseline")
+        elif baseline["params"] != CLAIMS_PARAMS:
+            raise UsageError(
+                f"{args.baseline} is not a claims baseline "
+                f"(params {json.dumps(baseline['params'], sort_keys=True)})"
+            )
+        elif args.noise_sigma is None:
             current = collect_claim_metrics()
         else:
-            # The diag suite, with the baseline's parameters (plus any
-            # injected override, e.g. --noise-sigma for drills).
-            params = {
-                k: v for k, v in baseline["params"].items()
-                if k in DEFAULT_PARAMS
-            }
-            current = collect_diag_metrics(
-                **params, noise_sigma=args.noise_sigma
-            )
+            # The noise drill: only the CHANNEL rows move with the
+            # cache noise, so only they are re-measured and gated.
+            current = claim_rows("CHANNEL", channel(args.noise_sigma))
+            rows = baseline["metrics"].items()
+            baseline["metrics"] = {k: v for k, v in rows if k.startswith("claim.CHANNEL.")}
         result = gate.compare(
             current,
             baseline,
@@ -1536,7 +1510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dsub = group(
         "diag",
-        "channel-quality diagnostics: leakage metering and drift gate",
+        "channel-quality diagnostics: leakage metering and claims gate",
         "diag_command",
     )
     d = command(dsub, "report", cmd_diag_report,
@@ -1560,35 +1534,23 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--confusion", action="store_true",
                    help="include a small fingerprint confusion matrix")
 
-    d = command(dsub, "collect", cmd_diag_collect,
-                "run the deterministic diag suite into a metrics JSON")
-    d.add_argument("--out", help="write here (default: stdout)")
-    d.add_argument("--size", type=int, default=120)
-    _shared(d, "seed=7")
-    d.add_argument("--samples", type=int, default=1500)
-    d.add_argument("--targets", type=int, default=4)
-    d.add_argument("--step-n", type=int, default=32)
-    d.add_argument("--oracle-samples", type=int, default=48,
-                   help="oracle-MI samples per mitigation (0 skips)")
-    _shared(d, "noise-sigma")
-    d.add_argument("--confusion", action="store_true")
-
     d = command(dsub, "claims", cmd_diag_claims,
                 "run every paper claim (EXPERIMENTS.md) into a metrics JSON")
     d.add_argument("--out", help="write here (default: stdout)")
 
     d = command(dsub, "compare", cmd_diag_compare,
-                "drift gate: current metrics vs committed baseline")
+                "claims gate: current claim metrics vs committed baseline")
     d.add_argument("current", nargs="?",
-                   help="metrics JSON to check (default: collect now "
-                        "with the baseline's parameters)")
-    d.add_argument("--baseline", default="benchmarks/diag_baseline.json",
+                   help="metrics JSON to check (default: collect the "
+                        "claims now)")
+    d.add_argument("--baseline", default="benchmarks/claims_baseline.json",
                    help="committed baseline payload")
     d.add_argument("--tolerance", type=float, default=0.05,
                    help="allowed relative regression (default 0.05 = 5%%)")
     d.add_argument("--noise-sigma", type=float,
-                   help="override the cache noise σ for the fresh "
-                        "collection (regression-injection drills)")
+                   help="re-measure only the CHANNEL claim, with this "
+                        "cache noise σ, and gate its rows (the "
+                        "regression-injection drill)")
 
     msub = group(
         "mitigate",

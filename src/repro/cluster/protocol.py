@@ -36,8 +36,13 @@ when the scheduler runs without observability.
 
 Version 2 dropped the ``idle {retry_after}`` reply: an idle worker's
 ``lease`` is parked until a job or the drain is due.  A worker that
-registers with another ``protocol`` version gets an ``error`` reply
-and the connection closes.
+registers with another ``protocol`` version, or with the id of a
+worker that is still connected, gets an ``error`` reply and the
+connection closes.  A holder silent for a lease (a half-open socket)
+no longer holds its id: a restarted worker takes it over, the old
+holder's leases go back to the queue and its connection is dropped at
+its next message.  A connection registers once: a second ``register``
+is a :class:`ProtocolError`.
 
 Control client → scheduler (the ``repro cluster submit|status|cancel``
 commands use the same stream)::

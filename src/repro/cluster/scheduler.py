@@ -268,9 +268,9 @@ class ClusterScheduler:
         # manually, so it is never on this thread's stack).
         with tracectx.adopted(exec_.wire_trace()):
             merged = exec_.store.merge_shards()
-            counts = dict(exec_.counts)
-            counts["skipped"] = exec_.skipped
-            exec_.store.finalize(counts)
+            exec_.store.finalize(cancelled=exec_.counts.get("cancelled", 0))
+        counts = dict(exec_.counts)
+        counts["skipped"] = exec_.skipped
         self._end(exec_, state)
         obs.log(
             "info",
@@ -307,6 +307,17 @@ class ClusterScheduler:
             "heartbeat_seconds": self.heartbeat_seconds,
             "lease_seconds": self.lease_seconds,
         }
+
+    def is_connected(self, worker_id: str) -> bool:
+        """Whether ``worker_id`` is registered, not yet disconnected and
+        heard from within a lease: a holder silent that long (its host
+        died behind a half-open socket) is as gone as its leases."""
+        info = self.workers.get(worker_id)
+        return (
+            info is not None
+            and info.connected
+            and self.clock() - info.last_seen <= self.lease_seconds
+        )
 
     def heartbeat(self, worker_id: str) -> None:
         """Refresh every lease the worker holds."""

@@ -43,7 +43,7 @@ from repro import obs
 from repro.campaign.spec import CampaignSpec
 from repro.cluster import protocol
 from repro.cluster.protocol import Endpoint, MessageStream, ProtocolError
-from repro.cluster.scheduler import ClusterScheduler
+from repro.cluster.scheduler import ClusterScheduler, WorkerInfo
 from repro.cluster.worker import ClusterWorker
 from repro.obs import tracectx
 from repro.obs.core import STATE as OBS_STATE
@@ -183,6 +183,7 @@ class SchedulerServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         worker_id: Optional[str] = None
+        worker: Optional[WorkerInfo] = None  # this connection's registration
         task = asyncio.current_task()
         self._connections[task] = writer
         # A held lease request is answered from its own task, so this
@@ -205,20 +206,39 @@ class SchedulerServer:
                         f"{kind} for worker {message['worker_id']!r} on a "
                         f"connection registered as {worker_id!r}"
                     )
+                if worker_id is not None and self.scheduler.workers.get(worker_id) is not worker:
+                    raise ProtocolError(
+                        f"worker {worker_id!r} registered again on another connection"
+                    )
                 if kind == protocol.MSG_REGISTER:
+                    if worker_id is not None:
+                        # One connection is one worker: another id
+                        # would strand this one's leases.
+                        raise ProtocolError(f"second register on worker {worker_id!r}'s connection")
+                    new_id = message["worker_id"]
                     version = message.get("protocol")
+                    refusal = None
                     if version is not None and version != protocol.PROTOCOL_VERSION:
-                        await self._send(writer, {
-                            "type": protocol.MSG_ERROR,
-                            "error": (
-                                f"worker speaks protocol {version}, this "
-                                f"scheduler {protocol.PROTOCOL_VERSION}"
-                            ),
-                        })
+                        refusal = (
+                            f"worker speaks protocol {version}, this "
+                            f"scheduler {protocol.PROTOCOL_VERSION}"
+                        )
+                    elif self.scheduler.is_connected(new_id):
+                        # The newcomer would lease, report and release
+                        # as the worker that holds this id.
+                        refusal = f"worker {new_id!r} is already connected"
+                    if refusal is not None:
+                        await self._send(
+                            writer, {"type": protocol.MSG_ERROR, "error": refusal}
+                        )
                         break
-                    worker_id = message["worker_id"]
+                    # A stale holder of this id is gone: its leases go
+                    # back before the newcomer takes the id.
+                    self.scheduler.disconnect_worker(new_id)
+                    worker_id = new_id
                     pid = message.get("pid") or 0
                     body = self.scheduler.register_worker(worker_id, pid=pid)
+                    worker = self.scheduler.workers[worker_id]
                     if self.serve_forever:
                         # A one-shot run's workers are its own forked
                         # fleet; a service announces who connects.
@@ -287,7 +307,7 @@ class SchedulerServer:
             if lease is not None:
                 lease.cancel()
                 await asyncio.gather(lease, return_exceptions=True)
-            if worker_id is not None:
+            if worker_id is not None and self.scheduler.workers.get(worker_id) is worker:
                 # EOF from a registered worker: clean goodbye or death,
                 # either way its leases must not stay checked out.
                 self.scheduler.disconnect_worker(worker_id)

@@ -1,6 +1,6 @@
 """repro.diag — channel-quality diagnostics on top of repro.obs.
 
-Three layers, all deterministic given their seeds:
+Four layers, all deterministic given their seeds:
 
 * **leakage metering** (:mod:`repro.diag.leakage`) — per-gadget
   empirical mutual information and per-bit accuracy maps for the
@@ -11,19 +11,15 @@ Three layers, all deterministic given their seeds:
   timing-margin histograms (decision margin in σ), eviction-set
   quality versus the cache model's ground truth, single-step fidelity,
   and fingerprint confusion matrices;
-* **drift gate** (:mod:`repro.diag.drift`) — the metrics and
-  directions ``repro diag compare`` feeds to the shared
-  :mod:`repro.gate` engine; it fails when leakage metrics regress
-  beyond tolerance against the committed
-  ``benchmarks/diag_baseline.json``;
 * **oracle channel MI** (:mod:`repro.diag.oracle`) — per-character
   mutual information of the BREACH compression-ratio oracle, scored
-  through the same plug-in MI core as the cache gadgets and gated in
-  both directions (open unmitigated, closed mitigated);
+  through the same plug-in MI core as the cache gadgets, open
+  unmitigated and closed mitigated;
 * **paper claims** (:mod:`repro.diag.claims`) — every experiment of
-  the paper's evaluation as measured values plus ``claim.*.holds``
-  verdict rows, gated by the same ``diag compare`` against
-  ``benchmarks/claims_baseline.json``.
+  the paper's evaluation, these diagnostics included, as measured
+  values plus ``claim.*.holds`` verdict rows with their gate
+  directions; ``repro diag compare`` gates them with the shared
+  :mod:`repro.gate` engine against ``benchmarks/claims_baseline.json``.
 
 Campaign workers publish these metrics through the obs sink
 (``obs.publish_metrics``); ``repro obs watch`` renders them live and
@@ -40,7 +36,7 @@ from repro.diag.channel import (
     single_step_fidelity,
     timing_margins,
 )
-from repro.diag.drift import collect_diag_metrics, metric_direction
+from repro.diag.claims import metric_direction
 from repro.diag.leakage import (
     GADGET_TARGETS,
     GadgetLeakage,
@@ -58,7 +54,6 @@ from repro.diag.oracle import (
     ORACLE_MI_CHARSET,
     OracleChannelDiag,
     measure_oracle_channel,
-    oracle_channel_metrics,
 )
 
 __all__ = [
@@ -67,7 +62,6 @@ __all__ = [
     "ORACLE_MI_CHARSET",
     "OracleChannelDiag",
     "channel_health",
-    "collect_diag_metrics",
     "eviction_quality",
     "fingerprint_confusion",
     "leakage_from_lines",
@@ -75,7 +69,6 @@ __all__ = [
     "measure_gadget_live",
     "measure_oracle_channel",
     "metric_direction",
-    "oracle_channel_metrics",
     "plugin_mutual_information",
     "render_channel_health",
     "render_heatmap",

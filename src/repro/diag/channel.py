@@ -321,8 +321,8 @@ def channel_health(
     include_confusion: bool = False,
 ) -> dict:
     """Run every probe; ``noise_sigma`` overrides the cache config used
-    by the timing/eviction probes (the drift drill bumps it to inject a
-    regression)."""
+    by the timing/eviction probes (the CHANNEL claim's noise drill bumps
+    it to inject a regression)."""
     cfg = (
         CacheConfig(noise_sigma=noise_sigma)
         if noise_sigma is not None

@@ -1,12 +1,14 @@
 """The paper's evaluation as gated rows: one :class:`Claim` per experiment.
 
-Every experiment id of DESIGN.md (FIG2 ... COMP, and REPLAY) is one
-claim.  Its ``measure`` runs the experiment on fixed inputs, seeds and
-sizes through the library's own entry points (``survey.observe``/
-``decode``, ``run_attack``, ``SgxBzip2Attack``, ``train_classifier``,
-``TaintChannel``, ``capture_fingerprint_traces``, ...) and returns the
-measured values; its ``check`` turns them into verdicts.
-:func:`collect_claim_metrics` flattens both into one metrics dict:
+Every experiment id of DESIGN.md (FIG2 ... COMP, REPLAY, the
+diagnostics LEAK, CHANNEL and SYNTH, and ORACLE) is one claim.  Its
+``measure`` runs the experiment on fixed inputs, seeds and sizes
+through the library's own entry points (``survey.observe``/``decode``,
+``run_attack``, ``SgxBzip2Attack``, ``train_classifier``,
+``TaintChannel``, ``channel_health``, ``verify_mitigation``, ...) and
+returns the measured values; its ``check`` turns them into verdicts.
+:func:`collect_claim_metrics` flattens both into one metrics dict
+(:func:`claim_rows` does it for one claim's values):
 
 * ``claim.<ID>.<value>`` — a measured value (wall-clock values end in
   ``_s`` or ``speedup`` and gate as ``info``);
@@ -17,6 +19,15 @@ measured values; its ``check`` turns them into verdicts.
 ``repro diag compare`` gates against ``benchmarks/claims_baseline.json``;
 EXPERIMENTS.md quotes that baseline.  :func:`judge` recomputes the
 verdicts from (possibly edited) measured values.
+
+:func:`metric_direction` gives each row its :mod:`repro.gate`
+direction by name suffix; ``diag compare`` gates with
+:data:`DEFAULT_TOLERANCE` and :data:`ABS_EPSILON`, which absorb the
+last-ulp libm differences another platform may bring to the seeded
+timing draws (on one machine every row is exactly reproducible).  The
+``CHANNEL`` measure, :func:`channel`, takes a cache noise override: the
+gate's injected-regression drill (``diag compare --noise-sigma``)
+re-measures that claim alone.
 """
 
 from __future__ import annotations
@@ -26,13 +37,73 @@ import tempfile
 import time
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
-#: ``params`` of a claims payload: how ``diag compare`` knows which suite
-#: to re-collect when it is given no current file.
+#: ``params`` of a claims payload: ``diag compare`` re-collects the
+#: claims only against a baseline with these parameters.
 CLAIMS_PARAMS = {"suite": "claims"}
 
 HOLDS = ".holds"
+
+DEFAULT_TOLERANCE = 0.05
+# Absolute slack on gated metrics with ~0 baselines.
+ABS_EPSILON = 0.005
+
+# Direction per metric suffix; anything not matched is "info".
+_HIGHER = (
+    "byte_accuracy",
+    "bit_accuracy",
+    "bit_accuracy_min",
+    "mi_bits_per_byte",
+    "mi_bits",
+    "bits_per_observation",
+    "recovered_fraction",
+    "exact_found",
+    "timing.margin_sigma",
+    "timing.empirical_separation",
+    "eviction.found_fraction",
+    "eviction.minimal_fraction",
+    "eviction.verified_fraction",
+    "eviction.congruent_fraction",
+    "single_step.step_fidelity",
+    "single_step.ftab_fault_fidelity",
+    "single_step.page_accuracy",
+    "output_equal",
+    "decodable",
+    "guard_ok",
+    "holds",  # a verdict: 1 -> 0 fails
+)
+# Mitigated rows are checked first: under an effective mitigation the
+# channel must stay *closed*, so leakage going up is the regression
+# (e.g. ``oracle.size.padding.mi_bits``, or every ``after.*`` leakage
+# row of the ``repro mitigate`` loop — those must stay ~0 even though
+# their un-prefixed suffixes are higher-is-better on the vulnerable
+# kernel).
+_LOWER = (
+    "timing.misclassified_rate",
+    "padding.mi_bits",
+    "padding.recovered_fraction",
+    "after.byte_accuracy",
+    "after.bit_accuracy",
+    "after.bit_accuracy_min",
+    "after.mi_bits_per_byte",
+    "after.bits_per_observation",
+    "after.recovered_fraction",
+    "after.exact_found",
+    "residual_gadgets",
+    "leftover_gadgets",
+)
+
+
+def metric_direction(name: str) -> str:
+    """``higher`` / ``lower`` / ``info`` for one metric name."""
+    for suffix in _LOWER:
+        if name.endswith(suffix):
+            return "lower"
+    for suffix in _HIGHER:
+        if name.endswith(suffix):
+            return "higher"
+    return "info"
 
 
 @dataclass(frozen=True)
@@ -487,6 +558,7 @@ def ablation_stepping() -> dict:
         "vulnerable_over_95pct": v["before.byte_accuracy"] > 0.95,
         "mitigated_under_10pct": v["after.byte_accuracy"] < 0.10,
         "overhead_over_100x": v["access_overhead"] > 100,
+        "mitigated_bits_under_80pct": v["after.bit_accuracy"] < 0.80,
     },
 )
 def mitigation() -> dict:
@@ -580,6 +652,120 @@ def replay() -> dict:
     }
 
 
+# The diagnostics suite's committed parameters (LEAK, CHANNEL, SYNTH,
+# ORACLE): survey size and seed, timing draws, eviction-set targets,
+# single-step input bytes, oracle samples per mitigation.
+DIAG_SIZE, DIAG_SEED = 120, 7
+TIMING_SAMPLES, EVICTION_TARGETS, STEP_BYTES = 1500, 4, 32
+ORACLE_SAMPLES = 48
+
+
+@_claim(
+    "LEAK",
+    lambda v: {
+        "zlib_bytes_over_95pct": v["zlib.byte_accuracy"] >= 0.95,
+        "lzw_bits_over_95pct": v["lzw.bit_accuracy"] >= 0.95,
+        "lzw_exact_found": v["lzw.exact_found"] == 1,
+        "bzip2_every_byte": v["bzip2.byte_accuracy"] == 1.0,
+        "bzip2_no_ambiguous_position": v["bzip2.ambiguous_positions"] == 0,
+    },
+)
+def leakage() -> dict:
+    """Sec. IV: the three survey gadgets' leakage meters (mutual
+    information, per-bit accuracy) on 120-byte inputs, seed 7."""
+    from repro.diag.leakage import survey_leakage
+
+    values = {}
+    for target, diag in survey_leakage(DIAG_SIZE, DIAG_SEED).items():
+        values.update(diag.metric_dict(prefix=f"{target}."))
+    return values
+
+
+@_claim(
+    "CHANNEL",
+    lambda v: {
+        "timing_margin_over_5_sigma": v["timing.margin_sigma"] > 5.0,
+        "no_misclassified_probe": v["timing.misclassified_rate"] == 0.0,
+        "eviction_sets_exact": all(
+            v[f"eviction.{name}_fraction"] == 1.0
+            for name in ("found", "minimal", "verified", "congruent")
+        ),
+        "single_step_exact": all(
+            v[f"single_step.{name}"] == 1.0
+            for name in ("step_fidelity", "ftab_fault_fidelity", "page_accuracy")
+        ),
+    },
+)
+def channel(noise_sigma: Optional[float] = None) -> dict:
+    """Sec. V's physical channel: hit/miss timing margins (1,500 draws),
+    eviction-set quality (4 targets) and Fig. 5 single-stepping (32
+    bytes); ``noise_sigma`` overrides the cache noise."""
+    from repro.diag.channel import channel_health
+
+    health = channel_health(
+        samples=TIMING_SAMPLES,
+        n_targets=EVICTION_TARGETS,
+        step_n=STEP_BYTES,
+        noise_sigma=noise_sigma,
+    )
+    timing = health["timing"]
+    values = {
+        f"timing.{key}": float(timing[key])
+        for key in (
+            "margin_sigma",
+            "empirical_separation",
+            "misclassified_rate",
+            "hit_mean",
+            "miss_mean",
+            "noise_sigma",
+        )
+    }
+    for probe in ("eviction", "single_step"):
+        for key, value in health[probe].items():
+            values[f"{probe}.{key}"] = float(value)
+    return values
+
+
+@_claim(
+    "SYNTH",
+    lambda v: {
+        "vulnerable_over_1_bit_per_byte": v["mitigate.lzw.before.mi_bits_per_byte"] > 1.0,
+        "patched_under_0_1_bit_per_byte": v["mitigate.lzw.after.mi_bits_per_byte"] < 0.1,
+        "patched_recovers_no_byte": v["mitigate.lzw.after.byte_accuracy"] == 0.0,
+        "no_residual_gadget": v["mitigate.lzw.residual_gadgets"] == 0,
+        "output_equal_and_decodable": v["mitigate.lzw.output_equal"] == 1
+        and v["mitigate.lzw.decodable"] == 1,
+    },
+)
+def synthesis() -> dict:
+    """Sec. VIII, synthesised: the mitigation planned from LZW's gadget
+    report, applied and re-metered (120 bytes, seed 7)."""
+    from repro.mitigations.verify import verify_mitigation
+
+    report = verify_mitigation("lzw", size=DIAG_SIZE, seed=DIAG_SEED)
+    return {f"mitigate.lzw.{k}": float(v) for k, v in report.metric_dict().items()}
+
+
+@_claim(
+    "ORACLE",
+    lambda v: {
+        "open_channel_saturates": v["oracle.size.recovered_fraction"] == 1.0
+        and abs(v["oracle.size.mi_bits"] - v["oracle.size.capacity_bits"]) < 1e-9,
+        "padding_loses_characters": v["oracle.size.padding.recovered_fraction"] < 1.0,
+    },
+)
+def oracle() -> dict:
+    """Sec. II's coarser channel: one BREACH size-oracle step's mutual
+    information, open and under length padding (48 samples, seed 7)."""
+    from repro.diag.oracle import measure_oracle_channel
+
+    values = {}
+    for mitigation, prefix in (("none", "oracle.size."), ("padding", "oracle.size.padding.")):
+        diag = measure_oracle_channel("size", mitigation, ORACLE_SAMPLES, DIAG_SEED)
+        values.update(diag.metric_dict(prefix=prefix))
+    return values
+
+
 def judge(metrics: dict) -> dict:
     """Recompute every ``.holds`` row from the measured ``claim.*`` rows
     in ``metrics``; returns a new dict.  A missing measured value reads
@@ -594,11 +780,18 @@ def judge(metrics: dict) -> dict:
     return out
 
 
+def claim_rows(claim_id: str, values: dict) -> dict:
+    """One claim's measured ``values`` as ``claim.<ID>.*`` rows, with
+    its verdicts."""
+    return judge({
+        f"claim.{claim_id}.{name}": float(value) if isinstance(value, float) else int(value)
+        for name, value in values.items()
+    })
+
+
 def collect_claim_metrics() -> dict:
     """Run every claim into one flat metrics dict with its verdicts."""
-    measured = {}
+    metrics = {}
     for claim in CLAIMS.values():
-        for name, value in claim.measure().items():
-            value = float(value) if isinstance(value, float) else int(value)
-            measured[f"claim.{claim.id}.{name}"] = value
-    return judge(measured)
+        metrics.update(claim_rows(claim.id, claim.measure()))
+    return metrics

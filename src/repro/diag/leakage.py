@@ -24,7 +24,7 @@ agree **bit-exactly** by construction — asserted in
 Estimator caveat: the plug-in MI estimator is biased upward for small
 sample counts relative to the alphabet (n positions vs up to 256 x 257
 joint cells).  The numbers here are comparable *between runs of the
-same size* — which is what the drift gate needs — not absolute channel
+same size* — which is what the claims gate needs — not absolute channel
 capacities; see ``docs/diagnostics.md``.
 """
 
@@ -115,7 +115,7 @@ class GadgetLeakage:
         }
 
     def metric_dict(self, prefix: str = "") -> dict:
-        """Flat numeric metrics (for campaigns and the drift gate)."""
+        """Flat numeric metrics (for campaigns and the LEAK claim)."""
         out = {
             f"{prefix}byte_accuracy": self.byte_accuracy,
             f"{prefix}bit_accuracy": self.bit_accuracy,

@@ -5,7 +5,7 @@ cache channels — *how many bits does one attack step actually move?* —
 but for the compression-ratio oracle of :mod:`repro.oracle`.  The
 estimator is deliberately the same plug-in mutual-information core as
 :func:`repro.diag.leakage.leakage_from_lines`, so oracle and cache
-numbers sit on one scale in the drift baseline.
+numbers sit on one scale in the claims baseline.
 
 Protocol: sample secrets whose first character cycles uniformly over a
 small calibration charset, let a one-step attacker produce a point
@@ -127,33 +127,3 @@ def measure_oracle_channel(
         mi_bits=plugin_mutual_information(xs, ys),
         recovered_fraction=hits / max(1, n_samples),
     )
-
-
-def oracle_channel_metrics(
-    seed: int = 7,
-    n_samples: int = 48,
-    mitigations: tuple = ("none", "padding"),
-) -> dict:
-    """The drift-gate rows: size-oracle MI with and without mitigation.
-
-    Metric names: ``oracle.size.mi_bits`` (unmitigated — *higher* is
-    better, the channel must stay open) and
-    ``oracle.size.<mitigation>.mi_bits`` (*lower* is better, the
-    mitigation must keep it closed); same pattern for
-    ``recovered_fraction``.
-    """
-    metrics: dict[str, float] = {}
-    for mitigation in mitigations:
-        diag = measure_oracle_channel(
-            observable="size",
-            mitigation=mitigation,
-            n_samples=n_samples,
-            seed=seed,
-        )
-        prefix = (
-            "oracle.size."
-            if mitigation == "none"
-            else f"oracle.size.{mitigation}."
-        )
-        metrics.update(diag.metric_dict(prefix=prefix))
-    return metrics

@@ -2,10 +2,10 @@
 
 Both regression gates of the repo run on this module: ``repro perf
 compare`` (bench timings and metrics digests, committed in
-``benchmarks/perf_baseline.json``) and ``repro diag compare`` (leakage
-and channel health, committed in ``benchmarks/diag_baseline.json``).
-Each producer — ``perf run``, ``diag collect`` — writes the same
-payload::
+``benchmarks/perf_baseline.json``) and ``repro diag compare`` (the
+paper's claims, leakage and channel health included, committed in
+``benchmarks/claims_baseline.json``).  Each producer — ``perf run``,
+``diag claims`` — writes the same payload::
 
     {"schema": "repro-gate/1",
      "params": {...},                 # what produced the metrics

@@ -3,8 +3,13 @@
 Pins a hypothesis profile with no deadline (the traced/simulated runs
 have high variance on shared CI machines) and a fixed derandomization
 seed is deliberately NOT set — property tests should explore.
+
+The ``claims`` fixture runs every paper claim (``repro.diag.claims``)
+once per session; every test of the claims gate, the diagnostics rows
+included, asserts against that one collection.
 """
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -13,3 +18,13 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro")
+
+
+@pytest.fixture(scope="session")
+def claims():
+    """Every claim's rows and verdicts, collected with obs off."""
+    from repro import obs
+    from repro.diag.claims import collect_claim_metrics
+
+    obs.reset()
+    return collect_claim_metrics()

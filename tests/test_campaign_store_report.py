@@ -65,13 +65,17 @@ class TestStore:
         assert set(records) == {"good"}
 
     def test_finalize_stamps_outcomes(self, tmp_path):
-        spec = CampaignSpec(name="m", experiment="test_echo", grid={"x": [1]})
+        """Outcomes count the store's records by status, plus the jobs
+        a cancel dropped."""
+        spec = CampaignSpec(name="m", experiment="test_echo", grid={"x": [1, 2, 3]})
         store = ResultStore(tmp_path / "c")
         store.open_campaign(spec)
-        store.finalize({"ok": 1})
+        store.extend([record("a"), record("b", status="failed")])
+        store.finalize(cancelled=1)
         manifest = store.load_manifest()
-        assert manifest["outcomes"] == {"ok": 1}
+        assert manifest["outcomes"] == {"ok": 1, "failed": 1, "cancelled": 1}
         assert manifest["finished_at"] >= manifest["started_at"]
+        assert store.load_diag()["n_points"] == 2
 
 
 class TestAggregation:

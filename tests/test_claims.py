@@ -1,11 +1,12 @@
 """The paper's claims, gated.
 
 ``repro.diag.claims`` runs every experiment of DESIGN.md's table once
-per session; its metrics must pass ``repro diag compare`` against the
-committed ``benchmarks/claims_baseline.json`` with every ``.holds`` row
-at 1.  EXPERIMENTS.md is written by hand but checked here: every
-measured cell names its ``claim.*`` row and shows that row's committed
-value.  A falsified claim, or an edited cell, fails.
+per session (the ``claims`` fixture of ``conftest.py``); its metrics
+must pass ``repro diag compare`` against the committed
+``benchmarks/claims_baseline.json`` with every ``.holds`` row at 1.
+EXPERIMENTS.md is written by hand but checked here: every measured
+cell names its ``claim.*`` row and shows that row's committed value.
+A falsified claim, or an edited cell, fails.
 """
 
 import re
@@ -17,13 +18,13 @@ from repro import gate
 from repro.cli import main
 from repro.diag import metric_direction
 from repro.diag.claims import (
+    ABS_EPSILON,
     CLAIMS,
     CLAIMS_PARAMS,
+    DEFAULT_TOLERANCE,
     HOLDS,
-    collect_claim_metrics,
     judge,
 )
-from repro.diag.drift import ABS_EPSILON, DEFAULT_TOLERANCE
 
 REPO = Path(__file__).resolve().parent.parent
 BASELINE = REPO / "benchmarks" / "claims_baseline.json"
@@ -32,6 +33,7 @@ EXPERIMENTS = REPO / "EXPERIMENTS.md"
 DESIGN_IDS = (
     "FIG2", "FIG3", "FIG4", "SURVEY", "SEC5E", "FIG7", "FIG8", "AES",
     "MEMCPY", "ABL-CAT", "ABL-FRAME", "ABL-STEP", "MITIG", "COMP", "REPLAY",
+    "LEAK", "CHANNEL", "SYNTH", "ORACLE",
 )
 
 # A measured cell: a number, an optional unit, then its row.
@@ -39,11 +41,6 @@ CELL = re.compile(
     r"^(?P<num>-?\d[\d,]*(?:\.(?P<dec>\d+))?)(?P<unit> %| s| ×)? "
     r"`(?P<row>claim\.[^`]+)`$"
 )
-
-
-@pytest.fixture(scope="session")
-def claims():
-    return collect_claim_metrics()
 
 
 @pytest.fixture(scope="session")
@@ -111,7 +108,7 @@ class TestClaimsGate:
         metrics, directions = baseline["metrics"], baseline["directions"]
         assert {name.split(".")[1] for name in metrics} == set(DESIGN_IDS)
         holds = [k for k in metrics if k.endswith(HOLDS)]
-        assert len(holds) == 57
+        assert len(holds) == 74
         assert all(metrics[k] == 1 for k in holds)
         assert all(directions[k] == "higher" for k in holds)
         # Wall-clock values are recorded, never gated.
@@ -144,18 +141,22 @@ class TestClaimsGate:
     ):
         import repro.diag.claims as claims_mod
 
-        monkeypatch.setattr(claims_mod, "collect_claim_metrics", lambda: claims)
+        monkeypatch.setattr(
+            claims_mod, "collect_claim_metrics", lambda: claims
+        )
         code = main(["diag", "compare", "--baseline", str(BASELINE)])
         out = capsys.readouterr().out
         assert code == 0, out
         assert "claim.SEC5E.bits_over_99pct.holds" in out
 
-    def test_noise_override_is_refused_for_a_claims_baseline(self, capsys):
-        code = main([
-            "diag", "compare", "--baseline", str(BASELINE), "--noise-sigma", "30",
-        ])
+    def test_a_baseline_of_another_suite_is_refused(self, claims, tmp_path, capsys):
+        path = tmp_path / "other.json"
+        gate.save(str(path), gate.payload({"size": 120}, claims, metric_direction))
+        code = main(["diag", "compare", "--baseline", str(path)])
+        err = capsys.readouterr().err
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        assert err.startswith("error: ") and "not a claims baseline" in err
+        assert err.count("\n") == 1
 
 
 class TestExperimentsDoc:

@@ -328,6 +328,7 @@ class TestInterrupt:
         assert resumed.returncode == 0, resumed.stderr
         records = store.load_records()
         assert len(records) == 60 and all(r.ok for r in records.values())
+        assert store.load_manifest()["outcomes"]["ok"] == 60
         reference = ResultStore(tmp_path / "reference")
         CampaignRunner(CampaignSpec.from_dict(spec), reference).run()
         assert metrics_digest(records) == metrics_digest(

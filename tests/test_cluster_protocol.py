@@ -223,6 +223,8 @@ HOSTILE_MOVES = st.lists(
         st.tuples(st.just("heartbeat"), st.one_of(st.just("w"), WORKER_IDS)),
         # A second lease while the first one is held.
         st.tuples(st.just("lease"), WORKER_IDS),
+        # A second connection registering as the holder.
+        st.tuples(st.just("register"), st.just("w")),
     ),
     min_size=1,
     max_size=4,
@@ -270,6 +272,11 @@ async def _hostile(path: str, move: tuple, job: dict, holder: _Peer) -> None:
     elif kind == "heartbeat":
         peer = await _Peer.open(path)
         await peer.send({"type": protocol.MSG_HEARTBEAT, "worker_id": move[1]})
+    elif kind == "register":
+        peer = await _Peer.open(path)
+        await peer.send({"type": protocol.MSG_REGISTER, "worker_id": move[1]})
+        reply = await peer.recv()
+        assert reply is not None and reply["type"] == protocol.MSG_ERROR, reply
     else:
         peer = await _Peer.open(path)
         await peer.send({"type": protocol.MSG_REGISTER, "worker_id": move[1]})
@@ -289,9 +296,10 @@ async def _hostile(path: str, move: tuple, job: dict, holder: _Peer) -> None:
 class TestHeldLeaseFuzz:
     """Worker ``w`` holds both jobs of a campaign while hostile peers
     send results for unknown or stale leases, heartbeats without a
-    registration and a second lease while one is held.  Each is a no-op
-    or a ProtocolError: the campaign's counts, records and
-    ``metrics_digest`` are those of an undisturbed run."""
+    registration, a second lease while one is held and a ``register``
+    as ``w``.  Each is a no-op, a refusal or a ProtocolError: the
+    campaign's counts, records and ``metrics_digest`` are those of an
+    undisturbed run."""
 
     @given(moves=HOSTILE_MOVES)
     @example(moves=[("result", 1, "failed", False)])
@@ -336,6 +344,82 @@ class TestHeldLeaseFuzz:
             records = ResultStore(root).load_records()
             assert sorted(r.attempts for r in records.values()) == [1, 1]
             assert metrics_digest(records) == _undisturbed_digest()
+
+    def test_a_second_register_under_another_id_drops_the_connection(self):
+        """One connection is one worker: registering another id would
+        strand the first id's lease, so the connection is dropped and
+        the lease goes back to the queue."""
+        scheduler = ClusterScheduler()
+        with tempfile.TemporaryDirectory() as tmp:
+            campaign_id = scheduler.submit(_fuzz_spec(), os.path.join(tmp, "c"))
+
+            async def scenario(path: str):
+                server = SchedulerServer(scheduler, Endpoint(kind="unix", path=path))
+                await server.start()
+                try:
+                    peer = await _Peer.open(path)
+                    await peer.send({"type": protocol.MSG_REGISTER, "worker_id": "w"})
+                    assert (await peer.recv())["type"] == protocol.MSG_REGISTERED
+                    await peer.send({"type": protocol.MSG_LEASE, "worker_id": "w"})
+                    assert (await peer.recv())["type"] == protocol.MSG_JOB
+                    await peer.send({"type": protocol.MSG_REGISTER, "worker_id": "v"})
+                    eof = await peer.recv()
+                    peer.close()
+                    await asyncio.sleep(0.05)  # the server's finally block
+                    return eof
+                finally:
+                    await server.stop()
+
+            assert asyncio.run(scenario(os.path.join(tmp, "s.sock"))) is None
+        queue = scheduler.campaigns[campaign_id].queue
+        assert queue.leased_count == 0 and queue.pending_count == 2
+        assert not scheduler.is_connected("w") and "v" not in scheduler.workers
+
+    def test_a_stale_holders_id_registers_again(self):
+        """A holder silent for a lease (its host died behind a half-open
+        socket) does not keep its id: a restarted worker registers under
+        it, the stale lease goes back to the queue, and the old
+        connection no longer speaks for the id."""
+        now = [1000.0]
+        scheduler = ClusterScheduler(lease_seconds=10.0, clock=lambda: now[0])
+        with tempfile.TemporaryDirectory() as tmp:
+            root = os.path.join(tmp, "c")
+            campaign_id = scheduler.submit(_fuzz_spec(), root)
+
+            async def scenario(path: str) -> None:
+                server = SchedulerServer(scheduler, Endpoint(kind="unix", path=path))
+                await server.start()
+                try:
+                    stale = await _Peer.open(path)
+                    await stale.send({"type": protocol.MSG_REGISTER, "worker_id": "w"})
+                    assert (await stale.recv())["type"] == protocol.MSG_REGISTERED
+                    await stale.send({"type": protocol.MSG_LEASE, "worker_id": "w"})
+                    assert (await stale.recv())["type"] == protocol.MSG_JOB
+                    now[0] += 11.0
+                    fresh = await _Peer.open(path)
+                    await fresh.send({"type": protocol.MSG_REGISTER, "worker_id": "w"})
+                    assert (await fresh.recv())["type"] == protocol.MSG_REGISTERED
+                    assert scheduler.campaigns[campaign_id].queue.leased_count == 0
+                    await stale.send({"type": protocol.MSG_HEARTBEAT, "worker_id": "w"})
+                    assert await stale.recv() is None
+                    stale.close()
+                    shard = ResultStore(root).shard_store("w")
+                    for _ in range(2):
+                        await fresh.send({"type": protocol.MSG_LEASE, "worker_id": "w"})
+                        job = await fresh.recv()
+                        await fresh.send(
+                            finish_job(shard, "w", job, run_attempt(job["payload"]))
+                        )
+                    await fresh.send({"type": protocol.MSG_LEASE, "worker_id": "w"})
+                    assert (await fresh.recv())["type"] == protocol.MSG_DRAIN
+                    assert scheduler.is_connected("w")
+                    fresh.close()
+                finally:
+                    await server.stop()
+
+            asyncio.run(scenario(os.path.join(tmp, "s.sock")))
+            exec_ = scheduler.campaigns[campaign_id]
+            assert exec_.counts == {"ok": 2} and exec_.retries == 1
 
 
 _UNDISTURBED: list = []

@@ -120,7 +120,7 @@ class TestFullFlow:
         assert len(records) == 8
         assert all(record.ok for record in records.values())
         manifest = cluster_store.load_manifest()
-        assert manifest["outcomes"] == {"ok": 8, "skipped": 0}
+        assert manifest["outcomes"] == {"ok": 8}
 
         single_store = ResultStore(tmp_path / "single")
         result = CampaignRunner(drill_spec(), single_store).run()
@@ -392,6 +392,25 @@ class TestRestartResume:
         assert metrics_digest(records) == metrics_digest(
             single.load_records()
         )
+
+    def test_resuming_a_finished_campaign_keeps_its_outcomes(self, tmp_path):
+        """The manifest counts the campaign's records, not one
+        invocation's: a resume of a finished 1-job campaign runs
+        nothing and the manifest still says the job succeeded."""
+        spec = CampaignSpec(name="one", experiment="cluster_echo", grid={"x": [1]})
+        clock = FakeClock()
+        first = ClusterScheduler(clock=clock)
+        first.submit(spec, tmp_path / "c")
+        drain(first, clock=clock)
+        store = ResultStore(tmp_path / "c")
+        assert store.load_manifest()["outcomes"] == {"ok": 1}
+
+        second = ClusterScheduler(clock=clock)
+        second.submit(spec, tmp_path / "c", resume=True)
+        (exec_,) = second.campaigns.values()
+        assert exec_.state == STATE_DONE
+        assert exec_.skipped == 1 and "ok" not in exec_.counts
+        assert store.load_manifest()["outcomes"] == {"ok": 1}
 
 
 class TestStatusPayload:

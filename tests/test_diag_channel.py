@@ -1,6 +1,6 @@
 """Channel-health probes: determinism, margin behaviour, fidelity.
 
-These probes feed the drift gate, so the load-bearing property is
+These probes feed the CHANNEL claim, so the load-bearing property is
 that each one is a pure function of its seed arguments — asserted by
 running everything twice — and that the numbers move the right way
 when the channel is degraded (σ bump shrinks the margin).

@@ -1,35 +1,43 @@
-"""The leakage drift gate: directions, tolerances, and the committed
-baseline.
+"""The diagnostics rows of the claims gate: directions, tolerances,
+and the committed baseline.
 
-Two acceptance criteria live here: ``repro diag compare`` passes
-against the committed ``benchmarks/diag_baseline.json`` as-is, and
-fails (exit 1) when a regression is injected by bumping the cache
-noise σ.
+The survey leakage meters (``LEAK``), the channel-health probes
+(``CHANNEL``), the synthesised LZW mitigation (``SYNTH``) and the
+oracle MI (``ORACLE``) are claims of ``repro.diag.claims``; these tests
+assert against the session's one collection (the ``claims`` fixture).
+``repro diag compare`` passes against the committed
+``benchmarks/claims_baseline.json`` and fails (exit 1) when a
+regression is injected by bumping the cache noise σ of ``CHANNEL``.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
 from repro import gate
-from repro.diag.drift import (
+from repro.diag.claims import (
     ABS_EPSILON,
-    DEFAULT_PARAMS,
+    CLAIMS_PARAMS,
+    CLAIMS,
     DEFAULT_TOLERANCE,
-    collect_diag_metrics,
+    channel,
+    claim_rows,
     metric_direction,
 )
 
 REPO = Path(__file__).resolve().parent.parent
-BASELINE = REPO / "benchmarks" / "diag_baseline.json"
+BASELINE = REPO / "benchmarks" / "claims_baseline.json"
 
-SMALL = dict(size=40, samples=200, n_targets=2, step_n=16)
+DIAG_IDS = ("LEAK", "CHANNEL", "SYNTH", "ORACLE")
 
 
 def diag_payload(metrics, params=None):
-    """What ``repro diag collect`` writes."""
-    return gate.payload(params or DEFAULT_PARAMS, metrics, metric_direction)
+    """What ``repro diag claims`` writes."""
+    return gate.payload(
+        CLAIMS_PARAMS if params is None else params, metrics, metric_direction
+    )
 
 
 def diag_gate(current, baseline):
@@ -37,6 +45,13 @@ def diag_gate(current, baseline):
     return gate.compare(
         current, baseline, DEFAULT_TOLERANCE, abs_epsilon=ABS_EPSILON
     )
+
+
+def diag_rows(metrics):
+    """The rows of the four diagnostics claims."""
+    return {
+        k: v for k, v in metrics.items() if k.split(".")[1] in DIAG_IDS
+    }
 
 
 class TestDirections:
@@ -115,7 +130,7 @@ class TestCompareLogic:
 
 class TestBaselineIO:
     def test_roundtrip(self, tmp_path):
-        payload = diag_payload({"a.bit_accuracy": 0.5}, params=SMALL)
+        payload = diag_payload({"a.bit_accuracy": 0.5})
         path = tmp_path / "base.json"
         gate.save(str(path), payload)
         loaded = gate.load(str(path))
@@ -131,76 +146,92 @@ class TestBaselineIO:
 
 
 class TestCollectAndGate:
-    def test_collection_is_deterministic(self):
-        assert collect_diag_metrics(**SMALL) == collect_diag_metrics(**SMALL)
+    def test_collection_is_deterministic(self, claims):
+        """A second run of the four claims gives the session's rows."""
+        rerun = {}
+        for claim_id in DIAG_IDS:
+            rerun.update(claim_rows(claim_id, CLAIMS[claim_id].measure()))
+        assert rerun == diag_rows(claims)
 
-    def test_collection_covers_gadgets_and_probes(self):
-        metrics = collect_diag_metrics(**SMALL)
-        for prefix in ("zlib.", "lzw.", "bzip2.", "timing.", "eviction.",
-                       "single_step."):
-            assert any(k.startswith(prefix) for k in metrics), prefix
+    def test_collection_covers_gadgets_and_probes(self, claims):
+        for prefix in (
+            "LEAK.zlib.", "LEAK.lzw.", "LEAK.bzip2.", "CHANNEL.timing.",
+            "CHANNEL.eviction.", "CHANNEL.single_step.", "SYNTH.mitigate.lzw.",
+            "ORACLE.oracle.size.",
+        ):
+            assert any(k.startswith(f"claim.{prefix}") for k in claims), prefix
 
-    def test_gate_passes_on_self(self):
-        metrics = collect_diag_metrics(**SMALL)
-        assert diag_gate(metrics, diag_payload(metrics)).ok
+    def test_gate_passes_on_self(self, claims):
+        rows = diag_rows(claims)
+        assert diag_gate(rows, diag_payload(rows)).ok
 
-    def test_noise_injection_regresses_the_gate(self):
-        base = diag_payload(collect_diag_metrics(**SMALL))
-        injected = collect_diag_metrics(noise_sigma=30.0, **SMALL)
+    def test_noise_injection_regresses_the_gate(self, claims):
+        base = diag_payload(diag_rows(claims))
+        injected = {
+            **diag_rows(claims),
+            **claim_rows("CHANNEL", channel(noise_sigma=30.0)),
+        }
         cmp = diag_gate(injected, base)
         assert not cmp.ok
-        assert any(
-            row.name == "timing.margin_sigma" for row in cmp.regressions
-        )
+        regressed = {row.name for row in cmp.regressions}
+        assert "claim.CHANNEL.timing.margin_sigma" in regressed
+        assert "claim.CHANNEL.timing_margin_over_5_sigma.holds" in regressed
 
-    def test_committed_baseline_compares_clean(self):
-        """The repo's own baseline must pass with the recorded params."""
+    def test_committed_baseline_compares_clean(self, claims):
+        """The diagnostics rows of the repo's baseline pass, and each
+        of their verdicts holds."""
         baseline = gate.load(str(BASELINE))
-        assert baseline["params"] == DEFAULT_PARAMS
-        params = baseline["params"]
-        current = collect_diag_metrics(
-            size=params["size"],
-            seed=params["seed"],
-            samples=params["samples"],
-            n_targets=params["n_targets"],
-            step_n=params["step_n"],
-        )
-        cmp = diag_gate(current, baseline)
+        assert baseline["params"] == CLAIMS_PARAMS
+        rows = diag_rows(baseline["metrics"])
+        assert rows and set(rows) == set(diag_rows(claims))
+        cmp = diag_gate(diag_rows(claims), {**baseline, "metrics": rows})
         assert cmp.ok, cmp.summary()
+        holds = [k for k in rows if k.endswith(".holds")]
+        assert len(holds) == 16 and all(claims[k] == 1 for k in holds)
 
 
 class TestCLI:
-    def _collect(self, tmp_path, *extra):
+    def _save(self, path, metrics):
+        gate.save(str(path), diag_payload(metrics))
+        return path
+
+    def test_collect_then_compare_passes(self, claims, tmp_path, capsys):
         from repro import cli
 
-        out = tmp_path / "base.json"
-        args = [
-            "diag", "collect", "--out", str(out),
-            "--size", str(SMALL["size"]),
-            "--samples", str(SMALL["samples"]),
-            "--targets", str(SMALL["n_targets"]),
-            "--step-n", str(SMALL["step_n"]),
-        ]
-        assert cli.main(args + list(extra)) == 0
-        return out
-
-    def test_collect_then_compare_passes(self, tmp_path, capsys):
-        from repro import cli
-
-        out = self._collect(tmp_path)
-        assert cli.main(["diag", "compare", "--baseline", str(out)]) == 0
+        current = self._save(tmp_path / "claims.json", claims)
+        assert cli.main(
+            ["diag", "compare", str(current), "--baseline", str(BASELINE)]
+        ) == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_injected_regression_exits_one(self, tmp_path, capsys):
+    def test_injected_regression_exits_one(self, monkeypatch, capsys):
+        """``--noise-sigma`` re-measures the CHANNEL claim alone and gates
+        only its rows."""
+        import repro.diag.claims as claims_mod
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the noise drill measured another claim")
+
+        monkeypatch.setattr(claims_mod, "collect_claim_metrics", unexpected)
+        for claim_id, claim in CLAIMS.items():
+            if claim_id != "CHANNEL":
+                monkeypatch.setitem(
+                    CLAIMS, claim_id, dataclasses.replace(claim, measure=unexpected)
+                )
         from repro import cli
 
-        out = self._collect(tmp_path)
         rc = cli.main(
-            ["diag", "compare", "--baseline", str(out),
+            ["diag", "compare", "--baseline", str(BASELINE),
              "--noise-sigma", "30"]
         )
         assert rc == 1
-        assert "REGRESSED" in capsys.readouterr().out
+        rows = [
+            line.split() for line in capsys.readouterr().out.splitlines()
+            if line.startswith("claim.")
+        ]
+        assert rows and all(r[0].startswith("claim.CHANNEL.") for r in rows)
+        regressed = [r[0] for r in rows if "REGRESSED" in r]
+        assert "claim.CHANNEL.timing.margin_sigma" in regressed
 
     def test_missing_baseline_exits_two(self, tmp_path, capsys):
         from repro import cli
@@ -211,14 +242,13 @@ class TestCLI:
         assert rc == 2
         assert "no baseline" in capsys.readouterr().err
 
-    def test_compare_accepts_a_current_metrics_file(self, tmp_path):
+    def test_compare_accepts_a_current_metrics_file(self, claims, tmp_path):
         from repro import cli
 
-        out = self._collect(tmp_path)
-        current = tmp_path / "current.json"
-        gate.save(str(current), diag_payload(collect_diag_metrics(**SMALL)))
+        baseline = self._save(tmp_path / "base.json", diag_rows(claims))
+        current = self._save(tmp_path / "current.json", diag_rows(claims))
         assert cli.main(
-            ["diag", "compare", str(current), "--baseline", str(out)]
+            ["diag", "compare", str(current), "--baseline", str(baseline)]
         ) == 0
 
     def test_diag_report_without_store_runs_live(self, capsys):

@@ -134,17 +134,20 @@ class TestNonPerturbation:
         off, on = self._digests(lambda: run_gadget_scan("lzw", data))
         assert off == on
 
-    def test_diag_metrics_identical(self):
-        """The diag probes publish through obs but never read from it:
-        the drift-gate metrics must not move when a sink is recording."""
-        from repro.diag import collect_diag_metrics
+    def test_diag_metrics_identical(self, claims):
+        """The diagnostics claims publish through obs but never read
+        from it: their rows must not move when a sink is recording (the
+        session's collection ran with obs off)."""
+        from repro.diag.claims import CLAIMS, claim_rows
 
-        off, on = self._digests(
-            lambda: collect_diag_metrics(
-                size=40, samples=200, n_targets=2, step_n=16
-            )
-        )
-        assert off == on
+        diag_ids = ("LEAK", "CHANNEL", "SYNTH", "ORACLE")
+        off = {k: v for k, v in claims.items() if k.split(".")[1] in diag_ids}
+        obs.enable()
+        on = {}
+        for claim_id in diag_ids:
+            on.update(claim_rows(claim_id, CLAIMS[claim_id].measure()))
+        obs.reset()
+        assert metrics_digest(off) == metrics_digest(on)
 
     def test_leakage_metering_identical(self):
         from repro.diag import measure_gadget_live
