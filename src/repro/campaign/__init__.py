@@ -23,9 +23,9 @@ ingredients, which this package provides once:
 
 The registered experiments live in :mod:`repro.campaign.experiments`;
 the CLI front end is ``python -m repro campaign run|resume|report``.
-:mod:`repro.campaign.dossier` folds the report, the ``diag.json``
-timeseries, and the campaign's obs sinks into one markdown document
-(``python -m repro report <campaign-dir>``).
+:mod:`repro.campaign.dossier` folds the report, a metrics timeseries
+derived from ``results.jsonl``, and the campaign's obs sinks into one
+markdown document (``python -m repro report <campaign-dir>``).
 """
 
 from repro._lazy import lazy_exports

@@ -1,21 +1,22 @@
 """One campaign, one document: the ``repro report`` dossier.
 
-A finished campaign leaves several artefacts on disk — the manifest and
-JSONL result log, the ``diag.json`` metrics timeseries, and (when run
-with observability on) one or more obs sinks holding counters,
-histograms, warnings and the cross-process span tree.  Each has its own
-viewer (``campaign report``, ``obs watch``, ``obs report --trace``);
-:func:`build_dossier` merges all of them into one static markdown
-document, so "what happened in this campaign" is a single file you can
-commit, attach to a CI run, or diff against a previous campaign.
+A finished campaign leaves several artefacts on disk — the manifest,
+the JSONL result log and (when run with observability on) one or more
+obs sinks holding counters, histograms, warnings and the cross-process
+span tree.  Each has its own viewer (``campaign report``, ``obs
+watch``, ``obs report --trace``); :func:`build_dossier` merges all of
+them into one static markdown document, so "what happened in this
+campaign" is a single file you can commit, attach to a CI run, or diff
+against a previous campaign.
 
 Sections, in order:
 
 1. the campaign report proper (identity, outcome counts, per-cell
    results, failed jobs) — verbatim from
    :func:`repro.campaign.report.render_report`;
-2. the ``diag.json`` per-metric timeseries, one row per metric with
-   summary stats and a unicode sparkline of the per-job series;
+2. the per-metric timeseries, derived from ``results.jsonl``: one row
+   per metric with summary stats and a unicode sparkline of the per-job
+   series;
 3. the obs sink summary — merged counters, histogram tails, and
    deduplicated warnings;
 4. the trace view — the stitched span tree and critical-path
@@ -57,27 +58,38 @@ def _num(value: float) -> str:
     return f"{value:.4g}"
 
 
-def _diag_lines(diag: dict) -> list[str]:
+def _diag_lines(records: dict) -> list[str]:
+    """The per-metric timeseries of the job records: in finish order,
+    each ok job's numeric metrics (bools as ints) and its duration."""
     from repro.obs.watch import sparkline
 
-    summary = diag.get("summary") or {}
-    series = diag.get("series") or {}
-    n_points = diag.get("n_points", 0)
-    if not summary:
+    if not records:
+        return ["(no job records yet)"]
+    series: dict[str, list[float]] = {}
+    for record in sorted(records.values(), key=lambda r: (r.finished_at, r.job_id)):
+        if not record.ok:
+            continue
+        values = {
+            key: float(int(v) if isinstance(v, bool) else v)
+            for key, v in (record.metrics or {}).items()
+            if isinstance(v, (int, float))
+        }
+        values["duration_seconds"] = float(record.duration_seconds)
+        for key, value in values.items():
+            series.setdefault(key, []).append(value)
+    if not series:
         return ["(no successful jobs — no metric series to plot)"]
     lines = [
-        f"{n_points} job points, {len(summary)} metric series.",
+        f"{len(records)} job points, {len(series)} metric series.",
         "",
         "| metric | n | mean | min | max | last | trend |",
         "|---|---|---|---|---|---|---|",
     ]
-    for name, stats in sorted(summary.items()):
-        values = [float(v) for v in series.get(name, [])]
-        spark = sparkline(values) if values else ""
+    for name, values in sorted(series.items()):
         lines.append(
-            f"| {name} | {stats['n']} | {_num(stats['mean'])} "
-            f"| {_num(stats['min'])} | {_num(stats['max'])} "
-            f"| {_num(stats['last'])} | `{spark}` |"
+            f"| {name} | {len(values)} | {_num(sum(values) / len(values))} "
+            f"| {_num(min(values))} | {_num(max(values))} "
+            f"| {_num(values[-1])} | `{sparkline(values)}` |"
         )
     return lines
 
@@ -148,27 +160,14 @@ def build_dossier(
 
     ``events`` are the already-read events of ``sinks`` (see
     :func:`read_campaign_sinks`); without them the sinks are read here.
-    Degrades gracefully: a campaign without ``diag.json`` gets it
-    derived on the fly (when records exist), and one run without
-    observability simply notes the missing sinks — every section that
-    *can* be produced is.
+    Reads the campaign directory and writes nothing into it.  Degrades
+    gracefully: a run without observability simply notes the missing
+    sinks — every section that *can* be produced is.
     """
-    lines = [render_report(store).rstrip()]
-
-    try:
-        diag = store.load_diag()
-    except FileNotFoundError:
-        diag = None
-        try:
-            if store.write_diag() is not None:
-                diag = store.load_diag()
-        except OSError:
-            diag = None
+    records = store.load_records()
+    lines = [render_report(store, records).rstrip()]
     lines += ["", "## Diagnostics timeseries", ""]
-    if diag is None:
-        lines.append("(no diag.json and no records to derive one from)")
-    else:
-        lines += _diag_lines(diag)
+    lines += _diag_lines(records)
 
     if events is None:
         sinks, events, _ = read_campaign_sinks(store, sinks)

@@ -97,8 +97,7 @@ def execute_payload(payload: dict) -> dict:
             metrics = fn(payload["params"], payload["seed"])
         if isinstance(metrics, dict):
             # Stream the job's numeric metrics into the sink so `repro
-            # obs watch` can roll them live and the store's diag.json
-            # timeseries has per-job points.  Reads the dict only —
+            # obs watch` can roll them live.  Reads the dict only —
             # the non-perturbation invariant holds.
             obs.publish_metrics(
                 "campaign.job",

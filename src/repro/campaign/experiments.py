@@ -15,7 +15,10 @@ own with :func:`register_experiment`.
 
 from __future__ import annotations
 
+import atexit
+import os
 import random
+import shutil
 from typing import Callable, Dict
 
 ExperimentFn = Callable[[dict, int], dict]
@@ -317,8 +320,22 @@ def fingerprint_from_store(params: dict, seed: int) -> dict:
 # Process-level store cache for the replay benches: capture once per
 # (kind, pin) per process, then every timed repeat measures replay
 # alone.  Keyed by the full capture pin so distinct bench params never
-# share a store; the scratch directories are removed at process exit.
+# share a store.  The scratch directories leave with the process that
+# captured them; a forked child starts with none of its parent's.
 _BENCH_STORES: Dict[tuple, object] = {}
+
+
+def remove_scratch_stores() -> None:
+    """Remove the scratch stores this process captured.  Runs at
+    interpreter exit; a forked worker, which leaves by ``os._exit``,
+    calls it itself."""
+    while _BENCH_STORES:
+        _, store = _BENCH_STORES.popitem()
+        shutil.rmtree(store.root, ignore_errors=True)
+
+
+atexit.register(remove_scratch_stores)
+os.register_at_fork(after_in_child=_BENCH_STORES.clear)
 
 
 def _replay_store(params: dict, key: tuple, trace_id: str, capture) -> object:
@@ -335,14 +352,14 @@ def _replay_store(params: dict, key: tuple, trace_id: str, capture) -> object:
         return store
     store = _BENCH_STORES.get(key)
     if store is None:
-        import atexit
-        import shutil
         import tempfile
 
-        scratch = tempfile.mkdtemp(prefix="repro-bench-store-")
-        atexit.register(shutil.rmtree, scratch, True)
-        store = TraceStore(scratch).open()
-        capture(store)
+        store = TraceStore(tempfile.mkdtemp(prefix="repro-bench-store-")).open()
+        try:
+            capture(store)
+        except BaseException:
+            shutil.rmtree(store.root, ignore_errors=True)
+            raise
         _BENCH_STORES[key] = store
     return store
 

@@ -216,10 +216,15 @@ def render_status(status: dict) -> str:
     return "\n".join(lines)
 
 
-def render_report(store: ResultStore) -> str:
-    """Full markdown report for one campaign directory."""
+def render_report(
+    store: ResultStore, records: Optional[dict[str, JobRecord]] = None
+) -> str:
+    """Full markdown report for one campaign directory; ``records`` are
+    its already loaded records (default: load them)."""
     manifest = store.load_manifest()
-    records = list(store.load_records().values())
+    if records is None:
+        records = store.load_records()
+    records = list(records.values())
     cells = aggregate_records(records)
     spec = manifest.get("spec", {})
     n_ok = sum(1 for r in records if r.ok)

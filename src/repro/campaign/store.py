@@ -30,8 +30,6 @@ from repro.campaign.spec import CampaignSpec
 
 MANIFEST_NAME = "manifest.json"
 RESULTS_NAME = "results.jsonl"
-DIAG_NAME = "diag.json"
-DIAG_TIMESERIES_SCHEMA = "repro-diag-timeseries/1"
 SHARD_PREFIX = "shard-"
 
 STATUS_OK = "ok"
@@ -213,8 +211,7 @@ class ResultStore:
         """Stamp completion time and the campaign's outcomes into the
         manifest — one count per status over every record, so a resume
         keeps what earlier runs finished, plus the ``cancelled`` jobs a
-        cancel dropped — and aggregate the per-job metrics into the
-        diag timeseries."""
+        cancel dropped."""
         records = self.load_records()
         outcomes = Counter(record.status for record in records.values())
         if cancelled:
@@ -223,7 +220,6 @@ class ResultStore:
         manifest["finished_at"] = time.time()
         manifest["outcomes"] = dict(outcomes)
         self._write_manifest(manifest)
-        self.write_diag(records)
 
     def _write_manifest(self, manifest: dict) -> None:
         tmp = self.manifest_path.with_suffix(".json.tmp")
@@ -344,79 +340,6 @@ class ResultStore:
         if changed:
             obs.counter_add("store.shard_merged_records", len(changed))
         return len(changed)
-
-    # -- diag timeseries ------------------------------------------------
-    @property
-    def diag_path(self) -> Path:
-        return self.root / DIAG_NAME
-
-    def write_diag(
-        self, records: Optional[dict[str, JobRecord]] = None
-    ) -> Optional[Path]:
-        """Aggregate per-job numeric metrics into ``diag.json``.
-
-        One point per recorded job in finish order, plus per-metric
-        series and summary stats — the campaign-level view of the
-        diagnostics that workers also streamed through the obs sink.
-        ``records`` are the store's already loaded records (default:
-        load them).  Returns the written path, or None when there are
-        no records.
-        """
-        if records is None:
-            records = self.load_records()
-        records = sorted(records.values(), key=lambda r: (r.finished_at, r.job_id))
-        if not records:
-            return None
-        points: list[dict] = []
-        series: dict[str, list[float]] = {}
-        for record in records:
-            values = {
-                key: float(int(v) if isinstance(v, bool) else v)
-                for key, v in (record.metrics or {}).items()
-                if isinstance(v, (int, float))
-            }
-            values["duration_seconds"] = float(record.duration_seconds)
-            points.append(
-                {
-                    "job_id": record.job_id,
-                    "finished_at": record.finished_at,
-                    "status": record.status,
-                    "trial": record.trial,
-                    "metrics": values,
-                }
-            )
-            if record.ok:
-                for key, value in values.items():
-                    series.setdefault(key, []).append(value)
-        summary = {
-            key: {
-                "n": len(vs),
-                "mean": sum(vs) / len(vs),
-                "min": min(vs),
-                "max": max(vs),
-                "last": vs[-1],
-            }
-            for key, vs in sorted(series.items())
-        }
-        payload = {
-            "schema": DIAG_TIMESERIES_SCHEMA,
-            "n_points": len(points),
-            "points": points,
-            "series": dict(sorted(series.items())),
-            "summary": summary,
-        }
-        tmp = self.diag_path.with_suffix(".json.tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, self.diag_path)
-        return self.diag_path
-
-    def load_diag(self) -> dict:
-        """Read ``diag.json`` (raises ``FileNotFoundError`` when the
-        campaign has not finalized yet)."""
-        with open(self.diag_path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
 
 
 # -- pure record algebra (shared by store, scheduler, and tests) --------

@@ -666,8 +666,9 @@ def cmd_obs_export(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    """Write the unified campaign dossier: campaign report + diag
-    timeseries + obs summary + trace critical path, one markdown doc."""
+    """Write the unified campaign dossier: campaign report + metrics
+    timeseries (derived from ``results.jsonl``) + obs summary + trace
+    critical path, one markdown doc.  Writes nothing into ``args.dir``."""
     from repro.campaign import build_dossier
     from repro.campaign.dossier import read_campaign_sinks
 
@@ -1377,8 +1378,9 @@ def build_parser() -> argparse.ArgumentParser:
     command(csub, "list", cmd_campaign_list, "list registered experiments")
 
     p = command(sub, "report", cmd_report,
-                "unified campaign dossier: results, diag timeseries, obs "
-                "summary, and the trace critical path in one markdown doc")
+                "unified campaign dossier: results, metrics timeseries, "
+                "obs summary, and the trace critical path in one markdown "
+                "doc (reads the campaign directory, writes nothing into it)")
     _shared(p, "dir")
     p.add_argument("--obs", nargs="+", metavar="SINK",
                    help="obs sink file(s)/glob(s) to merge (default: "

@@ -23,8 +23,8 @@ Four layers, all deterministic given their seeds:
 
 Campaign workers publish these metrics through the obs sink
 (``obs.publish_metrics``); ``repro obs watch`` renders them live and
-``campaign.store`` aggregates them into a per-run ``diag.json``
-timeseries.
+the campaign dossier (``repro report``) derives their per-run
+timeseries from the stored job records.
 """
 
 from repro.diag.channel import (

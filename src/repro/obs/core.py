@@ -630,7 +630,7 @@ def publish_metrics(name: str, values: dict, **fields) -> None:
     ``values`` (non-numeric entries are dropped; the dict is read, never
     mutated).  This is how campaign workers stream per-job diagnostics
     — bit accuracy, mutual information, durations — into the sink for
-    ``repro obs watch`` and the per-run ``diag.json`` timeseries."""
+    ``repro obs watch``."""
     if not STATE.enabled:
         return
     numeric = {

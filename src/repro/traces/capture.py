@@ -38,12 +38,6 @@ from repro.traces.store import TraceEntry, TraceStore
 from repro.workloads import fingerprint_corpus
 
 
-def _input_for(input_kind: str, size: int, seed: int) -> bytes:
-    from repro.campaign.experiments import make_input
-
-    return make_input(input_kind, size, seed)
-
-
 def capture_memory_trace(
     store: TraceStore,
     trace_id: str,
@@ -60,8 +54,10 @@ def capture_memory_trace(
     input provenance); :mod:`repro.traces.replay` turns the pair back
     into the exact inputs the Section IV decoders take.
     """
+    from repro.campaign.experiments import make_input
+
     input_kind = input_kind or survey.input_kind(target)
-    data = _input_for(input_kind, size, seed)
+    data = make_input(input_kind, size, seed)
     with obs.span(
         "trace.capture.memory", trace_id=trace_id, target=target, size=size
     ):

@@ -9,6 +9,7 @@ from repro.campaign import (
     CampaignSpec,
     ResultStore,
     aggregate_records,
+    build_dossier,
     render_report,
 )
 from repro.campaign.store import JobRecord
@@ -75,7 +76,7 @@ class TestStore:
         manifest = store.load_manifest()
         assert manifest["outcomes"] == {"ok": 1, "failed": 1, "cancelled": 1}
         assert manifest["finished_at"] >= manifest["started_at"]
-        assert store.load_diag()["n_points"] == 2
+        assert "2 job points" in build_dossier(store)
 
 
 class TestAggregation:

@@ -11,6 +11,7 @@ import contextlib
 import io
 import re
 import shlex
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -61,12 +62,19 @@ def _documented_invocations():
     workflow = ROOT / ".github" / "workflows" / "ci.yml"
     for line in _logical_lines(workflow.read_text(encoding="utf-8").splitlines()):
         found.append(("ci.yml", line))
+    # A command repeated in one source numbers its repeats only, so
+    # adding a repeat renames no existing case.
     invocations = []
+    seen = Counter()
     for source, line in found:
         match = INVOCATION.search(line)
         if match:
             shown = match.group(0).split("#")[0].strip()
-            invocations.append(pytest.param(match.group(1), id=f"{source}:{shown}"))
+            case_id = f"{source}:{shown}"
+            seen[case_id] += 1
+            if seen[case_id] > 1:
+                case_id += f" (repeat {seen[case_id]})"
+            invocations.append(pytest.param(match.group(1), id=case_id))
     return invocations
 
 

@@ -457,6 +457,28 @@ class TestForkedFleet:
         assert {s["parent"] for s in job_spans} == {summary["root"]["id"]}
         assert len({s["id"].split("-")[0] for s in job_spans}) == 2
 
+    def test_scratch_replay_stores_leave_with_their_worker(
+        self, tmp_path, monkeypatch
+    ):
+        """A replay job without a ``store`` param captures into a
+        scratch store under the temp dir; a forked worker leaves by
+        ``os._exit`` and must remove it first."""
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setenv("TMPDIR", str(scratch))
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "name": "replay", "experiment": "survey_replay",
+            "grid": {"size": [60, 80]}, "trials": 2,
+        }))
+        run = run_repro(
+            "campaign", "run", str(spec_path), "--out",
+            str(tmp_path / "out"), "--workers", "2", "--quiet",
+        )
+        assert run.returncode == 0, run.stderr
+        assert len(ResultStore(tmp_path / "out").load_records()) == 4
+        assert list(scratch.iterdir()) == []
+
     def test_inherited_trace_context_does_not_reach_a_worker(
         self, tmp_path, monkeypatch
     ):

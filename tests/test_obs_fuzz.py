@@ -67,7 +67,6 @@ def campaign_dir(tmp_path_factory):
     store = ResultStore(tmp_path_factory.mktemp("fuzz") / "campaign")
     spec = CampaignSpec(name="fuzz", experiment="lzw_recovery", grid={"size": [30]})
     CampaignRunner(spec, store).run()
-    build_dossier(store)  # derives diag.json once
     return store.root
 
 

@@ -201,6 +201,18 @@ class TestCommittedBaseline:
             assert baseline["directions"][f"{name}.metrics_digest"] == "equal"
 
 
+    def test_quick_run_reproduces_every_committed_digest(self):
+        """The digests gate ``equal`` in CI's timing-noisy perf smoke;
+        here they are checked on their own, every bench at its pin."""
+        baseline = gate.load(str(BASELINE))["metrics"]
+        current = run_benches(quick=True)["metrics"]
+        digests = sorted(name for name in baseline if name.endswith(".metrics_digest"))
+        assert digests
+        assert {name: current.get(name) for name in digests} == {
+            name: baseline[name] for name in digests
+        }
+
+
 class TestCLI:
     def test_run_then_compare_against_itself_passes(self, tmp_path, capsys):
         out = tmp_path / "quick.json"

@@ -1,13 +1,14 @@
 """The campaign dossier (``repro report``) and its CLI surfaces.
 
 ``build_dossier`` merges four already-tested views — campaign records,
-the diag.json timeseries, the obs sink summary, and the stitched trace
+their metrics timeseries, the obs sink summary, and the stitched trace
 — into one static markdown artifact.  These tests pin the section
 contract, the graceful degradation when a view's inputs are missing,
 and the CLI wiring for ``repro report``, ``obs report --trace``,
 ``obs export --format chrome-trace``, and ``perf profile --sites``.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -74,7 +75,6 @@ class TestBuildDossier:
 
     def test_diag_is_derived_when_missing(self, tmp_path):
         _, store = run_campaign(tmp_path)
-        (store.root / "diag.json").unlink()  # e.g. an older-format run
         text = build_dossier(store)
         # derived on the fly from the records
         assert "## Diagnostics timeseries" in text
@@ -112,6 +112,24 @@ class TestReportCli:
         text = out.read_text()
         assert "## Observability" in text
         assert "## Trace" in text
+
+    def test_report_leaves_the_campaign_directory_unchanged(self, tmp_path, capsys):
+        """``repro report`` is a read: every file of the run directory
+        hashes the same before and after, and none is added."""
+        _, store = run_campaign(tmp_path, with_sink=True)
+
+        def snapshot():
+            return {
+                str(path.relative_to(store.root)): hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(store.root.rglob("*"))
+                if path.is_file()
+            }
+
+        before = snapshot()
+        assert "diag.json" not in before
+        assert cli.main(["report", str(store.root)]) == 0
+        assert "## Diagnostics timeseries" in capsys.readouterr().out
+        assert snapshot() == before
 
     def test_report_prints_to_stdout_by_default(self, tmp_path, capsys):
         _, store = run_campaign(tmp_path)
