@@ -15,11 +15,10 @@ own with :func:`register_experiment`.
 
 from __future__ import annotations
 
-import atexit
-import os
+import contextlib
 import random
-import shutil
-from typing import Callable, Dict
+import tempfile
+from typing import Callable, Dict, Iterator
 
 ExperimentFn = Callable[[dict, int], dict]
 
@@ -164,13 +163,13 @@ def fingerprint_dataset(params: dict, seed: int) -> dict:
     noisy captures, no classifier training.
 
     This is the substrate-bound half of the fingerprint pipeline (the
-    MLP is numpy-bound), so it is what ``repro perf`` times as the FIG7
-    bench.  Metrics fingerprint the dataset content so a faster build
+    MLP is numpy-bound), so it is what the ``fig7_dataset`` perf bench
+    pins.  Metrics fingerprint the dataset content so a faster build
     that changes a single sample is caught.
 
     Params: ``corpus`` (``brotli`` | ``lipsum``), ``traces``,
     ``work_factor``, ``max_file_bytes`` (truncate every corpus file;
-    how the quick perf pin keeps CI runs short).
+    how the perf pin keeps CI runs short).
     """
     import hashlib
 
@@ -317,31 +316,11 @@ def fingerprint_from_store(params: dict, seed: int) -> dict:
     )
 
 
-# Process-level store cache for the replay benches: capture once per
-# (kind, pin) per process, then every timed repeat measures replay
-# alone.  Keyed by the full capture pin so distinct bench params never
-# share a store.  The scratch directories leave with the process that
-# captured them; a forked child starts with none of its parent's.
-_BENCH_STORES: Dict[tuple, object] = {}
-
-
-def remove_scratch_stores() -> None:
-    """Remove the scratch stores this process captured.  Runs at
-    interpreter exit; a forked worker, which leaves by ``os._exit``,
-    calls it itself."""
-    while _BENCH_STORES:
-        _, store = _BENCH_STORES.popitem()
-        shutil.rmtree(store.root, ignore_errors=True)
-
-
-atexit.register(remove_scratch_stores)
-os.register_at_fork(after_in_child=_BENCH_STORES.clear)
-
-
-def _replay_store(params: dict, key: tuple, trace_id: str, capture) -> object:
+@contextlib.contextmanager
+def _replay_store(params: dict, trace_id: str, capture) -> Iterator[object]:
     """The store a replay experiment reads: ``params['store']`` (running
-    ``capture`` into it when ``trace_id`` is missing), else a
-    per-process scratch store captured on first use under ``key``."""
+    ``capture`` into it when ``trace_id`` is missing), else a scratch
+    store captured for this call and removed when the block exits."""
     from repro.traces import TraceStore
 
     path = params.get("store")
@@ -349,19 +328,12 @@ def _replay_store(params: dict, key: tuple, trace_id: str, capture) -> object:
         store = TraceStore(path).open()
         if trace_id not in {e.trace_id for e in store.list()}:
             capture(store)
-        return store
-    store = _BENCH_STORES.get(key)
-    if store is None:
-        import tempfile
-
-        store = TraceStore(tempfile.mkdtemp(prefix="repro-bench-store-")).open()
-        try:
-            capture(store)
-        except BaseException:
-            shutil.rmtree(store.root, ignore_errors=True)
-            raise
-        _BENCH_STORES[key] = store
-    return store
+        yield store
+        return
+    with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as root:
+        store = TraceStore(root).open()
+        capture(store)
+        yield store
 
 
 @register_experiment("survey_replay")
@@ -373,8 +345,8 @@ def survey_replay(params: dict, seed: int) -> dict:
     the line streams, so the perf harness digest pins them.
 
     Params: ``size``, ``sweep_seed`` (defaults to the job seed),
-    optional ``store`` path (default: a per-process scratch store,
-    captured on first use).
+    optional ``store`` path (default: a scratch store, captured for
+    this call and removed before it returns).
     """
     import hashlib
 
@@ -384,22 +356,21 @@ def survey_replay(params: dict, seed: int) -> dict:
 
     size = int(params.get("size", 600))
     sweep_seed = int(params.get("sweep_seed", seed))
-    store = _replay_store(
+    digest = hashlib.sha256()
+    out: dict = {}
+    with _replay_store(
         params,
-        ("survey", size, sweep_seed),
         survey.trace_id("zlib", size, sweep_seed),
         lambda store: capture_survey_traces(
             store, size=size, seed=sweep_seed, overwrite=True
         ),
-    )
-    digest = hashlib.sha256()
-    out: dict = {}
-    for target in survey.SURVEY_TARGETS:
-        lines = target_lines(
-            store, survey.trace_id(target, size, sweep_seed), target
-        )
-        out[f"{target}_lines"] = int(lines.shape[0])
-        digest.update(lines.astype("<i8").tobytes())
+    ) as store:
+        for target in survey.SURVEY_TARGETS:
+            lines = target_lines(
+                store, survey.trace_id(target, size, sweep_seed), target
+            )
+            out[f"{target}_lines"] = int(lines.shape[0])
+            digest.update(lines.astype("<i8").tobytes())
     out["lines_sha256"] = digest.hexdigest()
     return out
 
@@ -413,7 +384,9 @@ def fig7_replay(params: dict, seed: int) -> dict:
     digest of the dataset.
 
     Params: ``corpus``, ``traces``, ``sweep_seed`` (defaults to the job
-    seed), ``work_factor``, ``max_file_bytes``, optional ``store`` path.
+    seed), ``work_factor``, ``max_file_bytes``, optional ``store`` path
+    (default: a scratch store, captured for this call and removed
+    before it returns).
     """
     import hashlib
 
@@ -439,13 +412,8 @@ def fig7_replay(params: dict, seed: int) -> dict:
             max_file_bytes=max_file_bytes,
         )
 
-    store = _replay_store(
-        params,
-        ("fig7", corpus, traces, sweep_seed, work_factor, max_file_bytes),
-        trace_id,
-        capture,
-    )
-    x, y = dataset_from_store(store, trace_id)
+    with _replay_store(params, trace_id, capture) as store:
+        x, y = dataset_from_store(store, trace_id)
     digest = hashlib.sha256()
     digest.update(x.tobytes())
     digest.update(y.astype("<i8").tobytes())

@@ -1013,14 +1013,17 @@ def cmd_oracle_sweep(args: argparse.Namespace) -> int:
 
 # -- the perf gate --------------------------------------------------------
 def cmd_perf_run(args: argparse.Namespace) -> int:
-    """Time the bench catalogue into a gate payload (the baseline-refresh
-    path: ``--quick --out benchmarks/perf_baseline.json``)."""
-    from repro.perf import run_benches
+    """Run the bench catalogue into a gate payload of metrics digests
+    (the baseline-refresh path: ``--out benchmarks/perf_baseline.json``)."""
+    from repro.perf import get_bench, run_benches
 
+    try:
+        for name in args.bench or ():
+            get_bench(name)
+    except KeyError as exc:
+        raise UsageError(exc.args[0]) from None
     payload = run_benches(
         names=args.bench or None,
-        quick=args.quick,
-        repeats=args.repeats,
         on_event=None if args.quiet else _print_stderr,
     )
     _emit(
@@ -1033,29 +1036,22 @@ def cmd_perf_run(args: argparse.Namespace) -> int:
 
 def cmd_perf_compare(args: argparse.Namespace) -> int:
     """The regression gate: compare a current payload (or a fresh run)
-    against a baseline file; exit 1 on regression, 2 on an unreadable
-    gate file."""
+    against a baseline file; exit 1 when a digest changed, 2 on an
+    unreadable gate file or one that is not a `perf run` payload."""
     from repro import gate
     from repro.perf import compare_benches, run_benches
 
     try:
         baseline = gate.load(args.baseline, "baseline")
-        if args.current:
-            current = gate.load(args.current, "report")
-        else:
-            # No report given: run the benches now, with the baseline's pins.
-            current = run_benches(
-                quick=bool(baseline["params"].get("quick")),
-                on_event=None if args.quiet else _print_stderr,
-            )
-        result = compare_benches(
-            current,
-            baseline,
-            tolerance=args.tolerance,
-            normalize=not args.absolute,
-        )
+        current = gate.load(args.current, "report") if args.current else None
     except gate.GateInputError as exc:
         raise UsageError(exc) from None
+    for path, doc in ((args.baseline, baseline), (args.current, current)):
+        if doc is not None and not isinstance(doc["params"].get("benches"), dict):
+            raise UsageError(f"{path} is not a perf payload (no params.benches)")
+    if current is None:
+        current = run_benches(on_event=None if args.quiet else _print_stderr)
+    result = compare_benches(current, baseline)
     print(result.summary())
     return 0 if result.ok else 1
 
@@ -1081,14 +1077,21 @@ def cmd_perf_profile(args: argparse.Namespace) -> int:
             render_site_profile(rows, args.sites, len(data), top=args.top)
         )
         return 0
+    params = None
+    if args.params:
+        try:
+            params = json.loads(args.params)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"--params is not JSON: {exc}") from None
+        if not isinstance(params, dict):
+            raise UsageError(f"--params must be a JSON object, got {args.params}")
     try:
         text = profile_bench(
             args.name if not args.experiment else "",
-            quick=args.quick,
             sort=args.sort,
             top=args.top,
             experiment=args.experiment,
-            params=json.loads(args.params) if args.params else None,
+            params=params,
             seed=args.seed,
         )
     except KeyError as exc:
@@ -1105,7 +1108,7 @@ def cmd_perf_list(args: argparse.Namespace) -> int:
         bench = get_bench(name)
         print(
             f"{name:<20} {bench.experiment:<22} "
-            f"full={bench.params} quick={bench.resolved_params(True)}"
+            f"seed={bench.seed:<3} {bench.params}"
         )
     return 0
 
@@ -1591,15 +1594,12 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--json", action="store_true",
                    help="emit the flat metric dict as JSON")
 
-    psub = group("perf", "time the bench catalogue and gate regressions",
+    psub = group("perf", "pin the bench catalogue's behaviour and gate it",
                  "perf_command")
-    q = command(psub, "run", cmd_perf_run, "time benches into a gate payload")
+    q = command(psub, "run", cmd_perf_run,
+                "run benches into a gate payload of metrics digests")
     q.add_argument("--bench", action="append",
                    help="bench name (repeatable; default: all)")
-    q.add_argument("--quick", action="store_true",
-                   help="CI-sized workloads instead of the full pins")
-    q.add_argument("--repeats", type=int,
-                   help="override per-bench timing repetitions")
     q.add_argument("--out", help="write the payload here (default: stdout)")
     _shared(q, "quiet")
 
@@ -1610,10 +1610,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "benches now)")
     q.add_argument("--baseline", required=True,
                    help="committed baseline payload")
-    q.add_argument("--tolerance", type=float, default=0.2,
-                   help="allowed slowdown fraction (default 0.2 = 20%%)")
-    q.add_argument("--absolute", action="store_true",
-                   help="raw time ratios (same-machine comparisons only)")
     _shared(q, "quiet")
 
     q = command(psub, "profile", cmd_perf_profile, "cProfile one bench")
@@ -1630,7 +1626,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="input bytes for --sites (default 500)")
     q.add_argument("--params", help="JSON params for --experiment")
     _shared(q, "seed")
-    q.add_argument("--quick", action="store_true")
     q.add_argument("--sort", default="cumulative",
                    help="pstats sort key (default cumulative)")
     q.add_argument("--top", type=int, default=30)

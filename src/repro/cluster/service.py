@@ -40,7 +40,6 @@ import time
 from typing import Callable, Optional
 
 from repro import obs
-from repro.campaign.experiments import remove_scratch_stores
 from repro.campaign.spec import CampaignSpec
 from repro.cluster import protocol
 from repro.cluster.protocol import Endpoint, MessageStream, ProtocolError
@@ -408,7 +407,7 @@ class LocalFleet:
         variable (a worker adopts trace context per lease), obs
         recording only to ``sink``, stdio on ``/dev/null``.  It leaves
         with ``os._exit``, so none of the parent's exit handlers run
-        twice; it removes the scratch stores its jobs captured first.
+        twice.
         """
         pid = os.fork()
         if pid:
@@ -430,7 +429,6 @@ class LocalFleet:
             ClusterWorker(endpoint, worker_id=worker_id).run()
             code = 0
         finally:
-            remove_scratch_stores()
             os._exit(code)
 
     def alive(self, worker_id: str) -> bool:

@@ -1,7 +1,7 @@
 """One baseline gate: flat metric rows against a committed JSON file.
 
 Both regression gates of the repo run on this module: ``repro perf
-compare`` (bench timings and metrics digests, committed in
+compare`` (one metrics digest per pinned bench, committed in
 ``benchmarks/perf_baseline.json``) and ``repro diag compare`` (the
 paper's claims, leakage and channel health included, committed in
 ``benchmarks/claims_baseline.json``).  Each producer — ``perf run``,

@@ -1,27 +1,25 @@
-"""Performance regression harness over the experiment registry.
+"""Behaviour regression gate over the experiment registry.
 
-The ROADMAP's north star is "as fast as the hardware allows", but a
-speed claim without a recorded number is folklore.  This package makes
-wall time a tracked artifact, the way :mod:`repro.campaign` made
-experiment metrics one:
+A speedup that changes what an experiment computes is a bug.  This
+package pins the behaviour of the hot paths the way
+:mod:`repro.campaign` pins experiment metrics:
 
 * :mod:`repro.perf.benches` — the bench catalogue: a named, pinned
-  (experiment, params, seed) triple per bench, each with a ``--quick``
-  variant small enough for CI.
-* :mod:`repro.perf.harness` — runs benches under ``time.perf_counter``
-  and hashes their metrics (so a speedup that changes results is caught
-  as loudly as a slowdown) into a :mod:`repro.gate` payload, and gates
-  two payloads through :func:`repro.gate.compare` after the perf-only
-  pin check and machine normalisation.
+  (experiment, params, seed) triple per bench, sized for CI.
+* :mod:`repro.perf.harness` — runs each bench once and hashes its
+  metrics into a :mod:`repro.gate` payload of ``equal`` digest rows,
+  and gates two payloads through :func:`repro.gate.compare` after the
+  perf-only pin check; also the cProfile and per-site profilers.
 
-The one committed baseline is ``benchmarks/perf_baseline.json`` (quick
-pins).  CLI::
+Speed is measured by ``perfbench/`` (reference-loop normalised, the
+workloads ``BENCHMARK.json`` declares), not here.  The one committed
+baseline is ``benchmarks/perf_baseline.json``.  CLI::
 
-    python -m repro perf run --quick --out perf_quick.json
+    python -m repro perf run --out perf_quick.json
     python -m repro perf compare perf_quick.json \
-        --baseline benchmarks/perf_baseline.json --tolerance 0.2
-    python -m repro perf run --quick --out benchmarks/perf_baseline.json
-    python -m repro perf profile sec5e_attack --quick
+        --baseline benchmarks/perf_baseline.json
+    python -m repro perf run --out benchmarks/perf_baseline.json
+    python -m repro perf profile sec5e_attack
 """
 
 from repro.perf.benches import PerfBench, available_benches, get_bench

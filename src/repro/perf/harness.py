@@ -1,29 +1,21 @@
-"""Timing, metrics digests, and the perf pre-steps of the regression gate.
+"""Metrics digests, and the perf pre-step of the regression gate.
 
 Design decisions worth knowing:
 
-* **Metrics are hashed, not just timed.**  Each bench's returned metrics
+* **Behaviour is hashed, not timed.**  Each bench's returned metrics
   dict is canonicalised (volatile wall-clock fields stripped) and
   sha256-hashed.  A "speedup" that changes experiment output is a bug:
   the digest is an ``equal`` row of the gate payload, so ``perf
-  compare`` fails on it whatever the timings say.
-* **One payload, one gate.**  :func:`run_benches` returns the
-  :mod:`repro.gate` payload directly — per bench a ``<bench>.seconds``
-  (``lower``) and a ``<bench>.metrics_digest`` (``equal``) row, with the
+  compare`` fails on it.  Speed is measured by ``perfbench/`` (the
+  workloads ``BENCHMARK.json`` declares), not here.
+* **One payload, one gate.**  :func:`run_benches` runs each bench once
+  and returns the :mod:`repro.gate` payload directly — one
+  ``<bench>.metrics_digest`` (``equal``) row per bench, with the
   ``(params, seed)`` pins under ``params["benches"]`` — and
   :func:`compare_benches` hands it to :func:`repro.gate.compare` after
-  two perf-only pre-steps:
-
-  - a bench whose pin differs between the two files ran a different
-    workload, so its rows drop to ``info`` (noted ``pin changed``);
-  - **machine normalisation.**  CI runners and dev laptops differ in
-    absolute speed, so when at least three benches share a pin every
-    current time is divided by the geometric mean of the
-    current/baseline ratios: a uniformly slower machine cancels out,
-    while one bench regressing *relative to the others* still trips the
-    gate.  ``normalize=False`` (CLI ``--absolute``) compares raw seconds.
-* **min-of-N timing.**  Repeated runs report the minimum, the standard
-  noise-robust estimator for deterministic workloads.
+  one perf-only pre-step: a bench whose pin differs between the two
+  files ran a different workload, so its row drops to ``info`` (noted
+  ``pin changed``).
 """
 
 from __future__ import annotations
@@ -32,10 +24,8 @@ import cProfile
 import hashlib
 import io
 import json
-import math
 import platform
 import pstats
-import time
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro import gate, obs
@@ -45,7 +35,6 @@ from repro.perf.benches import BENCHES, PerfBench, get_bench
 # inside the experiment itself) and must not poison the digest.
 VOLATILE_METRIC_KEYS = ("elapsed_seconds", "duration_seconds")
 
-SECONDS = "seconds"
 DIGEST = "metrics_digest"
 
 
@@ -60,77 +49,39 @@ def metrics_digest(metrics: dict) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def bench_direction(name: str) -> str:
-    """Gate direction of a perf row: digests must match, times must
-    not grow."""
-    return "equal" if name.endswith(f".{DIGEST}") else "lower"
-
-
 def _bench_of(row: str) -> str:
     return row.rpartition(".")[0]
 
 
-def _positive(value: object) -> bool:
-    return isinstance(value, (int, float)) and value > 0
-
-
-def _time_bench(
-    bench: PerfBench, quick: bool, repeats: Optional[int]
-) -> tuple[list[float], dict]:
-    n = repeats or (bench.quick_repeats if quick else bench.repeats)
-    timings: list[float] = []
-    metrics: dict = {}
-    for _ in range(max(1, n)):
-        start = time.perf_counter()
-        metrics = bench.run(quick=quick)
-        timings.append(time.perf_counter() - start)
-    return timings, metrics
-
-
 def run_benches(
     names: Optional[Sequence[str]] = None,
-    quick: bool = False,
-    repeats: Optional[int] = None,
     on_event: Optional[Callable[[str], None]] = None,
 ) -> dict:
-    """Time the named benches (default: the whole catalogue) into a
-    :mod:`repro.gate` payload."""
+    """Run the named benches (default: the whole catalogue) once each
+    into a :mod:`repro.gate` payload of metrics digests."""
     benches: Iterable[PerfBench] = (
         BENCHES if not names else [get_bench(name) for name in names]
     )
-    mode = "quick" if quick else "full"
     pins: dict[str, dict] = {}
     metrics: dict[str, object] = {}
     for bench in benches:
         if on_event:
-            on_event(f"[perf] {bench.name} ({mode}) ...")
-        with obs.span("perf.bench", bench=bench.name, mode=mode):
-            timings, result = _time_bench(bench, quick, repeats)
-        pins[bench.name] = {
-            "params": bench.resolved_params(quick),
-            "seed": bench.seed,
-        }
-        metrics[f"{bench.name}.{SECONDS}"] = min(timings)
+            on_event(f"[perf] {bench.name} ...")
+        with obs.span("perf.bench", bench=bench.name):
+            result = bench.run()
+        pins[bench.name] = {"params": dict(bench.params), "seed": bench.seed}
         metrics[f"{bench.name}.{DIGEST}"] = metrics_digest(result)
-        if on_event:
-            on_event(f"[perf] {bench.name}: {min(timings):.3f}s")
     params = {
-        "quick": quick,
         "python": platform.python_version(),
         "machine": f"{platform.system()}-{platform.machine()}",
         "benches": pins,
     }
-    return gate.payload(params, metrics, bench_direction)
+    return gate.payload(params, metrics, lambda name: "equal")
 
 
-def compare_benches(
-    current: dict,
-    baseline: dict,
-    tolerance: float = 0.2,
-    normalize: bool = True,
-) -> gate.Comparison:
-    """The perf regression gate: is ``current`` no worse than
-    ``baseline``?  Both are :func:`run_benches` payloads."""
+def compare_benches(current: dict, baseline: dict) -> gate.Comparison:
+    """The perf regression gate: does ``current`` reproduce every
+    digest of ``baseline``?  Both are :func:`run_benches` payloads."""
     cur_pins = current["params"].get("benches", {})
     base_pins = baseline["params"].get("benches", {})
     changed = {
@@ -138,31 +89,15 @@ def compare_benches(
         for name in cur_pins.keys() & base_pins.keys()
         if cur_pins[name] != base_pins[name]
     }
-    cur = dict(current["metrics"])
-    timed = [
-        name
-        for name in cur
-        if name.endswith(f".{SECONDS}")
-        and _bench_of(name) not in changed
-        and _positive(cur[name])
-    ]
-    ratios = [
-        cur[name] / baseline["metrics"][name]
-        for name in timed
-        if _positive(baseline["metrics"].get(name))
-    ]
-    title = "perf compare (absolute times)"
-    if normalize and len(ratios) >= 3:
-        scale = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
-        for name in timed:
-            cur[name] /= scale
-        title = f"perf compare (times / machine scale {scale:.3f})"
     directions = {
         name: "info" if _bench_of(name) in changed else direction
         for name, direction in baseline["directions"].items()
     }
     result = gate.compare(
-        cur, dict(baseline, directions=directions), tolerance, title=title
+        current["metrics"],
+        dict(baseline, directions=directions),
+        tolerance=0.0,
+        title="perf compare",
     )
     for row in result.rows:
         if _bench_of(row.name) in changed:
@@ -172,7 +107,6 @@ def compare_benches(
 
 def profile_bench(
     name: str,
-    quick: bool = False,
     sort: str = "cumulative",
     top: int = 30,
     experiment: Optional[str] = None,
@@ -189,8 +123,8 @@ def profile_bench(
         label = f"experiment {experiment!r}"
     else:
         bench = get_bench(name)
-        run = lambda: bench.run(quick=quick)  # noqa: E731
-        label = f"bench {bench.name!r} ({'quick' if quick else 'full'})"
+        run = bench.run
+        label = f"bench {bench.name!r}"
 
     profiler = cProfile.Profile()
     profiler.enable()
