@@ -3,7 +3,7 @@
 A finished campaign leaves several artefacts on disk — the manifest,
 the JSONL result log and (when run with observability on) one or more
 obs sinks holding counters, histograms, warnings and the cross-process
-span tree.  Each has its own viewer (``campaign report``, ``obs
+span tree.  Each has its own viewer (``campaign status``, ``obs
 watch``, ``obs report --trace``); :func:`build_dossier` merges all of
 them into one static markdown document, so "what happened in this
 campaign" is a single file you can commit, attach to a CI run, or diff

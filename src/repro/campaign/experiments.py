@@ -803,14 +803,14 @@ def oracle_mitigation_sweep(params: dict, seed: int) -> dict:
         ref_oracle = make_oracle(ref_victim, observable, "none", seed=seed)
         ref_cost = sum(ref_oracle.observe(q) for q in neutral) / len(neutral)
         for mitigation in mitigations:
+            # The identity cells take no knob: the shared
+            # ``mitigation_params`` reach only the other cells.
+            forwarded = ("charset", "reps", "filler_bytes")
+            if mitigation not in ("none", "debreach"):
+                forwarded += ("mitigation_params",)
             cell = breach_recovery(
                 {
-                    **{
-                        k: v
-                        for k, v in params.items()
-                        if k in ("charset", "reps", "mitigation_params",
-                                 "filler_bytes")
-                    },
+                    **{k: v for k, v in params.items() if k in forwarded},
                     "victim": "http",
                     "observable": observable,
                     "mitigation": mitigation,

@@ -17,7 +17,7 @@ experiment campaign — all from a shell.
         --out runs/lzw --workers 4 --obs runs/lzw/obs.jsonl
     python -m repro campaign resume runs/lzw
     python -m repro campaign status runs/lzw
-    python -m repro campaign report runs/lzw
+    python -m repro report runs/lzw
     python -m repro cluster run examples/specs/lzw_noise_sweep.json \
         --out runs/lzw-cluster --workers 4 --obs-shards
     python -m repro cluster serve --listen unix:/tmp/repro-cluster.sock
@@ -73,6 +73,17 @@ def _json(doc, sort_keys: bool = True) -> str:
     return json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n"
 
 
+def _json_object(text: str, flag: str) -> dict:
+    """Parse an option's JSON-object value, or raise :class:`UsageError`."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{flag} is not JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise UsageError(f"{flag} must be a JSON object, got {text}")
+    return value
+
+
 def _emit(text: str, out: Optional[str] = None, wrote: str = "") -> None:
     """Write ``text`` to stdout or, given ``--out``, to that file and
     say so on stdout."""
@@ -82,10 +93,6 @@ def _emit(text: str, out: Optional[str] = None, wrote: str = "") -> None:
     with open(out, "w", encoding="utf-8") as handle:
         handle.write(text)
     print(wrote or f"wrote {out}")
-
-
-def _print_stderr(line: str) -> None:
-    print(line, file=sys.stderr)
 
 
 def _progress(args: argparse.Namespace):
@@ -429,14 +436,6 @@ def cmd_campaign_resume(args: argparse.Namespace) -> int:
     spec is rehydrated from the manifest and recorded jobs are skipped."""
     spec = _campaign_store(args.dir).load_spec()
     return _run_fleet(args, spec, args.dir, resume=True)
-
-
-def cmd_campaign_report(args: argparse.Namespace) -> int:
-    """Render the per-cell aggregate report for a campaign directory."""
-    from repro.campaign import render_report
-
-    print(render_report(_campaign_store(args.dir)))
-    return 0
 
 
 def cmd_campaign_list(args: argparse.Namespace) -> int:
@@ -887,6 +886,21 @@ def cmd_mitigate_report(args: argparse.Namespace) -> int:
 
 
 # -- compression oracles --------------------------------------------------
+def _mitigation_knobs(args: argparse.Namespace) -> dict:
+    """The ``--mitigation-params`` knobs, checked against the chosen
+    ``--mitigation``."""
+    from repro.mitigations.padding import get_oracle_mitigation
+
+    if not args.mitigation_params:
+        return {}
+    knobs = _json_object(args.mitigation_params, "--mitigation-params")
+    try:
+        get_oracle_mitigation(args.mitigation, **knobs)
+    except ValueError as exc:
+        raise UsageError(f"--mitigation-params: {exc}") from None
+    return knobs
+
+
 def _oracle_params(args: argparse.Namespace) -> dict:
     """Shared experiment params from parsed oracle-command arguments."""
     params = {
@@ -898,8 +912,9 @@ def _oracle_params(args: argparse.Namespace) -> dict:
         "reps": args.reps,
         "max_queries": args.max_queries,
     }
-    if args.mitigation_params:
-        params["mitigation_params"] = json.loads(args.mitigation_params)
+    knobs = _mitigation_knobs(args)
+    if knobs:
+        params["mitigation_params"] = knobs
     if getattr(args, "store", None):
         params["store"] = args.store
         params["overwrite"] = True
@@ -914,6 +929,7 @@ def cmd_oracle_demo(args: argparse.Namespace) -> int:
     from repro.oracle import make_oracle, make_victim
     from repro.recovery import probe_pair
 
+    knobs = _mitigation_knobs(args)
     victim = make_victim(
         args.victim,
         mitigation=args.mitigation,
@@ -935,7 +951,7 @@ def cmd_oracle_demo(args: argparse.Namespace) -> int:
     false_c = ord("q") if true_c != ord("q") else ord("x")
     for label, c in (("true ", true_c), ("false", false_c)):
         oracle = make_oracle(
-            victim, args.observable, args.mitigation, seed=args.seed
+            victim, args.observable, args.mitigation, seed=args.seed, **knobs
         )
         match, broken = probe_pair(victim.known_prefix, b"", [c])
         delta = oracle.observe(match) - oracle.observe(broken)
@@ -1011,51 +1027,7 @@ def cmd_oracle_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-# -- the perf gate --------------------------------------------------------
-def cmd_perf_run(args: argparse.Namespace) -> int:
-    """Run the bench catalogue into a gate payload of metrics digests
-    (the baseline-refresh path: ``--out benchmarks/perf_baseline.json``)."""
-    from repro.perf import get_bench, run_benches
-
-    try:
-        for name in args.bench or ():
-            get_bench(name)
-    except KeyError as exc:
-        raise UsageError(exc.args[0]) from None
-    payload = run_benches(
-        names=args.bench or None,
-        on_event=None if args.quiet else _print_stderr,
-    )
-    _emit(
-        _json(payload),
-        args.out,
-        f"wrote {len(payload['params']['benches'])} benches to {args.out}",
-    )
-    return 0
-
-
-def cmd_perf_compare(args: argparse.Namespace) -> int:
-    """The regression gate: compare a current payload (or a fresh run)
-    against a baseline file; exit 1 when a digest changed, 2 on an
-    unreadable gate file or one that is not a `perf run` payload."""
-    from repro import gate
-    from repro.perf import compare_benches, run_benches
-
-    try:
-        baseline = gate.load(args.baseline, "baseline")
-        current = gate.load(args.current, "report") if args.current else None
-    except gate.GateInputError as exc:
-        raise UsageError(exc) from None
-    for path, doc in ((args.baseline, baseline), (args.current, current)):
-        if doc is not None and not isinstance(doc["params"].get("benches"), dict):
-            raise UsageError(f"{path} is not a perf payload (no params.benches)")
-    if current is None:
-        current = run_benches(on_event=None if args.quiet else _print_stderr)
-    result = compare_benches(current, baseline)
-    print(result.summary())
-    return 0 if result.ok else 1
-
-
+# -- profiling ------------------------------------------------------------
 def cmd_perf_profile(args: argparse.Namespace) -> int:
     """cProfile one bench (or any experiment id) and print the stats.
 
@@ -1077,14 +1049,7 @@ def cmd_perf_profile(args: argparse.Namespace) -> int:
             render_site_profile(rows, args.sites, len(data), top=args.top)
         )
         return 0
-    params = None
-    if args.params:
-        try:
-            params = json.loads(args.params)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"--params is not JSON: {exc}") from None
-        if not isinstance(params, dict):
-            raise UsageError(f"--params must be a JSON object, got {args.params}")
+    params = _json_object(args.params, "--params") if args.params else None
     try:
         text = profile_bench(
             args.name if not args.experiment else "",
@@ -1097,19 +1062,6 @@ def cmd_perf_profile(args: argparse.Namespace) -> int:
     except KeyError as exc:
         raise UsageError(exc.args[0]) from None
     print(text)
-    return 0
-
-
-def cmd_perf_list(args: argparse.Namespace) -> int:
-    """List the bench catalogue with its pinned workloads."""
-    from repro.perf import get_bench, available_benches
-
-    for name in available_benches():
-        bench = get_bench(name)
-        print(
-            f"{name:<20} {bench.experiment:<22} "
-            f"seed={bench.seed:<3} {bench.params}"
-        )
     return 0
 
 
@@ -1367,10 +1319,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--obs", metavar="SINK",
                    help="record observability events to this JSONL file")
 
-    c = command(csub, "report", cmd_campaign_report,
-                "aggregate a campaign into markdown")
-    _shared(c, "dir")
-
     c = command(csub, "status", cmd_campaign_status,
                 "read-only done/failed/retried/pending snapshot of a "
                 "campaign directory (local or cluster)")
@@ -1594,27 +1542,11 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--json", action="store_true",
                    help="emit the flat metric dict as JSON")
 
-    psub = group("perf", "pin the bench catalogue's behaviour and gate it",
-                 "perf_command")
-    q = command(psub, "run", cmd_perf_run,
-                "run benches into a gate payload of metrics digests")
-    q.add_argument("--bench", action="append",
-                   help="bench name (repeatable; default: all)")
-    q.add_argument("--out", help="write the payload here (default: stdout)")
-    _shared(q, "quiet")
-
-    q = command(psub, "compare", cmd_perf_compare,
-                "regression gate: current report vs baseline")
-    q.add_argument("current", nargs="?",
-                   help="`perf run` payload to check (default: run "
-                        "benches now)")
-    q.add_argument("--baseline", required=True,
-                   help="committed baseline payload")
-    _shared(q, "quiet")
-
+    psub = group("perf", "profile a pinned bench, an experiment or a "
+                 "target's access sites", "perf_command")
     q = command(psub, "profile", cmd_perf_profile, "cProfile one bench")
     q.add_argument("name", nargs="?", default="",
-                   help="bench name from `perf list`")
+                   help="bench name (a DIGEST pin of the claims gate)")
     q.add_argument("--experiment",
                    help="profile a raw experiment id instead")
     q.add_argument("--sites", metavar="TARGET",
@@ -1629,8 +1561,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--sort", default="cumulative",
                    help="pstats sort key (default cumulative)")
     q.add_argument("--top", type=int, default=30)
-
-    command(psub, "list", cmd_perf_list, "list the bench catalogue")
 
     return parser
 

@@ -262,7 +262,7 @@ class ClusterScheduler:
 
     def _finalize(self, exec_: CampaignExec, state: str = STATE_DONE) -> None:
         """Merge shards into the main store and stamp the manifest —
-        after this, ``campaign report``/``diag``/``obs`` read the merged
+        after this, ``repro report``/``diag``/``obs`` read the merged
         directory exactly as if the inline runner had produced it."""
         # Merge/finalize spans attach under the campaign span (managed
         # manually, so it is never on this thread's stack).

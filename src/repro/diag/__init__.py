@@ -18,8 +18,10 @@ Four layers, all deterministic given their seeds:
 * **paper claims** (:mod:`repro.diag.claims`) — every experiment of
   the paper's evaluation, these diagnostics included, as measured
   values plus ``claim.*.holds`` verdict rows with their gate
-  directions; ``repro diag compare`` gates them with the shared
-  :mod:`repro.gate` engine against ``benchmarks/claims_baseline.json``.
+  directions, and the pinned hot-path benches' metrics digests
+  (``DIGEST``); ``repro diag compare``, the one behaviour gate, gates
+  them with :mod:`repro.gate` against
+  ``benchmarks/claims_baseline.json``.
 
 Campaign workers publish these metrics through the obs sink
 (``obs.publish_metrics``); ``repro obs watch`` renders them live and

@@ -1,7 +1,7 @@
 """The paper's evaluation as gated rows: one :class:`Claim` per experiment.
 
 Every experiment id of DESIGN.md (FIG2 ... COMP, REPLAY, the
-diagnostics LEAK, CHANNEL and SYNTH, and ORACLE) is one claim.  Its
+diagnostics LEAK, CHANNEL and SYNTH, ORACLE, and DIGEST) is one claim.  Its
 ``measure`` runs the experiment on fixed inputs, seeds and sizes
 through the library's own entry points (``survey.observe``/``decode``,
 ``run_attack``, ``SgxBzip2Attack``, ``train_classifier``,
@@ -13,12 +13,17 @@ returns the measured values; its ``check`` turns them into verdicts.
 * ``claim.<ID>.<value>`` — a measured value (wall-clock values end in
   ``_s`` or ``speedup`` and gate as ``info``);
 * ``claim.<ID>.<what>.holds`` — 1 if the paper's claim holds on the
-  measured values, else 0 (gated ``higher``: a 1 -> 0 change fails).
+  measured values, else 0 (gated ``higher``: a 1 -> 0 change fails);
+* ``claim.DIGEST.<bench>.metrics_digest`` — the sha256 of one pinned
+  experiment run's metrics (:data:`DIGEST_PINS`), gated ``equal``: a
+  "speedup" that changes what an experiment computes fails here.  This
+  claim has no verdict; its ``equal`` rows are its gate.
 
 ``repro diag claims`` writes them as a :mod:`repro.gate` payload, which
-``repro diag compare`` gates against ``benchmarks/claims_baseline.json``;
-EXPERIMENTS.md quotes that baseline.  :func:`judge` recomputes the
-verdicts from (possibly edited) measured values.
+``repro diag compare``, the repo's one behaviour gate, gates against
+``benchmarks/claims_baseline.json``; EXPERIMENTS.md quotes that
+baseline.  :func:`judge` recomputes the verdicts from (possibly edited)
+measured values.
 
 :func:`metric_direction` gives each row its :mod:`repro.gate`
 direction by name suffix; ``diag compare`` gates with
@@ -32,6 +37,8 @@ re-measures that claim alone.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import tempfile
 import time
@@ -44,6 +51,7 @@ from typing import Callable, Optional
 CLAIMS_PARAMS = {"suite": "claims"}
 
 HOLDS = ".holds"
+DIGEST = "metrics_digest"
 
 DEFAULT_TOLERANCE = 0.05
 # Absolute slack on gated metrics with ~0 baselines.
@@ -96,7 +104,9 @@ _LOWER = (
 
 
 def metric_direction(name: str) -> str:
-    """``higher`` / ``lower`` / ``info`` for one metric name."""
+    """``higher`` / ``lower`` / ``equal`` / ``info`` for one metric name."""
+    if name.endswith(DIGEST):
+        return "equal"
     for suffix in _LOWER:
         if name.endswith(suffix):
             return "lower"
@@ -111,7 +121,7 @@ class Claim:
     """One experiment of the paper's evaluation."""
 
     id: str
-    measure: Callable[[], dict]  # -> {value name: number}
+    measure: Callable[[], dict]  # -> {value name: number or digest}
     check: Callable[[dict], dict]  # measured values -> {what: bool}
 
 
@@ -766,6 +776,65 @@ def oracle() -> dict:
     return values
 
 
+# The DIGEST claim's pins, ``{bench: (experiment, params, seed)}``: one
+# registered campaign experiment per hot path, each run in well under a
+# second.  The names key the committed baseline rows, so renaming one
+# orphans its row.
+DIGEST_PINS = {
+    "sec5e_attack": ("sgx_attack", {"size": 400}, 55),
+    "fig7_dataset": (
+        "fingerprint_dataset",
+        {"corpus": "brotli", "traces": 2, "max_file_bytes": 1200},
+        77,
+    ),
+    "survey_recovery": ("survey_recovery", {"size": 200}, 11),
+    "taintchannel_zlib": (
+        "taintchannel_scan",
+        {"target": "zlib", "size": 250, "input_kind": "lowercase"},
+        3,
+    ),
+    "taintchannel_lzw": ("taintchannel_scan", {"target": "lzw", "size": 200}, 3),
+    "mitigate_lzw": ("mitigation_synthesis", {"target": "lzw", "size": 80}, 7),
+    "lzw_recovery": ("lzw_recovery", {"size": 150, "noise": 0.02}, 9),
+    "survey_replay": ("survey_replay", {"size": 300}, 11),
+    "fig7_replay": (
+        "fig7_replay",
+        {"corpus": "brotli", "traces": 2, "max_file_bytes": 1200},
+        77,
+    ),
+    "access_many_probe": (
+        "probe_sweep",
+        {"rounds": 60, "locations": 96, "noise_rate": 64},
+        21,
+    ),
+}
+
+# Metrics keys that legitimately vary run to run (wall clock measured
+# inside the experiment itself) and must not poison the digest.
+VOLATILE_METRIC_KEYS = ("elapsed_seconds", "duration_seconds")
+
+
+def metrics_digest(metrics: dict) -> str:
+    """sha256 over the canonical JSON of a metrics dict, with volatile
+    wall-clock fields stripped; the identity a pinned run's behaviour
+    is gated by."""
+    stable = {k: v for k, v in metrics.items() if k not in VOLATILE_METRIC_KEYS}
+    payload = json.dumps(stable, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+@_claim("DIGEST", lambda v: {})
+def digests() -> dict:
+    """The hot paths' behaviour: each :data:`DIGEST_PINS` experiment run
+    once at its pin, hashed."""
+    from repro.campaign.experiments import get_experiment
+
+    return {
+        f"{bench}.{DIGEST}": metrics_digest(get_experiment(experiment)(dict(params), seed))
+        for bench, (experiment, params, seed) in DIGEST_PINS.items()
+    }
+
+
 def judge(metrics: dict) -> dict:
     """Recompute every ``.holds`` row from the measured ``claim.*`` rows
     in ``metrics``; returns a new dict.  A missing measured value reads
@@ -780,13 +849,16 @@ def judge(metrics: dict) -> dict:
     return out
 
 
+def _row_value(value):
+    if isinstance(value, str):  # a metrics digest
+        return value
+    return float(value) if isinstance(value, float) else int(value)
+
+
 def claim_rows(claim_id: str, values: dict) -> dict:
     """One claim's measured ``values`` as ``claim.<ID>.*`` rows, with
     its verdicts."""
-    return judge({
-        f"claim.{claim_id}.{name}": float(value) if isinstance(value, float) else int(value)
-        for name, value in values.items()
-    })
+    return judge({f"claim.{claim_id}.{name}": _row_value(value) for name, value in values.items()})
 
 
 def collect_claim_metrics() -> dict:

@@ -1,11 +1,10 @@
 """One baseline gate: flat metric rows against a committed JSON file.
 
-Both regression gates of the repo run on this module: ``repro perf
-compare`` (one metrics digest per pinned bench, committed in
-``benchmarks/perf_baseline.json``) and ``repro diag compare`` (the
-paper's claims, leakage and channel health included, committed in
-``benchmarks/claims_baseline.json``).  Each producer — ``perf run``,
-``diag claims`` — writes the same payload::
+The repo's behaviour gate, ``repro diag compare``, runs on this module:
+the paper's claims, leakage, channel health and the pinned benches'
+metrics digests included, committed in
+``benchmarks/claims_baseline.json``.  Its producer, ``diag claims``,
+writes the payload::
 
     {"schema": "repro-gate/1",
      "params": {...},                 # what produced the metrics

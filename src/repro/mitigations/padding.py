@@ -26,7 +26,7 @@ functions of ``(secret, input, seed, query index)``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -78,29 +78,47 @@ class LatencyJitter(OracleMitigation):
         return t + abs(rng.gauss(0.0, self.sigma))
 
 
+_SHAPES = {
+    "none": OracleMitigation,
+    "padding": RandomPadding,
+    "quantize": SizeQuantization,
+    "jitter": LatencyJitter,
+    # Debreach hardens the compressor itself; at the observable layer it
+    # is the identity.
+    "debreach": OracleMitigation,
+}
+
 #: Mitigation names accepted by the oracle factories and the CLI.
 #: ``debreach`` is listed for discoverability but constructed by the
 #: victim factory (it changes compression, not the observable).
-ORACLE_MITIGATIONS = ("none", "padding", "quantize", "jitter", "debreach")
+ORACLE_MITIGATIONS = tuple(_SHAPES)
 
 
 def get_oracle_mitigation(name: str, **params) -> OracleMitigation:
     """Construct an observable-shaping mitigation by name.
 
-    ``params`` forwards the knob of the chosen shape (``max_pad``,
-    ``quantum``, ``sigma``); unknown names raise with the catalogue.
+    ``params`` sets the knob of the chosen shape (``max_pad``,
+    ``quantum``, ``sigma``) to a non-negative number (``quantum``:
+    positive); an unknown name, an unknown knob or a bad value raises a
+    ``ValueError`` that names what is accepted.
     """
-    if name in ("none", "debreach"):
-        # Debreach hardens the compressor itself; at the observable
-        # layer it is the identity.
-        return OracleMitigation()
-    if name == "padding":
-        return RandomPadding(**params)
-    if name == "quantize":
-        return SizeQuantization(**params)
-    if name == "jitter":
-        return LatencyJitter(**params)
-    raise ValueError(
-        f"unknown oracle mitigation {name!r}; choose from "
-        f"{ORACLE_MITIGATIONS}"
-    )
+    shape = _SHAPES.get(name)
+    if shape is None:
+        raise ValueError(
+            f"unknown oracle mitigation {name!r}; choose from "
+            f"{ORACLE_MITIGATIONS}"
+        )
+    knobs = [f.name for f in fields(shape)]
+    for knob, value in params.items():
+        if knob not in knobs:
+            accepted = f"knob {knobs[0]!r}" if knobs else "no knob"
+            raise ValueError(f"{name} takes {accepted}, not {knob!r}")
+        default = getattr(shape, knob)
+        kind = int if isinstance(default, int) else (int, float)
+        least = 1 if knob == "quantum" else 0
+        if isinstance(value, bool) or not isinstance(value, kind) or value < least:
+            raise ValueError(
+                f"{name} knob {knob!r} must be a{' whole' if kind is int else ''} "
+                f"number >= {least}, got {value!r}"
+            )
+    return shape(**params)

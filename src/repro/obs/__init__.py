@@ -9,7 +9,7 @@ renders through one reader and one fold (:mod:`repro.obs.watch`).
 Disabled (the default) every entry point is a single attribute test, so
 instrumentation in the hot layers — the cache model, the campaign
 runner, trace capture, the end-to-end attacks — costs one predictable
-branch and the perf-smoke pins hold.  Crucially, recording never
+branch and the ``perfbench/`` timings hold.  Crucially, recording never
 touches a simulated-cache or noise RNG stream, so enabling
 observability leaves every pinned metrics digest byte-identical.
 

@@ -8,8 +8,8 @@ shape the whole design:
   every recording function starts with a single attribute test
   (``if not STATE.enabled: return``) and :func:`span` returns one
   shared no-op context manager.  Instrumented hot paths therefore cost
-  one predictable branch, which is what lets the perf-smoke gate keep
-  its pinned timings.
+  one predictable branch, which is what keeps the ``perfbench/``
+  timings of the instrumented layers.
 * **The measured channel is never perturbed.**  Nothing here draws from
   ``random`` or numpy RNGs, touches the simulated cache, or mutates an
   experiment's metrics dict — so every pinned metrics digest is

@@ -1,45 +1,25 @@
-"""Behaviour regression gate over the experiment registry.
+"""Profilers of the hot paths (:mod:`repro.perf.harness`).
 
-A speedup that changes what an experiment computes is a bug.  This
-package pins the behaviour of the hot paths the way
-:mod:`repro.campaign` pins experiment metrics:
+``repro perf profile`` cProfiles one pinned bench — the benches are the
+``DIGEST`` pins of :mod:`repro.diag.claims`, whose metrics digests the
+claims gate (``repro diag compare``) holds ``equal`` — or any raw
+experiment id, or counts one analysis target's accesses per site.
+Speed is measured by ``perfbench/`` (the workloads ``BENCHMARK.json``
+declares), not here.  CLI::
 
-* :mod:`repro.perf.benches` — the bench catalogue: a named, pinned
-  (experiment, params, seed) triple per bench, sized for CI.
-* :mod:`repro.perf.harness` — runs each bench once and hashes its
-  metrics into a :mod:`repro.gate` payload of ``equal`` digest rows,
-  and gates two payloads through :func:`repro.gate.compare` after the
-  perf-only pin check; also the cProfile and per-site profilers.
-
-Speed is measured by ``perfbench/`` (reference-loop normalised, the
-workloads ``BENCHMARK.json`` declares), not here.  The one committed
-baseline is ``benchmarks/perf_baseline.json``.  CLI::
-
-    python -m repro perf run --out perf_quick.json
-    python -m repro perf compare perf_quick.json \
-        --baseline benchmarks/perf_baseline.json
-    python -m repro perf run --out benchmarks/perf_baseline.json
     python -m repro perf profile sec5e_attack
+    python -m repro perf profile --experiment lzw_recovery --params '{"size": 150}'
+    python -m repro perf profile --sites lzw --size 500
 """
 
-from repro.perf.benches import PerfBench, available_benches, get_bench
 from repro.perf.harness import (
-    compare_benches,
-    metrics_digest,
     profile_bench,
     render_site_profile,
-    run_benches,
     site_access_profile,
 )
 
 __all__ = [
-    "PerfBench",
-    "available_benches",
-    "get_bench",
-    "compare_benches",
-    "metrics_digest",
     "profile_bench",
     "render_site_profile",
-    "run_benches",
     "site_access_profile",
 ]

@@ -1,108 +1,19 @@
-"""Metrics digests, and the perf pre-step of the regression gate.
+"""Profilers of the hot paths: cProfile one pinned bench (a ``DIGEST``
+pin of :mod:`repro.diag.claims`) or any registered experiment, and
+count one analysis target's memory accesses per site.
 
-Design decisions worth knowing:
-
-* **Behaviour is hashed, not timed.**  Each bench's returned metrics
-  dict is canonicalised (volatile wall-clock fields stripped) and
-  sha256-hashed.  A "speedup" that changes experiment output is a bug:
-  the digest is an ``equal`` row of the gate payload, so ``perf
-  compare`` fails on it.  Speed is measured by ``perfbench/`` (the
-  workloads ``BENCHMARK.json`` declares), not here.
-* **One payload, one gate.**  :func:`run_benches` runs each bench once
-  and returns the :mod:`repro.gate` payload directly — one
-  ``<bench>.metrics_digest`` (``equal``) row per bench, with the
-  ``(params, seed)`` pins under ``params["benches"]`` — and
-  :func:`compare_benches` hands it to :func:`repro.gate.compare` after
-  one perf-only pre-step: a bench whose pin differs between the two
-  files ran a different workload, so its row drops to ``info`` (noted
-  ``pin changed``).
+Behaviour is gated by the claims gate (``repro diag compare``, whose
+``claim.DIGEST.*`` rows hash each pinned bench's metrics) and speed by
+``perfbench/`` (the workloads ``BENCHMARK.json`` declares); these tools
+only explain where a run spends its calls and accesses.
 """
 
 from __future__ import annotations
 
 import cProfile
-import hashlib
 import io
-import json
-import platform
 import pstats
-from typing import Callable, Iterable, Optional, Sequence
-
-from repro import gate, obs
-from repro.perf.benches import BENCHES, PerfBench, get_bench
-
-# Metrics keys that legitimately vary run to run (wall clock measured
-# inside the experiment itself) and must not poison the digest.
-VOLATILE_METRIC_KEYS = ("elapsed_seconds", "duration_seconds")
-
-DIGEST = "metrics_digest"
-
-
-def metrics_digest(metrics: dict) -> str:
-    """sha256 over the canonical JSON of a metrics dict, with volatile
-    wall-clock fields stripped; the identity a bench's behaviour is
-    pinned by."""
-    stable = {
-        k: v for k, v in metrics.items() if k not in VOLATILE_METRIC_KEYS
-    }
-    payload = json.dumps(stable, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _bench_of(row: str) -> str:
-    return row.rpartition(".")[0]
-
-
-def run_benches(
-    names: Optional[Sequence[str]] = None,
-    on_event: Optional[Callable[[str], None]] = None,
-) -> dict:
-    """Run the named benches (default: the whole catalogue) once each
-    into a :mod:`repro.gate` payload of metrics digests."""
-    benches: Iterable[PerfBench] = (
-        BENCHES if not names else [get_bench(name) for name in names]
-    )
-    pins: dict[str, dict] = {}
-    metrics: dict[str, object] = {}
-    for bench in benches:
-        if on_event:
-            on_event(f"[perf] {bench.name} ...")
-        with obs.span("perf.bench", bench=bench.name):
-            result = bench.run()
-        pins[bench.name] = {"params": dict(bench.params), "seed": bench.seed}
-        metrics[f"{bench.name}.{DIGEST}"] = metrics_digest(result)
-    params = {
-        "python": platform.python_version(),
-        "machine": f"{platform.system()}-{platform.machine()}",
-        "benches": pins,
-    }
-    return gate.payload(params, metrics, lambda name: "equal")
-
-
-def compare_benches(current: dict, baseline: dict) -> gate.Comparison:
-    """The perf regression gate: does ``current`` reproduce every
-    digest of ``baseline``?  Both are :func:`run_benches` payloads."""
-    cur_pins = current["params"].get("benches", {})
-    base_pins = baseline["params"].get("benches", {})
-    changed = {
-        name
-        for name in cur_pins.keys() & base_pins.keys()
-        if cur_pins[name] != base_pins[name]
-    }
-    directions = {
-        name: "info" if _bench_of(name) in changed else direction
-        for name, direction in baseline["directions"].items()
-    }
-    result = gate.compare(
-        current["metrics"],
-        dict(baseline, directions=directions),
-        tolerance=0.0,
-        title="perf compare",
-    )
-    for row in result.rows:
-        if _bench_of(row.name) in changed:
-            row.note = "pin changed"
-    return result
+from typing import Optional, Sequence
 
 
 def profile_bench(
@@ -113,22 +24,24 @@ def profile_bench(
     params: Optional[dict] = None,
     seed: int = 0,
 ) -> str:
-    """cProfile one bench (or any raw experiment id) and return the
-    formatted stats table."""
-    if experiment is not None:
-        from repro.campaign.experiments import get_experiment
+    """cProfile one bench (a ``DIGEST`` pin) or any raw experiment id
+    and return the formatted stats table; an unknown bench is a
+    ``KeyError`` that lists the bench names."""
+    from repro.campaign.experiments import get_experiment
+    from repro.diag.claims import DIGEST_PINS
 
-        fn = get_experiment(experiment)
-        run = lambda: fn(params or {}, seed)  # noqa: E731
+    if experiment is not None:
         label = f"experiment {experiment!r}"
+    elif name in DIGEST_PINS:
+        experiment, params, seed = DIGEST_PINS[name]
+        label = f"bench {name!r}"
     else:
-        bench = get_bench(name)
-        run = bench.run
-        label = f"bench {bench.name!r}"
+        raise KeyError(f"unknown bench {name!r}; available: {list(DIGEST_PINS)}")
+    fn = get_experiment(experiment)
 
     profiler = cProfile.Profile()
     profiler.enable()
-    run()
+    fn(dict(params or {}), seed)
     profiler.disable()
     out = io.StringIO()
     stats = pstats.Stats(profiler, stream=out)

@@ -176,7 +176,7 @@ class TestCampaignCli:
         text = capsys.readouterr().out
         assert "2 skipped" in text
 
-        assert main(["campaign", "report", str(out)]) == 0
+        assert main(["report", str(out)]) == 0
         text = capsys.readouterr().out
         assert "# Campaign — cli" in text
         assert "exact_found" in text
@@ -211,7 +211,7 @@ class TestCampaignCli:
         capsys.readouterr()
 
     def test_report_missing_dir_errors(self, tmp_path, capsys):
-        assert main(["campaign", "report", str(tmp_path / "nope")]) == 2
+        assert main(["report", str(tmp_path / "nope")]) == 2
         assert "no campaign manifest" in capsys.readouterr().err
 
     def test_list_experiments(self, capsys):

@@ -33,7 +33,7 @@ EXPERIMENTS = REPO / "EXPERIMENTS.md"
 DESIGN_IDS = (
     "FIG2", "FIG3", "FIG4", "SURVEY", "SEC5E", "FIG7", "FIG8", "AES",
     "MEMCPY", "ABL-CAT", "ABL-FRAME", "ABL-STEP", "MITIG", "COMP", "REPLAY",
-    "LEAK", "CHANNEL", "SYNTH", "ORACLE",
+    "LEAK", "CHANNEL", "SYNTH", "ORACLE", "DIGEST",
 )
 
 # A measured cell: a number, an optional unit, then its row.
@@ -128,6 +128,26 @@ class TestClaimsGate:
         assert code == 1
         regressed = [line.split()[0] for line in out.splitlines() if "REGRESSED" in line]
         assert "claim.SEC5E.bits_over_99pct.holds" in regressed
+
+    def test_a_changed_digest_fails_compare_on_its_row(
+        self, claims, tmp_path, capsys
+    ):
+        row = "claim.DIGEST.lzw_recovery.metrics_digest"
+        assert metric_direction(row) == "equal"
+        changed = judge({**claims, row: "0" * 64})
+        path = tmp_path / "changed.json"
+        gate.save(
+            str(path), gate.payload(CLAIMS_PARAMS, changed, metric_direction)
+        )
+        code = main(["diag", "compare", str(path), "--baseline", str(BASELINE)])
+        out = capsys.readouterr().out
+        assert code == 1
+        status = {
+            line.split()[0]: line.split()[-1]
+            for line in out.splitlines() if line.startswith("claim.")
+        }
+        assert [k for k, v in status.items() if v in ("CHANGED", "REGRESSED")] == [row]
+        assert status[row] == "CHANGED"
 
     def test_a_missing_value_fails_its_verdicts(self, claims):
         partial = dict(claims)

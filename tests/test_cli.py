@@ -204,7 +204,8 @@ class TestSharedIdioms:
         "argv,message",
         [
             (["campaign", "resume", "{missing}"], "no campaign manifest in"),
-            (["campaign", "report", "{missing}"], "no campaign manifest in"),
+            (["report", "{missing}", "--out", "{missing}/dossier.md"],
+             "no campaign manifest in"),
             (["campaign", "status", "{missing}"], "no campaign manifest in"),
             (["report", "{missing}"], "no campaign manifest in"),
             (["trace", "list", "--store", "{missing}"], "no trace store at"),

@@ -1,5 +1,5 @@
 """The shared baseline gate's loader: malformed gate files are typed
-errors (one ``error:`` line, exit 2) through both gate CLIs, whichever
+errors (one ``error:`` line, exit 2) through the gate CLI, whichever
 side of the comparison they are on."""
 
 import json
@@ -20,7 +20,7 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("command", ["perf", "diag"])
+@pytest.mark.parametrize("command", ["diag"])
 @pytest.mark.parametrize("role", ["baseline", "current"])
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_gate_file_exits_two(tmp_path, capsys, command, role, case):

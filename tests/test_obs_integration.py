@@ -16,7 +16,7 @@ import pytest
 
 from repro import obs
 from repro.campaign import CampaignRunner, CampaignSpec, ResultStore
-from repro.perf.harness import metrics_digest
+from repro.diag.claims import metrics_digest
 
 
 @pytest.fixture(autouse=True)

@@ -182,6 +182,22 @@ class TestMitigations:
         with pytest.raises(ValueError, match="unknown oracle mitigation"):
             get_oracle_mitigation("prayer")
 
+    @pytest.mark.parametrize(
+        "name,knobs,message",
+        [
+            ("padding", {"nope": 1}, "padding takes knob 'max_pad', not 'nope'"),
+            ("quantize", {"max_pad": 1}, "quantize takes knob 'quantum'"),
+            ("none", {"quantum": 1}, "none takes no knob"),
+            ("quantize", {"quantum": 0}, "'quantum' must be a whole number >= 1"),
+            ("jitter", {"sigma": "x"}, "'sigma' must be a number >= 0"),
+        ],
+        ids=["unknown-knob", "other-shape-knob", "none-knob", "zero-quantum",
+             "string-sigma"],
+    )
+    def test_factory_rejects_bad_knobs(self, name, knobs, message):
+        with pytest.raises(ValueError, match=message):
+            get_oracle_mitigation(name, **knobs)
+
 
 class TestBreachAttack:
     def test_recovers_secret_from_size_deltas(self):
@@ -327,6 +343,24 @@ class TestExperiments:
         assert metrics["size.quantize.correct"] == 0.0
         assert metrics["size.quantize.overhead_pct"] > 0
 
+    def test_mitigation_sweep_shapes_only_the_knobs_cell(self):
+        """A sweep's ``mitigation_params`` reach the mitigation they
+        name (a quantum of 1 shapes nothing) and skip the identity
+        cell, which takes no knob."""
+        metrics = get_experiment("oracle_mitigation_sweep")(
+            {
+                "observables": ["size"],
+                "mitigations": ["none", "quantize"],
+                "mitigation_params": {"quantum": 1},
+                "secret_len": 4,
+                "mi_samples": 0,
+                "max_queries": 2_000,
+            },
+            4,
+        )
+        assert metrics["size.none.correct"] == 1.0
+        assert metrics["size.quantize.correct"] == 1.0
+
 
 class TestOracleDiag:
     def test_open_channel_saturates(self):
@@ -356,6 +390,42 @@ class TestOracleCli:
         assert main(["oracle", "demo", "--secret-len", "6"]) == 0
         out = capsys.readouterr().out
         assert "two-guess size delta" in out
+
+    def test_demo_forwards_the_mitigation_knobs(self, capsys):
+        from repro.cli import main
+
+        def true_delta(*argv):
+            assert main(["oracle", "demo", "--mitigation", "quantize", *argv]) == 0
+            line = capsys.readouterr().out.splitlines()[2]
+            assert line.startswith("true  guess")
+            return line.rsplit(" ", 1)[1]
+
+        assert true_delta() == "+0.0"  # the default quantum hides the match
+        assert true_delta("--mitigation-params", '{"quantum": 1}') == "-1.0"
+
+    @pytest.mark.parametrize("command", ["demo", "attack"])
+    @pytest.mark.parametrize(
+        "mitigation,knobs,message",
+        [
+            ("padding", "{bad", "--mitigation-params is not JSON: "),
+            ("padding", "[1]", "--mitigation-params must be a JSON object"),
+            ("padding", '{"nope": 1}', "padding takes knob 'max_pad', not 'nope'"),
+            ("quantize", '{"quantum": 0}', "'quantum' must be a whole number"),
+        ],
+        ids=["not-json", "not-object", "unknown-knob", "zero-quantum"],
+    )
+    def test_bad_mitigation_params_exit_two(
+        self, command, mitigation, knobs, message, capsys
+    ):
+        from repro.cli import main
+
+        argv = ["oracle", command, "--mitigation", mitigation,
+                "--mitigation-params", knobs]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1, captured.err
 
     def test_attack_recovers(self, capsys):
         from repro.cli import main
