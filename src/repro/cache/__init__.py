@@ -13,6 +13,7 @@ from repro.cache.model import (
     BatchAccessResult,
     Cache,
     CacheConfig,
+    WorkingSet,
 )
 from repro.cache.cat import CatController
 from repro.cache.noise import BackgroundNoise, OsPollution
@@ -22,6 +23,7 @@ __all__ = [
     "CacheConfig",
     "AccessResult",
     "BatchAccessResult",
+    "WorkingSet",
     "CatController",
     "BackgroundNoise",
     "OsPollution",

@@ -178,6 +178,42 @@ class PlruTree:
 _Z_BATCH = 512
 
 
+def _line_tags(paddrs) -> list[int]:
+    """Line tags of an address list or int64 address vector."""
+    if hasattr(paddrs, "dtype"):
+        return (paddrs >> LINE_BITS).tolist()
+    return [p >> LINE_BITS for p in paddrs]
+
+
+class WorkingSet:
+    """A fixed, ordered list of lines that a caller walks many times,
+    made by :meth:`Cache.working_set` and accepted by every batch
+    access method in place of an address list.
+
+    ``tags`` are the line tags in walk order.  ``idx[k]`` is the flat
+    way index that position ``k`` held when last walked, and ``stale``
+    holds the positions whose index may be out of date; every position
+    starts stale.  Invariant: a position not in ``stale`` holds a tag
+    resident at ``idx[k]``.  The cache keeps it by marking a position
+    stale whenever its tag leaves (eviction, :meth:`Cache.flush`,
+    :meth:`Cache.clear`).  ``idx`` is None when the set walks the plain
+    per-address loop instead: under PLRU replacement, or when a tag
+    repeats within the set.
+    """
+
+    __slots__ = ("cache", "tags", "idx", "stale", "offsets")
+
+    def __init__(self, cache: "Cache", tags: list[int]) -> None:
+        self.cache = cache
+        self.tags = tags
+        self.idx = None  # int64 flat way index per position
+        self.stale: set[int] = set(range(len(tags)))
+        self.offsets = None  # int64 k + 1 per position k
+
+    def __len__(self) -> int:
+        return len(self.tags)
+
+
 class Cache:
     """The shared last-level cache.
 
@@ -190,6 +226,17 @@ class Cache:
     the non-empty entries of ``_tags``.  ``cos_masks`` maps a class of
     service to the tuple of way indices its misses may fill; COS 0
     defaults to all ways.
+
+    A caller that walks the same lines again and again (a Prime+Probe
+    sweep, the OS-pollution lines of every fault) makes them a
+    :class:`WorkingSet` once (:meth:`working_set`).  Its positions keep
+    their flat way index between walks, so each run of resident
+    positions is stamped in one numpy assignment into an int64 view of
+    ``_stamps``; only positions marked stale walk the per-address loop.
+    ``_fill``, :meth:`flush` and :meth:`clear` mark stale every position
+    of a line that leaves, through ``_members`` (line tag -> working-set
+    positions).  Under PLRU, or when a line repeats within the set, the
+    whole set walks the per-address loop.
 
     Latency noise is ``rng.gauss(base, sigma)``; CPython's gauss
     computes ``mu + z * sigma`` from a mu/sigma-independent variate
@@ -226,6 +273,10 @@ class Cache:
         self._plru: dict[int, PlruTree] = {}  # set base -> tree
         self._loc: dict[int, tuple[int, int, int]] = {}  # line tag -> (sl, st, base)
         self._cos_memo: dict[tuple[int, ...], int] = {}  # allowed tuple -> bitmask
+        # line tag -> [(working set, position)]: read only when a line
+        # leaves the cache, to mark its memberships stale.
+        self._members: dict[int, list[tuple[WorkingSet, int]]] = {}
+        self._stamps_view = None  # int64 numpy view of _stamps, made lazily
         self.cos_masks: dict[int, tuple[int, ...]] = {
             0: tuple(range(cfg.ways))
         }
@@ -397,6 +448,7 @@ class Cache:
                         victim_way = w
             old = tags[base + victim_way]
             del self._slot[old]
+            self._leave(old)
             evicted = old << LINE_BITS
             self._evictions += 1
         idx = base + victim_way
@@ -406,6 +458,12 @@ class Cache:
         if plru is not None:
             plru.touch(victim_way)
         return evicted
+
+    def _leave(self, tag: int) -> None:
+        """Mark stale every working-set position holding ``tag``, which
+        is leaving the cache."""
+        for ws, k in self._members.get(tag, ()):
+            ws.stale.add(k)
 
     def _hit(self, idx: int) -> None:
         """Hit path: restamp the resident line at flat index ``idx``
@@ -495,14 +553,83 @@ class Cache:
         self._zi = i
         return out
 
-    def _batch_walk(self, paddrs, cos: int, hits_out, evicted_out):
-        """The shared sequential core: one fused pass per address — a
+    def working_set(self, paddrs) -> WorkingSet:
+        """A :class:`WorkingSet` of the lines holding ``paddrs`` (a list
+        or int64 vector), in order, for repeated batch walks."""
+        tags = _line_tags(paddrs)
+        ws = WorkingSet(self, tags)
+        if self._plru_on or len(set(tags)) != len(tags):
+            return ws
+        import numpy as np
+
+        if self._stamps_view is None:
+            self._stamps_view = np.frombuffer(self._stamps, dtype=np.int64)
+        ws.idx = np.zeros(len(tags), dtype=np.int64)
+        ws.offsets = np.arange(1, len(tags) + 1, dtype=np.int64)
+        members = self._members
+        for k, tag in enumerate(tags):
+            members.setdefault(tag, []).append((ws, k))
+        return ws
+
+    def _walk(self, paddrs, cos: int, hits_out, evicted_out) -> None:
+        """Walk an address list or a :class:`WorkingSet`."""
+        if type(paddrs) is WorkingSet:
+            if paddrs.cache is not self:
+                raise ValueError("working set belongs to another cache")
+            if paddrs.idx is not None:
+                self._working_set_walk(paddrs, cos, hits_out, evicted_out)
+                return
+            lines = paddrs.tags
+        else:
+            lines = _line_tags(paddrs)
+        self._batch_walk(lines, cos, hits_out, evicted_out)
+
+    def _working_set_walk(
+        self, ws: WorkingSet, cos: int, hits_out, evicted_out
+    ) -> None:
+        """Each run of positions that are not stale is a run of hits: one
+        numpy assignment writes the stamps the loop would write.  Each
+        run of stale positions goes through :meth:`_batch_walk`; a fill
+        there may mark a later position stale, which the next run search
+        sees."""
+        tags, idx, stale, offsets = ws.tags, ws.idx, ws.stale, ws.offsets
+        view = self._stamps_view
+        slot = self._slot
+        n = len(tags)
+        start = self._stamp
+        pos = 0
+        while pos < n:
+            later = [k for k in stale if k >= pos]
+            end = min(later) if later else n
+            if end > pos:
+                view[idx[pos:end]] = offsets[pos:end] + start
+                self._hits += end - pos
+                if hits_out is not None:
+                    hits_out[pos:end] = True
+                if evicted_out is not None:
+                    evicted_out.extend([None] * (end - pos))
+            if end == n:
+                break
+            stop = end + 1
+            while stop in stale:
+                stop += 1
+            stale.difference_update(range(end, stop))
+            self._stamp = start + end
+            self._batch_walk(
+                tags[end:stop], cos,
+                None if hits_out is None else hits_out[end:stop],
+                evicted_out,
+            )
+            for k in range(end, stop):
+                if k not in stale:
+                    idx[k] = slot[tags[k]]
+            pos = stop
+        self._stamp = start + n
+
+    def _batch_walk(self, lines: list[int], cos: int, hits_out, evicted_out):
+        """The shared sequential core: one fused pass per line tag — a
         resident-line lookup with every hot attribute hoisted out of the
         loop; only misses reach ``_locate`` and the victim scan."""
-        if hasattr(paddrs, "dtype"):
-            lines = (paddrs >> LINE_BITS).tolist()
-        else:
-            lines = [p >> LINE_BITS for p in paddrs]
         slot = self._slot.get
         stamps = self._stamps
         ways = self._ways
@@ -540,7 +667,7 @@ class Cache:
         n = len(paddrs)
         hits = np.zeros(n, dtype=bool)
         evicted: list[Optional[int]] = []
-        self._batch_walk(paddrs, cos, hits, evicted)
+        self._walk(paddrs, cos, hits, evicted)
         zs = self._take_z(n)
         lats = np.where(hits, self._hit_lat, self._miss_lat) + zs * self._sigma
         np.maximum(lats, 1.0, out=lats)
@@ -556,7 +683,7 @@ class Cache:
         # access_timed draws z before its hit scan; drawing the whole
         # stream before the walk consumes the identical subsequence.
         zs = self._take_z(n)
-        self._batch_walk(paddrs, cos, hits, None)
+        self._walk(paddrs, cos, hits, None)
         lats = np.where(hits, self._hit_lat, self._miss_lat) + zs * self._sigma
         np.maximum(lats, 1.0, out=lats)
         return lats
@@ -564,13 +691,15 @@ class Cache:
     def access_many_silent(self, paddrs, cos: int = 0) -> None:
         """:meth:`access_silent` over a whole address vector: line-state
         updates only, no latency draws."""
-        self._batch_walk(paddrs, cos, None, None)
+        self._walk(paddrs, cos, None, None)
 
     def flush(self, paddr: int) -> None:
         """clflush: remove the line from the cache entirely."""
-        idx = self._slot.pop(paddr >> LINE_BITS, None)
+        tag = paddr >> LINE_BITS
+        idx = self._slot.pop(tag, None)
         if idx is not None:
             self._tags[idx] = -1
+            self._leave(tag)
         self._flushes += 1
 
     def contains(self, paddr: int) -> bool:
@@ -582,5 +711,7 @@ class Cache:
         return self._ways - segment.count(-1)
 
     def clear(self) -> None:
+        for tag in self._slot:
+            self._leave(tag)
         self._tags = array("q", [-1]) * len(self._tags)
         self._slot.clear()

@@ -74,10 +74,11 @@ class OsPollution:
             rng.sample(range(1 << 16), n_lines)
         )
         self._addrs = [region_base + l * LINE_SIZE for l in self.lines]
+        self._working_set = cache.working_set(self._addrs)
 
     def fault_entry(self) -> None:
         """The cache cost of delivering one page fault."""
-        self._cache.access_many_silent(self._addrs, self.cos)
+        self._cache.access_many_silent(self._working_set, self.cos)
 
     def polluted_locations(self) -> set[tuple[int, int]]:
         """(slice, set) pairs this pollution lands on — what frame

@@ -152,15 +152,16 @@ class Comparison:
         return [row for row in self.rows if not row.ok]
 
     def summary(self) -> str:
+        width = max([len("metric")] + [len(row.name) for row in self.rows])
         lines = [
             f"{self.title} (tolerance {self.tolerance * 100:.1f}%):",
-            f"{'metric':<38} {'dir':<7} {'baseline':>12} "
+            f"{'metric':<{width}} {'dir':<7} {'baseline':>12} "
             f"{'current':>12}  status",
         ]
         for row in self.rows:
             note = f"  ({row.note})" if row.note else ""
             lines.append(
-                f"{row.name:<38} {row.direction:<7} "
+                f"{row.name:<{width}} {row.direction:<7} "
                 f"{_cell(row.baseline):>12} {_cell(row.current):>12}  "
                 f"{row.status}{note}"
             )

@@ -16,7 +16,7 @@ positive.
 
 from __future__ import annotations
 
-from repro.cache.model import LINE_SIZE, Cache
+from repro.cache.model import LINE_SIZE, Cache, WorkingSet
 
 Location = tuple[int, int]  # (slice, set)
 
@@ -94,20 +94,18 @@ class PrimeProbe:
         )
         # The monitored location set is stable across many consecutive
         # sweeps, so the flattened (location, line) visit order is
-        # cached per distinct set — as an address vector ready for the
-        # batch cache API, plus the parallel location column.
+        # cached per distinct set — as a cache working set, plus the
+        # parallel location column.
         self._sweep_cache: dict[
-            tuple[Location, ...], tuple["np.ndarray", list[Location]]
+            tuple[Location, ...], tuple[WorkingSet, list[Location]]
         ] = {}
 
-    def _sweep_arrays(
+    def _sweep(
         self, locations: list[Location]
-    ) -> tuple["np.ndarray", list[Location]]:
+    ) -> tuple[WorkingSet, list[Location]]:
         key = tuple(locations)
         cached = self._sweep_cache.get(key)
         if cached is None:
-            import numpy as np
-
             lines_for = self.memory.lines_for
             ways = self.ways
             pairs = [
@@ -115,15 +113,15 @@ class PrimeProbe:
                 for loc in locations
                 for paddr in lines_for(loc, ways)
             ]
-            addrs = np.array([p for _, p in pairs], dtype=np.int64)
+            lines = self.cache.working_set([p for _, p in pairs])
             locs = [loc for loc, _ in pairs]
-            cached = self._sweep_cache[key] = (addrs, locs)
+            cached = self._sweep_cache[key] = (lines, locs)
         return cached
 
     def prime(self, locations: list[Location]) -> None:
         """Fill each location's attack-partition ways with own lines."""
-        addrs, _ = self._sweep_arrays(locations)
-        self.cache.access_many_silent(addrs, self.cos)
+        lines, _ = self._sweep(locations)
+        self.cache.access_many_silent(lines, self.cos)
 
     def probe(self, locations: list[Location]) -> set[Location]:
         """Re-time the primed lines; return locations showing a miss.
@@ -133,6 +131,6 @@ class PrimeProbe:
         """
         import numpy as np
 
-        addrs, locs = self._sweep_arrays(locations)
-        lats = self.cache.access_many_timed(addrs, self.cos)
+        lines, locs = self._sweep(locations)
+        lats = self.cache.access_many_timed(lines, self.cos)
         return {locs[i] for i in np.flatnonzero(lats > self.threshold)}

@@ -42,18 +42,15 @@ class SingleStepper:
             "block": (block.base, block.length * block.elem_size),
             "ftab": (ftab.base, ftab.length * ftab.elem_size),
         }
+        # page -> array name; a page two arrays share names the first.
+        self._page_array: dict[int, str] = {}
+        for name, (base, size) in self._ranges.items():
+            for page in range(base & ~0xFFF, base + size, 0x1000):
+                self._page_array.setdefault(page, name)
         self.before_ftab_access = before_ftab_access
         self.probe_point = probe_point
         self.steps = 0
         self._armed = False
-
-    def _array_of(self, page_vaddr: int) -> Optional[str]:
-        for name, (base, size) in self._ranges.items():
-            first = base & ~0xFFF
-            last = (base + size - 1) & ~0xFFF
-            if first <= page_vaddr <= last:
-                return name
-        return None
 
     def _protect(self, name: str, perms: Permissions) -> None:
         base, size = self._ranges[name]
@@ -73,7 +70,7 @@ class SingleStepper:
 
     def handle_fault(self, fault: PageFault) -> None:
         """The attacker's SIGSEGV handler: advance the state machine."""
-        name = self._array_of(fault.page_vaddr)
+        name = self._page_array.get(fault.page_vaddr)
         if name == "quadrant":
             # S4 -> S0: the previous iteration's ftab access is done.
             if self.probe_point is not None:

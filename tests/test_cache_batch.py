@@ -7,10 +7,13 @@ interleaves scalar and batch calls on one cache while a reference cache
 replays everything scalar-wise, then demands bit-equal latencies,
 identical line/stamp/PLRU state, a resident-line index that matches the
 tag array (``flush`` and ``clear`` ops included), and an identical
-noise-stream continuation afterwards.
+noise-stream continuation afterwards.  A second program replays one
+fixed working set (``Cache.working_set``) through the same batch calls
+and demands the same of it.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,6 +133,83 @@ class TestBatchEquivalence:
         assert result.latencies.tolist() == [r.latency for r in expected]
         assert result.evicted == [r.evicted for r in expected]
         _assert_same_state(batch, ref)
+
+
+def working_set_programs() -> st.SearchStrategy[list]:
+    # About half the ops walk or flush the working set (a flush names
+    # member positions), so that walks with stale positions come up
+    # often.
+    addrs = st.lists(
+        st.integers(min_value=0, max_value=40), min_size=0, max_size=12
+    )
+    cos = st.sampled_from([0, 1])
+    list_op = st.tuples(
+        st.sampled_from(["access", "timed", "silent", "many", "many_timed",
+                         "many_silent", "flush", "clear"]),
+        addrs,
+        cos,
+    )
+    set_op = st.tuples(
+        st.sampled_from(["set_many", "set_many_timed", "set_many_silent",
+                         "set_flush"]),
+        st.lists(st.integers(min_value=0, max_value=11), max_size=3),
+        cos,
+    )
+    return st.lists(st.one_of(set_op, list_op), min_size=1, max_size=16)
+
+
+class TestWorkingSetEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        config=configs(),
+        members=st.one_of(
+            st.lists(
+                st.integers(min_value=0, max_value=40),
+                min_size=1, max_size=12, unique=True,
+            ),
+            st.lists(
+                st.integers(min_value=0, max_value=40), min_size=1, max_size=12
+            ),
+        ),
+        program=working_set_programs(),
+    )
+    def test_working_set_program_matches_scalar_loop(
+        self, config, members, program
+    ):
+        """Repeated tags and PLRU configs walk the plain loop; the rest
+        take the stamp-by-run path, whose stale marks must follow every
+        eviction, flush and clear in between."""
+        batch = Cache(config)
+        ref = Cache(config)
+        paddrs = [_addr(i) for i in members]
+        working_set = batch.working_set(paddrs)
+        for op, lines, cos in program:
+            if op == "set_flush":
+                doomed = [paddrs[k % len(paddrs)] for k in lines]
+                _run_scalar(batch, "flush", doomed, cos)
+                _run_scalar(ref, "flush", doomed, cos)
+                continue
+            if op.startswith("set_"):
+                op = op[len("set_"):]
+                got = _run_batch(batch, op, working_set, cos)
+                want = _run_scalar(ref, op, paddrs, cos)
+            else:
+                got = _run_batch(batch, op, [_addr(i) for i in lines], cos)
+                want = _run_scalar(ref, op, [_addr(i) for i in lines], cos)
+            assert got == want
+        _assert_same_state(batch, ref)
+        if working_set.idx is not None:
+            for k, tag in enumerate(working_set.tags):
+                if k not in working_set.stale:
+                    assert batch._tags[working_set.idx[k]] == tag
+        tail = [batch.access_timed(_addr(i)) for i in range(8)]
+        assert tail == [ref.access_timed(_addr(i)) for i in range(8)]
+
+    def test_working_set_of_another_cache_is_rejected(self):
+        config = CacheConfig(n_slices=1, sets_per_slice=4, ways=2)
+        working_set = Cache(config).working_set([_addr(0)])
+        with pytest.raises(ValueError):
+            Cache(config).access_many_silent(working_set)
 
 
 class TestNoiseAdoption:

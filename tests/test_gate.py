@@ -36,3 +36,25 @@ def test_malformed_gate_file_exits_two(tmp_path, capsys, command, role, case):
     assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert str(bad) in err
+
+
+
+def test_summary_columns_align_past_a_long_metric_name():
+    long_name = "claim.DIGEST.access_many_probe.metrics_digest"
+    assert len(long_name) > 38
+    metrics = {"a.bit_accuracy": 0.9, long_name: "0123456789abcdef"}
+    directions = {"a.bit_accuracy": "higher", long_name: "equal"}
+    baseline = gate.payload({}, metrics, directions.__getitem__)
+    lines = gate.compare(metrics, baseline, 0.05).summary().splitlines()
+    header, rows = lines[1], lines[2:-1]
+    dir_at = header.index(" dir ") + 1
+    base_end = header.index("baseline") + len("baseline")
+    cur_end = header.index("current") + len("current")
+    cells = {"a.bit_accuracy": ("higher", "0.9"),
+             long_name: ("equal", "0123456789ab")}
+    assert len(rows) == 2
+    for row in rows:
+        direction, cell = cells[row.split()[0]]
+        assert row[dir_at:dir_at + 7].rstrip() == direction
+        assert row[base_end - 12:base_end].lstrip() == cell
+        assert row[cur_end - 12:cur_end].lstrip() == cell

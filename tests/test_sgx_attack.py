@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from repro.cache import CacheConfig
 from repro.core.zipchannel import AttackConfig, SgxBzip2Attack
 from repro.workloads.generators import lowercase_ascii, random_bytes
 
@@ -160,8 +161,18 @@ class TestExactState:
              "b0a157127fa4b94eb4266b732350a16f009c8f7aec5ad0bf8be384cfb28de832"),
             (1500, {"background_noise_rate": 8},
              "dfbd6b2779d6ba6adb1829ec33f36900b1d4769b78227d06bf228b4e347c66c8"),
+            # PLRU walks every working set through the per-address loop.
+            # With CAT's one attack way no PLRU victim choice differs
+            # from LRU's, so this row's digest equals "default"'s; the
+            # no-CAT row is where the trees pick the victims.
+            (1500, {"cache": CacheConfig(replacement="plru")},
+             "8fbb812ff9a241f348798a36578aa8d5ce7242884d397f8148aa91f581d4a980"),
+            (300, {"use_cat": False,
+                   "cache": CacheConfig(replacement="plru")},
+             "218e75d8ca345561e2a75aa8c51b59c5516d6a424213672c15465a6da1cfcd5e"),
         ],
-        ids=["default", "no_frame_selection", "no_cat", "noise_rate_8"],
+        ids=["default", "no_frame_selection", "no_cat", "noise_rate_8",
+             "plru", "plru_no_cat"],
     )
     def test_state_matches_recorded(self, n, overrides, expected):
         attack = SgxBzip2Attack(

@@ -1,5 +1,7 @@
 """Tests for the timer-stepping baseline attack."""
 
+import hashlib
+
 import pytest
 
 from repro.core.zipchannel import AttackConfig, SgxBzip2Attack
@@ -60,3 +62,29 @@ class TestTimerAttack:
     def test_summary_smoke(self):
         outcome = TimerSgxBzip2Attack(random_bytes(40, seed=4)).run()
         assert "timer-stepping attack" in outcome.summary()
+
+
+class TestExactState:
+    """The timer attack's final state, pinned by digest.  Its OS
+    pollution walks as a cache working set, which must leave every
+    stamp where the per-address loop left it; its 4,097-line ftab sweep
+    repeats attacker lines (ftab lines that share a location), so it
+    walks the per-address loop."""
+
+    def test_state_matches_recorded(self):
+        attack = TimerSgxBzip2Attack(random_bytes(100, seed=5))
+        attack.run()
+        cache, space = attack.cache, attack.space
+        h = hashlib.sha256()
+        h.update(cache._tags.tobytes())
+        h.update(cache._stamps.tobytes())
+        h.update(repr((cache._zi, cache._rng.getstate())).encode())
+        h.update(repr((attack._windows, sorted(attack._known_noisy))).encode())
+        pages = sorted(
+            (vpn, entry.frame, entry.perms.value)
+            for vpn, entry in space._pages.items()
+        )
+        h.update(repr(pages).encode())
+        assert h.hexdigest() == (
+            "8d6a434dc746011131a8cd729aa4b2fcf246487ec222a4ca69286fd483a97c21"
+        )
