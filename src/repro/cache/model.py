@@ -17,19 +17,21 @@ The access path is the hottest loop in the whole simulator (every
 victim instruction, every prime, every probe, every noise line lands
 here), so the line state lives in flat preallocated ``array('q')``
 buffers rather than per-set dicts, a resident-line index answers every
-hit test with one dict lookup, the slice hash is a 16-bit parity table
-plus a per-line memo, and latency noise draws its standard-normal
-variates from a prefetched buffer.  All of it is bit-compatible with
-the straightforward model it replaced: same hit/miss/eviction stream,
-same RNG consumption, same latencies to the last float bit.
+hit test with one dict lookup, the slice hash is an integer popcount
+plus a per-line memo, and latency noise draws the raw words of its
+standard-normal variates in bulk and transforms them only when a
+latency is read.  All of it is bit-compatible with the straightforward
+model it replaced: same hit/miss/eviction stream, same RNG consumption,
+same latencies to the last float bit.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from array import array
 from dataclasses import dataclass
-from math import cos as _cos, log as _log, pi as _pi, sin as _sin, sqrt as _sqrt
+from math import cos as _cos, log as _log, pi as _pi, sin as _sin
 from typing import Optional
 
 from repro import obs
@@ -83,14 +85,9 @@ _SLICE_MASKS = (
     0x2EB5FAA880,
 )
 
-# Parity of every 16-bit value; _parity folds wider words onto it.
+# Parity of every 16-bit value: the lookup table of the vectorised
+# slice hash (numpy>=1.24 has no bitwise_count).
 _PARITY16 = bytes(bin(i).count("1") & 1 for i in range(1 << 16))
-
-def _parity(x: int) -> int:
-    """XOR-parity of an address-sized (< 2**64) integer."""
-    x ^= x >> 32
-    x ^= x >> 16
-    return _PARITY16[x & 0xFFFF]
 
 
 @dataclass(slots=True)
@@ -173,9 +170,42 @@ class PlruTree:
         return lo
 
 
-# How many standard-normal variates to prefetch per refill of the
-# latency-noise buffer.
+# How many standard-normal variates one batch of latency noise holds,
+# and the MT bits its uniforms take: two 32-bit words per random().
 _Z_BATCH = 512
+_Z_BITS = 64 * _Z_BATCH
+
+# |z| of a Box-Muller variate from 53-bit uniforms is at most
+# sqrt(-2*log(2**-53)) = sqrt(106*log(2)) < 8.58; a probe whose threshold
+# sits further than this many sigmas from both latency modes reads the
+# same verdict whatever variate it gets.
+_Z_BOUND = 8.6
+
+
+def _box_muller(words: int) -> list[float]:
+    """The ``_Z_BATCH`` standard-normal variates ``Random.gauss`` would
+    return from the MT words ``words`` (one ``getrandbits(_Z_BITS)``).
+
+    ``getrandbits`` fills its result one ``genrand_uint32`` word at a
+    time, in generator order, in native byte order; ``random()`` reads
+    the same words two at a time as ``((w0 >> 5) * 2**26 + (w1 >> 6)) /
+    2**53``.  numpy does the IEEE operations, which round exactly as
+    CPython's do; ``log``, ``cos`` and ``sin`` go through :mod:`math`,
+    because numpy's ``log`` differs from libm's in the last bit on some
+    inputs.
+    """
+    import numpy as np
+
+    w = np.frombuffer(words.to_bytes(_Z_BITS // 8, sys.byteorder), np.uint32)
+    u = ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+    pairs = _Z_BATCH // 2
+    x2pi = (u[0::2] * _TWOPI).tolist()
+    logs = np.fromiter(map(_log, (1.0 - u[1::2]).tolist()), float, pairs)
+    g2rad = np.sqrt(-2.0 * logs)
+    z = np.empty(_Z_BATCH)
+    z[0::2] = np.fromiter(map(_cos, x2pi), float, pairs) * g2rad
+    z[1::2] = np.fromiter(map(_sin, x2pi), float, pairs) * g2rad
+    return z.tolist()
 
 
 def _line_tags(paddrs) -> list[int]:
@@ -240,10 +270,14 @@ class Cache:
 
     Latency noise is ``rng.gauss(base, sigma)``; CPython's gauss
     computes ``mu + z * sigma`` from a mu/sigma-independent variate
-    stream, so the variates are prefetched in batches (the exact
-    Box-Muller pair recurrence CPython uses, same uniform draws, same
-    float ops) and the affine map applied here — identical latencies,
-    a fraction of the work.
+    stream, so the variates come in batches of ``_Z_BATCH`` and the
+    affine map is applied here — identical latencies, a fraction of the
+    work.  A batch is drawn as the MT words its uniforms take, in one
+    ``getrandbits`` call, when the cursor ``_zi`` first needs it; the
+    Box-Muller transform (``_box_muller``, the exact float ops of
+    ``Random.gauss``) runs when a value of it is first *read*.  So the
+    RNG state after any sequence of accesses is the one ``gauss`` calls
+    would leave, and a batch nobody reads is never transformed.
 
     Noise is only drawn for accesses whose latency is *observed*
     (:meth:`access` / :meth:`access_timed`).  Fill traffic that nobody
@@ -251,10 +285,14 @@ class Cache:
     touches — goes through :meth:`access_silent`, which updates line
     state identically but skips the draw.  This cannot change any
     timing decision: a Box-Muller variate from 53-bit uniforms is
-    bounded by ``sqrt(-2*log(2**-53))`` < 8.6 sigma, while the default
+    bounded by ``sqrt(-2*log(2**-53))`` < 8.58 sigma, while the default
     hit/miss thresholds sit more than 13 sigma from either latency
     mode, so *which* variate a timed access happens to get can never
-    flip a hit/miss classification.
+    flip a hit/miss classification.  :meth:`access_many_missed`, the
+    probe's entry point, uses the same bound: when its threshold sits
+    more than ``_Z_BOUND`` sigmas from both modes it advances the
+    cursor past the probe's variates without reading them, and returns
+    the misses.
     """
 
     def __init__(self, config: CacheConfig | None = None) -> None:
@@ -287,7 +325,12 @@ class Cache:
         # Snapshot of the counters at the last publish_stats() call, so
         # repeated publishes emit deltas, not re-counted totals.
         self._published = (0, 0, 0, 0)
-        self._zbuf: list[float] = []
+        # Latency noise: the current batch's MT words, its variates once
+        # read (None until then), its length (0 before the first draw)
+        # and the cursor into it.
+        self._zwords = 0
+        self._zbuf: Optional[list[float]] = None
+        self._zlen = 0
         self._zi = 0
         self._hit_lat = cfg.hit_latency
         self._miss_lat = cfg.miss_latency
@@ -327,7 +370,7 @@ class Cache:
         bits = (self.config.n_slices - 1).bit_length()
         out = 0
         for k in range(bits):
-            out |= _parity(paddr & _SLICE_MASKS[k]) << k
+            out |= ((paddr & _SLICE_MASKS[k]).bit_count() & 1) << k
         return out % self.config.n_slices
 
     def set_of(self, paddr: int) -> int:
@@ -381,30 +424,28 @@ class Cache:
         return loc
 
     # -- the access path -------------------------------------------------
-    def _refill_z(self) -> list[float]:
-        """Refill the standard-normal buffer: CPython's exact Box-Muller
-        pair recurrence (same uniforms, same float ops as
-        ``Random.gauss``), without the per-call bookkeeping."""
-        rnd = self._rng.random
-        buf: list[float] = []
-        append = buf.append
-        for _ in range(_Z_BATCH // 2):
-            x2pi = rnd() * _TWOPI
-            g2rad = _sqrt(-2.0 * _log(1.0 - rnd()))
-            append(_cos(x2pi) * g2rad)
-            append(_sin(x2pi) * g2rad)
-        self._zbuf = buf
+    def _draw_z(self) -> None:
+        """Start the next batch: draw the MT words its ``_Z_BATCH``
+        variates take, in one call; the transform waits for a read."""
+        self._zwords = self._rng.getrandbits(_Z_BITS)
+        self._zbuf = None
+        self._zlen = _Z_BATCH
+
+    def _zvalues(self) -> list[float]:
+        """The current batch's variates, transformed on first read."""
+        buf = self._zbuf
+        if buf is None:
+            buf = self._zbuf = _box_muller(self._zwords)
         return buf
 
     def _next_z(self) -> float:
-        """Next standard-normal variate, from the prefetched batch."""
+        """Next standard-normal variate, from the current batch."""
         i = self._zi
-        buf = self._zbuf
-        if i >= len(buf):
-            buf = self._refill_z()
+        if i >= self._zlen:
+            self._draw_z()
             i = 0
         self._zi = i + 1
-        return buf[i]
+        return self._zvalues()[i]
 
     def _latency(self, base: float) -> float:
         lat = base + self._next_z() * self._sigma
@@ -488,24 +529,19 @@ class Cache:
         return AccessResult(False, self._latency(self._miss_lat), evicted)
 
     def access_timed(self, paddr: int, cos: int = 0) -> float:
-        """:meth:`access`, returning just the latency — the probe-loop
-        entry point.  Inlined noise draw, no result object."""
+        """:meth:`access`, returning just the latency: no result
+        object."""
         self._stamp += 1
-        i = self._zi
-        buf = self._zbuf
-        if i >= len(buf):
-            buf = self._refill_z()
-            i = 0
-        self._zi = i + 1
+        z = self._next_z()
         tag = paddr >> LINE_BITS
         idx = self._slot.get(tag)
         if idx is None:
             self._misses += 1
             self._fill(tag, cos)
-            lat = self._miss_lat + buf[i] * self._sigma
+            lat = self._miss_lat + z * self._sigma
         else:
             self._hit(idx)
-            lat = self._hit_lat + buf[i] * self._sigma
+            lat = self._hit_lat + z * self._sigma
         return lat if lat > 1.0 else 1.0
 
     def access_silent(self, paddr: int, cos: int = 0) -> None:
@@ -533,21 +569,24 @@ class Cache:
     # exactly as the equivalent scalar loop would
     # (tests/test_cache_batch.py pins the equivalence).
 
-    def _take_z(self, n: int):
+    def _take_z(self, n: int, read: bool = True):
         """Consume the next ``n`` standard-normal variates — the exact
-        subsequence ``n`` :meth:`_next_z` calls would return."""
+        subsequence ``n`` :meth:`_next_z` calls would return.  With
+        ``read`` false, only advance the cursor past them: the same
+        batch draws, no transform, None returned.  Landing exactly on a
+        batch end draws nothing either way."""
         import numpy as np
 
-        out = np.empty(n)
+        out = np.empty(n) if read else None
         i = self._zi
-        buf = self._zbuf
         filled = 0
         while filled < n:
-            if i >= len(buf):
-                buf = self._refill_z()
+            if i >= self._zlen:
+                self._draw_z()
                 i = 0
-            take = min(n - filled, len(buf) - i)
-            out[filled : filled + take] = buf[i : i + take]
+            take = min(n - filled, self._zlen - i)
+            if read:
+                out[filled : filled + take] = self._zvalues()[i : i + take]
             i += take
             filled += take
         self._zi = i
@@ -687,6 +726,29 @@ class Cache:
         lats = np.where(hits, self._hit_lat, self._miss_lat) + zs * self._sigma
         np.maximum(lats, 1.0, out=lats)
         return lats
+
+    def access_many_missed(self, paddrs, cos: int, threshold: float) -> list[int]:
+        """The positions whose :meth:`access_many_timed` latency would
+        exceed ``threshold``, in order; same state mutations and RNG
+        consumption.  When the threshold sits more than ``_Z_BOUND``
+        sigmas from both latency modes, and above the 1.0 clamp, no
+        variate can flip a verdict: the misses are the answer, and the
+        probe's variates are skipped, not read."""
+        import numpy as np
+
+        bound = _Z_BOUND * abs(self._sigma)
+        if not (
+            threshold > 1.0
+            and threshold - self._hit_lat > bound
+            and self._miss_lat - threshold > bound
+        ):
+            lats = self.access_many_timed(paddrs, cos)
+            return np.flatnonzero(lats > threshold).tolist()
+        n = len(paddrs)
+        hits = np.zeros(n, dtype=bool)
+        self._take_z(n, read=False)
+        self._walk(paddrs, cos, hits, None)
+        return np.flatnonzero(~hits).tolist()
 
     def access_many_silent(self, paddrs, cos: int = 0) -> None:
         """:meth:`access_silent` over a whole address vector: line-state

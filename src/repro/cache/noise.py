@@ -18,12 +18,25 @@ Two distinct mechanisms, matching the paper's Section V-C:
 from __future__ import annotations
 
 import random
+import sys
 
 from repro.cache.model import LINE_SIZE, Cache
 
+# MT words per pre-drawn chunk of background-noise addresses.
+_CHUNK_WORDS = 2048
+
 
 class BackgroundNoise:
-    """Random line traffic from the rest of the system."""
+    """Random line traffic from the rest of the system.
+
+    The line addresses are ``region_base + randrange(region_lines) *
+    LINE_SIZE`` from a private ``random.Random(seed)``, in order.  They
+    are pre-drawn in chunks: ``randrange(n)`` tries ``getrandbits(k)``,
+    ``k = n.bit_length()``, until a try is below ``n``, and for ``k <=
+    32`` a try is one MT word shifted right by ``32 - k``.  So one
+    ``getrandbits(32 * _CHUNK_WORDS)`` call yields a chunk's tries, and
+    the accepted ones are the next addresses of the scalar stream.
+    """
 
     def __init__(
         self,
@@ -34,25 +47,53 @@ class BackgroundNoise:
         region_lines: int = 1 << 16,
         seed: int = 7,
     ) -> None:
+        if not 1 <= region_lines < 1 << 32:
+            raise ValueError(
+                f"region_lines must be in [1, 2**32), got {region_lines}"
+            )
         self._cache = cache
         self.rate = rate
         self.cos = cos
         self._base = region_base
         self._lines = region_lines
         self._rng = random.Random(seed)
+        self._addrs: list[int] = []  # pre-drawn addresses
+        self._next = 0  # the first unused one
+
+    def _predraw(self, need: int) -> None:
+        """Keep the unused addresses, in order, and append whole chunks
+        until at least ``need`` are unused."""
+        import numpy as np
+
+        shift = 32 - self._lines.bit_length()
+        addrs = self._addrs[self._next :]
+        while len(addrs) < need:
+            words = self._rng.getrandbits(32 * _CHUNK_WORDS)
+            tries = np.frombuffer(
+                words.to_bytes(4 * _CHUNK_WORDS, sys.byteorder), np.uint32
+            ) >> shift
+            lines = tries[tries < self._lines].astype(np.int64)
+            addrs += (lines * LINE_SIZE + self._base).tolist()
+        self._addrs = addrs
+        self._next = 0
 
     def step(self) -> None:
         """Touch ``rate`` random lines (call once per victim step).
 
-        The addresses are drawn first (same RNG stream as the scalar
-        loop), then pushed through the batch cache path in one call.
+        The addresses are the scalar ``randrange`` stream, pre-drawn in
+        chunks; each is one :meth:`Cache.access_silent`, which for the
+        attack's two lines a step costs less than a batch call.
         """
-        randrange = self._rng.randrange
-        base, lines = self._base, self._lines
-        addrs = [
-            base + randrange(lines) * LINE_SIZE for _ in range(self.rate)
-        ]
-        self._cache.access_many_silent(addrs, self.cos)
+        i = self._next
+        end = i + self.rate
+        if end > len(self._addrs):
+            self._predraw(self.rate)
+            i, end = 0, self.rate
+        self._next = end
+        touch = self._cache.access_silent
+        cos = self.cos
+        for addr in self._addrs[i:end]:
+            touch(addr, cos)
 
 
 class OsPollution:

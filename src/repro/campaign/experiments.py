@@ -427,7 +427,7 @@ def fig7_replay(params: dict, seed: int) -> dict:
 @register_experiment("probe_sweep")
 def probe_sweep(params: dict, seed: int) -> dict:
     """Prime+Probe measurement rounds against background noise — the
-    batched cache API (`access_many_silent` / `access_many_timed`) hot
+    batched cache API (`access_many_silent` / `access_many_missed`) hot
     path, with no victim in the loop.
 
     Params: ``rounds``, ``locations`` (monitored set size), ``ways``

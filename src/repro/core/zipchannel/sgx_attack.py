@@ -190,11 +190,9 @@ class SgxBzip2Attack:
             return
         vetted = self.frames.vet(self._current_page)
         missed = self.pp.probe(vetted.locations) - vetted.noisy
-        lines = [
-            (self._current_page + k * 64) >> 6
-            for k, loc in enumerate(vetted.locations)
-            if loc in missed
-        ]
+        first = self._current_page >> 6  # the page's first line
+        offsets = vetted.offsets
+        lines = sorted(first + k for loc in missed for k in offsets[loc])
         self._observations.append(lines)
         self._current_page = None
 

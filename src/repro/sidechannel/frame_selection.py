@@ -24,13 +24,23 @@ LINES_PER_PAGE = PAGE_SIZE // LINE_SIZE
 
 @dataclass
 class VettedPage:
-    """Outcome of vetting one victim page."""
+    """Outcome of vetting one victim page.
+
+    ``offsets`` maps each location to the line offsets within the page
+    that land there, ascending; it is derived from ``locations``.
+    """
 
     page_vaddr: int
     frame: int
     locations: list[Location]  # per line offset within the page
     noisy: set[Location] = field(default_factory=set)  # known false positives
     remaps: int = 0
+    offsets: dict[Location, list[int]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.offsets = {}
+        for k, loc in enumerate(self.locations):
+            self.offsets.setdefault(loc, []).append(k)
 
 
 class FrameSelector:

@@ -127,10 +127,12 @@ class PrimeProbe:
         """Re-time the primed lines; return locations showing a miss.
 
         A miss means *someone* filled the location since the prime —
-        the victim's secret-dependent access, or noise.
+        the victim's secret-dependent access, or noise.  The attacker
+        reads only which side of the threshold each line falls on, so
+        the sweep goes through :meth:`Cache.access_many_missed`: under
+        the default timing no latency variate can flip a verdict, and
+        none is computed.
         """
-        import numpy as np
-
         lines, locs = self._sweep(locations)
-        lats = self.cache.access_many_timed(lines, self.cos)
-        return {locs[i] for i in np.flatnonzero(lats > self.threshold)}
+        missed = self.cache.access_many_missed(lines, self.cos, self.threshold)
+        return {locs[i] for i in missed}

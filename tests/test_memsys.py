@@ -121,6 +121,19 @@ class TestPermissions:
             assert exc.value.kind == ("read" if kind == "read" else "write")
             assert space.fault_count == 1
 
+    def test_fault_message_names_the_masked_page(self, space):
+        """The message is built on demand and reads as it always did;
+        the exception's args hold only the masked page address."""
+        space.map_range(0xB0000, PAGE_SIZE)
+        space.mprotect(0xB0000, PAGE_SIZE, Permissions.READ)
+        with pytest.raises(PageFault) as exc:
+            space.translate(0xB0ABC, "update")
+        assert str(exc.value) == "write fault at page 0xb0000"
+        assert exc.value.args == (0xB0000, "write")
+        with pytest.raises(PageFault) as exc:
+            space.translate(0xC0123, "read")
+        assert str(exc.value) == "unmapped fault at page 0xc0000"
+
     def test_fault_count(self, space):
         space.map_range(0x70000, PAGE_SIZE)
         space.mprotect(0x70000, PAGE_SIZE, Permissions.NONE)

@@ -32,8 +32,9 @@ class TestEnclave:
         space, _, enclave = make_enclave()
         arr = enclave.array("a", 16)
         space.mprotect(arr.base, 16, Permissions.NONE)
-        with pytest.raises(EnclaveKilled):
+        with pytest.raises(EnclaveKilled) as exc:
             arr.get(0)
+        assert str(exc.value) == f"read fault at page 0x{arr.base & ~0xFFF:x}"
 
     def test_fault_handler_resolves_and_access_completes(self):
         space, _, enclave = make_enclave()

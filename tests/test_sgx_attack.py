@@ -170,9 +170,14 @@ class TestExactState:
             (300, {"use_cat": False,
                    "cache": CacheConfig(replacement="plru")},
              "218e75d8ca345561e2a75aa8c51b59c5516d6a424213672c15465a6da1cfcd5e"),
+            # At sigma = 30 the probe threshold sits 2.7 sigma from each
+            # latency mode, so every probe reads its latencies: the
+            # timed fallback of Cache.access_many_missed, end to end.
+            (300, {"cache": CacheConfig(noise_sigma=30.0)},
+             "63f55361c5ff2f7990013e4edb3157eed0f91b1e8b4fd48b01b249191f9e2398"),
         ],
         ids=["default", "no_frame_selection", "no_cat", "noise_rate_8",
-             "plru", "plru_no_cat"],
+             "plru", "plru_no_cat", "sigma_30"],
     )
     def test_state_matches_recorded(self, n, overrides, expected):
         attack = SgxBzip2Attack(
