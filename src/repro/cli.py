@@ -58,14 +58,23 @@ class UsageError(Exception):
 
 # -- idioms shared by the commands ---------------------------------------
 def _load_input(args: argparse.Namespace) -> bytes:
+    """The input/secret of ``add_input_args``; an empty one (a size
+    below 1, an empty file) is a usage error."""
     if args.file:
         with open(args.file, "rb") as handle:
-            return handle.read()
-    if args.lowercase:
-        return lowercase_ascii(args.lowercase, seed=args.seed)
-    if args.text:
-        return english_like(args.text, seed=args.seed)
-    return random_bytes(args.random, seed=args.seed)
+            data = handle.read()
+    elif args.lowercase is not None:
+        data = lowercase_ascii(args.lowercase, seed=args.seed)
+    elif args.text is not None:
+        data = english_like(args.text, seed=args.seed)
+    else:
+        data = random_bytes(args.random, seed=args.seed)
+    if not data:
+        raise UsageError(
+            "the command needs a non-empty input (got 0 bytes; pass "
+            "--random N with N > 0, --file, --lowercase or --text)"
+        )
+    return data
 
 
 def _json(doc, sort_keys: bool = True) -> str:
@@ -231,13 +240,8 @@ def cmd_taintchannel(args: argparse.Namespace) -> int:
     from repro.core.taintchannel import TaintChannel
     from repro.core.taintchannel.tool import target_for
 
-    data = _load_input(args)
     tc = TaintChannel(carry_aware_add=args.carry_aware, max_events=args.max_events)
-    try:
-        target = target_for(args.target, data)
-    except ValueError as exc:
-        raise UsageError(exc) from None
-    result = tc.analyze(args.target, target)
+    result = tc.analyze(args.target, target_for(args.target, _load_input(args)))
     print(result.summary())
     gadgets = result.gadgets
     if args.gadget:
@@ -1066,17 +1070,24 @@ def cmd_perf_profile(args: argparse.Namespace) -> int:
 
 
 # -- the parser -----------------------------------------------------------
-def _count_arg(text: str) -> int:
-    """argparse type for a count: a non-negative integer."""
+def _int_arg(text: str, minimum: int, what: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}"
-        )
+        value = minimum - 1
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"expected {what} integer, got {text!r}")
     return value
+
+
+def _count_arg(text: str) -> int:
+    """argparse type for a count: a non-negative integer."""
+    return _int_arg(text, 0, "a non-negative")
+
+
+def _positive_arg(text: str) -> int:
+    """argparse type for a size or a number of draws: a positive integer."""
+    return _int_arg(text, 1, "a positive")
 
 
 # Arguments declared identically by several commands, declared once
@@ -1103,7 +1114,9 @@ _SHARED_ARGS = {
     ),
     "sinks": (("sink",), {"nargs": "+", "help": "JSONL sink file(s) or glob"}),
     "kernel": (("target",), {"choices": ["zlib", "lzw", "bzip2"]}),
-    "size=120": (("--size",), {"type": int, "default": 120, "help": "input bytes"}),
+    "size=120": (
+        ("--size",), {"type": _positive_arg, "default": 120, "help": "input bytes"}
+    ),
     "hash-bits": (
         ("--hash-bits",),
         {
@@ -1197,12 +1210,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(sub, "fingerprint", cmd_fingerprint,
                 "Section VI fingerprinting attack")
     p.add_argument("--corpus", choices=["brotli", "lipsum"], default="brotli")
-    p.add_argument("--traces", type=int, default=30)
-    p.add_argument("--epochs", type=int, default=60)
+    p.add_argument("--traces", type=_positive_arg, default=30)
+    p.add_argument("--epochs", type=_positive_arg, default=60)
     _shared(p, "seed")
 
     p = command(sub, "survey", cmd_survey, "Section IV recovery survey")
-    p.add_argument("--size", type=int, default=600)
+    p.add_argument("--size", type=_positive_arg, default=600)
     _shared(p, "seed")
 
     tsub = group("trace", "capture, inspect, and verify stored victim traces",
@@ -1213,14 +1226,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trace store directory (conventionally *.trstore)")
     t.add_argument("--species", choices=["memory", "fingerprint"],
                    default="memory")
-    t.add_argument("--size", type=int, default=600,
+    t.add_argument("--size", type=_positive_arg, default=600,
                    help="input bytes per memory-trace target")
     t.add_argument("--targets", nargs="*",
                    choices=["zlib", "lzw", "bzip2"],
                    help="memory-trace targets (default: all three)")
     t.add_argument("--corpus", choices=["brotli", "lipsum"],
                    default="lipsum", help="fingerprint corpus")
-    t.add_argument("--traces", type=int, default=10,
+    t.add_argument("--traces", type=_positive_arg, default=10,
                    help="fingerprint captures per corpus file")
     _shared(t, "seed")
     t.add_argument("--id", help="explicit trace id (fingerprint captures)")
@@ -1477,11 +1490,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = command(dsub, "channel", cmd_diag_channel,
                 "timing margins, eviction-set quality, single-step fidelity")
-    d.add_argument("--samples", type=int, default=1500,
+    d.add_argument("--samples", type=_positive_arg, default=1500,
                    help="hit/miss timing draws")
     d.add_argument("--targets", type=int, default=4,
                    help="eviction-set targets to build")
-    d.add_argument("--step-n", type=int, default=32,
+    d.add_argument("--step-n", type=_positive_arg, default=32,
                    help="single-step probe input bytes")
     _shared(d, "noise-sigma")
     d.add_argument("--confusion", action="store_true",
@@ -1554,7 +1567,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-site access-count profile of an analysis "
                         "target instead (same site ids as the gadget "
                         "reports)")
-    q.add_argument("--size", type=int, default=500,
+    q.add_argument("--size", type=_positive_arg, default=500,
                    help="input bytes for --sites (default 500)")
     q.add_argument("--params", help="JSON params for --experiment")
     _shared(q, "seed")

@@ -45,10 +45,22 @@ class VictimTimeline:
     paths: list[str]  # per-block sorting path, ground truth
 
 
+_victim_runs = 0
+
+
+def victim_runs() -> int:
+    """How many victim compressions :func:`victim_timeline` has run in
+    this process.  A live fingerprint experiment and a trace capture
+    both run the victim through it; a replay from a store runs none."""
+    return _victim_runs
+
+
 def victim_timeline(data: bytes, work_factor: Optional[int] = None) -> VictimTimeline:
     """Compress ``data`` once and extract the monitored-function
     timeline.  The victim run is deterministic per file; capture noise is
     added per-trace by :func:`capture_trace`."""
+    global _victim_runs
+    _victim_runs += 1
     profiler = Profiler()
     ctx = NativeContext(profiler=profiler)
     kwargs = {} if work_factor is None else {"work_factor": work_factor}

@@ -22,7 +22,9 @@ settings.load_profile("repro")
 
 @pytest.fixture(scope="session")
 def claims():
-    """Every claim's rows and verdicts, collected with obs off."""
+    """Every claim's rows and verdicts, collected with obs off.  No row
+    reads a clock (REPLAY counts victim runs, not seconds), so on one
+    machine a second collection gives the same rows."""
     from repro import obs
     from repro.diag.claims import collect_claim_metrics
 

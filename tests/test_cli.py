@@ -86,6 +86,33 @@ class TestParser:
         assert _run(argv) == 2
         assert "bad span '5'; expected LO:HI" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sgx-attack", "--random", "0"],
+            ["sgx-attack", "--random", "-5"],
+            ["sgx-attack", "--file", os.devnull],
+            ["taintchannel", "zlib", "--lowercase", "0"],
+            ["survey", "--size", "0"],
+            ["diag", "report", "--size", "0"],
+            ["fingerprint", "--traces", "0"],
+            ["fingerprint", "--epochs", "0"],
+            ["diag", "channel", "--samples", "0"],
+            ["diag", "channel", "--step-n", "0"],
+            ["mitigate", "survey", "lzw", "--random", "0"],
+            ["mitigate", "report", "lzw", "--size", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_a_size_below_one_is_a_usage_error(self, argv, capsys):
+        assert _run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        # An input option's size is checked on the bytes it makes, so an
+        # empty --file is refused the same way.
+        input_option = argv[-2] in ("--random", "--lowercase", "--file")
+        assert ("non-empty input" if input_option else "expected a positive integer") in err
+
     def test_sgx_flags(self):
         args = build_parser().parse_args(
             ["sgx-attack", "--no-cat", "--no-frame-selection", "--noise", "9"]
